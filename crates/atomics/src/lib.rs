@@ -18,7 +18,8 @@
 //! All link words in the data structures are represented as [`u64`]s holding a pointer
 //! plus low tag bits (see [`tagged`]); this crate also re-exports the epoch-based
 //! reclamation [`crossbeam_epoch::Guard`] used throughout, and a helper to
-//! retire heap allocations through it.
+//! retire heap allocations through it. [`wake`] holds the one sleep/wake
+//! primitive every background thread in the workspace blocks on.
 //!
 //! # Examples
 //!
@@ -49,6 +50,7 @@
 
 pub mod dcss;
 pub mod tagged;
+pub mod wake;
 
 pub use crossbeam_epoch::{
     domain_stats, pin, pin_domain, pin_domain_with, GarbageStats, Guard, Reclaimer,

@@ -16,8 +16,9 @@
 //!   tiered predecessor cost at the largest population) is the PR's acceptance
 //!   criterion (`>= 2x`).
 //! * **E13b** — sustained `READ_MOSTLY` (95% predecessor / 4% insert / 1% remove)
-//!   mixed throughput across thread counts, with the tiered structure's background
-//!   merger folding every `SKIPTRIE_TIER_MERGE_EVERY` ms (default 20).
+//!   mixed throughput across thread counts, the tiered structure running as a
+//!   one-shard `TieredForest` whose coordinator folds every
+//!   [`MIXED_WATERMARK`] delta writes.
 //! * **E13c** — `SCAN_HEAVY` mixed throughput: the regime the tier is *not*
 //!   optimised for (50% scans, 40% writes), to show the delta merge walk does not
 //!   fall off a cliff.
@@ -25,12 +26,13 @@
 //!   vs `tier_miss_delta` before, during and after the fold, plus `tier_merge` /
 //!   `tier_swap` bookkeeping.
 
-use std::time::Duration;
-
-use skiptrie::{SkipTrie, SkipTrieConfig, TieredSkipTrie, TieredSkipTrieConfig};
+use skiptrie::{
+    ShardedSkipTrieConfig, SkipTrie, SkipTrieConfig, TieredForest, TieredSkipTrie,
+    TieredSkipTrieConfig,
+};
 use skiptrie_baselines::LockedBTreeMap;
 use skiptrie_bench::{
-    env_knob, prefill, print_table, run_throughput, scaled, thread_sweep, write_json_summary,
+    prefill, print_table, run_throughput, scaled, thread_sweep, write_json_summary,
     ConcurrentPredecessorMap,
 };
 use skiptrie_metrics::{self as metrics, Counter, Stopwatch};
@@ -38,17 +40,10 @@ use skiptrie_workloads::{KeyDist, OpMix, SplitMix64, WorkloadSpec};
 
 const UNIVERSE_BITS: u32 = 32;
 
-/// Background merge period for the mixed-throughput runs. Malformed or zero
-/// `SKIPTRIE_TIER_MERGE_EVERY` values panic (unset/empty keeps the default) so a
-/// typo'd knob cannot silently relabel the experiment.
-fn merge_every() -> Duration {
-    let ms = env_knob::<u64>("SKIPTRIE_TIER_MERGE_EVERY").unwrap_or(20);
-    assert!(
-        ms > 0,
-        "SKIPTRIE_TIER_MERGE_EVERY must be a positive number of milliseconds"
-    );
-    Duration::from_millis(ms)
-}
+/// Delta writes between background folds in the mixed-throughput runs: small
+/// enough that even the one-thread `READ_MOSTLY` row (5% of 20 000 ops are
+/// writes) crosses it more than once.
+const MIXED_WATERMARK: usize = 512;
 
 /// The tiered structure's config: its own epoch domain, so retiring displaced
 /// tiers and folded deltas never bills the *other* structures' pinned reads with
@@ -165,12 +160,15 @@ fn mixed_throughput(title: &str, mix: OpMix, seed: u64, m: usize) {
         let keys = spec.prefill_keys();
         let mut row = vec![threads.to_string()];
 
-        let tiered: TieredSkipTrie<u64> =
-            TieredSkipTrie::new(tiered_trie_config().with_merge_every(merge_every()));
-        for &k in &keys {
-            tiered.insert(k, k);
-        }
-        tiered.merge();
+        // One shard: the forest is there for its merge coordinator, the only
+        // background folder in the workspace. Shard 0 runs in epoch domain 1,
+        // like `tiered_trie_config`.
+        let tiered: TieredForest<u64> = TieredForest::from_sorted(
+            ShardedSkipTrieConfig::for_universe_bits(UNIVERSE_BITS)
+                .with_shards(1)
+                .with_merge_watermark(MIXED_WATERMARK),
+            &spec.sorted_prefill_entries(),
+        );
         let trie: SkipTrie<u64> = SkipTrie::new(SkipTrieConfig::for_universe_bits(UNIVERSE_BITS));
         let btree: LockedBTreeMap<u64> = LockedBTreeMap::new();
         prefill(&trie, &keys);

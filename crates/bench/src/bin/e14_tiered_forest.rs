@@ -171,10 +171,13 @@ fn read_mostly_throughput() {
 
         let forest = quiesced_forest(&sorted, FrozenSearch::Eytzinger);
         let plain: ShardedSkipTrie<u64> = ShardedSkipTrie::from_sorted(forest_config(), &sorted);
-        let tiered: TieredSkipTrie<u64> = TieredSkipTrie::from_sorted(
-            TieredSkipTrieConfig::for_universe_bits(UNIVERSE_BITS)
+        // The unsharded tiered trie, as a one-shard forest: a standalone
+        // `TieredSkipTrie` never folds by itself.
+        let tiered = TieredForest::from_sorted(
+            forest_config()
+                .with_shards(1)
                 .with_merge_watermark(watermark()),
-            sorted.iter().copied(),
+            &sorted,
         );
         let structures: [&dyn ConcurrentPredecessorMap; 3] = [&forest, &plain, &tiered];
         for s in structures {

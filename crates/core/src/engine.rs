@@ -24,10 +24,6 @@
 //!   execute under one pin / one tier resolution.
 //! * **Bulk load** — single-owner `O(n)` construction of one shard's contiguous
 //!   sub-slice; the router calls it from one worker thread per shard.
-//! * **Maintenance hooks** — watermark-driven background work
-//!   ([`ShardEngine::maintenance_due`] / [`ShardEngine::run_maintenance`] /
-//!   [`ShardEngine::register_maintenance_waker`]); defaulted to no-ops for
-//!   engines with nothing to do in the background (the plain [`SkipTrie`]).
 
 use skiptrie_skiplist::RangeIter as SkipListRangeIter;
 
@@ -182,25 +178,6 @@ where
     /// Audits the shard's structural invariants, panicking on violation;
     /// returns how many entries were examined.
     fn check_traversal_integrity(&self) -> usize;
-
-    /// True when the engine has background work owed (e.g. a tiered shard whose
-    /// delta crossed its merge watermark). Defaults to "never".
-    fn maintenance_due(&self) -> bool {
-        false
-    }
-
-    /// Runs one round of background maintenance (e.g. one tier fold); returns
-    /// whether any work was performed. Defaults to a no-op.
-    fn run_maintenance(&self) -> bool {
-        false
-    }
-
-    /// Registers the thread to unpark when maintenance becomes due, replacing
-    /// any previous registration. Defaults to a no-op for engines that never
-    /// have background work.
-    fn register_maintenance_waker(&self, waker: std::thread::Thread) {
-        let _ = waker;
-    }
 }
 
 impl<V> ShardEngine<V> for SkipTrie<V>
@@ -315,16 +292,11 @@ where
         Self: 'a;
 
     fn build(spec: &ShardSpec) -> Self {
-        let config = TieredSkipTrieConfig {
+        TieredSkipTrie::new(TieredSkipTrieConfig {
             trie: spec.trie,
-            // No per-shard timer and no per-shard thread: merges are driven by
-            // the watermark through the forest's single coordinator, which
-            // registers itself via `register_maintenance_waker`.
-            merge_every: None,
             merge_watermark: spec.merge_watermark,
             frozen_search: spec.frozen_search,
-        };
-        TieredSkipTrie::from_sorted_spawn(config, std::iter::empty(), false)
+        })
     }
 
     fn insert(&self, key: u64, value: V) -> bool {
@@ -418,17 +390,5 @@ where
 
     fn check_traversal_integrity(&self) -> usize {
         TieredSkipTrie::check_traversal_integrity(self)
-    }
-
-    fn maintenance_due(&self) -> bool {
-        TieredSkipTrie::merge_due(self)
-    }
-
-    fn run_maintenance(&self) -> bool {
-        TieredSkipTrie::merge(self)
-    }
-
-    fn register_maintenance_waker(&self, waker: std::thread::Thread) {
-        TieredSkipTrie::set_merge_waker(self, waker);
     }
 }

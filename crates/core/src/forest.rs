@@ -77,18 +77,12 @@ pub struct ShardedSkipTrieConfig {
     pub hash_dir: DirectoryConfig,
     /// Per-shard delta-size merge watermark, for tiered engines: once a shard's
     /// live delta accumulates this many writes, the writer that crosses the mark
-    /// flags the shard and unparks the merge coordinator. Ignored by the plain
+    /// flags the shard and wakes the merge coordinator. Ignored by the plain
     /// [`SkipTrie`] engine. `None` (the default) disables the trigger.
     pub merge_watermark: Option<usize>,
     /// Frozen-tier search algorithm for tiered engines (ignored by the plain
     /// [`SkipTrie`] engine); see [`FrozenSearch`].
     pub frozen_search: FrozenSearch,
-    /// Adapt each shard's merge watermark to its share of recent delta writes
-    /// (tiered engines under a [`TieredForest`](crate::TieredForest)
-    /// coordinator only): hot shards fold sooner, cold shards are left alone.
-    /// `merge_watermark` becomes the *base* (and ceiling) watermark. Ignored
-    /// without a configured watermark.
-    pub adaptive_watermark: bool,
     /// Reclamation substrate for every shard's epoch domain; see
     /// [`SkipTrieConfig::with_reclaimer`].
     pub reclaimer: Reclaimer,
@@ -121,7 +115,6 @@ impl ShardedSkipTrieConfig {
             hash_dir: DirectoryConfig::default(),
             merge_watermark: None,
             frozen_search: FrozenSearch::Eytzinger,
-            adaptive_watermark: false,
             reclaimer: Reclaimer::Ebr,
         }
     }
@@ -189,14 +182,6 @@ impl ShardedSkipTrieConfig {
     /// [`FrozenSearch`].
     pub fn with_frozen_search(mut self, search: FrozenSearch) -> Self {
         self.frozen_search = search;
-        self
-    }
-
-    /// Enables adaptive per-shard merge watermarks (tiered engines under a
-    /// forest coordinator only); see
-    /// [`ShardedSkipTrieConfig::adaptive_watermark`].
-    pub fn with_adaptive_watermark(mut self) -> Self {
-        self.adaptive_watermark = true;
         self
     }
 

@@ -70,6 +70,7 @@ pub use engine::{EngineRangeIter, ShardEngine, ShardSpec};
 pub use forest::{ShardedRangeIter, ShardedSkipTrie, ShardedSkipTrieConfig};
 pub use prefix::{key_bit, lcp_len, max_key, Prefix};
 pub use skiptrie_atomics::dcss::DcssMode;
+pub use skiptrie_atomics::wake::WakeGate;
 pub use skiptrie_skiplist::{
     levels_for_universe_bits, resolve_bounds, Cursor, NodeRef, RangeIter, SkipList, SkipListConfig,
 };

@@ -13,12 +13,15 @@
 //!   **no epoch pin** (see below).
 //! * **Live delta** — a small ordinary [`SkipTrie`] absorbing recent inserts, with
 //!   a tombstone marker per deleted key so deletions shadow frozen entries.
-//! * **Merge** — [`TieredSkipTrie::merge`] (called manually or by the optional
-//!   background thread) seals the delta, waits for in-flight writers to drain,
-//!   folds `frozen + delta` into a fresh frozen tier off to the side, and publishes
-//!   it with one atomic pointer swap. Readers never block and never observe a
-//!   half-built tier; the displaced tier is retired through the structure's own
-//!   epoch domain.
+//! * **Merge** — [`TieredSkipTrie::merge`] seals the delta, waits for in-flight
+//!   writers to drain, folds `frozen + delta` into a fresh frozen tier off to the
+//!   side, and publishes it with one atomic pointer swap. Readers never block and
+//!   never observe a half-built tier; the displaced tier is retired through the
+//!   structure's own epoch domain. A standalone `TieredSkipTrie` owns no thread
+//!   and **never folds by itself**: crossing the configured watermark only latches
+//!   [`TieredSkipTrie::merge_due`], and somebody has to call `merge` — the caller,
+//!   or the [`TieredForest`](crate::TieredForest) coordinator (a one-shard forest
+//!   is the "tiered trie with a background merger").
 //!
 //! # Why frozen-tier reads need no pin
 //!
@@ -54,11 +57,11 @@
 
 use std::any::Any;
 use std::ops::RangeBounds;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crossbeam_epoch::{self as epoch, Guard};
+use skiptrie_atomics::wake::WakeGate;
 use skiptrie_metrics::{self as metrics, Counter};
 
 use crate::{max_key, SkipTrie, SkipTrieConfig};
@@ -94,14 +97,11 @@ pub struct TieredSkipTrieConfig {
     /// seed, epoch domain, prefix-directory shape). The epoch domain also governs
     /// retirement of displaced frozen tiers.
     pub trie: SkipTrieConfig,
-    /// If set, a background thread calls [`TieredSkipTrie::merge`] at this period
-    /// until the structure is dropped. `None` (the default) leaves merging to
-    /// explicit [`TieredSkipTrie::merge`] calls or the watermark trigger.
-    pub merge_every: Option<Duration>,
     /// If set, writers arm a merge as soon as this many delta writes have
-    /// accumulated since the last seal: the crossing write checks a plain atomic
-    /// counter and unparks the merge thread (or the forest's coordinator) — no
-    /// timer involved. `None` (the default) disables the watermark trigger.
+    /// accumulated since the last seal: the crossing write latches
+    /// [`TieredSkipTrie::merge_due`] and, inside a
+    /// [`TieredForest`](crate::TieredForest), wakes its coordinator. `None` (the
+    /// default) disables the watermark trigger.
     pub merge_watermark: Option<usize>,
     /// How the frozen tier searches its sorted key array.
     pub frozen_search: FrozenSearch,
@@ -114,7 +114,7 @@ impl Default for TieredSkipTrieConfig {
 }
 
 impl TieredSkipTrieConfig {
-    /// A tiered trie over `universe_bits`-bit keys with no background merging.
+    /// A tiered trie over `universe_bits`-bit keys with no merge watermark.
     ///
     /// # Panics
     ///
@@ -122,7 +122,6 @@ impl TieredSkipTrieConfig {
     pub fn for_universe_bits(universe_bits: u32) -> Self {
         TieredSkipTrieConfig {
             trie: SkipTrieConfig::for_universe_bits(universe_bits),
-            merge_every: None,
             merge_watermark: None,
             frozen_search: FrozenSearch::Eytzinger,
         }
@@ -134,14 +133,8 @@ impl TieredSkipTrieConfig {
         self
     }
 
-    /// Enables the background merge thread with period `every`.
-    pub fn with_merge_every(mut self, every: Duration) -> Self {
-        self.merge_every = Some(every);
-        self
-    }
-
-    /// Arms the delta-size watermark: a merge is triggered (and the merge thread
-    /// unparked) once `watermark` writes have landed in the live delta.
+    /// Arms the delta-size watermark: a merge becomes due once `watermark`
+    /// writes have landed in the live delta.
     ///
     /// # Panics
     ///
@@ -435,7 +428,7 @@ const TIER_CACHE_CAP: usize = 8;
 
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
-/// Shared state behind the [`Arc`] the background merge thread also holds.
+/// Everything behind a [`TieredSkipTrie`] handle.
 struct Inner<V> {
     config: TieredSkipTrieConfig,
     /// The epoch domain all pins and tier retirements go through.
@@ -457,26 +450,16 @@ struct Inner<V> {
     /// Latched by the write that crosses the watermark (so only one writer pays
     /// the wake), cleared at seal time.
     merge_due: AtomicBool,
-    /// Live watermark override installed by an adaptive coordinator
-    /// ([`TieredSkipTrie::set_merge_watermark`]); 0 means "none — use the
-    /// configured watermark". Only consulted when a configured watermark exists.
-    watermark_override: AtomicUsize,
-    /// Cumulative delta writes over the structure's lifetime — never reset
-    /// (unlike `delta_writes`, which re-arms at every seal), so an adaptive
-    /// coordinator can difference two samples to estimate a shard's share of
-    /// recent write traffic. Only maintained when a watermark is configured.
-    total_delta_writes: AtomicU64,
     /// Completed folds (merges that actually replaced the frozen tier).
     merges: AtomicU64,
-    /// Whoever should be unparked when the watermark trips: the structure's own
-    /// merge thread, or a forest-level merge coordinator.
-    waker: std::sync::Mutex<Option<std::thread::Thread>>,
-    /// Tells the background merge thread to exit.
-    stop: AtomicBool,
+    /// The forest coordinator's gate, attached when this structure is a
+    /// [`TieredForest`](crate::TieredForest) shard; empty for a standalone trie.
+    coordinator: OnceLock<Arc<WakeGate>>,
 }
 
 // SAFETY: `state` is an owning Arc pointer handled with atomic swaps + epoch
-// retirement; everything else is atomics or immutable config.
+// retirement; everything else is atomics, immutable config, or the gate cell
+// (`OnceLock<Arc<WakeGate>>`, `Send + Sync` in its own right).
 unsafe impl<V: Send + Sync> Send for Inner<V> {}
 unsafe impl<V: Send + Sync> Sync for Inner<V> {}
 
@@ -517,28 +500,23 @@ where
 
     /// Accounts one write into the live delta. When the configured watermark is
     /// crossed, exactly one writer (the one whose `swap` latches `merge_due`)
-    /// unparks the merge waker — the cost on every other write is one atomic add
-    /// and one relaxed-ish load, nothing shared beyond the counter line.
+    /// wakes the coordinator — the cost on every other write is one atomic add,
+    /// nothing shared beyond the counter line.
     fn note_delta_write(&self) {
-        let Some(configured) = self.config.merge_watermark else {
+        let Some(watermark) = self.config.merge_watermark else {
             return;
-        };
-        self.total_delta_writes.fetch_add(1, Ordering::Relaxed);
-        let watermark = match self.watermark_override.load(Ordering::Relaxed) {
-            0 => configured,
-            adaptive => adaptive,
         };
         let writes = self.delta_writes.fetch_add(1, Ordering::SeqCst) + 1;
         if writes as usize >= watermark && !self.merge_due.swap(true, Ordering::SeqCst) {
-            self.wake_merger();
+            self.wake_coordinator();
         }
     }
 
-    /// Unparks whichever thread is registered to run merges (a no-op when merging
-    /// is purely explicit).
-    fn wake_merger(&self) {
-        if let Some(thread) = self.waker.lock().expect("merge waker lock").as_ref() {
-            thread.unpark();
+    /// Wakes the forest coordinator, if this structure is a forest shard. Call
+    /// after the store that makes [`TieredSkipTrie::fold_ready`] true.
+    fn wake_coordinator(&self) {
+        if let Some(gate) = self.coordinator.get() {
+            gate.wake();
         }
     }
 
@@ -647,6 +625,19 @@ where
         if self.merging.swap(true, Ordering::SeqCst) {
             return false;
         }
+        let folded = self.merge_cycle();
+        self.merging.store(false, Ordering::SeqCst);
+        // A watermark crossed while `merging` was up was not yet foldable (see
+        // `fold_ready`), so the coordinator slept through that writer's wake;
+        // now that the guard is down, this is the store that makes it ready.
+        if self.merge_due.load(Ordering::SeqCst) {
+            self.wake_coordinator();
+        }
+        folded
+    }
+
+    /// The seal → grace → fold → publish cycle; the caller holds `merging`.
+    fn merge_cycle(&self) -> bool {
         let (current, _) = self.acquire_tiers();
         // `merging` is held, so `sealed` can only be Some if a previous merge died
         // mid-way — impossible without a panic; treat "nothing buffered" as done.
@@ -655,7 +646,6 @@ where
             // coordinator does not keep seeing this shard as due.
             self.delta_writes.store(0, Ordering::SeqCst);
             self.merge_due.store(false, Ordering::SeqCst);
-            self.merging.store(false, Ordering::SeqCst);
             return false;
         }
         // Phase 1 — seal: move the live delta aside and hand writers a fresh one.
@@ -686,7 +676,6 @@ where
             sealed: None,
         });
         self.merges.fetch_add(1, Ordering::SeqCst);
-        self.merging.store(false, Ordering::SeqCst);
         true
     }
 
@@ -905,8 +894,7 @@ pub struct TieredSkipTrie<V>
 where
     V: Clone + Send + Sync + 'static,
 {
-    inner: Arc<Inner<V>>,
-    merger: Option<std::thread::JoinHandle<()>>,
+    inner: Inner<V>,
 }
 
 impl<V> Default for TieredSkipTrie<V>
@@ -942,21 +930,6 @@ where
     where
         I: IntoIterator<Item = (u64, V)>,
     {
-        Self::from_sorted_spawn(config, entries, true)
-    }
-
-    /// [`TieredSkipTrie::from_sorted`] with control over the background merge
-    /// thread. The forest engine passes `spawn_merger = false`: its shards share
-    /// one coordinator thread (registered via the maintenance-waker hook) instead
-    /// of spawning a thread per shard.
-    pub(crate) fn from_sorted_spawn<I>(
-        config: TieredSkipTrieConfig,
-        entries: I,
-        spawn_merger: bool,
-    ) -> Self
-    where
-        I: IntoIterator<Item = (u64, V)>,
-    {
         let top = max_key(config.trie.universe_bits);
         let mut last: Option<u64> = None;
         let sorted: Vec<(u64, V)> = entries
@@ -975,7 +948,7 @@ where
             live: Arc::new(SkipTrie::new(config.trie)),
             sealed: None,
         };
-        let inner = Arc::new(Inner {
+        let inner = Inner {
             config,
             domain: config.trie.domain.unwrap_or(0),
             instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
@@ -985,39 +958,10 @@ where
             net: AtomicI64::new(net),
             delta_writes: AtomicU64::new(0),
             merge_due: AtomicBool::new(false),
-            watermark_override: AtomicUsize::new(0),
-            total_delta_writes: AtomicU64::new(0),
             merges: AtomicU64::new(0),
-            waker: std::sync::Mutex::new(None),
-            stop: AtomicBool::new(false),
-        });
-        let wants_thread = config.merge_every.is_some() || config.merge_watermark.is_some();
-        let merger = (spawn_merger && wants_thread).then(|| {
-            let worker = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("skiptrie-tier-merge".into())
-                .spawn(move || {
-                    while !worker.stop.load(Ordering::SeqCst) {
-                        match worker.config.merge_every {
-                            Some(every) => std::thread::park_timeout(every),
-                            // Watermark-only mode: no timer at all — sleep until
-                            // the write that crosses the watermark unparks us.
-                            None => std::thread::park(),
-                        }
-                        if worker.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        worker.merge();
-                    }
-                })
-                .expect("spawn tier-merge thread")
-        });
-        if let Some(handle) = &merger {
-            // Registration happens before the constructor returns, i.e. before
-            // any writer can cross the watermark: no wake can be missed.
-            *inner.waker.lock().expect("merge waker lock") = Some(handle.thread().clone());
-        }
-        TieredSkipTrie { inner, merger }
+            coordinator: OnceLock::new(),
+        };
+        TieredSkipTrie { inner }
     }
 
     /// The configuration this structure was built with.
@@ -1176,7 +1120,7 @@ where
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn insert(&self, key: u64, value: V) -> bool {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         inner.check_key(key);
         // The pin spans (state read → delta write): the merge's grace period waits
         // for it, so a write into a just-sealed delta is never folded away.
@@ -1193,7 +1137,7 @@ where
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn remove(&self, key: u64) -> Option<V> {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         inner.check_key(key);
         let _guard = inner.pin();
         inner.with_tiers(|t| inner.remove_in(t, key))
@@ -1207,7 +1151,7 @@ where
     ///
     /// Panics if any key does not fit in the configured universe.
     pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         for &(key, _) in entries {
             inner.check_key(key);
         }
@@ -1227,7 +1171,7 @@ where
     ///
     /// Panics if any key does not fit in the configured universe.
     pub fn remove_batch(&self, keys: &[u64]) -> usize {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         for &key in keys {
             inner.check_key(key);
         }
@@ -1249,7 +1193,7 @@ where
     /// shorter than `keys`.
     pub fn get_batch_into(&self, keys: &[u64], out: &mut [Option<V>]) {
         assert!(out.len() >= keys.len(), "output buffer shorter than keys");
-        let inner = &*self.inner;
+        let inner = &self.inner;
         for &key in keys {
             inner.check_key(key);
         }
@@ -1279,7 +1223,7 @@ where
     /// Insert of a shard's picked batch group (`order` indexes into `entries`,
     /// sorted by key): one pin + one tiers resolution for the group.
     pub(crate) fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         for &i in order {
             inner.check_key(entries[i].0);
         }
@@ -1305,7 +1249,7 @@ where
         order: &[usize],
         out: &mut [bool],
     ) {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         for &i in order {
             inner.check_key(entries[i].0);
         }
@@ -1327,7 +1271,7 @@ where
         order: &[usize],
         out: &mut [Option<V>],
     ) {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         for &i in order {
             inner.check_key(keys[i]);
         }
@@ -1342,7 +1286,7 @@ where
     /// Remove of a shard's picked batch group (see
     /// [`TieredSkipTrie::insert_batch_picked`]).
     pub(crate) fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         for &i in order {
             inner.check_key(keys[i]);
         }
@@ -1358,7 +1302,7 @@ where
     /// Lookup of a shard's picked batch group, answering `out[i]` for each picked
     /// `i` against one published tiers triple.
     pub(crate) fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         for &i in order {
             inner.check_key(keys[i]);
         }
@@ -1471,7 +1415,7 @@ where
     /// Panics if the structure is not empty, or if keys are not strictly
     /// increasing / exceed the universe.
     pub fn bulk_load(&mut self, entries: &[(u64, V)]) -> usize {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         assert!(
             inner.with_tiers(|t| t.delta_is_empty() && t.frozen.len() == 0),
             "bulk_load requires an empty TieredSkipTrie"
@@ -1559,74 +1503,28 @@ where
         self.inner.delta_writes.load(Ordering::SeqCst)
     }
 
-    /// Cumulative delta writes over the structure's lifetime — unlike
-    /// [`TieredSkipTrie::delta_writes`] this is **never reset** by a seal, so an
-    /// adaptive coordinator can difference two samples to estimate this shard's
-    /// share of recent write traffic. Only maintained when a watermark is
-    /// configured (stays 0 otherwise).
-    pub fn total_delta_writes(&self) -> u64 {
-        self.inner.total_delta_writes.load(Ordering::Relaxed)
-    }
-
     /// Completed folds over the structure's lifetime (merges that actually
     /// replaced the frozen tier; empty-delta no-op merges do not count).
     pub fn merge_count(&self) -> u64 {
         self.inner.merges.load(Ordering::SeqCst)
     }
 
-    /// Installs (or with `None` clears) a live override of the configured merge
-    /// watermark — the adaptive-watermark hook: a coordinator that sees this
-    /// shard taking a disproportionate share of write traffic lowers its
-    /// watermark so it folds sooner, and raises it back as traffic cools.
-    ///
-    /// Takes effect on subsequent delta writes; if the current delta has
-    /// *already* crossed the new watermark, the merge-due latch is armed and
-    /// the merge waker unparked immediately, so lowering the watermark never
-    /// waits for one more write. A no-op unless the structure was configured
-    /// with [`TieredSkipTrieConfig::with_merge_watermark`] (there is no
-    /// watermark machinery to override otherwise).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `watermark` is `Some(0)`.
-    pub fn set_merge_watermark(&self, watermark: Option<usize>) {
-        let value = watermark.unwrap_or(0);
-        assert!(
-            watermark != Some(0),
-            "merge watermark override must be positive (use None to clear)"
-        );
+    /// True when the coordinator should fold this shard now: a merge is due and
+    /// nobody holds the single-merger guard. A due shard an explicit caller is
+    /// already folding is *not yet* ready — `merge` would return `false` with
+    /// the latch still set, and a level-triggered sleeper would spin on it for
+    /// the length of that fold. The folder re-wakes the coordinator on exit.
+    pub(crate) fn fold_ready(&self) -> bool {
+        self.inner.merge_due.load(Ordering::SeqCst) && !self.inner.merging.load(Ordering::SeqCst)
+    }
+
+    /// Makes `gate` the one this shard wakes when [`Self::fold_ready`] turns
+    /// true. Called once, by the forest that owns the shard.
+    pub(crate) fn attach_coordinator(&self, gate: Arc<WakeGate>) {
         self.inner
-            .watermark_override
-            .store(value, Ordering::Relaxed);
-        if self.inner.config.merge_watermark.is_some() {
-            if let Some(new) = self.effective_merge_watermark() {
-                if self.inner.delta_writes.load(Ordering::SeqCst) as usize >= new
-                    && !self.inner.merge_due.swap(true, Ordering::SeqCst)
-                {
-                    self.inner.wake_merger();
-                }
-            }
-        }
-    }
-
-    /// The watermark currently in force: the live override if one is installed,
-    /// else the configured value (`None` when no watermark was configured —
-    /// overrides do not apply then).
-    pub fn effective_merge_watermark(&self) -> Option<usize> {
-        let configured = self.inner.config.merge_watermark?;
-        Some(
-            match self.inner.watermark_override.load(Ordering::Relaxed) {
-                0 => configured,
-                adaptive => adaptive,
-            },
-        )
-    }
-
-    /// Registers `thread` to be unparked when the watermark trips, replacing the
-    /// previous waker. The forest's merge coordinator registers itself here so
-    /// one thread can serve every shard.
-    pub(crate) fn set_merge_waker(&self, thread: std::thread::Thread) {
-        *self.inner.waker.lock().expect("merge waker lock") = Some(thread);
+            .coordinator
+            .set(gate)
+            .expect("a tiered shard has one coordinator");
     }
 
     /// Folds the delta into a fresh frozen tier and publishes it; returns `true`
@@ -1642,12 +1540,6 @@ where
     pub fn merge(&self) -> bool {
         self.inner.merge()
     }
-
-    /// Unparks whichever thread runs merges — the structure's own background
-    /// thread or a registered forest coordinator — for an immediate pass.
-    pub fn nudge_merger(&self) {
-        self.inner.wake_merger();
-    }
 }
 
 impl<V> Drop for TieredSkipTrie<V>
@@ -1655,11 +1547,6 @@ where
     V: Clone + Send + Sync + 'static,
 {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.merger.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
         // Free anything exited reader threads parked (see `TierCache`) while a
         // live thread is guaranteed to exist to do it.
         drain_tier_graveyard();
@@ -1829,11 +1716,11 @@ mod tests {
 
     #[test]
     fn watermark_arms_merge_due_and_explicit_merge_clears_it() {
-        // No thread involvement: watermark accounting alone (the thread-driven
-        // path is covered by `watermark_triggers_merge_without_timer`).
+        // A standalone tiered trie is passive: the watermark only latches the
+        // flag (the coordinator-driven fold is covered at forest level by
+        // `coordinator_folds_from_the_watermark_with_no_timer`).
         let config = TieredSkipTrieConfig::for_universe_bits(32).with_merge_watermark(8);
-        let t: TieredSkipTrie<u64> =
-            TieredSkipTrie::from_sorted_spawn(config, std::iter::empty(), false);
+        let t: TieredSkipTrie<u64> = TieredSkipTrie::new(config);
         for k in 0..7u64 {
             t.insert(k, k);
         }
@@ -1845,25 +1732,6 @@ mod tests {
         assert!(!t.merge_due(), "seal re-arms the watermark");
         assert_eq!(t.delta_writes(), 0);
         assert_eq!(t.frozen_len(), 8);
-    }
-
-    #[test]
-    fn watermark_triggers_merge_without_timer() {
-        // No `merge_every`: the only way the background thread ever runs a merge
-        // is the watermark-crossing writer unparking it.
-        let config = TieredSkipTrieConfig::for_universe_bits(32).with_merge_watermark(32);
-        let t: TieredSkipTrie<u64> = TieredSkipTrie::new(config);
-        for k in 0..32u64 {
-            t.insert(k, k);
-        }
-        for _ in 0..2000 {
-            if t.frozen_len() == 32 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(t.frozen_len(), 32, "watermark merge never fired");
-        assert_eq!(t.delta_len(), 0);
     }
 
     #[test]
@@ -1988,32 +1856,5 @@ mod tests {
         assert_eq!(t.pop_first(), Some((9, 10)));
         assert_eq!(t.pop_first(), None);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn background_merger_folds_without_explicit_calls() {
-        let config =
-            TieredSkipTrieConfig::for_universe_bits(32).with_merge_every(Duration::from_millis(5));
-        let t: TieredSkipTrie<u64> = TieredSkipTrie::new(config);
-        for k in 0..64u64 {
-            t.insert(k, k);
-        }
-        t.nudge_merger();
-        // `delta_len() == 0` alone is not quiescence: after the seal swap the live
-        // delta is empty while the entries still sit in `sealed`, so wait for the
-        // fold to land in the frozen tier.
-        for _ in 0..1000 {
-            if t.frozen_len() == 64 {
-                break;
-            }
-            t.nudge_merger();
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(
-            t.frozen_len(),
-            64,
-            "background merger never folded the delta"
-        );
-        assert_eq!(t.delta_len(), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Tiered sharded forest: a [`ShardedSkipTrie`] whose per-shard engine is the
 //! frozen-tier [`TieredSkipTrie`], plus a single background coordinator that
-//! folds shard deltas with **staggered** merges.
+//! folds shard deltas one shard at a time (**staggered** merges).
 //!
 //! # Why a separate wrapper
 //!
@@ -8,11 +8,14 @@
 //! structure: every shard is a frozen Eytzinger (or interpolation) array plus
 //! a live skip-trie delta, and the router stitches scans and pops across them.
 //! What the plain router cannot do is *react* to delta growth — a shard whose
-//! delta crosses its `merge_watermark` latches a `merge_due` flag and unparks
-//! a waker, but somebody has to own that waker. [`TieredForest`] is that
-//! somebody: one coordinator thread registered as the waker for **every**
-//! shard, parking until any shard trips its watermark and then folding the
-//! due shards in stripes of at most `merge_stripe` concurrent folds.
+//! delta crosses its `merge_watermark` latches a `merge_due` flag, but a
+//! passive shard never folds by itself. [`TieredForest`] is the workspace's
+//! one background merge scheduler: a coordinator thread that sleeps on a
+//! [`WakeGate`] until *any shard is ready to fold* and then folds each ready
+//! shard in turn. The wait is level-triggered — the predicate re-reads every
+//! shard's latch before every park — so a watermark crossed while the
+//! coordinator is busy folding another shard is seen on the next pass, with
+//! no wake token that other code could consume.
 //!
 //! # Staggering and the exactly-once contract
 //!
@@ -24,97 +27,21 @@
 //! `i` can never block or tear a scan that is currently draining shard `j`.
 //! Because every key lives in exactly one shard, the per-shard exactly-once
 //! guarantee (a key is observed in the frozen tier xor the delta, never both,
-//! never neither) composes directly to the stitched scan. Capping the number
-//! of concurrent folds at `merge_stripe` keeps the remaining shards' read
-//! paths completely undisturbed: a fold is shard-local, so at most
-//! `merge_stripe / shard_count` of the key space is mid-fold at any instant.
+//! never neither) composes directly to the stitched scan. The coordinator
+//! folds one shard at a time, which keeps the remaining shards' read paths
+//! completely undisturbed: a fold is shard-local, so at most `1 / shard_count`
+//! of the key space is mid-fold on its account at any instant (explicit
+//! [`TieredSkipTrie::merge`] calls on other shards may overlap it).
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+
+use skiptrie_atomics::wake::WakeGate;
 
 use crate::forest::{ShardedSkipTrie, ShardedSkipTrieConfig};
 use crate::tiered::TieredSkipTrie;
-
-/// How often the adaptive coordinator re-weights per-shard watermarks. A
-/// watermark crossing still unparks the coordinator immediately — the timeout
-/// only bounds how stale the write-share estimate can get.
-const ADAPT_INTERVAL: Duration = Duration::from_millis(1);
-
-/// EWMA smoothing factor per re-weighting pass (weight of the newest sample).
-const ADAPT_ALPHA: f64 = 0.5;
-
-/// Write-share tracking behind adaptive per-shard watermarks (see
-/// [`ShardedSkipTrieConfig::adaptive_watermark`]): the coordinator samples each
-/// shard's cumulative delta-write counter, maintains an EWMA of its share of
-/// recent write traffic, and scales the shard's watermark to
-/// `base * fair_share / share` — a shard drawing exactly its fair `1/S` of the
-/// writes keeps the configured base; a shard drawing everything folds at
-/// `base / S`; cold shards clamp at the base (adaptivity only ever *lowers*
-/// a watermark below the configured value, never raises it above).
-struct AdaptState {
-    base: usize,
-    last_totals: Vec<u64>,
-    share: Vec<f64>,
-}
-
-impl AdaptState {
-    fn new<V: Clone + Send + Sync + 'static>(
-        forest: &ShardedSkipTrie<V, TieredSkipTrie<V>>,
-        base: usize,
-    ) -> Self {
-        let shards = forest.shard_count();
-        AdaptState {
-            base,
-            last_totals: (0..shards)
-                .map(|i| forest.shard(i).total_delta_writes())
-                .collect(),
-            share: vec![0.0; shards],
-        }
-    }
-
-    /// One re-weighting pass. Installing a lower watermark on a shard whose
-    /// delta has already crossed it latches that shard's merge-due flag
-    /// immediately (see [`TieredSkipTrie::set_merge_watermark`]), so the
-    /// `fold_due` sweep that follows this call picks it up in the same pass.
-    fn rebalance<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        forest: &ShardedSkipTrie<V, TieredSkipTrie<V>>,
-    ) {
-        let shards = forest.shard_count();
-        let mut deltas = vec![0u64; shards];
-        let mut window = 0u64;
-        for (i, delta) in deltas.iter_mut().enumerate() {
-            let total = forest.shard(i).total_delta_writes();
-            *delta = total - self.last_totals[i];
-            self.last_totals[i] = total;
-            window += *delta;
-        }
-        if window == 0 {
-            // No writes since the last pass: keep the current estimate and
-            // overrides rather than decaying toward "everything is cold".
-            return;
-        }
-        let fair = 1.0 / shards as f64;
-        // Never below 1/4 of the perfectly-hot watermark: the estimate is an
-        // EWMA of finite samples, and a floor keeps a noise spike from folding
-        // a shard on every handful of writes.
-        let floor = ((self.base as f64 * fair / 4.0) as usize).max(1);
-        for (i, &delta) in deltas.iter().enumerate() {
-            let sample = delta as f64 / window as f64;
-            self.share[i] = (1.0 - ADAPT_ALPHA) * self.share[i] + ADAPT_ALPHA * sample;
-            let shard = forest.shard(i);
-            if self.share[i] <= fair {
-                shard.set_merge_watermark(None);
-            } else {
-                let scaled = (self.base as f64 * fair / self.share[i]) as usize;
-                shard.set_merge_watermark(Some(scaled.clamp(floor, self.base)));
-            }
-        }
-    }
-}
 
 /// A sharded forest of tiered (frozen + delta) engines with one background
 /// merge coordinator.
@@ -134,11 +61,14 @@ impl AdaptState {
 /// assert_eq!(forest.predecessor(100), Some((7, "seven")));
 /// ```
 ///
-/// Writers never fold: crossing the watermark only latches a flag and unparks
-/// the coordinator, so the writer-path cost is one relaxed counter bump.
+/// Writers never fold: crossing the watermark only latches a flag and wakes
+/// the coordinator, so the writer-path cost is one counter bump.
 /// Dropping the forest stops and joins the coordinator.
 pub struct TieredForest<V: Clone + Send + Sync + 'static> {
     forest: Arc<ShardedSkipTrie<V, TieredSkipTrie<V>>>,
+    /// What the coordinator sleeps on: shards wake it after latching
+    /// `merge_due`, `Drop` after raising `stop`.
+    gate: Arc<WakeGate>,
     stop: Arc<AtomicBool>,
     coordinator: Option<JoinHandle<()>>,
 }
@@ -146,18 +76,11 @@ pub struct TieredForest<V: Clone + Send + Sync + 'static> {
 impl<V: Clone + Send + Sync + 'static> TieredForest<V> {
     /// Builds an empty tiered forest and spawns its merge coordinator.
     ///
-    /// `config.merge_watermark` governs when shards request a fold; without
-    /// it the coordinator only runs folds requested via [`Self::merge_all`].
+    /// `config.merge_watermark` governs when shards become due; without it
+    /// the coordinator never folds and folding is up to [`Self::merge_all`] /
+    /// [`Self::quiesce`] callers.
     pub fn new(config: ShardedSkipTrieConfig) -> Self {
-        Self::with_stripe(config, 1)
-    }
-
-    /// Like [`Self::new`] but folds up to `merge_stripe` due shards
-    /// concurrently (each in its own scoped thread). `merge_stripe = 1` is
-    /// the fully staggered default: at most one shard is ever mid-fold.
-    pub fn with_stripe(config: ShardedSkipTrieConfig, merge_stripe: usize) -> Self {
-        assert!(merge_stripe > 0, "merge_stripe must be positive");
-        Self::from_forest(ShardedSkipTrie::new(config), merge_stripe)
+        Self::from_forest(ShardedSkipTrie::new(config))
     }
 
     /// Builds a tiered forest whose frozen tiers are bulk-loaded from a
@@ -166,90 +89,43 @@ impl<V: Clone + Send + Sync + 'static> TieredForest<V> {
     /// This is the preferred way to seed a large read-mostly forest: every
     /// key starts in its shard's frozen array and the deltas start empty.
     pub fn from_sorted(config: ShardedSkipTrieConfig, entries: &[(u64, V)]) -> Self {
-        Self::from_sorted_with_stripe(config, entries, 1)
+        Self::from_forest(ShardedSkipTrie::from_sorted(config, entries))
     }
 
-    /// [`Self::from_sorted`] with an explicit merge stripe width.
-    pub fn from_sorted_with_stripe(
-        config: ShardedSkipTrieConfig,
-        entries: &[(u64, V)],
-        merge_stripe: usize,
-    ) -> Self {
-        assert!(merge_stripe > 0, "merge_stripe must be positive");
-        Self::from_forest(ShardedSkipTrie::from_sorted(config, entries), merge_stripe)
-    }
-
-    /// Wraps a fully built forest, spawns the coordinator, and registers it
-    /// as every shard's merge waker *before* returning, so a watermark
-    /// crossed by the very first writer is never lost.
-    fn from_forest(forest: ShardedSkipTrie<V, TieredSkipTrie<V>>, merge_stripe: usize) -> Self {
+    /// Wraps a fully built forest: attaches the gate to every shard, then
+    /// spawns the coordinator. A watermark crossed before the coordinator
+    /// first sleeps is not lost — it checks every latch before it ever parks.
+    fn from_forest(forest: ShardedSkipTrie<V, TieredSkipTrie<V>>) -> Self {
         let forest = Arc::new(forest);
+        let gate = Arc::new(WakeGate::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let worker_forest = Arc::clone(&forest);
-        let worker_stop = Arc::clone(&stop);
-        let adaptive_base = forest
-            .config()
-            .adaptive_watermark
-            .then_some(forest.config().merge_watermark)
-            .flatten();
+        for i in 0..forest.shard_count() {
+            forest.shard(i).attach_coordinator(Arc::clone(&gate));
+        }
+        let (shards, sleep, stopped) = (Arc::clone(&forest), Arc::clone(&gate), Arc::clone(&stop));
         let handle = std::thread::Builder::new()
             .name("tiered-forest-coordinator".into())
-            .spawn(move || {
-                let mut adapt =
-                    adaptive_base.map(|base| AdaptState::new(worker_forest.as_ref(), base));
-                while !worker_stop.load(Ordering::SeqCst) {
-                    match &adapt {
-                        // Watermark crossings unpark us either way; the adaptive
-                        // mode additionally wakes on a timer so write-share
-                        // estimates stay fresh even while no shard is due.
-                        None => std::thread::park(),
-                        Some(_) => std::thread::park_timeout(ADAPT_INTERVAL),
+            .spawn(move || loop {
+                sleep.sleep_until(|| {
+                    stopped.load(Ordering::SeqCst)
+                        || (0..shards.shard_count()).any(|i| shards.shard(i).fold_ready())
+                });
+                if stopped.load(Ordering::SeqCst) {
+                    break;
+                }
+                for i in 0..shards.shard_count() {
+                    let shard = shards.shard(i);
+                    if shard.fold_ready() {
+                        shard.merge();
                     }
-                    if worker_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Some(state) = adapt.as_mut() {
-                        // Rebalance first: a lowered watermark that the shard's
-                        // delta has already crossed latches merge-due, and the
-                        // fold sweep right below picks it up in the same pass.
-                        state.rebalance(worker_forest.as_ref());
-                    }
-                    Self::fold_due(&worker_forest, merge_stripe);
                 }
             })
             .expect("spawn tiered-forest coordinator");
-        // Register the waker on every shard before the constructor returns.
-        // `unpark` stores a token even if the coordinator is not parked yet,
-        // so there is no window where a watermark crossing can be missed.
-        for i in 0..forest.shard_count() {
-            forest.shard(i).set_merge_waker(handle.thread().clone());
-        }
         Self {
             forest,
+            gate,
             stop,
             coordinator: Some(handle),
-        }
-    }
-
-    /// Folds every shard whose watermark latch is set, at most `stripe`
-    /// shards concurrently.
-    fn fold_due(forest: &ShardedSkipTrie<V, TieredSkipTrie<V>>, stripe: usize) {
-        let due: Vec<usize> = (0..forest.shard_count())
-            .filter(|&i| forest.shard(i).merge_due())
-            .collect();
-        for chunk in due.chunks(stripe) {
-            if chunk.len() == 1 {
-                forest.shard(chunk[0]).merge();
-            } else {
-                std::thread::scope(|scope| {
-                    for &i in chunk {
-                        let shard = forest.shard(i);
-                        scope.spawn(move || {
-                            shard.merge();
-                        });
-                    }
-                });
-            }
         }
     }
 
@@ -266,13 +142,6 @@ impl<V: Clone + Send + Sync + 'static> TieredForest<V> {
         (0..self.forest.shard_count())
             .filter(|&i| self.forest.shard(i).merge())
             .count()
-    }
-
-    /// Unparks the coordinator so it re-scans the watermark latches now.
-    pub fn nudge(&self) {
-        if let Some(handle) = &self.coordinator {
-            handle.thread().unpark();
-        }
     }
 
     /// Blocks until every shard's delta is empty and no shard is mid-fold,
@@ -323,8 +192,8 @@ impl<V: Clone + Send + Sync + 'static> Deref for TieredForest<V> {
 impl<V: Clone + Send + Sync + 'static> Drop for TieredForest<V> {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.gate.wake();
         if let Some(handle) = self.coordinator.take() {
-            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -404,7 +273,7 @@ mod tests {
 
     #[test]
     fn merge_all_and_stitched_range_compose() {
-        let forest: TieredForest<u64> = TieredForest::with_stripe(config(), 2);
+        let forest: TieredForest<u64> = TieredForest::new(config());
         for k in 0..300u64 {
             forest.insert(k * 11 % 65_536, k);
         }
@@ -413,68 +282,6 @@ mod tests {
         let scanned: Vec<u64> = forest.range(..).map(|(k, _)| k).collect();
         assert_eq!(scanned.len(), forest.len());
         assert!(scanned.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn adaptive_watermark_folds_hot_shard_sooner() {
-        // Base watermark 100k: with 60k hot-shard writes no shard would EVER
-        // fold without adaptation. The adaptive coordinator must observe the
-        // skew (hot shard takes ~98% of writes vs a fair share of 25%), lower
-        // the hot shard's watermark toward base/S = 25k, and fold it — while
-        // the cold shards stay clamped at the base and never fold.
-        let config = ShardedSkipTrieConfig::for_universe_bits(16)
-            .with_shards(4)
-            .with_merge_watermark(100_000)
-            .with_adaptive_watermark();
-        let forest: TieredForest<u64> = TieredForest::new(config);
-        let shard_span = 1u64 << 14; // universe 16 bits, 4 shards
-                                     // Cold traffic: 300 writes into each of shards 1..=3.
-        for shard in 1..4u64 {
-            for k in 0..300u64 {
-                forest.insert(shard * shard_span + (k % shard_span), k);
-            }
-        }
-        // Hot traffic: 60k delta writes into shard 0 (inserts + removes both
-        // count), spread over time so the 1ms re-weighting timer gets samples.
-        for k in 0..30_000u64 {
-            let key = k % shard_span;
-            forest.insert(key, k);
-            forest.remove(key);
-        }
-        let hot = forest.shard(0);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while hot.merge_count() == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "adaptive coordinator never folded the hot shard: \
-                 effective watermark {:?}, delta_writes {}",
-                hot.effective_merge_watermark(),
-                hot.delta_writes()
-            );
-            std::thread::yield_now();
-        }
-        let hot_watermark = hot.effective_merge_watermark().unwrap();
-        assert!(
-            hot_watermark < 100_000,
-            "hot shard's watermark must drop below the base, got {hot_watermark}"
-        );
-        assert!(
-            hot_watermark >= 6_250,
-            "the floor (base/(4S)) bounds how far adaptation can drop, got {hot_watermark}"
-        );
-        for shard in 1..4 {
-            let cold = forest.shard(shard);
-            assert_eq!(
-                cold.merge_count(),
-                0,
-                "cold shard {shard} (300 writes, watermark >= base/…) must not fold"
-            );
-            assert_eq!(
-                cold.effective_merge_watermark(),
-                Some(100_000),
-                "cold shard {shard} stays at the configured base"
-            );
-        }
     }
 
     #[test]

@@ -42,21 +42,16 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{self, JoinHandle, Thread};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, JoinHandle};
+use std::time::Instant;
 
-use skiptrie::{ShardEngine, ShardedSkipTrie};
+use skiptrie::{ShardEngine, ShardedSkipTrie, WakeGate};
 use skiptrie_metrics::{add, record, Counter, LatencyClasses};
 use skiptrie_workloads::harness::env_knob;
 
 use crate::request::{OpClass, Reply, Request, Response, Verb};
 use crate::spsc::Spsc;
-
-/// How long a worker sleeps when its lanes are empty before re-polling on its
-/// own. The sleeping-flag handshake makes producer wakeups prompt; the timeout
-/// only bounds the damage of a lost-wakeup race.
-const IDLE_PARK: Duration = Duration::from_millis(1);
 
 /// Tuning for a [`Service`], normally read from the environment.
 #[derive(Clone, Copy, Debug)]
@@ -118,32 +113,15 @@ struct Lane {
 
 /// Per-shard worker bookkeeping shared between the service, its connections,
 /// and the worker thread itself.
+#[derive(Default)]
 struct WorkerSlot {
     /// Lanes registered by connections. Workers keep a local snapshot and only
     /// take this lock when `version` moves.
     lanes: Mutex<Vec<Arc<Lane>>>,
     version: AtomicUsize,
-    sleeping: AtomicBool,
-    thread: OnceLock<Thread>,
-}
-
-impl WorkerSlot {
-    fn new() -> Self {
-        WorkerSlot {
-            lanes: Mutex::new(Vec::new()),
-            version: AtomicUsize::new(0),
-            sleeping: AtomicBool::new(false),
-            thread: OnceLock::new(),
-        }
-    }
-
-    fn wake(&self) {
-        if self.sleeping.load(Ordering::SeqCst) {
-            if let Some(thread) = self.thread.get() {
-                thread.unpark();
-            }
-        }
-    }
+    /// The idle worker sleeps here; whoever pushes a request, registers a lane
+    /// or raises `stop` wakes it afterwards.
+    idle: WakeGate,
 }
 
 struct Shared<E: ShardEngine<u64>> {
@@ -241,7 +219,7 @@ impl<E: ShardEngine<u64>> Service<E> {
             config,
             start: Instant::now(),
             stop: AtomicBool::new(false),
-            workers: (0..shards).map(|_| WorkerSlot::new()).collect(),
+            workers: (0..shards).map(|_| WorkerSlot::default()).collect(),
             virtual_latency: LatencyClasses::new(&labels),
             service_latency: LatencyClasses::new(&labels),
         });
@@ -254,11 +232,6 @@ impl<E: ShardEngine<u64>> Service<E> {
                     .expect("spawn service shard worker")
             })
             .collect();
-        for (slot, handle) in shared.workers.iter().zip(&handles) {
-            slot.thread
-                .set(handle.thread().clone())
-                .expect("worker thread handle set once");
-        }
         Service { shared, handles }
     }
 
@@ -282,7 +255,7 @@ impl<E: ShardEngine<u64>> Service<E> {
                 let slot = &self.shared.workers[shard];
                 slot.lanes.lock().unwrap().push(Arc::clone(&lane));
                 slot.version.fetch_add(1, Ordering::Release);
-                slot.wake();
+                slot.idle.wake();
                 LaneState {
                     lane,
                     submitted: 0,
@@ -330,9 +303,7 @@ impl<E: ShardEngine<u64>> Drop for Service<E> {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         for slot in &self.shared.workers {
-            if let Some(thread) = slot.thread.get() {
-                thread.unpark();
-            }
+            slot.idle.wake();
         }
         for handle in self.handles.drain(..) {
             handle.join().expect("service shard worker panicked");
@@ -414,7 +385,7 @@ impl<E: ShardEngine<u64>> Connection<E> {
             .unwrap_or_else(|_| panic!("admission bound keeps the request ring non-full"));
         state.submitted += 1;
         record(Counter::SvcEnqueued);
-        self.shared.workers[shard].wake();
+        self.shared.workers[shard].idle.wake();
         Ok(seq)
     }
 
@@ -530,16 +501,11 @@ fn worker_loop<E: ShardEngine<u64>>(shared: &Shared<E>, shard: usize) {
             break;
         }
         if !did_work {
-            slot.sleeping.store(true, Ordering::SeqCst);
-            // Re-check after raising the flag: a producer that pushed before
-            // seeing the flag is caught here instead of being lost.
-            let pending = lanes.iter().any(|lane| !lane.requests.is_empty())
-                || slot.version.load(Ordering::Acquire) != seen_version
-                || shared.stop.load(Ordering::SeqCst);
-            if !pending {
-                thread::park_timeout(IDLE_PARK);
-            }
-            slot.sleeping.store(false, Ordering::SeqCst);
+            slot.idle.sleep_until(|| {
+                lanes.iter().any(|lane| !lane.requests.is_empty())
+                    || slot.version.load(Ordering::Acquire) != seen_version
+                    || shared.stop.load(Ordering::SeqCst)
+            });
         }
     }
     // Shutdown drain: requests admitted before `stop` was raised still get

@@ -421,7 +421,7 @@ mod tests {
     fn knobs_parse_valid_values() {
         assert_eq!(parse_knob::<f64>("SKIPTRIE_SCALE", "2.5"), 2.5);
         assert_eq!(parse_knob::<usize>("SKIPTRIE_SHARDS", "8"), 8);
-        assert_eq!(parse_knob::<u64>("SKIPTRIE_TIER_MERGE_EVERY", "250"), 250);
+        assert_eq!(parse_knob::<u64>("SKIPTRIE_TIER_WATERMARK", "250"), 250);
         assert_eq!(
             parse_knob::<Reclaimer>("SKIPTRIE_RECLAIM", "hp"),
             Reclaimer::Hazard

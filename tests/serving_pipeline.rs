@@ -245,3 +245,41 @@ fn fenced_verbs_observe_all_prior_requests() {
     let smallest = (0..256u64).map(|i| i * 11 % (1 << 16)).min().unwrap();
     assert_eq!(pop.reply, Reply::Entry(Some((smallest, smallest / 11))));
 }
+
+#[test]
+fn a_request_to_an_idle_worker_is_never_stranded() {
+    // Closed loop at depth one: every request is submitted only after the
+    // previous response came back, so its worker is either going idle or
+    // already asleep — the submit/sleep handshake decides every round, and the
+    // worker has no timeout to fall back on. Odd rounds give the worker a few
+    // yields to actually fall asleep; even rounds race it there.
+    let _guard = SERVICE_LOCK.lock().unwrap();
+    const ROUNDS: u64 = 10_000;
+    let (done, finished) = std::sync::mpsc::channel();
+    let driver = std::thread::spawn(move || {
+        let forest: ShardedSkipTrie<u64> =
+            ShardedSkipTrie::new(ShardedSkipTrieConfig::for_universe_bits(16).with_shards(2));
+        let service = Service::new(std::sync::Arc::new(forest), ServiceConfig::default());
+        let mut conn = service.connect();
+        for round in 0..ROUNDS {
+            if round % 2 == 1 {
+                for _ in 0..4 {
+                    std::thread::yield_now();
+                }
+            }
+            let submit_ns = conn.now_ns();
+            conn.submit(Request {
+                // Alternate shards so both workers keep going idle.
+                verb: Verb::Insert(((round % 2) << 15) | (round >> 1), round),
+                submit_ns,
+            })
+            .expect("an empty lane admits the request");
+            assert_eq!(conn.wait_idle().len(), 1);
+        }
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a request to an idle worker was never served: lost wake");
+    driver.join().expect("driver panicked");
+}

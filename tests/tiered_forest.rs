@@ -12,11 +12,15 @@
 //!   tombstone must shadow the frozen entry through every watermark-driven
 //!   fold, in whichever shard it lives;
 //! * concurrent cross-shard `pop_first` drains are exactly-once even while
-//!   the shards being popped are sealing and folding.
+//!   the shards being popped are sealing and folding;
+//! * a watermark crossed while the coordinator is stuck inside another shard's
+//!   fold is never lost (the lost-wakeup regression).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
+use skiptrie_suite::atomics::pin_domain;
 use skiptrie_suite::skiptrie::{ShardedSkipTrieConfig, TieredForest};
 use skiptrie_suite::workloads::harness::{scaled, worker_rng, Workload};
 
@@ -60,8 +64,12 @@ fn build(watermark: usize) -> (TieredForest<u64>, u64) {
     (f, stable)
 }
 
-fn run_race(f: &TieredForest<u64>, stable: u64) {
+/// The race; `explicit_mergers` extra workers (0 or a divisor of `SHARDS`)
+/// each call `merge` round-robin over their own contiguous slice of the shards,
+/// on top of the coordinator's watermark folds.
+fn run_race(f: &TieredForest<u64>, stable: u64, explicit_mergers: usize) {
     let writers = 3usize;
+    let readers = 2usize;
     let per_writer = scaled(8_000) as u64;
     let writers_done = AtomicUsize::new(0);
 
@@ -82,7 +90,7 @@ fn run_race(f: &TieredForest<u64>, stable: u64) {
             }
             writers_done.fetch_add(1, Ordering::SeqCst);
         })
-        .workers(2, |ctx| {
+        .workers(readers, |ctx| {
             let mut rng = worker_rng(0xE16, ctx.index);
             loop {
                 // Point reads against stable and dead keys, across shards.
@@ -113,6 +121,17 @@ fn run_race(f: &TieredForest<u64>, stable: u64) {
                 }
             }
         })
+        .workers(explicit_mergers, |ctx| {
+            // Worker indices are dense across roles: mergers come third.
+            let merger = ctx.index - writers - readers;
+            let span = SHARDS / explicit_mergers;
+            while writers_done.load(Ordering::SeqCst) < writers {
+                for shard in merger * span..(merger + 1) * span {
+                    f.shard(shard).merge();
+                }
+                std::thread::yield_now();
+            }
+        })
         .run();
 
     // The churn volume dwarfs the watermark: background folds must have fired
@@ -137,30 +156,72 @@ fn run_race(f: &TieredForest<u64>, stable: u64) {
 #[test]
 fn readers_stitch_ranges_across_watermark_folds() {
     let (f, stable) = build(256);
-    run_race(&f, stable);
+    run_race(&f, stable, 0);
 }
 
 #[test]
 fn readers_survive_staggered_folds_at_stripe_two() {
-    // Same race, but the coordinator folds due shards two at a time, so
-    // readers can observe two shards mid-fold in a single stitched range.
-    let stable = 512u64;
-    let mut seeded: Vec<(u64, u64)> = Vec::with_capacity(2 * stable as usize);
-    for i in 0..stable {
-        seeded.push((stable_key(i), i));
-        seeded.push((stable_key(i) + 1, i));
-    }
-    let f: TieredForest<u64> = TieredForest::from_sorted_with_stripe(
+    // Same race, plus two workers folding the lower and the upper half of the
+    // shards by hand, so readers can observe two shards mid-fold in a single
+    // stitched range — and the coordinator keeps meeting due shards somebody
+    // else is already folding.
+    let (f, stable) = build(256);
+    run_race(&f, stable, 2);
+}
+
+#[test]
+fn shards_latched_during_a_stalled_fold_still_get_folded() {
+    // The lost-wakeup regression. Shard A's fold is stalled in its writer-grace
+    // wait by a guard this thread holds in A's epoch domain, so the coordinator
+    // is stuck inside `merge` when B and C cross their watermarks: their wakes
+    // find nobody asleep. A and the coordinator's scan position are chosen so
+    // that B and C lie *behind* it — only re-reading the latches before
+    // sleeping again can find them. Nothing is written after the stall ends.
+    const WATERMARK: u64 = 64;
+    let f: TieredForest<u64> = TieredForest::new(
         ShardedSkipTrieConfig::for_universe_bits(UNIVERSE_BITS)
             .with_shards(SHARDS)
-            .with_merge_watermark(256),
-        &seeded,
-        2,
+            .with_merge_watermark(WATERMARK as usize),
     );
-    for i in 0..stable {
-        assert_eq!(f.remove(stable_key(i) + 1), Some(i));
+    let shard_span = 1u64 << (UNIVERSE_BITS - SHARDS.trailing_zeros());
+    let cross_watermark = |shard: usize| {
+        for k in 0..WATERMARK {
+            assert!(f.insert(shard as u64 * shard_span + k, k));
+        }
+    };
+    let (a, b, c) = (SHARDS - 1, 0, 1);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let wait_for = |what: &str, ready: &dyn Fn() -> bool| {
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    };
+
+    let domain = f
+        .shard(a)
+        .config()
+        .trie
+        .domain
+        .expect("shards own a domain");
+    let stall = pin_domain(domain);
+    cross_watermark(a);
+    wait_for("the coordinator to seal shard A", &|| {
+        f.shard(a).mid_merge()
+    });
+    cross_watermark(b);
+    cross_watermark(c);
+    assert!(f.shard(b).merge_due() && f.shard(c).merge_due());
+    assert!(f.shard(a).mid_merge(), "A's fold must still be stalled");
+    assert_eq!(f.shard(b).merge_count() + f.shard(c).merge_count(), 0);
+    drop(stall);
+
+    for shard in [a, b, c] {
+        wait_for("a latched shard to fold", &|| {
+            f.shard(shard).merge_count() >= 1
+        });
     }
-    run_race(&f, stable);
+    assert!(f.is_quiesced(), "every latched delta was folded");
 }
 
 #[test]

@@ -13,6 +13,7 @@
 //!   frozen copy "resurrect".
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use skiptrie_suite::skiptrie::{TieredSkipTrie, TieredSkipTrieConfig};
 use skiptrie_suite::workloads::harness::{scaled, worker_rng, Workload};
@@ -28,12 +29,9 @@ fn stable_key(i: u64) -> u64 {
     (i + 1) * 2_000_003
 }
 
-fn build(merge_every: Option<std::time::Duration>) -> (TieredSkipTrie<u64>, u64) {
-    let mut config = TieredSkipTrieConfig::for_universe_bits(UNIVERSE_BITS);
-    if let Some(every) = merge_every {
-        config = config.with_merge_every(every);
-    }
-    let t: TieredSkipTrie<u64> = TieredSkipTrie::new(config);
+fn build() -> (TieredSkipTrie<u64>, u64) {
+    let t: TieredSkipTrie<u64> =
+        TieredSkipTrie::new(TieredSkipTrieConfig::for_universe_bits(UNIVERSE_BITS));
     let stable = 512u64;
     for i in 0..stable {
         assert!(t.insert(stable_key(i), i));
@@ -41,21 +39,9 @@ fn build(merge_every: Option<std::time::Duration>) -> (TieredSkipTrie<u64>, u64)
     }
     // Fold everything into the frozen tier, then kill the shadows: their
     // tombstones now sit in the delta, shadowing live frozen entries, and every
-    // merge of the race must carry them until the frozen copies are gone. A
-    // configured background merger may win (or be mid-fold, making our explicit
-    // call a no-op), so loop until the fold has landed either way.
-    for _ in 0..10_000 {
-        t.merge();
-        if t.delta_len() == 0 && t.frozen_len() == 2 * stable as usize {
-            break;
-        }
-        std::thread::yield_now();
-    }
-    assert_eq!(
-        t.frozen_len(),
-        2 * stable as usize,
-        "prefill fold never landed"
-    );
+    // merge of the race must carry them until the frozen copies are gone.
+    assert!(t.merge(), "prefill fold");
+    assert_eq!(t.frozen_len(), 2 * stable as usize);
     assert_eq!(t.delta_len(), 0);
     for i in 0..stable {
         assert_eq!(t.remove(stable_key(i) + 1), Some(i));
@@ -63,13 +49,16 @@ fn build(merge_every: Option<std::time::Duration>) -> (TieredSkipTrie<u64>, u64)
     (t, stable)
 }
 
-fn run_race(t: &TieredSkipTrie<u64>, stable: u64, explicit_merger: bool) {
+/// The race. The merger worker folds as fast as the fold allows when
+/// `merge_pause` is `None`, else once per pause — a merger that is mostly idle,
+/// so most reads cross a *dirty* delta rather than a fold in flight.
+fn run_race(t: &TieredSkipTrie<u64>, stable: u64, merge_pause: Option<Duration>) {
     let writers = 3usize;
     let per_writer = scaled(8_000) as u64;
     let writers_done = AtomicUsize::new(0);
     let merges = AtomicUsize::new(0);
 
-    let mut workload = Workload::new(0xE13)
+    Workload::new(0xE13)
         .workers(writers, |ctx| {
             // Churn confined to a per-writer slice above CHURN_BASE: inserts and
             // removes keep the delta dirty so folds always have work to do.
@@ -115,37 +104,29 @@ fn run_race(t: &TieredSkipTrie<u64>, stable: u64, explicit_merger: bool) {
                     break;
                 }
             }
-        });
-    if explicit_merger {
-        workload = workload.worker(|_| {
-            // Merge as fast as the fold allows, so readers cross as many seal and
-            // publish swaps as possible.
+        })
+        .worker(|_| {
             while writers_done.load(Ordering::SeqCst) < writers {
                 if t.merge() {
                     merges.fetch_add(1, Ordering::SeqCst);
                 }
-                std::thread::yield_now();
+                match merge_pause {
+                    Some(pause) => std::thread::sleep(pause),
+                    None => std::thread::yield_now(),
+                }
             }
-        });
-    }
-    workload.run();
+        })
+        .run();
 
-    if explicit_merger {
+    if merge_pause.is_none() {
         assert!(
             merges.load(Ordering::SeqCst) >= 2,
             "the race must actually cross tier folds"
         );
     }
-    // Quiesce: fold until the delta drains (an explicit merge can no-op against a
-    // background fold in flight), then the frozen tier alone must show every
-    // stable key and no dead key.
-    for _ in 0..10_000 {
-        t.merge();
-        if t.delta_len() == 0 && t.generation().is_multiple_of(2) {
-            break;
-        }
-        std::thread::yield_now();
-    }
+    // Quiesce: the merger has exited, so one fold drains whatever the race left;
+    // then the frozen tier alone must show every stable key and no dead key.
+    t.merge();
     assert_eq!(t.delta_len(), 0, "quiesced delta drains");
     for i in 0..stable {
         let k = stable_key(i);
@@ -156,8 +137,8 @@ fn run_race(t: &TieredSkipTrie<u64>, stable: u64, explicit_merger: bool) {
 
 #[test]
 fn readers_race_explicit_merge_swaps() {
-    let (t, stable) = build(None);
-    run_race(&t, stable, true);
+    let (t, stable) = build();
+    run_race(&t, stable, None);
     assert!(
         t.generation() >= 5,
         "prefill fold + >=2 race folds, two swaps each: generation {}",
@@ -167,6 +148,6 @@ fn readers_race_explicit_merge_swaps() {
 
 #[test]
 fn readers_race_the_background_merger() {
-    let (t, stable) = build(Some(std::time::Duration::from_millis(1)));
-    run_race(&t, stable, false);
+    let (t, stable) = build();
+    run_race(&t, stable, Some(Duration::from_millis(1)));
 }
