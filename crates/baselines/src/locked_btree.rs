@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use parking_lot::RwLock;
+use skiptrie_skiplist::OrderedKv;
 
 /// The conventional "just put a lock around `std::collections::BTreeMap`" ordered map.
 ///
@@ -156,6 +157,50 @@ impl<V: Clone> LockedBTreeMap<V> {
             .iter()
             .map(|(k, v)| (*k, v.clone()))
             .collect()
+    }
+}
+
+impl<V: Clone + Send + Sync> OrderedKv<V> for LockedBTreeMap<V> {
+    fn get(&self, key: u64) -> Option<V> {
+        LockedBTreeMap::get(self, key)
+    }
+    fn insert(&self, key: u64, value: V) -> bool {
+        LockedBTreeMap::insert(self, key, value)
+    }
+    fn remove(&self, key: u64) -> Option<V> {
+        LockedBTreeMap::remove(self, key)
+    }
+    fn predecessor(&self, key: u64) -> Option<(u64, V)> {
+        LockedBTreeMap::predecessor(self, key)
+    }
+    fn successor(&self, key: u64) -> Option<(u64, V)> {
+        LockedBTreeMap::successor(self, key)
+    }
+    fn scan(&self, from: u64, limit: usize) -> usize {
+        LockedBTreeMap::scan(self, from, limit)
+    }
+    fn pop_first(&self) -> Option<(u64, V)> {
+        LockedBTreeMap::pop_first(self)
+    }
+    fn len(&self) -> usize {
+        LockedBTreeMap::len(self)
+    }
+    fn contains(&self, key: u64) -> bool {
+        LockedBTreeMap::contains(self, key)
+    }
+    fn pop_last(&self) -> Option<(u64, V)> {
+        LockedBTreeMap::pop_last(self)
+    }
+    // One lock hold per batch, not one per key.
+    fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
+        LockedBTreeMap::insert_batch(self, entries)
+    }
+    fn remove_batch(&self, keys: &[u64]) -> usize {
+        LockedBTreeMap::remove_batch(self, keys)
+    }
+    fn get_batch(&self, keys: &[u64]) -> usize {
+        let map = self.inner.read();
+        keys.iter().filter(|key| map.contains_key(key)).count()
     }
 }
 

@@ -1,6 +1,6 @@
 //! The `Θ(log m)`-depth lock-free skiplist baseline.
 
-use skiptrie_skiplist::{RangeIter, SkipList, SkipListConfig};
+use skiptrie_skiplist::{OrderedKv, RangeIter, SkipList, SkipListConfig};
 
 /// A conventional full-height lock-free skiplist (depth `Θ(log m)`).
 ///
@@ -120,6 +120,42 @@ where
     /// The underlying skiplist (for structural statistics).
     pub fn as_skiplist(&self) -> &SkipList<V> {
         &self.inner
+    }
+}
+
+impl<V> OrderedKv<V> for FullSkipList<V>
+where
+    V: Clone + Send + Sync + 'static,
+{
+    fn get(&self, key: u64) -> Option<V> {
+        self.inner.get(key)
+    }
+    fn insert(&self, key: u64, value: V) -> bool {
+        self.inner.insert(key, value)
+    }
+    fn remove(&self, key: u64) -> Option<V> {
+        self.inner.remove(key)
+    }
+    fn predecessor(&self, key: u64) -> Option<(u64, V)> {
+        self.inner.predecessor(key)
+    }
+    fn successor(&self, key: u64) -> Option<(u64, V)> {
+        self.inner.successor(key)
+    }
+    fn scan(&self, from: u64, limit: usize) -> usize {
+        self.inner.range(from..).count_up_to(limit)
+    }
+    fn pop_first(&self) -> Option<(u64, V)> {
+        self.inner.pop_first()
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn contains(&self, key: u64) -> bool {
+        self.inner.contains(key)
+    }
+    fn pop_last(&self) -> Option<(u64, V)> {
+        self.inner.pop_last()
     }
 }
 

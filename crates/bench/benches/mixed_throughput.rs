@@ -5,12 +5,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use skiptrie::{SkipTrie, SkipTrieConfig};
 use skiptrie_baselines::{FullSkipList, LockedBTreeMap};
-use skiptrie_bench::{prefill, ConcurrentPredecessorMap};
+use skiptrie_bench::{prefill, OrderedKv};
 use skiptrie_workloads::{KeyDist, Op, OpMix, WorkloadSpec};
 
 const OPS_PER_THREAD: usize = 20_000;
 
-fn run_batch<M: ConcurrentPredecessorMap + ?Sized>(map: &M, streams: &[Vec<Op>]) {
+fn run_batch(map: &dyn OrderedKv<u64>, streams: &[Vec<Op>]) {
     std::thread::scope(|scope| {
         for ops in streams {
             scope.spawn(move || {

@@ -31,8 +31,7 @@
 
 use skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie, SkipTrieConfig};
 use skiptrie_bench::{
-    max_threads, prefill, print_table, run_throughput, scaled, write_json_summary,
-    ConcurrentPredecessorMap,
+    max_threads, prefill, print_table, run_throughput, scaled, write_json_summary, Named, OrderedKv,
 };
 use skiptrie_metrics::Stopwatch;
 use skiptrie_workloads::{harness, KeyDist, OpMix, SplitMix64, WorkloadSpec};
@@ -143,11 +142,7 @@ fn timed<T: Clone>(
     sw.elapsed().as_nanos() as f64 / items.len().max(1) as f64
 }
 
-fn timed_insert<M: ConcurrentPredecessorMap + ?Sized>(
-    map: &M,
-    entries: &[(u64, u64)],
-    batch: usize,
-) -> f64 {
+fn timed_insert(map: &dyn OrderedKv<u64>, entries: &[(u64, u64)], batch: usize) -> f64 {
     timed(
         entries,
         batch,
@@ -161,7 +156,7 @@ fn timed_insert<M: ConcurrentPredecessorMap + ?Sized>(
     )
 }
 
-fn timed_get<M: ConcurrentPredecessorMap + ?Sized>(map: &M, keys: &[u64], batch: usize) -> f64 {
+fn timed_get(map: &dyn OrderedKv<u64>, keys: &[u64], batch: usize) -> f64 {
     timed(
         keys,
         batch,
@@ -175,7 +170,7 @@ fn timed_get<M: ConcurrentPredecessorMap + ?Sized>(map: &M, keys: &[u64], batch:
     )
 }
 
-fn timed_remove<M: ConcurrentPredecessorMap + ?Sized>(map: &M, keys: &[u64], batch: usize) -> f64 {
+fn timed_remove(map: &dyn OrderedKv<u64>, keys: &[u64], batch: usize) -> f64 {
     timed(
         keys,
         batch,
@@ -207,7 +202,11 @@ fn batched_vs_unbatched(n: usize) {
         let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(UNIVERSE_BITS));
         let f8 = forest(8);
         let btree = skiptrie_baselines::LockedBTreeMap::new();
-        let structures: Vec<&dyn ConcurrentPredecessorMap> = vec![&trie, &f8, &btree];
+        let structures: [Named<'_>; 3] = [
+            ("skiptrie", &trie),
+            ("sharded-skiptrie", &f8),
+            ("locked-btreemap", &btree),
+        ];
         let mut row = vec![if batch == SORTED_LOOP {
             "unbatched-sorted".to_string()
         } else if batch == 1 {
@@ -215,15 +214,15 @@ fn batched_vs_unbatched(n: usize) {
         } else {
             format!("batch={batch}")
         }];
-        for s in structures {
+        for (name, s) in structures {
             let ins = timed_insert(s, &entries, batch);
             let get = timed_get(s, &keys, batch);
             let rem = timed_remove(s, &keys, batch);
-            assert!(s.is_empty(), "{}: remove pass must drain", s.name());
+            assert!(s.is_empty(), "{name}: remove pass must drain");
             row.push(format!("{ins:.0}"));
             row.push(format!("{get:.0}"));
             row.push(format!("{rem:.0}"));
-            if s.name() == "skiptrie" {
+            if name == "skiptrie" {
                 if batch == 1 {
                     unbatched_ins = Some(ins);
                 } else if batch == BIG_BATCH {

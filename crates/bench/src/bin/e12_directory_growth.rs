@@ -1,29 +1,21 @@
-//! Experiment E12 — unbounded hash-directory growth: flat per-probe cost past any
-//! fixed bucket ceiling.
+//! Experiment E12 — hash-directory growth: flat per-probe cost at any population.
 //!
-//! Before this experiment's subsystem existed, the split-ordered map owned a fixed
-//! directory (`MAX_SEGMENTS * SEGMENT_SIZE = 2^24` bucket words) and *saturated*
-//! when the doubling rule outgrew it: bucket chains stopped splitting and every
-//! probe degenerated into an `O(n / cap)` list walk. The growable segment tree
-//! removes the ceiling; the legacy behaviour survives behind
-//! `DirectoryConfig::with_bucket_cap` so this binary can measure both sides on the
-//! same build. The bounded cap is deliberately small (`SKIPTRIE_E12_CAP`, default
-//! 1024) so the degradation the old ceiling caused at 2^24 shows up at bench-sized
-//! key counts.
+//! The split-ordered map's bucket directory is a growable segment tree, so the
+//! doubling rule never runs out of buckets and chains stay short at every size.
+//! (Until PR 13 a bounded mode reproduced the old fixed directory's saturation
+//! cliff beside it; its rows are kept in `EXPERIMENTS.md` §E12 as the record.)
 //!
 //! Three tables:
 //!
-//! * **E12a** — map-level `get` cost as the key count sweeps past the bounded cap:
-//!   unbounded vs bounded ns/get and list hops/get (`ptr_reads/get` is the chain
-//!   length the probe walked).
+//! * **E12a** — map-level `get` cost as the key count sweeps upward: ns/get and
+//!   list hops/get (`ptr_reads/get` is the chain length the probe walked).
 //! * **E12b** — trie-level `predecessor` cost: the `LowestAncestor` binary search
 //!   issues `O(log log u)` hash probes, each `O(1)` expected *only while bucket
-//!   chains stay short*. The headline is the flatness ratio of the unbounded
-//!   trie's per-probe cost (traversal steps per hash probe) from the smallest to
-//!   the largest population — acceptance wants it within 1.3x.
+//!   chains stay short*. The headline is the flatness ratio of the per-probe cost
+//!   (traversal steps per hash probe) from the smallest to the largest
+//!   population — acceptance wants it within 1.3x.
 //! * **E12c** — growth trajectory of a small-fanout (2^4) directory: height, node
-//!   count and grow-CAS count at each population checkpoint, with the saturation
-//!   counter pinned at zero.
+//!   count and grow-CAS count at each population checkpoint.
 
 use skiptrie::{SkipTrie, SkipTrieConfig};
 use skiptrie_bench::{print_table, scaled, write_json_summary};
@@ -33,20 +25,9 @@ use skiptrie_workloads::WorkloadSpec;
 
 const UNIVERSE_BITS: u32 = 32;
 
-/// Bucket cap for the bounded (legacy-mode) structures; small enough that the
-/// sweep crosses it early and chains grow visibly long. Malformed or zero
-/// `SKIPTRIE_E12_CAP` values panic (unset/empty keeps the default) so a typo'd
-/// knob cannot silently relabel the experiment.
-fn bounded_cap() -> usize {
-    let cap = skiptrie_bench::env_knob("SKIPTRIE_E12_CAP").unwrap_or(1024);
-    assert!(cap > 0, "SKIPTRIE_E12_CAP must be a positive bucket count");
-    cap
-}
-
-/// Population sizes swept by E12a/E12b: geometric, starting below the bounded cap
-/// and ending far past it.
-fn populations(cap: usize) -> Vec<usize> {
-    let mut out = vec![cap / 2];
+/// Population sizes swept by E12a/E12b: geometric from 512 keys.
+fn populations() -> Vec<usize> {
+    let mut out = vec![512];
     while *out.last().unwrap() < scaled(256_000) {
         out.push(out.last().unwrap() * 4);
     }
@@ -69,116 +50,71 @@ fn best_ns_per_probe(reps: usize, count: usize, mut probe: impl FnMut()) -> f64 
     best
 }
 
-/// E12a: map-level `get` as the population sweeps past the bounded cap.
-fn map_get_sweep(cap: usize, reps: usize) {
+/// E12a: map-level `get` as the population grows.
+fn map_get_sweep(reps: usize) {
     let mut rows = Vec::new();
     let probes = scaled(40_000);
-    for &n in &populations(cap) {
+    for &n in &populations() {
         let entries = sorted_entries(n, 0xE12A);
-        let mut unbounded: SplitOrderedMap<u64, u64> = SplitOrderedMap::new();
-        let mut bounded: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_bucket_cap(cap);
-        assert_eq!(unbounded.bulk_load(entries.clone()), n);
-        assert_eq!(bounded.bulk_load(entries.clone()), n);
-
-        let mut cells = vec![n.to_string()];
-        let mut ns_cols = Vec::new();
-        for map in [&unbounded, &bounded] {
-            let run = |map: &SplitOrderedMap<u64, u64>| {
-                for i in 0..probes {
-                    let (k, v) = entries[i * 127 % n];
-                    assert_eq!(map.get(&k), Some(v));
-                }
-            };
-            let ns = best_ns_per_probe(reps, probes, || run(map));
-            let ((), delta) = metrics::measure(|| run(map));
-            ns_cols.push(ns);
-            cells.push(format!("{ns:.0}"));
-            cells.push(format!(
-                "{:.1}",
-                delta.get(Counter::PtrRead) as f64 / probes as f64
-            ));
-        }
-        cells.push(bounded.bucket_count().to_string());
-        cells.push(format!("{:.1}", ns_cols[1] / ns_cols[0].max(f64::EPSILON)));
-        rows.push(cells);
-        assert!(
-            !unbounded.is_saturated(),
-            "the growable directory never caps"
-        );
-        assert!(
-            bounded.is_saturated() || n <= 3 * cap,
-            "cap crossed => saturated"
-        );
+        let mut map: SplitOrderedMap<u64, u64> = SplitOrderedMap::new();
+        assert_eq!(map.bulk_load(entries.clone()), n);
+        let run = || {
+            for i in 0..probes {
+                let (k, v) = entries[i * 127 % n];
+                assert_eq!(map.get(&k), Some(v));
+            }
+        };
+        let ns = best_ns_per_probe(reps, probes, run);
+        let ((), delta) = metrics::measure(run);
+        rows.push(vec![
+            n.to_string(),
+            format!("{ns:.0}"),
+            format!("{:.1}", delta.get(Counter::PtrRead) as f64 / probes as f64),
+            map.bucket_count().to_string(),
+        ]);
     }
     print_table(
-        &format!("E12a: map get cost past the bounded cap (cap = {cap} buckets, u = 2^32)"),
-        &[
-            "n",
-            "unbounded_ns/get",
-            "unbounded_hops/get",
-            "bounded_ns/get",
-            "bounded_hops/get",
-            "bounded_buckets",
-            "slowdown",
-        ],
+        "E12a: map get cost vs population (u = 2^32)",
+        &["n", "ns/get", "hops/get", "buckets"],
         &rows,
     );
 }
 
-/// E12b: trie-level `predecessor` — per-probe `LowestAncestor` cost must stay flat
-/// on the unbounded build while the bounded build degrades into chain walks.
-fn trie_predecessor_sweep(cap: usize, reps: usize) -> (f64, f64) {
+/// E12b: trie-level `predecessor` — per-probe `LowestAncestor` cost must stay
+/// flat across the sweep. Returns last/first per-probe cost.
+fn trie_predecessor_sweep(reps: usize) -> f64 {
     let mut rows = Vec::new();
-    // (first, last) per-probe cost for each build; the flatness headline.
-    let mut per_probe = [[0.0f64; 2]; 2];
-    let sizes = populations(cap);
-    for (si, &n) in sizes.iter().enumerate() {
+    let mut per_probe = Vec::new();
+    for &n in &populations() {
         let entries = sorted_entries(n, 0xE12B);
         let spec = WorkloadSpec::read_only(UNIVERSE_BITS, 0, scaled(20_000), 0xE12B);
         let ops = spec.thread_ops(0);
-        let mut cells = vec![n.to_string()];
-        for (bi, bucket_cap) in [None, Some(cap)].into_iter().enumerate() {
-            let mut config = SkipTrieConfig::for_universe_bits(UNIVERSE_BITS);
-            if let Some(c) = bucket_cap {
-                config = config.with_hash_bucket_cap(c);
+        let config = SkipTrieConfig::for_universe_bits(UNIVERSE_BITS);
+        let trie: SkipTrie<u64> = SkipTrie::from_sorted(config, entries.iter().copied());
+        assert_eq!(trie.len(), n);
+        let report = skiptrie_bench::measure_steps(&trie, &ops);
+        let ns = best_ns_per_probe(reps, ops.len(), || {
+            for &op in &ops {
+                skiptrie_bench::apply_op(&trie, op);
             }
-            let trie: SkipTrie<u64> = SkipTrie::from_sorted(config, entries.iter().copied());
-            assert_eq!(trie.len(), n);
-            let report = skiptrie_bench::measure_steps(&trie, &ops);
-            let ns = best_ns_per_probe(reps, ops.len(), || {
-                for &op in &ops {
-                    skiptrie_bench::apply_op(&trie, op);
-                }
-            });
-            // Steps per hash probe: the cost of one LowestAncestor table lookup,
-            // the quantity the directory keeps O(1) by splitting buckets.
-            let probe_cost = report.traversal_steps_per_op / report.hash_ops_per_op.max(1.0);
-            if si == 0 {
-                per_probe[bi][0] = probe_cost;
-            }
-            per_probe[bi][1] = probe_cost;
-            cells.push(format!("{ns:.0}"));
-            cells.push(format!("{:.1}", report.hash_ops_per_op));
-            cells.push(format!("{probe_cost:.1}"));
-        }
-        rows.push(cells);
+        });
+        // Steps per hash probe: the cost of one LowestAncestor table lookup,
+        // the quantity the directory keeps O(1) by splitting buckets.
+        let probe_cost = report.traversal_steps_per_op / report.hash_ops_per_op.max(1.0);
+        per_probe.push(probe_cost);
+        rows.push(vec![
+            n.to_string(),
+            format!("{ns:.0}"),
+            format!("{:.1}", report.hash_ops_per_op),
+            format!("{probe_cost:.1}"),
+        ]);
     }
     print_table(
-        &format!("E12b: trie predecessor cost, unbounded vs bounded at {cap} buckets (u = 2^32)"),
-        &[
-            "n",
-            "unbounded_ns/op",
-            "unbounded_hash_ops/op",
-            "unbounded_steps/probe",
-            "bounded_ns/op",
-            "bounded_hash_ops/op",
-            "bounded_steps/probe",
-        ],
+        "E12b: trie predecessor cost vs population (u = 2^32)",
+        &["n", "ns/op", "hash_ops/op", "steps/probe"],
         &rows,
     );
-    let flatness = per_probe[0][1] / per_probe[0][0].max(f64::EPSILON);
-    let degradation = per_probe[1][1] / per_probe[1][0].max(f64::EPSILON);
-    (flatness, degradation)
+    per_probe[per_probe.len() - 1] / per_probe[0].max(f64::EPSILON)
 }
 
 /// E12c: growth trajectory of a deliberately small-fanout directory.
@@ -208,37 +144,22 @@ fn growth_trajectory() {
             so_far.get(Counter::DirGrow).to_string(),
         ]);
     }
-    let delta = metrics::snapshot().since(&before);
     metrics::set_enabled(was_enabled);
-    // Exact zero is sound here by binary isolation: this experiment binary is
-    // single-threaded and the bounded-mode sweeps above run *outside* this
-    // measurement window, so nothing else can bump the process-wide counter
-    // between `before` and the snapshot.
-    assert_eq!(
-        delta.get(Counter::HashSaturated),
-        0,
-        "the unbounded directory must never saturate"
-    );
     print_table(
-        &format!(
-            "E12c: directory growth trajectory at fanout 2^{fanout_bits} \
-             (hash_saturated stayed 0 for the whole run)"
-        ),
+        &format!("E12c: directory growth trajectory at fanout 2^{fanout_bits}"),
         &["n", "buckets", "height", "nodes", "dir_grow_cum"],
         &rows,
     );
 }
 
 fn main() {
-    let cap = bounded_cap();
     let reps = 3;
-    map_get_sweep(cap, reps);
-    let (flatness, degradation) = trie_predecessor_sweep(cap, reps);
+    map_get_sweep(reps);
+    let flatness = trie_predecessor_sweep(reps);
     growth_trajectory();
     println!(
-        "headline: unbounded per-probe LowestAncestor cost is {flatness:.2}x its \
-         small-population baseline across the sweep (acceptance ceiling: 1.3x); the \
-         bounded build degrades to {degradation:.2}x over the same range."
+        "headline: per-probe LowestAncestor cost is {flatness:.2}x its \
+         small-population baseline across the sweep (acceptance ceiling: 1.3x)."
     );
     write_json_summary("e12_directory_growth");
 }

@@ -32,8 +32,7 @@ use skiptrie::{
 };
 use skiptrie_baselines::LockedBTreeMap;
 use skiptrie_bench::{
-    prefill, print_table, run_throughput, scaled, thread_sweep, write_json_summary,
-    ConcurrentPredecessorMap,
+    prefill, print_table, run_throughput, scaled, thread_sweep, write_json_summary, OrderedKv,
 };
 use skiptrie_metrics::{self as metrics, Counter, Stopwatch};
 use skiptrie_workloads::{KeyDist, OpMix, SplitMix64, WorkloadSpec};
@@ -97,7 +96,7 @@ fn quiesced_point_reads() -> (f64, f64) {
         let mut cells = vec![n.to_string()];
         let mut get_ns = Vec::new();
         let mut pred_ns = Vec::new();
-        let structures: [&dyn ConcurrentPredecessorMap; 3] = [&tiered, &trie, &btree];
+        let structures: [&dyn OrderedKv<u64>; 3] = [&tiered, &trie, &btree];
         for s in structures {
             let ns = best_ns_per_op(reps, probes, || {
                 for i in 0..probes {
@@ -173,7 +172,7 @@ fn mixed_throughput(title: &str, mix: OpMix, seed: u64, m: usize) {
         let btree: LockedBTreeMap<u64> = LockedBTreeMap::new();
         prefill(&trie, &keys);
         prefill(&btree, &keys);
-        let structures: [&dyn ConcurrentPredecessorMap; 3] = [&tiered, &trie, &btree];
+        let structures: [&dyn OrderedKv<u64>; 3] = [&*tiered, &trie, &btree];
         for s in structures {
             let result = run_throughput(s, &spec);
             row.push(format!("{:.0}", result.ops_per_sec / 1_000.0));

@@ -31,8 +31,7 @@ use skiptrie::{
     TieredSkipTrieConfig,
 };
 use skiptrie_bench::{
-    env_knob, print_table, run_throughput, scaled, thread_sweep, write_json_summary,
-    ConcurrentPredecessorMap,
+    env_knob, print_table, run_throughput, scaled, thread_sweep, write_json_summary, OrderedKv,
 };
 use skiptrie_metrics::{self as metrics, Counter, Stopwatch};
 use skiptrie_workloads::harness::shards;
@@ -104,7 +103,7 @@ fn quiesced_point_reads() -> (f64, f64) {
         let mut cells = vec![n.to_string()];
         let mut get_ns = Vec::new();
         let mut pred_ns = Vec::new();
-        let structures: [&dyn ConcurrentPredecessorMap; 3] = [&forest, &plain, &tiered];
+        let structures: [&dyn OrderedKv<u64>; 3] = [&*forest, &plain, &tiered];
         for s in structures {
             let ns = best_ns_per_op(reps, probes, || {
                 for i in 0..probes {
@@ -179,7 +178,7 @@ fn read_mostly_throughput() {
                 .with_merge_watermark(watermark()),
             &sorted,
         );
-        let structures: [&dyn ConcurrentPredecessorMap; 3] = [&forest, &plain, &tiered];
+        let structures: [&dyn OrderedKv<u64>; 3] = [&*forest, &plain, &*tiered];
         for s in structures {
             let result = run_throughput(s, &spec);
             row.push(format!("{:.0}", result.ops_per_sec / 1_000.0));

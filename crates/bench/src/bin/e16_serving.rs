@@ -30,9 +30,8 @@
 //!   Poisson-arrivals row — the burstier process that widens the gap at the
 //!   same average rate.
 //!
-//! Knobs: `SKIPTRIE_SVC_QUEUE_CAP` / `SKIPTRIE_SVC_COALESCE` (pipeline, see
-//! `skiptrie-service`), `SKIPTRIE_SVC_DRIVERS` (open-loop driver threads,
-//! default 2), `SKIPTRIE_TIER_WATERMARK` (per-shard fold watermark, default
+//! Knobs: `SKIPTRIE_SVC_DRIVERS` (open-loop driver threads, default 2),
+//! `SKIPTRIE_TIER_WATERMARK` (per-shard fold watermark, default
 //! 4096), `SKIPTRIE_SHARDS`, `SKIPTRIE_SCALE`, `SKIPTRIE_JSON`.
 
 use std::sync::Mutex;
@@ -180,7 +179,7 @@ fn main() {
         threads,
         scaled(30_000),
         0xCA11,
-        ServiceConfig::from_env(),
+        ServiceConfig::default(),
     );
     let capacity = calibration.report.achieved_ops_per_sec();
     assert!(capacity > 0.0, "calibration run made no progress");
@@ -202,7 +201,7 @@ fn main() {
             threads,
             ops_per_thread,
             0xE16 + i as u64,
-            ServiceConfig::from_env(),
+            ServiceConfig::default(),
         );
         let report = &run.report;
         let shed_pct = 100.0 * report.shed as f64 / report.offered.max(1) as f64;
@@ -295,7 +294,7 @@ fn main() {
         threads,
         ((poisson_rate * window_secs) / threads as f64).max(200.0) as usize,
         0xE16C,
-        ServiceConfig::from_env(),
+        ServiceConfig::default(),
     );
     let mut co_rows = vec![vec![
         "fixed@2.00".to_string(),
@@ -329,7 +328,7 @@ fn main() {
     // queues, no deadlock), and every admitted request must get its response.
     let tight = ServiceConfig {
         queue_cap: 16,
-        ..ServiceConfig::from_env()
+        ..ServiceConfig::default()
     };
     let overload_rate = capacity * 2.0;
     let tight_run = run_rate(

@@ -13,10 +13,10 @@
 
 use skiptrie::{SkipTrie, SkipTrieConfig};
 use skiptrie_baselines::{FullSkipList, LockedBTreeMap};
-use skiptrie_bench::{measure_steps, prefill, print_table, scaled, ConcurrentPredecessorMap};
+use skiptrie_bench::{measure_steps, prefill, print_table, scaled, OrderedKv};
 use skiptrie_workloads::WorkloadSpec;
 
-fn ns_per_op<M: ConcurrentPredecessorMap + ?Sized>(map: &M, ops: &[skiptrie_workloads::Op]) -> f64 {
+fn ns_per_op(map: &dyn OrderedKv<u64>, ops: &[skiptrie_workloads::Op]) -> f64 {
     let sw = skiptrie_metrics::Stopwatch::start();
     for &op in ops {
         skiptrie_bench::apply_op(map, op);

@@ -12,14 +12,12 @@
 
 use skiptrie::{SkipTrie, SkipTrieConfig};
 use skiptrie_baselines::{FullSkipList, LockedBTreeMap};
-use skiptrie_bench::{
-    prefill, print_table, run_throughput, scaled, thread_sweep, ConcurrentPredecessorMap,
-};
+use skiptrie_bench::{prefill, print_table, run_throughput, scaled, thread_sweep, Named};
 use skiptrie_workloads::{KeyDist, OpMix, WorkloadSpec};
 
 fn run_structure(
     name_mix: &str,
-    map: &dyn ConcurrentPredecessorMap,
+    (name, map): Named<'_>,
     spec: &WorkloadSpec,
     rows: &mut Vec<Vec<String>>,
 ) {
@@ -27,7 +25,7 @@ fn run_structure(
     let result = run_throughput(map, spec);
     rows.push(vec![
         name_mix.to_string(),
-        map.name().to_string(),
+        name.to_string(),
         spec.threads.to_string(),
         format!("{:.2e}", result.ops_per_sec),
         format!("{:.1}", result.elapsed.as_millis()),
@@ -52,11 +50,11 @@ fn main() {
                 seed: 0xE7,
             };
             let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(UNIVERSE_BITS));
-            run_structure(mix_name, &trie, &spec, &mut rows);
+            run_structure(mix_name, ("skiptrie", &trie), &spec, &mut rows);
             let skiplist: FullSkipList<u64> = FullSkipList::new();
-            run_structure(mix_name, &skiplist, &spec, &mut rows);
+            run_structure(mix_name, ("lockfree-skiplist", &skiplist), &spec, &mut rows);
             let btree: LockedBTreeMap<u64> = LockedBTreeMap::new();
-            run_structure(mix_name, &btree, &spec, &mut rows);
+            run_structure(mix_name, ("locked-btreemap", &btree), &spec, &mut rows);
         }
     }
 

@@ -21,8 +21,8 @@
 use skiptrie::{SkipTrie, SkipTrieConfig};
 use skiptrie_baselines::{FullSkipList, LockedBTreeMap};
 use skiptrie_bench::{
-    prefill, print_table, run_throughput, scaled, thread_sweep, write_json_summary,
-    ConcurrentPredecessorMap,
+    prefill, print_table, run_throughput, scaled, thread_sweep, write_json_summary, Named,
+    OrderedKv,
 };
 use skiptrie_metrics::Stopwatch;
 use skiptrie_workloads::{KeyDist, OpMix, SplitMix64, WorkloadSpec};
@@ -34,7 +34,7 @@ const MAX_KEY: u64 = (1 << UNIVERSE_BITS) - 1;
 
 /// `k` chained successor calls starting at `from` (the pre-cursor formulation of a
 /// scan); returns the number of keys visited.
-fn successor_chain<M: ConcurrentPredecessorMap + ?Sized>(map: &M, from: u64, k: usize) -> usize {
+fn successor_chain(map: &dyn OrderedKv<u64>, from: u64, k: usize) -> usize {
     let mut cur = from;
     let mut seen = 0usize;
     while seen < k {
@@ -52,17 +52,30 @@ fn successor_chain<M: ConcurrentPredecessorMap + ?Sized>(map: &M, from: u64, k: 
     seen
 }
 
+/// The three structures every E9 table compares, under their table names.
+fn named<'a>(
+    trie: &'a SkipTrie<u64>,
+    skiplist: &'a FullSkipList<u64>,
+    btree: &'a LockedBTreeMap<u64>,
+) -> [Named<'a>; 3] {
+    [
+        ("skiptrie", trie),
+        ("lockfree-skiplist", skiplist),
+        ("locked-btreemap", btree),
+    ]
+}
+
 fn ns_per_key(total_ns: u128, keys: u64) -> f64 {
     total_ns as f64 / keys.max(1) as f64
 }
 
-fn scan_vs_successor(structures: &[&dyn ConcurrentPredecessorMap]) {
+fn scan_vs_successor(structures: &[Named<'_>]) {
     let reps = scaled(400);
     let mut rows = Vec::new();
     let mut headline_ratio = 0.0f64;
     for &k in &[10usize, 100, 1_000] {
         let mut row = vec![k.to_string()];
-        for s in structures {
+        for &(name, s) in structures {
             let mut rng = SplitMix64::new(0xE9A ^ k as u64);
             let mut scanned = 0u64;
             let sw = Stopwatch::start();
@@ -75,12 +88,12 @@ fn scan_vs_successor(structures: &[&dyn ConcurrentPredecessorMap]) {
             let mut chained = 0u64;
             let sw = Stopwatch::start();
             for _ in 0..reps {
-                chained += successor_chain(*s, rng.next() & 0xffff_ffff, k) as u64;
+                chained += successor_chain(s, rng.next() & 0xffff_ffff, k) as u64;
             }
             let succ_ns = ns_per_key(sw.elapsed().as_nanos(), chained);
 
             let ratio = succ_ns / scan_ns.max(f64::EPSILON);
-            if s.name() == "skiptrie" && k == 100 {
+            if name == "skiptrie" && k == 100 {
                 headline_ratio = ratio;
             }
             row.push(format!("{scan_ns:.0}"));
@@ -90,11 +103,11 @@ fn scan_vs_successor(structures: &[&dyn ConcurrentPredecessorMap]) {
         rows.push(row);
     }
     let headers: Vec<String> = std::iter::once("k".to_string())
-        .chain(structures.iter().flat_map(|s| {
+        .chain(structures.iter().flat_map(|(name, _)| {
             [
-                format!("{}_scan_ns/key", s.name()),
-                format!("{}_succ_ns/key", s.name()),
-                format!("{}_succ/scan", s.name()),
+                format!("{name}_scan_ns/key"),
+                format!("{name}_succ_ns/key"),
+                format!("{name}_succ/scan"),
             ]
         }))
         .collect();
@@ -120,9 +133,9 @@ fn drain(m: usize) {
     let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(UNIVERSE_BITS));
     let skiplist: FullSkipList<u64> = FullSkipList::new();
     let btree: LockedBTreeMap<u64> = LockedBTreeMap::new();
-    let structures: Vec<&dyn ConcurrentPredecessorMap> = vec![&trie, &skiplist, &btree];
-    for s in &structures {
-        prefill(*s, &keys);
+    let structures = named(&trie, &skiplist, &btree);
+    for (name, s) in structures {
+        prefill(s, &keys);
         let sw = Stopwatch::start();
         let mut drained = 0u64;
         let mut last = None;
@@ -132,14 +145,9 @@ fn drain(m: usize) {
             last = Some(key);
         }
         let ns = ns_per_key(sw.elapsed().as_nanos(), drained);
-        assert_eq!(
-            drained as usize,
-            keys.len(),
-            "{} drained everything",
-            s.name()
-        );
+        assert_eq!(drained as usize, keys.len(), "{name} drained everything");
         rows.push(vec![
-            format!("{} pop_first", s.name()),
+            format!("{name} pop_first"),
             drained.to_string(),
             format!("{ns:.0}"),
         ]);
@@ -185,8 +193,8 @@ fn scan_heavy_throughput(m: usize) {
         let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(UNIVERSE_BITS));
         let skiplist: FullSkipList<u64> = FullSkipList::new();
         let btree: LockedBTreeMap<u64> = LockedBTreeMap::new();
-        let structures: Vec<&dyn ConcurrentPredecessorMap> = vec![&trie, &skiplist, &btree];
-        for s in structures {
+        let structures = named(&trie, &skiplist, &btree);
+        for (_, s) in structures {
             prefill(s, &keys);
             let result = run_throughput(s, &spec);
             row.push(format!("{:.0}", result.ops_per_sec / 1_000.0));
@@ -213,9 +221,9 @@ fn main() {
     let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(UNIVERSE_BITS));
     let skiplist: FullSkipList<u64> = FullSkipList::new();
     let btree: LockedBTreeMap<u64> = LockedBTreeMap::new();
-    let structures: Vec<&dyn ConcurrentPredecessorMap> = vec![&trie, &skiplist, &btree];
-    for s in &structures {
-        prefill(*s, &keys);
+    let structures = named(&trie, &skiplist, &btree);
+    for (_, s) in structures {
+        prefill(s, &keys);
     }
     scan_vs_successor(&structures);
     drain(scaled(50_000));

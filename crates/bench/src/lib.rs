@@ -11,378 +11,43 @@
 //! * space and structural statistics (E5, F1) and the transient prev-gap phenomenon of
 //!   Figure 2 (F2).
 //!
-//! The harness abstracts every structure under test behind
-//! [`ConcurrentPredecessorMap`] so the same deterministic workloads
-//! ([`skiptrie_workloads`]) drive the SkipTrie and each baseline, and it prints plain
-//! tab-separated tables that `EXPERIMENTS.md` quotes directly.
+//! Every structure under test implements [`OrderedKv`], so the same deterministic
+//! workloads ([`skiptrie_workloads`]) drive the SkipTrie and each baseline through
+//! `&dyn OrderedKv<u64>`; bins pair each structure with its table name. The harness
+//! prints plain tab-separated tables that `EXPERIMENTS.md` quotes directly.
 
 #![warn(missing_docs)]
 
 use std::time::Duration;
 
-use skiptrie::{ShardedSkipTrie, SkipTrie, TieredForest, TieredSkipTrie};
-use skiptrie_baselines::{FullSkipList, LockedBTreeMap};
+pub use skiptrie::OrderedKv;
 use skiptrie_metrics::{self as metrics, Counter, Snapshot};
-use skiptrie_service::{Reply, Verb};
-use skiptrie_skiplist::SkipList;
 use skiptrie_workloads::{Op, WorkloadSpec};
 
-/// A uniform facade over every concurrent structure the experiments compare.
-///
-/// Values are fixed to `u64` (the experiments never need richer payloads).
-pub trait ConcurrentPredecessorMap: Send + Sync {
-    /// Short name used in result tables.
-    fn name(&self) -> &'static str;
-    /// Inserts `key -> value`; `true` if the key was absent.
-    fn insert(&self, key: u64, value: u64) -> bool;
-    /// Removes `key`, returning its value.
-    fn remove(&self, key: u64) -> Option<u64>;
-    /// Returns the value stored under exactly `key`.
-    fn get(&self, key: u64) -> Option<u64>;
-    /// Largest key `<= key`.
-    fn predecessor(&self, key: u64) -> Option<(u64, u64)>;
-    /// Smallest key `>= key`.
-    fn successor(&self, key: u64) -> Option<(u64, u64)>;
-    /// Visits up to `limit` entries with keys `>= from` in increasing key order,
-    /// returning the number visited (the E9 range-scan primitive).
-    fn scan(&self, from: u64, limit: usize) -> usize;
-    /// Removes and returns the entry with the smallest key (the E9 drain primitive).
-    fn pop_first(&self) -> Option<(u64, u64)>;
-    /// Number of keys stored.
-    fn len(&self) -> usize;
-    /// True if no keys are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Inserts a batch, returning how many keys were newly inserted. The default is
-    /// the one-at-a-time loop every structure supports; structures with a native
-    /// batched path (SkipTrie, the sharded forest, the locked B-tree) override it —
-    /// the E10 batched-vs-unbatched comparison measures exactly this override.
-    fn insert_batch(&self, entries: &[(u64, u64)]) -> usize {
-        entries.iter().filter(|&&(k, v)| self.insert(k, v)).count()
-    }
-    /// Removes a batch of keys, returning how many were present (see
-    /// [`ConcurrentPredecessorMap::insert_batch`]).
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        keys.iter().filter(|&&k| self.remove(k).is_some()).count()
-    }
-    /// Looks up a batch of keys, returning how many were present (see
-    /// [`ConcurrentPredecessorMap::insert_batch`]).
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        keys.iter().filter(|&&k| self.get(k).is_some()).count()
-    }
-    /// Removes and returns the entry with the largest key. The default is a
-    /// probe-then-remove loop over [`ConcurrentPredecessorMap::predecessor`]
-    /// (retrying lost races); structures with a native two-ended pop override it.
-    fn pop_last(&self) -> Option<(u64, u64)> {
-        loop {
-            let (key, _) = self.predecessor(u64::MAX)?;
-            if let Some(value) = self.remove(key) {
-                return Some((key, value));
-            }
-        }
-    }
-    /// Executes one serving-plane [`Verb`] against this structure. This is the
-    /// same request vocabulary the `skiptrie-service` pipeline serves, so a
-    /// structure benched directly and one benched behind the pipeline run
-    /// literally the same operations. One deliberate divergence:
-    /// [`Verb::Scan`] and the bulk verbs reply with [`Reply::Count`] here
-    /// (the bench facade counts entries rather than materializing them).
-    fn execute(&self, verb: &Verb) -> Reply {
-        match verb {
-            Verb::Get(k) => Reply::Value(self.get(*k)),
-            Verb::Insert(k, v) => Reply::Inserted(self.insert(*k, *v)),
-            Verb::Remove(k) => Reply::Removed(self.remove(*k)),
-            Verb::Predecessor(k) => Reply::Entry(self.predecessor(*k)),
-            Verb::Successor(k) => Reply::Entry(self.successor(*k)),
-            Verb::Scan { from, limit } => Reply::Count(self.scan(*from, *limit)),
-            Verb::PopFirst => Reply::Entry(self.pop_first()),
-            Verb::PopLast => Reply::Entry(self.pop_last()),
-            Verb::InsertBatch(entries) => Reply::Count(self.insert_batch(entries)),
-            Verb::RemoveBatch(keys) => Reply::Count(self.remove_batch(keys)),
-            Verb::GetBatch(keys) => Reply::Count(self.get_batch(keys)),
-        }
-    }
-}
+/// A structure under test paired with the name its rows carry in result tables.
+pub type Named<'a> = (&'static str, &'a dyn OrderedKv<u64>);
 
-impl ConcurrentPredecessorMap for SkipTrie<u64> {
-    fn name(&self) -> &'static str {
-        "skiptrie"
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        SkipTrie::insert(self, key, value)
-    }
-    fn remove(&self, key: u64) -> Option<u64> {
-        SkipTrie::remove(self, key)
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        SkipTrie::get(self, key)
-    }
-    fn predecessor(&self, key: u64) -> Option<(u64, u64)> {
-        SkipTrie::predecessor(self, key)
-    }
-    fn successor(&self, key: u64) -> Option<(u64, u64)> {
-        SkipTrie::successor(self, key)
-    }
-    fn scan(&self, from: u64, limit: usize) -> usize {
-        SkipTrie::range(self, from..).count_up_to(limit)
-    }
-    fn pop_first(&self) -> Option<(u64, u64)> {
-        SkipTrie::pop_first(self)
-    }
-    fn len(&self) -> usize {
-        SkipTrie::len(self)
-    }
-    fn insert_batch(&self, entries: &[(u64, u64)]) -> usize {
-        SkipTrie::insert_batch(self, entries)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        SkipTrie::remove_batch(self, keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        SkipTrie::get_batch(self, keys)
-            .iter()
-            .filter(|v| v.is_some())
-            .count()
-    }
-}
-
-impl ConcurrentPredecessorMap for TieredSkipTrie<u64> {
-    fn name(&self) -> &'static str {
-        "tiered-skiptrie"
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        TieredSkipTrie::insert(self, key, value)
-    }
-    fn remove(&self, key: u64) -> Option<u64> {
-        TieredSkipTrie::remove(self, key)
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        TieredSkipTrie::get(self, key)
-    }
-    fn predecessor(&self, key: u64) -> Option<(u64, u64)> {
-        TieredSkipTrie::predecessor(self, key)
-    }
-    fn successor(&self, key: u64) -> Option<(u64, u64)> {
-        TieredSkipTrie::successor(self, key)
-    }
-    fn scan(&self, from: u64, limit: usize) -> usize {
-        TieredSkipTrie::range(self, from..).count_up_to(limit)
-    }
-    fn pop_first(&self) -> Option<(u64, u64)> {
-        TieredSkipTrie::pop_first(self)
-    }
-    fn len(&self) -> usize {
-        TieredSkipTrie::len(self)
-    }
-}
-
-impl ConcurrentPredecessorMap for ShardedSkipTrie<u64> {
-    fn name(&self) -> &'static str {
-        "sharded-skiptrie"
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        ShardedSkipTrie::insert(self, key, value)
-    }
-    fn remove(&self, key: u64) -> Option<u64> {
-        ShardedSkipTrie::remove(self, key)
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        ShardedSkipTrie::get(self, key)
-    }
-    fn predecessor(&self, key: u64) -> Option<(u64, u64)> {
-        ShardedSkipTrie::predecessor(self, key)
-    }
-    fn successor(&self, key: u64) -> Option<(u64, u64)> {
-        ShardedSkipTrie::successor(self, key)
-    }
-    fn scan(&self, from: u64, limit: usize) -> usize {
-        ShardedSkipTrie::range(self, from..).count_up_to(limit)
-    }
-    fn pop_first(&self) -> Option<(u64, u64)> {
-        ShardedSkipTrie::pop_first(self)
-    }
-    fn len(&self) -> usize {
-        ShardedSkipTrie::len(self)
-    }
-    fn insert_batch(&self, entries: &[(u64, u64)]) -> usize {
-        ShardedSkipTrie::insert_batch(self, entries)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        ShardedSkipTrie::remove_batch(self, keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        ShardedSkipTrie::get_batch(self, keys)
-            .iter()
-            .filter(|v| v.is_some())
-            .count()
-    }
-}
-
-impl ConcurrentPredecessorMap for TieredForest<u64> {
-    fn name(&self) -> &'static str {
-        "tiered-forest"
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        (**self).insert(key, value)
-    }
-    fn remove(&self, key: u64) -> Option<u64> {
-        (**self).remove(key)
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        (**self).get(key)
-    }
-    fn predecessor(&self, key: u64) -> Option<(u64, u64)> {
-        (**self).predecessor(key)
-    }
-    fn successor(&self, key: u64) -> Option<(u64, u64)> {
-        (**self).successor(key)
-    }
-    fn scan(&self, from: u64, limit: usize) -> usize {
-        (**self).range(from..).count_up_to(limit)
-    }
-    fn pop_first(&self) -> Option<(u64, u64)> {
-        (**self).pop_first()
-    }
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn insert_batch(&self, entries: &[(u64, u64)]) -> usize {
-        (**self).insert_batch(entries)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        (**self).remove_batch(keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        (**self)
-            .get_batch(keys)
-            .iter()
-            .filter(|v| v.is_some())
-            .count()
-    }
-}
-
-impl ConcurrentPredecessorMap for FullSkipList<u64> {
-    fn name(&self) -> &'static str {
-        "lockfree-skiplist"
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        FullSkipList::insert(self, key, value)
-    }
-    fn remove(&self, key: u64) -> Option<u64> {
-        FullSkipList::remove(self, key)
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        FullSkipList::get(self, key)
-    }
-    fn predecessor(&self, key: u64) -> Option<(u64, u64)> {
-        FullSkipList::predecessor(self, key)
-    }
-    fn successor(&self, key: u64) -> Option<(u64, u64)> {
-        FullSkipList::successor(self, key)
-    }
-    fn scan(&self, from: u64, limit: usize) -> usize {
-        FullSkipList::range(self, from..).count_up_to(limit)
-    }
-    fn pop_first(&self) -> Option<(u64, u64)> {
-        FullSkipList::pop_first(self)
-    }
-    fn len(&self) -> usize {
-        FullSkipList::len(self)
-    }
-}
-
-impl ConcurrentPredecessorMap for LockedBTreeMap<u64> {
-    fn name(&self) -> &'static str {
-        "locked-btreemap"
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        LockedBTreeMap::insert(self, key, value)
-    }
-    fn remove(&self, key: u64) -> Option<u64> {
-        LockedBTreeMap::remove(self, key)
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        LockedBTreeMap::get(self, key)
-    }
-    fn predecessor(&self, key: u64) -> Option<(u64, u64)> {
-        LockedBTreeMap::predecessor(self, key)
-    }
-    fn successor(&self, key: u64) -> Option<(u64, u64)> {
-        LockedBTreeMap::successor(self, key)
-    }
-    fn scan(&self, from: u64, limit: usize) -> usize {
-        LockedBTreeMap::scan(self, from, limit)
-    }
-    fn pop_first(&self) -> Option<(u64, u64)> {
-        LockedBTreeMap::pop_first(self)
-    }
-    fn len(&self) -> usize {
-        LockedBTreeMap::len(self)
-    }
-    fn insert_batch(&self, entries: &[(u64, u64)]) -> usize {
-        LockedBTreeMap::insert_batch(self, entries)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        LockedBTreeMap::remove_batch(self, keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        LockedBTreeMap::get_batch(self, keys)
-            .iter()
-            .filter(|v| v.is_some())
-            .count()
-    }
-}
-
-impl ConcurrentPredecessorMap for SkipList<u64> {
-    fn name(&self) -> &'static str {
-        "truncated-skiplist"
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        SkipList::insert(self, key, value)
-    }
-    fn remove(&self, key: u64) -> Option<u64> {
-        SkipList::remove(self, key)
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        SkipList::get(self, key)
-    }
-    fn predecessor(&self, key: u64) -> Option<(u64, u64)> {
-        SkipList::predecessor(self, key)
-    }
-    fn successor(&self, key: u64) -> Option<(u64, u64)> {
-        SkipList::successor(self, key)
-    }
-    fn scan(&self, from: u64, limit: usize) -> usize {
-        SkipList::range(self, from..).count_up_to(limit)
-    }
-    fn pop_first(&self) -> Option<(u64, u64)> {
-        SkipList::pop_first(self)
-    }
-    fn len(&self) -> usize {
-        SkipList::len(self)
-    }
-}
-
-/// Converts one workload operation into the serving-plane [`Verb`] it
-/// represents (inserts store value = key, like [`prefill`]).
-pub fn op_to_verb(op: Op) -> Verb {
+/// Applies one workload operation to a structure (inserts store value = key,
+/// like [`prefill`]).
+pub fn apply_op(map: &(impl OrderedKv<u64> + ?Sized), op: Op) {
     match op {
-        Op::Insert(k) => Verb::Insert(k, k),
-        Op::Remove(k) => Verb::Remove(k),
-        Op::Predecessor(k) => Verb::Predecessor(k),
-        Op::Scan { from, limit } => Verb::Scan { from, limit },
+        Op::Insert(key) => {
+            map.insert(key, key);
+        }
+        Op::Remove(key) => {
+            map.remove(key);
+        }
+        Op::Predecessor(key) => {
+            map.predecessor(key);
+        }
+        Op::Scan { from, limit } => {
+            map.scan(from, limit);
+        }
     }
-}
-
-/// Applies one workload operation to a structure, through the same
-/// [`Verb`] plane the serving pipeline executes.
-pub fn apply_op<M: ConcurrentPredecessorMap + ?Sized>(map: &M, op: Op) {
-    map.execute(&op_to_verb(op));
 }
 
 /// Inserts the workload's prefill keys (value = key).
-pub fn prefill<M: ConcurrentPredecessorMap + ?Sized>(map: &M, keys: &[u64]) {
+pub fn prefill(map: &(impl OrderedKv<u64> + ?Sized), keys: &[u64]) {
     for &k in keys {
         map.insert(k, k);
     }
@@ -404,8 +69,8 @@ pub struct ThroughputResult {
 
 /// Runs the workload's operation streams on `spec.threads` worker threads and reports
 /// aggregate throughput. The structure must already be prefilled.
-pub fn run_throughput<M: ConcurrentPredecessorMap + ?Sized>(
-    map: &M,
+pub fn run_throughput(
+    map: &(impl OrderedKv<u64> + ?Sized),
     spec: &WorkloadSpec,
 ) -> ThroughputResult {
     let streams: Vec<Vec<Op>> = (0..spec.threads).map(|t| spec.thread_ops(t)).collect();
@@ -452,7 +117,7 @@ pub struct StepReport {
 
 /// Runs `ops` single-threaded with step recording enabled and reports per-operation
 /// means.
-pub fn measure_steps<M: ConcurrentPredecessorMap + ?Sized>(map: &M, ops: &[Op]) -> StepReport {
+pub fn measure_steps(map: &(impl OrderedKv<u64> + ?Sized), ops: &[Op]) -> StepReport {
     let was_enabled = metrics::is_enabled();
     metrics::set_enabled(true);
     let before = metrics::snapshot();
@@ -622,7 +287,8 @@ pub fn thread_sweep() -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skiptrie::SkipTrieConfig;
+    use skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie, SkipTrieConfig};
+    use skiptrie_baselines::{FullSkipList, LockedBTreeMap};
     use skiptrie_workloads::{KeyDist, OpMix};
 
     fn small_spec(threads: usize) -> WorkloadSpec {
@@ -642,14 +308,19 @@ mod tests {
         let spec = small_spec(2);
         let keys = spec.prefill_keys();
         let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(20));
-        let forest = ShardedSkipTrie::new(skiptrie::ShardedSkipTrieConfig::for_universe_bits(20));
+        let forest: ShardedSkipTrie<u64> =
+            ShardedSkipTrie::new(ShardedSkipTrieConfig::for_universe_bits(20));
         let skiplist = FullSkipList::new();
         let btree = LockedBTreeMap::new();
-        let structures: Vec<&dyn ConcurrentPredecessorMap> =
-            vec![&trie, &forest, &skiplist, &btree];
-        for s in structures {
+        let structures: [(&str, &dyn OrderedKv<u64>); 4] = [
+            ("skiptrie", &trie),
+            ("sharded-skiptrie", &forest),
+            ("lockfree-skiplist", &skiplist),
+            ("locked-btreemap", &btree),
+        ];
+        for (name, s) in structures {
             prefill(s, &keys);
-            assert_eq!(s.len(), keys.len(), "{}", s.name());
+            assert_eq!(s.len(), keys.len(), "{name}");
             let result = run_throughput(s, &spec);
             assert_eq!(result.total_ops, spec.total_ops() as u64);
             assert!(result.ops_per_sec > 0.0);
@@ -659,22 +330,27 @@ mod tests {
     #[test]
     fn batched_entry_points_agree_across_structures() {
         let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(20));
-        let forest = ShardedSkipTrie::new(skiptrie::ShardedSkipTrieConfig::for_universe_bits(20));
-        let skiplist = FullSkipList::new(); // exercises the default (loop) impls
+        let forest: ShardedSkipTrie<u64> =
+            ShardedSkipTrie::new(ShardedSkipTrieConfig::for_universe_bits(20));
+        let skiplist = FullSkipList::new(); // exercises the provided (loop) batch forms
         let btree = LockedBTreeMap::new();
-        let structures: Vec<&dyn ConcurrentPredecessorMap> =
-            vec![&trie, &forest, &skiplist, &btree];
+        let structures: [(&str, &dyn OrderedKv<u64>); 4] = [
+            ("skiptrie", &trie),
+            ("sharded-skiptrie", &forest),
+            ("lockfree-skiplist", &skiplist),
+            ("locked-btreemap", &btree),
+        ];
         let entries: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 1_999 % (1 << 20), i)).collect();
         let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
         let probe: Vec<u64> = (0..600u64).map(|i| i * 1_753 % (1 << 20)).collect();
-        for s in structures {
+        for (name, s) in structures {
             let inserted = s.insert_batch(&entries);
-            assert_eq!(s.len(), inserted, "{}", s.name());
+            assert_eq!(s.len(), inserted, "{name}");
             let found = s.get_batch(&probe);
             let expected = probe.iter().filter(|k| s.get(**k).is_some()).count();
-            assert_eq!(found, expected, "{}", s.name());
-            assert_eq!(s.remove_batch(&keys), inserted, "{}", s.name());
-            assert!(s.is_empty(), "{}", s.name());
+            assert_eq!(found, expected, "{name}");
+            assert_eq!(s.remove_batch(&keys), inserted, "{name}");
+            assert!(s.is_empty(), "{name}");
         }
     }
 

@@ -11,7 +11,7 @@
 //!   and global key order equals (shard index, in-shard order). Point operations
 //!   touch exactly one shard.
 //! * **Isolation.** Every shard is a complete [`SkipTrie`] with its **own node pool**
-//!   and — by default — its **own epoch domain**
+//!   and its **own epoch domain**
 //!   ([`crossbeam_epoch::pin_domain`]), so shards share no allocator free-list, no
 //!   epoch counter, and no garbage queue on the hot path; a long scan of one shard
 //!   stalls only that shard's reclamation.
@@ -45,7 +45,7 @@ use std::ops::RangeBounds;
 use crossbeam_epoch::Reclaimer;
 use skiptrie_atomics::dcss::DcssMode;
 use skiptrie_metrics::{self as metrics, Counter};
-use skiptrie_skiplist::resolve_bounds;
+use skiptrie_skiplist::{resolve_bounds, OrderedKv};
 use skiptrie_splitorder::DirectoryConfig;
 
 use crate::engine::{EngineRangeIter, ShardEngine, ShardSpec};
@@ -68,12 +68,8 @@ pub struct ShardedSkipTrieConfig {
     pub mode: DcssMode,
     /// Master height-sampler seed; shard `i` derives its own seed from it.
     pub seed: u64,
-    /// Give every shard its own epoch domain (the default). Disable to run all
-    /// shards in the process-wide default domain — useful only for apples-to-apples
-    /// ablations of the domain isolation itself.
-    pub isolate_epochs: bool,
-    /// Shape of every shard's prefix-table bucket directory (unbounded growable
-    /// segment tree by default); see [`SkipTrieConfig::with_hash_directory`].
+    /// Shape of every shard's prefix-table bucket directory (a growable segment
+    /// tree); see [`SkipTrieConfig::with_hash_directory`].
     pub hash_dir: DirectoryConfig,
     /// Per-shard delta-size merge watermark, for tiered engines: once a shard's
     /// live delta accumulates this many writes, the writer that crosses the mark
@@ -111,7 +107,6 @@ impl ShardedSkipTrieConfig {
             shard_bits: 3.min(universe_bits),
             mode: DcssMode::Descriptor,
             seed: 0x5eed_5eed_5eed_5eed,
-            isolate_epochs: true,
             hash_dir: DirectoryConfig::default(),
             merge_watermark: None,
             frozen_search: FrozenSearch::Eytzinger,
@@ -145,24 +140,10 @@ impl ShardedSkipTrieConfig {
         self
     }
 
-    /// Runs every shard in the process-wide default epoch domain instead of one
-    /// domain per shard (see [`ShardedSkipTrieConfig::isolate_epochs`]).
-    pub fn with_shared_epoch(mut self) -> Self {
-        self.isolate_epochs = false;
-        self
-    }
-
     /// Overrides the shape of every shard's prefix-table bucket directory — see
     /// [`DirectoryConfig`].
     pub fn with_hash_directory(mut self, hash_dir: DirectoryConfig) -> Self {
         self.hash_dir = hash_dir;
-        self
-    }
-
-    /// Caps every shard's prefix-table directory at `cap` buckets (the legacy
-    /// bounded mode); see [`SkipTrieConfig::with_hash_bucket_cap`].
-    pub fn with_hash_bucket_cap(mut self, cap: usize) -> Self {
-        self.hash_dir = self.hash_dir.with_bucket_cap(cap);
         self
     }
 
@@ -273,7 +254,7 @@ where
         let shard_count = 1usize << config.shard_bits;
         let shards: Vec<E> = (0..shard_count)
             .map(|i| {
-                let mut shard_config = SkipTrieConfig::for_universe_bits(config.universe_bits)
+                let shard_config = SkipTrieConfig::for_universe_bits(config.universe_bits)
                     .with_mode(config.mode)
                     .with_hash_directory(config.hash_dir)
                     .with_reclaimer(config.reclaimer)
@@ -282,13 +263,10 @@ where
                         config
                             .seed
                             .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    );
-                if config.isolate_epochs {
+                    )
                     // Distinct domains for up to NUM_DOMAINS - 1 shards; beyond that
                     // they wrap (never onto the default domain 0).
-                    shard_config = shard_config
-                        .with_domain(SHARD_DOMAIN_BASE + i % (crossbeam_epoch::NUM_DOMAINS - 1));
-                }
+                    .with_domain(SHARD_DOMAIN_BASE + i % (crossbeam_epoch::NUM_DOMAINS - 1));
                 E::build(&ShardSpec {
                     trie: shard_config,
                     merge_watermark: config.merge_watermark,
@@ -628,18 +606,9 @@ where
     ///
     /// Panics if any key does not fit in the configured universe (checked up front).
     pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        for &(key, _) in entries {
-            self.check_key(key);
-        }
-        let mut inserted = 0usize;
-        self.group_by_shard(
-            entries.len(),
-            |i| entries[i].0,
-            |shard, group| {
-                inserted += self.shards[shard].insert_batch_picked(entries, group);
-            },
-        );
-        inserted
+        let mut inserted = vec![false; entries.len()];
+        self.insert_batch_flags(entries, &mut inserted);
+        inserted.into_iter().filter(|&flag| flag).count()
     }
 
     /// Removes every key of `keys`, returning how many were present (and are now
@@ -650,18 +619,9 @@ where
     ///
     /// Panics if any key does not fit in the configured universe (checked up front).
     pub fn remove_batch(&self, keys: &[u64]) -> usize {
-        for &key in keys {
-            self.check_key(key);
-        }
-        let mut removed = 0usize;
-        self.group_by_shard(
-            keys.len(),
-            |i| keys[i],
-            |shard, group| {
-                removed += self.shards[shard].remove_batch_picked(keys, group);
-            },
-        );
-        removed
+        let mut removed = vec![None; keys.len()];
+        self.remove_batch_values(keys, &mut removed);
+        removed.iter().flatten().count()
     }
 
     /// Looks up every key of `keys`, returning the values **in input order**
@@ -758,7 +718,7 @@ where
     /// Shard routing is by top key bits, so a sorted slice decomposes into `S`
     /// contiguous sub-slices — one per shard — found with a single linear split.
     /// Each non-empty shard is then built **in parallel** by its own worker thread
-    /// via [`SkipTrie::bulk_load`]: shards share no node pool and (by default) no
+    /// via [`SkipTrie::bulk_load`]: shards share no node pool and no
     /// epoch domain, so the workers proceed with zero cross-shard coordination —
     /// the construction-side payoff of the same isolation that keeps the serving
     /// path contention-free. Restore a checkpoint by feeding
@@ -841,9 +801,11 @@ where
         self.shards.iter().flat_map(|s| s.to_vec()).collect()
     }
 
-    /// A (non-linearizable) snapshot of the keys in order.
+    /// The keys in order, without cloning values (same weak consistency as
+    /// [`ShardedSkipTrie::snapshot`]).
     pub fn keys(&self) -> Vec<u64> {
-        self.shards.iter().flat_map(|s| s.keys()).collect()
+        let mut iter = self.range(..);
+        std::iter::from_fn(|| iter.next_key()).collect()
     }
 
     /// Per-shard key counts, in shard order (load-balance diagnostics).
@@ -872,6 +834,58 @@ where
             .iter()
             .map(|s| s.check_traversal_integrity())
             .sum()
+    }
+}
+
+impl<V, E> OrderedKv<V> for ShardedSkipTrie<V, E>
+where
+    V: Clone + Send + Sync + 'static,
+    E: ShardEngine<V>,
+{
+    fn get(&self, key: u64) -> Option<V> {
+        ShardedSkipTrie::get(self, key)
+    }
+    fn insert(&self, key: u64, value: V) -> bool {
+        ShardedSkipTrie::insert(self, key, value)
+    }
+    fn remove(&self, key: u64) -> Option<V> {
+        ShardedSkipTrie::remove(self, key)
+    }
+    fn predecessor(&self, key: u64) -> Option<(u64, V)> {
+        ShardedSkipTrie::predecessor(self, key)
+    }
+    fn successor(&self, key: u64) -> Option<(u64, V)> {
+        ShardedSkipTrie::successor(self, key)
+    }
+    fn scan(&self, from: u64, limit: usize) -> usize {
+        ShardedSkipTrie::range(self, from..).count_up_to(limit)
+    }
+    fn pop_first(&self) -> Option<(u64, V)> {
+        ShardedSkipTrie::pop_first(self)
+    }
+    fn len(&self) -> usize {
+        ShardedSkipTrie::len(self)
+    }
+    fn contains(&self, key: u64) -> bool {
+        ShardedSkipTrie::contains(self, key)
+    }
+    fn is_empty(&self) -> bool {
+        ShardedSkipTrie::is_empty(self)
+    }
+    fn pop_last(&self) -> Option<(u64, V)> {
+        ShardedSkipTrie::pop_last(self)
+    }
+    fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
+        ShardedSkipTrie::insert_batch(self, entries)
+    }
+    fn remove_batch(&self, keys: &[u64]) -> usize {
+        ShardedSkipTrie::remove_batch(self, keys)
+    }
+    fn get_batch(&self, keys: &[u64]) -> usize {
+        ShardedSkipTrie::get_batch(self, keys)
+            .iter()
+            .flatten()
+            .count()
     }
 }
 
@@ -1326,7 +1340,6 @@ mod tests {
     #[test]
     fn shards_use_isolated_epoch_domains_by_default() {
         let f = forest(16, 8);
-        assert!(f.config().isolate_epochs);
         for i in 0..8 {
             let domain = f.shard(i).config().domain;
             assert!(domain.is_some_and(|d| d >= SHARD_DOMAIN_BASE), "shard {i}");
@@ -1334,12 +1347,6 @@ mod tests {
         let domains: std::collections::HashSet<_> =
             (0..8).map(|i| f.shard(i).config().domain).collect();
         assert_eq!(domains.len(), 8, "8 shards get 8 distinct domains");
-        let shared = ShardedSkipTrie::<u64>::new(
-            ShardedSkipTrieConfig::for_universe_bits(16)
-                .with_shards(4)
-                .with_shared_epoch(),
-        );
-        assert!((0..4).all(|i| shared.shard(i).config().domain.is_none()));
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub use prefix::{key_bit, lcp_len, max_key, Prefix};
 pub use skiptrie_atomics::dcss::DcssMode;
 pub use skiptrie_atomics::wake::WakeGate;
 pub use skiptrie_skiplist::{
-    levels_for_universe_bits, resolve_bounds, Cursor, NodeRef, RangeIter, SkipList, SkipListConfig,
+    levels_for_universe_bits, resolve_bounds, Cursor, NodeRef, OrderedKv, RangeIter, SkipList,
+    SkipListConfig,
 };
 pub use skiptrie_splitorder::DirectoryConfig;
 pub use tiered::{FrozenSearch, TieredRangeIter, TieredSkipTrie, TieredSkipTrieConfig};
@@ -99,10 +100,8 @@ pub struct SkipTrieConfig {
     /// domain). Set by [`ShardedSkipTrie`] so each shard reclaims independently; see
     /// [`SkipTrieConfig::with_domain`].
     pub domain: Option<usize>,
-    /// Shape of the prefix table's bucket directory. The default is the unbounded
-    /// growable segment tree, which keeps every `LowestAncestor` hash probe `O(1)`
-    /// expected at any size; see [`SkipTrieConfig::with_hash_bucket_cap`] for the
-    /// legacy bounded mode.
+    /// Shape of the prefix table's bucket directory: a growable segment tree, which
+    /// keeps every `LowestAncestor` hash probe `O(1)` expected at any size.
     pub hash_dir: DirectoryConfig,
     /// Reclamation substrate for the trie's epoch domain — EBR (the throughput
     /// default) or the hazard substrate, whose garbage stays bounded under stalled
@@ -177,23 +176,10 @@ impl SkipTrieConfig {
         self
     }
 
-    /// Overrides the full shape of the prefix table's bucket directory (fanout for
-    /// growth-at-test-scale, optional cap) — see [`DirectoryConfig`].
+    /// Overrides the shape of the prefix table's bucket directory (fanout for
+    /// growth-at-test-scale) — see [`DirectoryConfig`].
     pub fn with_hash_directory(mut self, hash_dir: DirectoryConfig) -> Self {
         self.hash_dir = hash_dir;
-        self
-    }
-
-    /// Caps the prefix table's bucket directory at `cap` buckets — the legacy
-    /// *bounded* hash-directory mode.
-    ///
-    /// Past the cap, prefix probes stay correct but their expected cost grows
-    /// linearly with the number of stored prefixes, and each capped insert records
-    /// [`skiptrie_metrics::Counter::HashSaturated`]. This knob exists for A/B
-    /// experiments against the unbounded default (E12) and for saturation tests; it
-    /// is never what a production configuration wants.
-    pub fn with_hash_bucket_cap(mut self, cap: usize) -> Self {
-        self.hash_dir = self.hash_dir.with_bucket_cap(cap);
         self
     }
 }
@@ -297,13 +283,6 @@ where
     /// published prefixes crosses each `fanout^height` capacity.
     pub fn prefix_directory_height(&self) -> u32 {
         self.prefixes.directory_height()
-    }
-
-    /// True once the prefix table has stopped resizing — possible only in the legacy
-    /// bounded mode ([`SkipTrieConfig::with_hash_bucket_cap`]); the unbounded
-    /// default never saturates.
-    pub fn prefix_table_saturated(&self) -> bool {
-        self.prefixes.is_saturated()
     }
 
     fn check_key(&self, key: u64) {
@@ -632,44 +611,18 @@ where
         }
         let mut order: Vec<usize> = (0..entries.len()).collect();
         order.sort_by_key(|&i| entries[i].0);
-        self.insert_batch_picked(entries, &order)
+        let mut inserted = vec![false; entries.len()];
+        self.insert_batch_picked_flags(entries, &order, &mut inserted);
+        inserted.into_iter().filter(|&flag| flag).count()
     }
 
-    /// [`SkipTrie::insert_batch`] over a pre-sorted index selection: `order` indexes
-    /// into `entries`, sorted by key (stably, so earlier duplicates win). Keys must
-    /// already be checked. The sharded forest calls this once per shard group.
-    pub(crate) fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
-        let guard = self.skiplist.pin();
-        let mut hint: Option<NodeRef<'_, V>> = None;
-        let mut inserted = 0usize;
-        for &i in order {
-            let (key, ref value) = entries[i];
-            let start = self.batch_start(hint, key, &guard);
-            match self
-                .skiplist
-                .insert_from(key, value.clone(), Some(start), &guard)
-            {
-                skiptrie_skiplist::InsertOutcome::AlreadyPresent => {
-                    hint = Some(start);
-                }
-                skiptrie_skiplist::InsertOutcome::Inserted { top_node } => {
-                    inserted += 1;
-                    if let Some(node) = top_node {
-                        self.insert_prefixes(key, node, &guard);
-                        hint = Some(node);
-                    } else {
-                        hint = Some(start);
-                    }
-                }
-            }
-        }
-        inserted
-    }
-
-    /// [`SkipTrie::insert_batch_picked`] with per-key outcomes: writes
-    /// `out[i] = true` for each picked `i` this call inserted (slots of unpicked
-    /// indices are left untouched). The serving pipeline's coalescer uses this so
-    /// a batched execution still answers every request individually.
+    /// [`SkipTrie::insert_batch`] over a pre-sorted index selection, with per-key
+    /// outcomes: `order` indexes into `entries`, sorted by key (stably, so earlier
+    /// duplicates win), and `out[i] = true` is written for each picked `i` this
+    /// call inserted (slots of unpicked indices are left untouched). Keys must
+    /// already be checked. The sharded forest calls this once per shard group, and
+    /// the serving pipeline's coalescer relies on the per-key outcomes so a
+    /// batched execution still answers every request individually.
     pub(crate) fn insert_batch_picked_flags(
         &self,
         entries: &[(u64, V)],
@@ -717,29 +670,15 @@ where
         }
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_unstable_by_key(|&i| keys[i]);
-        self.remove_batch_picked(keys, &order)
+        let mut removed = vec![None; keys.len()];
+        self.remove_batch_picked_values(keys, &order, &mut removed);
+        removed.iter().flatten().count()
     }
 
-    /// [`SkipTrie::remove_batch`] over a pre-sorted index selection (see
-    /// [`SkipTrie::insert_batch_picked`]).
-    pub(crate) fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
-        let guard = self.skiplist.pin();
-        let mut hint: Option<NodeRef<'_, V>> = None;
-        let mut removed = 0usize;
-        for &i in order {
-            let key = keys[i];
-            let start = self.batch_start(hint, key, &guard);
-            if self.try_remove_exact(key, Some(start), &guard).is_some() {
-                removed += 1;
-            }
-            hint = Some(start);
-        }
-        removed
-    }
-
-    /// [`SkipTrie::remove_batch_picked`] with per-key outcomes: writes `out[i]`
-    /// to the value this call removed under `keys[i]` (`None` if absent) for
-    /// each picked `i`.
+    /// [`SkipTrie::remove_batch`] over a pre-sorted index selection, with per-key
+    /// outcomes (see [`SkipTrie::insert_batch_picked_flags`]): writes `out[i]` to
+    /// the value this call removed under `keys[i]` (`None` if absent) for each
+    /// picked `i`.
     pub(crate) fn remove_batch_picked_values(
         &self,
         keys: &[u64],
@@ -776,7 +715,7 @@ where
     }
 
     /// [`SkipTrie::get_batch`] over a pre-sorted index selection, writing each result
-    /// to `out[i]` for input index `i` (see [`SkipTrie::insert_batch_picked`]).
+    /// to `out[i]` for input index `i` (see [`SkipTrie::insert_batch_picked_flags`]).
     pub(crate) fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
         let guard = self.skiplist.pin();
         let mut hint: Option<NodeRef<'_, V>> = None;
@@ -1383,38 +1322,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_prefix_table_still_saturates_observably() {
-        use skiptrie_metrics::Counter;
-
-        // The legacy bounded mode (PR 5 semantics) survives behind the knob: a
-        // 4-bucket prefix directory saturates after a handful of published
-        // prefixes, and says so.
-        let config = SkipTrieConfig::for_universe_bits(16)
-            .with_seed(7)
-            .with_hash_bucket_cap(4);
-        assert_eq!(config.hash_dir.bucket_cap, Some(4));
-        let t: SkipTrie<u64> = SkipTrie::new(config);
-        assert!(!t.prefix_table_saturated());
-        let ((), delta) = skiptrie_metrics::measure(|| {
-            for key in 0..2_000u64 {
-                t.insert(key * 31 % (1 << 16), key);
-            }
-        });
-        assert!(t.prefix_table_saturated());
-        assert!(
-            delta.get(Counter::HashSaturated) > 0,
-            "capped prefix inserts must record saturation"
-        );
-        // Correctness survives saturation; only the chains are long.
-        assert_eq!(t.get(31), Some(1));
-        assert!(t.predecessor(1 << 15).is_some());
-    }
-
-    #[test]
     fn default_prefix_directory_grows_instead_of_saturating() {
         // Fanout 16 puts root growth within unit-test reach: enough published
-        // prefixes push the directory through several heights, and the default
-        // (unbounded) mode never reports saturation.
+        // prefixes push the directory through several heights.
         let config = SkipTrieConfig::for_universe_bits(32)
             .with_seed(7)
             .with_hash_directory(DirectoryConfig::default().with_segment_bits(4));
@@ -1428,15 +1338,12 @@ mod tests {
             "prefix growth crossed at least two tree capacities, height {}",
             t.prefix_directory_height()
         );
-        assert!(!t.prefix_table_saturated());
         assert!(t.check_trie_integrity() > 0);
     }
 
     #[test]
     fn forest_passes_the_hash_directory_knob_to_every_shard() {
-        let hash_dir = DirectoryConfig::default()
-            .with_segment_bits(4)
-            .with_bucket_cap(64);
+        let hash_dir = DirectoryConfig::default().with_segment_bits(4);
         let config = ShardedSkipTrieConfig::for_universe_bits(32)
             .with_shards(4)
             .with_hash_directory(hash_dir);
@@ -1444,12 +1351,5 @@ mod tests {
         for i in 0..forest.shard_count() {
             assert_eq!(forest.shard(i).config().hash_dir, hash_dir);
         }
-        // And the cap-only convenience knob composes with the default fanout.
-        let capped = ShardedSkipTrieConfig::for_universe_bits(32).with_hash_bucket_cap(128);
-        assert_eq!(capped.hash_dir.bucket_cap, Some(128));
-        assert_eq!(
-            capped.hash_dir.segment_bits,
-            DirectoryConfig::default().segment_bits
-        );
     }
 }

@@ -1145,23 +1145,16 @@ where
 
     /// Batch [`TieredSkipTrie::insert`]: one epoch pin and **one** TLS
     /// tiers-generation resolution for the whole batch instead of one per key.
-    /// Returns how many keys this call inserted.
+    /// Entries apply in slice order; returns how many keys this call inserted.
     ///
     /// # Panics
     ///
     /// Panics if any key does not fit in the configured universe.
     pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        let inner = &self.inner;
-        for &(key, _) in entries {
-            inner.check_key(key);
-        }
-        let _guard = inner.pin();
-        inner.with_tiers(|t| {
-            entries
-                .iter()
-                .filter(|(key, value)| inner.insert_in(t, *key, value))
-                .count()
-        })
+        let order: Vec<usize> = (0..entries.len()).collect();
+        let mut inserted = vec![false; entries.len()];
+        self.insert_batch_picked_flags(entries, &order, &mut inserted);
+        inserted.into_iter().filter(|&flag| flag).count()
     }
 
     /// Batch [`TieredSkipTrie::remove`] (same amortization as
@@ -1171,78 +1164,32 @@ where
     ///
     /// Panics if any key does not fit in the configured universe.
     pub fn remove_batch(&self, keys: &[u64]) -> usize {
-        let inner = &self.inner;
-        for &key in keys {
-            inner.check_key(key);
-        }
-        let _guard = inner.pin();
-        inner.with_tiers(|t| {
-            keys.iter()
-                .filter(|&&key| inner.remove_in(t, key).is_some())
-                .count()
-        })
+        let order: Vec<usize> = (0..keys.len()).collect();
+        let mut removed = vec![None; keys.len()];
+        self.remove_batch_picked_values(keys, &order, &mut removed);
+        removed.iter().flatten().count()
     }
 
     /// Batch [`TieredSkipTrie::get`]: resolves the thread-local tiers cache once
     /// and answers every key against that one published triple (one tier-counter
-    /// record per batch, not per key). `out[i]` answers `keys[i]`.
+    /// record per batch, not per key). Element `i` answers `keys[i]`.
     ///
     /// # Panics
     ///
-    /// Panics if any key does not fit in the configured universe, or if `out` is
-    /// shorter than `keys`.
-    pub fn get_batch_into(&self, keys: &[u64], out: &mut [Option<V>]) {
-        assert!(out.len() >= keys.len(), "output buffer shorter than keys");
-        let inner = &self.inner;
-        for &key in keys {
-            inner.check_key(key);
-        }
-        inner.with_tiers(|t| {
-            if t.delta_is_empty() {
-                metrics::record(Counter::TierHit);
-                for (slot, &key) in out.iter_mut().zip(keys) {
-                    *slot = t.frozen.get(key);
-                }
-            } else {
-                metrics::record(Counter::TierMissDelta);
-                for (slot, &key) in out.iter_mut().zip(keys) {
-                    *slot = t.resolve(key);
-                }
-            }
-        });
-    }
-
-    /// Batch [`TieredSkipTrie::get`] returning a fresh vector; see
-    /// [`TieredSkipTrie::get_batch_into`].
+    /// Panics if any key does not fit in the configured universe.
     pub fn get_batch(&self, keys: &[u64]) -> Vec<Option<V>> {
+        let order: Vec<usize> = (0..keys.len()).collect();
         let mut out = vec![None; keys.len()];
-        self.get_batch_into(keys, &mut out);
+        self.get_batch_picked(keys, &order, &mut out);
         out
     }
 
-    /// Insert of a shard's picked batch group (`order` indexes into `entries`,
-    /// sorted by key): one pin + one tiers resolution for the group.
-    pub(crate) fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
-        let inner = &self.inner;
-        for &i in order {
-            inner.check_key(entries[i].0);
-        }
-        let _guard = inner.pin();
-        inner.with_tiers(|t| {
-            order
-                .iter()
-                .filter(|&&i| {
-                    let (key, value) = &entries[i];
-                    inner.insert_in(t, *key, value)
-                })
-                .count()
-        })
-    }
-
-    /// [`TieredSkipTrie::insert_batch_picked`] with per-key outcomes: writes
-    /// `out[i] = true` for each picked `i` this call inserted. The serving
-    /// pipeline's coalescer uses this so a batched execution still answers
-    /// every request individually.
+    /// Insert of a picked batch group: `order` indexes into `entries` and is the
+    /// sequence the picked entries apply in (a shard's group arrives key-sorted;
+    /// [`TieredSkipTrie::insert_batch`] passes slice order). One pin + one tiers
+    /// resolution for the group; writes `out[i] = true` for each picked `i` this
+    /// call inserted, so a coalesced execution still answers every request
+    /// individually.
     pub(crate) fn insert_batch_picked_flags(
         &self,
         entries: &[(u64, V)],
@@ -1262,9 +1209,10 @@ where
         });
     }
 
-    /// [`TieredSkipTrie::remove_batch_picked`] with per-key outcomes: writes
-    /// `out[i]` to the value this call removed under `keys[i]` (`None` if
-    /// absent) for each picked `i`.
+    /// Remove of a picked batch group (see
+    /// [`TieredSkipTrie::insert_batch_picked_flags`]): writes `out[i]` to the
+    /// value this call removed under `keys[i]` (`None` if absent) for each
+    /// picked `i`.
     pub(crate) fn remove_batch_picked_values(
         &self,
         keys: &[u64],
@@ -1281,22 +1229,6 @@ where
                 out[i] = inner.remove_in(t, keys[i]);
             }
         });
-    }
-
-    /// Remove of a shard's picked batch group (see
-    /// [`TieredSkipTrie::insert_batch_picked`]).
-    pub(crate) fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
-        let inner = &self.inner;
-        for &i in order {
-            inner.check_key(keys[i]);
-        }
-        let _guard = inner.pin();
-        inner.with_tiers(|t| {
-            order
-                .iter()
-                .filter(|&&i| inner.remove_in(t, keys[i]).is_some())
-                .count()
-        })
     }
 
     /// Lookup of a shard's picked batch group, answering `out[i]` for each picked

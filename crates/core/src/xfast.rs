@@ -129,11 +129,8 @@ where
     /// returning the best top-level pointer encountered.
     ///
     /// Each probe is one `prefixes.get` — `O(1)` *expected* only while the hash
-    /// table's chains stay short, which the unbounded bucket directory (the default)
-    /// guarantees at every size. Under a legacy bounded directory
-    /// ([`crate::SkipTrieConfig::with_hash_bucket_cap`]) every probe past saturation
-    /// degrades into a chain walk, and with it the whole `O(log log u)` bound — the
-    /// degradation the E12 experiment measures.
+    /// table's chains stay short, which the growable bucket directory guarantees
+    /// at every size (E12 measures the flatness).
     pub(crate) fn lowest_ancestor<'g>(&'g self, key: u64, guard: &'g Guard) -> NodeRef<'g, V> {
         let b = self.universe_bits();
         let head = self.skiplist().head_top();
@@ -226,6 +223,20 @@ where
                         let tnp = TrieNodePtr::from_box(tn);
                         if self.prefixes.insert(p, tnp) {
                             metrics::record(Counter::TrieLevelCrossed);
+                            // Publish-then-recheck: unlike the DCSS below, this
+                            // store was not conditioned on the node's status. A
+                            // remover that stopped the node after the loop guard
+                            // may already have swept past this length (it skips
+                            // lengths with no entry), so nobody else would ever
+                            // clear what we just published. A stop that lands
+                            // after this check is the remover's: its sweep
+                            // starts after the stop and finds the entry. (The
+                            // status alone decides: a top-level node is stopped
+                            // before it is ever marked.)
+                            if node.is_stopped() {
+                                self.cleanup_prefixes(key, guard);
+                                return;
+                            }
                             break;
                         }
                         // Lost the race to create this prefix: free ours and retry.
@@ -338,53 +349,49 @@ where
                 }
                 let (left, right) = self.skiplist().top_list_search(key, Some(hint), guard);
                 hint = left;
-                if direction == 0 {
-                    // pointers[0] must be the largest key in the 0-subtree: swing
-                    // backwards to `left` (or clear if the subtree has no live node).
-                    let status = left.status();
-                    if left.is_data() && status & 1 == 0 {
-                        // SAFETY: guard word is `left`'s status.
-                        let _ = unsafe {
-                            dcss(
-                                &tn.pointers[direction],
-                                curr,
-                                left.packed(),
-                                left.status_word_ptr(),
-                                status,
-                                self.mode(),
-                                guard,
-                            )
-                        };
-                    } else if left.is_head() {
-                        let _ = cas_resolved(&tn.pointers[direction], curr, 0, guard);
-                    }
+                // pointers[0] must be the largest key in the 0-subtree, so it swings
+                // backwards to `left`; pointers[1] the smallest key in the 1-subtree,
+                // so it swings forwards to `right` once the successor's prev is
+                // repaired (the paper's makeDone). A sentinel neighbour means the
+                // subtree has no live node: clear.
+                let (neighbour, is_sentinel) = if direction == 0 {
+                    (left, left.is_head())
                 } else {
-                    // pointers[1] must be the smallest key in the 1-subtree: make sure
-                    // the successor's prev is repaired (the paper's makeDone), then
-                    // swing forwards to `right`.
                     self.skiplist().ensure_prev(left, right, guard);
-                    let status = right.status();
-                    if right.is_data() && status & 1 == 0 {
-                        // SAFETY: guard word is `right`'s status.
-                        let _ = unsafe {
-                            dcss(
-                                &tn.pointers[direction],
-                                curr,
-                                right.packed(),
-                                right.status_word_ptr(),
-                                status,
-                                self.mode(),
-                                guard,
-                            )
-                        };
-                    } else if right.is_tail() {
-                        let _ = cas_resolved(&tn.pointers[direction], curr, 0, guard);
-                    }
+                    (right, right.is_tail())
+                };
+                let status = neighbour.status();
+                if neighbour.is_data() && status & 1 == 0 {
+                    // SAFETY: guard word is the neighbour's status.
+                    let _ = unsafe {
+                        dcss(
+                            &tn.pointers[direction],
+                            curr,
+                            neighbour.packed(),
+                            neighbour.status_word_ptr(),
+                            status,
+                            self.mode(),
+                            guard,
+                        )
+                    };
+                } else if is_sentinel {
+                    let _ = cas_resolved(&tn.pointers[direction], curr, 0, guard);
+                } else {
+                    // The neighbour is stopped but still linked: its remover sits
+                    // between its stop and its mark. Retrying at once burns every
+                    // spin inside that remover's preemption and then gives up a
+                    // slot whose subtree may still hold live keys. Let it run.
+                    std::thread::yield_now();
                 }
                 if spins > 128 {
-                    // The pointer keeps being re-pointed at deleted incarnations of
-                    // this key by racing operations; bail out — hints are self-healing
-                    // and linearizability does not depend on them.
+                    // Out of retries: the neighbour stayed stalled, or the pointer
+                    // keeps being re-pointed at deleted incarnations of this key by
+                    // racing operations. Give the slot up rather than leave it on
+                    // the victim — a null pointer costs queries a hint (hints are
+                    // self-healing and linearizability does not depend on them),
+                    // a pointer to a node about to be recycled is an entry no
+                    // later cleanup would clear.
+                    let _ = cas_resolved(&tn.pointers[direction], curr, 0, guard);
                     break;
                 }
             }

@@ -74,11 +74,6 @@ pub use stopwatch::Stopwatch;
 ///   (a real search-and-remove attempt) versus skipped on a 0 occupancy read by the
 ///   sharded forest's `pop_first` / `pop_last` (the drained-forest regression of
 ///   experiment E11 pins probes, not pops).
-/// * [`Counter::HashSaturated`] — inserts into a split-ordered hash map that wanted
-///   to double the bucket directory but found it at its configured cap; chains grow
-///   past this point, so a climbing value is the observable form of what used to be
-///   a silent latency cliff. The default (unbounded) directory never records this —
-///   only the legacy bounded mode can.
 /// * [`Counter::DirGrow`] — successful root-CAS growths of a hash map's segment
 ///   tree (the directory gained one level of height).
 /// * [`Counter::DirNodeAlloc`] / [`Counter::DirNodeFreed`] — directory tree nodes
@@ -143,7 +138,6 @@ pub enum Counter {
     NodeRetired,
     ShardPopProbe,
     ShardPopSkip,
-    HashSaturated,
     DirGrow,
     DirNodeAlloc,
     DirNodeFreed,
@@ -165,7 +159,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in a stable order used for display and serialization.
-    pub const ALL: [Counter; 34] = [
+    pub const ALL: [Counter; 33] = [
         Counter::PtrRead,
         Counter::HashOp,
         Counter::CasAttempt,
@@ -182,7 +176,6 @@ impl Counter {
         Counter::NodeRetired,
         Counter::ShardPopProbe,
         Counter::ShardPopSkip,
-        Counter::HashSaturated,
         Counter::DirGrow,
         Counter::DirNodeAlloc,
         Counter::DirNodeFreed,
@@ -231,7 +224,6 @@ impl Counter {
             Counter::NodeRetired => "node_retired",
             Counter::ShardPopProbe => "shard_pop_probe",
             Counter::ShardPopSkip => "shard_pop_skip",
-            Counter::HashSaturated => "hash_saturated",
             Counter::DirGrow => "dir_grow",
             Counter::DirNodeAlloc => "dir_node_alloc",
             Counter::DirNodeFreed => "dir_node_freed",

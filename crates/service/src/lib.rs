@@ -11,7 +11,7 @@
 //!
 //! Bounded queues make overload a *measured* state instead of a hidden one:
 //! admission rejects requests past the per-lane in-flight cap
-//! (`SKIPTRIE_SVC_QUEUE_CAP`), and the `SvcEnqueued` / `SvcShed` /
+//! ([`ServiceConfig::queue_cap`]), and the `SvcEnqueued` / `SvcShed` /
 //! `SvcBatchSize` counters in `skiptrie-metrics` expose exactly how much was
 //! accepted, refused and coalesced.
 //!

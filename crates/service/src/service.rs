@@ -29,16 +29,6 @@
 //!   once and thread successor hints through each shard run. Replies stay
 //!   per-request exact. Runs of length ≥ 2 bump [`Counter::SvcBatchSize`] by
 //!   the run length.
-//!
-//! # Knobs
-//!
-//! * `SKIPTRIE_SVC_QUEUE_CAP` — per-lane in-flight bound (default 1024).
-//! * `SKIPTRIE_SVC_COALESCE` — max requests a worker drains from one lane per
-//!   pass, which is also the max coalesced-run length (default 64).
-//!
-//! Both parse fail-loud through the same knob machinery as every other
-//! `SKIPTRIE_*` variable: a malformed value panics with the offending text
-//! instead of being silently ignored.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -48,12 +38,11 @@ use std::time::Instant;
 
 use skiptrie::{ShardEngine, ShardedSkipTrie, WakeGate};
 use skiptrie_metrics::{add, record, Counter, LatencyClasses};
-use skiptrie_workloads::harness::env_knob;
 
 use crate::request::{OpClass, Reply, Request, Response, Verb};
 use crate::spsc::Spsc;
 
-/// Tuning for a [`Service`], normally read from the environment.
+/// Tuning for a [`Service`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
     /// Per-(connection, shard) in-flight bound; both mailbox rings are sized
@@ -70,27 +59,6 @@ impl Default for ServiceConfig {
             queue_cap: 1024,
             coalesce: 64,
         }
-    }
-}
-
-impl ServiceConfig {
-    /// Reads `SKIPTRIE_SVC_QUEUE_CAP` / `SKIPTRIE_SVC_COALESCE`, falling back
-    /// to the defaults (1024 / 64). Panics on malformed or zero values.
-    pub fn from_env() -> Self {
-        let default = ServiceConfig::default();
-        let config = ServiceConfig {
-            queue_cap: env_knob("SKIPTRIE_SVC_QUEUE_CAP").unwrap_or(default.queue_cap),
-            coalesce: env_knob("SKIPTRIE_SVC_COALESCE").unwrap_or(default.coalesce),
-        };
-        assert!(
-            config.queue_cap > 0,
-            "SKIPTRIE_SVC_QUEUE_CAP must be positive"
-        );
-        assert!(
-            config.coalesce > 0,
-            "SKIPTRIE_SVC_COALESCE must be positive"
-        );
-        config
     }
 }
 
@@ -196,9 +164,8 @@ fn point_kind(verb: &Verb) -> Option<PointKind> {
 }
 
 /// The serving pipeline over a shard router. See the [crate docs](crate) for
-/// the architecture; construct with [`Service::new`] (or
-/// [`Service::from_env`]) and open per-thread [`Connection`]s with
-/// [`Service::connect`].
+/// the architecture; construct with [`Service::new`] and open per-thread
+/// [`Connection`]s with [`Service::connect`].
 ///
 /// Dropping the service stops and joins every shard worker; requests already
 /// admitted are completed first.
@@ -233,11 +200,6 @@ impl<E: ShardEngine<u64>> Service<E> {
             })
             .collect();
         Service { shared, handles }
-    }
-
-    /// [`Service::new`] with [`ServiceConfig::from_env`].
-    pub fn from_env(router: Arc<ShardedSkipTrie<u64, E>>) -> Self {
-        Service::new(router, ServiceConfig::from_env())
     }
 
     /// Opens a connection: one bounded lane per shard, registered with each

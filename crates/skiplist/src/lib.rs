@@ -52,6 +52,7 @@ mod backoff;
 pub mod bulk;
 pub mod height;
 pub mod iter;
+mod kv;
 mod node;
 mod ops;
 mod pool;
@@ -66,6 +67,7 @@ use skiptrie_atomics::tagged;
 
 pub use bulk::BulkLoadReport;
 pub use iter::{resolve_bounds, Cursor, RangeIter};
+pub use kv::OrderedKv;
 pub use node::NodeRef;
 pub use ops::{DeleteOutcome, InsertOutcome};
 

@@ -51,16 +51,10 @@ pub(crate) const DEFAULT_SEGMENT_BITS: u32 = 12;
 
 /// Shape of a [`crate::SplitOrderedMap`]'s bucket directory.
 ///
-/// The default is the unbounded growable tree with `2^12`-slot nodes; the two knobs
-/// exist for tests and A/B experiments:
-///
-/// * [`segment_bits`](DirectoryConfig::segment_bits) shrinks the node fanout so root
-///   growth happens at table sizes a unit test can reach (fanout 16 grows at 16,
-///   256, 4096, ... buckets instead of 4096, 16M, ...).
-/// * [`bucket_cap`](DirectoryConfig::bucket_cap) restores the legacy *bounded* mode:
-///   the table stops doubling at the cap and records
-///   [`Counter::HashSaturated`] per capped insert, exactly as before this directory
-///   could grow. Benchmarks use it to reproduce the old saturation cliff on demand.
+/// The default is a growable tree with `2^12`-slot nodes.
+/// [`segment_bits`](DirectoryConfig::segment_bits) shrinks the node fanout so root
+/// growth happens at table sizes a unit test can reach (fanout 16 grows at 16, 256,
+/// 4096, ... buckets instead of 4096, 16M, ...).
 ///
 /// # Examples
 ///
@@ -73,23 +67,18 @@ pub(crate) const DEFAULT_SEGMENT_BITS: u32 = 12;
 ///     map.insert(i, i);
 /// }
 /// assert!(map.directory_height() >= 3, "the tree grew to cover the buckets");
-/// assert!(!map.is_saturated(), "unbounded mode never saturates");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DirectoryConfig {
     /// Fanout exponent: every tree node has `2^segment_bits` slots. Must be in
     /// `2..=16`; the default is 12.
     pub segment_bits: u32,
-    /// `None` (the default) grows the directory without bound; `Some(cap)` is the
-    /// legacy bounded mode — see [`crate::SplitOrderedMap::with_bucket_cap`].
-    pub bucket_cap: Option<usize>,
 }
 
 impl Default for DirectoryConfig {
     fn default() -> Self {
         DirectoryConfig {
             segment_bits: DEFAULT_SEGMENT_BITS,
-            bucket_cap: None,
         }
     }
 }
@@ -98,12 +87,6 @@ impl DirectoryConfig {
     /// Overrides the node fanout exponent (`2..=16`; validated at map construction).
     pub fn with_segment_bits(mut self, segment_bits: u32) -> Self {
         self.segment_bits = segment_bits;
-        self
-    }
-
-    /// Switches to the legacy bounded mode with the given bucket cap.
-    pub fn with_bucket_cap(mut self, bucket_cap: usize) -> Self {
-        self.bucket_cap = Some(bucket_cap);
         self
     }
 }

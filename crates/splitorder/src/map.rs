@@ -32,12 +32,6 @@ pub struct SplitOrderedMap<K, V> {
     size: AtomicUsize,
     /// Number of regular (non-dummy) items.
     count: AtomicUsize,
-    /// Bucket-count ceiling (a power of two). In the default unbounded mode this is
-    /// the directory's own astronomical [`max_capacity`](Directory::max_capacity)
-    /// and is never reached; in the legacy bounded mode
-    /// ([`SplitOrderedMap::with_bucket_cap`]) `size` stops doubling here and every
-    /// capped insert records [`Counter::HashSaturated`] so the cliff is observable.
-    max_buckets: usize,
     /// Epoch domain every operation pins and retires in (`0` = the process-wide
     /// default). Set through [`SplitOrderedMap::with_directory_in_domain`] so a
     /// domain-isolated owner (e.g. one shard of a sharded SkipTrie) keeps its
@@ -142,42 +136,20 @@ where
     K: Hash + Eq + Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// Creates an empty map with a single bucket and an *unbounded* bucket
-    /// directory: the segment tree behind [`DirectoryConfig`] grows a level whenever the
+    /// Creates an empty map with a single bucket. The bucket directory is a
+    /// growable segment tree (see [`DirectoryConfig`]): it grows a level whenever the
     /// doubling rule outruns it, so the expected `O(1)` chain length holds at every
-    /// size and [`Counter::HashSaturated`] is never recorded.
+    /// size.
     pub fn new() -> Self {
         Self::with_directory(DirectoryConfig::default())
     }
 
-    /// Creates an empty map in the legacy *bounded* mode: the bucket directory never
-    /// grows past `max_buckets` (rounded up to a power of two; clamped to the
-    /// segment tree's ceiling at its maximum height — `2^63` with the default
-    /// fanout, so the clamp only matters for tiny test fanouts).
-    ///
-    /// Past the cap the map keeps every guarantee except the `O(1)` expected chain
-    /// length: items never move (split-ordering), lookups and removals stay correct,
-    /// and each capped insert records [`Counter::HashSaturated`] so the degradation
-    /// shows up in metrics instead of only in latency. This mode exists for A/B
-    /// experiments against the unbounded default (E12 reproduces the old saturation
-    /// cliff with it) and to unit-test the saturation path without fifty million
-    /// inserts.
+    /// Creates an empty map with an explicitly shaped bucket directory — a smaller
+    /// fanout for growth-at-test-scale. See [`DirectoryConfig`].
     ///
     /// # Panics
     ///
-    /// Panics if `max_buckets` is zero.
-    pub fn with_bucket_cap(max_buckets: usize) -> Self {
-        Self::with_directory(DirectoryConfig::default().with_bucket_cap(max_buckets))
-    }
-
-    /// Creates an empty map with an explicitly shaped bucket directory — fanout for
-    /// growth-at-test-scale, optional cap for the legacy bounded mode. See
-    /// [`DirectoryConfig`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.segment_bits` is outside `2..=16`, or if
-    /// `config.bucket_cap` is `Some(0)`.
+    /// Panics if `config.segment_bits` is outside `2..=16`.
     pub fn with_directory(config: DirectoryConfig) -> Self {
         Self::with_directory_in_domain(config, None, Reclaimer::Ebr)
     }
@@ -196,29 +168,18 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `config.segment_bits` is outside `2..=16`, or if
-    /// `config.bucket_cap` is `Some(0)`.
+    /// Panics if `config.segment_bits` is outside `2..=16`.
     pub fn with_directory_in_domain(
         config: DirectoryConfig,
         domain: Option<usize>,
         reclaimer: Reclaimer,
     ) -> Self {
         let directory = Directory::new(config.segment_bits);
-        let max_buckets = match config.bucket_cap {
-            Some(cap) => {
-                assert!(cap > 0, "the table needs at least one bucket");
-                cap.min(1usize << 62)
-                    .next_power_of_two()
-                    .min(directory.max_capacity())
-            }
-            None => directory.max_capacity(),
-        };
         let head = Box::into_raw(ListNode::<K, V>::new_dummy(dummy_so_key(0)));
         let map = SplitOrderedMap {
             directory,
             size: AtomicUsize::new(1),
             count: AtomicUsize::new(0),
-            max_buckets,
             domain: domain.unwrap_or(0),
             reclaimer,
             head,
@@ -333,14 +294,9 @@ where
 
     fn maybe_grow(&self, count: usize) {
         let size = self.size.load(Ordering::SeqCst);
-        if count > size * LOAD_FACTOR {
-            if size >= self.max_buckets {
-                // The directory is at its cap: this insert wanted a doubling it
-                // cannot have. Chains now grow with every further insert — record
-                // it so the cliff is visible in metrics, not just in latency.
-                metrics::record(Counter::HashSaturated);
-                return;
-            }
+        // The structural ceiling (`2^63` buckets at the default fanout) is beyond
+        // what a `u64` hash can index; it only binds tiny test fanouts.
+        if count > size * LOAD_FACTOR && size < self.directory.max_capacity() {
             // Doubling is a single CAS; items never move thanks to split-ordering.
             if self
                 .size
@@ -372,15 +328,6 @@ where
     /// leak-freedom of drop in the reclamation canary tests.
     pub fn directory_node_count(&self) -> usize {
         self.directory.node_count()
-    }
-
-    /// True once the table has stopped resizing: the bucket directory is at its cap
-    /// *and* the load factor calls for another doubling. From this point expected
-    /// chain length — and therefore expected cost of every operation — grows
-    /// linearly with further inserts (see [`SplitOrderedMap::with_bucket_cap`]).
-    pub fn is_saturated(&self) -> bool {
-        let size = self.size.load(Ordering::SeqCst);
-        size >= self.max_buckets && self.len() > size * LOAD_FACTOR
     }
 
     /// Returns a clone of the value mapped to `key`, if present.
@@ -497,8 +444,7 @@ where
     /// of every directory doubling along the way. Under `&mut self` none of that
     /// machinery is needed: the items are sorted by their split-order position once,
     /// the directory is sized to its final power of two up front (replaying the
-    /// incremental doubling rule, including the [`Counter::HashSaturated`]
-    /// accounting at the cap), dummies for every not-yet-initialized bucket are
+    /// incremental doubling rule), dummies for every not-yet-initialized bucket are
     /// generated in split order, and one three-way merge relinks the entire list —
     /// existing nodes, new items, new dummies — with plain stores. `O(n log n)` for
     /// the sort, `O(existing + n + buckets)` for the merge, and the result is
@@ -522,21 +468,14 @@ where
             .collect();
         new_nodes.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
 
-        // (2) Final directory size: replay the one-doubling-per-insert growth rule,
-        // recording saturation for every insert that wanted a doubling past the cap.
+        // (2) Final directory size: replay the one-doubling-per-insert growth rule.
         let existing = self.count.load(Ordering::SeqCst);
         let mut size = self.size.load(Ordering::SeqCst);
-        let mut saturated = 0u64;
         for i in 1..=n {
-            if existing + i > size * LOAD_FACTOR {
-                if size < self.max_buckets {
-                    size *= 2;
-                } else {
-                    saturated += 1;
-                }
+            if existing + i > size * LOAD_FACTOR && size < self.directory.max_capacity() {
+                size *= 2;
             }
         }
-        metrics::add(Counter::HashSaturated, saturated);
         // Build the segment tree at its final height directly: one grow loop here
         // instead of a grow CAS discovered lazily on some later probe's path.
         self.directory.ensure_capacity(size);
@@ -753,75 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn saturated_table_stays_correct_and_is_observable() {
-        use skiptrie_metrics::Counter;
-
-        // A 4-bucket cap saturates after ~12 items; any larger cap behaves
-        // identically at `cap * LOAD_FACTOR` items. (The default config has no cap
-        // at all — see the unbounded tests below.)
-        let map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_bucket_cap(4);
-        assert!(!map.is_saturated());
-        let n = 500u64;
-        let ((), delta) = skiptrie_metrics::measure(|| {
-            for i in 0..n {
-                assert!(map.insert(i, i * 3));
-            }
-        });
-        // The directory stopped at the cap instead of doubling to ~n/3 buckets...
-        assert_eq!(map.bucket_count(), 4);
-        assert!(map.is_saturated());
-        // ...and said so: every post-cap insert that wanted a doubling recorded the
-        // saturation counter (once per insert past the load-factor threshold).
-        assert!(
-            delta.get(Counter::HashSaturated) >= n - 4 * LOAD_FACTOR as u64 - 1,
-            "saturation must be observable: {} records",
-            delta.get(Counter::HashSaturated)
-        );
-        // Correctness is unaffected — the chains are just long.
-        for i in 0..n {
-            assert_eq!(map.get(&i), Some(i * 3), "lookup {i} past saturation");
-        }
-        assert!(!map.insert(7, 0), "duplicate rejection still works");
-        for i in (0..n).step_by(2) {
-            assert_eq!(map.remove(&i), Some(i * 3));
-        }
-        for i in 0..n {
-            let expected = (i % 2 == 1).then_some(i * 3);
-            assert_eq!(map.get(&i), expected, "post-removal lookup {i}");
-        }
-        assert_eq!(map.len(), n as usize / 2);
-    }
-
-    #[test]
-    fn bucket_cap_is_clamped_and_rounded() {
-        let map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_bucket_cap(5);
-        for i in 0..200u64 {
-            map.insert(i, i);
-        }
-        assert_eq!(
-            map.bucket_count(),
-            8,
-            "cap 5 rounds up to 8 and stops there"
-        );
-        let unbounded: SplitOrderedMap<u64, u64> = SplitOrderedMap::new();
-        for i in 0..200u64 {
-            unbounded.insert(i, i);
-        }
-        assert!(unbounded.bucket_count() > 8, "there is no default cap");
-        assert!(!unbounded.is_saturated());
-    }
-
-    #[test]
-    fn bucket_cap_is_no_longer_clamped_at_the_former_ceiling() {
-        // Before the growable directory, caps were clamped to the fixed directory's
-        // 2^24-bucket ceiling; the segment tree accepts (much) larger bounds.
-        let map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_bucket_cap(1 << 26);
-        assert_eq!(map.max_buckets, 1 << 26);
-        let map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_bucket_cap(usize::MAX);
-        assert_eq!(map.max_buckets, 1 << 62, "overflow-safety clamp, not 2^24");
-    }
-
-    #[test]
     fn unbounded_small_fanout_grows_through_many_heights() {
         // Fanout 16 makes root growth reachable: 16 -> 256 -> 4096 -> 65536 buckets.
         let config = DirectoryConfig::default().with_segment_bits(4);
@@ -836,7 +706,6 @@ mod tests {
             "the doubling rule crossed three former tree capacities"
         );
         assert!(map.directory_height() >= 4);
-        assert!(!map.is_saturated(), "unbounded mode never saturates");
         for i in 0..n {
             assert_eq!(map.get(&i), Some(i + 1), "key {i}");
         }
@@ -904,23 +773,6 @@ mod tests {
         let mut live = 0usize;
         bulk.for_each(|_, _| live += 1);
         assert_eq!(live, bulk.len());
-    }
-
-    #[test]
-    fn bulk_load_respects_the_bucket_cap() {
-        let mut capped: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_bucket_cap(4);
-        let ((), delta) = skiptrie_metrics::measure(|| {
-            capped.bulk_load((0..200u64).map(|i| (i, i)).collect());
-        });
-        assert_eq!(capped.bucket_count(), 4);
-        assert!(capped.is_saturated());
-        assert!(
-            delta.get(skiptrie_metrics::Counter::HashSaturated) >= 180,
-            "capped bulk inserts record saturation too"
-        );
-        for i in 0..200u64 {
-            assert_eq!(capped.get(&i), Some(i));
-        }
     }
 
     #[test]

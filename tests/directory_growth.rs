@@ -1,13 +1,7 @@
-//! Concurrent growth stress for the unbounded hash directory (the segment tree of
+//! Concurrent growth stress for the growable hash directory (the segment tree of
 //! `skiptrie_splitorder`): writers force repeated root growth while readers probe
 //! keys that are present for the whole run, at the map level and through the
 //! SkipTrie's `LowestAncestor` path.
-//!
-//! Every map and trie in this binary uses the *unbounded* directory, so the
-//! process-wide `hash_saturated` counter must never move — each test asserts a zero
-//! delta over its whole run, which is only sound because no bounded-mode structure
-//! exists anywhere in this test binary (unit tests of the bounded mode live in the
-//! splitorder crate).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -78,18 +72,9 @@ fn concurrent_map_growth_never_loses_a_key() {
         map.directory_height()
     );
     assert!(map.bucket_count() > 4096);
-    assert!(!map.is_saturated());
     assert!(
         delta.get(Counter::DirGrow) >= u64::from(map.directory_height() - start_height),
         "every level gained during the run came from a successful grow CAS"
-    );
-    // Exact zero is sound only under the binary-isolation rule in the module docs:
-    // the counter is process-wide, but every structure in this test binary uses the
-    // unbounded directory, so nothing else can bump it concurrently.
-    assert_eq!(
-        delta.get(Counter::HashSaturated),
-        0,
-        "the unbounded directory never saturates"
     );
 }
 
@@ -110,39 +95,37 @@ fn trie_probes_stay_correct_while_the_prefix_directory_grows() {
     let writers = 3usize;
     let per_writer = scaled(6_000) as u64;
     let writers_done = AtomicUsize::new(0);
-    let ((), delta) = metrics::measure(|| {
-        Workload::new(0xd2)
-            .workers(writers, |ctx| {
-                let t = ctx.index as u64;
-                // Bijective odd-multiplier spreading over the 32-bit universe: the
-                // published prefix set keeps widening, forcing the prefix table
-                // through several doublings and the directory through root growth.
-                for i in 0..per_writer {
-                    let key = ((i * writers as u64 + t).wrapping_mul(0x9E37_79B9)) & 0xFFFF_FFFF;
-                    trie.insert(key, key);
-                }
-                writers_done.fetch_add(1, Ordering::SeqCst);
-            })
-            .workers(2, |_| loop {
-                for (idx, &k) in stable.iter().enumerate() {
-                    assert_eq!(trie.get(k), Some(k ^ 0xabcd), "stable key {k} lost");
-                    // Keys are only ever inserted, so predecessor(k + 1) is k
-                    // itself or something between k and the next stable key.
-                    let (pk, _) = trie
-                        .predecessor(k + 1)
-                        .expect("a stable key bounds the query from below");
-                    assert!(pk <= k + 1);
-                    assert!(
-                        pk >= stable[idx],
-                        "predecessor went below a key present all run"
-                    );
-                }
-                if writers_done.load(Ordering::SeqCst) == writers {
-                    break;
-                }
-            })
-            .run();
-    });
+    Workload::new(0xd2)
+        .workers(writers, |ctx| {
+            let t = ctx.index as u64;
+            // Bijective odd-multiplier spreading over the 32-bit universe: the
+            // published prefix set keeps widening, forcing the prefix table
+            // through several doublings and the directory through root growth.
+            for i in 0..per_writer {
+                let key = ((i * writers as u64 + t).wrapping_mul(0x9E37_79B9)) & 0xFFFF_FFFF;
+                trie.insert(key, key);
+            }
+            writers_done.fetch_add(1, Ordering::SeqCst);
+        })
+        .workers(2, |_| loop {
+            for (idx, &k) in stable.iter().enumerate() {
+                assert_eq!(trie.get(k), Some(k ^ 0xabcd), "stable key {k} lost");
+                // Keys are only ever inserted, so predecessor(k + 1) is k
+                // itself or something between k and the next stable key.
+                let (pk, _) = trie
+                    .predecessor(k + 1)
+                    .expect("a stable key bounds the query from below");
+                assert!(pk <= k + 1);
+                assert!(
+                    pk >= stable[idx],
+                    "predecessor went below a key present all run"
+                );
+            }
+            if writers_done.load(Ordering::SeqCst) == writers {
+                break;
+            }
+        })
+        .run();
 
     for &k in &stable {
         assert_eq!(trie.get(k), Some(k ^ 0xabcd));
@@ -158,16 +141,7 @@ fn trie_probes_stay_correct_while_the_prefix_directory_grows() {
         "published prefixes must outgrow two tree capacities, height {}",
         trie.prefix_directory_height()
     );
-    assert!(!trie.prefix_table_saturated());
     assert!(trie.check_trie_integrity() > 0, "quiescent audit");
-    // Exact zero is sound only under the binary-isolation rule in the module docs:
-    // no bounded-mode structure exists anywhere in this binary, so the process-wide
-    // counter cannot be inflated by a concurrent test.
-    assert_eq!(
-        delta.get(Counter::HashSaturated),
-        0,
-        "the unbounded prefix directory never saturates"
-    );
 }
 
 #[test]

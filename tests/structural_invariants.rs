@@ -3,11 +3,17 @@
 //! counterparts of Figure 1 and the `O(m)` space claim), plus quiescent-state
 //! invariants after heavy concurrent use.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The step-count instrumentation is process-wide, so tests in this file that measure
 /// or generate steps are serialized to keep measurements uncontaminated.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`], poisoned or not: the lock guards no data, so a sibling that
+/// failed while holding it must not fail this test with a misleading second error.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 use skiptrie_suite::metrics;
 use skiptrie_suite::skiptrie::{SkipTrie, SkipTrieConfig};
@@ -17,7 +23,7 @@ use skiptrie_suite::workloads::SplitMix64;
 /// ≈ m/2^(L-1); the x-fast trie holds at most (log u - 1) prefixes per top key.
 #[test]
 fn level_densities_and_trie_population_match_expectation() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let bits = 32u32;
     let m = 60_000u64;
     let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(bits).with_seed(0xF00));
@@ -62,7 +68,7 @@ fn level_densities_and_trie_population_match_expectation() {
 /// probabilistic replacement for y-fast bucket sizes.
 #[test]
 fn top_level_spacing_matches_log_u() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(32).with_seed(0xF01));
     let m = 40_000u64;
     for k in 0..m {
@@ -84,7 +90,7 @@ fn top_level_spacing_matches_log_u() {
 /// 0, and draining the structure empties every level and the trie.
 #[test]
 fn quiescent_state_is_consistent_after_concurrent_churn() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let trie: Arc<SkipTrie<u64>> = Arc::new(SkipTrie::new(SkipTrieConfig::for_universe_bits(24)));
     std::thread::scope(|scope| {
         for t in 0..6u64 {
@@ -136,7 +142,7 @@ fn quiescent_state_is_consistent_after_concurrent_churn() {
 /// log(m)-depth baseline once m is large.
 #[test]
 fn instrumented_step_counts_show_low_depth() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     use skiptrie_suite::baselines::FullSkipList;
     let m = 50_000u64;
     let queries = 2_000u64;
