@@ -1,8 +1,8 @@
 //! A coarse-grained locked `BTreeMap` baseline.
 
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use parking_lot::RwLock;
 use skiptrie_skiplist::OrderedKv;
 
 /// The conventional "just put a lock around `std::collections::BTreeMap`" ordered map.
@@ -33,9 +33,19 @@ impl<V: Clone> LockedBTreeMap<V> {
         }
     }
 
+    /// Poisoning is ignored: every update leaves the map valid at every step, so
+    /// a panicking holder cannot leave it half-written.
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<u64, V>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<u64, V>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Inserts `key -> value`; returns `true` if the key was absent.
     pub fn insert(&self, key: u64, value: V) -> bool {
-        let mut map = self.inner.write();
+        let mut map = self.write();
         if let std::collections::btree_map::Entry::Vacant(e) = map.entry(key) {
             e.insert(value);
             true
@@ -46,23 +56,22 @@ impl<V: Clone> LockedBTreeMap<V> {
 
     /// Removes `key`, returning its value.
     pub fn remove(&self, key: u64) -> Option<V> {
-        self.inner.write().remove(&key)
+        self.write().remove(&key)
     }
 
     /// Returns a clone of the value stored under `key`.
     pub fn get(&self, key: u64) -> Option<V> {
-        self.inner.read().get(&key).cloned()
+        self.read().get(&key).cloned()
     }
 
     /// True if `key` is present.
     pub fn contains(&self, key: u64) -> bool {
-        self.inner.read().contains_key(&key)
+        self.read().contains_key(&key)
     }
 
     /// The largest key `<= key` and its value.
     pub fn predecessor(&self, key: u64) -> Option<(u64, V)> {
-        self.inner
-            .read()
+        self.read()
             .range(..=key)
             .next_back()
             .map(|(k, v)| (*k, v.clone()))
@@ -70,8 +79,7 @@ impl<V: Clone> LockedBTreeMap<V> {
 
     /// The smallest key `>= key` and its value.
     pub fn successor(&self, key: u64) -> Option<(u64, V)> {
-        self.inner
-            .read()
+        self.read()
             .range(key..)
             .next()
             .map(|(k, v)| (*k, v.clone()))
@@ -79,7 +87,7 @@ impl<V: Clone> LockedBTreeMap<V> {
 
     /// Number of keys stored.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     /// True if no keys are stored.
@@ -93,8 +101,7 @@ impl<V: Clone> LockedBTreeMap<V> {
     /// that is exactly its cost: every concurrent writer blocks for the duration of
     /// the clone-out (the scan-scaling effect experiment E9 measures).
     pub fn range(&self, range: impl std::ops::RangeBounds<u64>) -> Vec<(u64, V)> {
-        self.inner
-            .read()
+        self.read()
             .range(range)
             .map(|(k, v)| (*k, v.clone()))
             .collect()
@@ -102,13 +109,13 @@ impl<V: Clone> LockedBTreeMap<V> {
 
     /// Number of keys in `range`, counted under the read lock.
     pub fn count_range(&self, range: impl std::ops::RangeBounds<u64>) -> usize {
-        self.inner.read().range(range).count()
+        self.read().range(range).count()
     }
 
     /// Visits up to `limit` entries with keys `>= from` under the read lock,
     /// returning the number visited (no values are cloned).
     pub fn scan(&self, from: u64, limit: usize) -> usize {
-        self.inner.read().range(from..).take(limit).count()
+        self.read().range(from..).take(limit).count()
     }
 
     /// Inserts every `key -> value` pair under **one** write-lock hold, returning
@@ -116,7 +123,7 @@ impl<V: Clone> LockedBTreeMap<V> {
     /// advantage: one lock acquisition amortized over the whole batch — the fair
     /// baseline for the E10 batched-throughput comparison).
     pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        let mut map = self.inner.write();
+        let mut map = self.write();
         let mut inserted = 0usize;
         for (key, value) in entries {
             if let std::collections::btree_map::Entry::Vacant(e) = map.entry(*key) {
@@ -129,34 +136,30 @@ impl<V: Clone> LockedBTreeMap<V> {
 
     /// Removes every key under one write-lock hold, returning how many were present.
     pub fn remove_batch(&self, keys: &[u64]) -> usize {
-        let mut map = self.inner.write();
+        let mut map = self.write();
         keys.iter().filter(|k| map.remove(k).is_some()).count()
     }
 
     /// Looks up every key under one read-lock hold, returning the values in input
     /// order (`None` for absent keys).
     pub fn get_batch(&self, keys: &[u64]) -> Vec<Option<V>> {
-        let map = self.inner.read();
+        let map = self.read();
         keys.iter().map(|k| map.get(k).cloned()).collect()
     }
 
     /// Removes and returns the entry with the smallest key.
     pub fn pop_first(&self) -> Option<(u64, V)> {
-        self.inner.write().pop_first()
+        self.write().pop_first()
     }
 
     /// Removes and returns the entry with the largest key.
     pub fn pop_last(&self) -> Option<(u64, V)> {
-        self.inner.write().pop_last()
+        self.write().pop_last()
     }
 
     /// Snapshot of the contents in key order.
     pub fn to_vec(&self) -> Vec<(u64, V)> {
-        self.inner
-            .read()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
+        self.read().iter().map(|(k, v)| (*k, v.clone())).collect()
     }
 }
 
@@ -199,7 +202,7 @@ impl<V: Clone + Send + Sync> OrderedKv<V> for LockedBTreeMap<V> {
         LockedBTreeMap::remove_batch(self, keys)
     }
     fn get_batch(&self, keys: &[u64]) -> usize {
-        let map = self.inner.read();
+        let map = self.read();
         keys.iter().filter(|key| map.contains_key(key)).count()
     }
 }

@@ -170,8 +170,8 @@ fn recorded_tables() -> &'static std::sync::Mutex<Vec<RecordedTable>> {
     TABLES.get_or_init(|| std::sync::Mutex::new(Vec::new()))
 }
 
-/// Minimal JSON string escaping (the vendored serde subset is inert, so the summary
-/// is emitted by hand; the payload is all strings and numbers-as-strings anyway).
+/// Minimal JSON string escaping (the summary is emitted by hand; the payload is
+/// all strings and numbers-as-strings).
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {

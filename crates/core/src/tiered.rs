@@ -9,8 +9,7 @@
 //! * **Frozen tier** — an immutable, flat, sorted `(u64, V)` array plus an
 //!   [Eytzinger-ordered](https://algorithmica.org/en/eytzinger) copy of the keys.
 //!   `get`/`predecessor` on it are a branch-free walk of an implicit binary tree
-//!   laid out for cache-line locality: no pointer chasing, no CAS, and — crucially —
-//!   **no epoch pin** (see below).
+//!   laid out for cache-line locality: no pointer chasing and no CAS.
 //! * **Live delta** — a small ordinary [`SkipTrie`] absorbing recent inserts, with
 //!   a tombstone marker per deleted key so deletions shadow frozen entries.
 //! * **Merge** — [`TieredSkipTrie::merge`] seals the delta, waits for in-flight
@@ -23,30 +22,33 @@
 //!   or the [`TieredForest`](crate::TieredForest) coordinator (a one-shard forest
 //!   is the "tiered trie with a background merger").
 //!
-//! # Why frozen-tier reads need no pin
+//! # One read protocol
 //!
-//! Epoch pins exist to keep *unlinked* nodes alive while a traversal might still
-//! reach them. The frozen tier is not a linked structure: it is one immutable
-//! allocation owned by an [`Arc`], and the published `Tiers` triple that points at
-//! it is reference-counted too. Each reader thread caches one `Arc<Tiers>` per
-//! structure in thread-local storage, tagged with the *generation* (swap count) it
-//! was read at. The steady-state read is then: one atomic generation load, a
-//! thread-local lookup, and a bounded array search — no pin, no shared-cache-line
-//! read-modify-write, nothing for other readers to contend on. Only when the
-//! generation moved (a merge published) does the thread take the slow path: pin the
-//! structure's epoch domain, load the current pointer, bump its refcount, recache.
-//! The pin there makes the pointer load safe against a concurrent swap-and-retire;
-//! the cached `Arc` then keeps the tier alive pin-free for the whole generation.
+//! Readers, writers and the merger reach the published `Tiers` triple the same
+//! way, through one function (`with_tiers`): pin the structure's epoch domain,
+//! load the pointer, run on the borrow, unpin. The triple lives in a `Box` that
+//! a merge swaps out and retires through that same domain, so the pin is the
+//! whole lifetime argument — the scheme the paper protects every traversal with,
+//! and nothing beside it. No thread keeps a copy of the triple between
+//! operations, so a superseded tier is freed as soon as the epoch passes the
+//! operations that were running when it was displaced; an idle thread holds
+//! nothing. The delta tries' own pins nest inside the outer one for the cost of
+//! a counter bump.
+//!
+//! **Scans still hold no pin.** The frozen tier is one immutable allocation
+//! behind an [`Arc`], not a linked structure: [`TieredSkipTrie::range`] clones
+//! that `Arc` (and copies the small delta window) under the pin, and the
+//! [`TieredRangeIter`] it returns owns them, so an unbounded or abandoned scan
+//! never stalls reclamation.
 //!
 //! # Consistency contract (weak, documented)
 //!
 //! Single-threaded use is exact: the structure is observationally equal to a plain
 //! [`SkipTrie`] (property-tested in `proptest_tiered.rs`). Under concurrency the
-//! contract is the same weak consistency the rest of the workspace offers, plus
-//! tier staleness bounded by one generation:
+//! contract is the same weak consistency the rest of the workspace offers:
 //!
-//! * A read may be served from a `Tiers` triple up to one published merge behind
-//!   the freshest one (each thread's view is monotone — generations never regress).
+//! * A read is served from the triple that was current when it started (a scan,
+//!   from the one current when [`TieredSkipTrie::range`] was called).
 //! * Keys stable across the whole operation are always observed: present stable
 //!   keys are found, removed-and-quiesced keys stay dead (their tombstones ride
 //!   every merge until the shadowed entry is gone).
@@ -55,7 +57,6 @@
 //!   key at a time); [`TieredSkipTrie::len`] is maintained as a net counter with
 //!   the same caveat.
 
-use std::any::Any;
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -331,8 +332,8 @@ impl<V> Tiers<V>
 where
     V: Clone + Send + Sync + 'static,
 {
-    /// True when reads can be served from the frozen tier alone — the pin-free
-    /// fast path after a merge quiesces.
+    /// True when reads can be served from the frozen tier alone — the fast path
+    /// after a merge quiesces.
     fn delta_is_empty(&self) -> bool {
         self.sealed.is_none() && self.live.is_empty()
     }
@@ -359,86 +360,39 @@ where
     }
 }
 
-/// One thread-local cached `(structure generation, published tiers)` pair; see the
-/// module docs for the protocol.
-struct CachedTiers {
-    instance: u64,
-    gen: u64,
-    tiers: Arc<dyn Any + Send + Sync>,
-}
-
-/// The thread-local tier cache, wrapped so its teardown is safe: at thread exit
-/// the destructor must NOT drop the cached `Arc<Tiers>` values — an entry may be
-/// the last reference to a superseded triple, and dropping the triple drops its
-/// delta [`SkipTrie`], whose own `Drop` pins an epoch domain. Pinning is
-/// impossible during TLS teardown (the epoch crate's thread-local may already be
-/// destroyed), so the destructor parks the Arcs in a process-wide graveyard
-/// instead; [`drain_tier_graveyard`] frees them later from a live thread.
-struct TierCache {
-    entries: Vec<CachedTiers>,
-}
-
-impl Drop for TierCache {
-    fn drop(&mut self) {
-        if self.entries.is_empty() {
-            return;
-        }
-        let parked: Vec<Arc<dyn Any + Send + Sync>> =
-            self.entries.drain(..).map(|e| e.tiers).collect();
-        let mut graveyard = tier_graveyard().lock().expect("tier graveyard lock");
-        graveyard.extend(parked);
-        TIER_GRAVEYARD_NONEMPTY.store(true, Ordering::SeqCst);
-    }
-}
-
-thread_local! {
-    /// Small per-thread cache of published tier triples, keyed by structure
-    /// instance. Capped; least-recently-inserted entries are evicted.
-    static TIER_CACHE: std::cell::RefCell<TierCache> =
-        const { std::cell::RefCell::new(TierCache { entries: Vec::new() }) };
-}
-
-/// Cheap guard on [`tier_graveyard`]: checked before taking the lock so the
-/// common no-dead-threads case costs one relaxed load.
-static TIER_GRAVEYARD_NONEMPTY: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-fn tier_graveyard() -> &'static std::sync::Mutex<Vec<Arc<dyn Any + Send + Sync>>> {
-    static GRAVEYARD: std::sync::OnceLock<std::sync::Mutex<Vec<Arc<dyn Any + Send + Sync>>>> =
-        std::sync::OnceLock::new();
-    GRAVEYARD.get_or_init(|| std::sync::Mutex::new(Vec::new()))
-}
-
-/// Drops any tier triples parked by exiting threads (see [`TierCache`]). Called
-/// from merge and structure-drop paths — always on live threads, where the epoch
-/// pins taken by the freed deltas' `Drop` impls are legal. The Arcs are moved
-/// out before dropping so the lock is never held across reclamation work.
-fn drain_tier_graveyard() {
-    if !TIER_GRAVEYARD_NONEMPTY.swap(false, Ordering::SeqCst) {
-        return;
-    }
-    let parked = std::mem::take(&mut *tier_graveyard().lock().expect("tier graveyard lock"));
-    drop(parked);
-}
-
-/// Upper bound on distinct [`TieredSkipTrie`] instances one thread caches tiers
-/// for; beyond it the oldest entry is dropped (and simply re-acquired on its next
-/// use).
-const TIER_CACHE_CAP: usize = 8;
-
-static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
-
-/// Everything behind a [`TieredSkipTrie`] handle.
-struct Inner<V> {
+/// A [`SkipTrie`] wrapped in a frozen/delta read tier — see the [module
+/// docs](self) for the architecture, the read protocol, and the consistency
+/// contract.
+///
+/// # Examples
+///
+/// ```
+/// use skiptrie::{TieredSkipTrie, TieredSkipTrieConfig};
+///
+/// let tiered: TieredSkipTrie<u64> = TieredSkipTrie::from_sorted(
+///     TieredSkipTrieConfig::for_universe_bits(32),
+///     (0..1000u64).map(|k| (k * 3, k)),
+/// );
+/// assert_eq!(tiered.predecessor(10), Some((9, 3)));
+/// assert!(tiered.insert(10, 99));
+/// assert_eq!(tiered.predecessor(10), Some((10, 99)));
+/// assert_eq!(tiered.remove(9), Some(3));
+/// tiered.merge(); // fold the delta into a fresh frozen tier
+/// assert_eq!(tiered.predecessor(9), Some((6, 2)));
+/// ```
+pub struct TieredSkipTrie<V>
+where
+    V: Clone + Send + Sync + 'static,
+{
     config: TieredSkipTrieConfig,
     /// The epoch domain all pins and tier retirements go through.
     domain: usize,
-    /// Process-unique id keying the thread-local tier caches.
-    instance: u64,
-    /// The published [`Tiers`] triple (an `Arc::into_raw` pointer; readers bump the
-    /// strong count under a pin, merges swap and retire through the domain).
+    /// The published [`Tiers`] triple (a `Box::into_raw` pointer, `Send + Sync`
+    /// because `V` is): read under a pin of `domain` by
+    /// [`TieredSkipTrie::with_tiers`], swapped and retired through the domain by
+    /// [`TieredSkipTrie::publish`], freed by `Drop`.
     state: AtomicPtr<Tiers<V>>,
-    /// Bumped after every `state` swap; thread-local caches validate against it.
+    /// Count of `state` swaps, behind [`TieredSkipTrie::generation`].
     gen: AtomicU64,
     /// Single-merger guard: concurrent [`TieredSkipTrie::merge`] calls are no-ops.
     merging: AtomicBool,
@@ -457,21 +411,19 @@ struct Inner<V> {
     coordinator: OnceLock<Arc<WakeGate>>,
 }
 
-// SAFETY: `state` is an owning Arc pointer handled with atomic swaps + epoch
-// retirement; everything else is atomics, immutable config, or the gate cell
-// (`OnceLock<Arc<WakeGate>>`, `Send + Sync` in its own right).
-unsafe impl<V: Send + Sync> Send for Inner<V> {}
-unsafe impl<V: Send + Sync> Sync for Inner<V> {}
-
-impl<V> Drop for Inner<V> {
+impl<V> Drop for TieredSkipTrie<V>
+where
+    V: Clone + Send + Sync + 'static,
+{
     fn drop(&mut self) {
-        // Last owner: nothing can race the pointer any more.
-        let ptr = *self.state.get_mut();
-        drop(unsafe { Arc::from_raw(ptr) });
+        // SAFETY: `&mut self` — nothing can race the pointer any more, and it is
+        // the unique owner of the `Box` the last `publish` (or the constructor)
+        // leaked into `state`.
+        drop(unsafe { Box::from_raw(*self.state.get_mut()) });
     }
 }
 
-impl<V> Inner<V>
+impl<V> TieredSkipTrie<V>
 where
     V: Clone + Send + Sync + 'static,
 {
@@ -479,7 +431,7 @@ where
     /// directly — the workspace-wide domain-isolation rule).
     ///
     /// Deliberately **EBR regardless of the delta's configured reclaimer**: the
-    /// tiered machinery's only deferred objects are the published tier `Arc`s
+    /// tiered machinery's only deferred objects are the displaced tier triples
     /// (see `publish`), which are both protected (here) and retired
     /// (`defer_unchecked` in `publish`) through EBR — one object class, one
     /// substrate, so sharing the domain with a hazard-configured delta stays
@@ -520,85 +472,42 @@ where
         }
     }
 
-    /// Acquires an owned reference to the published tiers (the slow path: pins the
-    /// domain so the pointer cannot be retired between the load and the refcount
-    /// bump).
-    fn acquire_tiers(&self) -> (Arc<Tiers<V>>, u64) {
-        let guard = self.pin();
-        // Generation first, pointer second: the pointer load then observes a state
-        // at least as fresh as the generation label, so a cache entry can never
-        // serve a state *older* than its label claims.
-        let gen = self.gen.load(Ordering::SeqCst);
-        let ptr = self.state.load(Ordering::SeqCst);
-        // SAFETY: `ptr` came from `Arc::into_raw` and is kept alive by the pin
-        // (retirement of a displaced state is deferred through this domain).
-        let tiers = unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        };
-        drop(guard);
-        (tiers, gen)
-    }
-
-    /// Runs `f` against a published tiers triple, through the thread-local
-    /// generation cache. The fast path (cache hit) performs no pin and no shared
-    /// read-modify-write. `f` must not re-enter `with_tiers` on the same thread
-    /// (the cache cell is borrowed across the call).
+    /// Runs `f` on the published tiers triple — the one place `state` is read,
+    /// by readers, writers and the merger alike. The pin spans the load and the
+    /// whole of `f`, which is what keeps the borrow valid (`publish` retires a
+    /// displaced triple through this domain) and what `wait_writer_grace` waits
+    /// out: a writer's delta write happens inside `f`, so it is never folded
+    /// away. The delta tries' own pins nest inside this one.
     fn with_tiers<R>(&self, f: impl FnOnce(&Tiers<V>) -> R) -> R {
-        TIER_CACHE.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            let cache = &mut cache.entries;
-            let gen = self.gen.load(Ordering::SeqCst);
-            let pos = cache.iter().position(|e| e.instance == self.instance);
-            if let Some(i) = pos {
-                if cache[i].gen == gen {
-                    let tiers = cache[i]
-                        .tiers
-                        .downcast_ref::<Tiers<V>>()
-                        .expect("tier cache entry has this structure's value type");
-                    return f(tiers);
-                }
-            }
-            let (tiers, gen) = self.acquire_tiers();
-            let entry = CachedTiers {
-                instance: self.instance,
-                gen,
-                tiers: tiers.clone(),
-            };
-            match pos {
-                Some(i) => cache[i] = entry,
-                None => {
-                    if cache.len() >= TIER_CACHE_CAP {
-                        cache.remove(0);
-                    }
-                    cache.push(entry);
-                }
-            }
-            f(&tiers)
-        })
+        let _guard = self.pin();
+        // SAFETY: `state` always holds a live `Box::into_raw` pointer; a swap
+        // defers the displaced box's drop through the domain pinned above, so it
+        // outlives `_guard`, and `f`'s result cannot borrow from the triple.
+        f(unsafe { &*self.state.load(Ordering::SeqCst) })
     }
 
     /// Publishes `tiers` as the new state: one atomic swap, **no lock and no pin
     /// held across it**. The displaced state is retired through the structure's
     /// epoch domain afterwards, so readers that loaded it stay safe.
     fn publish(&self, tiers: Tiers<V>) {
-        let fresh = Arc::into_raw(Arc::new(tiers)).cast_mut();
+        let fresh = Box::into_raw(Box::new(tiers));
         let old = self.state.swap(fresh, Ordering::SeqCst);
         self.gen.fetch_add(1, Ordering::SeqCst);
         metrics::record(Counter::TierSwap);
         let guard = self.pin();
         // SAFETY: `old` is the unique owning pointer displaced by the swap; the
         // deferred drop runs only after every thread pinned at swap time (i.e.
-        // every thread that could still have loaded `old` without its own
-        // refcount) has unpinned.
+        // every `with_tiers` call that could still be borrowing `old`) has
+        // unpinned.
         unsafe {
-            guard.defer_unchecked(move || drop(Arc::from_raw(old)));
+            guard.defer_unchecked(move || drop(Box::from_raw(old)));
         }
     }
 
     /// Blocks until every thread pinned in this domain at entry has unpinned.
-    /// Writers hold a pin across (state read → delta write), so once this returns,
-    /// no writer can still be writing a delta that was sealed *before* entry.
+    /// A writer's state read and delta write share one `with_tiers` pin, so once
+    /// this returns, no writer can still be writing a delta that was sealed
+    /// *before* entry.
     fn wait_writer_grace(&self) {
         let done = Arc::new(AtomicBool::new(false));
         {
@@ -616,43 +525,26 @@ where
         }
     }
 
-    /// One full merge cycle; returns whether a fold was performed. See
-    /// [`TieredSkipTrie::merge`].
-    fn merge(&self) -> bool {
-        // Merges run on live worker/coordinator threads — the safe place to
-        // free tier triples parked by threads that exited mid-generation.
-        drain_tier_graveyard();
-        if self.merging.swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        let folded = self.merge_cycle();
-        self.merging.store(false, Ordering::SeqCst);
-        // A watermark crossed while `merging` was up was not yet foldable (see
-        // `fold_ready`), so the coordinator slept through that writer's wake;
-        // now that the guard is down, this is the store that makes it ready.
-        if self.merge_due.load(Ordering::SeqCst) {
-            self.wake_coordinator();
-        }
-        folded
-    }
-
     /// The seal → grace → fold → publish cycle; the caller holds `merging`.
     fn merge_cycle(&self) -> bool {
-        let (current, _) = self.acquire_tiers();
         // `merging` is held, so `sealed` can only be Some if a previous merge died
         // mid-way — impossible without a panic; treat "nothing buffered" as done.
-        if current.live.is_empty() && current.sealed.is_none() {
+        let buffered = self.with_tiers(|t| {
+            (!t.live.is_empty() || t.sealed.is_some())
+                .then(|| (Arc::clone(&t.frozen), Arc::clone(&t.live)))
+        });
+        let Some((frozen, sealed)) = buffered else {
             // Nothing to fold: also disarm a stale watermark latch so the
             // coordinator does not keep seeing this shard as due.
             self.delta_writes.store(0, Ordering::SeqCst);
             self.merge_due.store(false, Ordering::SeqCst);
             return false;
-        }
+        };
         // Phase 1 — seal: move the live delta aside and hand writers a fresh one.
-        let sealed = Arc::clone(&current.live);
+        let live = Arc::new(SkipTrie::new(self.config.trie));
         self.publish(Tiers {
-            frozen: Arc::clone(&current.frozen),
-            live: Arc::new(SkipTrie::new(self.config.trie)),
+            frozen: Arc::clone(&frozen),
+            live: Arc::clone(&live),
             sealed: Some(Arc::clone(&sealed)),
         });
         // Re-arm the watermark for the fresh delta. Writers that raced the seal
@@ -666,13 +558,13 @@ where
         self.wait_writer_grace();
         // Phase 3 — fold, fully off to the side (readers keep serving phase 1's
         // state). `sealed` is quiescent, so its snapshot is exact.
-        let folded = Self::fold(&current.frozen, sealed.snapshot());
+        let folded = Self::fold(&frozen, sealed.snapshot());
         metrics::record(Counter::TierMerge);
-        // Phase 4 — publish the new frozen tier and retire the sealed delta.
-        let (after_seal, _) = self.acquire_tiers();
+        // Phase 4 — publish the new frozen tier and retire the sealed delta
+        // (`merging` is held: `live` is still the delta phase 1 published).
         self.publish(Tiers {
             frozen: Arc::new(FrozenTier::build_with(folded, self.config.frozen_search)),
-            live: Arc::clone(&after_seal.live),
+            live,
             sealed: None,
         });
         self.merges.fetch_add(1, Ordering::SeqCst);
@@ -710,10 +602,10 @@ where
         out
     }
 
-    /// Insert core against one resolved tiers triple. The caller must hold a pin
-    /// of this domain across the state read and this call (the merge grace period
-    /// relies on it); batch entry points amortize that pin and the tiers
-    /// resolution over the whole batch.
+    /// Insert core against the triple a [`TieredSkipTrie::with_tiers`] call
+    /// lent out — call it only from inside that closure, whose pin the merge
+    /// grace period relies on; batch entry points amortize the one pin over the
+    /// whole batch.
     fn insert_in(&self, t: &Tiers<V>, key: u64, value: &V) -> bool {
         loop {
             match t.live.get(key) {
@@ -741,8 +633,8 @@ where
         }
     }
 
-    /// Remove core against one resolved tiers triple (same pin contract as
-    /// [`Inner::insert_in`]).
+    /// Remove core against one lent tiers triple (same contract as
+    /// [`TieredSkipTrie::insert_in`]).
     ///
     /// # Exactly-once claims across a seal
     ///
@@ -870,33 +762,6 @@ where
     }
 }
 
-/// A [`SkipTrie`] wrapped in a frozen/delta read tier — see the [module
-/// docs](self) for the architecture, the pin-free read protocol, and the
-/// consistency contract.
-///
-/// # Examples
-///
-/// ```
-/// use skiptrie::{TieredSkipTrie, TieredSkipTrieConfig};
-///
-/// let tiered: TieredSkipTrie<u64> = TieredSkipTrie::from_sorted(
-///     TieredSkipTrieConfig::for_universe_bits(32),
-///     (0..1000u64).map(|k| (k * 3, k)),
-/// );
-/// assert_eq!(tiered.predecessor(10), Some((9, 3)));
-/// assert!(tiered.insert(10, 99));
-/// assert_eq!(tiered.predecessor(10), Some((10, 99)));
-/// assert_eq!(tiered.remove(9), Some(3));
-/// tiered.merge(); // fold the delta into a fresh frozen tier
-/// assert_eq!(tiered.predecessor(9), Some((6, 2)));
-/// ```
-pub struct TieredSkipTrie<V>
-where
-    V: Clone + Send + Sync + 'static,
-{
-    inner: Inner<V>,
-}
-
 impl<V> Default for TieredSkipTrie<V>
 where
     V: Clone + Send + Sync + 'static,
@@ -921,7 +786,7 @@ where
 
     /// Builds the frozen tier directly from a sorted, strictly increasing
     /// `(key, value)` sequence in `O(n)` — the delta starts empty, so reads are on
-    /// the pin-free fast path immediately.
+    /// the frozen-only fast path immediately.
     ///
     /// # Panics
     ///
@@ -948,11 +813,10 @@ where
             live: Arc::new(SkipTrie::new(config.trie)),
             sealed: None,
         };
-        let inner = Inner {
+        TieredSkipTrie {
             config,
             domain: config.trie.domain.unwrap_or(0),
-            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
-            state: AtomicPtr::new(Arc::into_raw(Arc::new(tiers)).cast_mut()),
+            state: AtomicPtr::new(Box::into_raw(Box::new(tiers))),
             gen: AtomicU64::new(0),
             merging: AtomicBool::new(false),
             net: AtomicI64::new(net),
@@ -960,19 +824,18 @@ where
             merge_due: AtomicBool::new(false),
             merges: AtomicU64::new(0),
             coordinator: OnceLock::new(),
-        };
-        TieredSkipTrie { inner }
+        }
     }
 
     /// The configuration this structure was built with.
     pub fn config(&self) -> TieredSkipTrieConfig {
-        self.inner.config
+        self.config
     }
 
     /// Number of keys stored (net of inserts and removes; exact without same-key
     /// write races, see the module docs).
     pub fn len(&self) -> usize {
-        self.inner.net.load(Ordering::SeqCst).max(0) as usize
+        self.net.load(Ordering::SeqCst).max(0) as usize
     }
 
     /// True if no keys are stored (same caveat as [`TieredSkipTrie::len`]).
@@ -982,30 +845,30 @@ where
 
     /// Number of keys currently buffered in the live delta (diagnostics).
     pub fn delta_len(&self) -> usize {
-        self.inner.with_tiers(|t| t.live.len())
+        self.with_tiers(|t| t.live.len())
     }
 
     /// Number of entries in the published frozen tier (diagnostics).
     pub fn frozen_len(&self) -> usize {
-        self.inner.with_tiers(|t| t.frozen.len())
+        self.with_tiers(|t| t.frozen.len())
     }
 
     /// The published generation: bumped on every tier swap (two per merge cycle).
     pub fn generation(&self) -> u64 {
-        self.inner.gen.load(Ordering::SeqCst)
+        self.gen.load(Ordering::SeqCst)
     }
 
     /// True while a merge is between its seal and publish swaps — a sealed
     /// delta exists that has not yet been folded into the frozen tier
     /// (diagnostics).
     pub fn mid_merge(&self) -> bool {
-        self.inner.with_tiers(|t| t.sealed.is_some())
+        self.with_tiers(|t| t.sealed.is_some())
     }
 
     /// Returns a clone of the value stored under `key`.
     ///
-    /// On the post-merge fast path (empty delta) this is a pin-free Eytzinger
-    /// search of the frozen tier, recorded as
+    /// On the post-merge fast path (empty delta) this is one Eytzinger search of
+    /// the frozen tier, recorded as
     /// [`Counter::TierHit`]; otherwise the delta
     /// is consulted first ([`Counter::TierMissDelta`]).
     ///
@@ -1013,8 +876,8 @@ where
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn get(&self, key: u64) -> Option<V> {
-        self.inner.check_key(key);
-        self.inner.with_tiers(|t| {
+        self.check_key(key);
+        self.with_tiers(|t| {
             if t.delta_is_empty() {
                 metrics::record(Counter::TierHit);
                 t.frozen.get(key)
@@ -1041,8 +904,8 @@ where
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn predecessor(&self, key: u64) -> Option<(u64, V)> {
-        self.inner.check_key(key);
-        self.inner.with_tiers(|t| {
+        self.check_key(key);
+        self.with_tiers(|t| {
             if t.delta_is_empty() {
                 metrics::record(Counter::TierHit);
                 return t.frozen.predecessor(key);
@@ -1082,9 +945,9 @@ where
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn successor(&self, key: u64) -> Option<(u64, V)> {
-        self.inner.check_key(key);
-        let top = max_key(self.inner.config.trie.universe_bits);
-        self.inner.with_tiers(|t| {
+        self.check_key(key);
+        let top = max_key(self.config.trie.universe_bits);
+        self.with_tiers(|t| {
             if t.delta_is_empty() {
                 metrics::record(Counter::TierHit);
                 return t.frozen.successor(key);
@@ -1120,12 +983,8 @@ where
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn insert(&self, key: u64, value: V) -> bool {
-        let inner = &self.inner;
-        inner.check_key(key);
-        // The pin spans (state read → delta write): the merge's grace period waits
-        // for it, so a write into a just-sealed delta is never folded away.
-        let _guard = inner.pin();
-        inner.with_tiers(|t| inner.insert_in(t, key, &value))
+        self.check_key(key);
+        self.with_tiers(|t| self.insert_in(t, key, &value))
     }
 
     /// Removes `key`, returning its visible value if this call performed the
@@ -1137,14 +996,12 @@ where
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn remove(&self, key: u64) -> Option<V> {
-        let inner = &self.inner;
-        inner.check_key(key);
-        let _guard = inner.pin();
-        inner.with_tiers(|t| inner.remove_in(t, key))
+        self.check_key(key);
+        self.with_tiers(|t| self.remove_in(t, key))
     }
 
-    /// Batch [`TieredSkipTrie::insert`]: one epoch pin and **one** TLS
-    /// tiers-generation resolution for the whole batch instead of one per key.
+    /// Batch [`TieredSkipTrie::insert`]: one epoch pin and one load of the
+    /// published tiers for the whole batch instead of one per key.
     /// Entries apply in slice order; returns how many keys this call inserted.
     ///
     /// # Panics
@@ -1170,8 +1027,8 @@ where
         removed.iter().flatten().count()
     }
 
-    /// Batch [`TieredSkipTrie::get`]: resolves the thread-local tiers cache once
-    /// and answers every key against that one published triple (one tier-counter
+    /// Batch [`TieredSkipTrie::get`]: pins and loads the published tiers once
+    /// and answers every key against that one triple (one tier-counter
     /// record per batch, not per key). Element `i` answers `keys[i]`.
     ///
     /// # Panics
@@ -1196,15 +1053,13 @@ where
         order: &[usize],
         out: &mut [bool],
     ) {
-        let inner = &self.inner;
         for &i in order {
-            inner.check_key(entries[i].0);
+            self.check_key(entries[i].0);
         }
-        let _guard = inner.pin();
-        inner.with_tiers(|t| {
+        self.with_tiers(|t| {
             for &i in order {
                 let (key, value) = &entries[i];
-                out[i] = inner.insert_in(t, *key, value);
+                out[i] = self.insert_in(t, *key, value);
             }
         });
     }
@@ -1219,14 +1074,12 @@ where
         order: &[usize],
         out: &mut [Option<V>],
     ) {
-        let inner = &self.inner;
         for &i in order {
-            inner.check_key(keys[i]);
+            self.check_key(keys[i]);
         }
-        let _guard = inner.pin();
-        inner.with_tiers(|t| {
+        self.with_tiers(|t| {
             for &i in order {
-                out[i] = inner.remove_in(t, keys[i]);
+                out[i] = self.remove_in(t, keys[i]);
             }
         });
     }
@@ -1234,11 +1087,10 @@ where
     /// Lookup of a shard's picked batch group, answering `out[i]` for each picked
     /// `i` against one published tiers triple.
     pub(crate) fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
-        let inner = &self.inner;
         for &i in order {
-            inner.check_key(keys[i]);
+            self.check_key(keys[i]);
         }
-        inner.with_tiers(|t| {
+        self.with_tiers(|t| {
             if t.delta_is_empty() {
                 metrics::record(Counter::TierHit);
                 for &i in order {
@@ -1265,7 +1117,7 @@ where
         let Some((lo, hi)) = crate::resolve_bounds(&range) else {
             return TieredRangeIter::empty();
         };
-        self.inner.with_tiers(|t| {
+        self.with_tiers(|t| {
             if t.delta_is_empty() {
                 metrics::record(Counter::TierHit);
             } else {
@@ -1329,7 +1181,7 @@ where
     /// Removes and returns the entry with the largest visible key (mirror of
     /// [`TieredSkipTrie::pop_first`]).
     pub fn pop_last(&self) -> Option<(u64, V)> {
-        let top = max_key(self.inner.config.trie.universe_bits);
+        let top = max_key(self.config.trie.universe_bits);
         loop {
             let (key, _) = self.predecessor(top)?;
             if let Some(value) = self.remove(key) {
@@ -1347,12 +1199,11 @@ where
     /// Panics if the structure is not empty, or if keys are not strictly
     /// increasing / exceed the universe.
     pub fn bulk_load(&mut self, entries: &[(u64, V)]) -> usize {
-        let inner = &self.inner;
         assert!(
-            inner.with_tiers(|t| t.delta_is_empty() && t.frozen.len() == 0),
+            self.with_tiers(|t| t.delta_is_empty() && t.frozen.len() == 0),
             "bulk_load requires an empty TieredSkipTrie"
         );
-        let top = max_key(inner.config.trie.universe_bits);
+        let top = max_key(self.config.trie.universe_bits);
         for pair in entries.windows(2) {
             assert!(
                 pair[0].0 < pair[1].0,
@@ -1362,13 +1213,13 @@ where
         if let Some(&(last, _)) = entries.last() {
             assert!(last <= top, "key {last} exceeds the configured universe");
         }
-        inner.net.store(entries.len() as i64, Ordering::SeqCst);
-        inner.publish(Tiers {
+        self.net.store(entries.len() as i64, Ordering::SeqCst);
+        self.publish(Tiers {
             frozen: Arc::new(FrozenTier::build_with(
                 entries.to_vec(),
-                inner.config.frozen_search,
+                self.config.frozen_search,
             )),
-            live: Arc::new(SkipTrie::new(inner.config.trie)),
+            live: Arc::new(SkipTrie::new(self.config.trie)),
             sealed: None,
         });
         entries.len()
@@ -1377,7 +1228,7 @@ where
     /// `(allocated, recycled, free)` node counts of the live delta (plus the
     /// sealed one mid-merge) — the frozen tier holds no pool nodes.
     pub fn allocation_stats(&self) -> (usize, usize, usize) {
-        self.inner.with_tiers(|t| {
+        self.with_tiers(|t| {
             let mut stats = t.live.allocation_stats();
             if let Some(sealed) = &t.sealed {
                 let s = sealed.allocation_stats();
@@ -1389,7 +1240,7 @@ where
 
     /// Approximate resident bytes: frozen-tier arrays plus delta skiplist nodes.
     pub fn approx_node_bytes(&self) -> usize {
-        self.inner.with_tiers(|t| {
+        self.with_tiers(|t| {
             let frozen = t.frozen.len()
                 * (std::mem::size_of::<(u64, V)>()
                     + std::mem::size_of::<u64>()
@@ -1405,7 +1256,7 @@ where
     /// Audits the live delta's traversal integrity and the frozen tier's sort
     /// order; returns the number of entries checked. Panics on violation.
     pub fn check_traversal_integrity(&self) -> usize {
-        self.inner.with_tiers(|t| {
+        self.with_tiers(|t| {
             let mut checked = t.live.check_traversal_integrity();
             if let Some(sealed) = &t.sealed {
                 checked += sealed.check_traversal_integrity();
@@ -1426,19 +1277,19 @@ where
     /// (cleared when the next merge seals the delta). Always `false` without a
     /// configured watermark.
     pub fn merge_due(&self) -> bool {
-        self.inner.merge_due.load(Ordering::SeqCst)
+        self.merge_due.load(Ordering::SeqCst)
     }
 
     /// Delta writes accumulated since the last seal (diagnostics for the
     /// watermark policy).
     pub fn delta_writes(&self) -> u64 {
-        self.inner.delta_writes.load(Ordering::SeqCst)
+        self.delta_writes.load(Ordering::SeqCst)
     }
 
     /// Completed folds over the structure's lifetime (merges that actually
     /// replaced the frozen tier; empty-delta no-op merges do not count).
     pub fn merge_count(&self) -> u64 {
-        self.inner.merges.load(Ordering::SeqCst)
+        self.merges.load(Ordering::SeqCst)
     }
 
     /// True when the coordinator should fold this shard now: a merge is due and
@@ -1447,14 +1298,13 @@ where
     /// the latch still set, and a level-triggered sleeper would spin on it for
     /// the length of that fold. The folder re-wakes the coordinator on exit.
     pub(crate) fn fold_ready(&self) -> bool {
-        self.inner.merge_due.load(Ordering::SeqCst) && !self.inner.merging.load(Ordering::SeqCst)
+        self.merge_due.load(Ordering::SeqCst) && !self.merging.load(Ordering::SeqCst)
     }
 
     /// Makes `gate` the one this shard wakes when [`Self::fold_ready`] turns
     /// true. Called once, by the forest that owns the shard.
     pub(crate) fn attach_coordinator(&self, gate: Arc<WakeGate>) {
-        self.inner
-            .coordinator
+        self.coordinator
             .set(gate)
             .expect("a tiered shard has one coordinator");
     }
@@ -1470,18 +1320,18 @@ where
     /// state until the swap and the new one after. Blocks until in-flight writers
     /// unpin; do not call it while holding a guard of this structure's domain.
     pub fn merge(&self) -> bool {
-        self.inner.merge()
-    }
-}
-
-impl<V> Drop for TieredSkipTrie<V>
-where
-    V: Clone + Send + Sync + 'static,
-{
-    fn drop(&mut self) {
-        // Free anything exited reader threads parked (see `TierCache`) while a
-        // live thread is guaranteed to exist to do it.
-        drain_tier_graveyard();
+        if self.merging.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        let folded = self.merge_cycle();
+        self.merging.store(false, Ordering::SeqCst);
+        // A watermark crossed while `merging` was up was not yet foldable (see
+        // `fold_ready`), so the coordinator slept through that writer's wake;
+        // now that the guard is down, this is the store that makes it ready.
+        if self.merge_due.load(Ordering::SeqCst) {
+            self.wake_coordinator();
+        }
+        folded
     }
 }
 
@@ -1519,32 +1369,34 @@ impl<V: Clone> TieredRangeIter<V> {
     /// Advances and returns only the next key, skipping the value clone — the
     /// counting/stitching primitive the sharded router's scans use.
     pub fn next_key(&mut self) -> Option<u64> {
+        self.advance(false).map(|(k, _)| k)
+    }
+
+    /// The shared merge walk over the frozen run and the delta window: the
+    /// smaller key wins, a delta entry shadows an equal frozen one, tombstones
+    /// are skipped. The value is cloned only when `want_value`.
+    fn advance(&mut self, want_value: bool) -> Option<(u64, Option<V>)> {
         let frozen = self.frozen.as_ref()?;
         loop {
             let fk = (self.fi < self.fhi).then(|| frozen.sorted[self.fi].0);
             let dk = self.delta.get(self.di).map(|&(k, _)| k);
-            match (fk, dk) {
+            let take_frozen = match (fk, dk) {
                 (None, None) => return None,
-                (Some(f), None) => {
-                    self.fi += 1;
-                    return Some(f);
-                }
-                (fk, Some(d)) => {
-                    if let Some(f) = fk {
-                        if f < d {
-                            self.fi += 1;
-                            return Some(f);
-                        }
-                        if f == d {
-                            self.fi += 1; // shadowed by the delta
-                        }
-                    }
-                    let tombstone = self.delta[self.di].1.is_none();
-                    self.di += 1;
-                    if !tombstone {
-                        return Some(d);
-                    }
-                }
+                (Some(f), Some(d)) => f < d,
+                (fk, _) => fk.is_some(),
+            };
+            if take_frozen {
+                let (k, v) = &frozen.sorted[self.fi];
+                self.fi += 1;
+                return Some((*k, want_value.then(|| v.clone())));
+            }
+            if fk == dk {
+                self.fi += 1; // shadowed by the delta
+            }
+            let (k, put) = &self.delta[self.di];
+            self.di += 1;
+            if let Some(v) = put {
+                return Some((*k, want_value.then(|| v.clone())));
             }
         }
     }
@@ -1554,37 +1406,8 @@ impl<V: Clone> Iterator for TieredRangeIter<V> {
     type Item = (u64, V);
 
     fn next(&mut self) -> Option<(u64, V)> {
-        let frozen = self.frozen.as_ref()?;
-        loop {
-            let fk = (self.fi < self.fhi).then(|| frozen.sorted[self.fi].0);
-            let dk = self.delta.get(self.di).map(|&(k, _)| k);
-            match (fk, dk) {
-                (None, None) => return None,
-                (Some(_), None) => {
-                    let entry = frozen.sorted[self.fi].clone();
-                    self.fi += 1;
-                    return Some(entry);
-                }
-                (fk, Some(d)) => {
-                    if let Some(f) = fk {
-                        if f < d {
-                            let entry = frozen.sorted[self.fi].clone();
-                            self.fi += 1;
-                            return Some(entry);
-                        }
-                        if f == d {
-                            self.fi += 1; // shadowed by the delta
-                        }
-                    }
-                    let (k, v) = self.delta[self.di].clone();
-                    self.di += 1;
-                    match v {
-                        Some(v) => return Some((k, v)),
-                        None => continue, // tombstone
-                    }
-                }
-            }
-        }
+        self.advance(true)
+            .map(|(k, v)| (k, v.expect("advance(true) clones the value")))
     }
 }
 

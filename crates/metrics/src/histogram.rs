@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram whose bucket `i` counts observations `v` with `floor(log2(v)) == i`
 /// (bucket 0 additionally holds `v == 0`).
 ///
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(h.mean() > 0.0);
 /// assert!(h.value_at_quantile(0.5) <= h.value_at_quantile(0.99));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

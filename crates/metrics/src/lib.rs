@@ -40,8 +40,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 mod histogram;
 mod latency;
 mod stopwatch;
@@ -119,7 +117,7 @@ pub use stopwatch::Stopwatch;
 ///   the sum of batch lengths ≥ 2; divide by the number of `TierHit`-style batch
 ///   executions a harness counts itself to get a mean. Same isolation caveat as
 ///   the other service counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Counter {
     PtrRead,
@@ -326,7 +324,7 @@ pub fn add(counter: Counter, n: u64) {
 /// ever recorded a step in this process.
 ///
 /// Snapshots are monotone; use [`Snapshot::since`] to compute the delta over a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
     values: [u64; Counter::COUNT],
 }
@@ -447,7 +445,7 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
 }
 
 /// A simple mean/min/max accumulator used by the experiment harness tables.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Summary {
     count: u64,
     sum: f64,

@@ -17,10 +17,8 @@ pub use load::{Arrivals, LoadDriver, LoadReport, Pacing};
 pub use rng::SplitMix64;
 pub use zipf::Zipf;
 
-use serde::{Deserialize, Serialize};
-
 /// How keys are drawn from the universe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDist {
     /// Uniformly random keys over the full `universe_bits`-bit universe.
     Uniform,
@@ -120,6 +118,23 @@ impl KeyDist {
         }
     }
 
+    /// How many distinct keys [`KeyDist::sample`] can yield in a
+    /// `universe_bits`-bit universe, saturating at `u64::MAX`. Exact except for
+    /// `Zipfian` (the rank spread may collide) and `Clustered` (runs may
+    /// overlap), where it is an upper bound.
+    fn distinct_keys(&self, universe_bits: u32) -> u64 {
+        let universe = 1u64.checked_shl(universe_bits).unwrap_or(u64::MAX);
+        match *self {
+            KeyDist::Uniform | KeyDist::ShardSkewedZipf { .. } => universe,
+            KeyDist::Zipfian { hot_range, .. } => hot_range.max(1).min(universe),
+            KeyDist::Clustered { runs, run_len } => {
+                runs.max(1).saturating_mul(run_len.max(1)).min(universe)
+            }
+            KeyDist::HotRange { range } => range.max(1),
+            KeyDist::ScatteredSet { working_set } => working_set.max(1).min(universe),
+        }
+    }
+
     /// Prepares the auxiliary Zipf sampler if this distribution needs one.
     pub fn prepare(&self) -> Option<Zipf> {
         match *self {
@@ -133,7 +148,7 @@ impl KeyDist {
 }
 
 /// Relative frequencies of the four operations, in percent (must sum to 100).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpMix {
     /// Percentage of predecessor queries.
     pub predecessor_pct: u8,
@@ -222,7 +237,7 @@ impl OpMix {
 }
 
 /// One operation of a generated stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Insert the key (value = key).
     Insert(u64),
@@ -248,7 +263,7 @@ enum OpKind {
 }
 
 /// A complete, reproducible experiment workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Width of the key universe in bits.
     pub universe_bits: u32,
@@ -314,13 +329,20 @@ impl WorkloadSpec {
         keys.into_iter().map(|k| (k, k)).collect()
     }
 
-    /// The keys inserted during the prefill phase (deterministic, duplicate-free).
+    /// The keys inserted during the prefill phase (deterministic, duplicate-free):
+    /// `prefill` of them, or every key the distribution can yield when that is
+    /// fewer — a 64-key [`KeyDist::HotRange`] prefills at most 64 keys however
+    /// many are asked for.
     pub fn prefill_keys(&self) -> Vec<u64> {
         let mut rng = SplitMix64::new(self.seed ^ 0xbeef_cafe_f00d_0001);
         let zipf = self.dist.prepare();
-        let mut keys = Vec::with_capacity(self.prefill);
-        let mut seen = std::collections::HashSet::with_capacity(self.prefill * 2);
-        while keys.len() < self.prefill {
+        let distinct = self.dist.distinct_keys(self.universe_bits);
+        let wanted = self
+            .prefill
+            .min(usize::try_from(distinct).unwrap_or(usize::MAX));
+        let mut keys = Vec::with_capacity(wanted);
+        let mut seen = std::collections::HashSet::with_capacity(wanted * 2);
+        while keys.len() < wanted {
             let k = self
                 .dist
                 .sample(&mut rng, zipf.as_ref(), self.universe_bits);
@@ -461,6 +483,30 @@ mod tests {
         let unique: std::collections::HashSet<_> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len());
         assert!(keys.iter().all(|k| *k < (1 << 16)));
+    }
+
+    #[test]
+    fn prefill_stops_at_the_distributions_support() {
+        // E4's shape: more prefill keys asked for than the hot range holds. The
+        // call runs on a helper thread so a regression fails here at the
+        // deadline instead of hanging the suite.
+        let spec = WorkloadSpec {
+            universe_bits: 32,
+            prefill: 1_000,
+            ops_per_thread: 0,
+            threads: 1,
+            dist: KeyDist::HotRange { range: 64 },
+            mix: OpMix::UPDATE_HEAVY,
+            seed: 0xE4,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || tx.send(spec.prefill_keys()));
+        let mut keys = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("prefill_keys must terminate when prefill exceeds the key range");
+        helper.join().unwrap().unwrap();
+        keys.sort_unstable();
+        assert_eq!(keys, (0..64).collect::<Vec<u64>>());
     }
 
     #[test]

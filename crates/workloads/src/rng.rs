@@ -4,8 +4,6 @@
 //! step-count measurements; SplitMix64 fits in a few arithmetic instructions and has
 //! no observable bias at the scales used here.
 
-use serde::{Deserialize, Serialize};
-
 /// A SplitMix64 pseudo-random number generator.
 ///
 /// # Examples
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = SplitMix64::new(1);
 /// assert_eq!(a.next(), b.next(), "same seed, same stream");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }

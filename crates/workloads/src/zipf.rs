@@ -1,8 +1,6 @@
 //! A Zipf(θ) sampler over ranks `0..n`, using the standard inverse-CDF-with-
 //! harmonic-approximation technique (as in YCSB's ZipfianGenerator).
 
-use serde::{Deserialize, Serialize};
-
 use crate::SplitMix64;
 
 /// Samples ranks `0..n` with probability proportional to `1 / (rank+1)^theta`.
@@ -19,7 +17,7 @@ use crate::SplitMix64;
 /// let rank = zipf.sample(&mut rng);
 /// assert!(rank < 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     n: u64,
     theta: f64,

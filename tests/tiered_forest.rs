@@ -14,8 +14,11 @@
 //! * concurrent cross-shard `pop_first` drains are exactly-once even while
 //!   the shards being popped are sealing and folding;
 //! * a watermark crossed while the coordinator is stuck inside another shard's
-//!   fold is never lost (the lost-wakeup regression).
+//!   fold is never lost (the lost-wakeup regression);
+//! * one thread walking a 16-shard forest agrees with a `BTreeMap` at every
+//!   step while every shard folds under it several times.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -23,6 +26,7 @@ use std::time::{Duration, Instant};
 use skiptrie_suite::atomics::pin_domain;
 use skiptrie_suite::skiptrie::{ShardedSkipTrieConfig, TieredForest};
 use skiptrie_suite::workloads::harness::{scaled, worker_rng, Workload};
+use skiptrie_suite::workloads::SplitMix64;
 
 const UNIVERSE_BITS: u32 = 32;
 const SHARDS: usize = 8;
@@ -265,4 +269,71 @@ fn cross_shard_pops_are_exactly_once_under_folds() {
         0,
         "drained forest folds down to empty tiers"
     );
+}
+
+#[test]
+fn one_thread_over_sixteen_shards_matches_a_btreemap_across_folds() {
+    // A seeded script whose consecutive keys land on different shards, so the
+    // one thread keeps coming back to all 16 published tier triples while the
+    // coordinator (watermark 32) and the periodic `merge_all` swap them out.
+    const WIDE: usize = 16;
+    const KEYS: u64 = 2_048;
+    let f: TieredForest<u64> = TieredForest::new(
+        ShardedSkipTrieConfig::for_universe_bits(UNIVERSE_BITS)
+            .with_shards(WIDE)
+            .with_merge_watermark(32),
+    );
+    let stride = (1u64 << UNIVERSE_BITS) / KEYS;
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut rng = SplitMix64::new(0x16_5AAD);
+    for step in 0..20_000u64 {
+        let k = rng.next() % KEYS * stride + 3;
+        match rng.next() % 8 {
+            0 | 1 => {
+                let fresh = !model.contains_key(&k);
+                assert_eq!(f.insert(k, step), fresh, "step {step}: insert {k}");
+                model.entry(k).or_insert(step);
+            }
+            2 => assert_eq!(f.remove(k), model.remove(&k), "step {step}: remove {k}"),
+            3 => assert_eq!(f.get(k), model.get(&k).copied(), "step {step}: get {k}"),
+            4 => assert_eq!(
+                f.predecessor(k + 1),
+                model.range(..=k + 1).next_back().map(|(k, v)| (*k, *v)),
+                "step {step}: predecessor {}",
+                k + 1
+            ),
+            5 => assert_eq!(
+                f.successor(k - 1),
+                model.range(k - 1..).next().map(|(k, v)| (*k, *v)),
+                "step {step}: successor {}",
+                k - 1
+            ),
+            6 => {
+                // A window wide enough to stitch across a shard boundary.
+                let hi = k.saturating_add(200 * stride).min(u64::from(u32::MAX));
+                assert_eq!(
+                    f.range(k..=hi).collect::<Vec<_>>(),
+                    model
+                        .range(k..=hi)
+                        .map(|(k, v)| (*k, *v))
+                        .collect::<Vec<_>>(),
+                    "step {step}: range {k}..={hi}"
+                );
+            }
+            _ => assert_eq!(f.pop_first(), model.pop_first(), "step {step}: pop_first"),
+        }
+        assert_eq!(f.len(), model.len(), "step {step}: len");
+        if step % 2_500 == 2_499 {
+            f.merge_all();
+        }
+    }
+    f.quiesce();
+    for shard in 0..WIDE {
+        assert!(
+            f.shard(shard).merge_count() >= 2,
+            "shard {shard} folded {} times",
+            f.shard(shard).merge_count()
+        );
+    }
+    assert_eq!(f.snapshot(), model.into_iter().collect::<Vec<_>>());
 }
