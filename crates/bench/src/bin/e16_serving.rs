@@ -6,10 +6,9 @@
 //! down with the system* and the reported latency silently omits queueing —
 //! the coordinated-omission problem. E16 drives the `skiptrie-service`
 //! pipeline (thread-per-shard executors over bounded SPSC mailboxes, routed by
-//! top key bits, with per-connection coalescing into the router's batch entry
-//! points) with the open-loop [`LoadDriver`]: arrivals are scheduled on the
-//! wall clock, never skipped, and stamped with their *virtual* send time, so
-//! latency measured from that stamp includes the queueing the schedule
+//! top key bits) with the open-loop [`LoadDriver`]: arrivals are scheduled on
+//! the wall clock, never skipped, and stamped with their *virtual* send time,
+//! so latency measured from that stamp includes the queueing the schedule
 //! implies.
 //!
 //! Tables:
@@ -326,10 +325,7 @@ fn main() {
     // the in-flight window — not the driver's schedule lag — is the binding
     // constraint: admission must shed, the run must still complete (bounded
     // queues, no deadlock), and every admitted request must get its response.
-    let tight = ServiceConfig {
-        queue_cap: 16,
-        ..ServiceConfig::default()
-    };
+    let tight = ServiceConfig { queue_cap: 16 };
     let overload_rate = capacity * 2.0;
     let tight_run = run_rate(
         &forest,

@@ -12,37 +12,25 @@
 //! once, by [`OrderedKv`]; an engine is an `OrderedKv` and the router calls them
 //! through that bound. [`ShardEngine`] declares only what a *shard* adds:
 //!
-//! * **Construction** — [`ShardEngine::build`] from the spec the forest resolved,
-//!   and single-owner `O(n)` [`ShardEngine::bulk_load`] of the shard's contiguous
-//!   sub-slice (the router calls it from one worker thread per shard).
+//! * **Construction** — [`ShardEngine::build`] from the per-shard
+//!   [`TieredSkipTrieConfig`] the forest resolved (a plain engine reads only its
+//!   `trie` field), and single-owner `O(n)` [`ShardEngine::bulk_load`] of the
+//!   shard's contiguous sub-slice (the router calls it from one worker thread
+//!   per shard).
 //! * **Level-0 cursor** — [`ShardEngine::range`] returns an ordered cursor
 //!   implementing [`EngineRangeIter`]; the router stitches one cursor per shard,
 //!   opened in shard (= key) order, so at most one shard's epoch pin (or tier
 //!   reference) is live at a time.
-//! * **Batch kernel** — three `*_picked` methods, each returning per-key
-//!   outcomes: the router groups a batch by shard and hands each engine its
-//!   picked indices to execute under one pin / one tier resolution. Count forms
-//!   are derived from the outcomes by the callers.
+//! * **Batch kernel** — three `*_picked` methods: the router groups a batch by
+//!   shard and hands each engine its picked indices to execute under one pin /
+//!   one tier resolution. The lookup writes per-key values (`get_batch` returns
+//!   them); the two writes return how many picked operations took effect.
 //! * **Probes** — snapshots, allocation statistics and the integrity audit.
 
 use skiptrie_skiplist::{OrderedKv, RangeIter as SkipListRangeIter};
 
-use crate::tiered::{FrozenSearch, TieredSkipTrie, TieredSkipTrieConfig};
-use crate::{SkipTrie, SkipTrieConfig, TieredRangeIter};
-
-/// Everything the forest resolves before constructing one shard: the fully
-/// derived per-shard [`SkipTrieConfig`] (decorrelated seed, assigned epoch
-/// domain, directory shape) plus the tiered-engine policy knobs, which plain
-/// engines ignore.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardSpec {
-    /// Per-shard trie configuration (seed and epoch domain already assigned).
-    pub trie: SkipTrieConfig,
-    /// Delta-size merge watermark for tiered engines (`None` = no watermark).
-    pub merge_watermark: Option<usize>,
-    /// Frozen-tier search algorithm for tiered engines.
-    pub frozen_search: FrozenSearch,
-}
+use crate::tiered::{TieredSkipTrie, TieredSkipTrieConfig};
+use crate::{SkipTrie, TieredRangeIter};
 
 /// An ordered cursor over one shard's slice of the key space; what
 /// [`ShardedRangeIter`](crate::ShardedRangeIter) stitches across shards.
@@ -83,8 +71,9 @@ where
     where
         Self: 'a;
 
-    /// Constructs an empty shard from its resolved spec.
-    fn build(spec: &ShardSpec) -> Self;
+    /// Constructs an empty shard from the configuration the forest resolved for
+    /// it (seed and epoch domain already assigned; plain engines read `.trie`).
+    fn build(config: &TieredSkipTrieConfig) -> Self;
 
     /// An ordered cursor over keys in `lo..=hi` (the router passes its global
     /// bounds straight through — a shard only holds keys of its own slice).
@@ -96,13 +85,13 @@ where
     fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]);
 
     /// Executes one shard's slice of a batched insert (see
-    /// [`ShardEngine::get_batch_picked`]), applying picked entries in `order`:
-    /// writes `out[i] = true` iff this call inserted `entries[i]`.
-    fn insert_batch_picked_flags(&self, entries: &[(u64, V)], order: &[usize], out: &mut [bool]);
+    /// [`ShardEngine::get_batch_picked`]), applying picked entries in `order`;
+    /// returns how many of them this call inserted.
+    fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize;
 
-    /// Executes one shard's slice of a batched remove: writes `out[i]` to the
-    /// value removed under `keys[i]` (`None` if absent) for each picked `i`.
-    fn remove_batch_picked_values(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]);
+    /// Executes one shard's slice of a batched remove; returns how many of the
+    /// picked keys this call removed.
+    fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize;
 
     /// Single-owner `O(n)` construction from this shard's sorted, strictly
     /// increasing sub-slice; the shard must be empty. Returns the entry count.
@@ -176,8 +165,8 @@ where
     where
         Self: 'a;
 
-    fn build(spec: &ShardSpec) -> Self {
-        SkipTrie::new(spec.trie)
+    fn build(config: &TieredSkipTrieConfig) -> Self {
+        SkipTrie::new(config.trie)
     }
 
     fn range(&self, lo: u64, hi: u64) -> Self::RangeIter<'_> {
@@ -188,12 +177,12 @@ where
         SkipTrie::get_batch_picked(self, keys, order, out);
     }
 
-    fn insert_batch_picked_flags(&self, entries: &[(u64, V)], order: &[usize], out: &mut [bool]) {
-        SkipTrie::insert_batch_picked_flags(self, entries, order, out);
+    fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
+        SkipTrie::insert_batch_picked(self, entries, order)
     }
 
-    fn remove_batch_picked_values(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
-        SkipTrie::remove_batch_picked_values(self, keys, order, out);
+    fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
+        SkipTrie::remove_batch_picked(self, keys, order)
     }
 
     fn bulk_load(&mut self, entries: &[(u64, V)]) -> usize {
@@ -271,12 +260,8 @@ where
     where
         Self: 'a;
 
-    fn build(spec: &ShardSpec) -> Self {
-        TieredSkipTrie::new(TieredSkipTrieConfig {
-            trie: spec.trie,
-            merge_watermark: spec.merge_watermark,
-            frozen_search: spec.frozen_search,
-        })
+    fn build(config: &TieredSkipTrieConfig) -> Self {
+        TieredSkipTrie::new(*config)
     }
 
     fn range(&self, lo: u64, hi: u64) -> Self::RangeIter<'_> {
@@ -287,12 +272,12 @@ where
         TieredSkipTrie::get_batch_picked(self, keys, order, out);
     }
 
-    fn insert_batch_picked_flags(&self, entries: &[(u64, V)], order: &[usize], out: &mut [bool]) {
-        TieredSkipTrie::insert_batch_picked_flags(self, entries, order, out);
+    fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
+        TieredSkipTrie::insert_batch_picked(self, entries, order)
     }
 
-    fn remove_batch_picked_values(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
-        TieredSkipTrie::remove_batch_picked_values(self, keys, order, out);
+    fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
+        TieredSkipTrie::remove_batch_picked(self, keys, order)
     }
 
     fn bulk_load(&mut self, entries: &[(u64, V)]) -> usize {

@@ -48,8 +48,8 @@ use skiptrie_metrics::{self as metrics, Counter};
 use skiptrie_skiplist::{resolve_bounds, OrderedKv};
 use skiptrie_splitorder::DirectoryConfig;
 
-use crate::engine::{EngineRangeIter, ShardEngine, ShardSpec};
-use crate::tiered::FrozenSearch;
+use crate::engine::{EngineRangeIter, ShardEngine};
+use crate::tiered::{FrozenSearch, TieredSkipTrieConfig};
 use crate::{prefix, SkipTrie, SkipTrieConfig};
 
 /// First epoch domain handed to shards: domain 0 is the process-wide default and is
@@ -267,7 +267,7 @@ where
                     // Distinct domains for up to NUM_DOMAINS - 1 shards; beyond that
                     // they wrap (never onto the default domain 0).
                     .with_domain(SHARD_DOMAIN_BASE + i % (crossbeam_epoch::NUM_DOMAINS - 1));
-                E::build(&ShardSpec {
+                E::build(&TieredSkipTrieConfig {
                     trie: shard_config,
                     merge_watermark: config.merge_watermark,
                     frozen_search: config.frozen_search,
@@ -606,9 +606,16 @@ where
     ///
     /// Panics if any key does not fit in the configured universe (checked up front).
     pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        let mut inserted = vec![false; entries.len()];
-        self.insert_batch_flags(entries, &mut inserted);
-        inserted.into_iter().filter(|&flag| flag).count()
+        for &(key, _) in entries {
+            self.check_key(key);
+        }
+        let mut inserted = 0;
+        self.group_by_shard(
+            entries.len(),
+            |i| entries[i].0,
+            |shard, group| inserted += self.shards[shard].insert_batch_picked(entries, group),
+        );
+        inserted
     }
 
     /// Removes every key of `keys`, returning how many were present (and are now
@@ -619,9 +626,16 @@ where
     ///
     /// Panics if any key does not fit in the configured universe (checked up front).
     pub fn remove_batch(&self, keys: &[u64]) -> usize {
-        let mut removed = vec![None; keys.len()];
-        self.remove_batch_values(keys, &mut removed);
-        removed.iter().flatten().count()
+        for &key in keys {
+            self.check_key(key);
+        }
+        let mut removed = 0;
+        self.group_by_shard(
+            keys.len(),
+            |i| keys[i],
+            |shard, group| removed += self.shards[shard].remove_batch_picked(keys, group),
+        );
+        removed
     }
 
     /// Looks up every key of `keys`, returning the values **in input order**
@@ -645,54 +659,6 @@ where
             },
         );
         out
-    }
-
-    /// [`ShardedSkipTrie::insert_batch`] with per-key outcomes: writes
-    /// `out[i] = true` iff the call inserted `entries[i]` (within-batch
-    /// duplicates resolve in slice order, exactly as sequentially). The serving
-    /// pipeline's coalescer uses this so a batched execution still answers
-    /// every request individually.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe, or if `out`
-    /// is shorter than `entries`.
-    pub fn insert_batch_flags(&self, entries: &[(u64, V)], out: &mut [bool]) {
-        assert!(
-            out.len() >= entries.len(),
-            "output buffer shorter than batch"
-        );
-        for &(key, _) in entries {
-            self.check_key(key);
-        }
-        self.group_by_shard(
-            entries.len(),
-            |i| entries[i].0,
-            |shard, group| {
-                self.shards[shard].insert_batch_picked_flags(entries, group, out);
-            },
-        );
-    }
-
-    /// [`ShardedSkipTrie::remove_batch`] with per-key outcomes: writes `out[i]`
-    /// to the value this call removed under `keys[i]` (`None` if absent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe, or if `out`
-    /// is shorter than `keys`.
-    pub fn remove_batch_values(&self, keys: &[u64], out: &mut [Option<V>]) {
-        assert!(out.len() >= keys.len(), "output buffer shorter than batch");
-        for &key in keys {
-            self.check_key(key);
-        }
-        self.group_by_shard(
-            keys.len(),
-            |i| keys[i],
-            |shard, group| {
-                self.shards[shard].remove_batch_picked_values(keys, group, out);
-            },
-        );
     }
 
     // ------------------------------------------------------------------

@@ -66,7 +66,7 @@ pub mod tiered_forest;
 mod xfast;
 
 pub use crossbeam_epoch::{GarbageStats, Reclaimer};
-pub use engine::{EngineRangeIter, ShardEngine, ShardSpec};
+pub use engine::{EngineRangeIter, ShardEngine};
 pub use forest::{ShardedRangeIter, ShardedSkipTrie, ShardedSkipTrieConfig};
 pub use prefix::{key_bit, lcp_len, max_key, Prefix};
 pub use skiptrie_atomics::dcss::DcssMode;
@@ -611,48 +611,33 @@ where
         }
         let mut order: Vec<usize> = (0..entries.len()).collect();
         order.sort_by_key(|&i| entries[i].0);
-        let mut inserted = vec![false; entries.len()];
-        self.insert_batch_picked_flags(entries, &order, &mut inserted);
-        inserted.into_iter().filter(|&flag| flag).count()
+        self.insert_batch_picked(entries, &order)
     }
 
-    /// [`SkipTrie::insert_batch`] over a pre-sorted index selection, with per-key
-    /// outcomes: `order` indexes into `entries`, sorted by key (stably, so earlier
-    /// duplicates win), and `out[i] = true` is written for each picked `i` this
-    /// call inserted (slots of unpicked indices are left untouched). Keys must
-    /// already be checked. The sharded forest calls this once per shard group, and
-    /// the serving pipeline's coalescer relies on the per-key outcomes so a
-    /// batched execution still answers every request individually.
-    pub(crate) fn insert_batch_picked_flags(
-        &self,
-        entries: &[(u64, V)],
-        order: &[usize],
-        out: &mut [bool],
-    ) {
+    /// [`SkipTrie::insert_batch`] over a pre-sorted index selection: `order`
+    /// indexes into `entries`, sorted by key (stably, so earlier duplicates win);
+    /// returns how many of the picked entries this call inserted. Keys must
+    /// already be checked. The sharded forest calls this once per shard group.
+    pub(crate) fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
         let guard = self.skiplist.pin();
         let mut hint: Option<NodeRef<'_, V>> = None;
+        let mut inserted = 0;
         for &i in order {
             let (key, ref value) = entries[i];
             let start = self.batch_start(hint, key, &guard);
-            match self
+            hint = Some(start);
+            if let skiptrie_skiplist::InsertOutcome::Inserted { top_node } = self
                 .skiplist
                 .insert_from(key, value.clone(), Some(start), &guard)
             {
-                skiptrie_skiplist::InsertOutcome::AlreadyPresent => {
-                    out[i] = false;
-                    hint = Some(start);
-                }
-                skiptrie_skiplist::InsertOutcome::Inserted { top_node } => {
-                    out[i] = true;
-                    if let Some(node) = top_node {
-                        self.insert_prefixes(key, node, &guard);
-                        hint = Some(node);
-                    } else {
-                        hint = Some(start);
-                    }
+                inserted += 1;
+                if let Some(node) = top_node {
+                    self.insert_prefixes(key, node, &guard);
+                    hint = Some(node);
                 }
             }
         }
+        inserted
     }
 
     /// Removes every key of `keys`, returning how many were present (and are now
@@ -670,29 +655,23 @@ where
         }
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_unstable_by_key(|&i| keys[i]);
-        let mut removed = vec![None; keys.len()];
-        self.remove_batch_picked_values(keys, &order, &mut removed);
-        removed.iter().flatten().count()
+        self.remove_batch_picked(keys, &order)
     }
 
-    /// [`SkipTrie::remove_batch`] over a pre-sorted index selection, with per-key
-    /// outcomes (see [`SkipTrie::insert_batch_picked_flags`]): writes `out[i]` to
-    /// the value this call removed under `keys[i]` (`None` if absent) for each
-    /// picked `i`.
-    pub(crate) fn remove_batch_picked_values(
-        &self,
-        keys: &[u64],
-        order: &[usize],
-        out: &mut [Option<V>],
-    ) {
+    /// [`SkipTrie::remove_batch`] over a pre-sorted index selection (see
+    /// [`SkipTrie::insert_batch_picked`]): returns how many of the picked keys
+    /// this call removed.
+    pub(crate) fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
         let guard = self.skiplist.pin();
         let mut hint: Option<NodeRef<'_, V>> = None;
+        let mut removed = 0;
         for &i in order {
             let key = keys[i];
             let start = self.batch_start(hint, key, &guard);
-            out[i] = self.try_remove_exact(key, Some(start), &guard);
+            removed += usize::from(self.try_remove_exact(key, Some(start), &guard).is_some());
             hint = Some(start);
         }
+        removed
     }
 
     /// Looks up every key of `keys`, returning the values **in input order**
@@ -715,7 +694,7 @@ where
     }
 
     /// [`SkipTrie::get_batch`] over a pre-sorted index selection, writing each result
-    /// to `out[i]` for input index `i` (see [`SkipTrie::insert_batch_picked_flags`]).
+    /// to `out[i]` for input index `i` (see [`SkipTrie::insert_batch_picked`]).
     pub(crate) fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
         let guard = self.skiplist.pin();
         let mut hint: Option<NodeRef<'_, V>> = None;

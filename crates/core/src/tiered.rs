@@ -1009,9 +1009,7 @@ where
     /// Panics if any key does not fit in the configured universe.
     pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
         let order: Vec<usize> = (0..entries.len()).collect();
-        let mut inserted = vec![false; entries.len()];
-        self.insert_batch_picked_flags(entries, &order, &mut inserted);
-        inserted.into_iter().filter(|&flag| flag).count()
+        self.insert_batch_picked(entries, &order)
     }
 
     /// Batch [`TieredSkipTrie::remove`] (same amortization as
@@ -1022,9 +1020,7 @@ where
     /// Panics if any key does not fit in the configured universe.
     pub fn remove_batch(&self, keys: &[u64]) -> usize {
         let order: Vec<usize> = (0..keys.len()).collect();
-        let mut removed = vec![None; keys.len()];
-        self.remove_batch_picked_values(keys, &order, &mut removed);
-        removed.iter().flatten().count()
+        self.remove_batch_picked(keys, &order)
     }
 
     /// Batch [`TieredSkipTrie::get`]: pins and loads the published tiers once
@@ -1044,44 +1040,33 @@ where
     /// Insert of a picked batch group: `order` indexes into `entries` and is the
     /// sequence the picked entries apply in (a shard's group arrives key-sorted;
     /// [`TieredSkipTrie::insert_batch`] passes slice order). One pin + one tiers
-    /// resolution for the group; writes `out[i] = true` for each picked `i` this
-    /// call inserted, so a coalesced execution still answers every request
-    /// individually.
-    pub(crate) fn insert_batch_picked_flags(
-        &self,
-        entries: &[(u64, V)],
-        order: &[usize],
-        out: &mut [bool],
-    ) {
+    /// resolution for the group; returns how many picked entries this call
+    /// inserted.
+    pub(crate) fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
         for &i in order {
             self.check_key(entries[i].0);
         }
         self.with_tiers(|t| {
-            for &i in order {
-                let (key, value) = &entries[i];
-                out[i] = self.insert_in(t, *key, value);
-            }
-        });
+            order
+                .iter()
+                .filter(|&&i| self.insert_in(t, entries[i].0, &entries[i].1))
+                .count()
+        })
     }
 
     /// Remove of a picked batch group (see
-    /// [`TieredSkipTrie::insert_batch_picked_flags`]): writes `out[i]` to the
-    /// value this call removed under `keys[i]` (`None` if absent) for each
-    /// picked `i`.
-    pub(crate) fn remove_batch_picked_values(
-        &self,
-        keys: &[u64],
-        order: &[usize],
-        out: &mut [Option<V>],
-    ) {
+    /// [`TieredSkipTrie::insert_batch_picked`]): returns how many picked keys
+    /// this call removed.
+    pub(crate) fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
         for &i in order {
             self.check_key(keys[i]);
         }
         self.with_tiers(|t| {
-            for &i in order {
-                out[i] = self.remove_in(t, keys[i]);
-            }
-        });
+            order
+                .iter()
+                .filter(|&&i| self.remove_in(t, keys[i]).is_some())
+                .count()
+        })
     }
 
     /// Lookup of a shard's picked batch group, answering `out[i]` for each picked

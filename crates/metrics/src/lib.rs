@@ -112,11 +112,10 @@ pub use stopwatch::Stopwatch;
 ///   queues are bounded, so overload sheds instead of growing memory. Exact
 ///   asserts on these are only sound in test binaries where no other test drives
 ///   a service concurrently (process-wide counters; use `>=` deltas elsewhere).
-/// * [`Counter::SvcBatchSize`] — total requests executed through a coalesced
-///   batch call (`get_batch`/`insert_batch_flags`/`remove_batch_values`), i.e.
-///   the sum of batch lengths ≥ 2; divide by the number of `TierHit`-style batch
-///   executions a harness counts itself to get a mean. Same isolation caveat as
-///   the other service counters.
+/// * [`Counter::SvcBatchSize`] — no longer recorded: the serving pipeline runs
+///   every request on its own. The variant stays only because `perfbench`
+///   (frozen outside `benchmark` PRs) names it, so its `service.coalesced_frac`
+///   reads 0 until a `benchmark` PR drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Counter {

@@ -4,16 +4,16 @@
 //! operation — point, ordered, range, pop or bulk — enters as a [`Request`]
 //! (a [`Verb`] plus the caller's *virtual* send time), is routed by the top
 //! key bits to a shared-nothing **thread-per-shard** executor over bounded
-//! SPSC mailboxes, optionally coalesced with its queue neighbours into the
-//! router's batch entry points, and leaves as a [`Response`] carrying enough
-//! timestamps to report both coordinated-omission-inclusive and
-//! service-time-only latency per [`OpClass`].
+//! SPSC mailboxes, executed there by the one function that turns a [`Verb`]
+//! into a [`Reply`], and leaves as a [`Response`] carrying enough timestamps
+//! to report both coordinated-omission-inclusive and service-time-only
+//! latency per [`OpClass`].
 //!
 //! Bounded queues make overload a *measured* state instead of a hidden one:
 //! admission rejects requests past the per-lane in-flight cap
-//! ([`ServiceConfig::queue_cap`]), and the `SvcEnqueued` / `SvcShed` /
-//! `SvcBatchSize` counters in `skiptrie-metrics` expose exactly how much was
-//! accepted, refused and coalesced.
+//! ([`ServiceConfig::queue_cap`]), and the `SvcEnqueued` / `SvcShed`
+//! counters in `skiptrie-metrics` expose exactly how much was accepted and
+//! refused.
 //!
 //! Entry points: build a [`Service`] over an `Arc<ShardedSkipTrie<u64, E>>`
 //! (e.g. a `TieredForest`'s router), open one [`Connection`] per client

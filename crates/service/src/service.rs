@@ -1,5 +1,5 @@
 //! The serving pipeline: thread-per-shard executors behind bounded SPSC
-//! mailboxes, with per-connection coalescing and admission-based backpressure.
+//! mailboxes, one execution path and admission-based backpressure.
 //!
 //! # Architecture
 //!
@@ -22,13 +22,11 @@
 //!   rejects the request ([`Connection::submit`] returns it) and bumps
 //!   [`Counter::SvcShed`]. Nothing in the pipeline blocks or grows without
 //!   bound.
-//! * **Coalescing.** A worker drains each lane in FIFO order up to
-//!   `coalesce` requests per pass and executes *adjacent runs of same-kind
-//!   point verbs* through the router's batch entry points
-//!   (`get_batch` / `insert_batch_flags` / `remove_batch_values`), which sort
-//!   once and thread successor hints through each shard run. Replies stay
-//!   per-request exact. Runs of length ≥ 2 bump [`Counter::SvcBatchSize`] by
-//!   the run length.
+//! * **One execution path.** A worker visits its lanes round-robin, pops up to
+//!   [`LANE_VISIT`] requests from each in FIFO order and executes and answers
+//!   them one at a time through `execute_verb` — the same function the fenced
+//!   verbs run through. The bound is there for fairness, not batching: it caps
+//!   how long one deep lane keeps the worker from its neighbours.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -37,7 +35,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use skiptrie::{ShardEngine, ShardedSkipTrie, WakeGate};
-use skiptrie_metrics::{add, record, Counter, LatencyClasses};
+use skiptrie_metrics::{record, Counter, LatencyClasses};
 
 use crate::request::{OpClass, Reply, Request, Response, Verb};
 use crate::spsc::Spsc;
@@ -48,17 +46,15 @@ pub struct ServiceConfig {
     /// Per-(connection, shard) in-flight bound; both mailbox rings are sized
     /// to this. Rounded up to a power of two.
     pub queue_cap: usize,
-    /// Max requests a worker drains from one lane per pass (= max coalesced
-    /// run length).
-    pub coalesce: usize,
 }
+
+/// Requests a worker serves from one lane before it moves to the next: what
+/// keeps one deep lane from starving its neighbours on the same shard.
+const LANE_VISIT: usize = 64;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            queue_cap: 1024,
-            coalesce: 64,
-        }
+        ServiceConfig { queue_cap: 1024 }
     }
 }
 
@@ -83,12 +79,13 @@ struct Lane {
 /// and the worker thread itself.
 #[derive(Default)]
 struct WorkerSlot {
-    /// Lanes registered by connections. Workers keep a local snapshot and only
-    /// take this lock when `version` moves.
+    /// Lanes of the live connections: `connect` registers, the connection's
+    /// drop unregisters. Workers keep a local snapshot and only take this lock
+    /// when `version` moves.
     lanes: Mutex<Vec<Arc<Lane>>>,
     version: AtomicUsize,
-    /// The idle worker sleeps here; whoever pushes a request, registers a lane
-    /// or raises `stop` wakes it afterwards.
+    /// The idle worker sleeps here; whoever pushes a request, registers or
+    /// unregisters a lane, or raises `stop` wakes it afterwards.
     idle: WakeGate,
 }
 
@@ -110,9 +107,10 @@ impl<E: ShardEngine<u64>> Shared<E> {
         self.start.elapsed().as_nanos() as u64
     }
 
-    /// Executes one verb against the router. Single entry point shared by the
-    /// shard workers (routed verbs) and the connections (fenced verbs), so
-    /// pipeline and direct execution cannot drift apart semantically.
+    /// Executes one verb against the router: the only place a [`Verb`] becomes
+    /// a [`Reply`], for the shard workers (routed verbs) and the connections
+    /// (fenced verbs) alike, so pipeline and direct execution cannot drift
+    /// apart semantically.
     fn execute_verb(&self, verb: &Verb) -> Reply {
         match verb {
             Verb::Get(key) => Reply::Value(self.router.get(*key)),
@@ -146,23 +144,6 @@ impl<E: ShardEngine<u64>> Shared<E> {
     }
 }
 
-/// Which batchable point kind a verb is, for run coalescing.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PointKind {
-    Get,
-    Insert,
-    Remove,
-}
-
-fn point_kind(verb: &Verb) -> Option<PointKind> {
-    match verb {
-        Verb::Get(_) => Some(PointKind::Get),
-        Verb::Insert(_, _) => Some(PointKind::Insert),
-        Verb::Remove(_) => Some(PointKind::Remove),
-        _ => None,
-    }
-}
-
 /// The serving pipeline over a shard router. See the [crate docs](crate) for
 /// the architecture; construct with [`Service::new`] and open per-thread
 /// [`Connection`]s with [`Service::connect`].
@@ -178,7 +159,6 @@ impl<E: ShardEngine<u64>> Service<E> {
     /// Spawns one worker thread per shard of `router`.
     pub fn new(router: Arc<ShardedSkipTrie<u64, E>>, config: ServiceConfig) -> Self {
         assert!(config.queue_cap > 0, "queue_cap must be positive");
-        assert!(config.coalesce > 0, "coalesce must be positive");
         let shards = router.shard_count();
         let labels = OpClass::labels();
         let shared = Arc::new(Shared {
@@ -296,6 +276,11 @@ impl LaneState {
 /// Responses for routed verbs arrive in per-shard FIFO order; fenced verbs
 /// (pop / caller-supplied batch) complete before `submit` returns and are
 /// delivered by the next `poll`.
+///
+/// Dropping the connection waits for the requests it was admitted to execute
+/// (their responses are discarded), then unregisters its lanes from every
+/// shard worker, so a long-lived service keeps only its live connections'
+/// mailboxes.
 pub struct Connection<E: ShardEngine<u64>> {
     shared: Arc<Shared<E>>,
     lanes: Vec<LaneState>,
@@ -443,12 +428,27 @@ impl<E: ShardEngine<u64>> Connection<E> {
     }
 }
 
+impl<E: ShardEngine<u64>> Drop for Connection<E> {
+    fn drop(&mut self) {
+        // Admitted requests still execute — the promise `Service`'s drop makes
+        // too; only then may the workers forget the lanes.
+        self.fence();
+        for (slot, state) in self.shared.workers.iter().zip(&self.lanes) {
+            // A poisoned list means a worker died; there is nothing to tidy.
+            if let Ok(mut lanes) = slot.lanes.lock() {
+                lanes.retain(|lane| !Arc::ptr_eq(lane, &state.lane));
+            }
+            slot.version.fetch_add(1, Ordering::Release);
+            slot.idle.wake();
+        }
+    }
+}
+
 /// Body of one shard worker thread.
 fn worker_loop<E: ShardEngine<u64>>(shared: &Shared<E>, shard: usize) {
     let slot = &shared.workers[shard];
     let mut lanes: Vec<Arc<Lane>> = Vec::new();
     let mut seen_version = usize::MAX;
-    let mut batch: Vec<Envelope> = Vec::with_capacity(shared.config.coalesce);
     loop {
         let version = slot.version.load(Ordering::Acquire);
         if version != seen_version {
@@ -457,7 +457,7 @@ fn worker_loop<E: ShardEngine<u64>>(shared: &Shared<E>, shard: usize) {
         }
         let mut did_work = false;
         for lane in &lanes {
-            did_work |= serve_lane(shared, lane, &mut batch);
+            did_work |= serve_lane(shared, lane);
         }
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -474,106 +474,20 @@ fn worker_loop<E: ShardEngine<u64>>(shared: &Shared<E>, shard: usize) {
     // executed, so a `wait_idle` racing shutdown cannot hang.
     let lanes = slot.lanes.lock().unwrap().clone();
     for lane in &lanes {
-        while serve_lane(shared, lane, &mut batch) {}
+        while serve_lane(shared, lane) {}
     }
 }
 
-/// Drains up to `coalesce` requests from one lane and executes them,
-/// coalescing adjacent same-kind point runs through the router's batch entry
-/// points. Returns whether any request was served.
-fn serve_lane<E: ShardEngine<u64>>(
-    shared: &Shared<E>,
-    lane: &Lane,
-    batch: &mut Vec<Envelope>,
-) -> bool {
-    batch.clear();
-    while batch.len() < shared.config.coalesce {
-        match lane.requests.pop() {
-            Some(envelope) => batch.push(envelope),
-            None => break,
-        }
+/// One visit to a lane: executes and answers up to [`LANE_VISIT`] requests in
+/// FIFO order. Returns whether any request was served.
+fn serve_lane<E: ShardEngine<u64>>(shared: &Shared<E>, lane: &Lane) -> bool {
+    let mut served = false;
+    for envelope in std::iter::from_fn(|| lane.requests.pop()).take(LANE_VISIT) {
+        let reply = shared.execute_verb(&envelope.verb);
+        complete(shared, lane, &envelope, reply);
+        served = true;
     }
-    if batch.is_empty() {
-        return false;
-    }
-    let mut start = 0;
-    while start < batch.len() {
-        let kind = point_kind(&batch[start].verb);
-        let mut end = start + 1;
-        if let Some(kind) = kind {
-            while end < batch.len() && point_kind(&batch[end].verb) == Some(kind) {
-                end += 1;
-            }
-        }
-        if end - start >= 2 {
-            execute_run(
-                shared,
-                lane,
-                &batch[start..end],
-                kind.expect("runs are point verbs"),
-            );
-        } else {
-            let envelope = &batch[start];
-            let reply = shared.execute_verb(&envelope.verb);
-            complete(shared, lane, envelope, reply);
-        }
-        start = end;
-    }
-    true
-}
-
-/// Executes a coalesced run of same-kind point verbs via one router batch
-/// call, keeping replies per-request exact.
-fn execute_run<E: ShardEngine<u64>>(
-    shared: &Shared<E>,
-    lane: &Lane,
-    run: &[Envelope],
-    kind: PointKind,
-) {
-    add(Counter::SvcBatchSize, run.len() as u64);
-    match kind {
-        PointKind::Get => {
-            let keys: Vec<u64> = run
-                .iter()
-                .map(|envelope| match envelope.verb {
-                    Verb::Get(key) => key,
-                    _ => unreachable!("run kind is Get"),
-                })
-                .collect();
-            let values = shared.router.get_batch(&keys);
-            for (envelope, value) in run.iter().zip(values) {
-                complete(shared, lane, envelope, Reply::Value(value));
-            }
-        }
-        PointKind::Insert => {
-            let entries: Vec<(u64, u64)> = run
-                .iter()
-                .map(|envelope| match envelope.verb {
-                    Verb::Insert(key, value) => (key, value),
-                    _ => unreachable!("run kind is Insert"),
-                })
-                .collect();
-            let mut flags = vec![false; entries.len()];
-            shared.router.insert_batch_flags(&entries, &mut flags);
-            for (envelope, inserted) in run.iter().zip(flags) {
-                complete(shared, lane, envelope, Reply::Inserted(inserted));
-            }
-        }
-        PointKind::Remove => {
-            let keys: Vec<u64> = run
-                .iter()
-                .map(|envelope| match envelope.verb {
-                    Verb::Remove(key) => key,
-                    _ => unreachable!("run kind is Remove"),
-                })
-                .collect();
-            let mut values = vec![None; keys.len()];
-            shared.router.remove_batch_values(&keys, &mut values);
-            for (envelope, value) in run.iter().zip(values) {
-                complete(shared, lane, envelope, Reply::Removed(value));
-            }
-        }
-    }
+    served
 }
 
 /// Publishes one response: timestamps, latency recording, response ring push,
@@ -598,4 +512,42 @@ fn complete<E: ShardEngine<u64>>(
         .push(response)
         .unwrap_or_else(|_| panic!("admission bound keeps the response ring non-full"));
     lane.completed.fetch_add(1, Ordering::Release);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use skiptrie::ShardedSkipTrieConfig;
+
+    #[test]
+    fn dropped_connections_unregister_their_lanes() {
+        let router = Arc::new(ShardedSkipTrie::<u64>::new(
+            ShardedSkipTrieConfig::for_universe_bits(16).with_shards(2),
+        ));
+        let service = Service::new(Arc::clone(&router), ServiceConfig::default());
+        let submit_insert = |key: u64| {
+            let mut conn = service.connect();
+            let submit_ns = conn.now_ns();
+            conn.submit(Request {
+                verb: Verb::Insert(key, key),
+                submit_ns,
+            })
+            .expect("an empty lane admits the request");
+            conn
+        };
+        for cycle in 0..200u64 {
+            // Alternate shards so both workers see lanes come and go; the
+            // connection is dropped with its request possibly still queued.
+            drop(submit_insert(((cycle % 2) << 15) | cycle));
+        }
+        for slot in &service.shared.workers {
+            assert!(
+                slot.lanes.lock().unwrap().is_empty(),
+                "a dropped connection left its lane registered"
+            );
+        }
+        assert_eq!(router.len(), 200, "admitted requests ran before teardown");
+        let replies = submit_insert(0).wait_idle();
+        assert_eq!(replies[0].reply, Reply::Inserted(false));
+    }
 }

@@ -1,6 +1,6 @@
 //! Property-based observational equivalence: an arbitrary interleaved request
 //! script pushed through the serving pipeline (thread-per-shard workers,
-//! bounded mailboxes, run coalescing) returns exactly the replies that direct
+//! bounded mailboxes) returns exactly the replies that direct
 //! calls on a plain forest return, and leaves the same final contents.
 //!
 //! The script is built from chunks whose internal reorderings are all
@@ -124,7 +124,6 @@ proptest! {
     #[test]
     fn pipeline_is_observationally_direct(
         watermark in 1usize..=8,
-        coalesce in 1usize..=8,
         seed_keys in proptest::collection::vec(any::<u64>(), 0..30),
         chunks in proptest::collection::vec(chunk(), 1..12),
     ) {
@@ -147,10 +146,7 @@ proptest! {
                 .with_seed(7),
             &seeded,
         );
-        let service = Service::new(
-            forest.router(),
-            ServiceConfig { queue_cap: 256, coalesce },
-        );
+        let service = Service::new(forest.router(), ServiceConfig { queue_cap: 256 });
         let mut conn = service.connect();
         for chunk in &chunks {
             let verbs: &[Verb] = match chunk {

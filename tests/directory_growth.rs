@@ -16,6 +16,10 @@ fn growable() -> DirectoryConfig {
     DirectoryConfig::default().with_segment_bits(4)
 }
 
+/// `metrics::measure` restores the process-wide recording flag when it ends,
+/// which switches recording off under any other `measure` still running.
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn concurrent_map_growth_never_loses_a_key() {
     let map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_directory(growable());
@@ -33,6 +37,7 @@ fn concurrent_map_growth_never_loses_a_key() {
     let per_writer = scaled(20_000) as u64;
     let writers_done = AtomicUsize::new(0);
     let start_height = map.directory_height();
+    let _measuring = MEASURING.lock().unwrap();
     let ((), delta) = metrics::measure(|| {
         Workload::new(0xd1)
             .workers(writers, |ctx| {
@@ -146,6 +151,7 @@ fn trie_probes_stay_correct_while_the_prefix_directory_grows() {
 
 #[test]
 fn dropping_a_grown_map_frees_every_tree_level() {
+    let _measuring = MEASURING.lock().unwrap();
     let ((), _) = metrics::measure(|| {
         let map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_directory(growable());
         for i in 0..scaled(30_000) as u64 {

@@ -3,7 +3,7 @@
 //! fold shards underneath, and admission turns overload into counted sheds
 //! instead of unbounded queues.
 //!
-//! Counter notes: `SvcEnqueued` / `SvcShed` / `SvcBatchSize` are process-wide,
+//! Counter notes: `SvcEnqueued` / `SvcShed` are process-wide,
 //! so the exact-delta asserts here are only sound because (a) this file is its
 //! own test binary and (b) every test that drives a service serializes on
 //! [`SERVICE_LOCK`] and measures with `Snapshot::since`.
@@ -31,13 +31,7 @@ fn concurrent_connections_agree_with_thread_local_models() {
             .with_shards(4)
             .with_merge_watermark(512),
     );
-    let service = Service::new(
-        forest.router(),
-        ServiceConfig {
-            queue_cap: 64,
-            coalesce: 8,
-        },
-    );
+    let service = Service::new(forest.router(), ServiceConfig { queue_cap: 64 });
     std::thread::scope(|scope| {
         for thread in 0..THREADS {
             let service = &service;
@@ -109,10 +103,7 @@ fn admission_sheds_exactly_past_the_lane_cap() {
     ));
     let service = Service::new(
         std::sync::Arc::clone(&router),
-        ServiceConfig {
-            queue_cap: 4,
-            coalesce: 8,
-        },
+        ServiceConfig { queue_cap: 4 },
     );
     let before = metrics::snapshot();
     let mut conn = service.connect();
@@ -153,37 +144,38 @@ fn admission_sheds_exactly_past_the_lane_cap() {
 }
 
 #[test]
-fn coalescing_batches_queued_neighbours() {
+fn a_burst_into_one_lane_is_answered_once_each() {
     let _guard = SERVICE_LOCK.lock().unwrap();
     metrics::set_enabled(true);
+    const BURST: u64 = 200;
     let router = std::sync::Arc::new(ShardedSkipTrie::<u64>::new(
         ShardedSkipTrieConfig::for_universe_bits(16).with_shards(1),
     ));
     let service = Service::new(
         std::sync::Arc::clone(&router),
-        ServiceConfig {
-            queue_cap: 256,
-            coalesce: 16,
-        },
+        ServiceConfig { queue_cap: 256 },
     );
     let before = metrics::snapshot();
     let mut conn = service.connect();
-    // A burst of 64 inserts into one lane: the worker must drain them in runs
-    // of up to 16 and execute each run through `insert_batch_flags`. Exact run
-    // boundaries depend on scheduling, but every coalesced request is counted,
-    // so SvcBatchSize lands between "everything coalesced" and zero; with a
-    // burst this dense, singleton-only service would be a coalescing bug for
-    // all but the first and last run.
-    for i in 0..64u64 {
-        let submit_ns = conn.now_ns();
-        conn.submit(Request {
-            verb: Verb::Insert(i, i),
-            submit_ns,
+    // More requests than one lane visit serves, all in one lane: the worker
+    // comes back for the rest, and per-lane FIFO makes the responses arrive
+    // in submit order.
+    let seqs: Vec<u64> = (0..BURST)
+        .map(|i| {
+            let submit_ns = conn.now_ns();
+            conn.submit(Request {
+                verb: Verb::Insert(i, i),
+                submit_ns,
+            })
+            .expect("cap 256 admits the whole burst")
         })
-        .expect("cap 256 admits the whole burst");
-    }
+        .collect();
     let responses = conn.wait_idle();
-    assert_eq!(responses.len(), 64);
+    assert_eq!(
+        responses.iter().map(|r| r.seq).collect::<Vec<_>>(),
+        seqs,
+        "one response per request, in submit order"
+    );
     for response in &responses {
         assert_eq!(
             response.reply,
@@ -191,14 +183,10 @@ fn coalescing_batches_queued_neighbours() {
             "fresh keys all insert"
         );
     }
-    assert_eq!(router.len(), 64);
+    assert_eq!(router.len() as u64, BURST);
     let delta = metrics::snapshot().since(&before);
-    assert_eq!(delta.get(Counter::SvcEnqueued), 64);
+    assert_eq!(delta.get(Counter::SvcEnqueued), BURST);
     assert_eq!(delta.get(Counter::SvcShed), 0);
-    assert!(
-        delta.get(Counter::SvcBatchSize) <= 64,
-        "coalesced ops are a subset of the burst"
-    );
     // Latency recording covered every request, in both timebases.
     let virtual_count: u64 = service
         .virtual_latency()
@@ -206,8 +194,56 @@ fn coalescing_batches_queued_neighbours() {
         .iter()
         .map(|(_, h)| h.count())
         .sum();
-    assert!(virtual_count >= 64);
+    assert!(virtual_count >= BURST);
     metrics::set_enabled(false);
+}
+
+#[test]
+fn a_deep_lane_does_not_starve_its_neighbour() {
+    let _guard = SERVICE_LOCK.lock().unwrap();
+    const KEYS: u64 = 1 << 16;
+    const FLOOD: usize = 256;
+    let entries: Vec<(u64, u64)> = (0..KEYS).map(|k| (k, k)).collect();
+    let router = std::sync::Arc::new(ShardedSkipTrie::<u64>::from_sorted(
+        ShardedSkipTrieConfig::for_universe_bits(16).with_shards(1),
+        &entries,
+    ));
+    let service = Service::new(router, ServiceConfig::default());
+    let mut flooder = service.connect();
+    let mut neighbour = service.connect();
+    // Both lanes are registered before the flood, so the worker alternates
+    // between them; the flood is hundreds of times the work of the `Get`.
+    for _ in 0..FLOOD {
+        let submit_ns = flooder.now_ns();
+        flooder
+            .submit(Request {
+                verb: Verb::Scan {
+                    from: 0,
+                    limit: 2_000,
+                },
+                submit_ns,
+            })
+            .expect("the default cap admits the flood");
+    }
+    let submit_ns = neighbour.now_ns();
+    neighbour
+        .submit(Request {
+            verb: Verb::Get(7),
+            submit_ns,
+        })
+        .expect("an empty lane admits the request");
+    let got = neighbour.wait_idle();
+    assert_eq!(got.len(), 1);
+    assert_eq!(got[0].reply, Reply::Value(Some(7)));
+    let flood = flooder.wait_idle();
+    assert_eq!(flood.len(), FLOOD);
+    let last_flood_done = flood.iter().map(|r| r.done_ns).max().unwrap();
+    // A worker that drained a lane to empty before moving on would answer the
+    // `Get` only after all 256 scans.
+    assert!(
+        got[0].done_ns < last_flood_done,
+        "the neighbour's request waited out the whole flood"
+    );
 }
 
 #[test]
