@@ -6,14 +6,16 @@
 //! `u = 2^32` and sweeps `m`, reporting mean shared-memory steps per query for the
 //! SkipTrie and the full-height lock-free skiplist baseline, plus wall-clock ns/op for
 //! all three structures (the locked B-tree cannot be step-instrumented, its work
-//! happens inside `std`).
+//! happens inside `std`). The SkipTrie is measured twice: as built, and again after
+//! `m` churn operations have turned half its key set over (the `aged` column) — the
+//! bound is a claim about the structure in service, not about a fresh build.
 //!
-//! Expected shape: the SkipTrie row stays flat as `m` grows 100× while the skiplist
-//! row grows roughly like `log m`.
+//! Expected shape: both SkipTrie columns stay flat as `m` grows 100× while the
+//! skiplist row grows roughly like `log m`.
 
 use skiptrie::{SkipTrie, SkipTrieConfig};
 use skiptrie_baselines::{FullSkipList, LockedBTreeMap};
-use skiptrie_bench::{measure_steps, prefill, print_table, scaled, OrderedKv};
+use skiptrie_bench::{churn, measure_steps, prefill, print_table, scaled, OrderedKv};
 use skiptrie_workloads::WorkloadSpec;
 
 fn ns_per_op(map: &dyn OrderedKv<u64>, ops: &[skiptrie_workloads::Op]) -> f64 {
@@ -35,7 +37,7 @@ fn main() {
     let mut rows = Vec::new();
     for &m in &sizes {
         let spec = WorkloadSpec::read_only(UNIVERSE_BITS, m, queries, 0xE1);
-        let keys = spec.prefill_keys();
+        let mut keys = spec.prefill_keys();
         let ops = spec.thread_ops(0);
 
         let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(UNIVERSE_BITS));
@@ -52,9 +54,13 @@ fn main() {
         prefill(&btree, &keys);
         let bt_ns = ns_per_op(&btree, &ops);
 
+        churn(&trie, &mut keys, m, UNIVERSE_BITS, 0xA6ED);
+        let aged_steps = measure_steps(&trie, &ops);
+
         rows.push(vec![
             m.to_string(),
             format!("{:.1}", trie_steps.traversal_steps_per_op),
+            format!("{:.1}", aged_steps.traversal_steps_per_op),
             format!("{:.1}", trie_steps.hash_ops_per_op),
             format!("{:.1}", sl_steps.traversal_steps_per_op),
             format!("{:.1}", (m as f64).log2()),
@@ -69,6 +75,7 @@ fn main() {
         &[
             "m",
             "skiptrie_steps/op",
+            "skiptrie_steps_aged/op",
             "skiptrie_hash_probes/op",
             "skiplist_steps/op",
             "log2(m)",
@@ -78,6 +85,9 @@ fn main() {
         ],
         &rows,
     );
-    println!("expectation: skiptrie steps stay ~flat in m; skiplist steps grow ~with log2(m).");
+    println!(
+        "expectation: skiptrie steps stay ~flat in m, fresh and aged alike; skiplist steps grow \
+         ~with log2(m)."
+    );
     skiptrie_bench::write_json_summary("e1_steps_vs_m");
 }

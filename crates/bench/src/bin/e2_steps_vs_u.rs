@@ -3,7 +3,8 @@
 //! Paper claim: the SkipTrie's search depth is `O(log log u)` — doubling the key width
 //! `b = log u` adds only one expected skiplist level and one hash probe to the binary
 //! search, while an `m`-dependent structure is unaffected by `b`. This binary fixes
-//! `m` and sweeps `b ∈ {8, 16, 24, 32, 48, 64}`.
+//! `m` and sweeps `b ∈ {8, 16, 24, 32, 48, 64}`, measuring the SkipTrie as built and
+//! again after `m` churn operations have turned half its key set over (`aged`).
 //!
 //! Expected shape: SkipTrie hash probes grow like `log2(b)` (3 → 6) and total steps
 //! grow very slowly; the skiplist baseline's cost is flat in `b` but much larger
@@ -11,7 +12,7 @@
 
 use skiptrie::{SkipTrie, SkipTrieConfig};
 use skiptrie_baselines::FullSkipList;
-use skiptrie_bench::{measure_steps, prefill, print_table, scaled};
+use skiptrie_bench::{churn, measure_steps, prefill, print_table, scaled};
 use skiptrie_workloads::WorkloadSpec;
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
         let capacity = if b >= 63 { u64::MAX } else { (1u64 << b) - 1 };
         let prefill_size = m.min((capacity / 2) as usize);
         let spec = WorkloadSpec::read_only(b, prefill_size, queries, 0xE2);
-        let keys = spec.prefill_keys();
+        let mut keys = spec.prefill_keys();
         let ops = spec.thread_ops(0);
 
         let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(b));
@@ -37,6 +38,9 @@ fn main() {
         prefill(&skiplist, &keys);
         let sl_steps = measure_steps(&skiplist, &ops);
 
+        churn(&trie, &mut keys, prefill_size, b, 0xA6ED);
+        let aged_steps = measure_steps(&trie, &ops);
+
         let levels = skiptrie::levels_for_universe_bits(b);
         rows.push(vec![
             b.to_string(),
@@ -44,6 +48,7 @@ fn main() {
             prefill_size.to_string(),
             format!("{:.1}", trie_steps.hash_ops_per_op),
             format!("{:.1}", trie_steps.traversal_steps_per_op),
+            format!("{:.1}", aged_steps.traversal_steps_per_op),
             format!("{:.1}", sl_steps.traversal_steps_per_op),
         ]);
     }
@@ -56,6 +61,7 @@ fn main() {
             "m",
             "skiptrie_hash_probes/op",
             "skiptrie_steps/op",
+            "skiptrie_steps_aged/op",
             "full_skiplist_steps/op",
         ],
         &rows,

@@ -53,6 +53,37 @@ pub fn prefill(map: &(impl OrderedKv<u64> + ?Sized), keys: &[u64]) {
     }
 }
 
+/// Ages a prefilled structure in place with `ops` churn operations: alternately a
+/// random live key is removed and a fresh uniform key of the universe inserted, so
+/// the size stays put while the key set turns over and the removed towers' memory
+/// comes back, through the pool, on other levels. `keys` is the live key set and is
+/// kept current. The step-count experiments measure again afterwards: a bound that
+/// holds on a fresh build only is not the paper's.
+pub fn churn(
+    map: &(impl OrderedKv<u64> + ?Sized),
+    keys: &mut [u64],
+    ops: usize,
+    universe_bits: u32,
+    seed: u64,
+) {
+    let mask = if universe_bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << universe_bits) - 1
+    };
+    let mut rng = skiptrie_workloads::SplitMix64::new(seed);
+    for _ in 0..ops / 2 {
+        let slot = rng.next_below(keys.len() as u64) as usize;
+        map.remove(keys[slot]);
+        keys[slot] = loop {
+            let fresh = rng.next() & mask;
+            if map.insert(fresh, fresh) {
+                break fresh;
+            }
+        };
+    }
+}
+
 /// Result of a timed multi-threaded workload run.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputResult {

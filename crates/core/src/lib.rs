@@ -849,6 +849,13 @@ where
     pub fn check_traversal_integrity(&self) -> usize {
         self.skiplist.check_traversal_integrity()
     }
+
+    /// Quiescent audit of the top level's `prev` guides: `(checked, inexact,
+    /// dangling)`. See
+    /// [`SkipList::check_prev_guides`](skiptrie_skiplist::SkipList::check_prev_guides).
+    pub fn check_prev_guides(&self) -> (usize, usize, usize) {
+        self.skiplist.check_prev_guides()
+    }
 }
 
 impl<V> Drop for SkipTrie<V> {

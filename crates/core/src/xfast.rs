@@ -187,6 +187,11 @@ where
             }
             size /= 2;
         }
+        if ancestor.is_head() {
+            // No probed pointer was usable: the descent starts at the head sentinel.
+            // Right on an empty top level, an `O(top-level length)` walk otherwise.
+            metrics::record(Counter::AncestorIsHead);
+        }
         ancestor
     }
 

@@ -116,6 +116,27 @@ pub use stopwatch::Stopwatch;
 ///   every request on its own. The variant stays only because `perfbench`
 ///   (frozen outside `benchmark` PRs) names it, so its `service.coalesced_frac`
 ///   reads 0 until a `benchmark` PR drops both.
+/// * [`Counter::GuideOffLevel`] / [`Counter::GuideTail`] / [`Counter::GuideNull`] /
+///   [`Counter::GuideNotSmaller`] — *dangling guides*, by cause: a top-level walk
+///   (Algorithm 4, or a search's start validation) was handed a guide — a trie
+///   pointer, a `prev` or a `back` — that names a node which has left the top
+///   level, a tail sentinel, nothing at all, or a key not smaller than its
+///   owner's. The quiescent invariant (every top-level `prev` is the exact
+///   predecessor) makes all four read 0 single-threaded; under concurrency each
+///   is paid once per guide, because the reader heals what it resolves
+///   ([`Counter::GuideHealed`]).
+/// * [`Counter::GuideHealed`] — dangling `prev` guides a reader repaired in place
+///   (one DCSS) after resolving them with a top-level search.
+/// * [`Counter::WalkHopLimit`] — guide walks that gave up after the hop limit and
+///   restarted from the head sentinel.
+/// * [`Counter::AncestorIsHead`] — `LowestAncestor` searches that found no usable
+///   trie pointer and returned the head sentinel (expected on an empty top
+///   level; a performance bug anywhere else).
+/// * [`Counter::StartHintRejected`] — top-level searches whose start hint was
+///   unusable (wrong level, a tail) and restarted from the head sentinel.
+/// * [`Counter::FixPrevGaveUp`] / [`Counter::TopRepairGaveUp`] — `fixPrev` calls
+///   and delete-side successor repairs that ran out of attempts and left a guide
+///   for a reader to heal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Counter {
@@ -152,11 +173,21 @@ pub enum Counter {
     SvcEnqueued,
     SvcShed,
     SvcBatchSize,
+    GuideOffLevel,
+    GuideTail,
+    GuideNull,
+    GuideNotSmaller,
+    GuideHealed,
+    WalkHopLimit,
+    AncestorIsHead,
+    StartHintRejected,
+    FixPrevGaveUp,
+    TopRepairGaveUp,
 }
 
 impl Counter {
     /// All counters, in a stable order used for display and serialization.
-    pub const ALL: [Counter; 33] = [
+    pub const ALL: [Counter; 43] = [
         Counter::PtrRead,
         Counter::HashOp,
         Counter::CasAttempt,
@@ -190,6 +221,16 @@ impl Counter {
         Counter::SvcEnqueued,
         Counter::SvcShed,
         Counter::SvcBatchSize,
+        Counter::GuideOffLevel,
+        Counter::GuideTail,
+        Counter::GuideNull,
+        Counter::GuideNotSmaller,
+        Counter::GuideHealed,
+        Counter::WalkHopLimit,
+        Counter::AncestorIsHead,
+        Counter::StartHintRejected,
+        Counter::FixPrevGaveUp,
+        Counter::TopRepairGaveUp,
     ];
 
     /// Number of distinct counters.
@@ -238,6 +279,16 @@ impl Counter {
             Counter::SvcEnqueued => "svc_enqueued",
             Counter::SvcShed => "svc_shed",
             Counter::SvcBatchSize => "svc_batch_size",
+            Counter::GuideOffLevel => "guide_off_level",
+            Counter::GuideTail => "guide_tail",
+            Counter::GuideNull => "guide_null",
+            Counter::GuideNotSmaller => "guide_not_smaller",
+            Counter::GuideHealed => "guide_healed",
+            Counter::WalkHopLimit => "walk_hop_limit",
+            Counter::AncestorIsHead => "ancestor_is_head",
+            Counter::StartHintRejected => "start_hint_rejected",
+            Counter::FixPrevGaveUp => "fix_prev_gave_up",
+            Counter::TopRepairGaveUp => "top_repair_gave_up",
         }
     }
 }
@@ -349,6 +400,12 @@ impl Snapshot {
 
     /// Total *traversal* steps: pointer reads plus hash operations. This is the
     /// quantity the paper's `O(log log u + c)` bound talks about for searches.
+    ///
+    /// The fallback-cause counters (`Guide*`, [`Counter::WalkHopLimit`],
+    /// [`Counter::AncestorIsHead`], [`Counter::StartHintRejected`] and the two
+    /// give-ups) are *events*, not steps, and are left out: the steps such an
+    /// event causes are already counted as the pointer reads of the search that
+    /// resolves it.
     pub fn traversal_steps(&self) -> u64 {
         self.get(Counter::PtrRead)
             + self.get(Counter::HashOp)

@@ -71,6 +71,7 @@ mod tests {
 
     #[test]
     fn spin_records_retry_and_backoff_counters() {
+        let _serial = crate::metrics_serial();
         let (_, delta) = metrics::measure(|| {
             let mut b = Backoff::new();
             b.spin(); // retry only: window still empty

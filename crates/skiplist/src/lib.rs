@@ -16,7 +16,10 @@
 //! * **Doubly-linked top level.** Top-level nodes carry `prev` guide pointers
 //!   maintained by `fixPrev` (Section 3, Algorithm 1); linearizability relies only on
 //!   the forward direction, and transient gaps are tolerated exactly as the paper
-//!   describes (Figure 2).
+//!   describes (Figure 2). At quiescence every `prev` is its node's exact
+//!   predecessor ([`SkipList::check_prev_guides`]): an insert fixes its own guide
+//!   and its successor's, a delete its successor's, and a reader heals a dangling
+//!   guide it is handed.
 //! * **DCSS-guarded pointer swings.** Tower raises and `prev` updates are conditioned
 //!   on the target tower's packed status word (incarnation + STOP) using the software
 //!   DCSS from [`skiptrie_atomics`], or plain CAS in the fallback mode.
@@ -630,6 +633,44 @@ where
         drop(guard);
         checked
     }
+
+    /// Audits the top level's `prev` guides under one pin: `(checked, inexact,
+    /// dangling)`. **Quiescent-only** — concurrent updates legitimately leave the
+    /// transient gaps of the paper's Figure 2.
+    ///
+    /// A guide is *exact* when it names the node's actual top-level predecessor (the
+    /// head sentinel for the first node): the quiescent invariant inserts and
+    /// deletes maintain between them, so `inexact` is 0 after any single-threaded
+    /// history. An inexact guide is *dangling* when a walk could not even follow it:
+    /// it is null, or names a tail, a node that has left the top level, or a key
+    /// that is not smaller. Readers heal those as they meet them, so after
+    /// concurrent churn `dangling` is 0 once every top-level key has been queried.
+    pub fn check_prev_guides(&self) -> (usize, usize, usize) {
+        let guard = self.pin();
+        let top = self.top_level();
+        let (mut checked, mut inexact, mut dangling) = (0usize, 0usize, 0usize);
+        let mut pred_word = tagged::pack(self.head(top) as *const Node<V>);
+        self.walk_level(top, &guard, |node| {
+            checked += 1;
+            let word = skiptrie_atomics::dcss::read_resolved(&node.prev, &guard);
+            if word != pred_word {
+                inexact += 1;
+                // SAFETY: pool memory is type-stable, so a stale guide still
+                // references a valid `Node`.
+                let followable = !tagged::is_null(word) && {
+                    let target: &Node<V> = unsafe { &*tagged::unpack(word) };
+                    target.level() == top
+                        && !target.is_tail()
+                        && (target.is_head() || target.key_value() < node.key_value())
+                };
+                if !followable {
+                    dangling += 1;
+                }
+            }
+            pred_word = tagged::pack(node as *const Node<V>);
+        });
+        (checked, inexact, dangling)
+    }
 }
 
 fn init_sentinel<V>(node: &Node<V>, kind: NodeKind, level: u8, orig_height: u8) {
@@ -665,6 +706,17 @@ impl<V> Drop for SkipList<V> {
             }
         }
     }
+}
+
+/// Serializes the unit tests that read the process-wide step counters:
+/// `metrics::measure` restores the recording flag on exit, which would switch a
+/// sibling's measurement off half way.
+#[cfg(test)]
+pub(crate) fn metrics_serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

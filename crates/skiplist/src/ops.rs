@@ -310,9 +310,23 @@ where
             }
         }
 
-        // Phase 3: a new top-level node joins the doubly-linked list (Section 3).
+        // Phase 3: a new top-level node joins the doubly-linked list (Section 3,
+        // Algorithm 1) — in both directions. Its own `prev` becomes its predecessor,
+        // and it becomes its successor's `prev`: that guide still names our
+        // predecessor, and left alone it outlives the predecessor's deletion (whose
+        // repair stops at the first node behind it — us), to dangle from then on.
         if let Some(node) = top_node {
             self.fix_prev(top_pred, node, guard);
+            let succ_word = tagged::untagged(read_resolved(&node.next, guard));
+            if !tagged::is_null(succ_word) {
+                // SAFETY: read from a link of a node we published under this pin, so
+                // the successor was linked during the pin and cannot be recycled
+                // before it ends.
+                let succ: &Node<V> = unsafe { &*tagged::unpack(succ_word) };
+                if succ.is_data() {
+                    self.fix_prev(Some(node), succ, guard);
+                }
+            }
         }
         InsertOutcome::Inserted {
             top_node: top_node.map(NodeRef::new),
@@ -341,7 +355,11 @@ where
             if !std::ptr::eq(right, node) {
                 // `node` is no longer (or not yet) the first node at its key — it has
                 // been removed or replaced; only keep trying while it is live.
-                if node.is_marked(guard) || attempts > 64 {
+                if node.is_marked(guard) {
+                    return;
+                }
+                if attempts > 64 {
+                    metrics::record(Counter::FixPrevGaveUp);
                     return;
                 }
                 hint = left;
@@ -382,22 +400,24 @@ where
     }
 
     /// One-shot best-effort repair making `right.prev` point to `left` (the paper's
-    /// `makeDone` before the delete-side trie swing). Exposed for the x-fast trie.
-    pub fn ensure_prev(&self, left: NodeRef<'_, V>, right: NodeRef<'_, V>, guard: &Guard) {
+    /// `makeDone` before the delete-side trie swing, and a reader's repair of a
+    /// dangling guide). Returns `true` if this call swung the guide. Exposed for the
+    /// x-fast trie.
+    pub fn ensure_prev(&self, left: NodeRef<'_, V>, right: NodeRef<'_, V>, guard: &Guard) -> bool {
         if right.node.is_tail() || right.node.is_head() {
-            return;
+            return false;
         }
         let node_prev = read_resolved(&right.node.prev, guard);
         let desired = left.packed();
         if node_prev == desired {
-            return;
+            return false;
         }
         let left_status = left.status();
         if left_status & STATUS_STOP != 0 {
-            return;
+            return false;
         }
         // SAFETY: the guard word is `left`'s status, kept valid by the pool.
-        let _ = unsafe {
+        unsafe {
             dcss(
                 &right.node.prev,
                 node_prev,
@@ -407,7 +427,8 @@ where
                 self.config.mode,
                 guard,
             )
-        };
+        }
+        .is_ok()
     }
 
     /// After removing the top-level node `node`, repair the `prev` guide of its
@@ -424,7 +445,11 @@ where
                 return;
             }
             self.fix_prev(Some(left), right, guard);
-            if !right.is_marked(guard) || attempts > 64 {
+            if !right.is_marked(guard) {
+                return;
+            }
+            if attempts > 64 {
+                metrics::record(Counter::TopRepairGaveUp);
                 return;
             }
         }
@@ -846,34 +871,42 @@ mod tests {
         for key in 0..4_000u64 {
             list.insert(key, key);
         }
-        let guard = list.pin();
-        let top_keys = list.top_level_keys();
-        assert!(
-            top_keys.len() > 1,
-            "need at least two top nodes for this test"
+        let (checked, inexact, _) = list.check_prev_guides();
+        assert!(checked > 1, "need at least two top nodes for this test");
+        assert_eq!(
+            inexact, 0,
+            "after the build every guide names its predecessor"
         );
-        // Walk the top level and check that each node's prev guide points to a node
-        // with a strictly smaller key (or the head) once the structure is quiescent.
-        let (_, mut node) = list.top_list_search(0, None, &guard);
-        let mut checked = 0;
-        while node.is_data() {
-            let prev_word = read_resolved(&node.node.prev, &guard);
-            if !tagged::is_null(prev_word) {
-                // SAFETY: test runs single-threaded; nodes are alive.
-                let prev: &Node<u64> = unsafe { &*tagged::unpack(prev_word) };
-                assert!(
-                    prev.is_head() || prev.key_value() < node.key(),
-                    "prev guide must strictly decrease"
-                );
-                checked += 1;
+
+        // Turn the key set over several times, single-threaded: every top-level node
+        // is deleted and its memory comes back on some other level, new top-level
+        // nodes are linked between old ones, and each guide must still name its
+        // node's actual predecessor — a guide left on a deleted node would pass a
+        // "keys decrease" check by luck and dangle as soon as the node is recycled.
+        let mut state = 0x9E37_79B9_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for _ in 0..60_000 {
+            let key = next() % 8_000;
+            if next().is_multiple_of(2) {
+                list.insert(key, key);
+            } else {
+                list.remove(key);
             }
-            let (_, next) = list.top_list_search(node.key() + 1, Some(node), &guard);
-            if !next.is_data() {
-                break;
-            }
-            node = next;
         }
-        assert!(checked > 0, "at least some prev guides were set");
+        let (_, recycled, _) = list.allocation_stats();
+        assert!(recycled > 4 * 4_000, "the churn recycled the node set over");
+        let (checked, inexact, dangling) = list.check_prev_guides();
+        assert!(checked > 1, "the churn left a populated top level");
+        assert_eq!(
+            (inexact, dangling),
+            (0, 0),
+            "of {checked} top-level guides after single-threaded churn"
+        );
     }
 
     #[test]

@@ -12,8 +12,17 @@ use crate::node::{Node, NodeRef};
 use crate::SkipList;
 
 /// How many `back`/`prev` hops a guide walk follows before giving up and restarting
-/// from the head sentinel. The bound only matters under pathological recycling races;
-/// falling back to the head is always correct, merely slower.
+/// from the head sentinel ([`Counter::WalkHopLimit`]).
+///
+/// At quiescence every top-level node's `prev` is its exact top-level predecessor.
+/// Three parties maintain that: an insert fixes its own `prev` *and its
+/// successor's* (Algorithm 1), a delete fixes its successor's (Algorithm 2), and a
+/// reader that is handed a dangling guide resolves it with one top-level search
+/// and repairs it in place (`follow_guide`). So a walk is a handful of hops, and a
+/// restart from the head is not a safe default but an `O(top-level length)` cost
+/// that must stay an accident: every path to it has its own counter, and the one
+/// that used to recur — a guide left naming a recycled node — is paid once per
+/// guide, not once per query.
 const WALK_HOP_LIMIT: usize = 256;
 /// After this many whole-search restarts, `list_search` starts over from the level's
 /// head sentinel instead of the caller's hint.
@@ -23,15 +32,82 @@ impl<V> SkipList<V>
 where
     V: Clone + Send + Sync + 'static,
 {
+    /// True — and counted by cause — if a guide's `target` cannot be followed on the
+    /// top level: it is a tail sentinel, it has left the top level (a recycled node
+    /// living on another level), or its key is not smaller than `below`, the key of
+    /// the node the guide belongs to (`None` for a trie pointer, which may name any
+    /// top-level key).
+    fn is_dangling(&self, target: &Node<V>, below: Option<u64>) -> bool {
+        if target.is_tail() {
+            metrics::record(Counter::GuideTail);
+        } else if target.level() != self.top_level() {
+            metrics::record(Counter::GuideOffLevel);
+        } else if target.is_data() && below.is_some_and(|bound| target.key_value() >= bound) {
+            metrics::record(Counter::GuideNotSmaller);
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Follows one top-level guide out of `from` — its `back` pointer if `from` is
+    /// marked, its `prev` otherwise — to a top-level node (or the head sentinel)
+    /// whose key is smaller than `from`'s.
+    ///
+    /// A guide that names nothing, a tail, a node that has left the top level or a
+    /// key that is not smaller is *dangling*: its target was deleted and recycled
+    /// while the guide still named it. It is counted by cause. A dangling `back`
+    /// (on a node already deleted itself) falls back to the head. A dangling `prev`
+    /// sits on a live node that later queries will be handed again, so it is
+    /// resolved by one search for `from`'s own key and repaired in place with
+    /// [`SkipList::ensure_prev`] — the paper's helping idiom, one DCSS — which
+    /// makes the search a cost per guide instead of per query.
+    fn follow_guide<'g>(
+        &'g self,
+        from: &'g Node<V>,
+        marked: bool,
+        guard: &'g Guard,
+    ) -> &'g Node<V> {
+        let word = if marked {
+            metrics::record(Counter::BackPointerFollowed);
+            from.back.load(Ordering::SeqCst)
+        } else {
+            metrics::record(Counter::PrevPointerFollowed);
+            read_resolved(&from.prev, guard)
+        };
+        if tagged::is_null(word) {
+            metrics::record(Counter::GuideNull);
+        } else {
+            // SAFETY: guides reference nodes of this structure; the pool keeps the
+            // memory valid, and a recycled target is what the check below rejects.
+            let target: &Node<V> = unsafe { &*tagged::unpack(word) };
+            if !self.is_dangling(target, Some(from.key_value())) {
+                return target;
+            }
+        }
+        let top = self.top_level();
+        if marked {
+            return self.head(top);
+        }
+        let (left, right) = self.list_search(top, from.key_value(), self.head(top), guard);
+        if std::ptr::eq(right, from)
+            && self.ensure_prev(NodeRef::new(left), NodeRef::new(from), guard)
+        {
+            metrics::record(Counter::GuideHealed);
+        }
+        left
+    }
+
     /// Turns a start hint into a usable traversal start for `level`: a node on that
     /// level that is (best-effort) unmarked and has key `< x`. Marked hints retreat
-    /// along their `back` pointer; live hints whose key is not strictly below `x`
-    /// retreat along the top level's `prev` guide — the x-fast walk stops at
+    /// along their `back` pointer; live top-level hints whose key is not strictly
+    /// below `x` retreat along the `prev` guide — the x-fast walk stops at
     /// `key <= x` (Algorithm 4), so a query for a key that is itself linked on the
     /// top level arrives here pointing at its own node, and discarding that hint
     /// would turn every present-top-level-key query into an O(n) walk from the head
-    /// sentinel. Falls back to the head whenever no guide is available (lower levels
-    /// keep `prev` null) or the walk looks unproductive.
+    /// sentinel. Falls back to the head when the hint is not on this level
+    /// ([`Counter::StartHintRejected`] on the top level), when a lower level offers
+    /// no guide (only the top level keeps `prev`), or at the hop limit.
     fn valid_start<'g>(
         &'g self,
         level: u8,
@@ -43,6 +119,7 @@ where
         if attempt > SEARCH_RESTART_LIMIT {
             return self.head(level);
         }
+        let on_top = level == self.top_level();
         let mut node = start;
         let mut hops = 0usize;
         loop {
@@ -51,30 +128,36 @@ where
             }
             // Wrong level or a tail: the hint cannot be used on this level.
             if node.level() != level || node.is_tail() {
+                if on_top {
+                    metrics::record(Counter::StartHintRejected);
+                }
                 return self.head(level);
             }
-            let next = read_resolved(&node.next, guard);
-            let marked = tagged::is_marked(next);
+            let marked = node.is_marked(guard);
             if !marked && !node.key_ge(x) {
                 return node;
             }
-            let hop = if marked {
-                // The hint is logically deleted: retreat along its back pointer.
-                metrics::record(Counter::BackPointerFollowed);
-                node.back.load(Ordering::SeqCst)
-            } else {
-                // Live but key >= x (exact-match hint): retreat one `prev` guide.
-                metrics::record(Counter::PrevPointerFollowed);
-                read_resolved(&node.prev, guard)
-            };
             hops += 1;
-            if tagged::is_null(hop) || hops > WALK_HOP_LIMIT {
+            if hops > WALK_HOP_LIMIT {
+                metrics::record(Counter::WalkHopLimit);
                 return self.head(level);
             }
-            // SAFETY: `back`/`prev` guides reference nodes of this structure; the
-            // pool keeps the memory valid and poisoned fields route us to the head
-            // above.
-            node = unsafe { &*tagged::unpack(hop) };
+            if on_top {
+                node = self.follow_guide(node, marked, guard);
+                continue;
+            }
+            if !marked {
+                return self.head(level);
+            }
+            // The hint is logically deleted: retreat along its back pointer.
+            metrics::record(Counter::BackPointerFollowed);
+            let back = node.back.load(Ordering::SeqCst);
+            if tagged::is_null(back) {
+                return self.head(level);
+            }
+            // SAFETY: `back` references a node of this structure; the pool keeps the
+            // memory valid and poisoned fields route us to the head above.
+            node = unsafe { &*tagged::unpack(back) };
         }
     }
 
@@ -183,42 +266,33 @@ where
 
     /// The walk of Algorithm 4 (`xFastTriePred`): starting from a (possibly marked,
     /// possibly stale) top-level hint, follow `back` pointers of marked nodes and
-    /// `prev` guides of unmarked nodes until reaching a node whose key is `<= key`,
-    /// falling back to the head sentinel if the walk looks unproductive.
+    /// `prev` guides of unmarked nodes until reaching a node whose key is `<= key`.
+    /// Dangling guides are counted, resolved and healed on the way (see
+    /// `follow_guide`); a stale `start` (the trie's pointer is the walk's first
+    /// guide, and only the trie can repair it) and the hop limit fall back to the
+    /// head sentinel, each under its own counter.
     pub fn walk_to_le<'g>(
         &'g self,
         key: u64,
         start: NodeRef<'g, V>,
         guard: &'g Guard,
     ) -> NodeRef<'g, V> {
-        let top = self.top_level();
+        let head = self.head(self.top_level());
         let mut curr: &Node<V> = start.node;
+        if self.is_dangling(curr, None) {
+            return NodeRef::new(head);
+        }
         let mut hops = 0usize;
         loop {
-            if curr.is_head() {
-                return NodeRef::new(self.head(top));
-            }
-            if curr.level() != top || curr.is_tail() {
-                // Stale hint (recycled node now living at another level, or poisoned
-                // pooled memory): restart from the sentinel.
-                return NodeRef::new(self.head(top));
-            }
-            if curr.key_value() <= key {
+            if curr.is_head() || curr.key_value() <= key {
                 return NodeRef::new(curr);
             }
-            let hop = if curr.is_marked(guard) {
-                metrics::record(Counter::BackPointerFollowed);
-                curr.back.load(Ordering::SeqCst)
-            } else {
-                metrics::record(Counter::PrevPointerFollowed);
-                read_resolved(&curr.prev, guard)
-            };
             hops += 1;
-            if tagged::is_null(hop) || hops > WALK_HOP_LIMIT {
-                return NodeRef::new(self.head(top));
+            if hops > WALK_HOP_LIMIT {
+                metrics::record(Counter::WalkHopLimit);
+                return NodeRef::new(head);
             }
-            // SAFETY: guides reference nodes of this structure; pool keeps them valid.
-            curr = unsafe { &*tagged::unpack(hop) };
+            curr = self.follow_guide(curr, curr.is_marked(guard), guard);
         }
     }
 
@@ -235,5 +309,64 @@ where
         let start_node = start.map(|r| r.node).unwrap_or_else(|| self.head(top));
         let (l, r) = self.list_search(top, key, start_node, guard);
         (NodeRef::new(l), NodeRef::new(r))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SkipListConfig;
+
+    /// Breaks one top-level guide each of the four ways a recycled target can break
+    /// it and checks what the first reader to follow it does: it still arrives at the
+    /// node's actual predecessor, it counts the cause, and it leaves the guide exact —
+    /// so the second reader pays nothing.
+    #[test]
+    fn a_dangling_guide_is_counted_resolved_and_healed_by_its_first_reader() {
+        let _serial = crate::metrics_serial();
+        let list: SkipList<u64> = SkipList::new(SkipListConfig::for_universe_bits(32).with_seed(5));
+        for key in 0..4_000u64 {
+            list.insert(key * 2, key);
+        }
+        let top = list.top_level();
+        let top_keys = list.top_level_keys();
+        let mid = top_keys.len() / 2;
+        assert!(mid >= 1, "need a top-level node with a data predecessor");
+        let guard = list.pin();
+        let (_, victim) = list.list_search(top, top_keys[mid], list.head(top), &guard);
+        assert_eq!(victim.key_value(), top_keys[mid]);
+        let n = top_keys.len();
+        let broken_guides = [
+            (tagged::NULL, Counter::GuideNull),
+            (
+                tagged::pack(list.head(0) as *const Node<u64>),
+                Counter::GuideOffLevel,
+            ),
+            (
+                tagged::pack(list.tail(top) as *const Node<u64>),
+                Counter::GuideTail,
+            ),
+            (
+                tagged::pack(victim as *const Node<u64>),
+                Counter::GuideNotSmaller,
+            ),
+        ];
+        for (broken, cause) in broken_guides {
+            victim.prev.store(broken, Ordering::SeqCst);
+            assert_eq!(list.check_prev_guides(), (n, 1, 1), "{cause}");
+            let (arrived, first) = metrics::measure(|| {
+                list.walk_to_le(top_keys[mid] - 1, NodeRef::new(victim), &guard)
+                    .key()
+            });
+            assert_eq!(arrived, top_keys[mid - 1], "{cause}");
+            assert!(first.get(cause) >= 1 && first.get(Counter::GuideHealed) >= 1);
+            assert_eq!(list.check_prev_guides(), (n, 0, 0), "{cause}: healed");
+            let (arrived, second) = metrics::measure(|| {
+                list.walk_to_le(top_keys[mid] - 1, NodeRef::new(victim), &guard)
+                    .key()
+            });
+            assert_eq!(arrived, top_keys[mid - 1]);
+            assert_eq!(second.get(cause) + second.get(Counter::GuideHealed), 0);
+        }
     }
 }

@@ -87,11 +87,15 @@ fn top_level_spacing_matches_log_u() {
 
 /// After concurrent churn quiesces, the structure is internally consistent: the key
 /// snapshot is sorted and duplicate-free, every top-level key is also present at level
-/// 0, and draining the structure empties every level and the trie.
+/// 0, no top-level guide is left dangling once each has been walked, and draining the
+/// structure empties every level and the trie.
 #[test]
 fn quiescent_state_is_consistent_after_concurrent_churn() {
     let _serial = serial();
-    let trie: Arc<SkipTrie<u64>> = Arc::new(SkipTrie::new(SkipTrieConfig::for_universe_bits(24)));
+    // 32 bits: `LowestAncestor`'s last probe is then the 31-bit prefix, whose pointer
+    // is the queried top-level key's own node, so `predecessor(k)` below is certain to
+    // arrive on k's node and step over k's guide.
+    let trie: Arc<SkipTrie<u64>> = Arc::new(SkipTrie::new(SkipTrieConfig::for_universe_bits(32)));
     std::thread::scope(|scope| {
         for t in 0..6u64 {
             let trie = Arc::clone(&trie);
@@ -122,6 +126,20 @@ fn quiescent_state_is_consistent_after_concurrent_churn() {
             "top-level key {top_key} missing from level 0"
         );
     }
+
+    // An insert's fix of its successor's guide can lose a race with a delete, and
+    // the guide is then left naming a node on its way to the pool. The first query
+    // that follows such a guide heals it, so one query per top-level key leaves none.
+    let (_, inexact_before, dangling_before) = trie.check_prev_guides();
+    for top_key in trie.top_level_keys() {
+        assert_eq!(trie.predecessor(top_key), Some((top_key, top_key)));
+    }
+    let (checked, inexact, dangling) = trie.check_prev_guides();
+    println!(
+        "top level after churn: {checked} guides, {inexact_before} inexact / \
+         {dangling_before} dangling before one query per key, {inexact} / {dangling} after"
+    );
+    assert_eq!(dangling, 0, "of {checked} top-level guides");
 
     // Drain and verify everything collapses.
     for k in keys {
