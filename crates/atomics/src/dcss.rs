@@ -59,7 +59,7 @@
 //! explicitly allows ("after attempting the DCSS some fixed number of times and
 //! aborting, it is permissible to fall back to CAS"). The structures remain
 //! linearizable and memory-safe (the node pool keeps every dereference valid); the
-//! difference is measured by experiment E6.
+//! difference is measured by the `sweep` experiment's `skiptrie-cas` rows.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 

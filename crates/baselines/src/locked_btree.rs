@@ -9,7 +9,7 @@ use skiptrie_skiplist::OrderedKv;
 ///
 /// Depth is `Θ(log m)` and every operation serializes on a single reader-writer lock,
 /// which is exactly the kind of structure whose scaling the SkipTrie paper sets out to
-/// beat. Used as a baseline in experiments E1/E7.
+/// beat. Used as a baseline in experiments `e1` and `sweep`.
 ///
 /// # Examples
 ///
@@ -99,7 +99,7 @@ impl<V: Clone> LockedBTreeMap<V> {
     ///
     /// Unlike the SkipTrie's weakly-consistent scan this is a true snapshot — and
     /// that is exactly its cost: every concurrent writer blocks for the duration of
-    /// the clone-out (the scan-scaling effect experiment E9 measures).
+    /// the clone-out (the `sweep` experiment's scan-heavy rows show the effect).
     pub fn range(&self, range: impl std::ops::RangeBounds<u64>) -> Vec<(u64, V)> {
         self.read()
             .range(range)
@@ -121,7 +121,7 @@ impl<V: Clone> LockedBTreeMap<V> {
     /// Inserts every `key -> value` pair under **one** write-lock hold, returning
     /// how many keys were newly inserted (the locked structure's natural batching
     /// advantage: one lock acquisition amortized over the whole batch — the fair
-    /// baseline for the E10 batched-throughput comparison).
+    /// baseline for batched-throughput comparisons).
     pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
         let mut map = self.write();
         let mut inserted = 0usize;

@@ -6,26 +6,24 @@
 //! at the repository root for the mapping):
 //!
 //! * step-count measurements validating the `O(log log u)` vs `Θ(log m)` separation
-//!   (E1, E2) and the `O(1)` amortized trie maintenance (E3);
-//! * contention and throughput measurements for the `+ c` term (E4, E6, E7);
-//! * space and structural statistics (E5, F1) and the transient prev-gap phenomenon of
-//!   Figure 2 (F2).
+//!   (`e1`, `e2`) and the `O(1)` amortized trie maintenance (`e3`);
+//! * contention and throughput measurements for the `+ c` term (`sweep`);
+//! * space and structural statistics (`e5`, `f1`) and the transient prev-gap
+//!   phenomenon of Figure 2 (`f2`);
+//! * the repository's own mechanisms against their alternatives (`ab`).
 //!
 //! Every structure under test implements [`OrderedKv`], so the same deterministic
 //! workloads ([`skiptrie_workloads`]) drive the SkipTrie and each baseline through
-//! `&dyn OrderedKv<u64>`; bins pair each structure with its table name. The harness
-//! prints plain tab-separated tables that `EXPERIMENTS.md` quotes directly.
+//! `&dyn OrderedKv<u64>`. The one binary, `experiments`, is a table of entries that
+//! each hand back an [`Outcome`]: the [`Table`]s `EXPERIMENTS.md` quotes, and every
+//! expected shape a deterministic column broke. Performance numbers a PR is judged
+//! by come from `perfbench/`, not from here.
 
 #![warn(missing_docs)]
 
-use std::time::Duration;
-
 pub use skiptrie::OrderedKv;
-use skiptrie_metrics::{self as metrics, Counter, Snapshot};
+use skiptrie_metrics::{self as metrics, Counter};
 use skiptrie_workloads::{Op, WorkloadSpec};
-
-/// A structure under test paired with the name its rows carry in result tables.
-pub type Named<'a> = (&'static str, &'a dyn OrderedKv<u64>);
 
 /// Applies one workload operation to a structure (inserts store value = key,
 /// like [`prefill`]).
@@ -89,13 +87,8 @@ pub fn churn(
 pub struct ThroughputResult {
     /// Total operations executed across all threads.
     pub total_ops: u64,
-    /// Wall-clock time of the measured phase.
-    pub elapsed: Duration,
     /// Operations per second.
     pub ops_per_sec: f64,
-    /// Counter deltas accumulated during the measured phase (only populated when
-    /// metrics recording was enabled by the caller).
-    pub steps: Snapshot,
 }
 
 /// Runs the workload's operation streams on `spec.threads` worker threads and reports
@@ -105,7 +98,6 @@ pub fn run_throughput(
     spec: &WorkloadSpec,
 ) -> ThroughputResult {
     let streams: Vec<Vec<Op>> = (0..spec.threads).map(|t| spec.thread_ops(t)).collect();
-    let before = metrics::snapshot();
     let sw = skiptrie_metrics::Stopwatch::start();
     std::thread::scope(|scope| {
         for (index, ops) in streams.iter().enumerate() {
@@ -118,13 +110,10 @@ pub fn run_throughput(
         }
     });
     let elapsed = sw.elapsed();
-    let steps = metrics::snapshot().since(&before);
     let total_ops = spec.total_ops() as u64;
     ThroughputResult {
         total_ops,
-        elapsed,
         ops_per_sec: metrics::ops_per_second(total_ops, elapsed),
-        steps,
     }
 }
 
@@ -140,8 +129,6 @@ pub struct StepReport {
     pub hash_ops_per_op: f64,
     /// Mean CAS/DCSS attempts per operation.
     pub update_steps_per_op: f64,
-    /// Mean contention-attributed steps (failures, helps, restarts) per operation.
-    pub contention_steps_per_op: f64,
     /// Mean x-fast-trie levels crossed per operation (E3's amortization measure).
     pub trie_levels_per_op: f64,
 }
@@ -149,62 +136,134 @@ pub struct StepReport {
 /// Runs `ops` single-threaded with step recording enabled and reports per-operation
 /// means.
 pub fn measure_steps(map: &(impl OrderedKv<u64> + ?Sized), ops: &[Op]) -> StepReport {
-    let was_enabled = metrics::is_enabled();
-    metrics::set_enabled(true);
-    let before = metrics::snapshot();
-    for &op in ops {
-        apply_op(map, op);
-    }
-    let delta = metrics::snapshot().since(&before);
-    metrics::set_enabled(was_enabled);
+    let ((), delta) = metrics::measure(|| {
+        for &op in ops {
+            apply_op(map, op);
+        }
+    });
     let n = ops.len().max(1) as f64;
     StepReport {
         ops: ops.len() as u64,
         traversal_steps_per_op: delta.traversal_steps() as f64 / n,
         hash_ops_per_op: delta.get(Counter::HashOp) as f64 / n,
         update_steps_per_op: delta.update_steps() as f64 / n,
-        contention_steps_per_op: delta.contention_steps() as f64 / n,
         trie_levels_per_op: delta.get(Counter::TrieLevelCrossed) as f64 / n,
     }
 }
 
-/// Prints a tab-separated table with a title line and a header row; rows are quoted
-/// verbatim into `EXPERIMENTS.md`. The table is also recorded so that
-/// [`write_json_summary`] can emit a machine-readable `BENCH_<bin>.json` at exit.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("## {title}");
-    println!("{}", headers.join("\t"));
-    for row in rows {
-        println!("{}", row.join("\t"));
+/// One cell of a result table: numbers stay numbers so the JSON summary carries
+/// them typed; both renderings print a real with its column's fixed precision.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// An exact count.
+    Int(u64),
+    /// A measured value and the number of decimals its column shows.
+    Real(f64, usize),
+    /// A label.
+    Text(String),
+}
+
+/// A [`Cell::Real`] shown with `decimals` decimals.
+pub fn real(value: f64, decimals: usize) -> Cell {
+    Cell::Real(value, decimals)
+}
+
+impl From<usize> for Cell {
+    fn from(n: usize) -> Self {
+        Cell::Int(n as u64)
     }
-    println!();
-    recorded_tables()
-        .lock()
-        .expect("table sink")
-        .push(RecordedTable {
+}
+
+impl From<u64> for Cell {
+    fn from(n: u64) -> Self {
+        Cell::Int(n)
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Self {
+        Cell::Text(s.to_string())
+    }
+}
+
+impl std::fmt::Display for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Cell::Int(n) => write!(f, "{n}"),
+            Cell::Real(v, decimals) => write!(f, "{v:.decimals$}"),
+            Cell::Text(s) => f.write_str(s),
+        }
+    }
+}
+
+impl Cell {
+    /// The cell as a JSON value: a number where it is one (`null` for a
+    /// non-finite real, which JSON cannot spell), a string otherwise.
+    fn to_json(&self) -> String {
+        match self {
+            Cell::Real(v, _) if !v.is_finite() => "null".to_string(),
+            Cell::Int(_) | Cell::Real(..) => self.to_string(),
+            Cell::Text(s) => json_string(s),
+        }
+    }
+}
+
+/// A titled table of [`Cell`] rows.
+#[derive(Debug, Clone)]
+pub struct Table {
+    /// The line printed above the table.
+    pub title: String,
+    /// Column names.
+    pub headers: Vec<&'static str>,
+    /// One `Vec` per row, as wide as `headers`.
+    pub rows: Vec<Vec<Cell>>,
+}
+
+impl Table {
+    /// Prints the table tab-separated, as `EXPERIMENTS.md` quotes it.
+    pub fn print(&self) {
+        println!("## {}", self.title);
+        println!("{}", self.headers.join("\t"));
+        for row in &self.rows {
+            let cells: Vec<String> = row.iter().map(Cell::to_string).collect();
+            println!("{}", cells.join("\t"));
+        }
+        println!();
+    }
+}
+
+/// What one experiment hands back: its tables, and the verdict — every expected
+/// shape that a checked (deterministic) column violated. Empty means it held.
+#[derive(Debug, Clone, Default)]
+pub struct Outcome {
+    /// The measured tables, in print order.
+    pub tables: Vec<Table>,
+    /// One line per violated shape, naming the bound and the measured value.
+    pub violations: Vec<String>,
+}
+
+impl Outcome {
+    /// Appends a table.
+    pub fn table(&mut self, title: &str, headers: &[&'static str], rows: Vec<Vec<Cell>>) {
+        self.tables.push(Table {
             title: title.to_string(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows: rows.to_vec(),
+            headers: headers.to_vec(),
+            rows,
         });
+    }
+
+    /// Records `shape` as violated unless `holds`.
+    pub fn expect(&mut self, holds: bool, shape: String) {
+        if !holds {
+            self.violations.push(shape);
+        }
+    }
 }
 
-/// One table captured by [`print_table`] for the JSON summary.
-struct RecordedTable {
-    title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-fn recorded_tables() -> &'static std::sync::Mutex<Vec<RecordedTable>> {
-    static TABLES: std::sync::OnceLock<std::sync::Mutex<Vec<RecordedTable>>> =
-        std::sync::OnceLock::new();
-    TABLES.get_or_init(|| std::sync::Mutex::new(Vec::new()))
-}
-
-/// Minimal JSON string escaping (the summary is emitted by hand; the payload is
-/// all strings and numbers-as-strings).
-fn json_escape(s: &str) -> String {
+/// A JSON string literal for `s`.
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -216,30 +275,63 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
-fn json_string_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    format!("[{}]", quoted.join(","))
+/// The short hash of the checked-out commit, or `"unknown"` outside a git checkout.
+fn git_sha() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .and_then(|text| text.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".into())
 }
 
-/// Writes every table printed so far to `BENCH_<bin>.json` if the `SKIPTRIE_JSON`
-/// environment variable is set, giving CI a machine-readable bench trajectory next to
-/// the human-readable TSV. `SKIPTRIE_JSON` names a directory (created if missing)
-/// unless it ends in `.json`, in which case it is used as the file path directly.
-/// Failures are reported on stderr but never abort the experiment. Every `e*`/`f*`
-/// binary calls this once at the end of `main`.
-pub fn write_json_summary(bin: &str) {
-    let Ok(target) = std::env::var("SKIPTRIE_JSON") else {
+/// A JSON array of `items`, each rendered by `each`.
+fn json_array<T>(items: &[T], each: impl Fn(&T) -> String) -> String {
+    let parts: Vec<String> = items.iter().map(each).collect();
+    format!("[{}]", parts.join(","))
+}
+
+/// The machine-readable summary of a run: a header naming the commit, the host's
+/// `nproc` and the scale, then each experiment's tables (numeric cells as JSON
+/// numbers) and violated shapes.
+pub fn json_summary(outcomes: &[(&str, Outcome)]) -> String {
+    let experiments = json_array(outcomes, |(id, outcome)| {
+        let tables = json_array(&outcome.tables, |t| {
+            format!(
+                "{{\"title\":{},\"headers\":{},\"rows\":{}}}",
+                json_string(&t.title),
+                json_array(&t.headers, |h| json_string(h)),
+                json_array(&t.rows, |row| json_array(row, Cell::to_json))
+            )
+        });
+        format!(
+            "{{\"id\":{},\"tables\":{tables},\"violations\":{}}}",
+            json_string(id),
+            json_array(&outcome.violations, |v| json_string(v))
+        )
+    });
+    format!(
+        "{{\"bin\":\"experiments\",\"git\":{},\"nproc\":{},\"scale\":{},\"experiments\":{experiments}}}\n",
+        json_string(&git_sha()),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        scale()
+    )
+}
+
+/// Writes [`json_summary`] to `BENCH_experiments.json` if the `SKIPTRIE_JSON`
+/// environment variable is set. It names a directory (created if missing) unless
+/// it ends in `.json`, in which case it is the file path itself. Failures are
+/// reported on stderr but never change the run's verdict.
+pub fn write_json_summary(outcomes: &[(&str, Outcome)]) {
+    let Some(target) = env_knob::<String>("SKIPTRIE_JSON") else {
         return;
     };
-    if target.is_empty() {
-        return;
-    }
     let path = if target.ends_with(".json") {
         std::path::PathBuf::from(target)
     } else {
@@ -248,29 +340,9 @@ pub fn write_json_summary(bin: &str) {
             eprintln!("SKIPTRIE_JSON: cannot create {}: {e}", dir.display());
             return;
         }
-        dir.join(format!("BENCH_{bin}.json"))
+        dir.join("BENCH_experiments.json")
     };
-    let tables = recorded_tables().lock().expect("table sink");
-    let mut body = String::new();
-    body.push_str(&format!(
-        "{{\"bin\":\"{}\",\"scale\":{},\"tables\":[",
-        json_escape(bin),
-        scale()
-    ));
-    for (i, t) in tables.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let rows: Vec<String> = t.rows.iter().map(|r| json_string_array(r)).collect();
-        body.push_str(&format!(
-            "{{\"title\":\"{}\",\"headers\":{},\"rows\":[{}]}}",
-            json_escape(&t.title),
-            json_string_array(&t.headers),
-            rows.join(",")
-        ));
-    }
-    body.push_str("]}\n");
-    match std::fs::write(&path, body) {
+    match std::fs::write(&path, json_summary(outcomes)) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("SKIPTRIE_JSON: cannot write {}: {e}", path.display()),
     }
@@ -298,10 +370,10 @@ pub fn max_threads() -> usize {
     }
 }
 
-// The scale and env-parsing knobs live in the shared test/experiment harness;
-// re-exported here so every experiment binary keeps its historical
-// `skiptrie_bench::{scale, scaled}` path (and parses its own knobs loudly).
-pub use skiptrie_workloads::harness::{env_knob, parse_knob, scale, scaled};
+// Every `SKIPTRIE_*` variable is read in `skiptrie_workloads::harness`; the one the
+// experiments size themselves by is re-exported beside the rest of their harness.
+pub use skiptrie_workloads::harness::scaled;
+use skiptrie_workloads::harness::{env_knob, scale};
 
 /// Standard thread counts for sweep experiments: 1, 2, 4, ... up to [`max_threads`].
 pub fn thread_sweep() -> Vec<usize> {
@@ -403,6 +475,27 @@ mod tests {
         // Note: metrics are process-wide, and other tests in this binary may run
         // concurrently, so we do not assert that update counters stayed at zero here.
         assert!(report.update_steps_per_op >= 0.0);
+    }
+
+    #[test]
+    fn json_summary_keeps_numbers_as_numbers() {
+        let mut outcome = Outcome::default();
+        outcome.table(
+            "t \"quoted\"",
+            &["label", "count", "mean", "undefined"],
+            vec![vec![
+                "a\tb".into(),
+                7usize.into(),
+                real(1.26, 1),
+                real(f64::NAN, 2),
+            ]],
+        );
+        outcome.expect(false, "shape broke".into());
+        let json = json_summary(&[("x1", outcome)]);
+        assert!(json.contains(r#""rows":[["a\tb",7,1.3,null]]"#), "{json}");
+        assert!(json.contains(r#""title":"t \"quoted\"""#), "{json}");
+        assert!(json.contains(r#""id":"x1""#) && json.contains(r#""violations":["shape broke"]"#));
+        assert!(json.starts_with(r#"{"bin":"experiments","git":""#) && json.ends_with("}\n"));
     }
 
     #[test]

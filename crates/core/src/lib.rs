@@ -136,7 +136,7 @@ impl SkipTrieConfig {
         }
     }
 
-    /// Overrides the DCSS mode (experiment E6 ablation).
+    /// Overrides the DCSS mode (the `sweep` experiment's `skiptrie-cas` ablation).
     pub fn with_mode(mut self, mode: DcssMode) -> Self {
         self.mode = mode;
         self
@@ -279,7 +279,7 @@ where
     }
 
     /// Current height of the prefix table's bucket-directory segment tree —
-    /// diagnostics for growth tests and the E12 experiment. Grows as the number of
+    /// diagnostics for growth tests and `perfbench`. Grows as the number of
     /// published prefixes crosses each `fanout^height` capacity.
     pub fn prefix_directory_height(&self) -> u32 {
         self.prefixes.directory_height()

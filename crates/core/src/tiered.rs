@@ -81,7 +81,7 @@ use crate::{max_key, SkipTrie, SkipTrieConfig};
 ///   back to a short bounded scan once the window is small. Degrades gracefully
 ///   (still correct, at worst linear convergence) on adversarial distributions.
 ///
-/// A/B numbers live in `EXPERIMENTS.md` §E14.
+/// A/B numbers: the `ab` experiment's last row (`EXPERIMENTS.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrozenSearch {
     /// Branch-free Eytzinger (BFS-layout) binary search — the default.
@@ -1342,7 +1342,7 @@ impl<V: Clone> TieredRangeIter<V> {
     }
 
     /// Advances through at most `limit` entries, returning how many were yielded
-    /// (the scan primitive of the E9/E13 experiments).
+    /// (what `OrderedKv::scan` runs on).
     pub fn count_up_to(&mut self, limit: usize) -> usize {
         let mut n = 0;
         while n < limit && self.next_key().is_some() {

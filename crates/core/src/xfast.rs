@@ -130,7 +130,7 @@ where
     ///
     /// Each probe is one `prefixes.get` — `O(1)` *expected* only while the hash
     /// table's chains stay short, which the growable bucket directory guarantees
-    /// at every size (E12 measures the flatness).
+    /// at every size (experiment `e1`'s flat `steps/op` counts the chain hops).
     pub(crate) fn lowest_ancestor<'g>(&'g self, key: u64, guard: &'g Guard) -> NodeRef<'g, V> {
         let b = self.universe_bits();
         let head = self.skiplist().head_top();

@@ -70,8 +70,8 @@ pub use stopwatch::Stopwatch;
 ///   or delete (used by the amortization experiment E3).
 /// * [`Counter::ShardPopProbe`] / [`Counter::ShardPopSkip`] — shards actually probed
 ///   (a real search-and-remove attempt) versus skipped on a 0 occupancy read by the
-///   sharded forest's `pop_first` / `pop_last` (the drained-forest regression of
-///   experiment E11 pins probes, not pops).
+///   sharded forest's `pop_first` / `pop_last` (`tests/forest_occupancy.rs`, the
+///   drained-forest regression, pins probes, not pops).
 /// * [`Counter::DirGrow`] — successful root-CAS growths of a hash map's segment
 ///   tree (the directory gained one level of height).
 /// * [`Counter::DirNodeAlloc`] / [`Counter::DirNodeFreed`] — directory tree nodes
@@ -80,8 +80,8 @@ pub use stopwatch::Stopwatch;
 ///   reclamation canary pins.
 /// * [`Counter::TierHit`] / [`Counter::TierMissDelta`] — tiered reads served
 ///   entirely from the frozen flat tier (no delta lookup, no epoch pin) versus
-///   reads that had to consult the live delta first; the E13 experiment's measure
-///   of how completely a merge has quiesced the read path.
+///   reads that had to consult the live delta first: how completely a merge has
+///   quiesced the read path (`tests/tier_counters.rs` pins the trajectory).
 /// * [`Counter::TierMerge`] / [`Counter::TierSwap`] — background folds of the live
 ///   delta into a fresh frozen tier, and atomic publications of a new tier state
 ///   (two swaps per merge: the delta seal and the frozen-tier install).
@@ -97,9 +97,9 @@ pub use stopwatch::Stopwatch;
 ///   backlog; per-domain exact gauges live in `crossbeam_epoch::domain_stats`.
 /// * [`Counter::GarbageHwm`] — increments of the per-domain pending-garbage
 ///   high-water mark, recorded whenever a domain's backlog reaches a new maximum;
-///   the snapshot value is therefore the *sum* of every domain's HWM. The E15
-///   stall experiment's headline number: bounded for the hazard substrate, growing
-///   with churn for EBR while a reader stalls.
+///   the snapshot value is therefore the *sum* of every domain's HWM. Bounded for
+///   the hazard substrate, growing with churn for EBR while a reader stalls
+///   (`tests/reclamation_stall.rs`).
 /// * [`Counter::HpProtectRetry`] — hazard-pointer protected reads whose era
 ///   validation failed (the domain clock advanced mid-read) and went around the
 ///   protect→re-validate loop again.

@@ -17,8 +17,9 @@
 //!
 //! Entry points: build a [`Service`] over an `Arc<ShardedSkipTrie<u64, E>>`
 //! (e.g. a `TieredForest`'s router), open one [`Connection`] per client
-//! thread, and drive it open-loop with `skiptrie-workloads`' `LoadDriver`.
-//! See `DESIGN.md` §"Serving pipeline" and experiment E16.
+//! thread, and drive it open-loop against a `skiptrie_workloads::Arrivals`
+//! schedule. See `DESIGN.md` §"Serving pipeline"; `perfbench`'s `serve_open`
+//! workload is the open-loop measurement.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! Request/response vocabulary for the serving pipeline.
 //!
-//! Every operation the pipeline serves — from the closed-loop bench harness to
-//! the open-loop `e16_serving` driver — is expressed as a [`Verb`]. A [`Verb`]
+//! Every operation the pipeline serves — closed-loop or from an open-loop
+//! driver — is expressed as a [`Verb`]. A [`Verb`]
 //! plus the caller's submit timestamp forms a [`Request`]; the executed result
 //! comes back as a [`Response`] carrying the [`Reply`] payload and the three
 //! timestamps (submit, enqueue, done) that make both coordinated-omission-aware

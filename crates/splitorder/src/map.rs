@@ -318,7 +318,7 @@ where
 
     /// Current height of the bucket directory's segment tree (`1..=7`); grows by one
     /// whenever the bucket count outgrows `fanout^height`. Diagnostics for tests and
-    /// the E12 experiment.
+    /// `perfbench` (`splitorder.dir_height`).
     pub fn directory_height(&self) -> u32 {
         self.directory.height()
     }

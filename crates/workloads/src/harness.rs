@@ -90,29 +90,11 @@ pub fn scaled(nominal: usize) -> usize {
     ((nominal as f64 * scale()) as usize).max(16)
 }
 
-/// The shard-count knob for sharding experiments and tests (`SKIPTRIE_SHARDS`,
-/// default `default`, clamped to `1..=65536` and rounded up to a power of two —
-/// the sharded SkipTrie requires a power of two and rejects more than 2^16
-/// shards). The E10 experiment bins and the sharded stress tests read their
-/// forest width through this, so one environment variable re-shapes every
-/// sharded run.
-///
-/// # Panics
-///
-/// Panics if `SKIPTRIE_SHARDS` is set to a malformed or zero value (unset/empty
-/// stays `default`).
-pub fn shards(default: usize) -> usize {
-    let shards = env_knob::<usize>("SKIPTRIE_SHARDS").unwrap_or(default);
-    assert!(shards > 0, "SKIPTRIE_SHARDS must be a positive shard count");
-    shards.min(1 << 16).next_power_of_two()
-}
-
 /// The reclamation-substrate knob (`SKIPTRIE_RECLAIM`): `ebr`/`epoch` for
 /// epoch-based reclamation (the throughput default) or `hp`/`hazard` for the
-/// hazard substrate, whose garbage stays bounded under stalled readers. The E15
-/// experiment bins and the substrate-parameterized soundness tests read their
-/// substrate through this, so one environment variable re-routes every
-/// configured structure's reclamation.
+/// hazard substrate, whose garbage stays bounded under stalled readers. The
+/// substrate-parameterized soundness tests read their substrate through this, so
+/// one environment variable re-routes every configured structure's reclamation.
 ///
 /// # Panics
 ///
@@ -126,7 +108,7 @@ pub fn reclaimer() -> Reclaimer {
 /// The CPU-affinity knob (`SKIPTRIE_PIN_CORES`): a comma-separated core list,
 /// e.g. `SKIPTRIE_PIN_CORES=0,2,4,6`. `None` when unset or empty (no pinning).
 ///
-/// Benchmark bins and [`Workload`] pin worker `i` to `cores[i % cores.len()]`
+/// The `experiments` bin and [`Workload`] pin worker `i` to `cores[i % cores.len()]`
 /// (see [`pin_worker`]), so throughput numbers on multi-socket or SMT hosts
 /// stop depending on where the scheduler happened to place the threads.
 ///
@@ -403,25 +385,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_defaults_and_rounds_to_a_power_of_two() {
-        // The env var is process-global, so only exercise the default path (other
-        // tests in this binary run concurrently); the rounding is pure.
-        if std::env::var("SKIPTRIE_SHARDS").is_err() {
-            assert_eq!(shards(8), 8);
-            assert_eq!(shards(6), 8, "defaults are rounded up too");
-            assert_eq!(shards(1), 1);
-            // Clamped to the forest's 2^16 ceiling before rounding (a huge env
-            // value must not panic the forest constructor — or the rounding).
-            assert_eq!(shards(100_000), 1 << 16);
-            assert_eq!(shards(usize::MAX), 1 << 16);
-        }
-    }
-
-    #[test]
     fn knobs_parse_valid_values() {
         assert_eq!(parse_knob::<f64>("SKIPTRIE_SCALE", "2.5"), 2.5);
-        assert_eq!(parse_knob::<usize>("SKIPTRIE_SHARDS", "8"), 8);
-        assert_eq!(parse_knob::<u64>("SKIPTRIE_TIER_WATERMARK", "250"), 250);
+        assert_eq!(parse_knob::<usize>("SKIPTRIE_MAX_THREADS", "8"), 8);
         assert_eq!(
             parse_knob::<Reclaimer>("SKIPTRIE_RECLAIM", "hp"),
             Reclaimer::Hazard
@@ -453,12 +419,6 @@ mod tests {
     #[should_panic(expected = "SKIPTRIE_SCALE=\"2x\"")]
     fn malformed_scale_panics_with_name_and_value() {
         parse_knob::<f64>("SKIPTRIE_SCALE", "2x");
-    }
-
-    #[test]
-    #[should_panic(expected = "SKIPTRIE_SHARDS=\"eight\"")]
-    fn malformed_shards_panics_with_name_and_value() {
-        parse_knob::<usize>("SKIPTRIE_SHARDS", "eight");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deterministic workload generation for the SkipTrie experiments.
 //!
-//! Every experiment in `EXPERIMENTS.md` is driven by a [`WorkloadSpec`]: a key
+//! The `experiments` bin drives every structure with a [`WorkloadSpec`]: a key
 //! distribution ([`KeyDist`]), an operation mix ([`OpMix`]), a prefill size and a
 //! per-thread operation count, all derived deterministically from a seed so that runs
 //! are reproducible and every structure under comparison sees exactly the same
@@ -11,35 +11,17 @@
 pub mod harness;
 pub mod load;
 mod rng;
-mod zipf;
 
-pub use load::{Arrivals, LoadDriver, LoadReport, Pacing};
+pub use load::{Arrivals, Pacing};
 pub use rng::SplitMix64;
-pub use zipf::Zipf;
 
 /// How keys are drawn from the universe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDist {
     /// Uniformly random keys over the full `universe_bits`-bit universe.
     Uniform,
-    /// Zipf-distributed ranks mapped over a window of `hot_range` keys — models a
-    /// skewed, contended working set.
-    Zipfian {
-        /// Number of distinct keys in the skewed window.
-        hot_range: u64,
-        /// Skew parameter `theta` (0 = uniform, 0.99 = heavily skewed).
-        theta: f64,
-    },
-    /// Keys drawn from `runs` dense runs of consecutive integers spread over the
-    /// universe — models clustered keys (timestamps, sequential IDs).
-    Clustered {
-        /// Number of dense runs.
-        runs: u64,
-        /// Length of each run.
-        run_len: u64,
-    },
     /// Uniform keys restricted to a small window of `range` consecutive values —
-    /// the high-contention workload of experiment E4.
+    /// the high-contention rows of the `sweep` experiment.
     HotRange {
         /// Width of the hot window.
         range: u64,
@@ -48,32 +30,17 @@ pub enum KeyDist {
     /// *scattered* across the whole universe (a Fibonacci-hash spread of the indices
     /// `0..working_set`). Unlike [`KeyDist::HotRange`] the keys are not consecutive,
     /// so the structure keeps its natural sparse shape, but removes hit with
-    /// probability equal to the steady-state occupancy — the workload of the
-    /// reclamation experiment E8, where updates must actually retire nodes.
+    /// probability equal to the steady-state occupancy — the churn rows of the
+    /// `sweep` experiment, where updates must actually retire nodes.
     ScatteredSet {
         /// Number of distinct keys in the working set.
         working_set: u64,
-    },
-    /// Zipf-distributed **shard index**, uniform key *within* the chosen shard's
-    /// slice of the universe: shard `r` (of `shards` equal slices by top key bits,
-    /// shard 0 hottest) is drawn with Zipf(`theta`) probability, then the low bits
-    /// are uniform. This is the sharding experiment's (E10) skew axis: with
-    /// `theta = 0` traffic spreads evenly and sharding collapses contention; as
-    /// `theta → 1` most traffic lands in shard 0 and a sharded structure degrades
-    /// back toward a single contended trie — making the contention collapse
-    /// *measurable* rather than assumed.
-    ShardSkewedZipf {
-        /// Number of equal universe slices (must be a power of two, at most
-        /// `2^universe_bits`).
-        shards: u64,
-        /// Skew parameter `theta` (0 = uniform over shards, 0.99 = heavily skewed).
-        theta: f64,
     },
 }
 
 impl KeyDist {
     /// Draws a key from the distribution within a `universe_bits`-bit universe.
-    pub fn sample(&self, rng: &mut SplitMix64, zipf: Option<&Zipf>, universe_bits: u32) -> u64 {
+    pub fn sample(&self, rng: &mut SplitMix64, universe_bits: u32) -> u64 {
         let max = if universe_bits >= 64 {
             u64::MAX
         } else {
@@ -81,18 +48,6 @@ impl KeyDist {
         };
         match *self {
             KeyDist::Uniform => rng.next() & max,
-            KeyDist::Zipfian { hot_range, .. } => {
-                let rank = zipf.expect("zipf sampler prepared").sample(rng);
-                // Spread ranks over the universe so neighbouring ranks are not
-                // neighbouring keys (keeps the trie exercised).
-                (rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % hot_range.max(1)) & max
-            }
-            KeyDist::Clustered { runs, run_len } => {
-                let run = rng.next() % runs.max(1);
-                let offset = rng.next() % run_len.max(1);
-                let run_base = (run.wrapping_mul(0xD1B5_4A32_D192_ED03)) & max;
-                run_base.saturating_add(offset) & max
-            }
             KeyDist::HotRange { range } => rng.next() % range.max(1),
             KeyDist::ScatteredSet { working_set } => {
                 let index = rng.next() % working_set.max(1);
@@ -101,48 +56,17 @@ impl KeyDist {
                 // the multiplier is odd).
                 index.wrapping_mul(0x9E37_79B9_7F4A_7C15) & max
             }
-            KeyDist::ShardSkewedZipf { shards, .. } => {
-                let shards = shards.max(1).next_power_of_two();
-                let shard_bits = shards.trailing_zeros().min(universe_bits);
-                let shard = zipf.expect("zipf sampler prepared").sample(rng);
-                let low_bits = universe_bits - shard_bits;
-                // `low_bits == 64` means a single shard over the full 64-bit
-                // universe: the shard index is 0 and the shift would overflow.
-                if low_bits >= 64 {
-                    rng.next()
-                } else {
-                    let low = rng.next() & ((1u64 << low_bits) - 1);
-                    ((shard << low_bits) | low) & max
-                }
-            }
         }
     }
 
     /// How many distinct keys [`KeyDist::sample`] can yield in a
-    /// `universe_bits`-bit universe, saturating at `u64::MAX`. Exact except for
-    /// `Zipfian` (the rank spread may collide) and `Clustered` (runs may
-    /// overlap), where it is an upper bound.
+    /// `universe_bits`-bit universe, saturating at `u64::MAX`.
     fn distinct_keys(&self, universe_bits: u32) -> u64 {
         let universe = 1u64.checked_shl(universe_bits).unwrap_or(u64::MAX);
         match *self {
-            KeyDist::Uniform | KeyDist::ShardSkewedZipf { .. } => universe,
-            KeyDist::Zipfian { hot_range, .. } => hot_range.max(1).min(universe),
-            KeyDist::Clustered { runs, run_len } => {
-                runs.max(1).saturating_mul(run_len.max(1)).min(universe)
-            }
+            KeyDist::Uniform => universe,
             KeyDist::HotRange { range } => range.max(1),
             KeyDist::ScatteredSet { working_set } => working_set.max(1).min(universe),
-        }
-    }
-
-    /// Prepares the auxiliary Zipf sampler if this distribution needs one.
-    pub fn prepare(&self) -> Option<Zipf> {
-        match *self {
-            KeyDist::Zipfian { hot_range, theta } => Some(Zipf::new(hot_range.max(1), theta)),
-            KeyDist::ShardSkewedZipf { shards, theta } => {
-                Some(Zipf::new(shards.max(1).next_power_of_two(), theta))
-            }
-            _ => None,
         }
     }
 }
@@ -166,14 +90,15 @@ pub struct OpMix {
 pub const MAX_SCAN_LIMIT: usize = 128;
 
 impl OpMix {
-    /// 90% predecessor / 9% insert / 1% remove — the read-heavy mix of experiment E7.
+    /// 90% predecessor / 9% insert / 1% remove — the read-heavy mix.
     pub const READ_HEAVY: OpMix = OpMix {
         predecessor_pct: 90,
         insert_pct: 9,
         remove_pct: 1,
         scan_pct: 0,
     };
-    /// 50% predecessor / 25% insert / 25% remove — the update-heavy mix of E7.
+    /// 50% predecessor / 25% insert / 25% remove — the update-heavy mix (the one
+    /// Theorem 4.3's contention term is measured under).
     pub const UPDATE_HEAVY: OpMix = OpMix {
         predecessor_pct: 50,
         insert_pct: 25,
@@ -194,9 +119,8 @@ impl OpMix {
         remove_pct: 50,
         scan_pct: 0,
     };
-    /// 95% predecessor / 4% insert / 1% remove — the read-mostly mix of experiment
-    /// E13: steady-state serving traffic where writes are rare enough for a tiered
-    /// read path's frozen tier to stay warm between merges.
+    /// 95% predecessor / 4% insert / 1% remove — the read-mostly mix: steady-state
+    /// serving traffic, the regime the tiered read path is built for.
     pub const READ_MOSTLY: OpMix = OpMix {
         predecessor_pct: 95,
         insert_pct: 4,
@@ -204,8 +128,8 @@ impl OpMix {
         scan_pct: 0,
     };
     /// 50% range scans / 20% insert / 20% remove / 10% predecessor — the scan-heavy
-    /// mix of experiment E9 (calendar-queue / routing-table shaped traffic: windows
-    /// are walked while the key population churns underneath).
+    /// mix (calendar-queue / routing-table shaped traffic: windows are walked while
+    /// the key population churns underneath).
     pub const SCAN_HEAVY: OpMix = OpMix {
         predecessor_pct: 10,
         insert_pct: 20,
@@ -295,30 +219,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// The ingest-then-serve workload family (experiment E11): a checkpoint-restore
-    /// shaped run whose prefill is a *restored snapshot* of `restored` keys —
-    /// consumed in bulk through [`WorkloadSpec::sorted_prefill_entries`] — followed
-    /// by a read-mostly serve phase ([`OpMix::READ_HEAVY`]) over the same key
-    /// distribution. This is how production systems actually start: not empty, but
-    /// from a checkpoint, with traffic arriving the moment the restore finishes.
-    pub fn ingest_then_serve(
-        universe_bits: u32,
-        restored: usize,
-        ops_per_thread: usize,
-        threads: usize,
-        seed: u64,
-    ) -> Self {
-        WorkloadSpec {
-            universe_bits,
-            prefill: restored,
-            ops_per_thread,
-            threads,
-            dist: KeyDist::Uniform,
-            mix: OpMix::READ_HEAVY,
-            seed,
-        }
-    }
-
     /// The prefill as sorted, strictly increasing `(key, value = key)` entries —
     /// exactly the input shape the bulk loaders (`SkipTrie::bulk_load`,
     /// `ShardedSkipTrie::bulk_load`) consume, and byte-for-byte the key set
@@ -335,7 +235,6 @@ impl WorkloadSpec {
     /// many are asked for.
     pub fn prefill_keys(&self) -> Vec<u64> {
         let mut rng = SplitMix64::new(self.seed ^ 0xbeef_cafe_f00d_0001);
-        let zipf = self.dist.prepare();
         let distinct = self.dist.distinct_keys(self.universe_bits);
         let wanted = self
             .prefill
@@ -343,9 +242,7 @@ impl WorkloadSpec {
         let mut keys = Vec::with_capacity(wanted);
         let mut seen = std::collections::HashSet::with_capacity(wanted * 2);
         while keys.len() < wanted {
-            let k = self
-                .dist
-                .sample(&mut rng, zipf.as_ref(), self.universe_bits);
+            let k = self.dist.sample(&mut rng, self.universe_bits);
             if seen.insert(k) {
                 keys.push(k);
             }
@@ -362,13 +259,10 @@ impl WorkloadSpec {
         assert!(thread < self.threads, "thread index out of range");
         assert!(self.mix.is_valid(), "operation mix must sum to 100");
         let mut rng = SplitMix64::new(self.seed.wrapping_add(thread as u64 + 1));
-        let zipf = self.dist.prepare();
         (0..self.ops_per_thread)
             .map(|_| {
                 let kind = self.mix.pick(rng.next());
-                let key = self
-                    .dist
-                    .sample(&mut rng, zipf.as_ref(), self.universe_bits);
+                let key = self.dist.sample(&mut rng, self.universe_bits);
                 match kind {
                     OpKind::Insert => Op::Insert(key),
                     OpKind::Remove => Op::Remove(key),
@@ -450,10 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn ingest_then_serve_is_restore_shaped() {
-        let spec = WorkloadSpec::ingest_then_serve(20, 2_000, 300, 4, 77);
-        assert_eq!(spec.prefill, 2_000);
-        assert_eq!(spec.mix, OpMix::READ_HEAVY);
+    fn sorted_prefill_entries_are_the_prefill_keys_sorted() {
+        let spec = WorkloadSpec::read_only(20, 2_000, 0, 77);
         let entries = spec.sorted_prefill_entries();
         assert_eq!(entries.len(), 2_000);
         assert!(
@@ -487,7 +379,7 @@ mod tests {
 
     #[test]
     fn prefill_stops_at_the_distributions_support() {
-        // E4's shape: more prefill keys asked for than the hot range holds. The
+        // The sweep's hot-range rows: more prefill keys asked for than the range holds. The
         // call runs on a helper thread so a regression fails here at the
         // deadline instead of hanging the suite.
         let spec = WorkloadSpec {
@@ -514,24 +406,11 @@ mod tests {
         let mut rng = SplitMix64::new(3);
         for dist in [
             KeyDist::Uniform,
-            KeyDist::Zipfian {
-                hot_range: 1_000,
-                theta: 0.99,
-            },
-            KeyDist::Clustered {
-                runs: 10,
-                run_len: 100,
-            },
             KeyDist::HotRange { range: 64 },
             KeyDist::ScatteredSet { working_set: 500 },
-            KeyDist::ShardSkewedZipf {
-                shards: 8,
-                theta: 0.9,
-            },
         ] {
-            let zipf = dist.prepare();
             for _ in 0..10_000 {
-                let k = dist.sample(&mut rng, zipf.as_ref(), 20);
+                let k = dist.sample(&mut rng, 20);
                 assert!(k < (1 << 20), "{dist:?} produced out-of-universe key {k}");
             }
         }
@@ -543,7 +422,7 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..10_000 {
-            seen.insert(dist.sample(&mut rng, None, 32));
+            seen.insert(dist.sample(&mut rng, 32));
         }
         // Bounded working set (each distinct index maps to one distinct key)...
         assert!(seen.len() <= 256);
@@ -558,71 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_skewed_zipf_concentrates_on_low_shards() {
-        let universe_bits = 20u32;
-        let shards = 8u64;
-        let dist = KeyDist::ShardSkewedZipf { shards, theta: 0.9 };
-        let zipf = dist.prepare();
-        let mut rng = SplitMix64::new(17);
-        let mut per_shard = [0usize; 8];
-        let draws = 40_000;
-        for _ in 0..draws {
-            let k = dist.sample(&mut rng, zipf.as_ref(), universe_bits);
-            assert!(k < (1 << universe_bits));
-            per_shard[(k >> (universe_bits - 3)) as usize] += 1;
-        }
-        // Every shard sees some traffic (uniform low bits within a shard), but the
-        // hottest shard dominates under theta = 0.9.
-        assert!(per_shard.iter().all(|&c| c > 0), "{per_shard:?}");
-        assert!(
-            per_shard[0] > draws / 4,
-            "shard 0 should dominate: {per_shard:?}"
-        );
-        // Zipf(theta = 0.9) over 8 ranks puts ~n^0.9 ≈ 6.5x more mass on rank 0
-        // than rank 7.
-        assert!(
-            per_shard[0] > 4 * per_shard[7],
-            "skew must be steep: {per_shard:?}"
-        );
-        // theta = 0 degrades to (roughly) uniform shard traffic.
-        let flat = KeyDist::ShardSkewedZipf { shards, theta: 0.0 };
-        let zipf = flat.prepare();
-        let mut per_shard = [0usize; 8];
-        for _ in 0..draws {
-            let k = flat.sample(&mut rng, zipf.as_ref(), universe_bits);
-            per_shard[(k >> (universe_bits - 3)) as usize] += 1;
-        }
-        let (lo, hi) = (draws / 8 / 2, draws / 8 * 2);
-        assert!(
-            per_shard.iter().all(|&c| (lo..hi).contains(&c)),
-            "theta=0 is near-uniform: {per_shard:?}"
-        );
-    }
-
-    #[test]
-    fn shard_skewed_zipf_single_shard_full_universe() {
-        // Regression: shards = 1 over a 64-bit universe means low_bits = 64; the
-        // shard shift must not execute (debug-build shift overflow).
-        let dist = KeyDist::ShardSkewedZipf {
-            shards: 1,
-            theta: 0.9,
-        };
-        let zipf = dist.prepare();
-        let mut rng = SplitMix64::new(23);
-        let mut distinct = std::collections::HashSet::new();
-        for _ in 0..100 {
-            distinct.insert(dist.sample(&mut rng, zipf.as_ref(), 64));
-        }
-        assert!(distinct.len() > 90, "keys span the full universe");
-    }
-
-    #[test]
     fn hot_range_is_actually_hot() {
         let dist = KeyDist::HotRange { range: 8 };
         let mut rng = SplitMix64::new(9);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..1_000 {
-            seen.insert(dist.sample(&mut rng, None, 32));
+            seen.insert(dist.sample(&mut rng, 32));
         }
         assert!(seen.len() <= 8);
     }

@@ -1,41 +1,34 @@
-//! Load drivers: *how* operations are offered to a system under test.
+//! Open-loop arrival schedules: *when* operations are offered to a system under
+//! test.
 //!
-//! The repo grew up closed-loop: [`harness::Workload`](crate::harness::Workload)
-//! spawns a fixed worker set and each worker issues its next operation the
-//! instant the previous one completes. That measures capacity, but it hides
-//! queueing delay — a slow response *slows the load down*, so the latency a
-//! closed loop reports under saturation is a lie by construction (the
-//! coordinated-omission problem). This module adds the other half:
+//! A closed loop ([`harness::Workload`](crate::harness::Workload): each worker
+//! issues its next operation the instant the previous one completes) measures
+//! capacity, but a slow response slows the load down with it, so the latency it
+//! reports under saturation omits the queueing real arrivals would have seen (the
+//! coordinated-omission problem). An open loop offers load on a schedule instead:
 //!
 //! * [`Pacing`] — an arrival process (fixed-rate or Poisson) with a target
 //!   aggregate rate.
-//! * [`Arrivals`] — the pure, deterministic per-thread schedule of *virtual
-//!   send times* an arrival process generates.
-//! * [`LoadDriver`] — the driver abstraction: [`LoadDriver::Closed`] issues
-//!   back-to-back (the classic closed loop, now through the same entry point),
-//!   [`LoadDriver::Open`] paces submissions against the wall clock and **never
-//!   skips a scheduled arrival**. When the system falls behind, the driver
-//!   submits late but stamps the request with its scheduled (virtual) send
-//!   time, so end-to-end latency measured from `send_ns` includes the time the
-//!   request *would have* spent queueing — coordinated omission is measured,
-//!   not hidden.
+//! * [`Arrivals`] — the pure, deterministic per-thread schedule of *virtual send
+//!   times* that process generates. A driver that never skips an arrival, submits
+//!   late when it is behind, and times each request from its scheduled time
+//!   measures the omission instead of committing it; `perfbench`'s `serve_open`
+//!   workload is that driver.
 //!
 //! # Example
 //!
 //! ```
-//! use skiptrie_workloads::load::{LoadDriver, Pacing};
+//! use skiptrie_workloads::load::{Arrivals, Pacing};
 //!
-//! let driver = LoadDriver::Open(Pacing::FixedRate { ops_per_sec: 50_000.0 });
-//! let report = driver.drive(2, 200, 42, |_thread, _op, _send_ns| true);
-//! assert_eq!(report.offered, 400);
-//! assert_eq!(report.sent, 400);
-//! assert_eq!(report.shed, 0);
+//! // 50 000 arrivals/s over two driver threads: each fires every 40 µs, the second
+//! // half a period after the first.
+//! let pacing = Pacing::FixedRate { ops_per_sec: 50_000.0 };
+//! let first: Vec<u64> = Arrivals::new(pacing, 2, 0, 42).take(3).collect();
+//! let second: Vec<u64> = Arrivals::new(pacing, 2, 1, 42).take(3).collect();
+//! assert_eq!(first, [0, 40_000, 80_000]);
+//! assert_eq!(second, [20_000, 60_000, 100_000]);
 //! ```
 
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-use crate::harness::Workload;
 use crate::SplitMix64;
 
 /// An open-loop arrival process with a target *aggregate* rate across all
@@ -67,8 +60,7 @@ impl Pacing {
 }
 
 /// The deterministic schedule of virtual send times (nanoseconds from run
-/// start) for one driver thread — the pure core of the open-loop driver,
-/// exposed for tests and for harnesses that pace themselves.
+/// start) for one driver thread, for harnesses that pace themselves against it.
 #[derive(Debug, Clone)]
 pub struct Arrivals {
     poisson: bool,
@@ -133,150 +125,6 @@ impl Iterator for Arrivals {
         };
         self.next_ns += step;
         Some(at as u64)
-    }
-}
-
-/// How a run offers load: the closed loop the repo always had, or an open-loop
-/// arrival process. See the [module docs](self) for why the distinction is the
-/// difference between measuring tail latency and hiding it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LoadDriver {
-    /// Closed loop: each thread submits its next operation as soon as the
-    /// submit callback returns. Offered rate == achieved rate by construction;
-    /// queueing delay is invisible. (The richer closed-loop harness with
-    /// role mixes stays [`harness::Workload`](crate::harness::Workload); this
-    /// variant exists so rate sweeps can include a "as fast as possible" row
-    /// through the same entry point.)
-    Closed,
-    /// Open loop: submissions are paced against the wall clock by an arrival
-    /// process, with virtual send times (never skipped, submitted late when
-    /// behind) so coordinated omission is measured.
-    Open(Pacing),
-}
-
-/// What one [`LoadDriver::drive`] run did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LoadReport {
-    /// Operations scheduled (threads × ops per thread).
-    pub offered: u64,
-    /// Operations the submit callback accepted.
-    pub sent: u64,
-    /// Operations the submit callback rejected (admission shed).
-    pub shed: u64,
-    /// Wall-clock duration of the drive.
-    pub elapsed: Duration,
-    /// Largest observed lateness at submit time: `now - virtual send time`.
-    /// Zero(-ish) while the driver keeps up; grows without bound past the
-    /// saturation knee — the driver's direct measure of how much latency a
-    /// closed loop would have silently omitted.
-    pub max_lag_ns: u64,
-    /// Submissions that were late by more than one millisecond.
-    pub late_ops: u64,
-}
-
-impl LoadReport {
-    /// Achieved *accepted* rate in operations per second.
-    pub fn achieved_ops_per_sec(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.sent as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// Sleep-then-spin until `start.elapsed()` reaches `deadline_ns`. Sleeping
-/// covers all but the last ~100µs (timer slop), spinning the remainder keeps
-/// the arrival jitter well under the latencies being measured.
-fn wait_until(start: Instant, deadline_ns: u64) -> u64 {
-    loop {
-        let now = start.elapsed().as_nanos() as u64;
-        if now >= deadline_ns {
-            return now;
-        }
-        let remaining = deadline_ns - now;
-        if remaining > 200_000 {
-            std::thread::sleep(Duration::from_nanos(remaining - 100_000));
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-impl LoadDriver {
-    /// Drives `threads × ops_per_thread` submissions through `submit`, paced by
-    /// this driver, and reports what happened.
-    ///
-    /// `submit(thread, op_index, send_ns)` performs (or enqueues) operation
-    /// `op_index` of thread `thread` and returns whether it was accepted;
-    /// `send_ns` is the operation's **virtual send time** in nanoseconds from
-    /// the run start — under [`LoadDriver::Open`] the scheduled arrival (which
-    /// may be earlier than "now" when the driver is behind), under
-    /// [`LoadDriver::Closed`] simply "now". Latency measured from `send_ns` to
-    /// completion therefore includes coordinated-omission time.
-    ///
-    /// Threads are barrier-started (and honor `SKIPTRIE_PIN_CORES`) via the
-    /// same [`Workload`] scaffolding the closed-loop tests use.
-    pub fn drive<F>(
-        &self,
-        threads: usize,
-        ops_per_thread: usize,
-        seed: u64,
-        submit: F,
-    ) -> LoadReport
-    where
-        F: Fn(usize, usize, u64) -> bool + Sync,
-    {
-        assert!(threads > 0, "at least one driver thread");
-        let submit = &submit;
-        let driver = *self;
-        let report = Mutex::new(LoadReport {
-            offered: (threads * ops_per_thread) as u64,
-            ..LoadReport::default()
-        });
-        let start = Instant::now();
-        let mut workload = Workload::new(seed);
-        for thread in 0..threads {
-            let report = &report;
-            workload = workload.worker(move |_ctx| {
-                let mut local = LoadReport::default();
-                let mut arrivals = match driver {
-                    LoadDriver::Closed => None,
-                    LoadDriver::Open(pacing) => Some(Arrivals::new(pacing, threads, thread, seed)),
-                };
-                for op in 0..ops_per_thread {
-                    let send_ns = match arrivals.as_mut() {
-                        None => start.elapsed().as_nanos() as u64,
-                        Some(schedule) => {
-                            let at = schedule.next().expect("arrival schedules are infinite");
-                            // Wait if early; if late, fall through immediately —
-                            // the arrival is *never* skipped, and `at` (not
-                            // "now") is what gets stamped on the request.
-                            let now = wait_until(start, at);
-                            let lag = now.saturating_sub(at);
-                            local.max_lag_ns = local.max_lag_ns.max(lag);
-                            if lag > 1_000_000 {
-                                local.late_ops += 1;
-                            }
-                            at
-                        }
-                    };
-                    if submit(thread, op, send_ns) {
-                        local.sent += 1;
-                    } else {
-                        local.shed += 1;
-                    }
-                }
-                let mut merged = report.lock().expect("load report poisoned");
-                merged.sent += local.sent;
-                merged.shed += local.shed;
-                merged.max_lag_ns = merged.max_lag_ns.max(local.max_lag_ns);
-                merged.late_ops += local.late_ops;
-            });
-        }
-        workload.run();
-        let mut report = report.into_inner().expect("load report poisoned");
-        report.elapsed = start.elapsed();
-        report
     }
 }
 
@@ -357,45 +205,5 @@ mod tests {
         let c: Vec<u64> = Arrivals::new(pacing, 2, 1, 43).take(64).collect();
         assert_eq!(a, b, "same seed, same schedule");
         assert_ne!(a, c, "different seed, different schedule");
-    }
-
-    #[test]
-    fn closed_driver_counts_and_stamps_now() {
-        let report = LoadDriver::Closed.drive(2, 50, 1, |_t, _op, _send| true);
-        assert_eq!(report.offered, 100);
-        assert_eq!(report.sent, 100);
-        assert_eq!(report.shed, 0);
-        assert_eq!(report.max_lag_ns, 0, "closed loop has no schedule to lag");
-    }
-
-    #[test]
-    fn open_driver_sheds_what_submit_rejects() {
-        let driver = LoadDriver::Open(Pacing::FixedRate {
-            ops_per_sec: 1_000_000.0,
-        });
-        let report = driver.drive(1, 100, 1, |_t, op, _send| op % 2 == 0);
-        assert_eq!(report.offered, 100);
-        assert_eq!(report.sent, 50);
-        assert_eq!(report.shed, 50);
-    }
-
-    #[test]
-    fn open_driver_measures_lag_when_submit_is_slow() {
-        // Offered: 1M ops/s (1µs period). Each submit burns ~1ms, so the driver
-        // falls behind by design; virtual send times must expose the backlog.
-        let driver = LoadDriver::Open(Pacing::FixedRate {
-            ops_per_sec: 1_000_000.0,
-        });
-        let report = driver.drive(1, 20, 1, |_t, _op, _send| {
-            std::thread::sleep(Duration::from_millis(1));
-            true
-        });
-        assert_eq!(report.sent, 20, "arrivals are never skipped");
-        assert!(
-            report.max_lag_ns > 5_000_000,
-            "a stalled submit must surface as schedule lag, got {}ns",
-            report.max_lag_ns
-        );
-        assert!(report.late_ops > 0);
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Spawns worker threads that hammer one shared SkipTrie with a 90/9/1
-//! read/insert/remove mix (the read-heavy mix of experiment E7) and prints
+//! read/insert/remove mix (the read-heavy mix of the `sweep` experiment) and prints
 //! throughput plus the per-operation step counts that the paper's Theorem 4.3 bounds
 //! by `O(log log u + c)`.
 

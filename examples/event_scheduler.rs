@@ -13,8 +13,8 @@
 //! extracts the earliest event with `pop_first`, all lock-free. (`pop_first`
 //! replaces the hand-rolled `successor`-then-`remove` retry loop this example used
 //! to carry: one combined locate+CAS-remove per event instead of a full x-fast
-//! search per attempt plus a second search for the remove — experiment E9b
-//! quantifies the difference.)
+//! search per attempt plus a second search for the remove — the `ab` experiment's
+//! drain row quantifies the difference.)
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

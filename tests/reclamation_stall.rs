@@ -1,4 +1,4 @@
-//! Stall-robustness of the reclamation substrates (experiment E15's test twin).
+//! Stall-robustness of the reclamation substrates (it carries what the deleted E15 stalled-reader table measured).
 //!
 //! The scenario both substrates are measured against: one reader pins, parks on a
 //! barrier, and holds its guard across the whole churn window while writers keep
@@ -143,7 +143,7 @@ fn churn(domain: usize, reclaimer: Reclaimer, stall_reader: bool) -> ChurnOutcom
 /// EBR under a stalled reader: every deferral made during the stall window stays
 /// pending (the parked guard freezes the epoch), so the high-water mark must
 /// clear the churn-proportional floor and dwarf the no-stall baseline — the
-/// unbounded-growth half of the E15 headline.
+/// unbounded-growth half of the claim.
 #[test]
 fn ebr_garbage_grows_with_churn_under_a_stalled_reader() {
     let baseline = churn(EBR_BASELINE_DOMAIN, Reclaimer::Ebr, false);
@@ -174,7 +174,7 @@ fn ebr_garbage_grows_with_churn_under_a_stalled_reader() {
 /// only the era interval it pinned at, so objects born after the pin free as the
 /// churn runs and the high-water mark stays under a bound fixed by the working
 /// set — independent of how much churn the window carries. This is the bounded
-/// half of the E15 headline.
+/// half of the claim.
 #[test]
 fn hazard_garbage_stays_bounded_under_a_stalled_reader() {
     let working_set = scaled(2_000) as u64;

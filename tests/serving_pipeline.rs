@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use skiptrie_suite::metrics::{self, Counter};
-use skiptrie_suite::service::{Reply, Request, Service, ServiceConfig, Verb};
+use skiptrie_suite::service::{OpClass, Reply, Request, Service, ServiceConfig, Verb};
 use skiptrie_suite::skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig, TieredForest};
 use skiptrie_suite::workloads::harness::{scaled, worker_rng};
 
@@ -280,6 +280,67 @@ fn fenced_verbs_observe_all_prior_requests() {
         .expect("the pop's response is delivered");
     let smallest = (0..256u64).map(|i| i * 11 % (1 << 16)).min().unwrap();
     assert_eq!(pop.reply, Reply::Entry(Some((smallest, smallest / 11))));
+}
+
+#[test]
+fn a_backlog_shows_in_virtual_latency_and_not_in_service_latency() {
+    // The coordinated-omission property an open-loop driver relies on: a driver
+    // that has fallen behind stamps each request with the time it was *due*, and
+    // the wait that implies must reach `Service::virtual_latency()` while
+    // `service_latency()` (enqueue to done, all a closed loop would report) stays
+    // blind to it. Both recorders count every completed request once, under its
+    // class, with exactly the values its `Response` carries.
+    let _guard = SERVICE_LOCK.lock().unwrap();
+    const BACKLOG_NS: u64 = 1_000_000;
+    let forest: ShardedSkipTrie<u64> =
+        ShardedSkipTrie::new(ShardedSkipTrieConfig::for_universe_bits(16).with_shards(2));
+    let service = Service::new(std::sync::Arc::new(forest), ServiceConfig::default());
+    let mut conn = service.connect();
+    // The service clock starts at 0: let it pass the backlog so a stamp that far
+    // in the past exists.
+    while service.now_ns() <= BACKLOG_NS {
+        std::thread::yield_now();
+    }
+    for i in 0..300u64 {
+        let verb = if i % 3 == 0 {
+            Verb::Predecessor(i * 97)
+        } else {
+            Verb::Insert(i * 97, i)
+        };
+        let submit_ns = conn.now_ns() - BACKLOG_NS;
+        conn.submit(Request { verb, submit_ns })
+            .expect("default cap admits the burst");
+    }
+    let responses = conn.wait_idle();
+    assert_eq!(responses.len(), 300);
+    for class in OpClass::ALL {
+        let (virt, svc): (Vec<u64>, Vec<u64>) = responses
+            .iter()
+            .filter(|r| r.class == class)
+            .map(|r| (r.virtual_latency_ns(), r.service_latency_ns()))
+            .unzip();
+        assert_eq!(
+            virt.len(),
+            match class {
+                OpClass::Point => 200,
+                OpClass::Ordered => 100,
+                _ => 0,
+            }
+        );
+        assert!(
+            virt.iter().zip(&svc).all(|(v, s)| *v >= s + BACKLOG_NS),
+            "{class:?}: a request's virtual latency includes the backlog it was stamped with"
+        );
+        let virt_hist = service.virtual_latency().histogram(class.index());
+        let svc_hist = service.service_latency().histogram(class.index());
+        assert_eq!(virt_hist.count(), virt.len() as u64, "{class:?}");
+        assert_eq!(svc_hist.count(), svc.len() as u64, "{class:?}");
+        // `min` and `max` are exact in the histogram (only quantiles are bucketed).
+        assert_eq!(virt_hist.min(), virt.iter().copied().min(), "{class:?}");
+        assert_eq!(virt_hist.max(), virt.iter().copied().max(), "{class:?}");
+        assert_eq!(svc_hist.min(), svc.iter().copied().min(), "{class:?}");
+        assert_eq!(svc_hist.max(), svc.iter().copied().max(), "{class:?}");
+    }
 }
 
 #[test]
