@@ -720,15 +720,14 @@ fn counted(units: usize, f: impl FnOnce()) -> (f64, f64) {
     )
 }
 
-/// Appends one `ab` row — `a` then `b`, once each — and returns its `b / a` ratio of
-/// steps.
+/// Appends one `ab` row — `a` then `b`, once each — and returns their steps per unit.
 fn ab_row(
     rows: &mut Vec<Vec<Cell>>,
     pair: &str,
     (unit, units): (&str, usize),
     a: impl FnOnce(),
     b: impl FnOnce(),
-) -> f64 {
+) -> (f64, f64) {
     let (a_ns, a_steps) = counted(units, a);
     let (b_ns, b_steps) = counted(units, b);
     rows.push(vec![
@@ -741,13 +740,14 @@ fn ab_row(
         real(a_steps, 1),
         real(b_steps, 1),
     ]);
-    b_steps / a_steps
+    (a_steps, b_steps)
 }
 
 /// ab — the repository's own mechanisms against what a caller would write without
 /// them, where nothing else measures the pair: the cursor and `pop_first` (the
-/// paper's scan and event-queue uses), the batch kernel, the bulk loader, and the
-/// frozen tier's two search layouts. A is the mechanism, B the alternative.
+/// paper's scan and event-queue uses), the batch kernel, the bulk loader, the frozen
+/// tier's two search layouts and its dirty-gap summary. A is the mechanism, B the
+/// alternative.
 fn ab() -> Outcome {
     let mut out = Outcome::default();
     let mut rows = Vec::new();
@@ -762,7 +762,7 @@ fn ab() -> Outcome {
             let mut rng = SplitMix64::new(0xE9A ^ k as u64);
             (0..reps).for_each(|_| visit(rng.next() & MAX_KEY));
         };
-        let steps_ratio = ab_row(
+        let (scan_steps, chained_steps) = ab_row(
             &mut rows,
             &format!("scan(k={k}) vs k chained successor calls"),
             ("key", reps * k),
@@ -783,6 +783,7 @@ fn ab() -> Outcome {
             },
         );
         if k == 100 {
+            let steps_ratio = chained_steps / scan_steps;
             out.expect(
                 steps_ratio >= 5.0,
                 format!("k = 100: chained successors take {steps_ratio:.1}x a scan's steps per key, want >= 5"),
@@ -897,6 +898,47 @@ fn ab() -> Outcome {
         ("op", probes),
         probe(FrozenSearch::Eytzinger),
         probe(FrozenSearch::Interpolation),
+    );
+
+    // The serving regime in one row: the delta is never empty, and a read pays for it
+    // only if a buffered write touched the gap between frozen keys the read falls in.
+    // Every `stride`-th frozen key is tombstoned; A reads frozen keys half a stride
+    // away from any of them, B the tombstoned keys themselves.
+    const BUFFERED: usize = 2_048;
+    let stride = tier.len() / BUFFERED;
+    assert!(stride >= 4, "clean keys need clean neighbours");
+    let beside = TieredSkipTrie::<u64>::from_sorted(
+        TieredSkipTrieConfig::for_universe_bits(BITS),
+        tier.iter().copied(),
+    );
+    for j in 0..BUFFERED {
+        beside.remove(tier[j * stride].0);
+    }
+    let read = |offset: usize| {
+        let (beside, tier) = (&beside, &tier);
+        move || {
+            for p in 0..probes {
+                let key = tier[(p % BUFFERED) * stride + offset].0;
+                if p % 2 == 0 {
+                    black_box(beside.get(key));
+                } else {
+                    black_box(beside.predecessor(key));
+                }
+            }
+        }
+    };
+    let (clean_steps, _) = ab_row(
+        &mut rows,
+        "tiered read beside 2 048 un-merged writes: clean key (A) vs dirty key (B)",
+        ("op", probes),
+        read(stride / 2),
+        read(0),
+    );
+    out.expect(
+        clean_steps == 0.0,
+        format!(
+            "a clean-key read beside a dirty delta takes {clean_steps} trie steps per op, want 0"
+        ),
     );
 
     out.table(

@@ -12,6 +12,9 @@
 //!   laid out for cache-line locality: no pointer chasing and no CAS.
 //! * **Live delta** — a small ordinary [`SkipTrie`] absorbing recent inserts, with
 //!   a tombstone marker per deleted key so deletions shadow frozen entries.
+//! * **Dirty-gap summary** — one bit per gap between adjacent frozen keys, set
+//!   before a write buffers anything there. A read whose gap is clean is answered
+//!   by the frozen tier alone, however full the delta is elsewhere.
 //! * **Merge** — [`TieredSkipTrie::merge`] seals the delta, waits for in-flight
 //!   writers to drain, folds `frozen + delta` into a fresh frozen tier off to the
 //!   side, and publishes it with one atomic pointer swap. Readers never block and
@@ -40,6 +43,46 @@
 //! that `Arc` (and copies the small delta window) under the pin, and the
 //! [`TieredRangeIter`] it returns owns them, so an unbounded or abandoned scan
 //! never stalls reclamation.
+//!
+//! # Clean keys skip the delta
+//!
+//! While writes flow the delta is never empty, but it is small: a few thousand
+//! entries beside hundreds of thousands of frozen keys, so almost every read lands
+//! where no buffered write is. Each frozen tier of `n` keys `f_0 < … < f_{n-1}`
+//! carries `n + 1` bits. Key `k` belongs to gap `g(k)` = the number of frozen keys
+//! `<= k`, so gap `g` spans `[f_{g-1}, f_g)` (gap 0 everything below `f_0`, gap
+//! `n` everything from `f_{n-1}` up) and a tombstone on a frozen key lands in the
+//! gap that key opens. The index falls out of the one frozen search every point
+//! operation runs anyway.
+//!
+//! * **Writers mark before they mutate.** `insert_in` / `remove_in` set bit
+//!   `g(key)` of their view's frozen tier before the first change they make to
+//!   *either* delta of that view — including the moments a key is lifted out to be
+//!   re-inserted — and never clear it. A write that changes nothing marks nothing.
+//!   A writer reads the summary too: in a clean gap its first look at the live
+//!   delta is known to find nothing, so it skips that search and goes straight to
+//!   the insert-if-absent that decides the write.
+//! * **Readers probe the frozen tier first.** `get` and `predecessor` check bit
+//!   `g(key)`; `successor` of a key that is not frozen also checks the next gap
+//!   (a tombstone on the frozen key above would change its answer). Clean: the
+//!   frozen answer is returned as is ([`Counter::TierHit`]). Dirty: the read runs
+//!   the tier merge exactly as if the summary did not exist
+//!   ([`Counter::TierMissDelta`]) — a reader may always ignore it.
+//! * **A fold starts a fresh summary, published not `ready`.** The seal swap keeps
+//!   the frozen tier, so its bits carry over. The fold swap installs a new tier
+//!   whose bits are all clear while the live delta already holds the writes made
+//!   since the seal — marked in the *old* tier — and while a writer still pinned
+//!   on the pre-publish state can mark the old tier and write the shared live
+//!   delta at any later moment. So readers ignore a summary until its `ready`
+//!   flag is up, and the merger raises it only after one more writer grace period
+//!   (no such writer is left) and a scan of the live delta that marks every entry
+//!   it finds. [`TieredSkipTrie::from_sorted`] and [`TieredSkipTrie::bulk_load`]
+//!   publish with nobody writing, so they start `ready`.
+//!
+//! Flag and bits are `SeqCst`; the argument that a clean bit means "no entry"
+//! is written out in DESIGN.md §Tiered reads. A skewed key set costs hit rate,
+//! never correctness: writes into one wide gap dirty one bit, but every read of
+//! that gap then takes the delta path until the next fold splits it.
 //!
 //! # Consistency contract (weak, documented)
 //!
@@ -173,10 +216,20 @@ struct FrozenTier<V> {
     rank: Box<[u32]>,
     /// Which `lower_bound` algorithm serves this tier.
     search: FrozenSearch,
+    /// The dirty-gap summary, `len() + 1` bits: bit `g` is set before any delta
+    /// write to a key with `g` frozen keys at or below it (module docs, "Clean
+    /// keys skip the delta"). Bits are only ever set; a fold starts a fresh tier.
+    dirty: Box<[AtomicU64]>,
+    /// False from a fold's publish until the merger has marked every write that
+    /// reached the live delta through the previous tier's summary; readers
+    /// ignore `dirty` until then.
+    ready: AtomicBool,
 }
 
 impl<V: Clone> FrozenTier<V> {
-    fn build_with(sorted: Vec<(u64, V)>, search: FrozenSearch) -> Self {
+    /// `ready` is what the summary starts as: `true` wherever no writer can
+    /// hold an older view of the delta this tier is published with.
+    fn build_with(sorted: Vec<(u64, V)>, search: FrozenSearch, ready: bool) -> Self {
         let n = sorted.len();
         assert!(
             n < u32::MAX as usize,
@@ -210,6 +263,8 @@ impl<V: Clone> FrozenTier<V> {
             eyt,
             rank,
             search,
+            dirty: (0..n / 64 + 1).map(|_| AtomicU64::new(0)).collect(),
+            ready: AtomicBool::new(ready),
         }
     }
 
@@ -279,39 +334,47 @@ impl<V: Clone> FrozenTier<V> {
         i
     }
 
-    fn get(&self, key: u64) -> Option<V> {
+    /// The gap `key` falls in — the number of frozen keys `<= key`, so gap `g`
+    /// spans `[sorted[g - 1], sorted[g])` — and the value frozen under `key`
+    /// itself, if any. The one frozen search of every point operation.
+    fn locate(&self, key: u64) -> (usize, Option<&V>) {
         let lb = self.lower_bound(key);
         match self.sorted.get(lb) {
-            Some(&(k, ref v)) if k == key => Some(v.clone()),
-            _ => None,
+            Some((k, v)) if *k == key => (lb + 1, Some(v)),
+            _ => (lb, None),
         }
-    }
-
-    /// Largest key `<= key`, by index in `sorted`.
-    fn predecessor_index(&self, key: u64) -> Option<usize> {
-        let lb = self.lower_bound(key);
-        if let Some(&(k, _)) = self.sorted.get(lb) {
-            if k == key {
-                return Some(lb);
-            }
-        }
-        lb.checked_sub(1)
     }
 
     fn predecessor_key(&self, key: u64) -> Option<u64> {
-        self.predecessor_index(key).map(|i| self.sorted[i].0)
-    }
-
-    fn predecessor(&self, key: u64) -> Option<(u64, V)> {
-        self.predecessor_index(key).map(|i| self.sorted[i].clone())
+        let below = self.locate(key).0.checked_sub(1)?;
+        Some(self.sorted[below].0)
     }
 
     fn successor_key(&self, key: u64) -> Option<u64> {
         self.sorted.get(self.lower_bound(key)).map(|&(k, _)| k)
     }
 
-    fn successor(&self, key: u64) -> Option<(u64, V)> {
-        self.sorted.get(self.lower_bound(key)).cloned()
+    /// The summary word holding `gap`'s dirty bit, and that bit's mask.
+    fn dirty_bit(&self, gap: usize) -> (&AtomicU64, u64) {
+        (&self.dirty[gap / 64], 1 << (gap % 64))
+    }
+
+    /// Marks `gap` dirty; a writer calls this **before** its first delta
+    /// mutation of a key in the gap. The load keeps a gap that is already
+    /// dirty from bouncing its cache line between writers and readers.
+    fn mark_gap(&self, gap: usize) {
+        let (word, bit) = self.dirty_bit(gap);
+        if word.load(Ordering::SeqCst) & bit == 0 {
+            word.fetch_or(bit, Ordering::SeqCst);
+        }
+    }
+
+    /// True if no delta of a view holding this tier has an entry in `gap`, so
+    /// the tier alone answers for every key in it. `ready` is read first: it
+    /// is what vouches for the bits.
+    fn is_clean(&self, gap: usize) -> bool {
+        let (word, bit) = self.dirty_bit(gap);
+        self.ready.load(Ordering::SeqCst) && word.load(Ordering::SeqCst) & bit == 0
     }
 }
 
@@ -332,14 +395,9 @@ impl<V> Tiers<V>
 where
     V: Clone + Send + Sync + 'static,
 {
-    /// True when reads can be served from the frozen tier alone — the fast path
-    /// after a merge quiesces.
-    fn delta_is_empty(&self) -> bool {
-        self.sealed.is_none() && self.live.is_empty()
-    }
-
-    /// Visibility of `key` below the live delta (sealed, then frozen).
-    fn under_value(&self, key: u64) -> Option<V> {
+    /// Visibility of `key` below the live delta: the sealed delta, then
+    /// `frozen`, the value [`FrozenTier::locate`] found under `key`.
+    fn under_value(&self, key: u64, frozen: Option<&V>) -> Option<V> {
         if let Some(sealed) = &self.sealed {
             match sealed.get(key) {
                 Some(Delta::Put(v)) => return Some(v),
@@ -347,7 +405,7 @@ where
                 None => {}
             }
         }
-        self.frozen.get(key)
+        frozen.cloned()
     }
 
     /// Full visibility of `key` (live, then sealed, then frozen).
@@ -355,8 +413,34 @@ where
         match self.live.get(key) {
             Some(Delta::Put(v)) => Some(v),
             Some(Delta::Tombstone) => None,
-            None => self.under_value(key),
+            None => self.under_value(key, self.frozen.locate(key).1),
         }
+    }
+
+    /// What a writer's first look at `key` in the live delta finds. In a clean
+    /// gap that is nothing, known without the trie search: the answer holds as
+    /// of the moment this view was loaded, which is all a real probe's answer
+    /// is worth by the time the writer acts on it — the write itself is decided
+    /// by an insert-if-absent, and a writer that loses it loops back here with
+    /// its own mark set, so every later look is a real probe.
+    fn live_entry(&self, key: u64, gap: usize) -> Option<Delta<V>> {
+        if self.frozen.is_clean(gap) {
+            return None;
+        }
+        self.live.get(key)
+    }
+
+    /// A point lookup: the frozen probe alone when `key`'s gap is clean
+    /// ([`Counter::TierHit`]), else through the deltas
+    /// ([`Counter::TierMissDelta`]).
+    fn get(&self, key: u64) -> Option<V> {
+        let (gap, frozen) = self.frozen.locate(key);
+        if self.frozen.is_clean(gap) {
+            metrics::record(Counter::TierHit);
+            return frozen.cloned();
+        }
+        metrics::record(Counter::TierMissDelta);
+        self.resolve(key)
     }
 }
 
@@ -525,7 +609,8 @@ where
         }
     }
 
-    /// The seal → grace → fold → publish cycle; the caller holds `merging`.
+    /// The seal → grace → fold → publish cycle, then the new tier's summary
+    /// catch-up; the caller holds `merging`.
     fn merge_cycle(&self) -> bool {
         // `merging` is held, so `sealed` can only be Some if a previous merge died
         // mid-way — impossible without a panic; treat "nothing buffered" as done.
@@ -562,12 +647,29 @@ where
         metrics::record(Counter::TierMerge);
         // Phase 4 — publish the new frozen tier and retire the sealed delta
         // (`merging` is held: `live` is still the delta phase 1 published).
+        // Its dirty-gap summary is not `ready`: a writer still pinned on phase
+        // 1's state marks the old tier's summary and then writes `live`.
+        let next = Arc::new(FrozenTier::build_with(
+            folded,
+            self.config.frozen_search,
+            false,
+        ));
         self.publish(Tiers {
-            frozen: Arc::new(FrozenTier::build_with(folded, self.config.frozen_search)),
-            live,
+            frozen: Arc::clone(&next),
+            live: Arc::clone(&live),
             sealed: None,
         });
         self.merges.fetch_add(1, Ordering::SeqCst);
+        // Phase 5 — catch the new summary up. After this grace every writer
+        // marks `next` before it touches `live`, so what the stragglers left
+        // is in `live` for the scan to mark (an entry some writer has lifted
+        // out for the moment was marked by that writer first).
+        self.wait_writer_grace();
+        let mut buffered = live.range(..);
+        while let Some(key) = buffered.next_key() {
+            next.mark_gap(next.locate(key).0);
+        }
+        next.ready.store(true, Ordering::SeqCst);
         true
     }
 
@@ -607,11 +709,13 @@ where
     /// grace period relies on; batch entry points amortize the one pin over the
     /// whole batch.
     fn insert_in(&self, t: &Tiers<V>, key: u64, value: &V) -> bool {
+        let (gap, frozen) = t.frozen.locate(key);
         loop {
-            match t.live.get(key) {
+            match t.live_entry(key, gap) {
                 Some(Delta::Put(_)) => return false,
                 Some(Delta::Tombstone) => {
                     // Revive a deleted key: clear the tombstone, race to publish.
+                    t.frozen.mark_gap(gap);
                     t.live.remove(key);
                     if t.live.insert(key, Delta::Put(value.clone())) {
                         self.net.fetch_add(1, Ordering::SeqCst);
@@ -620,9 +724,10 @@ where
                     }
                 }
                 None => {
-                    if t.under_value(key).is_some() {
+                    if t.under_value(key, frozen).is_some() {
                         return false;
                     }
+                    t.frozen.mark_gap(gap);
                     if t.live.insert(key, Delta::Put(value.clone())) {
                         self.net.fetch_add(1, Ordering::SeqCst);
                         self.note_delta_write();
@@ -663,44 +768,55 @@ where
     /// absent live entry — are the structure's documented weak consistency
     /// for same-key writer races; distinct-key histories (e.g. pop drains)
     /// are exactly-once.
+    ///
+    /// Each arm that writes a delta — live or sealed — marks the key's gap in
+    /// this view's dirty-gap summary first (module docs). The arbitration does
+    /// not depend on the summary: a clean gap only spares the first look at
+    /// the live delta (`live_entry`), and every claim is still decided by the
+    /// inserts above.
     fn remove_in(&self, t: &Tiers<V>, key: u64) -> Option<V> {
+        let (gap, frozen) = t.frozen.locate(key);
         loop {
-            match t.live.get(key) {
+            match t.live_entry(key, gap) {
                 Some(Delta::Tombstone) => return None,
-                Some(Delta::Put(_)) => match t.live.remove(key) {
-                    Some(Delta::Put(v)) => {
-                        if t.live.insert(key, Delta::Tombstone) {
-                            self.net.fetch_sub(1, Ordering::SeqCst);
-                            self.note_delta_write();
-                            return Some(v);
-                        }
-                        match t.live.get(key) {
-                            // A fresh insert revived the key inside our
-                            // remove→insert window: the delete linearized
-                            // before it, so our claim stands and no tombstone
-                            // belongs here.
-                            Some(Delta::Put(_)) | None => {
+                Some(Delta::Put(_)) => {
+                    t.frozen.mark_gap(gap);
+                    match t.live.remove(key) {
+                        Some(Delta::Put(v)) => {
+                            if t.live.insert(key, Delta::Tombstone) {
                                 self.net.fetch_sub(1, Ordering::SeqCst);
                                 self.note_delta_write();
                                 return Some(v);
                             }
-                            // An under-tier claimant tombstoned the key
-                            // through the transient absence; its claim is the
-                            // one that counts (ours folds into it).
-                            Some(Delta::Tombstone) => return None,
+                            match t.live.get(key) {
+                                // A fresh insert revived the key inside our
+                                // remove→insert window: the delete linearized
+                                // before it, so our claim stands and no tombstone
+                                // belongs here.
+                                Some(Delta::Put(_)) | None => {
+                                    self.net.fetch_sub(1, Ordering::SeqCst);
+                                    self.note_delta_write();
+                                    return Some(v);
+                                }
+                                // An under-tier claimant tombstoned the key
+                                // through the transient absence; its claim is the
+                                // one that counts (ours folds into it).
+                                Some(Delta::Tombstone) => return None,
+                            }
                         }
+                        Some(Delta::Tombstone) => {
+                            // Raced a concurrent remover's tombstone out; reinstate it.
+                            t.live.insert(key, Delta::Tombstone);
+                            return None;
+                        }
+                        None => {}
                     }
-                    Some(Delta::Tombstone) => {
-                        // Raced a concurrent remover's tombstone out; reinstate it.
-                        t.live.insert(key, Delta::Tombstone);
-                        return None;
-                    }
-                    None => {}
-                },
+                }
                 None => {
                     let Some(sealed) = &t.sealed else {
-                        match t.under_value(key) {
+                        match t.under_value(key, frozen) {
                             Some(v) => {
+                                t.frozen.mark_gap(gap);
                                 if t.live.insert(key, Delta::Tombstone) {
                                     self.net.fetch_sub(1, Ordering::SeqCst);
                                     self.note_delta_write();
@@ -717,29 +833,33 @@ where
                     // sealed delta first (see the method docs).
                     match sealed.get(key) {
                         Some(Delta::Tombstone) => return None,
-                        Some(Delta::Put(_)) => match sealed.remove(key) {
-                            Some(Delta::Put(v)) => {
-                                // Reinstate a tombstone so the fold deletes any
-                                // frozen copy and other arbitrators see the
-                                // key dead; then make the claim visible in the
-                                // live delta across the fold publish.
-                                let _ = sealed.insert(key, Delta::Tombstone);
-                                if t.live.insert(key, Delta::Tombstone) {
-                                    self.net.fetch_sub(1, Ordering::SeqCst);
-                                    self.note_delta_write();
-                                    return Some(v);
+                        Some(Delta::Put(_)) => {
+                            t.frozen.mark_gap(gap);
+                            match sealed.remove(key) {
+                                Some(Delta::Put(v)) => {
+                                    // Reinstate a tombstone so the fold deletes any
+                                    // frozen copy and other arbitrators see the
+                                    // key dead; then make the claim visible in the
+                                    // live delta across the fold publish.
+                                    let _ = sealed.insert(key, Delta::Tombstone);
+                                    if t.live.insert(key, Delta::Tombstone) {
+                                        self.net.fetch_sub(1, Ordering::SeqCst);
+                                        self.note_delta_write();
+                                        return Some(v);
+                                    }
+                                    return None;
                                 }
-                                return None;
+                                Some(Delta::Tombstone) => {
+                                    // Yanked a racer's claim out; put it back.
+                                    let _ = sealed.insert(key, Delta::Tombstone);
+                                    return None;
+                                }
+                                None => continue,
                             }
-                            Some(Delta::Tombstone) => {
-                                // Yanked a racer's claim out; put it back.
-                                let _ = sealed.insert(key, Delta::Tombstone);
-                                return None;
-                            }
-                            None => continue,
-                        },
-                        None => match t.frozen.get(key) {
+                        }
+                        None => match frozen.cloned() {
                             Some(v) => {
+                                t.frozen.mark_gap(gap);
                                 if !sealed.insert(key, Delta::Tombstone) {
                                     // Lost the sealed arbitration; re-read.
                                     continue;
@@ -785,8 +905,8 @@ where
     }
 
     /// Builds the frozen tier directly from a sorted, strictly increasing
-    /// `(key, value)` sequence in `O(n)` — the delta starts empty, so reads are on
-    /// the frozen-only fast path immediately.
+    /// `(key, value)` sequence in `O(n)` — every gap starts clean, so reads are
+    /// answered by the frozen tier alone until a write lands beside them.
     ///
     /// # Panics
     ///
@@ -809,7 +929,7 @@ where
             .collect();
         let net = sorted.len() as i64;
         let tiers = Tiers {
-            frozen: Arc::new(FrozenTier::build_with(sorted, config.frozen_search)),
+            frozen: Arc::new(FrozenTier::build_with(sorted, config.frozen_search, true)),
             live: Arc::new(SkipTrie::new(config.trie)),
             sealed: None,
         };
@@ -867,25 +987,17 @@ where
 
     /// Returns a clone of the value stored under `key`.
     ///
-    /// On the post-merge fast path (empty delta) this is one Eytzinger search of
-    /// the frozen tier, recorded as
-    /// [`Counter::TierHit`]; otherwise the delta
-    /// is consulted first ([`Counter::TierMissDelta`]).
+    /// One search of the frozen tier, and nothing else when no buffered write
+    /// has touched the gap between frozen keys that `key` falls in
+    /// ([`Counter::TierHit`], whatever else the delta holds); otherwise the
+    /// delta is consulted first ([`Counter::TierMissDelta`]).
     ///
     /// # Panics
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn get(&self, key: u64) -> Option<V> {
         self.check_key(key);
-        self.with_tiers(|t| {
-            if t.delta_is_empty() {
-                metrics::record(Counter::TierHit);
-                t.frozen.get(key)
-            } else {
-                metrics::record(Counter::TierMissDelta);
-                t.resolve(key)
-            }
-        })
+        self.with_tiers(|t| t.get(key))
     }
 
     /// True if `key` is present.
@@ -906,9 +1018,12 @@ where
     pub fn predecessor(&self, key: u64) -> Option<(u64, V)> {
         self.check_key(key);
         self.with_tiers(|t| {
-            if t.delta_is_empty() {
+            // A clean gap holds no delta entry from the frozen key at its
+            // lower end up to the next one: that frozen key is the answer.
+            let gap = t.frozen.locate(key).0;
+            if t.frozen.is_clean(gap) {
                 metrics::record(Counter::TierHit);
-                return t.frozen.predecessor(key);
+                return Some(t.frozen.sorted[gap.checked_sub(1)?].clone());
             }
             metrics::record(Counter::TierMissDelta);
             let mut bound = key;
@@ -948,9 +1063,18 @@ where
         self.check_key(key);
         let top = max_key(self.config.trie.universe_bits);
         self.with_tiers(|t| {
-            if t.delta_is_empty() {
+            // A frozen `key` answers for itself if its own gap is clean. Any
+            // other key needs its gap free of inserts and, for the frozen key
+            // above it not to be tombstoned, the next gap too. `above` is
+            // that frozen key's index, `last` the last gap to check.
+            let (gap, frozen) = t.frozen.locate(key);
+            let (above, last) = match frozen {
+                Some(_) => (gap - 1, gap),
+                None => (gap, (gap + 1).min(t.frozen.len())),
+            };
+            if (gap..=last).all(|g| t.frozen.is_clean(g)) {
                 metrics::record(Counter::TierHit);
-                return t.frozen.successor(key);
+                return t.frozen.sorted.get(above).cloned();
             }
             metrics::record(Counter::TierMissDelta);
             let mut bound = key;
@@ -1024,8 +1148,8 @@ where
     }
 
     /// Batch [`TieredSkipTrie::get`]: pins and loads the published tiers once
-    /// and answers every key against that one triple (one tier-counter
-    /// record per batch, not per key). Element `i` answers `keys[i]`.
+    /// and answers every key against that one triple (each key counts as a
+    /// tier hit or miss of its own). Element `i` answers `keys[i]`.
     ///
     /// # Panics
     ///
@@ -1076,16 +1200,8 @@ where
             self.check_key(keys[i]);
         }
         self.with_tiers(|t| {
-            if t.delta_is_empty() {
-                metrics::record(Counter::TierHit);
-                for &i in order {
-                    out[i] = t.frozen.get(keys[i]);
-                }
-            } else {
-                metrics::record(Counter::TierMissDelta);
-                for &i in order {
-                    out[i] = t.resolve(keys[i]);
-                }
+            for &i in order {
+                out[i] = t.get(keys[i]);
             }
         });
     }
@@ -1103,11 +1219,6 @@ where
             return TieredRangeIter::empty();
         };
         self.with_tiers(|t| {
-            if t.delta_is_empty() {
-                metrics::record(Counter::TierHit);
-            } else {
-                metrics::record(Counter::TierMissDelta);
-            }
             // Delta window: sealed first, live overrides, tombstones recorded as
             // None so they can hide frozen entries during the merge walk.
             let mut delta: Vec<(u64, Option<V>)> = Vec::new();
@@ -1132,6 +1243,13 @@ where
                     Err(i) => delta.insert(i, (k, v)),
                 }
             }
+            // A scan always walks the deltas; it is a hit when they had nothing
+            // for its window and the frozen run is all it will yield.
+            metrics::record(if delta.is_empty() {
+                Counter::TierHit
+            } else {
+                Counter::TierMissDelta
+            });
             let fi = t.frozen.lower_bound(lo);
             // One past the last frozen index in range.
             let fhi = t.frozen.lower_bound(hi.saturating_add(1)).max(fi);
@@ -1185,7 +1303,7 @@ where
     /// increasing / exceed the universe.
     pub fn bulk_load(&mut self, entries: &[(u64, V)]) -> usize {
         assert!(
-            self.with_tiers(|t| t.delta_is_empty() && t.frozen.len() == 0),
+            self.with_tiers(|t| t.sealed.is_none() && t.live.is_empty() && t.frozen.len() == 0),
             "bulk_load requires an empty TieredSkipTrie"
         );
         let top = max_key(self.config.trie.universe_bits);
@@ -1203,6 +1321,7 @@ where
             frozen: Arc::new(FrozenTier::build_with(
                 entries.to_vec(),
                 self.config.frozen_search,
+                true,
             )),
             live: Arc::new(SkipTrie::new(self.config.trie)),
             sealed: None,
@@ -1223,13 +1342,15 @@ where
         })
     }
 
-    /// Approximate resident bytes: frozen-tier arrays plus delta skiplist nodes.
+    /// Approximate resident bytes: frozen-tier arrays and dirty-gap summary plus
+    /// delta skiplist nodes.
     pub fn approx_node_bytes(&self) -> usize {
         self.with_tiers(|t| {
             let frozen = t.frozen.len()
                 * (std::mem::size_of::<(u64, V)>()
                     + std::mem::size_of::<u64>()
-                    + std::mem::size_of::<u32>());
+                    + std::mem::size_of::<u32>())
+                + std::mem::size_of_val(&*t.frozen.dirty);
             let mut bytes = frozen + t.live.approx_node_bytes();
             if let Some(sealed) = &t.sealed {
                 bytes += sealed.approx_node_bytes();
@@ -1238,13 +1359,21 @@ where
         })
     }
 
-    /// Audits the live delta's traversal integrity and the frozen tier's sort
-    /// order; returns the number of entries checked. Panics on violation.
+    /// Audits the live delta's traversal integrity, the frozen tier's sort
+    /// order and the dirty-gap summary (no buffered entry in a gap it calls
+    /// clean); returns the number of entries checked. Panics on violation.
     pub fn check_traversal_integrity(&self) -> usize {
         self.with_tiers(|t| {
-            let mut checked = t.live.check_traversal_integrity();
-            if let Some(sealed) = &t.sealed {
-                checked += sealed.check_traversal_integrity();
+            let mut checked = 0;
+            for delta in [Some(&t.live), t.sealed.as_ref()].into_iter().flatten() {
+                checked += delta.check_traversal_integrity();
+                let mut buffered = delta.range(..);
+                while let Some(key) = buffered.next_key() {
+                    assert!(
+                        !t.frozen.is_clean(t.frozen.locate(key).0),
+                        "delta entry {key} sits in a gap the summary calls clean"
+                    );
+                }
             }
             for pair in t.frozen.sorted.windows(2) {
                 assert!(
@@ -1301,7 +1430,9 @@ where
     /// The cycle is: *seal* (swap in a fresh live delta, keep the old one readable
     /// as `sealed`), *grace* (wait out writers that raced the seal), *fold*
     /// (frozen + sealed → new sorted array, off to the side), *publish* (swap, no
-    /// lock or pin held across it). Readers never block; they serve the previous
+    /// lock or pin held across it), then a second grace and a scan of the live
+    /// delta that bring the new tier's dirty-gap summary up to date (reads take
+    /// the delta path until it is). Readers never block; they serve the previous
     /// state until the swap and the new one after. Blocks until in-flight writers
     /// unpin; do not call it while holding a guard of this structure's domain.
     pub fn merge(&self) -> bool {
@@ -1407,13 +1538,188 @@ mod tests {
         )
     }
 
+    /// The gaps of the published frozen tier that reads may not skip the delta on.
+    fn dirty_gaps(t: &TieredSkipTrie<u64>) -> Vec<usize> {
+        t.with_tiers(|t| {
+            (0..=t.frozen.len())
+                .filter(|&g| !t.frozen.is_clean(g))
+                .collect()
+        })
+    }
+
+    /// Every point read of every key up to `top`, and the full scan, against `model`.
+    fn assert_reads_like(
+        t: &TieredSkipTrie<u64>,
+        model: &std::collections::BTreeMap<u64, u64>,
+        top: u64,
+        context: &str,
+    ) {
+        let pair = |(&k, &v): (&u64, &u64)| (k, v);
+        for k in 0..=top {
+            assert_eq!(t.get(k), model.get(&k).copied(), "get({k}) {context}");
+            assert_eq!(
+                t.predecessor(k),
+                model.range(..=k).next_back().map(pair),
+                "predecessor({k}) {context}"
+            );
+            assert_eq!(
+                t.successor(k),
+                model.range(k..).next().map(pair),
+                "successor({k}) {context}"
+            );
+        }
+        assert_eq!(
+            t.range(..).collect::<Vec<_>>(),
+            model.iter().map(pair).collect::<Vec<_>>(),
+            "range(..) {context}"
+        );
+        t.check_traversal_integrity();
+    }
+
+    #[test]
+    fn every_single_write_beside_every_frozen_subset_reads_like_a_btreemap() {
+        // Universe 0..8: every frozen subset, every one write (insert or remove of
+        // each key), every point read and the scan, with the write buffered and
+        // folded — then a second write on the folded tier, whose summary started
+        // out not ready. Clean gaps answer from the frozen tier alone, so any
+        // wrong bit index or gap boundary shows as a wrong answer here.
+        let config = TieredSkipTrieConfig::for_universe_bits(3);
+        for subset in 0u32..256 {
+            let frozen = (0..8u64).filter(|k| subset >> k & 1 == 1);
+            let model: std::collections::BTreeMap<u64, u64> = frozen.map(|k| (k, k + 10)).collect();
+            for write in 0..16u64 {
+                let (key, insert) = (write / 2, write % 2 == 0);
+                let t = TieredSkipTrie::from_sorted(config, model.clone());
+                let mut model = model.clone();
+                let context = format!(
+                    "after {}({key}) on frozen set {subset:#010b}",
+                    if insert { "insert" } else { "remove" }
+                );
+                if insert {
+                    assert_eq!(t.insert(key, 99), !model.contains_key(&key), "{context}");
+                    model.entry(key).or_insert(99);
+                } else {
+                    assert_eq!(t.remove(key), model.remove(&key), "{context}");
+                }
+                assert_reads_like(&t, &model, 7, &context);
+                t.merge();
+                assert_eq!(
+                    dirty_gaps(&t),
+                    [0usize; 0],
+                    "a fold starts clean, {context}"
+                );
+                assert_reads_like(&t, &model, 7, &format!("and a merge, {context}"));
+                let flipped = (key + 3) % 8;
+                if model.remove(&flipped).is_some() {
+                    assert!(t.remove(flipped).is_some(), "{context}");
+                } else {
+                    assert!(t.insert(flipped, 77), "{context}");
+                    model.insert(flipped, 77);
+                }
+                assert_reads_like(
+                    &t,
+                    &model,
+                    7,
+                    &format!("a merge and a flip of {flipped}, {context}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_dirties_exactly_the_gap_its_key_falls_in() {
+        // Gap g spans [f_{g-1}, f_g): 0 = below 10, 1 = [10, 20), 2 = [20, 30), 3 = from 30.
+        let t = tiered([10, 20, 30]);
+        assert_eq!(dirty_gaps(&t), [0usize; 0]);
+        assert!(!t.insert(20, 0) && t.remove(15).is_none());
+        assert_eq!(
+            dirty_gaps(&t),
+            [0usize; 0],
+            "a write that changes nothing marks nothing"
+        );
+
+        // Below f_0.
+        assert!(t.insert(5, 50));
+        assert_eq!(dirty_gaps(&t), [0]);
+        assert_eq!(t.get(5), Some(50));
+        assert_eq!(t.predecessor(7), Some((5, 50)));
+        assert_eq!(t.predecessor(4), None);
+        assert_eq!(t.successor(0), Some((5, 50)));
+        assert_eq!(t.successor(6), Some((10, 11)));
+        assert_eq!(
+            t.predecessor(15),
+            Some((10, 11)),
+            "gap 1 is clean beside it"
+        );
+
+        // Above f_{n-1}.
+        assert!(t.insert(35, 350));
+        assert_eq!(dirty_gaps(&t), [0, 3]);
+        assert_eq!(t.predecessor(40), Some((35, 350)));
+        assert_eq!(t.successor(31), Some((35, 350)));
+        assert_eq!(t.successor(36), None);
+        assert_eq!(
+            t.get(30),
+            Some(31),
+            "a frozen key in a dirty gap still resolves"
+        );
+
+        // A tombstone on f_i lands in the gap f_i opens, and is seen from f_i,
+        // from f_{i+1} - 1, and by a successor query coming up from the gap below.
+        assert_eq!(t.remove(20), Some(21));
+        assert_eq!(dirty_gaps(&t), [0, 2, 3]);
+        assert_eq!(t.get(20), None);
+        assert_eq!(t.predecessor(20), Some((10, 11)));
+        assert_eq!(t.predecessor(29), Some((10, 11)));
+        assert_eq!(t.successor(20), Some((30, 31)));
+        assert_eq!(
+            t.successor(11),
+            Some((30, 31)),
+            "clean gap 1, tombstoned f_2 above it"
+        );
+        assert_eq!(t.get(10), Some(11));
+
+        // Empty frozen tier: one gap, the whole universe.
+        let empty = tiered([]);
+        assert_eq!(
+            (empty.get(7), empty.predecessor(7), empty.successor(7)),
+            (None, None, None)
+        );
+        assert!(empty.insert(7, 70));
+        assert_eq!(dirty_gaps(&empty), [0]);
+        assert_eq!(empty.predecessor(u32::MAX as u64), Some((7, 70)));
+        assert_eq!(empty.successor(0), Some((7, 70)));
+
+        // The universe's top key, frozen and as a buffered insert.
+        let config = TieredSkipTrieConfig::for_universe_bits(64);
+        let top = TieredSkipTrie::from_sorted(config, [(1u64, 1u64), (u64::MAX, 2)]);
+        assert_eq!(top.successor(u64::MAX), Some((u64::MAX, 2)));
+        assert_eq!(top.successor(2), Some((u64::MAX, 2)));
+        assert_eq!(top.remove(u64::MAX), Some(2));
+        assert_eq!(dirty_gaps(&top), [2]);
+        assert_eq!(top.successor(2), None);
+        assert_eq!(top.predecessor(u64::MAX), Some((1, 1)));
+        assert!(top.insert(u64::MAX, 3));
+        assert_eq!(top.get(u64::MAX), Some(3));
+        top.merge();
+        assert_eq!(top.predecessor(u64::MAX), Some((u64::MAX, 3)));
+    }
+
+    #[test]
+    fn approx_node_bytes_counts_the_dirty_gap_summary() {
+        // 28 bytes of arrays per frozen key, and one summary word per 64 gaps
+        // (n + 1 gaps: 1 word for the empty tier, 3 for 128 keys).
+        let empty = tiered([]).approx_node_bytes();
+        assert_eq!(tiered(0..128).approx_node_bytes(), empty + 128 * 28 + 2 * 8);
+    }
+
     #[test]
     fn frozen_tier_lower_bound_matches_binary_search() {
         for search in [FrozenSearch::Eytzinger, FrozenSearch::Interpolation] {
             for n in [0usize, 1, 2, 3, 7, 8, 64, 100, 1023] {
                 let entries: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 3 + 1, i)).collect();
                 let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
-                let tier = FrozenTier::build_with(entries, search);
+                let tier = FrozenTier::build_with(entries, search, true);
                 for probe in 0..(n as u64 * 3 + 4) {
                     assert_eq!(
                         tier.lower_bound(probe),
@@ -1433,7 +1739,7 @@ mod tests {
         keys.extend((0..512u64).map(|i| u64::MAX - 1024 + i));
         keys.push(u64::MAX);
         let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k ^ 7)).collect();
-        let tier = FrozenTier::build_with(entries, FrozenSearch::Interpolation);
+        let tier = FrozenTier::build_with(entries, FrozenSearch::Interpolation, true);
         for probe in [
             0u64,
             1,

@@ -11,6 +11,10 @@
 //! * a key removed before the race and never re-inserted stays dead: its delta
 //!   tombstone must shadow the frozen entry, ride every fold, and never let the
 //!   frozen copy "resurrect".
+//!
+//! The last test is the witness for the dirty-gap summary's publish window: a
+//! thread must read its own completed write even when a fold was published
+//! between the moment it picked up the tiers and the moment it wrote the delta.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -150,4 +154,91 @@ fn readers_race_explicit_merge_swaps() {
 fn readers_race_the_background_merger() {
     let (t, stable) = build();
     run_race(&t, stable, Some(Duration::from_millis(1)));
+}
+
+/// Read-your-own-writes across seals and publishes. Each writer owns a slice of
+/// keys (every other one frozen from the start) and flips one at a time; right
+/// after each write it reads the key back through `get`, `predecessor` and
+/// `successor`. A clean dirty-gap bit sends those reads to the frozen tier alone,
+/// so this fails if a completed write's gap can ever read clean: the case that
+/// needs care is a writer preempted between loading the tiers and writing the
+/// live delta while the merger publishes a fold — it marked the *old* frozen
+/// tier's summary. Preemption there needs more runnable threads than cores.
+#[test]
+fn a_thread_reads_its_own_writes_across_seals_and_publishes() {
+    const SLICE: u64 = 64;
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let writers = 2 * cores + 1;
+    let rounds = scaled(30_000);
+    // Key 0 is a floor nobody writes, so every predecessor query has an answer.
+    let key = |writer: u64, i: u64| 1 + (writer * SLICE + i) * 4;
+    let t: TieredSkipTrie<u64> = TieredSkipTrie::from_sorted(
+        TieredSkipTrieConfig::for_universe_bits(UNIVERSE_BITS),
+        std::iter::once((0, 0)).chain((0..writers as u64 * SLICE).step_by(2).map(|j| {
+            let k = key(j / SLICE, j % SLICE);
+            (k, k)
+        })),
+    );
+    let writers_done = AtomicUsize::new(0);
+    let merges = AtomicUsize::new(0);
+
+    Workload::new(0xE18)
+        .workers(writers, |mut ctx| {
+            // Counted out on a panic too: the merger waits for this count, and a
+            // failed assert must end the run rather than hang it.
+            struct CountOut<'a>(&'a AtomicUsize);
+            impl Drop for CountOut<'_> {
+                fn drop(&mut self) {
+                    self.0.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            let _done = CountOut(&writers_done);
+            let mut present: Vec<bool> = (0..SLICE).map(|i| i % 2 == 0).collect();
+            for round in 0..rounds as u64 {
+                let i = ctx.rng.next() % SLICE;
+                let k = key(ctx.index as u64, i);
+                if present[i as usize] {
+                    assert!(
+                        t.remove(k).is_some(),
+                        "round {round}: {k} is ours and present"
+                    );
+                    assert_eq!(t.get(k), None, "round {round}: get after remove({k})");
+                    let below = t.predecessor(k).expect("key 0 is never removed").0;
+                    assert!(
+                        below < k,
+                        "round {round}: predecessor({k}) after its remove"
+                    );
+                    let above = t.successor(k).map(|(s, _)| s);
+                    assert!(
+                        above != Some(k),
+                        "round {round}: successor({k}) after its remove"
+                    );
+                } else {
+                    assert!(t.insert(k, round), "round {round}: {k} is ours and absent");
+                    assert_eq!(
+                        t.get(k),
+                        Some(round),
+                        "round {round}: get after insert({k})"
+                    );
+                    assert_eq!(t.predecessor(k), Some((k, round)), "round {round}");
+                    assert_eq!(t.successor(k), Some((k, round)), "round {round}");
+                }
+                present[i as usize] = !present[i as usize];
+            }
+        })
+        .worker(|_| {
+            while writers_done.load(Ordering::SeqCst) < writers {
+                if t.merge() {
+                    merges.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        })
+        .run();
+
+    assert!(
+        merges.load(Ordering::SeqCst) >= 2,
+        "the race must actually cross tier folds"
+    );
+    // Audits the summary against whatever the race left un-merged.
+    t.check_traversal_integrity();
 }
