@@ -11,8 +11,11 @@ use crate::Histogram;
 /// its op class (point / ordered / range / pop / batch); the label set is fixed
 /// at construction so recording is an index, not a hash lookup. Each class is
 /// guarded by its own `Mutex` — recorders of *different* classes never contend,
-/// and a single uncontended lock costs tens of nanoseconds, far below the
-/// microsecond-scale latencies being recorded.
+/// and a single uncontended lock-and-record costs 13–16 ns
+/// (`metrics.latency_record_ns`), about 1 % of the shortest request a worker
+/// serves, so the classes are shared by all workers rather than kept per
+/// worker and merged. Quantiles read off a class carry [`Histogram`]'s bound:
+/// never under, at most 1/32 over.
 ///
 /// # Examples
 ///

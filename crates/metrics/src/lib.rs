@@ -14,7 +14,7 @@
 //!   overhead, so throughput benchmarks are unaffected.
 //! * [`Snapshot`] — an aggregated view across all threads, with subtraction so callers
 //!   can measure deltas around a region of interest.
-//! * [`Histogram`] — a log₂-bucketed latency/size histogram.
+//! * [`Histogram`] — a log-linear latency/size histogram (quantiles within 1/32).
 //! * [`Stopwatch`] — a tiny wall-clock helper used by the throughput experiments.
 //!
 //! # Examples
@@ -137,6 +137,13 @@ pub use stopwatch::Stopwatch;
 /// * [`Counter::FixPrevGaveUp`] / [`Counter::TopRepairGaveUp`] — `fixPrev` calls
 ///   and delete-side successor repairs that ran out of attempts and left a guide
 ///   for a reader to heal.
+/// * [`Counter::GatePollHit`] / [`Counter::GatePark`] / [`Counter::GateUnpark`] —
+///   a `WakeGate` sleeper's duty cycle: `sleep_until` calls that returned from
+///   their poll phase (the condition came true while the sleeper was still
+///   awake), `park` calls (the gate stayed idle for the whole poll budget), and
+///   `unpark` calls `wake()` issued (it found the sleeper's flag up). Under
+///   steady load `gate_park / requests` is the share of requests that paid a
+///   futex wake, and `gate_unpark` staying flat is the waker's skip path taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Counter {
@@ -183,11 +190,14 @@ pub enum Counter {
     StartHintRejected,
     FixPrevGaveUp,
     TopRepairGaveUp,
+    GatePollHit,
+    GatePark,
+    GateUnpark,
 }
 
 impl Counter {
     /// All counters, in a stable order used for display and serialization.
-    pub const ALL: [Counter; 43] = [
+    pub const ALL: [Counter; 46] = [
         Counter::PtrRead,
         Counter::HashOp,
         Counter::CasAttempt,
@@ -231,6 +241,9 @@ impl Counter {
         Counter::StartHintRejected,
         Counter::FixPrevGaveUp,
         Counter::TopRepairGaveUp,
+        Counter::GatePollHit,
+        Counter::GatePark,
+        Counter::GateUnpark,
     ];
 
     /// Number of distinct counters.
@@ -289,6 +302,9 @@ impl Counter {
             Counter::StartHintRejected => "start_hint_rejected",
             Counter::FixPrevGaveUp => "fix_prev_gave_up",
             Counter::TopRepairGaveUp => "top_repair_gave_up",
+            Counter::GatePollHit => "gate_poll_hit",
+            Counter::GatePark => "gate_park",
+            Counter::GateUnpark => "gate_unpark",
         }
     }
 }

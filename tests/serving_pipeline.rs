@@ -10,10 +10,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use skiptrie_suite::metrics::{self, Counter};
 use skiptrie_suite::service::{OpClass, Reply, Request, Service, ServiceConfig, Verb};
-use skiptrie_suite::skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig, TieredForest};
+use skiptrie_suite::skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig, TieredForest, WakeGate};
 use skiptrie_suite::workloads::harness::{scaled, worker_rng};
 
 /// Serializes the tests in this binary so `since`-deltas on the service
@@ -343,31 +344,26 @@ fn a_backlog_shows_in_virtual_latency_and_not_in_service_latency() {
     }
 }
 
-#[test]
-fn a_request_to_an_idle_worker_is_never_stranded() {
-    // Closed loop at depth one: every request is submitted only after the
-    // previous response came back, so its worker is either going idle or
-    // already asleep — the submit/sleep handshake decides every round, and the
-    // worker has no timeout to fall back on. Odd rounds give the worker a few
-    // yields to actually fall asleep; even rounds race it there.
-    let _guard = SERVICE_LOCK.lock().unwrap();
-    const ROUNDS: u64 = 10_000;
+/// Depth-one closed loop over two shards, 64 rounds to a shard before it moves
+/// to the other: each round pauses, submits one insert and waits for its reply.
+/// But for the first of each 64, the worker a round submits to went idle when
+/// it answered the round before, so `pause(round)` *is* that worker's idle time
+/// and picks which of its gate's three windows the request finds it in —
+/// polling, raising the flag, parked. Runs on its own thread under a 60-s
+/// lost-wake deadline; the workers have no timeout to fall back on.
+fn depth_one_rounds(rounds: u64, pause: fn(u64)) {
     let (done, finished) = std::sync::mpsc::channel();
     let driver = std::thread::spawn(move || {
         let forest: ShardedSkipTrie<u64> =
             ShardedSkipTrie::new(ShardedSkipTrieConfig::for_universe_bits(16).with_shards(2));
         let service = Service::new(std::sync::Arc::new(forest), ServiceConfig::default());
         let mut conn = service.connect();
-        for round in 0..ROUNDS {
-            if round % 2 == 1 {
-                for _ in 0..4 {
-                    std::thread::yield_now();
-                }
-            }
+        for round in 0..rounds {
+            pause(round);
+            let shard = (round >> 6) & 1;
             let submit_ns = conn.now_ns();
             conn.submit(Request {
-                // Alternate shards so both workers keep going idle.
-                verb: Verb::Insert(((round % 2) << 15) | (round >> 1), round),
+                verb: Verb::Insert((shard << 15) | (round % (1 << 15)), round),
                 submit_ns,
             })
             .expect("an empty lane admits the request");
@@ -376,7 +372,87 @@ fn a_request_to_an_idle_worker_is_never_stranded() {
         let _ = done.send(());
     });
     finished
-        .recv_timeout(std::time::Duration::from_secs(60))
+        .recv_timeout(Duration::from_secs(60))
         .expect("a request to an idle worker was never served: lost wake");
     driver.join().expect("driver panicked");
+}
+
+/// Waits out `pause` a yield at a time. A sleep would round up to the timer's
+/// slack and miss the window it is aimed at; a wait that held the CPU would,
+/// whenever the scheduler has put the client beside the worker it is about to
+/// wake, keep that worker's first yield from coming back within the budget:
+/// its poll phase ends there and the aimed wake finds it long parked.
+fn wait_for(pause: Duration) {
+    let start = Instant::now();
+    while start.elapsed() < pause {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn a_request_to_an_idle_worker_is_never_stranded() {
+    // Each round draws its pause: none, or four yields, race the worker into
+    // its poll phase; half a budget finds it well inside; two budgets find it
+    // long parked; and three draws in four land within the budget -3 .. +1 µs,
+    // where (measured on the build host: `submit` unparks in 6 % of rounds 2 µs
+    // short of the budget, in 20 % 1 µs short and in 90 % at it) the worker
+    // stops polling and raises its flag — the only stretch in which a wake
+    // can be lost.
+    let _guard = SERVICE_LOCK.lock().unwrap();
+    depth_one_rounds(scaled(10_000) as u64, |round| {
+        let budget = WakeGate::POLL_BUDGET;
+        // A multiplicative hash of the round: draws with no generator to carry.
+        let draw = round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        match draw >> 60 {
+            0 => {}
+            1 => (0..4).for_each(|_| std::thread::yield_now()),
+            2 => wait_for(budget / 2),
+            3 => wait_for(2 * budget),
+            // 0 .. 4.1 µs of jitter from bits the kind did not use.
+            _ => wait_for(
+                budget - Duration::from_micros(3) + Duration::from_nanos((draw >> 48) & 0xFFF),
+            ),
+        }
+    });
+}
+
+#[test]
+fn a_busy_worker_polls_and_an_idle_one_parks() {
+    // The gate's duty cycle, read off its counters. They are process-wide and
+    // the forest-less service here is not the only sleeper a test binary can
+    // hold, so every bound is a lower bound. Host load can only lower what is
+    // bounded — a yield that comes back a time slice late turns a poll hit
+    // into a park, or outlasts the pause and turns a park into a poll hit — so
+    // each phase is judged by the first of a few attempts that meets its bound.
+    let _guard = SERVICE_LOCK.lock().unwrap();
+    const ROUNDS: u64 = 2_000;
+    const ENOUGH: u64 = ROUNDS * 9 / 10;
+    const ATTEMPTS: usize = 5;
+    let attempt = |what: &str, pause: fn(u64), enough: fn([u64; 3]) -> bool| {
+        let mut seen = Vec::new();
+        for _ in 0..ATTEMPTS {
+            let ((), delta) = metrics::measure(|| depth_one_rounds(ROUNDS, pause));
+            let counts = [Counter::GatePollHit, Counter::GatePark, Counter::GateUnpark]
+                .map(|c| delta.get(c));
+            if enough(counts) {
+                return;
+            }
+            seen.push(counts);
+        }
+        panic!("{ROUNDS} {what}: [poll hits, parks, unparks] read {seen:?}");
+    };
+    // No pause: the next request arrives while its worker still polls, so the
+    // worker never parks for it and `submit` unparks nobody.
+    attempt(
+        "back-to-back rounds",
+        |_| {},
+        |[poll_hits, ..]| poll_hits >= ENOUGH,
+    );
+    // Three budgets between requests: every worker has parked by the time the
+    // next one comes, and `submit` pays the unpark.
+    attempt(
+        "rounds three budgets apart",
+        |_| wait_for(3 * WakeGate::POLL_BUDGET),
+        |[_, parks, unparks]| parks >= ENOUGH && unparks >= ENOUGH,
+    );
 }
