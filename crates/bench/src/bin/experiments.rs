@@ -21,7 +21,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use skiptrie::{
-    DcssMode, FrozenSearch, OrderedKv, Reclaimer, ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie,
+    DcssMode, OrderedKv, Reclaimer, ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie,
     SkipTrieConfig, TieredForest, TieredSkipTrie, TieredSkipTrieConfig,
 };
 use skiptrie_baselines::{FullSkipList, LockedBTreeMap, SeqYFastTrie};
@@ -878,32 +878,12 @@ fn ab() -> Outcome {
         },
     );
 
-    // Uniform keys are interpolation's best case, and it needs a tier that outgrows
-    // the cache to show; ROADMAP item 2 decides between the two layouts by this row.
-    let probes = scaled(200_000);
-    let tier = WorkloadSpec::read_only(BITS, scaled(400_000), 0, 0xE14C).sorted_prefill_entries();
-    let probe = |search| {
-        let config = TieredSkipTrieConfig::for_universe_bits(BITS).with_frozen_search(search);
-        let tier = TieredSkipTrie::<u64>::from_sorted(config, tier.iter().copied());
-        move || {
-            let mut rng = SplitMix64::new(0xE14C);
-            for _ in 0..probes {
-                black_box(tier.predecessor(rng.next() & MAX_KEY));
-            }
-        }
-    };
-    ab_row(
-        &mut rows,
-        "frozen predecessor: Eytzinger vs interpolation",
-        ("op", probes),
-        probe(FrozenSearch::Eytzinger),
-        probe(FrozenSearch::Interpolation),
-    );
-
     // The serving regime in one row: the delta is never empty, and a read pays for it
     // only if a buffered write touched the gap between frozen keys the read falls in.
     // Every `stride`-th frozen key is tombstoned; A reads frozen keys half a stride
     // away from any of them, B the tombstoned keys themselves.
+    let probes = scaled(200_000);
+    let tier = WorkloadSpec::read_only(BITS, scaled(400_000), 0, 0xE14C).sorted_prefill_entries();
     const BUFFERED: usize = 2_048;
     let stride = tier.len() / BUFFERED;
     assert!(stride >= 4, "clean keys need clean neighbours");

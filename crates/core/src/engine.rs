@@ -5,7 +5,7 @@
 //! grouping, parallel bulk load); an engine owns *how* one shard stores its slice
 //! of the key space. [`SkipTrie`] is the default engine — a forest of plain
 //! tries. [`TieredSkipTrie`] is the read-optimized engine — each shard a frozen
-//! Eytzinger array plus a live delta, with merges staggered across shards by the
+//! sorted array plus a live delta, with merges staggered across shards by the
 //! [`TieredForest`](crate::TieredForest) coordinator.
 //!
 //! The verbs — point operations, ordered queries, pops, `len` — are declared

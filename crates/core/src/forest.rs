@@ -49,7 +49,7 @@ use skiptrie_skiplist::{resolve_bounds, OrderedKv};
 use skiptrie_splitorder::DirectoryConfig;
 
 use crate::engine::{EngineRangeIter, ShardEngine};
-use crate::tiered::{FrozenSearch, TieredSkipTrieConfig};
+use crate::tiered::TieredSkipTrieConfig;
 use crate::{prefix, SkipTrie, SkipTrieConfig};
 
 /// First epoch domain handed to shards: domain 0 is the process-wide default and is
@@ -76,9 +76,6 @@ pub struct ShardedSkipTrieConfig {
     /// flags the shard and wakes the merge coordinator. Ignored by the plain
     /// [`SkipTrie`] engine. `None` (the default) disables the trigger.
     pub merge_watermark: Option<usize>,
-    /// Frozen-tier search algorithm for tiered engines (ignored by the plain
-    /// [`SkipTrie`] engine); see [`FrozenSearch`].
-    pub frozen_search: FrozenSearch,
     /// Reclamation substrate for every shard's epoch domain; see
     /// [`SkipTrieConfig::with_reclaimer`].
     pub reclaimer: Reclaimer,
@@ -109,7 +106,6 @@ impl ShardedSkipTrieConfig {
             seed: 0x5eed_5eed_5eed_5eed,
             hash_dir: DirectoryConfig::default(),
             merge_watermark: None,
-            frozen_search: FrozenSearch::Eytzinger,
             reclaimer: Reclaimer::Ebr,
         }
     }
@@ -156,13 +152,6 @@ impl ShardedSkipTrieConfig {
     pub fn with_merge_watermark(mut self, watermark: usize) -> Self {
         assert!(watermark > 0, "merge watermark must be positive");
         self.merge_watermark = Some(watermark);
-        self
-    }
-
-    /// Selects the frozen-tier search algorithm for tiered engines; see
-    /// [`FrozenSearch`].
-    pub fn with_frozen_search(mut self, search: FrozenSearch) -> Self {
-        self.frozen_search = search;
         self
     }
 
@@ -270,7 +259,6 @@ where
                 E::build(&TieredSkipTrieConfig {
                     trie: shard_config,
                     merge_watermark: config.merge_watermark,
-                    frozen_search: config.frozen_search,
                 })
             })
             .collect();

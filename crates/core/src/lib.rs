@@ -76,7 +76,7 @@ pub use skiptrie_skiplist::{
     SkipListConfig,
 };
 pub use skiptrie_splitorder::DirectoryConfig;
-pub use tiered::{FrozenSearch, TieredRangeIter, TieredSkipTrie, TieredSkipTrieConfig};
+pub use tiered::{TieredRangeIter, TieredSkipTrie, TieredSkipTrieConfig};
 pub use tiered_forest::TieredForest;
 
 use std::ops::RangeBounds;

@@ -6,10 +6,10 @@
 //! is almost static. [`TieredSkipTrie`] serves that shape "as fast as the hardware
 //! allows":
 //!
-//! * **Frozen tier** — an immutable, flat, sorted `(u64, V)` array plus an
-//!   [Eytzinger-ordered](https://algorithmica.org/en/eytzinger) copy of the keys.
-//!   `get`/`predecessor` on it are a branch-free walk of an implicit binary tree
-//!   laid out for cache-line locality: no pointer chasing and no CAS.
+//! * **Frozen tier** — an immutable, flat, sorted `(u64, V)` array and nothing
+//!   beside it. `get`/`predecessor` on it are one guarded interpolation search:
+//!   a handful of probes on evenly spread keys, `O(log n)` on any keys, no
+//!   pointer chasing and no CAS.
 //! * **Live delta** — a small ordinary [`SkipTrie`] absorbing recent inserts, with
 //!   a tombstone marker per deleted key so deletions shadow frozen entries.
 //! * **Dirty-gap summary** — one bit per gap between adjacent frozen keys, set
@@ -110,30 +110,6 @@ use skiptrie_metrics::{self as metrics, Counter};
 
 use crate::{max_key, SkipTrie, SkipTrieConfig};
 
-/// Search algorithm used by the frozen tier's `lower_bound`.
-///
-/// Both return the index of the first key `>= x`; they differ only in how they
-/// walk the sorted array, which matters at large populations:
-///
-/// * [`FrozenSearch::Eytzinger`] — branch-free descent of an implicit binary
-///   tree in BFS layout: `O(log n)` steps, each touching one cache line laid
-///   out for prefetch-friendliness. Robust to any key distribution.
-/// * [`FrozenSearch::Interpolation`] — guesses the position from the key's
-///   value relative to the span endpoints: `O(log log n)` expected steps when
-///   keys are near-uniform (the common shape after hashed workloads), falling
-///   back to a short bounded scan once the window is small. Degrades gracefully
-///   (still correct, at worst linear convergence) on adversarial distributions.
-///
-/// A/B numbers: the `ab` experiment's last row (`EXPERIMENTS.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrozenSearch {
-    /// Branch-free Eytzinger (BFS-layout) binary search — the default.
-    #[default]
-    Eytzinger,
-    /// Interpolation search over the sorted array (near-uniform keys).
-    Interpolation,
-}
-
 /// Configuration of a [`TieredSkipTrie`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TieredSkipTrieConfig {
@@ -147,8 +123,6 @@ pub struct TieredSkipTrieConfig {
     /// [`TieredForest`](crate::TieredForest), wakes its coordinator. `None` (the
     /// default) disables the watermark trigger.
     pub merge_watermark: Option<usize>,
-    /// How the frozen tier searches its sorted key array.
-    pub frozen_search: FrozenSearch,
 }
 
 impl Default for TieredSkipTrieConfig {
@@ -167,7 +141,6 @@ impl TieredSkipTrieConfig {
         TieredSkipTrieConfig {
             trie: SkipTrieConfig::for_universe_bits(universe_bits),
             merge_watermark: None,
-            frozen_search: FrozenSearch::Eytzinger,
         }
     }
 
@@ -188,12 +161,6 @@ impl TieredSkipTrieConfig {
         self.merge_watermark = Some(watermark);
         self
     }
-
-    /// Selects the frozen-tier search algorithm (see [`FrozenSearch`]).
-    pub fn with_frozen_search(mut self, search: FrozenSearch) -> Self {
-        self.frozen_search = search;
-        self
-    }
 }
 
 /// What the delta knows about a key: a recent value, or "deleted here" shadowing
@@ -204,18 +171,65 @@ enum Delta<V> {
     Tombstone,
 }
 
-/// The immutable frozen tier: entries sorted by key, plus an Eytzinger (BFS-order)
-/// layout of the keys for branch-free, cache-friendly binary search (or
-/// interpolation search directly over `sorted`, per [`FrozenSearch`]).
+/// Index of the first of `n` increasing keys that is `>= x` (`n` if none), where
+/// `key_at(i)` reads key `i`: an interpolation search with a guard.
+///
+/// Each round reads the slot where `x` would sit if the keys between the
+/// window's ends were evenly spread — on keys that are, a few rounds find it
+/// (`O(log log n)` expected). A guess that leaves more than half the window is
+/// followed by a bisection step, so whatever the keys are the window at least
+/// halves per round of at most two reads. A search therefore reads at most
+/// `2·⌈log₂ n⌉ + 3` keys: the two end keys, `⌈log₂ n⌉ - 3` rounds from `n - 1`
+/// slots down to 8, and a scan of the 7 keys inside those.
+///
+/// The search reaches the keys only through `key_at`, so a test can count the
+/// reads with a closure of its own; the serving path passes the slice access.
+fn lower_bound_by(n: usize, x: u64, key_at: impl Fn(usize) -> u64) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    let (mut klo, mut khi) = (key_at(0), key_at(n - 1));
+    if x <= klo {
+        return 0;
+    }
+    if x > khi {
+        return n;
+    }
+    // Invariant: key_at(lo) = klo < x <= khi = key_at(hi), so the answer lies
+    // in (lo, hi].
+    let (mut lo, mut hi) = (0usize, n - 1);
+    while hi - lo > 8 {
+        let width = hi - lo;
+        // u128 keeps (x - klo) * width exact for any 64-bit keys.
+        let offset = ((x - klo) as u128 * width as u128 / (khi - klo) as u128) as usize;
+        let mut mid = (lo + offset).clamp(lo + 1, hi - 1);
+        loop {
+            let k = key_at(mid);
+            if k < x {
+                (lo, klo) = (mid, k);
+            } else {
+                (hi, khi) = (mid, k);
+            }
+            if hi - lo <= width / 2 {
+                break;
+            }
+            // The guard: the guess took at least one slot off the window, and
+            // half of what is left is at most `width / 2`.
+            mid = lo + (hi - lo) / 2;
+        }
+    }
+    let mut i = lo + 1;
+    while i < hi && key_at(i) < x {
+        i += 1;
+    }
+    i
+}
+
+/// The immutable frozen tier: entries sorted by key, searched in place, and the
+/// dirty-gap summary over them.
 struct FrozenTier<V> {
     /// Entries in increasing key order.
     sorted: Box<[(u64, V)]>,
-    /// `eyt[k]` (1-indexed, `1..=n`) is the key at Eytzinger position `k`.
-    eyt: Box<[u64]>,
-    /// Maps an Eytzinger position back to its index in `sorted`.
-    rank: Box<[u32]>,
-    /// Which `lower_bound` algorithm serves this tier.
-    search: FrozenSearch,
     /// The dirty-gap summary, `len() + 1` bits: bit `g` is set before any delta
     /// write to a key with `g` frozen keys at or below it (module docs, "Clean
     /// keys skip the delta"). Bits are only ever set; a fold starts a fresh tier.
@@ -229,41 +243,12 @@ struct FrozenTier<V> {
 impl<V: Clone> FrozenTier<V> {
     /// `ready` is what the summary starts as: `true` wherever no writer can
     /// hold an older view of the delta this tier is published with.
-    fn build_with(sorted: Vec<(u64, V)>, search: FrozenSearch, ready: bool) -> Self {
-        let n = sorted.len();
-        assert!(
-            n < u32::MAX as usize,
-            "frozen tier is limited to under 2^32 entries"
-        );
-        let mut eyt = vec![0u64; n + 1].into_boxed_slice();
-        let mut rank = vec![0u32; n + 1].into_boxed_slice();
-        // In-order traversal of the implicit complete tree assigns sorted ranks to
-        // Eytzinger slots (slot 0 is unused padding).
-        fn fill<V>(
-            sorted: &[(u64, V)],
-            eyt: &mut [u64],
-            rank: &mut [u32],
-            k: usize,
-            next: &mut usize,
-        ) {
-            if k > sorted.len() {
-                return;
-            }
-            fill(sorted, eyt, rank, 2 * k, next);
-            eyt[k] = sorted[*next].0;
-            rank[k] = *next as u32;
-            *next += 1;
-            fill(sorted, eyt, rank, 2 * k + 1, next);
-        }
-        let mut next = 0usize;
-        fill(&sorted, &mut eyt, &mut rank, 1, &mut next);
-        debug_assert_eq!(next, n);
+    fn new(sorted: Vec<(u64, V)>, ready: bool) -> Self {
         FrozenTier {
+            dirty: (0..sorted.len() / 64 + 1)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             sorted: sorted.into_boxed_slice(),
-            eyt,
-            rank,
-            search,
-            dirty: (0..n / 64 + 1).map(|_| AtomicU64::new(0)).collect(),
             ready: AtomicBool::new(ready),
         }
     }
@@ -272,66 +257,9 @@ impl<V: Clone> FrozenTier<V> {
         self.sorted.len()
     }
 
-    /// Index in `sorted` of the first key `>= x` (`len()` if none), by the
-    /// configured [`FrozenSearch`] algorithm.
+    /// Index in `sorted` of the first key `>= x` (`len()` if none).
     fn lower_bound(&self, x: u64) -> usize {
-        match self.search {
-            FrozenSearch::Eytzinger => self.lower_bound_eytzinger(x),
-            FrozenSearch::Interpolation => self.lower_bound_interpolated(x),
-        }
-    }
-
-    /// The branch-free Eytzinger descent. Each step reads one slot and computes
-    /// the next index arithmetically; the final fix-up (`trailing_ones`) recovers
-    /// the last left turn of the virtual walk.
-    fn lower_bound_eytzinger(&self, x: u64) -> usize {
-        let n = self.sorted.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut k = 1usize;
-        while k <= n {
-            k = 2 * k + usize::from(self.eyt[k] < x);
-        }
-        k >>= k.trailing_ones() + 1;
-        if k == 0 {
-            n
-        } else {
-            self.rank[k] as usize
-        }
-    }
-
-    /// Interpolation search over `sorted`: position the probe proportionally to
-    /// `x` within the current span's key range. `O(log log n)` expected probes on
-    /// near-uniform keys; always correct (the window shrinks by at least one slot
-    /// per probe), finishing with a linear scan once the window is small.
-    fn lower_bound_interpolated(&self, x: u64) -> usize {
-        let s = &self.sorted;
-        let n = s.len();
-        if n == 0 || x <= s[0].0 {
-            return 0;
-        }
-        if x > s[n - 1].0 {
-            return n;
-        }
-        // Invariant: s[lo].0 < x <= s[hi].0, so the answer lies in (lo, hi].
-        let (mut lo, mut hi) = (0usize, n - 1);
-        while hi - lo > 8 {
-            let (klo, khi) = (s[lo].0, s[hi].0);
-            // u128 keeps (x - klo) * width exact for any 64-bit keys.
-            let offset = ((x - klo) as u128 * (hi - lo) as u128 / (khi - klo) as u128) as usize;
-            let mid = (lo + offset).clamp(lo + 1, hi - 1);
-            if s[mid].0 < x {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut i = lo + 1;
-        while s[i].0 < x {
-            i += 1;
-        }
-        i
+        lower_bound_by(self.sorted.len(), x, |i| self.sorted[i].0)
     }
 
     /// The gap `key` falls in — the number of frozen keys `<= key`, so gap `g`
@@ -649,11 +577,7 @@ where
         // (`merging` is held: `live` is still the delta phase 1 published).
         // Its dirty-gap summary is not `ready`: a writer still pinned on phase
         // 1's state marks the old tier's summary and then writes `live`.
-        let next = Arc::new(FrozenTier::build_with(
-            folded,
-            self.config.frozen_search,
-            false,
-        ));
+        let next = Arc::new(FrozenTier::new(folded, false));
         self.publish(Tiers {
             frozen: Arc::clone(&next),
             live: Arc::clone(&live),
@@ -929,7 +853,7 @@ where
             .collect();
         let net = sorted.len() as i64;
         let tiers = Tiers {
-            frozen: Arc::new(FrozenTier::build_with(sorted, config.frozen_search, true)),
+            frozen: Arc::new(FrozenTier::new(sorted, true)),
             live: Arc::new(SkipTrie::new(config.trie)),
             sealed: None,
         };
@@ -1318,11 +1242,7 @@ where
         }
         self.net.store(entries.len() as i64, Ordering::SeqCst);
         self.publish(Tiers {
-            frozen: Arc::new(FrozenTier::build_with(
-                entries.to_vec(),
-                self.config.frozen_search,
-                true,
-            )),
+            frozen: Arc::new(FrozenTier::new(entries.to_vec(), true)),
             live: Arc::new(SkipTrie::new(self.config.trie)),
             sealed: None,
         });
@@ -1342,15 +1262,12 @@ where
         })
     }
 
-    /// Approximate resident bytes: frozen-tier arrays and dirty-gap summary plus
+    /// Approximate resident bytes: the frozen array and dirty-gap summary plus
     /// delta skiplist nodes.
     pub fn approx_node_bytes(&self) -> usize {
         self.with_tiers(|t| {
-            let frozen = t.frozen.len()
-                * (std::mem::size_of::<(u64, V)>()
-                    + std::mem::size_of::<u64>()
-                    + std::mem::size_of::<u32>())
-                + std::mem::size_of_val(&*t.frozen.dirty);
+            let frozen =
+                std::mem::size_of_val(&*t.frozen.sorted) + std::mem::size_of_val(&*t.frozen.dirty);
             let mut bytes = frozen + t.live.approx_node_bytes();
             if let Some(sealed) = &t.sealed {
                 bytes += sealed.approx_node_bytes();
@@ -1707,56 +1624,100 @@ mod tests {
 
     #[test]
     fn approx_node_bytes_counts_the_dirty_gap_summary() {
-        // 28 bytes of arrays per frozen key, and one summary word per 64 gaps
-        // (n + 1 gaps: 1 word for the empty tier, 3 for 128 keys).
+        // 16 bytes per frozen `(u64, u64)` entry, and one summary word per 64
+        // gaps (n + 1 gaps: 1 word for the empty tier, 3 for 128 keys).
         let empty = tiered([]).approx_node_bytes();
-        assert_eq!(tiered(0..128).approx_node_bytes(), empty + 128 * 28 + 2 * 8);
+        assert_eq!(tiered(0..128).approx_node_bytes(), empty + 128 * 16 + 2 * 8);
     }
 
     #[test]
     fn frozen_tier_lower_bound_matches_binary_search() {
-        for search in [FrozenSearch::Eytzinger, FrozenSearch::Interpolation] {
-            for n in [0usize, 1, 2, 3, 7, 8, 64, 100, 1023] {
-                let entries: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 3 + 1, i)).collect();
-                let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
-                let tier = FrozenTier::build_with(entries, search, true);
-                for probe in 0..(n as u64 * 3 + 4) {
-                    assert_eq!(
-                        tier.lower_bound(probe),
-                        keys.partition_point(|&k| k < probe),
-                        "{search:?} lower_bound({probe}) over {n} keys"
-                    );
-                }
+        for n in [0usize, 1, 2, 3, 7, 8, 9, 10, 64, 100, 1023] {
+            let entries: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 3 + 1, i)).collect();
+            let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
+            let tier = FrozenTier::new(entries, true);
+            for probe in 0..(n as u64 * 3 + 4) {
+                assert_eq!(
+                    tier.lower_bound(probe),
+                    keys.partition_point(|&k| k < probe),
+                    "lower_bound({probe}) over {n} keys"
+                );
             }
         }
     }
 
+    /// `n` increasing keys of each shape an interpolation guess is wrong on, and
+    /// the one it is right on.
+    fn key_families(n: usize) -> Vec<(&'static str, Vec<u64>)> {
+        let m = n as u64;
+        let clusters: Vec<u64> = (32..64)
+            .flat_map(|i| (0..m.div_ceil(32)).map(move |j| (1u64 << i) + j))
+            .take(n)
+            .collect();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut squared = std::collections::BTreeSet::new();
+        while squared.len() < n {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            squared.insert(((rng as u128 * rng as u128) >> 64) as u64);
+        }
+        vec![
+            ("arithmetic", (0..m).map(|i| i * 3 + 1).collect()),
+            ("2^i + j clusters", clusters),
+            (
+                "dense block + u64::MAX",
+                (0..m - 1).chain([u64::MAX]).collect(),
+            ),
+            (
+                "a cluster at each end of the universe",
+                (0..m / 2)
+                    .chain((0..m - m / 2).rev().map(|i| u64::MAX - i))
+                    .collect(),
+            ),
+            (
+                "geometric gaps",
+                (0..m)
+                    .map(|i| i + (63.0 * i as f64 / m as f64).exp2() as u64)
+                    .collect(),
+            ),
+            ("squared-uniform", squared.into_iter().collect()),
+        ]
+    }
+
     #[test]
     fn interpolation_search_survives_skewed_keys() {
-        // Clustered + extreme keys: interpolation's probe guesses are maximally
-        // wrong here, so this exercises the bounded-convergence fallback.
-        let mut keys: Vec<u64> = (0..512u64).collect();
-        keys.extend((0..512u64).map(|i| u64::MAX - 1024 + i));
-        keys.push(u64::MAX);
-        let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k ^ 7)).collect();
-        let tier = FrozenTier::build_with(entries, FrozenSearch::Interpolation, true);
-        for probe in [
-            0u64,
-            1,
-            511,
-            512,
-            513,
-            1 << 32,
-            u64::MAX - 1025,
-            u64::MAX - 1024,
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            assert_eq!(
-                tier.lower_bound(probe),
-                keys.partition_point(|&k| k < probe),
-                "interpolated lower_bound({probe})"
-            );
+        // The guard's bound, key by key: every probe on or beside a key, and at
+        // both ends of the universe, finds `partition_point`'s answer within
+        // the number of reads `lower_bound_by` documents. Without the bisection
+        // step the dense block + outlier family reads the block slot by slot.
+        for n in [9usize, 64, 1023, 100_000] {
+            let max_reads = 2 * n.next_power_of_two().trailing_zeros() as usize + 3;
+            for (family, keys) in key_families(n) {
+                assert_eq!(keys.len(), n, "{family}");
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "{family}");
+                let probes = keys
+                    .iter()
+                    .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)])
+                    .chain([0, u64::MAX]);
+                for probe in probes {
+                    let reads = std::cell::Cell::new(0usize);
+                    let found = lower_bound_by(n, probe, |i| {
+                        reads.set(reads.get() + 1);
+                        keys[i]
+                    });
+                    assert_eq!(
+                        found,
+                        keys.partition_point(|&k| k < probe),
+                        "lower_bound({probe}) over {n} keys, {family}"
+                    );
+                    assert!(
+                        reads.get() <= max_reads,
+                        "lower_bound({probe}) over {n} keys, {family}: {} reads, bound {max_reads}",
+                        reads.get()
+                    );
+                }
+            }
         }
     }
 

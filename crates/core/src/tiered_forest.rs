@@ -5,8 +5,8 @@
 //! # Why a separate wrapper
 //!
 //! `ShardedSkipTrie<V, TieredSkipTrie<V>>` already works as a passive
-//! structure: every shard is a frozen Eytzinger (or interpolation) array plus
-//! a live skip-trie delta, and the router stitches scans and pops across them.
+//! structure: every shard is a frozen sorted array plus a live skip-trie
+//! delta, and the router stitches scans and pops across them.
 //! What the plain router cannot do is *react* to delta growth — a shard whose
 //! delta crosses its `merge_watermark` latches a `merge_due` flag, but a
 //! passive shard never folds by itself. [`TieredForest`] is the workspace's

@@ -76,6 +76,14 @@ fn run_race(f: &TieredForest<u64>, stable: u64, explicit_mergers: usize) {
     let readers = 2usize;
     let per_writer = scaled(8_000) as u64;
     let writers_done = AtomicUsize::new(0);
+    // The race is bounded by folds, not by writes: when the coordinator gets a
+    // core beside five busy threads is the scheduler's business, so writers
+    // churn on past `per_writer` until the tier swaps asserted on below have
+    // happened (or, so that a coordinator that never folds fails the test
+    // instead of hanging it, two minutes have passed).
+    let swaps = || -> u64 { (0..f.shard_count()).map(|i| f.shard(i).generation()).sum() };
+    let swaps_wanted = f.shard_count() as u64 + 1;
+    let deadline = Instant::now() + Duration::from_secs(120);
 
     Workload::new(0xE15)
         .workers(writers, |ctx| {
@@ -84,7 +92,13 @@ fn run_race(f: &TieredForest<u64>, stable: u64, explicit_mergers: usize) {
             // coordinator always has folds to stagger.
             let mut rng = worker_rng(0xE15, ctx.index);
             let base = CHURN_BASE + ctx.index as u64 * 0x2000_0000;
-            for _ in 0..per_writer {
+            for op in 0u64.. {
+                if op >= per_writer
+                    && op % 64 == 0
+                    && (swaps() >= swaps_wanted || Instant::now() >= deadline)
+                {
+                    break;
+                }
                 let key = base + (rng.next() & 0x00FF_FFFF);
                 if rng.next().is_multiple_of(3) {
                     f.remove(key);
@@ -140,9 +154,9 @@ fn run_race(f: &TieredForest<u64>, stable: u64, explicit_mergers: usize) {
 
     // The churn volume dwarfs the watermark: background folds must have fired
     // with no timer anywhere in the system.
-    let race_folds: u64 = (0..f.shard_count()).map(|i| f.shard(i).generation()).sum();
+    let race_folds = swaps();
     assert!(
-        race_folds > f.shard_count() as u64,
+        race_folds >= swaps_wanted,
         "watermark-driven folds never fired during the race (gen sum {race_folds})"
     );
     f.quiesce();

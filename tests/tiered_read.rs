@@ -17,7 +17,7 @@
 //! between the moment it picked up the tiers and the moment it wrote the delta.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use skiptrie_suite::skiptrie::{TieredSkipTrie, TieredSkipTrieConfig};
 use skiptrie_suite::workloads::harness::{scaled, worker_rng, Workload};
@@ -61,6 +61,13 @@ fn run_race(t: &TieredSkipTrie<u64>, stable: u64, merge_pause: Option<Duration>)
     let per_writer = scaled(8_000) as u64;
     let writers_done = AtomicUsize::new(0);
     let merges = AtomicUsize::new(0);
+    // The race is bounded by folds, not by writes: how long a fold takes beside
+    // five busy threads is the scheduler's business, so writers churn on past
+    // `per_writer` until the folds asserted on below have happened (or, so that
+    // a merger that never folds fails the test instead of hanging it, two
+    // minutes have passed).
+    let folds_wanted = if merge_pause.is_none() { 2 } else { 0 };
+    let deadline = Instant::now() + Duration::from_secs(120);
 
     Workload::new(0xE13)
         .workers(writers, |ctx| {
@@ -68,7 +75,13 @@ fn run_race(t: &TieredSkipTrie<u64>, stable: u64, merge_pause: Option<Duration>)
             // removes keep the delta dirty so folds always have work to do.
             let mut rng = worker_rng(0xE13, ctx.index);
             let base = CHURN_BASE + ctx.index as u64 * 0x0100_0000;
-            for _ in 0..per_writer {
+            for op in 0u64.. {
+                if op >= per_writer
+                    && op % 64 == 0
+                    && (merges.load(Ordering::SeqCst) >= folds_wanted || Instant::now() >= deadline)
+                {
+                    break;
+                }
                 let key = base + (rng.next() & 0x00FF_FFFF);
                 if rng.next().is_multiple_of(3) {
                     t.remove(key);
@@ -123,9 +136,10 @@ fn run_race(t: &TieredSkipTrie<u64>, stable: u64, merge_pause: Option<Duration>)
         .run();
 
     if merge_pause.is_none() {
+        let folds = merges.load(Ordering::SeqCst);
         assert!(
-            merges.load(Ordering::SeqCst) >= 2,
-            "the race must actually cross tier folds"
+            folds >= folds_wanted,
+            "the race must actually cross tier folds: {folds} of {folds_wanted}"
         );
     }
     // Quiesce: the merger has exited, so one fold drains whatever the race left;
