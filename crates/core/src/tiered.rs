@@ -38,11 +38,14 @@
 //! nothing. The delta tries' own pins nest inside the outer one for the cost of
 //! a counter bump.
 //!
-//! **Scans still hold no pin.** The frozen tier is one immutable allocation
-//! behind an [`Arc`], not a linked structure: [`TieredSkipTrie::range`] clones
-//! that `Arc` (and copies the small delta window) under the pin, and the
-//! [`TieredRangeIter`] it returns owns them, so an unbounded or abandoned scan
-//! never stalls reclamation.
+//! **Scans still hold no pin.** Each tier of the triple sits behind an [`Arc`]:
+//! [`TieredSkipTrie::range`] clones the three under the pin and the
+//! [`TieredRangeIter`] it returns owns them for its whole life. It serves the
+//! frozen array a window at a time and opens a delta cursor — a pin — only to
+//! read a window the dirty-gap summary does not call clean, for the length of
+//! that read. Between `next()` calls it pins nothing, so an unbounded or
+//! abandoned scan never stalls reclamation; what it keeps alive is the frozen
+//! array and at most two bounded deltas.
 //!
 //! # Clean keys skip the delta
 //!
@@ -67,7 +70,9 @@
 //!   (a tombstone on the frozen key above would change its answer). Clean: the
 //!   frozen answer is returned as is ([`Counter::TierHit`]). Dirty: the read runs
 //!   the tier merge exactly as if the summary did not exist
-//!   ([`Counter::TierMissDelta`]) — a reader may always ignore it.
+//!   ([`Counter::TierMissDelta`]) — a reader may always ignore it. A scan asks
+//!   the same question of a whole window of gaps, a summary word at a time, and
+//!   counts once per window.
 //! * **A fold starts a fresh summary, published not `ready`.** The seal swap keeps
 //!   the frozen tier, so its bits carry over. The fold swap installs a new tier
 //!   whose bits are all clear while the live delta already holds the writes made
@@ -303,6 +308,22 @@ impl<V: Clone> FrozenTier<V> {
     fn is_clean(&self, gap: usize) -> bool {
         let (word, bit) = self.dirty_bit(gap);
         self.ready.load(Ordering::SeqCst) && word.load(Ordering::SeqCst) & bit == 0
+    }
+
+    /// [`FrozenTier::is_clean`] for every gap of `first..=last`, a summary
+    /// word at a time (`ready` first, as there).
+    fn span_is_clean(&self, first: usize, last: usize) -> bool {
+        self.ready.load(Ordering::SeqCst)
+            && (first / 64..=last / 64).all(|w| {
+                let mut gaps = u64::MAX;
+                if w == first / 64 {
+                    gaps &= u64::MAX << (first % 64);
+                }
+                if w == last / 64 {
+                    gaps &= u64::MAX >> (63 - last % 64);
+                }
+                self.dirty[w].load(Ordering::SeqCst) & gaps == 0
+            })
     }
 }
 
@@ -1131,58 +1152,44 @@ where
     }
 
     /// An ordered iterator over the entries whose keys lie in `range`, merged
-    /// across tiers: frozen entries stream lazily; the (small) delta window is
-    /// collected eagerly up front. Weakly consistent: the iterator serves one
+    /// across tiers. Opening it costs one frozen search and a reference count
+    /// on each tier; the entries then come a *window* of frozen keys at a
+    /// time (64 of them, doubling with every window the scan gets through). A
+    /// window whose gaps the dirty-gap summary calls clean streams from the
+    /// frozen array and touches no delta ([`Counter::TierHit`]); any other
+    /// reads the deltas over its own key span only
+    /// ([`Counter::TierMissDelta`]). Weakly consistent: the iterator serves one
     /// published tiers triple for its whole life (keys stable across the scan all
     /// appear; concurrent writes and merges may or may not).
     ///
-    /// Unlike [`SkipTrie::range`], the iterator holds **no epoch pin** — it owns
-    /// reference-counted tiers — so unbounded scans never stall reclamation.
+    /// Unlike [`SkipTrie::range`], the iterator holds **no epoch pin** between
+    /// calls — it owns reference-counted tiers, and a delta cursor lives only
+    /// for the refill that opened it — so unbounded scans never stall
+    /// reclamation.
     pub fn range(&self, range: impl RangeBounds<u64>) -> TieredRangeIter<V> {
         let Some((lo, hi)) = crate::resolve_bounds(&range) else {
             return TieredRangeIter::empty();
         };
         self.with_tiers(|t| {
-            // Delta window: sealed first, live overrides, tombstones recorded as
-            // None so they can hide frozen entries during the merge walk.
-            let mut delta: Vec<(u64, Option<V>)> = Vec::new();
-            if let Some(sealed) = &t.sealed {
-                for (k, d) in sealed.range(lo..=hi) {
-                    delta.push((
-                        k,
-                        match d {
-                            Delta::Put(v) => Some(v),
-                            Delta::Tombstone => None,
-                        },
-                    ));
-                }
-            }
-            for (k, d) in t.live.range(lo..=hi) {
-                let v = match d {
-                    Delta::Put(v) => Some(v),
-                    Delta::Tombstone => None,
-                };
-                match delta.binary_search_by_key(&k, |&(dk, _)| dk) {
-                    Ok(i) => delta[i].1 = v,
-                    Err(i) => delta.insert(i, (k, v)),
-                }
-            }
-            // A scan always walks the deltas; it is a hit when they had nothing
-            // for its window and the frozen run is all it will yield.
-            metrics::record(if delta.is_empty() {
-                Counter::TierHit
-            } else {
-                Counter::TierMissDelta
-            });
             let fi = t.frozen.lower_bound(lo);
             // One past the last frozen index in range.
-            let fhi = t.frozen.lower_bound(hi.saturating_add(1)).max(fi);
-            let fhi = if hi == u64::MAX { t.frozen.len() } else { fhi };
+            let fhi = match hi.checked_add(1) {
+                Some(above) => t.frozen.lower_bound(above).max(fi),
+                None => t.frozen.len(),
+            };
             TieredRangeIter {
-                frozen: Some(Arc::clone(&t.frozen)),
+                tiers: Some(Tiers {
+                    frozen: Arc::clone(&t.frozen),
+                    live: Arc::clone(&t.live),
+                    sealed: t.sealed.clone(),
+                }),
                 fi,
+                window_end: fi,
                 fhi,
-                delta,
+                next_lo: Some(lo),
+                hi,
+                width: FIRST_WINDOW,
+                delta: Vec::new(),
                 di: 0,
             }
         })
@@ -1368,22 +1375,47 @@ where
     }
 }
 
+/// Frozen keys in a scan's first window. Every later window takes twice the one
+/// before it, so a page-sized scan opens a delta cursor or two at most and a
+/// scan of `n` keys `O(log n)` of them.
+const FIRST_WINDOW: usize = 64;
+
 /// Ordered merged iterator returned by [`TieredSkipTrie::range`]; owns its tiers
-/// (no epoch pin, no borrow of the structure).
+/// triple (no epoch pin between calls, no borrow of the structure).
 pub struct TieredRangeIter<V> {
-    frozen: Option<Arc<FrozenTier<V>>>,
+    /// The triple the scan was opened on; `None` for an empty range.
+    tiers: Option<Tiers<V>>,
+    /// Next frozen index to serve; the current window is `fi..window_end`.
     fi: usize,
+    window_end: usize,
+    /// One past the last frozen index in range.
     fhi: usize,
+    /// The key the next window starts at; `None` once the last window, the one
+    /// that reaches `hi`, has been opened.
+    next_lo: Option<u64>,
+    hi: u64,
+    /// Frozen keys the next window takes.
+    width: usize,
+    /// What the deltas hold in the current window's key span, ascending, a
+    /// tombstone as `None` so it can hide a frozen entry during the merge
+    /// walk; empty for a clean window.
     delta: Vec<(u64, Option<V>)>,
     di: usize,
 }
 
-impl<V: Clone> TieredRangeIter<V> {
+impl<V> TieredRangeIter<V>
+where
+    V: Clone + Send + Sync + 'static,
+{
     fn empty() -> Self {
         TieredRangeIter {
-            frozen: None,
+            tiers: None,
             fi: 0,
+            window_end: 0,
             fhi: 0,
+            next_lo: None,
+            hi: 0,
+            width: FIRST_WINDOW,
             delta: Vec::new(),
             di: 0,
         }
@@ -1405,37 +1437,105 @@ impl<V: Clone> TieredRangeIter<V> {
         self.advance(false).map(|(k, _)| k)
     }
 
-    /// The shared merge walk over the frozen run and the delta window: the
-    /// smaller key wins, a delta entry shadows an equal frozen one, tombstones
-    /// are skipped. The value is cloned only when `want_value`.
-    fn advance(&mut self, want_value: bool) -> Option<(u64, Option<V>)> {
-        let frozen = self.frozen.as_ref()?;
-        loop {
-            let fk = (self.fi < self.fhi).then(|| frozen.sorted[self.fi].0);
-            let dk = self.delta.get(self.di).map(|&(k, _)| k);
-            let take_frozen = match (fk, dk) {
-                (None, None) => return None,
-                (Some(f), Some(d)) => f < d,
-                (fk, _) => fk.is_some(),
-            };
-            if take_frozen {
-                let (k, v) = &frozen.sorted[self.fi];
-                self.fi += 1;
-                return Some((*k, want_value.then(|| v.clone())));
+    /// Opens the next window, `None` if the last one has been served: frozen
+    /// indices `fi..end`, and the keys from `next_lo` up to the frozen key at
+    /// `end` (up to `hi` when the window is the last). `end` is a multiple of
+    /// 64 less one, so the window's gaps `..=end` finish a summary word and
+    /// whole-word loads test them. Clean, the window is its frozen run
+    /// ([`Counter::TierHit`]); otherwise ([`Counter::TierMissDelta`]) what the
+    /// deltas hold in those keys is merged into `delta`, live over sealed. The
+    /// trie cursors, and their pins, end with the call.
+    ///
+    /// The summary is read now, not when the scan opened, and by then the
+    /// structure may have published other triples. That is sound for the same
+    /// reason a point read's is: bits are only ever set, and an entry either
+    /// delta of *this* triple held when the scan opened was marked in this
+    /// frozen tier before it was written, or by the catch-up scan `ready`
+    /// waits for. What a later triple's writers put in the shared live delta
+    /// is marked in their tier alone, and is a write concurrent with the scan.
+    // Out of line, so that the walk stays small enough to inline into the
+    // loops that drive it (a third off a 1 024-entry scan).
+    #[inline(never)]
+    fn refill(&mut self) -> Option<()> {
+        let lo = self.next_lo.take()?;
+        let t = self.tiers.as_ref()?;
+        let sorted = &t.frozen.sorted;
+        let end = ((self.fi + self.width) | 63).min(self.fhi);
+        self.width *= 2;
+        let hi = if end < self.fhi {
+            let above = sorted[end].0;
+            self.next_lo = Some(above);
+            above - 1
+        } else {
+            self.hi
+        };
+        // `lo`'s own gap (the one `sorted[fi]` opens, if `lo` is that key)
+        // through gap `end`, which `hi` falls in.
+        let first_gap = self.fi + usize::from(sorted.get(self.fi).is_some_and(|&(k, _)| k == lo));
+        self.window_end = end;
+        self.delta.clear();
+        self.di = 0;
+        if t.frozen.span_is_clean(first_gap, end) {
+            metrics::record(Counter::TierHit);
+            return Some(());
+        }
+        metrics::record(Counter::TierMissDelta);
+        let entry = |(k, d): (u64, Delta<V>)| match d {
+            Delta::Put(v) => (k, Some(v)),
+            Delta::Tombstone => (k, None),
+        };
+        let mut live = t.live.range(lo..=hi).map(entry).peekable();
+        if let Some(sealed) = &t.sealed {
+            for under in sealed.range(lo..=hi).map(entry) {
+                let mut shadowed = false;
+                while let Some(over) = live.next_if(|over| over.0 <= under.0) {
+                    shadowed = over.0 == under.0;
+                    self.delta.push(over);
+                }
+                if !shadowed {
+                    self.delta.push(under);
+                }
             }
-            if fk == dk {
+        }
+        self.delta.extend(live);
+        Some(())
+    }
+
+    /// The shared merge walk over the window's frozen run and its delta
+    /// entries: the smaller key wins, a delta entry shadows an equal frozen one,
+    /// tombstones are skipped; both run out, the next window opens. The value is
+    /// cloned only when `want_value`.
+    #[inline]
+    fn advance(&mut self, want_value: bool) -> Option<(u64, Option<V>)> {
+        loop {
+            let sorted = &self.tiers.as_ref()?.frozen.sorted;
+            let frozen = (self.fi < self.window_end).then(|| &sorted[self.fi]);
+            let buffered = self.delta.get(self.di);
+            if let Some((k, v)) = frozen {
+                if buffered.is_none_or(|(dk, _)| k < dk) {
+                    self.fi += 1;
+                    return Some((*k, want_value.then(|| v.clone())));
+                }
+            }
+            let Some((dk, put)) = buffered else {
+                self.refill()?;
+                continue;
+            };
+            if frozen.is_some_and(|(k, _)| k == dk) {
                 self.fi += 1; // shadowed by the delta
             }
-            let (k, put) = &self.delta[self.di];
             self.di += 1;
             if let Some(v) = put {
-                return Some((*k, want_value.then(|| v.clone())));
+                return Some((*dk, want_value.then(|| v.clone())));
             }
         }
     }
 }
 
-impl<V: Clone> Iterator for TieredRangeIter<V> {
+impl<V> Iterator for TieredRangeIter<V>
+where
+    V: Clone + Send + Sync + 'static,
+{
     type Item = (u64, V);
 
     fn next(&mut self) -> Option<(u64, V)> {
@@ -1541,6 +1641,177 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Frozen keys of the window-seam sweeps: `10, 20, …`, so every gap has room
+    /// for a key beside each of its ends.
+    const SEAM_KEYS: usize = 320;
+
+    fn seam_key(i: usize) -> u64 {
+        10 * (i as u64 + 1)
+    }
+
+    /// Gaps either side of a summary-word boundary — where a scan's windows
+    /// end, wherever it starts — and at both ends of the tier.
+    const SEAM_GAPS: [usize; 14] = [
+        0,
+        1,
+        62,
+        63,
+        64,
+        65,
+        127,
+        128,
+        191,
+        192,
+        255,
+        256,
+        SEAM_KEYS - 1,
+        SEAM_KEYS,
+    ];
+
+    fn seam_tier() -> (TieredSkipTrie<u64>, std::collections::BTreeMap<u64, u64>) {
+        let model: std::collections::BTreeMap<u64, u64> =
+            (0..SEAM_KEYS).map(|i| (seam_key(i), i as u64)).collect();
+        let config = TieredSkipTrieConfig::for_universe_bits(64);
+        (TieredSkipTrie::from_sorted(config, model.clone()), model)
+    }
+
+    /// One write, as `(key, insert)`; `apply` checks its result against the model.
+    type Write = (u64, bool);
+
+    fn apply(
+        t: &TieredSkipTrie<u64>,
+        model: &mut std::collections::BTreeMap<u64, u64>,
+        (key, insert): Write,
+    ) {
+        if insert {
+            assert_eq!(t.insert(key, 7), !model.contains_key(&key), "insert({key})");
+            model.entry(key).or_insert(7);
+        } else {
+            assert_eq!(t.remove(key), model.remove(&key), "remove({key})");
+        }
+    }
+
+    /// `range(lo..=hi)` against `model` for every `lo <= hi` on or beside a
+    /// frozen key that opens a seam gap, and at both ends of the universe.
+    fn assert_ranges_like(
+        t: &TieredSkipTrie<u64>,
+        model: &std::collections::BTreeMap<u64, u64>,
+        context: &str,
+    ) {
+        let mut bounds = vec![0, u64::MAX];
+        for gap in SEAM_GAPS.into_iter().filter(|&g| g > 0) {
+            let opens = seam_key(gap - 1);
+            bounds.extend([opens - 1, opens, opens + 1]);
+        }
+        bounds.sort_unstable();
+        for (i, &lo) in bounds.iter().enumerate() {
+            for &hi in &bounds[i..] {
+                let want = model.range(lo..=hi).map(|(&k, &v)| (k, v));
+                if !t.range(lo..=hi).eq(want.clone()) {
+                    panic!(
+                        "range({lo}..={hi}) {context}: {:?}, model {:?}",
+                        t.range(lo..=hi).collect::<Vec<_>>(),
+                        want.collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            t.range(..).count_up_to(usize::MAX),
+            model.len(),
+            "{context}"
+        );
+        t.check_traversal_integrity();
+    }
+
+    /// A merge's first phase and nothing after it: the live delta becomes the
+    /// sealed one of a triple that stays published.
+    fn seal_by_hand(t: &TieredSkipTrie<u64>) {
+        let (frozen, sealed) = t.with_tiers(|v| (Arc::clone(&v.frozen), Arc::clone(&v.live)));
+        t.publish(Tiers {
+            frozen,
+            live: Arc::new(SkipTrie::new(t.config.trie)),
+            sealed: Some(sealed),
+        });
+    }
+
+    #[test]
+    fn scans_read_like_a_btreemap_across_every_window_seam() {
+        // One write in a seam gap — an insert just below the frozen key that
+        // closes it, an insert on, an insert just above and a tombstone on the
+        // one that opens it — then every range: with the write buffered, with
+        // it sealed, with its undoing buffered over the seal, and with both
+        // folded. A window that ends one gap early or late, or a delta span
+        // one key short, loses or doubles an entry here.
+        for gap in SEAM_GAPS {
+            let mut writes: Vec<Write> = Vec::new();
+            if gap < SEAM_KEYS {
+                writes.push((seam_key(gap) - 1, true));
+            }
+            if gap > 0 {
+                let opens = seam_key(gap - 1);
+                writes.extend([(opens, true), (opens + 1, true), (opens, false)]);
+            }
+            for first in writes {
+                let undo = (first.0, !first.1);
+                let context = format!("{first:?} in gap {gap}");
+                let (t, mut model) = seam_tier();
+                apply(&t, &mut model, first);
+                assert_ranges_like(&t, &model, &format!("with {context} buffered"));
+                seal_by_hand(&t);
+                assert_ranges_like(&t, &model, &format!("with {context} sealed"));
+                apply(&t, &mut model, undo);
+                assert_ranges_like(&t, &model, &format!("with {context} sealed and undone"));
+
+                let (t, mut model) = seam_tier();
+                apply(&t, &mut model, first);
+                apply(&t, &mut model, undo);
+                t.merge();
+                assert_eq!(dirty_gaps(&t), [0usize; 0], "a fold starts clean");
+                assert_ranges_like(
+                    &t,
+                    &model,
+                    &format!("with {context} and its undoing folded"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_unready_summary_sends_every_window_to_the_deltas() {
+        // What a fold publishes: every bit clear, `ready` down, beside a live
+        // delta whose entries were marked in the previous tier's summary — here
+        // in nobody's. Every window of every scan must read the delta all the
+        // same; with the flag up and no catch-up scan the same bits hide them all.
+        let (t, mut model) = seam_tier();
+        t.with_tiers(|v| {
+            v.frozen.ready.store(false, Ordering::SeqCst);
+            for gap in SEAM_GAPS {
+                let key = match gap {
+                    SEAM_KEYS => seam_key(gap - 1) + 1,
+                    _ => seam_key(gap) - 1,
+                };
+                assert!(v.live.insert(key, Delta::Put(9)));
+                model.insert(key, 9);
+            }
+        });
+        assert_eq!(dirty_gaps(&t).len(), SEAM_KEYS + 1, "nothing reads clean");
+        t.with_tiers(|v| assert!(v.frozen.dirty.iter().all(|w| w.load(Ordering::SeqCst) == 0)));
+        let pair = |(&k, &v): (&u64, &u64)| (k, v);
+        for lo in [0, seam_key(62), seam_key(64) + 1, seam_key(200)] {
+            assert!(
+                t.range(lo..).eq(model.range(lo..).map(pair)),
+                "range({lo}..) under an un-ready summary"
+            );
+        }
+        t.with_tiers(|v| v.frozen.ready.store(true, Ordering::SeqCst));
+        assert_eq!(
+            t.range(..).count(),
+            SEAM_KEYS,
+            "the canary: trusted, the clear bits hide every unmarked entry"
+        );
     }
 
     #[test]

@@ -80,8 +80,9 @@ pub use stopwatch::Stopwatch;
 ///   reclamation canary pins.
 /// * [`Counter::TierHit`] / [`Counter::TierMissDelta`] — tiered reads served
 ///   entirely from the frozen flat tier (no delta lookup, no epoch pin) versus
-///   reads that had to consult the live delta first: how completely a merge has
-///   quiesced the read path (`tests/tier_counters.rs` pins the trajectory).
+///   reads that had to consult the live delta first; a scan counts once per
+///   window of frozen keys it opens (`tests/tier_counters.rs` pins the
+///   trajectory).
 /// * [`Counter::TierMerge`] / [`Counter::TierSwap`] — background folds of the live
 ///   delta into a fresh frozen tier, and atomic publications of a new tier state
 ///   (two swaps per merge: the delta seal and the frozen-tier install).

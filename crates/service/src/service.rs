@@ -52,6 +52,12 @@ pub struct ServiceConfig {
 /// keeps one deep lane from starving its neighbours on the same shard.
 const LANE_VISIT: usize = 64;
 
+/// Looks a connection takes at replies that have not come — in `fence`, and in
+/// `poll` while requests are in flight — before every further look also yields
+/// the CPU. A client that spins on its replies holds, on a host with fewer
+/// cores than threads, the very CPU a worker needs to produce them.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig { queue_cap: 1024 }
@@ -211,6 +217,7 @@ impl<E: ShardEngine<u64>> Service<E> {
             inline: VecDeque::new(),
             next_seq: 0,
             next_drain: 0,
+            empty_polls: 0,
         }
     }
 
@@ -288,6 +295,8 @@ pub struct Connection<E: ShardEngine<u64>> {
     inline: VecDeque<Response>,
     next_seq: u64,
     next_drain: usize,
+    /// Consecutive `poll`s that found no reply while requests were in flight.
+    empty_polls: u32,
 }
 
 impl<E: ShardEngine<u64>> Connection<E> {
@@ -367,7 +376,7 @@ impl<E: ShardEngine<u64>> Connection<E> {
             let mut spins = 0u32;
             while state.lane.completed.load(Ordering::Acquire) < state.submitted {
                 spins += 1;
-                if spins < 64 {
+                if spins < SPINS_BEFORE_YIELD {
                     std::hint::spin_loop();
                 } else {
                     thread::yield_now();
@@ -378,6 +387,11 @@ impl<E: ShardEngine<u64>> Connection<E> {
 
     /// Returns one completed response, if any: fenced responses first, then
     /// lane responses round-robin across shards.
+    ///
+    /// It never waits for a reply, but a caller that keeps asking for one that
+    /// is due gives way: after 64 empty `poll`s in a row with requests in
+    /// flight, each further empty `poll` yields the CPU before it returns (the
+    /// shard worker that owes the reply may be queued behind the caller).
     pub fn poll(&mut self) -> Option<Response> {
         if let Some(response) = self.inline.pop_front() {
             return Some(response);
@@ -388,7 +402,15 @@ impl<E: ShardEngine<u64>> Connection<E> {
             if let Some(response) = self.lanes[shard].lane.responses.pop() {
                 self.lanes[shard].drained += 1;
                 self.next_drain = (shard + 1) % shards;
+                self.empty_polls = 0;
                 return Some(response);
+            }
+        }
+        if self.in_flight() > 0 {
+            if self.empty_polls < SPINS_BEFORE_YIELD {
+                self.empty_polls += 1;
+            } else {
+                thread::yield_now();
             }
         }
         None

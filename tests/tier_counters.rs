@@ -4,8 +4,13 @@
 //! the gap between frozen keys it falls in (for `successor`, that gap or — because a
 //! tombstone on the frozen key above would change the answer — the next one) and a
 //! `TierHit` otherwise; one `merge()` is exactly one `TierMerge` and two `TierSwap`s
-//! (seal, publish), after which reads are all hits again. `tiered.hit_frac` in
-//! `BENCHMARK.json` is built on these counters; this is the test that reads them.
+//! (seal, publish), after which reads are all hits again. A scan counts once per
+//! *window* of frozen keys it opens: a page-sized scan over clean gaps is one
+//! `TierHit` and reads no delta node at all however much is buffered elsewhere
+//! (zero `PtrRead`, zero `HashOp`), a window across a dirty gap is one
+//! `TierMissDelta` whose trie walk covers that window's keys only, and a full scan
+//! opens logarithmically many windows. `tiered.hit_frac` in `BENCHMARK.json` is
+//! built on these counters; this is the test that reads them.
 //!
 //! This file deliberately holds **only this test**: the counters are process-wide
 //! and the asserts are exact, so it runs alone in its own integration-test binary
@@ -17,7 +22,10 @@ use skiptrie_suite::workloads::harness::scaled;
 
 #[test]
 fn reads_hit_when_quiesced_miss_when_dirty_and_one_merge_is_one_merge_two_swaps() {
-    let frozen = scaled(5_000) as u64;
+    // The first `HEAD` frozen keys lie below every burst write: the scans run
+    // there, with the burst buffered above them.
+    const HEAD: u64 = 512;
+    let frozen = HEAD + scaled(5_000) as u64;
     let burst = scaled(200) as u64;
     let reads = scaled(2_000) as u64;
     // Frozen key `i` is `8 i`, so key `k` falls in gap `k / 8 + 1` of `frozen + 1`.
@@ -25,12 +33,19 @@ fn reads_hit_when_quiesced_miss_when_dirty_and_one_merge_is_one_merge_two_swaps(
         TieredSkipTrieConfig::for_universe_bits(32),
         (0..frozen).map(|k| (k * 8, k)),
     );
-    // The burst touches every `stride`-th gap, none adjacent: burst write `j`
-    // dirties gap `j * stride + 1`, by an insert just above that gap's frozen key
-    // (even `j`) or by a tombstone on the frozen key itself (odd `j`).
-    let stride = frozen / burst;
+    // The burst touches every `stride`-th gap above the head, none adjacent:
+    // burst write `j` dirties gap `HEAD + j * stride + 1`, by an insert just above
+    // that gap's frozen key (even `j`) or by a tombstone on the frozen key itself
+    // (odd `j`). One more write, `LONE`, dirties one gap of the head.
+    const LONE: u64 = 40 * 8 + 1;
+    let stride = (frozen - HEAD) / burst;
     assert!(stride >= 3, "dirty gaps must have clean neighbours");
-    let dirty = |gap: u64| (gap - 1).is_multiple_of(stride) && (gap - 1) / stride < burst;
+    let dirty = |gap: u64| {
+        gap == LONE / 8 + 1
+            || gap > HEAD
+                && (gap - HEAD - 1).is_multiple_of(stride)
+                && (gap - HEAD - 1) / stride < burst
+    };
     // A third each of `get`, `predecessor` and `successor`, over keys present and
     // absent: every point-read entry point counts exactly once per call.
     let read_key = |i: u64| (i * 2_654_435_761) % (frozen * 8);
@@ -65,17 +80,36 @@ fn reads_hit_when_quiesced_miss_when_dirty_and_one_merge_is_one_merge_two_swaps(
             delta.get(Counter::TierSwap),
         ]
     };
+    // The serving path's scan, `range(from..)` cut off after a page: its one
+    // window runs from `from`'s gap to the end of a summary word 64 to 127 frozen
+    // keys on. From frozen key 300 that is gaps 301..=383, which no write touches;
+    // from key 0 it is gaps 1..=127, and `LONE` is in gap 41.
+    let page = |from: u64| metrics::measure(|| tiered.range(from..).count_up_to(16)).1;
+    let trie_steps = |delta: &Snapshot| [delta.get(Counter::PtrRead), delta.get(Counter::HashOp)];
 
     let ((), quiesced) = metrics::measure(read_burst);
     assert_eq!(tiers(&quiesced), [reads, 0, 0, 0], "quiesced: all hits");
+    let (keys, full) = metrics::measure(|| tiered.range(..).count() as u64);
+    let windows = u64::from((frozen / 64).next_power_of_two().trailing_zeros()) + 2;
+    assert_eq!(keys, frozen);
+    assert_eq!(tiers(&full)[1..], [0, 0, 0], "quiesced: every window a hit");
+    assert!(
+        (1..=windows).contains(&full.get(Counter::TierHit)),
+        "windows double, so a full scan opens at most {windows}: {}",
+        full.get(Counter::TierHit)
+    );
+
+    assert!(tiered.insert(LONE, 0));
+    let lone = page(0);
+    assert_eq!(tiers(&lone), [0, 1, 0, 0], "a window across a dirty gap");
 
     let ((), dirtied) = metrics::measure(|| {
         for j in 0..burst {
-            let base = j * stride * 8;
+            let base = (HEAD + j * stride) * 8;
             if j.is_multiple_of(2) {
                 assert!(tiered.insert(base + 1, j), "odd keys are absent");
             } else {
-                assert_eq!(tiered.remove(base), Some(j * stride), "frozen key");
+                assert_eq!(tiered.remove(base), Some(HEAD + j * stride), "frozen key");
             }
         }
         read_burst();
@@ -85,7 +119,24 @@ fn reads_hit_when_quiesced_miss_when_dirty_and_one_merge_is_one_merge_two_swaps(
         [reads - misses, misses, 0, 0],
         "buffered writes: a read misses exactly when its gap is one a write touched"
     );
-    assert_eq!(tiered.delta_len(), burst as usize);
+    assert_eq!(tiered.delta_len(), burst as usize + 1);
+    // The scans again, now beside `burst` buffered writes above their windows.
+    let clean = page(300 * 8);
+    assert_eq!(tiers(&clean), [1, 0, 0, 0], "a page over clean gaps");
+    assert_eq!(
+        trie_steps(&clean),
+        [0, 0],
+        "a clean window touches no delta node, whatever is buffered elsewhere"
+    );
+    let beside = page(0);
+    assert_eq!(tiers(&beside), [0, 1, 0, 0], "the same dirty window");
+    assert!(
+        trie_steps(&beside)[0] < trie_steps(&lone)[0] + burst / 2,
+        "a dirty window's trie walk covers its own keys, not the {burst} writes above it: \
+         {:?} pointer reads and hash operations beside them, {:?} without",
+        trie_steps(&beside),
+        trie_steps(&lone)
+    );
 
     let (merged, fold) = metrics::measure(|| tiered.merge());
     assert!(merged, "a dirty delta must fold");
@@ -97,7 +148,7 @@ fn reads_hit_when_quiesced_miss_when_dirty_and_one_merge_is_one_merge_two_swaps(
     assert_eq!(tiered.delta_len(), 0);
     assert_eq!(
         tiered.frozen_len() as u64,
-        frozen + burst.div_ceil(2) - burst / 2,
+        frozen + 1 + burst.div_ceil(2) - burst / 2,
         "inserts folded in, tombstoned keys folded out"
     );
 

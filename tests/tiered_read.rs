@@ -12,14 +12,19 @@
 //!   tombstone must shadow the frozen entry, ride every fold, and never let the
 //!   frozen copy "resurrect".
 //!
-//! The last test is the witness for the dirty-gap summary's publish window: a
+//! The third test is the witness for the dirty-gap summary's publish window: a
 //! thread must read its own completed write even when a fold was published
 //! between the moment it picked up the tiers and the moment it wrote the delta.
+//! The last holds one scan open across folds: it serves the triple it was opened
+//! on to the end, and pins nothing while it is not being advanced.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use skiptrie_suite::skiptrie::{TieredSkipTrie, TieredSkipTrieConfig};
+use skiptrie_suite::atomics::{domain_stats, pin_domain};
+use skiptrie_suite::skiptrie::{
+    Reclaimer, SkipTrieConfig, TieredRangeIter, TieredSkipTrie, TieredSkipTrieConfig,
+};
 use skiptrie_suite::workloads::harness::{scaled, worker_rng, Workload};
 
 const UNIVERSE_BITS: u32 = 32;
@@ -254,5 +259,110 @@ fn a_thread_reads_its_own_writes_across_seals_and_publishes() {
         "the race must actually cross tier folds"
     );
     // Audits the summary against whatever the race left un-merged.
+    t.check_traversal_integrity();
+}
+
+/// The epoch domain of the outliving-scan test, its own so that the pending
+/// gauge it drains counts nothing else.
+const SCAN_DOMAIN: usize = 21;
+
+/// Opens `range(..)` and pulls a few entries; then two writers flip volatile
+/// keys while this thread folds, pulling a few more entries after each fold,
+/// until three folds have completed since the scan opened. Returns the scan,
+/// still mid-way, and the keys it has yielded. Bounded by the folds, with a
+/// two-minute deadline that fails with the count.
+fn scan_across_folds(t: &TieredSkipTrie<u64>, stable: u64) -> (TieredRangeIter<u64>, Vec<u64>) {
+    const FOLDS: u64 = 3;
+    let mut scan = t.range(..);
+    let mut seen: Vec<u64> = scan.by_ref().take(5).map(|(k, _)| k).collect();
+    let folds_wanted = t.merge_count() + FOLDS;
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let stop = AtomicBool::new(false);
+    Workload::new(0xE23)
+        .workers(2, |mut ctx| {
+            while !stop.load(Ordering::SeqCst) {
+                let key = 8 * (ctx.rng.next() % stable) + 4;
+                if ctx.rng.next().is_multiple_of(2) {
+                    t.insert(key, key);
+                } else {
+                    t.remove(key);
+                }
+            }
+        })
+        .worker(|_| {
+            // Raised on a panic too: the writers wait for it.
+            struct Raise<'a>(&'a AtomicBool);
+            impl Drop for Raise<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::SeqCst);
+                }
+            }
+            let _stop = Raise(&stop);
+            while t.merge_count() < folds_wanted && Instant::now() < deadline {
+                if t.merge() {
+                    seen.extend(scan.by_ref().take(5).map(|(k, _)| k));
+                }
+                std::thread::yield_now();
+            }
+        })
+        .run();
+    assert!(
+        t.merge_count() >= folds_wanted,
+        "the scan must be held across {FOLDS} folds: {} of them in two minutes",
+        t.merge_count() + FOLDS - folds_wanted
+    );
+    (scan, seen)
+}
+
+/// A scan owns the tiers triple it was opened on and reads it a window at a
+/// time, so most of its windows are opened long after the structure has
+/// published other triples — here at least three folds later, the scan's live
+/// delta sealed, folded and gone from the structure. The contract is unchanged:
+/// every key present throughout is yielded exactly once, in order. And between
+/// `next()` calls the scan is three reference counts and no pin: with it open
+/// and mid-way, the structure's epoch domain drains to nothing pending.
+#[test]
+fn a_scan_outlives_the_tiers_it_was_opened_on_and_pins_nothing() {
+    let stable = scaled(4_000) as u64;
+    // Stable key `i` is `8 i`, never written; beside it `8 i + 4` is volatile,
+    // frozen from the start for even `i` and flipped by the writers throughout.
+    let config = TieredSkipTrieConfig::for_universe_bits(UNIVERSE_BITS)
+        .with_trie(SkipTrieConfig::for_universe_bits(UNIVERSE_BITS).with_domain(SCAN_DOMAIN));
+    let t: TieredSkipTrie<u64> = TieredSkipTrie::from_sorted(
+        config,
+        (0..stable).flat_map(|i| {
+            let volatile = (i % 2 == 0).then_some((8 * i + 4, i));
+            std::iter::once((8 * i, i)).chain(volatile)
+        }),
+    );
+
+    let (scan, mut seen) = scan_across_folds(&t, stable);
+    seen.extend(scan.map(|(k, _)| k));
+    assert!(
+        seen.windows(2).all(|pair| pair[0] < pair[1]),
+        "strictly ascending: no key, stable or volatile, twice"
+    );
+    seen.retain(|k| k % 8 == 0);
+    assert!(
+        seen.iter().copied().eq((0..stable).map(|i| 8 * i)),
+        "every stable key exactly once: {} of {stable}",
+        seen.len()
+    );
+
+    // Again, and this time the scan is abandoned mid-way.
+    let (mut scan, seen) = scan_across_folds(&t, stable);
+    assert!(seen.len() < stable as usize, "the scan is mid-way");
+    let drained = (0..10_000).any(|_| {
+        pin_domain(SCAN_DOMAIN).flush();
+        std::thread::yield_now();
+        domain_stats(SCAN_DOMAIN, Reclaimer::Ebr).pending == 0
+    });
+    assert!(
+        drained,
+        "an open scan stalls reclamation: {:?}",
+        domain_stats(SCAN_DOMAIN, Reclaimer::Ebr)
+    );
+    assert!(scan.next().is_some(), "and it still serves its triple");
+    drop(scan);
     t.check_traversal_integrity();
 }
