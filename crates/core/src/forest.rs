@@ -69,7 +69,8 @@ pub struct ShardedSkipTrieConfig {
     /// Master height-sampler seed; shard `i` derives its own seed from it.
     pub seed: u64,
     /// Shape of every shard's prefix-table bucket directory (a growable segment
-    /// tree); see [`SkipTrieConfig::with_hash_directory`].
+    /// tree); see [`SkipTrieConfig::with_hash_directory`]. Ignored by tiered
+    /// engines, which have no prefix table.
     pub hash_dir: DirectoryConfig,
     /// Per-shard delta-size merge watermark, for tiered engines: once a shard's
     /// live delta accumulates this many writes, the writer that crosses the mark
@@ -137,7 +138,8 @@ impl ShardedSkipTrieConfig {
     }
 
     /// Overrides the shape of every shard's prefix-table bucket directory — see
-    /// [`DirectoryConfig`].
+    /// [`DirectoryConfig`]. A tiered engine has no prefix table (its deltas are
+    /// plain skiplists) and ignores it.
     pub fn with_hash_directory(mut self, hash_dir: DirectoryConfig) -> Self {
         self.hash_dir = hash_dir;
         self

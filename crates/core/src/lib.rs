@@ -101,7 +101,9 @@ pub struct SkipTrieConfig {
     /// [`SkipTrieConfig::with_domain`].
     pub domain: Option<usize>,
     /// Shape of the prefix table's bucket directory: a growable segment tree, which
-    /// keeps every `LowestAncestor` hash probe `O(1)` expected at any size.
+    /// keeps every `LowestAncestor` hash probe `O(1)` expected at any size. A
+    /// [`TieredSkipTrie`] built from this config has no prefix table (its deltas
+    /// are plain skiplists) and ignores it.
     pub hash_dir: DirectoryConfig,
     /// Reclamation substrate for the trie's epoch domain — EBR (the throughput
     /// default) or the hazard substrate, whose garbage stays bounded under stalled

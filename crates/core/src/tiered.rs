@@ -1,5 +1,5 @@
-//! A tiered read path over the SkipTrie: a frozen flat tier for the read-mostly
-//! steady state, a small live [`SkipTrie`] delta for recent writes.
+//! A tiered read path over the SkipTrie's key space: a frozen flat tier for the
+//! read-mostly steady state, a small live skiplist delta for recent writes.
 //!
 //! Production predecessor traffic is rarely the uniform churn the paper analyses —
 //! the dominant shape is read-mostly (95/5 mixes, scan pages) over a keyspace that
@@ -10,8 +10,12 @@
 //!   beside it. `get`/`predecessor` on it are one guarded interpolation search:
 //!   a handful of probes on evenly spread keys, `O(log n)` on any keys, no
 //!   pointer chasing and no CAS.
-//! * **Live delta** — a small ordinary [`SkipTrie`] absorbing recent inserts, with
-//!   a tombstone marker per deleted key so deletions shadow frozen entries.
+//! * **Live delta** — a small plain [`SkipList`] (16 levels, no x-fast layer)
+//!   absorbing recent inserts, with a tombstone marker per deleted key so
+//!   deletions shadow frozen entries. It holds a watermark's worth of keys, a
+//!   few thousand: at that size a skiplist's `log m` pointer levels are less
+//!   work than the trie's `log log u` levels plus hash probes, and a write
+//!   maintains no prefixes.
 //! * **Dirty-gap summary** — one bit per gap between adjacent frozen keys, set
 //!   before a write buffers anything there. A read whose gap is clean is answered
 //!   by the frozen tier alone, however full the delta is elsewhere.
@@ -35,8 +39,8 @@
 //! and nothing beside it. No thread keeps a copy of the triple between
 //! operations, so a superseded tier is freed as soon as the epoch passes the
 //! operations that were running when it was displaced; an idle thread holds
-//! nothing. The delta tries' own pins nest inside the outer one for the cost of
-//! a counter bump.
+//! nothing. The delta skiplists' own pins nest inside the outer one for the cost
+//! of a counter bump.
 //!
 //! **Scans still hold no pin.** Each tier of the triple sits behind an [`Arc`]:
 //! [`TieredSkipTrie::range`] clones the three under the pin and the
@@ -92,8 +96,9 @@
 //! # Consistency contract (weak, documented)
 //!
 //! Single-threaded use is exact: the structure is observationally equal to a plain
-//! [`SkipTrie`] (property-tested in `proptest_tiered.rs`). Under concurrency the
-//! contract is the same weak consistency the rest of the workspace offers:
+//! [`SkipTrie`](crate::SkipTrie) (property-tested in `proptest_tiered.rs`). Under
+//! concurrency the contract is the same weak consistency the rest of the workspace
+//! offers:
 //!
 //! * A read is served from the triple that was current when it started (a scan,
 //!   from the one current when [`TieredSkipTrie::range`] was called).
@@ -113,14 +118,15 @@ use crossbeam_epoch::{self as epoch, Guard};
 use skiptrie_atomics::wake::WakeGate;
 use skiptrie_metrics::{self as metrics, Counter};
 
-use crate::{max_key, SkipTrie, SkipTrieConfig};
+use crate::{max_key, SkipList, SkipListConfig, SkipTrieConfig};
 
 /// Configuration of a [`TieredSkipTrie`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TieredSkipTrieConfig {
-    /// Configuration of the live-delta [`SkipTrie`] (universe width, DCSS mode,
-    /// seed, epoch domain, prefix-directory shape). The epoch domain also governs
-    /// retirement of displaced frozen tiers.
+    /// The universe width, and the DCSS mode, seed, epoch domain and reclaimer
+    /// of the delta skiplists. The epoch domain also governs retirement of
+    /// displaced frozen tiers. A tiered structure has no prefix table:
+    /// `hash_dir` is ignored.
     pub trie: SkipTrieConfig,
     /// If set, writers arm a merge as soon as this many delta writes have
     /// accumulated since the last seal: the crossing write latches
@@ -149,7 +155,8 @@ impl TieredSkipTrieConfig {
         }
     }
 
-    /// Uses `trie` for the live delta (and its domain for tier retirement).
+    /// Uses `trie` for the universe and the deltas (and its domain for tier
+    /// retirement).
     pub fn with_trie(mut self, trie: SkipTrieConfig) -> Self {
         self.trie = trie;
         self
@@ -174,6 +181,42 @@ impl TieredSkipTrieConfig {
 enum Delta<V> {
     Put(V),
     Tombstone,
+}
+
+/// Levels of a delta skiplist. A delta holds what was written since the last
+/// fold — a watermark's worth, at most 4 096 keys a shard in every
+/// configuration the repo runs — and 16 levels keep its searches logarithmic
+/// up to 2^16 buffered keys; past that the top level is walked, `n / 2^16`
+/// nodes of it.
+///
+/// Measured (PR 24; the tables are DESIGN.md §Tiered reads, "The delta is a
+/// skiplist"). On the benchmark's `scan_churn`, `write_p50_ns` at 12 / 16 / 24
+/// levels: 810 / 848 / 909 ns — a search walks down from the top level
+/// whether or not anything is linked there. The 38 ns against 12 is this
+/// constant's recorded loss, for what it buys where no watermark bounds the
+/// delta: with 2^20 keys buffered in a standalone structure, `predecessor`
+/// takes 7.4 / 3.8 / 3.7 µs at 12 / 16 / 24 levels and 6.7 µs under the
+/// `SkipTrie` delta this replaced, `insert` 6.3 / 4.2 / 4.1 µs and 12.2 — no
+/// loss against the trie delta at 16 levels even there.
+const DELTA_LEVELS: u8 = 16;
+
+/// An empty delta, taking its DCSS mode, seed, epoch domain and reclaimer
+/// from `trie` and checking the universe width as `SkipTrie::new` would.
+fn new_delta<V>(trie: SkipTrieConfig) -> Arc<SkipList<Delta<V>>>
+where
+    V: Clone + Send + Sync + 'static,
+{
+    assert!(
+        (1..=64).contains(&trie.universe_bits),
+        "universe_bits must be between 1 and 64"
+    );
+    Arc::new(SkipList::new(SkipListConfig {
+        levels: DELTA_LEVELS,
+        mode: trie.mode,
+        seed: trie.seed,
+        domain: trie.domain,
+        reclaimer: trie.reclaimer,
+    }))
 }
 
 /// Index of the first of `n` increasing keys that is `>= x` (`n` if none), where
@@ -333,11 +376,11 @@ impl<V: Clone> FrozenTier<V> {
 struct Tiers<V> {
     frozen: Arc<FrozenTier<V>>,
     /// The delta absorbing current writes.
-    live: Arc<SkipTrie<Delta<V>>>,
+    live: Arc<SkipList<Delta<V>>>,
     /// During a merge: the previous delta, sealed (writers that raced the seal may
     /// still finish a write into it — the merge waits them out before folding).
     /// Reads consult it between `live` and `frozen`.
-    sealed: Option<Arc<SkipTrie<Delta<V>>>>,
+    sealed: Option<Arc<SkipList<Delta<V>>>>,
 }
 
 impl<V> Tiers<V>
@@ -367,7 +410,7 @@ where
     }
 
     /// What a writer's first look at `key` in the live delta finds. In a clean
-    /// gap that is nothing, known without the trie search: the answer holds as
+    /// gap that is nothing, known without the delta search: the answer holds as
     /// of the moment this view was loaded, which is all a real probe's answer
     /// is worth by the time the writer acts on it — the write itself is decided
     /// by an insert-if-absent, and a writer that loses it loops back here with
@@ -393,9 +436,9 @@ where
     }
 }
 
-/// A [`SkipTrie`] wrapped in a frozen/delta read tier — see the [module
-/// docs](self) for the architecture, the read protocol, and the consistency
-/// contract.
+/// An ordered map with the [`SkipTrie`](crate::SkipTrie)'s interface, served
+/// from a frozen/delta read tier — see the [module docs](self) for the
+/// architecture, the read protocol, and the consistency contract.
 ///
 /// # Examples
 ///
@@ -510,7 +553,7 @@ where
     /// whole of `f`, which is what keeps the borrow valid (`publish` retires a
     /// displaced triple through this domain) and what `wait_writer_grace` waits
     /// out: a writer's delta write happens inside `f`, so it is never folded
-    /// away. The delta tries' own pins nest inside this one.
+    /// away. The delta skiplists' own pins nest inside this one.
     fn with_tiers<R>(&self, f: impl FnOnce(&Tiers<V>) -> R) -> R {
         let _guard = self.pin();
         // SAFETY: `state` always holds a live `Box::into_raw` pointer; a swap
@@ -575,7 +618,7 @@ where
             return false;
         };
         // Phase 1 — seal: move the live delta aside and hand writers a fresh one.
-        let live = Arc::new(SkipTrie::new(self.config.trie));
+        let live = new_delta(self.config.trie);
         self.publish(Tiers {
             frozen: Arc::clone(&frozen),
             live: Arc::clone(&live),
@@ -592,7 +635,7 @@ where
         self.wait_writer_grace();
         // Phase 3 — fold, fully off to the side (readers keep serving phase 1's
         // state). `sealed` is quiescent, so its snapshot is exact.
-        let folded = Self::fold(&frozen, sealed.snapshot());
+        let folded = Self::fold(&frozen, sealed.to_vec());
         metrics::record(Counter::TierMerge);
         // Phase 4 — publish the new frozen tier and retire the sealed delta
         // (`merging` is held: `live` is still the delta phase 1 published).
@@ -875,7 +918,7 @@ where
         let net = sorted.len() as i64;
         let tiers = Tiers {
             frozen: Arc::new(FrozenTier::new(sorted, true)),
-            live: Arc::new(SkipTrie::new(config.trie)),
+            live: new_delta(config.trie),
             sealed: None,
         };
         TieredSkipTrie {
@@ -1162,10 +1205,10 @@ where
     /// published tiers triple for its whole life (keys stable across the scan all
     /// appear; concurrent writes and merges may or may not).
     ///
-    /// Unlike [`SkipTrie::range`], the iterator holds **no epoch pin** between
-    /// calls — it owns reference-counted tiers, and a delta cursor lives only
-    /// for the refill that opened it — so unbounded scans never stall
-    /// reclamation.
+    /// Unlike [`SkipTrie::range`](crate::SkipTrie::range), the iterator holds
+    /// **no epoch pin** between calls — it owns reference-counted tiers, and a
+    /// delta cursor lives only for the refill that opened it — so unbounded
+    /// scans never stall reclamation.
     pub fn range(&self, range: impl RangeBounds<u64>) -> TieredRangeIter<V> {
         let Some((lo, hi)) = crate::resolve_bounds(&range) else {
             return TieredRangeIter::empty();
@@ -1225,7 +1268,8 @@ where
     }
 
     /// Builds the frozen tier from a sorted, strictly increasing slice in `O(n)`
-    /// — the tiered analogue of [`SkipTrie::bulk_load`]. Requires exclusive
+    /// — the tiered analogue of
+    /// [`SkipTrie::bulk_load`](crate::SkipTrie::bulk_load). Requires exclusive
     /// access to an empty structure; returns the number of entries loaded.
     ///
     /// # Panics
@@ -1250,7 +1294,7 @@ where
         self.net.store(entries.len() as i64, Ordering::SeqCst);
         self.publish(Tiers {
             frozen: Arc::new(FrozenTier::new(entries.to_vec(), true)),
-            live: Arc::new(SkipTrie::new(self.config.trie)),
+            live: new_delta(self.config.trie),
             sealed: None,
         });
         entries.len()
@@ -1444,7 +1488,7 @@ where
     /// whole-word loads test them. Clean, the window is its frozen run
     /// ([`Counter::TierHit`]); otherwise ([`Counter::TierMissDelta`]) what the
     /// deltas hold in those keys is merged into `delta`, live over sealed. The
-    /// trie cursors, and their pins, end with the call.
+    /// delta cursors, and their pins, end with the call.
     ///
     /// The summary is read now, not when the scan opened, and by then the
     /// structure may have published other triples. That is sound for the same
@@ -1732,7 +1776,7 @@ mod tests {
         let (frozen, sealed) = t.with_tiers(|v| (Arc::clone(&v.frozen), Arc::clone(&v.live)));
         t.publish(Tiers {
             frozen,
-            live: Arc::new(SkipTrie::new(t.config.trie)),
+            live: new_delta(t.config.trie),
             sealed: Some(sealed),
         });
     }
@@ -1777,6 +1821,76 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_delta_past_its_heights_range_still_reads_like_a_btreemap() {
+        // No watermark, so nothing folds by itself: 2^17 buffered entries, twice
+        // what `DELTA_LEVELS` is logarithmic for. Frozen keys are the multiples
+        // of 64 below 2^20; one write in 16 tombstones one, the rest insert odd
+        // keys scattered over the same span.
+        const WRITES: u64 = 1 << 17;
+        let mut model: std::collections::BTreeMap<u64, u64> =
+            (0..1u64 << 14).map(|j| (64 * j, j)).collect();
+        let config = TieredSkipTrieConfig::for_universe_bits(32);
+        let t = TieredSkipTrie::from_sorted(config, model.clone());
+        let write = |i: u64| match i % 16 {
+            0 => (64 * (i / 8), false),
+            _ => (i * 0x9E37_79B1 % (1 << 19) * 2 + 1, true),
+        };
+        for i in 0..WRITES {
+            apply(&t, &mut model, write(i));
+        }
+        assert_eq!(
+            t.delta_len() as u64,
+            WRITES,
+            "one entry a write, none folded"
+        );
+
+        let pair = |(&k, &v): (&u64, &u64)| (k, v);
+        let sample = || {
+            (0..WRITES)
+                .step_by(16)
+                .flat_map(|i| [write(i).0, write(i + 1).0])
+        };
+        for key in sample().flat_map(|k| [k.saturating_sub(1), k, k + 1]) {
+            assert_eq!(t.get(key), model.get(&key).copied(), "get({key})");
+            assert_eq!(
+                t.predecessor(key),
+                model.range(..=key).next_back().map(pair),
+                "predecessor({key})"
+            );
+            assert_eq!(
+                t.successor(key),
+                model.range(key..).next().map(pair),
+                "successor({key})"
+            );
+        }
+        for lo in [0, 64 * 1000 + 1, (1 << 19) - 1] {
+            assert!(
+                t.range(lo..=lo + (1 << 16))
+                    .eq(model.range(lo..=lo + (1 << 16)).map(pair)),
+                "range from {lo}"
+            );
+        }
+        assert!(t.range(..).eq(model.iter().map(pair)), "range(..)");
+        t.check_traversal_integrity();
+
+        // A delta `get` stays a descent, not a walk: 32 pointer reads here at
+        // 16 levels, 63 at 12, and 156 at 10 or 527 at 8, where the top level
+        // this delta leaves is hundreds of nodes long. The counters are
+        // process-wide, so the ceiling leaves room for what other tests of
+        // this binary add while the 16 384 probes run (a few reads a probe).
+        let probes = sample().count();
+        let (found, steps) = metrics::measure(|| sample().filter_map(|k| t.get(k)).count());
+        assert_eq!(found, probes / 2, "the inserts, not the tombstones");
+        let per_get = steps.get(Counter::PtrRead) / probes as u64;
+        assert!(per_get <= 120, "{per_get} pointer reads a delta get");
+
+        assert!(t.merge(), "one merge folds it");
+        assert_eq!((t.delta_len(), t.frozen_len()), (0, model.len()));
+        assert!(t.range(..).eq(model.iter().map(pair)), "range(..), folded");
+        t.check_traversal_integrity();
     }
 
     #[test]

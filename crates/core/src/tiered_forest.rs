@@ -5,7 +5,7 @@
 //! # Why a separate wrapper
 //!
 //! `ShardedSkipTrie<V, TieredSkipTrie<V>>` already works as a passive
-//! structure: every shard is a frozen sorted array plus a live skip-trie
+//! structure: every shard is a frozen sorted array plus a live skiplist
 //! delta, and the router stitches scans and pops across them.
 //! What the plain router cannot do is *react* to delta growth — a shard whose
 //! delta crosses its `merge_watermark` latches a `merge_due` flag, but a

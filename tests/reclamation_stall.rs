@@ -201,9 +201,11 @@ fn hazard_garbage_stays_bounded_under_a_stalled_reader() {
 }
 
 /// Regression for the retire-site sweep (tiered swap): the tiered engine's own
-/// tier-`Arc` swaps stay on EBR by design, but its delta SkipTrie rides the
-/// configured substrate — a hazard-configured delta must merge, read back, and
-/// drain its domain without leaking either substrate's garbage.
+/// tier-`Arc` swaps stay on EBR by design, but its delta skiplist rides the
+/// configured substrate — a hazard-configured delta must merge (the fold's
+/// `to_vec` and the catch-up scan each walk a whole delta under one hazard
+/// pin), read back, and drain its domain without leaking either substrate's
+/// garbage.
 #[test]
 fn tiered_engine_with_a_hazard_delta_merges_and_drains() {
     use skiptrie_suite::skiptrie::{TieredSkipTrie, TieredSkipTrieConfig};

@@ -8,9 +8,12 @@
 //! *window* of frozen keys it opens: a page-sized scan over clean gaps is one
 //! `TierHit` and reads no delta node at all however much is buffered elsewhere
 //! (zero `PtrRead`, zero `HashOp`), a window across a dirty gap is one
-//! `TierMissDelta` whose trie walk covers that window's keys only, and a full scan
-//! opens logarithmically many windows. `tiered.hit_frac` in `BENCHMARK.json` is
-//! built on these counters; this is the test that reads them.
+//! `TierMissDelta` whose delta walk covers that window's keys only, and a full scan
+//! opens logarithmically many windows. The delta is a plain skiplist: nothing the
+//! tiered path does — the write burst, the reads of dirty gaps, the dirty scan
+//! window, the fold — probes a prefix table or crosses a trie level (zero
+//! `HashOp`, zero `TrieLevelCrossed` throughout). `tiered.hit_frac` in
+//! `BENCHMARK.json` is built on these counters; this is the test that reads them.
 //!
 //! This file deliberately holds **only this test**: the counters are process-wide
 //! and the asserts are exact, so it runs alone in its own integration-test binary
@@ -85,7 +88,15 @@ fn reads_hit_when_quiesced_miss_when_dirty_and_one_merge_is_one_merge_two_swaps(
     // keys on. From frozen key 300 that is gaps 301..=383, which no write touches;
     // from key 0 it is gaps 1..=127, and `LONE` is in gap 41.
     let page = |from: u64| metrics::measure(|| tiered.range(from..).count_up_to(16)).1;
-    let trie_steps = |delta: &Snapshot| [delta.get(Counter::PtrRead), delta.get(Counter::HashOp)];
+    // Pointer reads, then the x-fast layer's two counters, which the tiered path
+    // — it has no such layer — never moves.
+    let steps = |delta: &Snapshot| {
+        [
+            delta.get(Counter::PtrRead),
+            delta.get(Counter::HashOp),
+            delta.get(Counter::TrieLevelCrossed),
+        ]
+    };
 
     let ((), quiesced) = metrics::measure(read_burst);
     assert_eq!(tiers(&quiesced), [reads, 0, 0, 0], "quiesced: all hits");
@@ -102,6 +113,8 @@ fn reads_hit_when_quiesced_miss_when_dirty_and_one_merge_is_one_merge_two_swaps(
     assert!(tiered.insert(LONE, 0));
     let lone = page(0);
     assert_eq!(tiers(&lone), [0, 1, 0, 0], "a window across a dirty gap");
+    assert!(steps(&lone)[0] > 0, "which reads the delta");
+    assert_eq!(steps(&lone)[1..], [0, 0], "as a skiplist: a dirty window");
 
     let ((), dirtied) = metrics::measure(|| {
         for j in 0..burst {
@@ -119,23 +132,29 @@ fn reads_hit_when_quiesced_miss_when_dirty_and_one_merge_is_one_merge_two_swaps(
         [reads - misses, misses, 0, 0],
         "buffered writes: a read misses exactly when its gap is one a write touched"
     );
+    assert!(steps(&dirtied)[0] > 0, "the delta was written and read");
+    assert_eq!(
+        steps(&dirtied)[1..],
+        [0, 0],
+        "{burst} buffered writes and {misses} reads of dirty gaps"
+    );
     assert_eq!(tiered.delta_len(), burst as usize + 1);
     // The scans again, now beside `burst` buffered writes above their windows.
     let clean = page(300 * 8);
     assert_eq!(tiers(&clean), [1, 0, 0, 0], "a page over clean gaps");
     assert_eq!(
-        trie_steps(&clean),
-        [0, 0],
+        steps(&clean),
+        [0, 0, 0],
         "a clean window touches no delta node, whatever is buffered elsewhere"
     );
     let beside = page(0);
     assert_eq!(tiers(&beside), [0, 1, 0, 0], "the same dirty window");
     assert!(
-        trie_steps(&beside)[0] < trie_steps(&lone)[0] + burst / 2,
-        "a dirty window's trie walk covers its own keys, not the {burst} writes above it: \
-         {:?} pointer reads and hash operations beside them, {:?} without",
-        trie_steps(&beside),
-        trie_steps(&lone)
+        steps(&beside)[0] < steps(&lone)[0] + burst / 2,
+        "a dirty window's delta walk covers its own keys, not the {burst} writes above it: \
+         {} pointer reads beside them, {} without",
+        steps(&beside)[0],
+        steps(&lone)[0]
     );
 
     let (merged, fold) = metrics::measure(|| tiered.merge());
@@ -145,6 +164,7 @@ fn reads_hit_when_quiesced_miss_when_dirty_and_one_merge_is_one_merge_two_swaps(
         [0, 0, 1, 2],
         "one merge: seal swap + publish swap"
     );
+    assert_eq!(steps(&fold)[1..], [0, 0], "a fold builds no prefix table");
     assert_eq!(tiered.delta_len(), 0);
     assert_eq!(
         tiered.frozen_len() as u64,
