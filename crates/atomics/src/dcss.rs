@@ -153,18 +153,14 @@ unsafe fn help(target: &AtomicU64, desc_word: u64, _epoch: &Guard) {
 /// otherwise the atomicity argument for DCSS breaks.
 #[inline]
 pub fn read_resolved(word: &AtomicU64, epoch: &Guard) -> u64 {
-    // `Guard::protected` is the substrate choke point: under EBR it is the bare
-    // load; under the hazard substrate the load is era-validated, which is what
-    // makes the descriptor (and node) dereferences below scan-safe.
-    let mut current = epoch.protected(|| word.load(Ordering::SeqCst));
+    let mut current = word.load(Ordering::SeqCst);
     while tagged::is_descriptor(current) {
         metrics::record(Counter::DcssHelp);
-        // SAFETY: `current` was read from `word` under the guard's protection;
-        // descriptors are only retired after being uninstalled, so the dereference
-        // inside `help` is valid, and guard words satisfy the crate-level
-        // type-stable contract.
+        // SAFETY: `current` was read from `word` while pinned; descriptors are
+        // only retired after being uninstalled, so the dereference inside `help`
+        // is valid, and guard words satisfy the crate-level type-stable contract.
         unsafe { help(word, current, epoch) };
-        current = epoch.protected(|| word.load(Ordering::SeqCst));
+        current = word.load(Ordering::SeqCst);
     }
     current
 }
@@ -220,9 +216,6 @@ pub unsafe fn dcss(
         };
     }
 
-    // Birth era for the descriptor (meaningful only under the hazard substrate):
-    // stamped before publication, so it cannot postdate reachability.
-    let birth = epoch.current_era();
     let desc = Box::into_raw(Box::new(Descriptor {
         expected,
         new,
@@ -239,7 +232,7 @@ pub unsafe fn dcss(
                 help(target, desc_word, epoch);
                 let decided = (*desc).outcome.load(Ordering::Acquire);
                 // Other threads may still hold the descriptor pointer; retire it.
-                crate::retire_box_born(epoch, desc, birth);
+                crate::retire_box(epoch, desc);
                 return if decided == SUCCEEDED {
                     Ok(())
                 } else {
@@ -248,11 +241,10 @@ pub unsafe fn dcss(
                 };
             }
             Err(actual) if tagged::is_descriptor(actual) => {
-                // Someone else's DCSS is in flight on this word: resolve it under
-                // the guard's protection and retry. (The CAS-failure value itself
-                // was not a protected read, so it must not be dereferenced —
-                // `read_resolved` re-reads the word through the substrate choke
-                // point and helps whatever descriptor it validates.)
+                // Someone else's DCSS is in flight on this word: resolve it and
+                // retry. (The CAS-failure value itself is never dereferenced —
+                // `read_resolved` re-reads the word and helps whatever descriptor
+                // it finds there.)
                 let _ = read_resolved(target, epoch);
             }
             Err(actual) => {

@@ -52,16 +52,10 @@ pub mod dcss;
 pub mod tagged;
 pub mod wake;
 
-pub use crossbeam_epoch::{
-    domain_stats, pin, pin_domain, pin_domain_with, GarbageStats, Guard, Reclaimer,
-};
+pub use crossbeam_epoch::{domain_stats, pin, pin_domain, GarbageStats, Guard, Reclaimer};
 
 /// Retires a heap allocation created with [`Box::into_raw`], freeing it once no epoch
 /// guard pinned before this call can still reach it.
-///
-/// Birth-agnostic: under the hazard substrate the allocation is treated as old
-/// enough to be covered by any active interval (see [`retire_box_born`] for the
-/// stamped variant structures use on their hot paths).
 ///
 /// # Safety
 ///
@@ -72,22 +66,9 @@ pub use crossbeam_epoch::{
 ///   (threads that obtained the pointer while pinned before the call may keep using it
 ///   until they unpin).
 pub unsafe fn retire_box<T: Send + 'static>(guard: &Guard, ptr: *mut T) {
-    retire_box_born(guard, ptr, 0);
-}
-
-/// [`retire_box`] with the allocation's birth era, as captured by
-/// [`Guard::current_era`] when the allocation was first published. EBR ignores
-/// `birth`; the hazard substrate uses it to free objects born after a stalled
-/// reader pinned (`birth = 0` is always sound, merely conservative).
-///
-/// # Safety
-///
-/// As [`retire_box`]; additionally `birth` must not postdate the era at which the
-/// allocation first became reachable from shared memory.
-pub unsafe fn retire_box_born<T: Send + 'static>(guard: &Guard, ptr: *mut T, birth: u64) {
     debug_assert!(!ptr.is_null(), "attempted to retire a null pointer");
     skiptrie_metrics::record(skiptrie_metrics::Counter::NodeRetired);
-    guard.defer_unchecked_born(birth, move || {
+    guard.defer_unchecked(move || {
         drop(Box::from_raw(ptr));
     });
 }
@@ -103,19 +84,6 @@ pub unsafe fn retire_box_born<T: Send + 'static>(guard: &Guard, ptr: *mut T, bir
 /// come from `Box::into_raw` for the same `T`, be unreachable from the live
 /// structure, and be retired at most once.
 pub unsafe fn retire_boxes<T: Send + 'static>(guard: &Guard, ptrs: Vec<*mut T>) {
-    retire_boxes_born(guard, ptrs, 0);
-}
-
-/// [`retire_boxes`] with a birth era covering the whole batch — the **minimum** of
-/// the members' birth eras, so the hazard scan never frees a batch while any
-/// member could still be reached (a batch is freed atomically; an over-young birth
-/// on the batch would let an older member escape a stalled reader's interval).
-///
-/// # Safety
-///
-/// As [`retire_boxes`]; additionally `birth` must not postdate the era at which
-/// any member of the batch first became reachable from shared memory.
-pub unsafe fn retire_boxes_born<T: Send + 'static>(guard: &Guard, ptrs: Vec<*mut T>, birth: u64) {
     if ptrs.is_empty() {
         return;
     }
@@ -124,7 +92,7 @@ pub unsafe fn retire_boxes_born<T: Send + 'static>(guard: &Guard, ptrs: Vec<*mut
         "attempted to retire a null pointer"
     );
     skiptrie_metrics::add(skiptrie_metrics::Counter::NodeRetired, ptrs.len() as u64);
-    guard.defer_unchecked_born(birth, move || {
+    guard.defer_unchecked(move || {
         for ptr in ptrs {
             drop(Box::from_raw(ptr));
         }

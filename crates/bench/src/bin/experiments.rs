@@ -21,8 +21,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use skiptrie::{
-    DcssMode, OrderedKv, Reclaimer, ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie,
-    SkipTrieConfig, TieredForest, TieredSkipTrie, TieredSkipTrieConfig,
+    DcssMode, OrderedKv, ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie, SkipTrieConfig,
+    TieredForest, TieredSkipTrie, TieredSkipTrieConfig,
 };
 use skiptrie_baselines::{FullSkipList, LockedBTreeMap, SeqYFastTrie};
 use skiptrie_bench::{
@@ -580,17 +580,13 @@ fn filled(
     entries: &[(u64, u64)],
     run: &mut dyn FnMut(&dyn OrderedKv<u64>),
 ) {
-    // One insert per key: `insert_batch` holds a single pin across the batch, under
-    // which the hazard substrate's pending list (one DCSS descriptor per insert)
-    // is rescanned as it grows — 25 000 keys take seconds.
     for &(key, value) in entries {
         map.insert(key, value);
     }
     run(map);
 }
 
-/// `skiptrie-cas` is the paper's CAS fallback for DCSS, `skiptrie-hp` the hazard
-/// reclamation substrate (in an epoch domain of its own, as the substrate requires).
+/// `skiptrie-cas` is the paper's CAS fallback for DCSS.
 const STRUCTURES: &[(&str, Build)] = &[
     ("skiptrie", |e, run| {
         filled(&SkipTrie::new(trie_config()), e, run)
@@ -601,12 +597,6 @@ const STRUCTURES: &[(&str, Build)] = &[
             e,
             run,
         )
-    }),
-    ("skiptrie-hp", |e, run| {
-        let config = trie_config()
-            .with_domain(20)
-            .with_reclaimer(Reclaimer::Hazard);
-        filled(&SkipTrie::new(config), e, run)
     }),
     ("forest-s8", |e, run| {
         filled(&ShardedSkipTrie::<u64>::new(forest_config()), e, run)

@@ -42,7 +42,6 @@
 
 use std::ops::RangeBounds;
 
-use crossbeam_epoch::Reclaimer;
 use skiptrie_atomics::dcss::DcssMode;
 use skiptrie_metrics::{self as metrics, Counter};
 use skiptrie_skiplist::{resolve_bounds, OrderedKv};
@@ -77,9 +76,6 @@ pub struct ShardedSkipTrieConfig {
     /// flags the shard and wakes the merge coordinator. Ignored by the plain
     /// [`SkipTrie`] engine. `None` (the default) disables the trigger.
     pub merge_watermark: Option<usize>,
-    /// Reclamation substrate for every shard's epoch domain; see
-    /// [`SkipTrieConfig::with_reclaimer`].
-    pub reclaimer: Reclaimer,
 }
 
 impl Default for ShardedSkipTrieConfig {
@@ -107,7 +103,6 @@ impl ShardedSkipTrieConfig {
             seed: 0x5eed_5eed_5eed_5eed,
             hash_dir: DirectoryConfig::default(),
             merge_watermark: None,
-            reclaimer: Reclaimer::Ebr,
         }
     }
 
@@ -154,13 +149,6 @@ impl ShardedSkipTrieConfig {
     pub fn with_merge_watermark(mut self, watermark: usize) -> Self {
         assert!(watermark > 0, "merge watermark must be positive");
         self.merge_watermark = Some(watermark);
-        self
-    }
-
-    /// Selects the reclamation substrate for every shard's epoch domain; see
-    /// [`SkipTrieConfig::with_reclaimer`].
-    pub fn with_reclaimer(mut self, reclaimer: Reclaimer) -> Self {
-        self.reclaimer = reclaimer;
         self
     }
 }
@@ -248,7 +236,6 @@ where
                 let shard_config = SkipTrieConfig::for_universe_bits(config.universe_bits)
                     .with_mode(config.mode)
                     .with_hash_directory(config.hash_dir)
-                    .with_reclaimer(config.reclaimer)
                     // Decorrelate tower heights across shards.
                     .with_seed(
                         config

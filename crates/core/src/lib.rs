@@ -105,10 +105,6 @@ pub struct SkipTrieConfig {
     /// [`TieredSkipTrie`] built from this config has no prefix table (its deltas
     /// are plain skiplists) and ignores it.
     pub hash_dir: DirectoryConfig,
-    /// Reclamation substrate for the trie's epoch domain — EBR (the throughput
-    /// default) or the hazard substrate, whose garbage stays bounded under stalled
-    /// readers; see [`SkipTrieConfig::with_reclaimer`] and [`Reclaimer`].
-    pub reclaimer: Reclaimer,
 }
 
 impl Default for SkipTrieConfig {
@@ -134,7 +130,6 @@ impl SkipTrieConfig {
             seed: 0x5eed_5eed_5eed_5eed,
             domain: None,
             hash_dir: DirectoryConfig::default(),
-            reclaimer: Reclaimer::Ebr,
         }
     }
 
@@ -161,20 +156,6 @@ impl SkipTrieConfig {
     /// garbage).
     pub fn with_domain(mut self, domain: usize) -> Self {
         self.domain = Some(domain);
-        self
-    }
-
-    /// Selects the reclamation substrate for this trie's epoch domain.
-    ///
-    /// [`Reclaimer::Ebr`] (the default) reclaims fastest but lets one stalled
-    /// reader pin unbounded garbage; [`Reclaimer::Hazard`] bounds the garbage a
-    /// stalled reader can hold at the cost of per-read validation. Every pin and
-    /// every retirement of the trie — skiplist nodes, x-fast trie nodes, the
-    /// prefix table's chain nodes — routes through the selected substrate, so a
-    /// domain must not mix substrates across structures that share it (pair this
-    /// knob with [`SkipTrieConfig::with_domain`]).
-    pub fn with_reclaimer(mut self, reclaimer: Reclaimer) -> Self {
-        self.reclaimer = reclaimer;
         self
     }
 
@@ -223,8 +204,7 @@ where
         );
         let mut list_config = SkipListConfig::for_universe_bits(config.universe_bits)
             .with_mode(config.mode)
-            .with_seed(config.seed)
-            .with_reclaimer(config.reclaimer);
+            .with_seed(config.seed);
         list_config.domain = config.domain;
         let skiplist = SkipList::new(list_config);
         // The prefix table pins and retires in the trie's own domain: routing it
@@ -233,12 +213,12 @@ where
         let prefixes = SplitOrderedMap::with_directory_in_domain(
             config.hash_dir,
             config.domain,
-            config.reclaimer,
+            Reclaimer::Ebr,
         );
         // The empty prefix ε is permanent (Algorithm 3 line 4 starts from it).
         prefixes.insert(
             Prefix::EMPTY,
-            TrieNodePtr::from_box(Box::new(TrieNode::new(0))),
+            TrieNodePtr::from_box(Box::new(TrieNode::new())),
         );
         SkipTrie {
             config,

@@ -123,8 +123,8 @@ use crate::{max_key, SkipList, SkipListConfig, SkipTrieConfig};
 /// Configuration of a [`TieredSkipTrie`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TieredSkipTrieConfig {
-    /// The universe width, and the DCSS mode, seed, epoch domain and reclaimer
-    /// of the delta skiplists. The epoch domain also governs retirement of
+    /// The universe width, and the DCSS mode, seed and epoch domain of the
+    /// delta skiplists. The epoch domain also governs retirement of
     /// displaced frozen tiers. A tiered structure has no prefix table:
     /// `hash_dir` is ignored.
     pub trie: SkipTrieConfig,
@@ -200,8 +200,8 @@ enum Delta<V> {
 /// loss against the trie delta at 16 levels even there.
 const DELTA_LEVELS: u8 = 16;
 
-/// An empty delta, taking its DCSS mode, seed, epoch domain and reclaimer
-/// from `trie` and checking the universe width as `SkipTrie::new` would.
+/// An empty delta, taking its DCSS mode, seed and epoch domain from `trie`
+/// and checking the universe width as `SkipTrie::new` would.
 fn new_delta<V>(trie: SkipTrieConfig) -> Arc<SkipList<Delta<V>>>
 where
     V: Clone + Send + Sync + 'static,
@@ -215,7 +215,6 @@ where
         mode: trie.mode,
         seed: trie.seed,
         domain: trie.domain,
-        reclaimer: trie.reclaimer,
     }))
 }
 
@@ -504,16 +503,9 @@ where
     V: Clone + Send + Sync + 'static,
 {
     /// Pins this structure's epoch domain (never the process-wide default
-    /// directly — the workspace-wide domain-isolation rule).
-    ///
-    /// Deliberately **EBR regardless of the delta's configured reclaimer**: the
-    /// tiered machinery's only deferred objects are the displaced tier triples
-    /// (see `publish`), which are both protected (here) and retired
-    /// (`defer_unchecked` in `publish`) through EBR — one object class, one
-    /// substrate, so sharing the domain with a hazard-configured delta stays
-    /// sound. Tier swaps are rare (one per merge) and `wait_writer_grace`
-    /// depends on EBR's global-epoch advance, which the hazard substrate does
-    /// not provide.
+    /// directly — the workspace-wide domain-isolation rule). The delta
+    /// skiplists pin the same domain, and the displaced tier triples (see
+    /// `publish`) are retired through it.
     fn pin(&self) -> Guard {
         epoch::pin_domain(self.domain)
     }

@@ -24,7 +24,7 @@ use std::sync::atomic::AtomicU64;
 
 use crossbeam_epoch::Guard;
 use skiptrie_atomics::dcss::{cas_resolved, dcss, read_resolved, DcssError};
-use skiptrie_atomics::retire_boxes_born;
+use skiptrie_atomics::retire_boxes;
 use skiptrie_metrics::{self as metrics, Counter};
 use skiptrie_skiplist::NodeRef;
 
@@ -40,18 +40,12 @@ use crate::SkipTrie;
 /// table, and any operation that observes it in that state helps remove it.
 pub(crate) struct TrieNode {
     pub(crate) pointers: [AtomicU64; 2],
-    /// Era-clock value at allocation (hazard substrate only; `0` = unknown, which
-    /// is always sound). Stamped before the node is published into the hash table,
-    /// so it cannot postdate the node's reachability; consumed (as the batch
-    /// minimum) when a [`TrieRetireBatch`] retires removed nodes.
-    pub(crate) birth: u64,
 }
 
 impl TrieNode {
-    pub(crate) fn new(birth: u64) -> Self {
+    pub(crate) fn new() -> Self {
         TrieNode {
             pointers: [AtomicU64::new(0), AtomicU64::new(0)],
-            birth,
         }
     }
 }
@@ -106,18 +100,9 @@ impl<'g> TrieRetireBatch<'g> {
 impl Drop for TrieRetireBatch<'_> {
     fn drop(&mut self) {
         let ptrs = std::mem::take(&mut self.ptrs);
-        // The batch is freed atomically, so it must carry the *minimum* member
-        // birth: an over-young stamp would let an older member escape a stalled
-        // hazard reader's protection interval.
         // SAFETY: the batch owns the pointers (removed from the hash table by a
-        // `remove_if` this thread won); they stay valid until the deferred free.
-        let birth = ptrs
-            .iter()
-            .map(|&p| unsafe { (*p).birth })
-            .min()
-            .unwrap_or(0);
-        // SAFETY: sole retirement owner as above; each pointer is retired once.
-        unsafe { retire_boxes_born(self.guard, ptrs, birth) };
+        // `remove_if` this thread won); each pointer is retired once.
+        unsafe { retire_boxes(self.guard, ptrs) };
     }
 }
 
@@ -219,10 +204,8 @@ where
                 }
                 match self.prefixes.get(&p) {
                     None => {
-                        // Create a fresh trie node pointing down at our key. The
-                        // birth stamp precedes the publishing `insert`, so it
-                        // cannot postdate reachability.
-                        let tn = Box::new(TrieNode::new(guard.current_era()));
+                        // Create a fresh trie node pointing down at our key.
+                        let tn = Box::new(TrieNode::new());
                         tn.pointers[direction]
                             .store(node.packed(), std::sync::atomic::Ordering::SeqCst);
                         let tnp = TrieNodePtr::from_box(tn);
@@ -479,9 +462,7 @@ where
                         tn.pointers[1].store(p1, Ordering::SeqCst);
                     }
                 } else {
-                    // Single-owner bulk path: birth 0 is the always-sound
-                    // conservative stamp for never-yet-published nodes.
-                    let tn = Box::new(TrieNode::new(0));
+                    let tn = Box::new(TrieNode::new());
                     tn.pointers[0].store(p0, Ordering::Relaxed);
                     tn.pointers[1].store(p1, Ordering::Relaxed);
                     batch.push((p, TrieNodePtr::from_box(tn)));

@@ -93,19 +93,13 @@ pub use stopwatch::Stopwatch;
 ///   These isolate writer-side contention cost from the general
 ///   [`Counter::Restart`] figure, which also counts read-path restarts.
 /// * [`Counter::GarbagePending`] / [`Counter::GarbageFreed`] — deferred reclamation
-///   closures enqueued and executed, across every epoch domain and both reclamation
-///   substrates (EBR and hazard). `pending - freed` is the process-wide garbage
-///   backlog; per-domain exact gauges live in `crossbeam_epoch::domain_stats`.
+///   closures enqueued and executed, across every epoch domain. `pending - freed`
+///   is the process-wide garbage backlog; per-domain exact gauges live in
+///   `crossbeam_epoch::domain_stats`.
 /// * [`Counter::GarbageHwm`] — increments of the per-domain pending-garbage
 ///   high-water mark, recorded whenever a domain's backlog reaches a new maximum;
-///   the snapshot value is therefore the *sum* of every domain's HWM. Bounded for
-///   the hazard substrate, growing with churn for EBR while a reader stalls
-///   (`tests/reclamation_stall.rs`).
-/// * [`Counter::HpProtectRetry`] — hazard-pointer protected reads whose era
-///   validation failed (the domain clock advanced mid-read) and went around the
-///   protect→re-validate loop again.
-/// * [`Counter::HpScan`] — scans of a thread's retired list against the published
-///   hazard intervals (the hazard substrate's collection step).
+///   the snapshot value is therefore the *sum* of every domain's HWM. It grows
+///   with churn while a reader stalls pinned (`tests/reclamation_stall.rs`).
 /// * [`Counter::SvcEnqueued`] / [`Counter::SvcShed`] — requests accepted into a
 ///   serving-pipeline mailbox versus rejected at admission because the
 ///   connection's lane was full (`enqueued + shed == submitted` per connection).
@@ -176,8 +170,6 @@ pub enum Counter {
     GarbagePending,
     GarbageFreed,
     GarbageHwm,
-    HpProtectRetry,
-    HpScan,
     SvcEnqueued,
     SvcShed,
     SvcBatchSize,
@@ -198,7 +190,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in a stable order used for display and serialization.
-    pub const ALL: [Counter; 46] = [
+    pub const ALL: [Counter; 44] = [
         Counter::PtrRead,
         Counter::HashOp,
         Counter::CasAttempt,
@@ -227,8 +219,6 @@ impl Counter {
         Counter::GarbagePending,
         Counter::GarbageFreed,
         Counter::GarbageHwm,
-        Counter::HpProtectRetry,
-        Counter::HpScan,
         Counter::SvcEnqueued,
         Counter::SvcShed,
         Counter::SvcBatchSize,
@@ -288,8 +278,6 @@ impl Counter {
             Counter::GarbagePending => "garbage_pending",
             Counter::GarbageFreed => "garbage_freed",
             Counter::GarbageHwm => "garbage_hwm",
-            Counter::HpProtectRetry => "hp_protect_retry",
-            Counter::HpScan => "hp_scan",
             Counter::SvcEnqueued => "svc_enqueued",
             Counter::SvcShed => "svc_shed",
             Counter::SvcBatchSize => "svc_batch_size",

@@ -282,7 +282,6 @@ mod tests {
             mode: skiptrie_atomics::dcss::DcssMode::Descriptor,
             seed: 1,
             domain: None,
-            reclaimer: crossbeam_epoch::Reclaimer::Ebr,
         });
         let report = list.bulk_load_sorted([(1u64, 10u64), (2, 20), (3, 30)]);
         assert_eq!(report.keys, 3);

@@ -64,7 +64,7 @@ mod search;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam_epoch::{self as epoch, Guard, Reclaimer};
+use crossbeam_epoch::{self as epoch, Guard};
 use skiptrie_atomics::dcss::DcssMode;
 use skiptrie_atomics::tagged;
 
@@ -94,12 +94,6 @@ pub struct SkipListConfig {
     /// [`crossbeam_epoch::pin_domain`]. **All** access to a list goes through
     /// [`SkipList::pin`], so the domain is applied uniformly.
     pub domain: Option<usize>,
-    /// Which reclamation substrate this list's domain uses (see
-    /// [`crossbeam_epoch::Reclaimer`]): epoch-based (the throughput default) or
-    /// hazard-era (bounded garbage under stalled readers). Applied uniformly for
-    /// the same reason as `domain` — every pin and retirement routes through
-    /// [`SkipList::pin`]'s guard.
-    pub reclaimer: Reclaimer,
 }
 
 impl Default for SkipListConfig {
@@ -117,7 +111,6 @@ impl SkipListConfig {
             mode: DcssMode::Descriptor,
             seed: 0x5eed_5eed_5eed_5eed,
             domain: None,
-            reclaimer: Reclaimer::Ebr,
         }
     }
 
@@ -129,7 +122,6 @@ impl SkipListConfig {
             mode: DcssMode::Descriptor,
             seed: 0x5eed_5eed_5eed_5eed,
             domain: None,
-            reclaimer: Reclaimer::Ebr,
         }
     }
 
@@ -149,13 +141,6 @@ impl SkipListConfig {
     /// (see [`SkipListConfig::domain`]).
     pub fn with_domain(mut self, domain: usize) -> Self {
         self.domain = Some(domain);
-        self
-    }
-
-    /// Selects the reclamation substrate for this list's domain (see
-    /// [`SkipListConfig::reclaimer`]).
-    pub fn with_reclaimer(mut self, reclaimer: Reclaimer) -> Self {
-        self.reclaimer = reclaimer;
         self
     }
 }
@@ -298,7 +283,7 @@ where
     /// configured with [`SkipListConfig::with_domain`] is reclaimed entirely within
     /// that domain.
     pub fn pin(&self) -> Guard {
-        epoch::pin_domain_with(self.config.domain.unwrap_or(0), self.config.reclaimer)
+        epoch::pin_domain(self.config.domain.unwrap_or(0))
     }
 
     /// The `-∞` sentinel of the top level — the default traversal start when no hint
@@ -770,7 +755,6 @@ mod tests {
             mode: DcssMode::Descriptor,
             seed: 1,
             domain: None,
-            reclaimer: Reclaimer::Ebr,
         });
         for k in [5u64, 1, 9, 3] {
             assert!(list.insert(k, k * 100));
@@ -791,7 +775,6 @@ mod tests {
             mode: DcssMode::Descriptor,
             seed: 1,
             domain: None,
-            reclaimer: Reclaimer::Ebr,
         });
     }
 }

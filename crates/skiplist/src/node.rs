@@ -76,11 +76,6 @@ pub(crate) struct Node<V> {
     pub(crate) down: AtomicU64,
     /// Pointer to the tower's level-0 node (self at level 0).
     pub(crate) root: AtomicU64,
-    /// Era-clock value when this incarnation was published (hazard substrate
-    /// only; see [`crossbeam_epoch::Guard::current_era`]). Stamped on the insert
-    /// path before the publishing CAS; a stale (older) stamp from a previous
-    /// incarnation is sound — it only makes the hazard scan more conservative.
-    pub(crate) birth: AtomicU64,
     /// The value, stored only in the level-0 (root) node.
     pub(crate) value: UnsafeCell<Option<V>>,
 }
@@ -109,7 +104,6 @@ impl<V> Node<V> {
             ready: AtomicU64::new(0),
             down: AtomicU64::new(tagged::NULL),
             root: AtomicU64::new(tagged::NULL),
-            birth: AtomicU64::new(0),
             value: UnsafeCell::new(None),
         })
     }

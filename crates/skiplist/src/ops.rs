@@ -119,10 +119,6 @@ where
 
     /// Schedules a node for recycling once no pinned thread can still reach it.
     ///
-    /// Routes through the list's configured substrate (the guard came from
-    /// [`SkipList::pin`]) and passes the incarnation's birth era, so the hazard
-    /// scan can free nodes born after a stalled reader pinned.
-    ///
     /// # Safety
     ///
     /// The node must be physically unlinked from every level and must not be retired
@@ -131,8 +127,7 @@ where
     pub unsafe fn retire_node(&self, node: NodeRef<'_, V>, guard: &Guard) {
         let pool = Arc::clone(self.pool());
         let ptr = node.node as *const Node<V> as *mut Node<V>;
-        let birth = node.node.birth.load(Ordering::SeqCst);
-        guard.defer_unchecked_born(birth, move || pool.recycle(ptr));
+        guard.defer_unchecked(move || pool.recycle(ptr));
     }
 
     /// Recycles a node that was never published (no other thread can know about it).
@@ -183,9 +178,6 @@ where
                 tagged::pack(r0 as *const Node<V>),
                 Some(value.clone()),
             );
-            // SAFETY: not yet published. Birth is stamped before the publishing
-            // CAS, so it cannot postdate reachability (hazard-substrate contract).
-            unsafe { (*ptr).birth.store(guard.current_era(), Ordering::SeqCst) };
             match cas_resolved(
                 &l0.next,
                 tagged::pack(r0 as *const Node<V>),
@@ -253,8 +245,6 @@ where
                     tagged::pack(r as *const Node<V>),
                     None,
                 );
-                // SAFETY: not yet published (same contract as the root stamp).
-                unsafe { (*ptr).birth.store(guard.current_era(), Ordering::SeqCst) };
                 // The raise is conditioned on the root's status word staying exactly
                 // as observed (not stopped, same incarnation) — the paper's "each
                 // insertion is conditioned on the stop flag of the root remaining
@@ -579,20 +569,10 @@ where
         }
         if !retire_batch.is_empty() {
             let pool = Arc::clone(self.pool());
-            // The batch is freed atomically, so it carries the *minimum* member
-            // birth — an over-young stamp would let an older member escape a
-            // stalled reader's hazard interval.
-            let birth = retire_batch
-                .iter()
-                // SAFETY: batch members were unlinked by mark CASes this call won;
-                // pool memory is type-stable, so the field read is defined.
-                .map(|&p| unsafe { (*p).birth.load(Ordering::SeqCst) })
-                .min()
-                .unwrap_or(0);
             // SAFETY: every node in the batch was unlinked by a mark CAS this call
             // won, is recycled exactly once, and the pool is kept alive by the Arc.
             unsafe {
-                guard.defer_unchecked_born(birth, move || pool.recycle_batch(retire_batch));
+                guard.defer_unchecked(move || pool.recycle_batch(retire_batch));
             }
         }
         DeleteOutcome {

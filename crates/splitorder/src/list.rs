@@ -18,21 +18,17 @@ pub(crate) struct ListNode<K, V> {
     pub(crate) so_key: u64,
     pub(crate) key: Option<K>,
     pub(crate) value: Option<V>,
-    /// Era-clock value at allocation (hazard substrate only; 0 = unknown, always
-    /// sound). Stamped before publication, consumed by the retire at removal.
-    pub(crate) birth: u64,
     /// Tagged pointer to the next node (MARK bit = this node is logically deleted).
     pub(crate) next: AtomicU64,
 }
 
 impl<K, V> ListNode<K, V> {
-    pub(crate) fn new_regular(so_key: u64, key: K, value: V, birth: u64) -> Box<Self> {
+    pub(crate) fn new_regular(so_key: u64, key: K, value: V) -> Box<Self> {
         metrics::record(Counter::NodeAllocated);
         Box::new(ListNode {
             so_key,
             key: Some(key),
             value: Some(value),
-            birth,
             next: AtomicU64::new(tagged::NULL),
         })
     }
@@ -43,7 +39,6 @@ impl<K, V> ListNode<K, V> {
             so_key,
             key: None,
             value: None,
-            birth: 0,
             next: AtomicU64::new(tagged::NULL),
         })
     }
@@ -91,19 +86,17 @@ fn node_cmp<K: Ord>(
 /// # Safety
 ///
 /// `start` must point to a live dummy node of the list reachable during the lifetime
-/// of `epoch`; nodes are only retired after being unlinked, so every pointer followed
+/// of `_epoch`; nodes are only retired after being unlinked, so every pointer followed
 /// while pinned remains valid.
 pub(crate) unsafe fn find<'g, K: Ord, V>(
     start: *const ListNode<K, V>,
     target_so: u64,
     target_key: Option<&K>,
-    epoch: &'g Guard,
+    _epoch: &'g Guard,
 ) -> FindResult<'g> {
     'restart: loop {
         let mut prev_link: &AtomicU64 = &(*start).next;
-        // Traversal loads route through the guard's substrate choke point
-        // (`Guard::protected`): a no-op under EBR, era-validated under hazard.
-        let mut curr_word = epoch.protected(|| prev_link.load(Ordering::SeqCst));
+        let mut curr_word = prev_link.load(Ordering::SeqCst);
         // The dummy itself is never marked, but its next word never carries a mark
         // either (marks live on the victim's own word), so curr_word is a plain ptr.
         debug_assert!(!tagged::is_marked(curr_word) || tagged::is_null(curr_word));
@@ -118,7 +111,7 @@ pub(crate) unsafe fn find<'g, K: Ord, V>(
                 };
             }
             let curr = &*tagged::unpack::<ListNode<K, V>>(curr_word);
-            let curr_next = epoch.protected(|| curr.next.load(Ordering::SeqCst));
+            let curr_next = curr.next.load(Ordering::SeqCst);
             if tagged::is_marked(curr_next) {
                 // Curr is logically deleted: unlink it and keep going. If the unlink
                 // CAS fails the list changed under us; restart from the dummy.
@@ -250,13 +243,13 @@ mod tests {
         let guard = epoch::pin_domain(TEST_DOMAIN);
         unsafe {
             for so in [9u64, 3, 7, 5] {
-                let node = ListNode::new_regular(so, so, so * 10, 0);
+                let node = ListNode::new_regular(so, so, so * 10);
                 insert_at(head, node, &guard)
                     .map_err(|_| "duplicate")
                     .unwrap();
             }
             // Duplicate insert fails.
-            let dup = ListNode::new_regular(7, 7, 70, 0);
+            let dup = ListNode::new_regular(7, 7, 70);
             assert!(insert_at(head, dup, &guard).is_err());
 
             // Walk the list: must be sorted by so_key.
@@ -291,10 +284,10 @@ mod tests {
         let head = Box::into_raw(new_dummy_head());
         let guard = epoch::pin_domain(TEST_DOMAIN);
         unsafe {
-            let a = insert_at(head, ListNode::new_regular(3, 3u64, 30u64, 0), &guard)
+            let a = insert_at(head, ListNode::new_regular(3, 3u64, 30u64), &guard)
                 .map_err(|_| "duplicate")
                 .unwrap();
-            let _b = insert_at(head, ListNode::new_regular(5, 5u64, 50u64, 0), &guard)
+            let _b = insert_at(head, ListNode::new_regular(5, 5u64, 50u64), &guard)
                 .map_err(|_| "duplicate")
                 .unwrap();
             // Mark node a (so_key 3) for deletion by setting the mark bit on its next.

@@ -6,7 +6,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_epoch::{self as epoch, Guard, Reclaimer};
-use skiptrie_atomics::{retire_box_born, tagged};
+use skiptrie_atomics::{retire_box, tagged};
 use skiptrie_metrics::{self as metrics, Counter};
 
 use crate::dir::{Directory, DirectoryConfig};
@@ -38,10 +38,6 @@ pub struct SplitOrderedMap<K, V> {
     /// prefix-table garbage out of the global domain: every pin goes through the
     /// owning structure's domain, never `epoch::pin()` directly.
     domain: usize,
-    /// Which reclamation substrate guards acquired via [`SplitOrderedMap::pin`]
-    /// ride (EBR by default; hazard for stall-robust bounded garbage). Set through
-    /// [`SplitOrderedMap::with_directory_in_domain`] alongside the domain.
-    reclaimer: Reclaimer,
     /// Dummy node of bucket 0 — the head of the entire list.
     head: *const ListNode<K, V>,
 }
@@ -162,9 +158,9 @@ where
     /// retirement — then rides that domain's epoch counter, so a stalled reader
     /// pinned in the default domain can never stall this map's reclamation (and
     /// vice versa). The x-fast trie passes its own domain here so a domain-isolated
-    /// trie's prefix table reclaims independently too. `reclaimer` selects the
-    /// domain's reclamation substrate (see [`Reclaimer`]); every pin and every
-    /// retirement the map performs routes through it.
+    /// trie's prefix table reclaims independently too. The [`Reclaimer`] argument
+    /// is ignored: it has one variant and stays only because the frozen benchmark
+    /// package passes it (ROADMAP item 5 drops it).
     ///
     /// # Panics
     ///
@@ -172,7 +168,7 @@ where
     pub fn with_directory_in_domain(
         config: DirectoryConfig,
         domain: Option<usize>,
-        reclaimer: Reclaimer,
+        _: Reclaimer,
     ) -> Self {
         let directory = Directory::new(config.segment_bits);
         let head = Box::into_raw(ListNode::<K, V>::new_dummy(dummy_so_key(0)));
@@ -181,7 +177,6 @@ where
             size: AtomicUsize::new(1),
             count: AtomicUsize::new(0),
             domain: domain.unwrap_or(0),
-            reclaimer,
             head,
         };
         map.set_bucket_entry(0, head);
@@ -192,10 +187,7 @@ where
     /// [`SplitOrderedMap::with_directory_in_domain`]). Every operation acquires its
     /// guard here, so all of the map's pins and retirements stay in one domain.
     pub fn pin(&self) -> Guard {
-        // `pin_domain_with(0, Ebr)` is the default domain and substrate, so an
-        // un-configured map behaves exactly as before — but without a direct
-        // `epoch::pin()` call site.
-        epoch::pin_domain_with(self.domain, self.reclaimer)
+        epoch::pin_domain(self.domain)
     }
 
     /// Number of items currently in the map (linearizable only in quiescent states).
@@ -278,9 +270,7 @@ where
         let so = regular_so_key(hash);
         let bucket = self.bucket_for_hash(hash);
         let dummy = self.get_bucket(bucket, &guard);
-        // Stamped before the publishing CAS inside `insert_at`, so the birth era
-        // cannot postdate the node's reachability (hazard-substrate soundness).
-        let node = ListNode::new_regular(so, key, value, guard.current_era());
+        let node = ListNode::new_regular(so, key, value);
         // SAFETY: `dummy` is a live dummy node of this map's list.
         match unsafe { list::insert_at(dummy, node, &guard) } {
             Ok(_) => {
@@ -428,7 +418,7 @@ where
             // SAFETY: the node is unlinked and will not be retired by anyone else.
             unsafe {
                 let victim = tagged::unpack::<ListNode<K, V>>(res.curr_word) as *mut ListNode<K, V>;
-                retire_box_born(&guard, victim, (*victim).birth);
+                retire_box(&guard, victim);
             }
             return Some(removed);
         }
@@ -553,9 +543,7 @@ where
                 di += 1;
             } else {
                 let (so, k, v) = new_iter.next().expect("peeked");
-                // Bulk load is single-owner (`&mut self`): birth 0 is the
-                // always-sound conservative stamp for never-yet-published nodes.
-                merged.push(Box::into_raw(ListNode::new_regular(so, k, v, 0)));
+                merged.push(Box::into_raw(ListNode::new_regular(so, k, v)));
             }
         }
 
@@ -590,12 +578,13 @@ where
     /// Calls `f` for every `(key, value)` currently reachable. Intended for tests,
     /// debugging and drop-time accounting; it is *not* a linearizable snapshot.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        let guard = self.pin();
-        let mut cur = guard.protected(|| unsafe { (*self.head).next.load(Ordering::SeqCst) });
+        let _guard = self.pin();
+        // SAFETY: the head dummy lives as long as the map.
+        let mut cur = unsafe { (*self.head).next.load(Ordering::SeqCst) };
         while !tagged::is_null(cur) {
             // SAFETY: protected by the pin; traversal only follows live links.
             let node = unsafe { &*tagged::unpack::<ListNode<K, V>>(cur) };
-            let next = guard.protected(|| node.next.load(Ordering::SeqCst));
+            let next = node.next.load(Ordering::SeqCst);
             if !tagged::is_marked(next) && !node.is_dummy() {
                 if let (Some(k), Some(v)) = (node.key.as_ref(), node.value.as_ref()) {
                     f(k, v);

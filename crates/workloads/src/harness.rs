@@ -28,8 +28,6 @@
 
 use std::sync::Barrier;
 
-use crossbeam_epoch::Reclaimer;
-
 use crate::SplitMix64;
 
 /// Parses a `SKIPTRIE_*`-style knob value, panicking with the variable name and
@@ -88,21 +86,6 @@ pub fn scale() -> f64 {
 /// shrink factors still exercise the code under test.
 pub fn scaled(nominal: usize) -> usize {
     ((nominal as f64 * scale()) as usize).max(16)
-}
-
-/// The reclamation-substrate knob (`SKIPTRIE_RECLAIM`): `ebr`/`epoch` for
-/// epoch-based reclamation (the throughput default) or `hp`/`hazard` for the
-/// hazard substrate, whose garbage stays bounded under stalled readers. The
-/// substrate-parameterized soundness tests read their substrate through this, so
-/// one environment variable re-routes every configured structure's reclamation.
-///
-/// # Panics
-///
-/// Panics if `SKIPTRIE_RECLAIM` is set to an unrecognized substrate name
-/// (unset/empty stays [`Reclaimer::Ebr`]) — a typo must fail the run loudly
-/// instead of silently benchmarking the wrong substrate.
-pub fn reclaimer() -> Reclaimer {
-    env_knob::<Reclaimer>("SKIPTRIE_RECLAIM").unwrap_or_default()
 }
 
 /// The CPU-affinity knob (`SKIPTRIE_PIN_CORES`): a comma-separated core list,
@@ -388,20 +371,12 @@ mod tests {
     fn knobs_parse_valid_values() {
         assert_eq!(parse_knob::<f64>("SKIPTRIE_SCALE", "2.5"), 2.5);
         assert_eq!(parse_knob::<usize>("SKIPTRIE_MAX_THREADS", "8"), 8);
-        assert_eq!(
-            parse_knob::<Reclaimer>("SKIPTRIE_RECLAIM", "hp"),
-            Reclaimer::Hazard
-        );
-        assert_eq!(
-            parse_knob::<Reclaimer>("SKIPTRIE_RECLAIM", "epoch"),
-            Reclaimer::Ebr
-        );
     }
 
     #[test]
-    #[should_panic(expected = "SKIPTRIE_RECLAIM=\"qsbr\"")]
-    fn unknown_reclaimer_panics_with_name_and_value() {
-        parse_knob::<Reclaimer>("SKIPTRIE_RECLAIM", "qsbr");
+    #[should_panic(expected = "SKIPTRIE_MAX_THREADS=\"x\"")]
+    fn malformed_thread_cap_panics_with_name_and_value() {
+        parse_knob::<usize>("SKIPTRIE_MAX_THREADS", "x");
     }
 
     #[test]

@@ -14,29 +14,17 @@
 //! * A final drain plus per-closure counters prove every deferred closure ran
 //!   exactly once (a `0` is a leak, a `2` a double free).
 //!
-//! The whole battery is parameterized over the reclamation substrate through the
-//! `SKIPTRIE_RECLAIM` knob (CI runs it under both `ebr` and `hp`): every trie is
-//! built with the selected `Reclaimer`, and every raw pin and drain goes
-//! through the same substrate, so a premature free in either collector trips the
-//! same poison/incarnation/exactly-once assertions.
-//!
-//! Both substrates were canary-tested during development:
-//!
-//! * **EBR**: weakening the vendored collector's readiness gate from
-//!   `seal_epoch + 2 <= global` to `seal_epoch <= global` (a collect-early
-//!   mutation) makes these tests fail.
-//! * **Hazard**: weakening the hazard scan's interval-intersection test in
-//!   `hazard::partition_covered` from `item.birth <= hi && lo <= item.retire` to
-//!   `item.birth <= hi && lo <= item.birth` (treating protection as covering
-//!   only an object's birth era, a collect-early mutation that frees objects a
-//!   pinned reader can still reach) makes this suite fail under
-//!   `SKIPTRIE_RECLAIM=hp` and fails the vendored `proptest_hazard` model.
+//! Every trie is built from the default config and every raw pin and drain goes
+//! through `pin_domain(0)`, the default domain those tries use. Canary: weakening
+//! the vendored collector's readiness gate from `seal_epoch + 2 <= global` to
+//! `seal_epoch <= global` (a collect-early mutation) makes these tests fail.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use skiptrie_suite::atomics::pin_domain;
 use skiptrie_suite::skiptrie::{SkipTrie, SkipTrieConfig};
-use skiptrie_suite::workloads::harness::{reclaimer, scaled, Workload};
+use skiptrie_suite::workloads::harness::{scaled, Workload};
 
 const UNIVERSE_BITS: u32 = 32;
 
@@ -52,9 +40,7 @@ fn spread(index: u64) -> u64 {
 /// so drains retry rather than assert a deadline.
 fn drain_until(mut done: impl FnMut() -> bool) -> bool {
     for _ in 0..10_000 {
-        // Pin and flush through the substrate under test: an EBR flush cannot
-        // drain hazard garbage (and vice versa).
-        skiptrie_suite::atomics::pin_domain_with(0, reclaimer()).flush();
+        pin_domain(0).flush();
         if done() {
             return true;
         }
@@ -71,9 +57,9 @@ fn drain_until(mut done: impl FnMut() -> bool) -> bool {
 fn churn_preserves_traversal_integrity_and_anchors() {
     let working_set = scaled(20_000) as u64;
     let anchors: Vec<u64> = (0..128).map(|j| spread(working_set + j)).collect();
-    let trie: Arc<SkipTrie<u64>> = Arc::new(SkipTrie::new(
-        SkipTrieConfig::for_universe_bits(UNIVERSE_BITS).with_reclaimer(reclaimer()),
-    ));
+    let trie: Arc<SkipTrie<u64>> = Arc::new(SkipTrie::new(SkipTrieConfig::for_universe_bits(
+        UNIVERSE_BITS,
+    )));
     for &a in &anchors {
         assert!(trie.insert(a, a + 1));
     }
@@ -166,7 +152,7 @@ fn deferred_closures_run_exactly_once() {
         .workers(threads, |ctx| {
             let base = ctx.index * per_thread;
             for i in 0..per_thread {
-                let guard = skiptrie_suite::atomics::pin_domain_with(0, reclaimer());
+                let guard = pin_domain(0);
                 let slot_owner = Arc::clone(&slots);
                 // SAFETY: the closure only touches an Arc-kept atomic and runs once.
                 unsafe {
@@ -175,7 +161,7 @@ fn deferred_closures_run_exactly_once() {
                     });
                 }
             }
-            skiptrie_suite::atomics::pin_domain_with(0, reclaimer()).flush();
+            pin_domain(0).flush();
         })
         .run();
 
@@ -213,7 +199,6 @@ fn trie_drop_frees_every_prefix_directory_level() {
     let ((), _) = metrics::measure(|| {
         let config = SkipTrieConfig::for_universe_bits(UNIVERSE_BITS)
             .with_seed(0xD06)
-            .with_reclaimer(reclaimer())
             .with_hash_directory(DirectoryConfig::default().with_segment_bits(4));
         let trie: SkipTrie<u64> = SkipTrie::new(config);
         // Fixed count (not `scaled`): the point is reaching height >= 3, not stress.

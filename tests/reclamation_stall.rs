@@ -1,20 +1,14 @@
-//! Stall-robustness of the reclamation substrates (it carries what the deleted E15 stalled-reader table measured).
+//! What a stalled reader costs the epoch collector, and that retirements drain.
 //!
-//! The scenario both substrates are measured against: one reader pins, parks on a
-//! barrier, and holds its guard across the whole churn window while writers keep
-//! deleting. Under EBR the parked guard freezes the global epoch, so *every*
-//! deferral made during the window stays pending — garbage grows with churn,
-//! without bound. Under the hazard substrate the parked guard protects only the
-//! era interval it pinned at: objects born *after* the reader pinned are freed as
-//! soon as they are retired and scanned, so pending garbage stays bounded by the
-//! working set the reader could actually have seen, no matter how long the churn
-//! runs.
+//! The stall contract: one reader pins, parks on a barrier, and holds its guard
+//! across the whole churn window while writers keep deleting. The parked guard
+//! freezes its domain's epoch, so *every* deferral made during the window stays
+//! pending — the domain's garbage grows with churn until the reader unpins, and
+//! then drains to zero. Other domains are unaffected (`tests/domain_isolation.rs`).
 //!
 //! The assertions use [`epoch::domain_stats`] — exact per-domain gauges, not the
 //! process-wide metrics counters — on domains private to this file, so parallel
-//! tests cannot inflate them (the PR 7 exact-assert isolation rule). The EBR
-//! growth assertions are `>=` (inflation-safe); the hazard assertion is the one
-//! *upper* bound, on a domain nothing else touches.
+//! tests cannot inflate them. The growth assertions are `>=` (inflation-safe).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -25,30 +19,34 @@ use skiptrie_suite::workloads::harness::{scaled, Workload};
 
 const UNIVERSE_BITS: u32 = 32;
 
-// Domains private to this file: 16/17 for the EBR A/B pair, 19 for the hazard
-// stall, 20 for the tiered regression, 15 for the splitorder regression. Other
-// suites use 7 (domain_isolation) and 11 (splitorder's own tests).
+// Domains private to this file: 16/17 for the stall A/B pair, 20 for the tiered
+// regression, 15 for the splitorder regression. Other suites use 7
+// (domain_isolation) and 11 (splitorder's own tests).
 const EBR_BASELINE_DOMAIN: usize = 16;
 const EBR_STALL_DOMAIN: usize = 17;
-const HP_STALL_DOMAIN: usize = 19;
 
 /// Fibonacci spread matching `KeyDist::ScatteredSet`.
 fn spread(index: u64) -> u64 {
     index.wrapping_mul(0x9E37_79B9_7F4A_7C15) & ((1u64 << UNIVERSE_BITS) - 1)
 }
 
-/// Pins and flushes `domain` through `reclaimer` until its pending-garbage gauge
-/// reads zero (reclamation is eventual: exiting threads publish garbage from TLS
-/// teardown, which can lag a join).
-fn drain_domain(domain: usize, reclaimer: Reclaimer) -> bool {
+/// The domain's exact garbage gauges.
+fn stats(domain: usize) -> epoch::GarbageStats {
+    epoch::domain_stats(domain, Reclaimer::Ebr)
+}
+
+/// Pins and flushes `domain` until its pending-garbage gauge reads zero
+/// (reclamation is eventual: exiting threads publish garbage from TLS teardown,
+/// which can lag a join).
+fn drain_domain(domain: usize) -> bool {
     for _ in 0..10_000 {
-        epoch::pin_domain_with(domain, reclaimer).flush();
-        if epoch::domain_stats(domain, reclaimer).pending == 0 {
+        epoch::pin_domain(domain).flush();
+        if stats(domain).pending == 0 {
             return true;
         }
         std::thread::yield_now();
     }
-    epoch::domain_stats(domain, reclaimer).pending == 0
+    stats(domain).pending == 0
 }
 
 struct ChurnOutcome {
@@ -62,19 +60,17 @@ struct ChurnOutcome {
 
 /// Inserts a working set, optionally parks a reader holding a guard, then churns
 /// with 4 writers and reports the domain's garbage high-water mark.
-fn churn(domain: usize, reclaimer: Reclaimer, stall_reader: bool) -> ChurnOutcome {
+fn churn(domain: usize, stall_reader: bool) -> ChurnOutcome {
     let working_set = scaled(2_000) as u64;
     let writer_iters = scaled(40_000);
-    let config = SkipTrieConfig::for_universe_bits(UNIVERSE_BITS)
-        .with_domain(domain)
-        .with_reclaimer(reclaimer);
+    let config = SkipTrieConfig::for_universe_bits(UNIVERSE_BITS).with_domain(domain);
     let trie: SkipTrie<u64> = SkipTrie::new(config);
     for i in 0..working_set {
         trie.insert(spread(i), i);
     }
     // Quiesce the warm-up garbage so the stall window starts clean.
     assert!(
-        drain_domain(domain, reclaimer),
+        drain_domain(domain),
         "warm-up garbage never drained in domain {domain}"
     );
 
@@ -85,11 +81,10 @@ fn churn(domain: usize, reclaimer: Reclaimer, stall_reader: bool) -> ChurnOutcom
     std::thread::scope(|s| {
         if stall_reader {
             s.spawn(|| {
-                // The stalled reader: pin through the trie (so the guard rides the
-                // configured substrate), prove the pin by reading, then park while
-                // holding the guard across the entire churn window.
+                // The stalled reader: pin through the trie (so the guard is in the
+                // trie's domain), then park while holding the guard across the
+                // entire churn window.
                 let guard = trie.pin();
-                let _ = guard.current_era();
                 ready.wait();
                 release.wait();
                 drop(guard);
@@ -126,13 +121,13 @@ fn churn(domain: usize, reclaimer: Reclaimer, stall_reader: bool) -> ChurnOutcom
         }
     });
 
-    let hwm = epoch::domain_stats(domain, reclaimer).hwm;
+    let hwm = stats(domain).hwm;
     // With the reader gone, everything must drain back to zero — a leak here
-    // means a deferral was lost (EBR) or an interval never uncovered (hazard).
+    // means a deferral was lost.
     assert!(
-        drain_domain(domain, reclaimer),
+        drain_domain(domain),
         "domain {domain} never drained after the reader released: {:?}",
-        epoch::domain_stats(domain, reclaimer)
+        stats(domain)
     );
     ChurnOutcome {
         hwm,
@@ -143,11 +138,11 @@ fn churn(domain: usize, reclaimer: Reclaimer, stall_reader: bool) -> ChurnOutcom
 /// EBR under a stalled reader: every deferral made during the stall window stays
 /// pending (the parked guard freezes the epoch), so the high-water mark must
 /// clear the churn-proportional floor and dwarf the no-stall baseline — the
-/// unbounded-growth half of the claim.
+/// witness of the stall contract.
 #[test]
 fn ebr_garbage_grows_with_churn_under_a_stalled_reader() {
-    let baseline = churn(EBR_BASELINE_DOMAIN, Reclaimer::Ebr, false);
-    let stalled = churn(EBR_STALL_DOMAIN, Reclaimer::Ebr, true);
+    let baseline = churn(EBR_BASELINE_DOMAIN, false);
+    let stalled = churn(EBR_STALL_DOMAIN, true);
     // Every successful removal during the stall deferred at least one closure,
     // and none of them could be freed while the reader held its pin.
     assert!(
@@ -170,50 +165,16 @@ fn ebr_garbage_grows_with_churn_under_a_stalled_reader() {
     );
 }
 
-/// The hazard substrate under the same stalled reader: the parked guard protects
-/// only the era interval it pinned at, so objects born after the pin free as the
-/// churn runs and the high-water mark stays under a bound fixed by the working
-/// set — independent of how much churn the window carries. This is the bounded
-/// half of the claim.
+/// Regression for the retire-site sweep (tiered swap): a fold retires the delta
+/// it absorbed and the displaced tier triple through the structure's domain, so
+/// two folds — the second one folding tombstones — read back right and the domain
+/// drains to zero.
 #[test]
-fn hazard_garbage_stays_bounded_under_a_stalled_reader() {
-    let working_set = scaled(2_000) as u64;
-    let stalled = churn(HP_STALL_DOMAIN, Reclaimer::Hazard, true);
-    // The reader's interval covers only objects born before it pinned: the
-    // working set's towers and trie nodes (a small constant per key), plus each
-    // thread's unscanned in-flight batch. 8x the working set plus slack is far
-    // above anything the covered set can reach, and far below what the churn
-    // (4 x scaled(40_000) operations) would pend under EBR.
-    let bound = 8 * working_set + 8_192;
-    assert!(
-        stalled.hwm <= bound,
-        "hazard high-water mark {} exceeded the stall bound {} (working set {})",
-        stalled.hwm,
-        bound,
-        working_set
-    );
-    // The run must still have churned enough for the bound to mean something.
-    assert!(
-        stalled.stall_removes > 4 * working_set,
-        "churn too small to exercise the bound: {} removals",
-        stalled.stall_removes
-    );
-}
-
-/// Regression for the retire-site sweep (tiered swap): the tiered engine's own
-/// tier-`Arc` swaps stay on EBR by design, but its delta skiplist rides the
-/// configured substrate — a hazard-configured delta must merge (the fold's
-/// `to_vec` and the catch-up scan each walk a whole delta under one hazard
-/// pin), read back, and drain its domain without leaking either substrate's
-/// garbage.
-#[test]
-fn tiered_engine_with_a_hazard_delta_merges_and_drains() {
+fn two_folds_retire_a_delta_and_the_domain_drains_to_zero() {
     use skiptrie_suite::skiptrie::{TieredSkipTrie, TieredSkipTrieConfig};
     const TIERED_DOMAIN: usize = 20;
 
-    let trie_config = SkipTrieConfig::for_universe_bits(UNIVERSE_BITS)
-        .with_domain(TIERED_DOMAIN)
-        .with_reclaimer(Reclaimer::Hazard);
+    let trie_config = SkipTrieConfig::for_universe_bits(UNIVERSE_BITS).with_domain(TIERED_DOMAIN);
     let config = TieredSkipTrieConfig::for_universe_bits(UNIVERSE_BITS).with_trie(trie_config);
     let t: TieredSkipTrie<u64> = TieredSkipTrie::new(config);
 
@@ -222,7 +183,7 @@ fn tiered_engine_with_a_hazard_delta_merges_and_drains() {
         assert!(t.insert(spread(i), i));
     }
     // Fold into the frozen tier (retires the delta through the domain), then
-    // delete half and fold again so tombstones churn the hazard delta too.
+    // delete half and fold again so tombstones churn the delta too.
     for _ in 0..10_000 {
         t.merge();
         if t.delta_len() == 0 {
@@ -247,23 +208,17 @@ fn tiered_engine_with_a_hazard_delta_merges_and_drains() {
     }
     drop(t);
     assert!(
-        drain_domain(TIERED_DOMAIN, Reclaimer::Hazard),
-        "hazard garbage leaked: {:?}",
-        epoch::domain_stats(TIERED_DOMAIN, Reclaimer::Hazard)
-    );
-    assert!(
-        drain_domain(TIERED_DOMAIN, Reclaimer::Ebr),
-        "EBR (tier-swap) garbage leaked: {:?}",
-        epoch::domain_stats(TIERED_DOMAIN, Reclaimer::Ebr)
+        drain_domain(TIERED_DOMAIN),
+        "garbage leaked: {:?}",
+        stats(TIERED_DOMAIN)
     );
 }
 
 /// Regression for the retire-site sweep (split-ordered victim retire): removals
-/// from a hazard-configured map retire each victim with its stored birth era and
-/// the domain drains to zero — a mis-stamped birth would either leak (pending
-/// never reaches zero) or free early (caught by the vendored proptest model).
+/// from a domain-isolated map retire each victim into that domain, and the domain
+/// drains to zero — a lost retirement would leave pending above zero.
 #[test]
-fn splitorder_map_removal_drains_under_the_hazard_substrate() {
+fn split_ordered_removals_drain_their_domain_to_zero() {
     use skiptrie_suite::skiptrie::DirectoryConfig;
     use skiptrie_suite::splitorder::SplitOrderedMap;
     const MAP_DOMAIN: usize = 15;
@@ -271,7 +226,7 @@ fn splitorder_map_removal_drains_under_the_hazard_substrate() {
     let map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_directory_in_domain(
         DirectoryConfig::default(),
         Some(MAP_DOMAIN),
-        Reclaimer::Hazard,
+        Reclaimer::Ebr,
     );
     let n = scaled(8_000) as u64;
     Workload::new(0x50AF)
@@ -288,8 +243,8 @@ fn splitorder_map_removal_drains_under_the_hazard_substrate() {
         .run();
     drop(map);
     assert!(
-        drain_domain(MAP_DOMAIN, Reclaimer::Hazard),
-        "hazard garbage leaked: {:?}",
-        epoch::domain_stats(MAP_DOMAIN, Reclaimer::Hazard)
+        drain_domain(MAP_DOMAIN),
+        "garbage leaked: {:?}",
+        stats(MAP_DOMAIN)
     );
 }
