@@ -87,14 +87,21 @@ fn spread(values: &[f64]) -> f64 {
     max / values.iter().copied().fold(f64::MAX, f64::min)
 }
 
-/// E1 — `u` fixed, `m` swept 400x: SkipTrie predecessor steps stay flat, as built
+/// The most table calls bisecting prefix lengths from `b/2` made per lowest-ancestor
+/// search, whatever the keys: `⌊log₂ b⌋` probes and the root ε. The galloping
+/// search makes fewer on average at every `m` and `b` the `e1`/`e2` sweeps cover.
+fn bisection_gets(b: u32) -> f64 {
+    f64::from(b.ilog2() + 1)
+}
+
+/// E1 — `u` fixed, `m` swept 4 000x: SkipTrie predecessor steps stay flat, as built
 /// and after `m` churn operations have turned half the key set over, while the
 /// full-height skiplist's grow with `log m`.
 fn e1() -> Outcome {
     let queries = scaled(20_000);
     let (mut rows, mut fresh, mut aged, mut probes, mut skiplist) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for m in [1_000, 5_000, 20_000, 100_000, 400_000].map(scaled) {
+    for m in [1_000, 5_000, 20_000, 100_000, 400_000, 1 << 22].map(scaled) {
         let spec = WorkloadSpec::read_only(BITS, m, queries, 0xE1);
         let mut keys = spec.prefill_keys();
         let ops = spec.thread_ops(0);
@@ -103,19 +110,24 @@ fn e1() -> Outcome {
         prefill(&trie, &keys);
         let trie_steps = measure_steps(&trie, &ops);
         let trie_ns = ns_per_op(&trie, &ops);
-        let list: FullSkipList<u64> = FullSkipList::new();
-        prefill(&list, &keys);
-        let list_steps = measure_steps(&list, &ops);
-        let list_ns = ns_per_op(&list, &ops);
-        let btree: LockedBTreeMap<u64> = LockedBTreeMap::new();
-        prefill(&btree, &keys);
-        let btree_ns = ns_per_op(&btree, &ops);
+        // One structure beside the trie at a time: at m = 2^22 the trie alone
+        // holds ~1.7 GB.
+        let (list_steps, list_ns) = {
+            let list: FullSkipList<u64> = FullSkipList::new();
+            prefill(&list, &keys);
+            (measure_steps(&list, &ops), ns_per_op(&list, &ops))
+        };
+        let btree_ns = {
+            let btree: LockedBTreeMap<u64> = LockedBTreeMap::new();
+            prefill(&btree, &keys);
+            ns_per_op(&btree, &ops)
+        };
         churn(&trie, &mut keys, m, BITS, 0xA6ED);
         let aged_steps = measure_steps(&trie, &ops);
 
         fresh.push(trie_steps.traversal_steps_per_op);
         aged.push(aged_steps.traversal_steps_per_op);
-        probes.push(trie_steps.hash_ops_per_op);
+        probes.push((m, trie_steps.hash_ops_per_op));
         skiplist.push(list_steps.traversal_steps_per_op);
         rows.push(vec![
             m.into(),
@@ -127,6 +139,7 @@ fn e1() -> Outcome {
             real(trie_ns, 0),
             real(list_ns, 0),
             real(btree_ns, 0),
+            real(trie_ns / list_ns, 2),
         ]);
     }
     let mut out = Outcome::default();
@@ -142,6 +155,7 @@ fn e1() -> Outcome {
             "skiptrie_ns/op",
             "skiplist_ns/op",
             "locked_btree_ns/op",
+            "skiptrie/skiplist_ns",
         ],
         rows,
     );
@@ -160,9 +174,24 @@ fn e1() -> Outcome {
             format!("at the largest m the skiplist takes {lead:.2}x the {name} skiptrie's steps/op, want >= 1.05"),
         );
     }
+    // The start length comes from the prefix table's bucket count, which is
+    // coarse for a table of a few dozen buckets: the scale-0.1 row m = 100
+    // (four top-level keys) reads 2.2 probes against 1.9-2.1 above it. As with
+    // e5, the flatness check covers the rows with m >= 1000.
+    let sized: Vec<f64> = probes
+        .iter()
+        .filter(|&&(m, _)| m >= 1_000)
+        .map(|&(_, p)| p)
+        .collect();
+    let probe_spread = spread(&sized);
     out.expect(
-        probes.iter().all(|&p| p == probes[0]),
-        format!("hash probes/op differ across m: {probes:?}"),
+        probe_spread <= 1.10,
+        format!("hash probes/op max/min over the m >= 1000 rows is {probe_spread:.2}, want <= 1.10: {probes:?}"),
+    );
+    let most = bisection_gets(BITS);
+    out.expect(
+        probes.iter().all(|&(_, p)| p <= most),
+        format!("hash probes/op exceed bisection's {most} somewhere: {probes:?}"),
     );
     let growth = skiplist[last] / skiplist[0];
     out.expect(
@@ -174,8 +203,8 @@ fn e1() -> Outcome {
     out
 }
 
-/// E2 — `m` fixed, key width `b = log u` swept 8..64: the binary search over prefix
-/// lengths adds about one hash probe per doubling of `b`.
+/// E2 — `m` fixed, key width `b = log u` swept 8..64: the search over prefix
+/// lengths stays within bisection's `⌊log₂ b⌋ + 1` hash probes at every `b`.
 fn e2() -> Outcome {
     let (m, queries) = (scaled(100_000), scaled(20_000));
     let (mut rows, mut probes) = (Vec::new(), Vec::new());
@@ -221,15 +250,18 @@ fn e2() -> Outcome {
         ],
         rows,
     );
-    out.expect(
-        probes.windows(2).all(|w| w[0].1 <= w[1].1),
-        format!("hash probes/op decrease somewhere as b grows: {probes:?}"),
-    );
     for (b, p) in probes {
         let bound = 2.0 * f64::from(b).log2() + 1.0;
         out.expect(
             p <= bound,
             format!("b = {b}: {p:.2} hash probes/op, want <= 2 log2 b + 1 = {bound:.2}"),
+        );
+        let most = bisection_gets(b);
+        out.expect(
+            p <= most,
+            format!(
+                "b = {b}: {p:.2} hash probes/op, want <= bisection's floor(log2 b) + 1 = {most}"
+            ),
         );
     }
     out

@@ -125,7 +125,7 @@ pub struct StepReport {
     /// Mean shared-memory traversal steps (pointer reads + guide hops + hash probes)
     /// per operation — the quantity Theorem 4.3 bounds by `O(log log u + c)`.
     pub traversal_steps_per_op: f64,
-    /// Mean hash-table probes per operation (the `LowestAncestor` binary search).
+    /// Mean hash-table calls per operation (the `LowestAncestor` search's probes).
     pub hash_ops_per_op: f64,
     /// Mean CAS/DCSS attempts per operation.
     pub update_steps_per_op: f64,

@@ -86,6 +86,12 @@ use xfast::{TrieNode, TrieNodePtr};
 
 use crossbeam_epoch::Guard;
 
+/// Held by every test of this crate that calls `metrics::measure`: the
+/// counters and their enable switch are process-wide, so two measurements in
+/// flight at once would read each other's steps and switch each other off.
+#[cfg(test)]
+pub(crate) static METRICS_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Configuration of a [`SkipTrie`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkipTrieConfig {
@@ -325,7 +331,7 @@ where
     }
 
     /// The largest key `<= key` and its value — the paper's predecessor query
-    /// (Algorithm 5: `LowestAncestor` binary search, guide walk, skiplist descent),
+    /// (Algorithm 5: `LowestAncestor` search, guide walk, skiplist descent),
     /// in expected amortized `O(log log u + c)` steps.
     ///
     /// # Examples
@@ -471,7 +477,7 @@ where
     /// predecessor on every level, so no x-fast hint can beat it) and the regular
     /// CAS-remove protocol deletes it under the same pin — replacing the
     /// `successor`-then-`remove` loop consumers previously hand-rolled, which re-ran
-    /// the x-fast binary search on every attempt and re-searched for the key it had
+    /// the x-fast search on every attempt and re-searched for the key it had
     /// just found. Lost races retry on the new minimum.
     ///
     /// # Examples
@@ -724,7 +730,7 @@ where
     /// `(key, value)` sequence, returning the number of keys loaded.
     ///
     /// A cold start (checkpoint restore, sorted-file ingest) through `n`
-    /// [`SkipTrie::insert`] calls pays, per key, an x-fast binary search, a
+    /// [`SkipTrie::insert`] calls pays, per key, an x-fast search, a
     /// multi-level skiplist descent, CAS retry loops, DCSS-guarded tower raises and
     /// prefix swings — machinery that exists solely to survive concurrent threads.
     /// `&mut self` proves there are none: towers are laid out with plain appends

@@ -1874,10 +1874,14 @@ mod tests {
         // process-wide, so the ceiling leaves room for what other tests of
         // this binary add while the 16 384 probes run (a few reads a probe).
         let probes = sample().count();
+        let serial = crate::METRICS_SERIAL
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let (found, steps) = metrics::measure(|| sample().filter_map(|k| t.get(k)).count());
         assert_eq!(found, probes / 2, "the inserts, not the tombstones");
         let per_get = steps.get(Counter::PtrRead) / probes as u64;
         assert!(per_get <= 120, "{per_get} pointer reads a delta get");
+        drop(serial);
 
         assert!(t.merge(), "one merge folds it");
         assert_eq!((t.delta_len(), t.frozen_len()), (0, model.len()));

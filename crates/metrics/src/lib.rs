@@ -479,6 +479,18 @@ pub fn snapshot() -> Snapshot {
     out
 }
 
+/// Takes a snapshot of the calling thread's counters alone: a delta of two
+/// such snapshots is exact however many other threads record meanwhile.
+pub fn thread_snapshot() -> Snapshot {
+    with_local_slot(|slot| {
+        let mut out = Snapshot::default();
+        for (i, v) in slot.counters.iter().enumerate() {
+            out.values[i] = v.load(Ordering::Relaxed);
+        }
+        out
+    })
+}
+
 /// Resets every counter on every registered thread to zero.
 ///
 /// Prefer [`Snapshot::since`] for measuring deltas; `reset` exists for experiment
@@ -643,6 +655,20 @@ mod tests {
         // window, so nothing can flip `ENABLED` back on or inflate the counters.
         assert_eq!(delta.get(Counter::PtrRead), 0);
         assert_eq!(delta.get(Counter::CasAttempt), 0);
+    }
+
+    #[test]
+    fn a_thread_snapshot_sees_only_its_own_thread() {
+        let _serial = recording_lock();
+        set_enabled(true);
+        let before = thread_snapshot();
+        add(Counter::HashOp, 3);
+        std::thread::spawn(|| add(Counter::HashOp, 100))
+            .join()
+            .expect("recorder thread");
+        let delta = thread_snapshot().since(&before);
+        set_enabled(false);
+        assert_eq!(delta.get(Counter::HashOp), 3);
     }
 
     #[test]

@@ -65,7 +65,7 @@ where
 /// finalizer must diffuse every input bit into every output bit, which the
 /// splitmix64 finalizer is built for. SipHash (the std default) gives the same
 /// property at several times the cost per hash, and this map is on the hot path of
-/// every x-fast-trie probe (the `LowestAncestor` binary search hashes `log u`
+/// every x-fast-trie probe (the `LowestAncestor` search hashes about two
 /// prefixes per query, and a bulk load hashes every distinct prefix once). HashDoS
 /// resistance is not part of this crate's contract.
 struct FastHasher {
