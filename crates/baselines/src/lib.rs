@@ -4,8 +4,9 @@
 //!
 //! * **Concurrent structures with `Θ(log m)` depth** — "all concurrent search
 //!   structures that support predecessor queries have had depth and search time that
-//!   is logarithmic in m". [`FullSkipList`] (the truncated skiplist substrate
-//!   configured at full height) and [`LockedBTreeMap`] (a coarse reader-writer-locked
+//!   is logarithmic in m". The truncated skiplist substrate configured at full
+//!   height (`SkipList::new(SkipListConfig::full_height())`, labelled
+//!   `lockfree-skiplist`) and [`LockedBTreeMap`] (a coarse reader-writer-locked
 //!   `BTreeMap`) represent this family in the experiments.
 //! * **Sequential `O(log log u)` structures** — Willard's x-fast and y-fast tries,
 //!   which the SkipTrie makes concurrent. [`SeqXFastTrie`] and [`SeqYFastTrie`] are
@@ -18,11 +19,9 @@
 #![warn(missing_docs)]
 
 mod locked_btree;
-mod lockfree_skiplist;
 mod seq_xfast;
 mod seq_yfast;
 
 pub use locked_btree::LockedBTreeMap;
-pub use lockfree_skiplist::FullSkipList;
 pub use seq_xfast::SeqXFastTrie;
 pub use seq_yfast::SeqYFastTrie;

@@ -10,21 +10,21 @@
 //! `EXPERIMENTS.md` maps every table the repository ever printed to an entry here,
 //! a `BENCHMARK.json` metric or a tier-1 test.
 //!
-//! Tower heights are drawn from one per-thread random stream, so the checked columns
-//! repeat exactly for a given id list and `SKIPTRIE_SCALE` and differ between lists
-//! (`f1` runs first and alone sees the stream from its start). The bounds therefore
-//! carry margin: each held on ten independent streams at scale 0.1 and ten at
-//! scale 1, which the tighter ratios one stream suggests did not.
+//! A tower's height is a hash of its key and the structure's seed, so a checked
+//! column is a function of its entry's key set, the seed and `SKIPTRIE_SCALE`: it
+//! repeats exactly whatever ids run and in whatever order (ids run in the order
+//! given). Each bound holds with margin for ten other structure seeds at scale 0.1
+//! and at scale 1, so it certifies the shape, not one seed's draw.
 
 use std::hint::black_box;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use skiptrie::{
-    DcssMode, OrderedKv, ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie, SkipTrieConfig,
-    TieredForest, TieredSkipTrie, TieredSkipTrieConfig,
+    DcssMode, OrderedKv, ShardedSkipTrie, ShardedSkipTrieConfig, SkipList, SkipListConfig,
+    SkipTrie, SkipTrieConfig, TieredForest, TieredSkipTrie, TieredSkipTrieConfig,
 };
-use skiptrie_baselines::{FullSkipList, LockedBTreeMap, SeqYFastTrie};
+use skiptrie_baselines::{LockedBTreeMap, SeqYFastTrie};
 use skiptrie_bench::{
     apply_op, churn, max_threads, measure_steps, prefill, real, run_throughput, scaled,
     thread_sweep, write_json_summary, Cell, Outcome,
@@ -63,6 +63,12 @@ const EXPERIMENTS: &[(&str, &str, fn() -> Outcome)] = &[
 
 fn trie_config() -> SkipTrieConfig {
     SkipTrieConfig::for_universe_bits(BITS)
+}
+
+/// The `Θ(log m)`-depth baseline: the SkipTrie's skiplist substrate at 24 levels,
+/// searched from the head sentinel.
+fn full_skiplist() -> SkipList<u64> {
+    SkipList::new(SkipListConfig::full_height())
 }
 
 fn forest_config() -> ShardedSkipTrieConfig {
@@ -113,7 +119,7 @@ fn e1() -> Outcome {
         // One structure beside the trie at a time: at m = 2^22 the trie alone
         // holds ~1.7 GB.
         let (list_steps, list_ns) = {
-            let list: FullSkipList<u64> = FullSkipList::new();
+            let list = full_skiplist();
             prefill(&list, &keys);
             (measure_steps(&list, &ops), ns_per_op(&list, &ops))
         };
@@ -170,8 +176,8 @@ fn e1() -> Outcome {
         );
         let lead = skiplist[last] / column[last];
         out.expect(
-            lead >= 1.05,
-            format!("at the largest m the skiplist takes {lead:.2}x the {name} skiptrie's steps/op, want >= 1.05"),
+            lead >= 2.0,
+            format!("at the largest m the skiplist takes {lead:.2}x the {name} skiptrie's steps/op, want >= 2"),
         );
     }
     // The start length comes from the prefix table's bucket count, which is
@@ -195,9 +201,9 @@ fn e1() -> Outcome {
     );
     let growth = skiplist[last] / skiplist[0];
     out.expect(
-        growth >= 1.08,
+        growth >= 1.2,
         format!(
-            "skiplist steps/op grew {growth:.2}x from the smallest m to the largest, want >= 1.08"
+            "skiplist steps/op grew {growth:.2}x from the smallest m to the largest, want >= 1.2"
         ),
     );
     out
@@ -219,7 +225,7 @@ fn e2() -> Outcome {
         let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(b));
         prefill(&trie, &keys);
         let trie_steps = measure_steps(&trie, &ops);
-        let list: FullSkipList<u64> = FullSkipList::new();
+        let list = full_skiplist();
         prefill(&list, &keys);
         let list_steps = measure_steps(&list, &ops);
         churn(&trie, &mut keys, m, b, 0xA6ED);
@@ -308,8 +314,8 @@ fn e3() -> Outcome {
 
         let levels = steps.trie_levels_per_op;
         out.expect(
-            (0.7..=1.4).contains(&levels),
-            format!("m = {m}: {levels:.3} trie levels crossed per update, want within [0.7, 1.4]"),
+            (0.8..=1.25).contains(&levels),
+            format!("m = {m}: {levels:.3} trie levels crossed per update, want within [0.8, 1.25]"),
         );
         rows.push(vec![
             m.into(),
@@ -387,8 +393,8 @@ fn e5() -> Outcome {
     );
     let ratio = spread(&bytes_per_key);
     out.expect(
-        ratio <= 1.10,
-        format!("node bytes/key max/min over m >= 1000 is {ratio:.3}, want <= 1.10"),
+        ratio <= 1.05,
+        format!("node bytes/key max/min over m >= 1000 is {ratio:.3}, want <= 1.05"),
     );
     out
 }
@@ -412,8 +418,8 @@ fn f1() -> Outcome {
         // A level's population is binomial, so its deviation scales with the root
         // of its expectation: the same bound holds at every scale.
         out.expect(
-            (count as f64 - expected).abs() <= 4.0 * expected.sqrt(),
-            format!("level {level} holds {count} nodes, want within 4 sqrt(e) of e = m/2^level = {expected:.0}"),
+            (count as f64 - expected).abs() <= 3.0 * expected.sqrt(),
+            format!("level {level} holds {count} nodes, want within 3 sqrt(e) of e = m/2^level = {expected:.0}"),
         );
         rows.push(vec![
             level.into(),
@@ -638,7 +644,7 @@ const STRUCTURES: &[(&str, Build)] = &[
         run(&*forest)
     }),
     ("lockfree-skiplist", |e, run| {
-        filled(&FullSkipList::<u64>::new(), e, run)
+        filled(&full_skiplist(), e, run)
     }),
     ("locked-btreemap", |e, run| {
         filled(&LockedBTreeMap::<u64>::new(), e, run)
@@ -807,8 +813,8 @@ fn ab() -> Outcome {
         if k == 100 {
             let steps_ratio = chained_steps / scan_steps;
             out.expect(
-                steps_ratio >= 5.0,
-                format!("k = 100: chained successors take {steps_ratio:.1}x a scan's steps per key, want >= 5"),
+                steps_ratio >= 10.0,
+                format!("k = 100: chained successors take {steps_ratio:.1}x a scan's steps per key, want >= 10"),
             );
         }
     }
@@ -962,22 +968,24 @@ fn ab() -> Outcome {
 
 fn main() {
     let wanted: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(unknown) = wanted
-        .iter()
-        .find(|w| !EXPERIMENTS.iter().any(|(id, ..)| id == w))
-    {
-        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
-        eprintln!(
-            "unknown experiment {unknown:?}; the ids are: {}",
-            ids.join(" ")
-        );
-        std::process::exit(2);
-    }
+    let find = |w: &String| {
+        EXPERIMENTS
+            .iter()
+            .find(|(id, ..)| id == w)
+            .unwrap_or_else(|| {
+                let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
+                eprintln!("unknown experiment {w:?}; the ids are: {}", ids.join(" "));
+                std::process::exit(2)
+            })
+    };
+    // The ids given, in the order given; none = every entry.
+    let chosen: Vec<_> = if wanted.is_empty() {
+        EXPERIMENTS.iter().collect()
+    } else {
+        wanted.iter().map(find).collect()
+    };
     let mut outcomes = Vec::new();
-    for &(id, certifies, run) in EXPERIMENTS {
-        if !wanted.is_empty() && !wanted.iter().any(|w| w == id) {
-            continue;
-        }
+    for &(id, certifies, run) in chosen {
         println!("# {id}: {certifies}");
         let outcome = run();
         outcome.tables.iter().for_each(|table| table.print());

@@ -100,9 +100,8 @@ pub fn run_throughput(
     let streams: Vec<Vec<Op>> = (0..spec.threads).map(|t| spec.thread_ops(t)).collect();
     let sw = skiptrie_metrics::Stopwatch::start();
     std::thread::scope(|scope| {
-        for (index, ops) in streams.iter().enumerate() {
+        for ops in &streams {
             scope.spawn(move || {
-                skiptrie_workloads::harness::pin_worker(index);
                 for &op in ops {
                     apply_op(map, op);
                 }
@@ -390,8 +389,10 @@ pub fn thread_sweep() -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie, SkipTrieConfig};
-    use skiptrie_baselines::{FullSkipList, LockedBTreeMap};
+    use skiptrie::{
+        ShardedSkipTrie, ShardedSkipTrieConfig, SkipList, SkipListConfig, SkipTrie, SkipTrieConfig,
+    };
+    use skiptrie_baselines::LockedBTreeMap;
     use skiptrie_workloads::{KeyDist, OpMix};
 
     fn small_spec(threads: usize) -> WorkloadSpec {
@@ -413,7 +414,7 @@ mod tests {
         let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(20));
         let forest: ShardedSkipTrie<u64> =
             ShardedSkipTrie::new(ShardedSkipTrieConfig::for_universe_bits(20));
-        let skiplist = FullSkipList::new();
+        let skiplist = SkipList::new(SkipListConfig::full_height());
         let btree = LockedBTreeMap::new();
         let structures: [(&str, &dyn OrderedKv<u64>); 4] = [
             ("skiptrie", &trie),
@@ -435,7 +436,8 @@ mod tests {
         let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(20));
         let forest: ShardedSkipTrie<u64> =
             ShardedSkipTrie::new(ShardedSkipTrieConfig::for_universe_bits(20));
-        let skiplist = FullSkipList::new(); // exercises the provided (loop) batch forms
+        // The skiplist exercises the provided (loop) batch forms.
+        let skiplist = SkipList::new(SkipListConfig::full_height());
         let btree = LockedBTreeMap::new();
         let structures: [(&str, &dyn OrderedKv<u64>); 4] = [
             ("skiptrie", &trie),

@@ -13,7 +13,7 @@ use skiptrie::{
     OrderedKv, ShardedSkipTrie, ShardedSkipTrieConfig, SkipList, SkipListConfig, SkipTrie,
     SkipTrieConfig, TieredSkipTrie, TieredSkipTrieConfig,
 };
-use skiptrie_baselines::{FullSkipList, LockedBTreeMap};
+use skiptrie_baselines::LockedBTreeMap;
 use skiptrie_workloads::SplitMix64;
 
 /// The required kernel of some implementor and nothing else.
@@ -69,7 +69,10 @@ fn implementors() -> Vec<(&'static str, Box<dyn OrderedKv<u64>>)> {
             "tiered-router",
             Box::new(ShardedSkipTrie::<u64, TieredSkipTrie<u64>>::new(forest)),
         ),
-        ("lockfree-skiplist", Box::new(FullSkipList::<u64>::new())),
+        (
+            "lockfree-skiplist",
+            Box::new(SkipList::<u64>::new(SkipListConfig::full_height())),
+        ),
         ("locked-btreemap", Box::new(LockedBTreeMap::<u64>::new())),
         (
             "truncated-skiplist",

@@ -65,7 +65,8 @@ pub struct ShardedSkipTrieConfig {
     pub shard_bits: u32,
     /// How conditional pointer swings are performed in every shard.
     pub mode: DcssMode,
-    /// Master height-sampler seed; shard `i` derives its own seed from it.
+    /// Tower-height seed of every shard (see [`SkipTrieConfig::seed`]). Shards hold
+    /// disjoint keys, so one seed serves them all.
     pub seed: u64,
     /// Shape of every shard's prefix-table bucket directory (a growable segment
     /// tree); see [`SkipTrieConfig::with_hash_directory`]. Ignored by tiered
@@ -126,7 +127,7 @@ impl ShardedSkipTrieConfig {
         self
     }
 
-    /// Overrides the master height-sampler seed.
+    /// Overrides the tower-height seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -236,12 +237,7 @@ where
                 let shard_config = SkipTrieConfig::for_universe_bits(config.universe_bits)
                     .with_mode(config.mode)
                     .with_hash_directory(config.hash_dir)
-                    // Decorrelate tower heights across shards.
-                    .with_seed(
-                        config
-                            .seed
-                            .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    )
+                    .with_seed(config.seed)
                     // Distinct domains for up to NUM_DOMAINS - 1 shards; beyond that
                     // they wrap (never onto the default domain 0).
                     .with_domain(SHARD_DOMAIN_BASE + i % (crossbeam_epoch::NUM_DOMAINS - 1));
@@ -1226,8 +1222,8 @@ mod tests {
     #[test]
     fn one_hot_forest_pops_drain_correctly() {
         // Occupancy-hinted pops over a one-hot forest (the probe-count regression
-        // itself lives in tests/forest_occupancy.rs, alone in its process so the
-        // process-wide metrics counters are not shared with concurrent tests).
+        // itself is tests/sharded_forest.rs's
+        // `drained_forest_pops_probe_only_occupied_shards`).
         let f = forest(16, 16);
         let base = 8 << 12; // shard 8 of 16 (slices of 2^12 keys)
         for k in 0..200u64 {

@@ -100,7 +100,9 @@ pub struct SkipTrieConfig {
     /// How conditional pointer swings are performed (software DCSS descriptors, the
     /// default, or the paper's CAS fallback).
     pub mode: DcssMode,
-    /// Seed of the geometric height sampler (fix it for reproducible structure).
+    /// Seed of the tower heights: a key's height is a hash of the key and this
+    /// seed, so the trie's shape is a function of its key set and its seed alone
+    /// (the same from a bulk load as from inserts on any threads in any order).
     pub seed: u64,
     /// Epoch domain this trie pins and retires in (`None` = the process-wide default
     /// domain). Set by [`ShardedSkipTrie`] so each shard reclaims independently; see
@@ -145,7 +147,7 @@ impl SkipTrieConfig {
         self
     }
 
-    /// Overrides the height-sampler seed.
+    /// Overrides the tower-height seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -1229,6 +1231,27 @@ mod tests {
         assert_eq!(bulk.pop_last(), Some((3_999 * 13, 3_999 ^ 0xfff)));
         assert_eq!(bulk.remove(13), Some(1 ^ 0xfff));
         assert_eq!(bulk.len(), seq.len() - 3);
+    }
+
+    #[test]
+    fn from_sorted_and_inserts_on_a_fresh_thread_build_the_same_trie() {
+        let config = SkipTrieConfig::for_universe_bits(32).with_seed(11);
+        let entries: Vec<(u64, u64)> = (0..5_000u64).map(|k| (k * 8_191, k)).collect();
+        let bulk: SkipTrie<u64> = SkipTrie::from_sorted(config, entries.iter().copied());
+        let inserted = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let t = SkipTrie::new(config);
+                    for &(k, v) in entries.iter().rev() {
+                        assert!(t.insert(k, v));
+                    }
+                    t
+                })
+                .join()
+                .unwrap()
+        });
+        assert_eq!(inserted.top_level_keys(), bulk.top_level_keys());
+        assert_eq!(inserted.prefix_count(), bulk.prefix_count());
     }
 
     #[test]

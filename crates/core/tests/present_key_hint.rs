@@ -11,8 +11,7 @@
 //! constant.
 //!
 //! The assertion is an *upper bound* on a process-wide counter delta, which is
-//! only sound while nothing else records — keep this test alone in its binary
-//! (same pitfall class as `tests/forest_occupancy.rs`).
+//! only sound while nothing else records — keep this test alone in its binary.
 
 use skiptrie::{SkipTrie, SkipTrieConfig};
 use skiptrie_metrics::{self as metrics, Counter};

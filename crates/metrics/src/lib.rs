@@ -70,8 +70,8 @@ pub use stopwatch::Stopwatch;
 ///   or delete (used by the amortization experiment E3).
 /// * [`Counter::ShardPopProbe`] / [`Counter::ShardPopSkip`] — shards actually probed
 ///   (a real search-and-remove attempt) versus skipped on a 0 occupancy read by the
-///   sharded forest's `pop_first` / `pop_last` (`tests/forest_occupancy.rs`, the
-///   drained-forest regression, pins probes, not pops).
+///   sharded forest's `pop_first` / `pop_last` (the drained-forest regression in
+///   `tests/sharded_forest.rs` pins probes, not pops).
 /// * [`Counter::DirGrow`] — successful root-CAS growths of a hash map's segment
 ///   tree (the directory gained one level of height).
 /// * [`Counter::DirNodeAlloc`] / [`Counter::DirNodeFreed`] — directory tree nodes

@@ -14,8 +14,8 @@
 //! cursor — `O(n)` total work, `O(levels)` auxiliary state. The resulting structure is
 //! *indistinguishable* from one built by sequential inserts of the same keys:
 //!
-//! * tower heights are drawn from the same geometric sampler
-//!   ([`crate::height::sample_height`]) the insert path uses;
+//! * every key gets the tower height the insert path gives it
+//!   ([`crate::height::key_height`]), so the towers are the same ones;
 //! * every node carries the same field discipline (`down`, `root`, `orig_height`,
 //!   poisoned-then-initialized pool memory with its incarnation preserved);
 //! * top-level nodes join the doubly-linked list with `prev` pointing at their
@@ -30,7 +30,7 @@ use std::sync::atomic::Ordering;
 
 use skiptrie_atomics::tagged;
 
-use crate::height::sample_height;
+use crate::height::key_height;
 use crate::node::Node;
 use crate::SkipList;
 
@@ -111,9 +111,9 @@ where
                 "bulk_load_sorted requires strictly increasing keys (saw {key} after {prev_key:?})"
             );
             prev_key = Some(key);
-            // Same geometric height distribution as the insert path, so the loaded
-            // structure has the statistics every bound relies on.
-            let height = sample_height(seed, top);
+            // The height the insert path gives this key, so the loaded towers are
+            // the ones inserts would have built.
+            let height = key_height(key, seed, top);
 
             // Level 0 (root) node: value-carrying, root = self.
             let root_ptr = self.pool().acquire();
@@ -207,9 +207,39 @@ mod tests {
             assert_eq!(bulk.successor(probe), seq.successor(probe), "{probe}");
             assert_eq!(bulk.get(probe), seq.get(probe), "{probe}");
         }
-        // Node counts may differ from `seq` (independent height draws), so only
-        // require the audit to pass and to have visited at least every level-0 key.
+        assert_eq!(bulk.level_lengths(), seq.level_lengths(), "same towers");
         assert!(bulk.check_traversal_integrity() >= bulk.len());
+    }
+
+    #[test]
+    fn bulk_load_builds_the_towers_concurrent_shuffled_inserts_build() {
+        let keys: Vec<u64> = (0..4_000u64).map(|k| k * 7).collect();
+        let mut bulk = SkipList::new(SkipListConfig::for_universe_bits(32).with_seed(5));
+        bulk.bulk_load_sorted(keys.iter().map(|&k| (k, k)));
+
+        // The same keys in a scrambled order, dealt to two fresh threads.
+        let mut shuffled = keys.clone();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..shuffled.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let inserted = SkipList::new(SkipListConfig::for_universe_bits(32).with_seed(5));
+        std::thread::scope(|scope| {
+            for half in shuffled.chunks(shuffled.len() / 2) {
+                let inserted = &inserted;
+                scope.spawn(move || {
+                    for &k in half {
+                        assert!(inserted.insert(k, k));
+                    }
+                });
+            }
+        });
+
+        assert_eq!(inserted.level_lengths(), bulk.level_lengths());
+        assert_eq!(inserted.top_level_keys(), bulk.top_level_keys());
     }
 
     #[test]

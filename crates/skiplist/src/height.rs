@@ -1,57 +1,42 @@
-//! Geometric tower-height sampling.
+//! Geometric tower heights, one per key.
 //!
-//! Each inserted key tosses a fair coin per level (paper, Section 2: "We choose a
-//! height `H(x) ~ Geom(1/2)`") and is truncated at the skiplist's top level. A key
-//! that reaches the top level becomes a *top-level key*: it joins the doubly-linked
-//! list and the x-fast trie. With `L = log log u` levels the probability of reaching
-//! the top is `2^-(L-1) ≈ 1/log u`, giving the paper's expected `O(log u)` spacing
-//! between top-level keys.
-
-use std::cell::Cell;
+//! Each key tosses a fair coin per level (paper, Section 2: "We choose a height
+//! `H(x) ~ Geom(1/2)`") and is truncated at the skiplist's top level. A key that
+//! reaches the top level becomes a *top-level key*: it joins the doubly-linked list
+//! and the x-fast trie. With `L = log log u` levels the probability of reaching the
+//! top is `2^-(L-1) ≈ 1/log u`, giving the paper's expected `O(log u)` spacing between
+//! top-level keys.
+//!
+//! The coins are the bits of a hash of the key and the structure's seed
+//! ([`key_height`]), not draws from a stream: a structure's shape is a function of
+//! its key set and its seed alone, whichever threads inserted the keys in whatever
+//! order, and a bulk load builds the towers the same inserts would. A caller who
+//! knows the seed can pick keys with tall towers; like the prefix table's hash
+//! flooding, that is outside this crate's contract.
 
 /// Derives a geometric height (number of coin flips that came up heads) from a word of
 /// randomness, truncated to `max_level`.
-///
-/// Deterministic; exposed so tests and experiments can drive the structure with a
-/// seeded random stream.
 pub fn height_from_random(random: u64, max_level: u8) -> u8 {
     let flips = random.trailing_ones() as u8;
     flips.min(max_level)
 }
 
-thread_local! {
-    static RNG_STATE: Cell<u64> = const { Cell::new(0) };
+/// Murmur3's 64-bit finaliser behind a golden-ratio offset (so key `seed` does not
+/// hash to 0). Its constants differ from the splitmix64 finaliser the prefix table's
+/// hasher ends in, so a key's height and its prefixes' bucket positions stay
+/// unrelated.
+fn mix(word: u64) -> u64 {
+    let mut z = word.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    z ^ (z >> 33)
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Samples a tower height in `0..=max_level` using a per-thread generator seeded from
-/// `seed`, the thread, and the call sequence.
-pub fn sample_height(seed: u64, max_level: u8) -> u8 {
-    RNG_STATE.with(|cell| {
-        let mut state = cell.get();
-        if state == 0 {
-            // Mix the configured seed with a per-thread component so different threads
-            // draw different (but reproducible, given a fixed thread) streams.
-            let tid = std::thread::current().id();
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            use std::hash::{Hash, Hasher};
-            tid.hash(&mut hasher);
-            state = seed ^ hasher.finish() ^ 0xA5A5_A5A5_5A5A_5A5A;
-            if state == 0 {
-                state = 1;
-            }
-        }
-        let word = splitmix64(&mut state);
-        cell.set(state);
-        height_from_random(word, max_level)
-    })
+/// The tower height of `key` in a structure seeded with `seed`: `Geom(1/2)`
+/// truncated to `max_level`, and the same on every call.
+#[inline]
+pub fn key_height(key: u64, seed: u64, max_level: u8) -> u8 {
+    height_from_random(mix(key ^ seed), max_level)
 }
 
 #[cfg(test)]
@@ -70,10 +55,11 @@ mod tests {
     #[test]
     fn sampled_heights_are_in_range_and_roughly_geometric() {
         let max = 6u8;
-        let n = 200_000usize;
+        let n = 200_000u64;
+        // Consecutive keys, the least random input a caller can give.
         let mut counts = vec![0usize; max as usize + 1];
-        for _ in 0..n {
-            let h = sample_height(42, max);
+        for key in 0..n {
+            let h = key_height(key, 42, max);
             counts[h as usize] += 1;
         }
         // Every height must be in range, level 0 should hold about half the mass, and
@@ -92,9 +78,13 @@ mod tests {
 
     #[test]
     fn different_seeds_are_well_defined() {
-        // Not a randomness test; just exercises the seeding path on this thread.
-        let a = sample_height(1, 5);
-        let b = sample_height(2, 5);
-        assert!(a <= 5 && b <= 5);
+        // A key's height is fixed by (key, seed) and in range; another seed
+        // reshuffles which keys are tall.
+        let a: Vec<u8> = (0..64u64).map(|k| key_height(k, 1, 5)).collect();
+        let again: Vec<u8> = (0..64u64).map(|k| key_height(k, 1, 5)).collect();
+        let b: Vec<u8> = (0..64u64).map(|k| key_height(k, 2, 5)).collect();
+        assert_eq!(a, again, "heights are a function of (key, seed)");
+        assert!(a.iter().chain(&b).all(|&h| h <= 5));
+        assert_ne!(a, b, "the seed takes part in the height");
     }
 }

@@ -85,8 +85,9 @@ pub struct SkipListConfig {
     pub levels: u8,
     /// How guarded pointer swings are performed (DCSS descriptors or plain CAS).
     pub mode: DcssMode,
-    /// Seed for the per-thread geometric height sampler (deterministic workloads use
-    /// a fixed seed).
+    /// Seed of the tower heights: a key's height is a hash of the key and this seed
+    /// ([`height::key_height`]), so the list's shape is a function of its key set
+    /// and its seed, whatever threads inserted the keys in whatever order.
     pub seed: u64,
     /// Epoch domain this list pins and retires in (`None` = the process-wide default
     /// domain). The sharded SkipTrie forest gives every shard its own domain so a
@@ -115,7 +116,20 @@ impl SkipListConfig {
     }
 
     /// A conventional full-height skiplist configuration (depth `Θ(log m)`), used as
-    /// the baseline structure in the experiments.
+    /// the baseline structure in the experiments (labelled `lockfree-skiplist`):
+    /// the class of concurrent predecessor structure (à la Lea/Fomitchev-Ruppert)
+    /// the paper's introduction says all prior work provides.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use skiptrie_skiplist::{SkipList, SkipListConfig};
+    ///
+    /// let list: SkipList<u32> = SkipList::new(SkipListConfig::full_height());
+    /// list.insert(10, 1);
+    /// list.insert(30, 3);
+    /// assert_eq!(list.predecessor(29), Some((10, 1)));
+    /// ```
     pub fn full_height() -> Self {
         SkipListConfig {
             levels: 24,
@@ -131,7 +145,7 @@ impl SkipListConfig {
         self
     }
 
-    /// Overrides the height-sampler seed.
+    /// Overrides the tower-height seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -765,6 +779,50 @@ mod tests {
         assert_eq!(list.remove(3), Some(300));
         assert_eq!(list.keys(), vec![1, 5, 9]);
         assert_eq!(list.len(), 3);
+    }
+
+    #[test]
+    fn full_height_custom_level_count() {
+        let list: SkipList<u8> = SkipList::new(SkipListConfig {
+            levels: 8,
+            ..SkipListConfig::full_height()
+        });
+        for k in 0..100 {
+            list.insert(k, 0);
+        }
+        assert_eq!(list.levels(), 8);
+        assert_eq!(list.len(), 100);
+    }
+
+    #[test]
+    fn full_height_range_and_pops_match_contents() {
+        let list: SkipList<u64> = SkipList::new(SkipListConfig::full_height());
+        for k in [5u64, 1, 9, 3, 7] {
+            list.insert(k, k * 2);
+        }
+        let window: Vec<u64> = list.range(3..=7).map(|(k, _)| k).collect();
+        assert_eq!(window, vec![3, 5, 7]);
+        assert_eq!(list.pop_first(), Some((1, 2)));
+        assert_eq!(list.pop_last(), Some((9, 18)));
+        assert_eq!(list.range(..).count(), 3);
+        assert_eq!(list.len(), 3);
+    }
+
+    #[test]
+    fn full_height_concurrent_inserts() {
+        let list: SkipList<u64> = SkipList::new(SkipListConfig::full_height());
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let list = &list;
+                scope.spawn(move || {
+                    for i in 0..2_000u64 {
+                        list.insert(t * 2_000 + i, i);
+                    }
+                });
+            }
+        });
+        assert_eq!(list.len(), 8_000);
+        assert_eq!(list.predecessor(8_000), Some((7_999, 1_999)));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::backoff::Backoff;
-use crate::height::sample_height;
+use crate::height::key_height;
 use crate::node::{pack_meta, Node, NodeKind, NodeRef, STATUS_STOP};
 use crate::SkipList;
 
@@ -155,7 +155,7 @@ where
     ) -> InsertOutcome<'g, V> {
         let top = self.top_level();
         let start_node = self.start_or_head(start);
-        let orig_height = sample_height(self.config.seed, top);
+        let orig_height = key_height(key, self.config.seed, top);
 
         // Phase 1: link the root (level-0) node.
         let mut preds = self.find_preds(key, start_node, guard);

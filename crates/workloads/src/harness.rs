@@ -88,120 +88,6 @@ pub fn scaled(nominal: usize) -> usize {
     ((nominal as f64 * scale()) as usize).max(16)
 }
 
-/// The CPU-affinity knob (`SKIPTRIE_PIN_CORES`): a comma-separated core list,
-/// e.g. `SKIPTRIE_PIN_CORES=0,2,4,6`. `None` when unset or empty (no pinning).
-///
-/// The `experiments` bin and [`Workload`] pin worker `i` to `cores[i % cores.len()]`
-/// (see [`pin_worker`]), so throughput numbers on multi-socket or SMT hosts
-/// stop depending on where the scheduler happened to place the threads.
-///
-/// # Panics
-///
-/// Panics when the variable is set to a malformed value — a core entry that is
-/// not a number, an empty entry (`0,,2`), or a core index ≥ 1024 (the mask
-/// width) must fail the run loudly instead of silently running unpinned and
-/// mislabeling the experiment.
-pub fn pin_cores() -> Option<Vec<usize>> {
-    let raw = std::env::var("SKIPTRIE_PIN_CORES").ok()?;
-    if raw.is_empty() {
-        return None;
-    }
-    let cores: Vec<usize> = raw
-        .split(',')
-        .map(|part| parse_knob("SKIPTRIE_PIN_CORES", part.trim()))
-        .collect();
-    for &core in &cores {
-        assert!(
-            core < MAX_PIN_CORE,
-            "SKIPTRIE_PIN_CORES core {core} exceeds the supported range 0..{MAX_PIN_CORE}"
-        );
-    }
-    Some(cores)
-}
-
-/// Largest core index [`pin_cores`] accepts (the affinity mask is 1024 bits).
-pub const MAX_PIN_CORE: usize = 64 * AFFINITY_MASK_WORDS;
-
-const AFFINITY_MASK_WORDS: usize = 16;
-
-/// Pins the calling thread to the core `SKIPTRIE_PIN_CORES` assigns to worker
-/// `index` (round-robin over the configured list). No-op when the knob is
-/// unset.
-///
-/// # Panics
-///
-/// Panics on a malformed knob value (see [`pin_cores`]), when the kernel
-/// rejects the requested core (e.g. it does not exist on this host), and on
-/// platforms where pinning is unsupported — an affinity request that cannot be
-/// honored must not silently degrade into an unpinned run.
-pub fn pin_worker(index: usize) {
-    let Some(cores) = pin_cores() else {
-        return;
-    };
-    let core = cores[index % cores.len()];
-    pin_current_thread(core);
-}
-
-/// Pins the calling thread to `core` via a raw `sched_setaffinity` syscall
-/// (pid 0 = calling thread). Raw because the workspace vendors no libc crate.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn pin_current_thread(core: usize) {
-    assert!(core < MAX_PIN_CORE, "core {core} out of mask range");
-    let mut mask = [0u64; AFFINITY_MASK_WORDS];
-    mask[core / 64] |= 1u64 << (core % 64);
-    let size = std::mem::size_of_val(&mask);
-    let ret: isize;
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: sched_setaffinity(0, size, mask) reads `size` bytes from `mask`,
-    // which outlives the call; the syscall clobbers only rcx/r11/rax.
-    unsafe {
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 203isize => ret, // __NR_sched_setaffinity
-            in("rdi") 0usize,
-            in("rsi") size,
-            in("rdx") mask.as_ptr(),
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack, readonly),
-        );
-    }
-    #[cfg(target_arch = "aarch64")]
-    // SAFETY: as above; aarch64 passes the syscall number in x8 and returns in x0.
-    unsafe {
-        let raw: usize;
-        std::arch::asm!(
-            "svc 0",
-            in("x8") 122usize, // __NR_sched_setaffinity
-            inlateout("x0") 0usize => raw,
-            in("x1") size,
-            in("x2") mask.as_ptr(),
-            options(nostack, readonly),
-        );
-        ret = raw as isize;
-    }
-    assert!(
-        ret == 0,
-        "SKIPTRIE_PIN_CORES: sched_setaffinity to core {core} failed (errno {}); \
-         does the core exist on this host?",
-        -ret
-    );
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-fn pin_current_thread(core: usize) {
-    panic!(
-        "SKIPTRIE_PIN_CORES is set (requested core {core}) but thread pinning \
-         is only supported on linux x86_64/aarch64; unset the variable"
-    );
-}
-
 /// The deterministic RNG for worker `index` of a workload seeded with `seed`.
 ///
 /// Exposed so a test can precompute a sequential model of what worker `index` will do
@@ -298,7 +184,6 @@ impl<'env> Workload<'env> {
             for (index, job) in self.jobs.into_iter().enumerate() {
                 let barrier = &barrier;
                 scope.spawn(move || {
-                    pin_worker(index);
                     barrier.wait();
                     job(WorkerCtx {
                         index,
@@ -314,22 +199,6 @@ impl<'env> Workload<'env> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    fn pinning_to_core_zero_succeeds() {
-        // Spawned thread so the test harness thread itself stays unpinned.
-        std::thread::spawn(|| pin_current_thread(0)).join().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "SKIPTRIE_PIN_CORES")]
-    fn malformed_pin_core_entry_fails_loudly() {
-        let _: usize = parse_knob("SKIPTRIE_PIN_CORES", "zero");
-    }
 
     #[test]
     fn workers_all_run_with_dense_indexes() {

@@ -12,11 +12,13 @@
 //! boundaries are exactly what sharding could get wrong.
 //!
 //! All orchestration goes through `skiptrie_workloads::harness` (barrier start,
-//! deterministic per-worker RNGs, `SKIPTRIE_SCALE` sizing).
+//! deterministic per-worker RNGs, `SKIPTRIE_SCALE` sizing). One test counts the
+//! shards a drained forest's pops probe, on the popping thread's own counters.
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 
+use skiptrie_suite::metrics::{self, Counter};
 use skiptrie_suite::skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig};
 use skiptrie_suite::workloads::harness::{scaled, worker_rng, Workload};
 
@@ -325,4 +327,68 @@ fn batched_writers_with_cross_shard_scanning_readers() {
     assert_eq!(f.len(), (MAX / STRIDE) as usize);
     assert!(f.keys().iter().all(|k| k.is_multiple_of(STRIDE)));
     assert!(f.check_traversal_integrity() >= f.len());
+}
+
+/// Regression test for the drained-forest pop bug: `pop_first` / `pop_last` over a
+/// mostly-empty forest used to re-probe **every** empty shard on **every** pop —
+/// `O(S)` real searches (each `pop_last` probe running a full x-fast
+/// `LowestAncestor` descent) to extract one key. The fix skips shards whose relaxed
+/// occupancy counter reads 0; the `shard_pop_probe` / `shard_pop_skip` counters
+/// show the skip is real. Pops record on the popping thread, so this thread's own
+/// counters measure them exactly however many other tests run beside it.
+#[test]
+fn drained_forest_pops_probe_only_occupied_shards() {
+    const SHARDS: usize = 16;
+    const SHARD_SPAN: u64 = MAX / SHARDS as u64;
+
+    // One-hot occupancy: every key lives in shard 9 of 16, so 9 empty shards sit in
+    // front of the hot one on the pop_first path (6 on the pop_last path).
+    let f: ShardedSkipTrie<u64> = ShardedSkipTrie::new(
+        ShardedSkipTrieConfig::for_universe_bits(UNIVERSE_BITS).with_shards(SHARDS),
+    );
+    let n = scaled(1_000) as u64;
+    let base = 9 * SHARD_SPAN;
+    for k in 0..n {
+        assert!(f.insert(base + k, k));
+    }
+
+    metrics::set_enabled(true);
+    let before = metrics::thread_snapshot();
+    // Drain from the front, then re-fill and drain from the back, then ask the
+    // empty forest once more from each end (the authoritative fallback pass).
+    for k in 0..n {
+        assert_eq!(f.pop_first(), Some((base + k, k)), "ordered front drain");
+    }
+    assert_eq!(f.pop_first(), None);
+    for k in 0..n {
+        assert!(f.insert(base + k, k));
+    }
+    for k in (0..n).rev() {
+        assert_eq!(f.pop_last(), Some((base + k, k)), "ordered back drain");
+    }
+    assert_eq!(f.pop_last(), None);
+    let delta = metrics::thread_snapshot().since(&before);
+    metrics::set_enabled(false);
+
+    let probes = delta.get(Counter::ShardPopProbe);
+    let skips = delta.get(Counter::ShardPopSkip);
+    let pops = 2 * n;
+    // One real probe per successful pop, plus 2 * SHARDS fallback probes for the
+    // two authoritative None answers (and a little slack for the final pop of each
+    // drain, which may fall through to the fallback pass after the hot shard's
+    // counter hits 0). Before the fix this was ~10 probes per pop_first and ~7 per
+    // pop_last — `pops * 8`-ish in total.
+    let ceiling = pops + 4 * SHARDS as u64;
+    assert!(
+        probes <= ceiling,
+        "empty shards must not be probed per pop: {probes} probes for {pops} pops \
+         (ceiling {ceiling})"
+    );
+    // The empty shards in front of the hot one are skipped on every pop: at least
+    // 9 skips per pop_first and 6 per pop_last.
+    assert!(
+        skips >= n * 9 + n * 6,
+        "occupancy skips must happen: {skips} skips for {pops} pops"
+    );
+    assert!(f.is_empty());
 }

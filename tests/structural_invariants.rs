@@ -161,12 +161,12 @@ fn quiescent_state_is_consistent_after_concurrent_churn() {
 #[test]
 fn instrumented_step_counts_show_low_depth() {
     let _serial = serial();
-    use skiptrie_suite::baselines::FullSkipList;
+    use skiptrie_suite::skiplist::{SkipList, SkipListConfig};
     let m = 50_000u64;
     let queries = 2_000u64;
 
     let trie = SkipTrie::new(SkipTrieConfig::for_universe_bits(32));
-    let skiplist: FullSkipList<u64> = FullSkipList::new();
+    let skiplist: SkipList<u64> = SkipList::new(SkipListConfig::full_height());
     let mut rng = SplitMix64::new(6);
     for _ in 0..m {
         let k = rng.next() & 0xffff_ffff;

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use skiptrie_suite::baselines::{FullSkipList, LockedBTreeMap, SeqXFastTrie, SeqYFastTrie};
+use skiptrie_suite::baselines::{LockedBTreeMap, SeqXFastTrie, SeqYFastTrie};
 use skiptrie_suite::skiplist::{SkipList, SkipListConfig};
 use skiptrie_suite::skiptrie::{SkipTrie, SkipTrieConfig};
 use skiptrie_suite::workloads::SplitMix64;
@@ -69,7 +69,7 @@ fn skiptrie_agrees_with_model() {
 #[test]
 fn truncated_and_full_skiplists_agree_with_model() {
     let truncated: SkipList<u64> = SkipList::new(SkipListConfig::for_universe_bits(UNIVERSE_BITS));
-    let full: FullSkipList<u64> = FullSkipList::new();
+    let full: SkipList<u64> = SkipList::new(SkipListConfig::full_height());
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     for op in history(2) {
         match op {

@@ -16,8 +16,7 @@
 //! `BENCHMARK.json` is built on these counters; this is the test that reads them.
 //!
 //! This file deliberately holds **only this test**: the counters are process-wide
-//! and the asserts are exact, so it runs alone in its own integration-test binary
-//! (like `forest_occupancy.rs`).
+//! and the asserts are exact, so it runs alone in its own integration-test binary.
 
 use skiptrie_suite::metrics::{self, Counter, Snapshot};
 use skiptrie_suite::skiptrie::{TieredSkipTrie, TieredSkipTrieConfig};
