@@ -73,32 +73,6 @@ pub unsafe fn retire_box<T: Send + 'static>(guard: &Guard, ptr: *mut T) {
     });
 }
 
-/// Retires a batch of heap allocations created with [`Box::into_raw`] under a single
-/// deferred closure — one epoch-queue entry for the whole batch instead of one per
-/// allocation, which is the defer-side analogue of the operations batching their
-/// unlinks per guard.
-///
-/// # Safety
-///
-/// Same contract as [`retire_box`], applied to every pointer in `ptrs`: each must
-/// come from `Box::into_raw` for the same `T`, be unreachable from the live
-/// structure, and be retired at most once.
-pub unsafe fn retire_boxes<T: Send + 'static>(guard: &Guard, ptrs: Vec<*mut T>) {
-    if ptrs.is_empty() {
-        return;
-    }
-    debug_assert!(
-        ptrs.iter().all(|p| !p.is_null()),
-        "attempted to retire a null pointer"
-    );
-    skiptrie_metrics::add(skiptrie_metrics::Counter::NodeRetired, ptrs.len() as u64);
-    guard.defer_unchecked(move || {
-        for ptr in ptrs {
-            drop(Box::from_raw(ptr));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -117,7 +117,7 @@ fn e1() -> Outcome {
         let trie_steps = measure_steps(&trie, &ops);
         let trie_ns = ns_per_op(&trie, &ops);
         // One structure beside the trie at a time: at m = 2^22 the trie alone
-        // holds ~1.7 GB.
+        // holds ~1.0 GB (VmRSS around its build, 2-vCPU x86-64 Linux).
         let (list_steps, list_ns) = {
             let list = full_skiplist();
             prefill(&list, &keys);
@@ -346,7 +346,8 @@ fn e3() -> Outcome {
 /// E5 — nodes, prefixes and bytes per key are constant in `m`: the truncated towers
 /// are `O(m)` and `m / log u` top-level keys carry `O(log u)` prefixes each.
 fn e5() -> Outcome {
-    let (mut rows, mut bytes_per_key) = (Vec::new(), Vec::new());
+    let (mut rows, mut bytes_per_key, mut prefix_bytes_per_key) =
+        (Vec::new(), Vec::new(), Vec::new());
     for m in [1_000, 10_000, 50_000, 200_000].map(scaled) {
         let trie = SkipTrie::new(trie_config());
         prefill(
@@ -358,8 +359,10 @@ fn e5() -> Outcome {
         let prefixes = trie.prefix_count();
         let (allocated, _, pooled) = trie.allocation_stats();
         let bytes = trie.approx_node_bytes() as f64 / m as f64;
+        let prefix_bytes = trie.approx_prefix_bytes() as f64 / m as f64;
         if m >= 1_000 {
             bytes_per_key.push(bytes);
+            prefix_bytes_per_key.push(prefix_bytes);
         }
         rows.push(vec![
             m.into(),
@@ -372,6 +375,7 @@ fn e5() -> Outcome {
             allocated.into(),
             pooled.into(),
             real(bytes, 0),
+            real(prefix_bytes, 0),
         ]);
     }
     let mut out = Outcome::default();
@@ -388,6 +392,7 @@ fn e5() -> Outcome {
             "pool_allocated",
             "pool_free",
             "node_bytes/key",
+            "prefix_bytes/key",
         ],
         rows,
     );
@@ -395,6 +400,13 @@ fn e5() -> Outcome {
     out.expect(
         ratio <= 1.05,
         format!("node bytes/key max/min over m >= 1000 is {ratio:.3}, want <= 1.05"),
+    );
+    // `O(m)`, not flat: prefixes per key fall as the shared top of the tree
+    // grows, and bucket dummies come in doublings (EXPERIMENTS.md §`e5`).
+    let ratio = spread(&prefix_bytes_per_key);
+    out.expect(
+        ratio <= 2.0,
+        format!("prefix bytes/key max/min over m >= 1000 is {ratio:.3}, want <= 2.0"),
     );
     out
 }

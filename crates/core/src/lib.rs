@@ -82,7 +82,7 @@ pub use tiered_forest::TieredForest;
 use std::ops::RangeBounds;
 
 use skiptrie_splitorder::SplitOrderedMap;
-use xfast::{TrieNode, TrieNodePtr};
+use xfast::TrieNode;
 
 use crossbeam_epoch::Guard;
 
@@ -184,7 +184,7 @@ pub struct SkipTrie<V> {
     config: SkipTrieConfig,
     skiplist: SkipList<V>,
     /// The x-fast trie's prefix table (the paper's `prefixes`).
-    prefixes: SplitOrderedMap<Prefix, TrieNodePtr>,
+    prefixes: SplitOrderedMap<Prefix, TrieNode>,
 }
 
 impl<V> Default for SkipTrie<V>
@@ -224,10 +224,7 @@ where
             Reclaimer::Ebr,
         );
         // The empty prefix ε is permanent (Algorithm 3 line 4 starts from it).
-        prefixes.insert(
-            Prefix::EMPTY,
-            TrieNodePtr::from_box(Box::new(TrieNode::new())),
-        );
+        prefixes.insert(Prefix::EMPTY, TrieNode::new([0, 0]));
         SkipTrie {
             config,
             skiplist,
@@ -832,6 +829,13 @@ where
         self.skiplist.approx_node_bytes()
     }
 
+    /// Bytes of the prefix table's list nodes, one per prefix and one per
+    /// initialized bucket, each holding its trie node (experiment E5;
+    /// quiescently accurate).
+    pub fn approx_prefix_bytes(&self) -> usize {
+        self.prefixes.node_bytes()
+    }
+
     /// Audits every skiplist level under one pin, panicking if a reclamation-safety
     /// invariant is violated (poisoned node on a live path, incarnation bump while a
     /// pinned traversal examines a node, stale recycle); returns nodes examined. See
@@ -845,20 +849,6 @@ where
     /// [`SkipList::check_prev_guides`](skiptrie_skiplist::SkipList::check_prev_guides).
     pub fn check_prev_guides(&self) -> (usize, usize, usize) {
         self.skiplist.check_prev_guides()
-    }
-}
-
-impl<V> Drop for SkipTrie<V> {
-    fn drop(&mut self) {
-        // Free all trie nodes still referenced by the prefix table; the table itself
-        // frees its own hash nodes, and the skiplist frees its towers.
-        let mut ptrs: Vec<u64> = Vec::new();
-        self.prefixes.for_each(|_, tnp| ptrs.push(tnp.0));
-        for raw in ptrs {
-            // SAFETY: exclusive access at drop time; each trie node is referenced by
-            // exactly one live prefix entry.
-            unsafe { drop(Box::from_raw(raw as *mut TrieNode)) };
-        }
     }
 }
 

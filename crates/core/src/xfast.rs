@@ -33,7 +33,6 @@ use std::sync::atomic::AtomicU64;
 
 use crossbeam_epoch::Guard;
 use skiptrie_atomics::dcss::{cas_resolved, dcss, read_resolved, DcssError};
-use skiptrie_atomics::retire_boxes;
 use skiptrie_metrics::{self as metrics, Counter};
 use skiptrie_skiplist::NodeRef;
 
@@ -47,71 +46,20 @@ use crate::SkipTrie;
 /// (`d == 1`); `0` (null) means the subtree is empty (modulo in-flight inserts). A
 /// trie node whose two pointers are both null is slated for removal from the hash
 /// table, and any operation that observes it in that state helps remove it.
+///
+/// The node is the value of its prefix's hash-table entry and lives inside that
+/// entry's list node, so its address is the entry's identity: the paper's
+/// `compareAndDelete(p, n)` is `remove_if(&p, |v| ptr::eq(v, n))`, and the table
+/// retires the node with the entry.
 pub(crate) struct TrieNode {
     pub(crate) pointers: [AtomicU64; 2],
 }
 
 impl TrieNode {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new([p0, p1]: [u64; 2]) -> Self {
         TrieNode {
-            pointers: [AtomicU64::new(0), AtomicU64::new(0)],
+            pointers: [AtomicU64::new(p0), AtomicU64::new(p1)],
         }
-    }
-}
-
-/// A `Copy` handle to a heap-allocated [`TrieNode`], stored as the value type of the
-/// `prefixes` hash table.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TrieNodePtr(pub(crate) u64);
-
-// SAFETY: the pointer is only dereferenced while pinned; trie nodes are retired
-// through the epoch collector after being removed from the hash table.
-unsafe impl Send for TrieNodePtr {}
-unsafe impl Sync for TrieNodePtr {}
-
-impl TrieNodePtr {
-    pub(crate) fn from_box(node: Box<TrieNode>) -> Self {
-        TrieNodePtr(Box::into_raw(node) as u64)
-    }
-
-    /// # Safety
-    ///
-    /// The caller must be pinned and the node must not have been freed (it is retired
-    /// only after removal from the hash table, so holders that found it there while
-    /// pinned are protected).
-    pub(crate) unsafe fn deref<'g>(&self, _guard: &'g Guard) -> &'g TrieNode {
-        &*(self.0 as *const TrieNode)
-    }
-}
-
-/// Trie nodes unlinked by one operation, retired together when the batch drops — a
-/// single deferred closure per operation instead of one per node, on every exit path
-/// of the helping loops.
-struct TrieRetireBatch<'g> {
-    guard: &'g Guard,
-    ptrs: Vec<*mut TrieNode>,
-}
-
-impl<'g> TrieRetireBatch<'g> {
-    fn new(guard: &'g Guard) -> Self {
-        TrieRetireBatch {
-            guard,
-            ptrs: Vec::new(),
-        }
-    }
-
-    /// Adds a trie node this thread just removed from the hash table (sole owner).
-    fn push(&mut self, tnp: TrieNodePtr) {
-        self.ptrs.push(tnp.0 as *mut TrieNode);
-    }
-}
-
-impl Drop for TrieRetireBatch<'_> {
-    fn drop(&mut self) {
-        let ptrs = std::mem::take(&mut self.ptrs);
-        // SAFETY: the batch owns the pointers (removed from the hash table by a
-        // `remove_if` this thread won); each pointer is retired once.
-        unsafe { retire_boxes(self.guard, ptrs) };
     }
 }
 
@@ -272,7 +220,7 @@ where
     /// ([`SkipTrie::probe_prefix`]), or the head sentinel when no probe offered
     /// one.
     ///
-    /// Each probe is one `prefixes.get` — `O(1)` *expected* only while the hash
+    /// Each probe is one `prefixes.get_in` — `O(1)` *expected* only while the hash
     /// table's chains stay short, which the growable bucket directory guarantees
     /// at every size (experiment `e1`'s flat `steps/op` counts the chain hops).
     /// A search makes at most `2·⌈log₂ b⌉ + 2` of them, ε included; their
@@ -332,11 +280,9 @@ where
     ) -> Probe {
         let b = self.universe_bits();
         let query = Prefix::of(key, len as u8, b);
-        let Some(tnp) = self.prefixes.get(&query) else {
+        let Some(tn) = self.prefixes.get_in(&query, guard) else {
             return Probe::Absent;
         };
-        // SAFETY: pinned; trie nodes retired only after hash-table removal.
-        let tn = unsafe { tnp.deref(guard) };
         let side = usize::from(key_bit(key, len as u8, b));
         let mut best: Option<NodeRef<'g, V>> = None;
         let mut probe = Probe::Present(len);
@@ -380,7 +326,6 @@ where
     /// node, longest prefix first (bottom-up in the conceptual tree).
     pub(crate) fn insert_prefixes(&self, key: u64, node: NodeRef<'_, V>, guard: &Guard) {
         let b = self.universe_bits();
-        let mut retired = TrieRetireBatch::new(guard);
         for len in (0..b as u8).rev() {
             let p = Prefix::of(key, len, b);
             let direction = key_bit(key, len, b) as usize;
@@ -390,14 +335,12 @@ where
                 if node.is_stopped() || node.is_marked(guard) {
                     return;
                 }
-                match self.prefixes.get(&p) {
+                match self.prefixes.get_in(&p, guard) {
                     None => {
                         // Create a fresh trie node pointing down at our key.
-                        let tn = Box::new(TrieNode::new());
-                        tn.pointers[direction]
-                            .store(node.packed(), std::sync::atomic::Ordering::SeqCst);
-                        let tnp = TrieNodePtr::from_box(tn);
-                        if self.prefixes.insert(p, tnp) {
+                        let mut pointers = [0; 2];
+                        pointers[direction] = node.packed();
+                        if self.prefixes.insert(p, TrieNode::new(pointers)) {
                             metrics::record(Counter::TrieLevelCrossed);
                             // Publish-then-recheck: unlike the DCSS below, this
                             // store was not conditioned on the node's status. A
@@ -415,21 +358,16 @@ where
                             }
                             break;
                         }
-                        // Lost the race to create this prefix: free ours and retry.
-                        // SAFETY: never published.
-                        unsafe { drop(Box::from_raw(tnp.0 as *mut TrieNode)) };
+                        // Lost the race to create this prefix (the rejected node
+                        // is dropped): retry.
                     }
-                    Some(tnp) => {
-                        // SAFETY: pinned; retired only after hash-table removal.
-                        let tn = unsafe { tnp.deref(guard) };
+                    Some(tn) => {
                         let p0 = read_resolved(&tn.pointers[0], guard);
                         let p1 = read_resolved(&tn.pointers[1], guard);
-                        if p0 == 0 && p1 == 0 && p.len > 0 {
-                            // Slated for deletion: help remove it, then retry.
-                            if self.prefixes.remove_if(&p, |v| *v == tnp) {
-                                // We removed it; sole retirement owner (batched).
-                                retired.push(tnp);
-                            }
+                        if p0 == 0 && p1 == 0 && !p.is_empty() {
+                            // Slated for deletion: help remove it (the table
+                            // retires it), then retry.
+                            self.prefixes.remove_if(&p, |v| std::ptr::eq(v, tn));
                             continue;
                         }
                         let curr = read_resolved(&tn.pointers[direction], guard);
@@ -489,7 +427,6 @@ where
     /// became empty. Runs top-down (shortest prefix first).
     pub(crate) fn cleanup_prefixes(&self, key: u64, guard: &Guard) {
         let b = self.universe_bits();
-        let mut retired = TrieRetireBatch::new(guard);
         // Seed the top-level searches with the trie's own lowest-ancestor hint and
         // keep refreshing it with each search result; starting every search at the
         // head sentinel would cost O(top-level length) per prefix level.
@@ -497,11 +434,9 @@ where
         for len in 0..b as u8 {
             let p = Prefix::of(key, len, b);
             let direction = key_bit(key, len, b) as usize;
-            let Some(tnp) = self.prefixes.get(&p) else {
+            let Some(tn) = self.prefixes.get_in(&p, guard) else {
                 continue;
             };
-            // SAFETY: pinned; retired only after hash-table removal.
-            let tn = unsafe { tnp.deref(guard) };
 
             // Swing the pointer away while it still references a deleted node with
             // our key (robust version of the paper's `while curr = node`).
@@ -587,13 +522,12 @@ where
             }
 
             // If both subtrees are now empty, remove the trie node itself (the empty
-            // prefix ε is permanent).
-            if p.len > 0 {
+            // prefix ε is permanent); the table retires it with its entry.
+            if !p.is_empty() {
                 let p0 = read_resolved(&tn.pointers[0], guard);
                 let p1 = read_resolved(&tn.pointers[1], guard);
-                if p0 == 0 && p1 == 0 && self.prefixes.remove_if(&p, |v| *v == tnp) {
-                    // We removed the entry; sole retirement owner (batched).
-                    retired.push(tnp);
+                if p0 == 0 && p1 == 0 {
+                    self.prefixes.remove_if(&p, |v| std::ptr::eq(v, tn));
                 }
             }
         }
@@ -625,7 +559,7 @@ where
     pub(crate) fn bulk_publish_prefixes(&mut self, tops: &[(u64, u64)], guard: &Guard) {
         use std::sync::atomic::Ordering;
         let b = self.universe_bits();
-        let mut batch: Vec<(Prefix, TrieNodePtr)> = Vec::new();
+        let mut batch: Vec<(Prefix, TrieNode)> = Vec::new();
         for len in 0..b as u8 {
             let mut i = 0usize;
             while i < tops.len() {
@@ -640,9 +574,10 @@ where
                 let p1 = if split < run.len() { run[split].1 } else { 0 };
                 if len == 0 {
                     // ε exists from construction; fill its pointers in place.
-                    let tnp = self.prefixes.get(&Prefix::EMPTY).expect("ε is permanent");
-                    // SAFETY: pinned; ε is never removed.
-                    let tn = unsafe { tnp.deref(guard) };
+                    let tn = self
+                        .prefixes
+                        .get_in(&Prefix::EMPTY, guard)
+                        .expect("ε is permanent");
                     if p0 != 0 {
                         tn.pointers[0].store(p0, Ordering::SeqCst);
                     }
@@ -650,10 +585,7 @@ where
                         tn.pointers[1].store(p1, Ordering::SeqCst);
                     }
                 } else {
-                    let tn = Box::new(TrieNode::new());
-                    tn.pointers[0].store(p0, Ordering::Relaxed);
-                    tn.pointers[1].store(p1, Ordering::Relaxed);
-                    batch.push((p, TrieNodePtr::from_box(tn)));
+                    batch.push((p, TrieNode::new([p0, p1])));
                 }
                 i = j;
             }
@@ -693,12 +625,10 @@ where
             for len in 0..b as u8 {
                 let p = Prefix::of(key, len, b);
                 let direction = key_bit(key, len, b) as usize;
-                let tnp = self
+                let tn = self
                     .prefixes
-                    .get(&p)
+                    .get_in(&p, &guard)
                     .unwrap_or_else(|| panic!("prefix {p:?} of top key {key} missing"));
-                // SAFETY: pinned; retired only after hash-table removal.
-                let tn = unsafe { tnp.deref(&guard) };
                 let word = read_resolved(&tn.pointers[direction], &guard);
                 // SAFETY: trie pointers reference pool-kept skiplist nodes.
                 let target =

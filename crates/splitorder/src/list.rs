@@ -7,17 +7,20 @@
 //! performed by the deleter or by any later traversal that trips over the marked node
 //! (exactly the `listSearch` cleanup discipline the paper relies on).
 
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_epoch::Guard;
 use skiptrie_atomics::tagged;
 use skiptrie_metrics::{self as metrics, Counter};
 
-/// A node of the split-ordered list. Dummy (bucket sentinel) nodes have `key == None`.
+/// A node of the split-ordered list. Dummy (bucket sentinel) nodes have `key == None`
+/// and no value: `value` is initialized exactly when `key` is `Some`, so it needs no
+/// tag of its own.
 pub(crate) struct ListNode<K, V> {
     pub(crate) so_key: u64,
-    pub(crate) key: Option<K>,
-    pub(crate) value: Option<V>,
+    key: Option<K>,
+    value: MaybeUninit<V>,
     /// Tagged pointer to the next node (MARK bit = this node is logically deleted).
     pub(crate) next: AtomicU64,
 }
@@ -28,7 +31,7 @@ impl<K, V> ListNode<K, V> {
         Box::new(ListNode {
             so_key,
             key: Some(key),
-            value: Some(value),
+            value: MaybeUninit::new(value),
             next: AtomicU64::new(tagged::NULL),
         })
     }
@@ -38,13 +41,31 @@ impl<K, V> ListNode<K, V> {
         Box::new(ListNode {
             so_key,
             key: None,
-            value: None,
+            value: MaybeUninit::uninit(),
             next: AtomicU64::new(tagged::NULL),
         })
     }
 
-    pub(crate) fn is_dummy(&self) -> bool {
-        self.key.is_none()
+    /// The node's key; `None` for a dummy.
+    pub(crate) fn key(&self) -> Option<&K> {
+        self.key.as_ref()
+    }
+
+    /// The node's value; `None` for a dummy.
+    pub(crate) fn value(&self) -> Option<&V> {
+        // SAFETY: the value is initialized exactly when `key` is `Some`.
+        self.key
+            .as_ref()
+            .map(|_| unsafe { self.value.assume_init_ref() })
+    }
+}
+
+impl<K, V> Drop for ListNode<K, V> {
+    fn drop(&mut self) {
+        if self.key.is_some() {
+            // SAFETY: initialized exactly when `key` is `Some`, and dropped only here.
+            unsafe { self.value.assume_init_drop() };
+        }
     }
 }
 

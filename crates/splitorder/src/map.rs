@@ -22,8 +22,11 @@ const LOAD_FACTOR: usize = 3;
 /// the split-ordering idea.
 ///
 /// `K` must be `Ord` (used only to totally order same-hash collisions inside the
-/// list) in addition to the usual `Hash + Eq`. Values are returned by clone; use
-/// `Copy` types (the SkipTrie stores raw trie-node pointers) when reads are hot.
+/// list) in addition to the usual `Hash + Eq`. A value lives inside its list node,
+/// for as long as the entry does. [`SplitOrderedMap::get_in`] lends it out under a
+/// guard the caller already holds: no pin and no clone. The SkipTrie stores its
+/// two-pointer trie nodes this way, and a node's address is the entry's identity.
+/// [`SplitOrderedMap::get`] pins and clones, for `V: Clone`.
 pub struct SplitOrderedMap<K, V> {
     /// Growable segment tree; each leaf slot is a tagged pointer to that bucket's
     /// dummy list node (null = uninitialized bucket). See [`crate::dir`].
@@ -50,7 +53,7 @@ unsafe impl<K: Send + Sync, V: Send + Sync> Sync for SplitOrderedMap<K, V> {}
 impl<K, V> Default for SplitOrderedMap<K, V>
 where
     K: Hash + Eq + Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
+    V: Send + Sync + 'static,
 {
     fn default() -> Self {
         Self::new()
@@ -130,7 +133,7 @@ fn parent_bucket(bucket: u64) -> u64 {
 impl<K, V> SplitOrderedMap<K, V>
 where
     K: Hash + Eq + Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
+    V: Send + Sync + 'static,
 {
     /// Creates an empty map with a single bucket. The bucket directory is a
     /// growable segment tree (see [`DirectoryConfig`]): it grows a level whenever the
@@ -176,7 +179,7 @@ where
             directory,
             size: AtomicUsize::new(1),
             count: AtomicUsize::new(0),
-            domain: domain.unwrap_or(0),
+            domain: domain.unwrap_or(0) % epoch::NUM_DOMAINS,
             head,
         };
         map.set_bucket_entry(0, head);
@@ -320,57 +323,72 @@ where
         self.directory.node_count()
     }
 
-    /// Returns a clone of the value mapped to `key`, if present.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// The value mapped to `key`, if present, borrowed for as long as `guard`
+    /// stays pinned: no pin of its own and no clone. An entry removed after the
+    /// lookup stays readable through the reference until `guard` unpins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `guard` was pinned in another epoch domain than this map's (see
+    /// [`SplitOrderedMap::with_directory_in_domain`]): such a guard does not hold
+    /// back this map's reclamation, so the reference could dangle.
+    pub fn get_in<'g>(&'g self, key: &K, guard: &'g Guard) -> Option<&'g V> {
+        assert!(
+            guard.domain() == self.domain,
+            "get_in needs a guard of the map's epoch domain {}, not {}",
+            self.domain,
+            guard.domain()
+        );
         metrics::record(Counter::HashOp);
-        let guard = self.pin();
         let hash = hash_key(key);
         let so = regular_so_key(hash);
         let bucket = self.bucket_for_hash(hash);
-        let dummy = self.get_bucket(bucket, &guard);
+        let dummy = self.get_bucket(bucket, guard);
         // SAFETY: `dummy` is a live dummy node of this map's list.
-        let res = unsafe { list::find(dummy, so, Some(key), &guard) };
+        let res = unsafe { list::find(dummy, so, Some(key), guard) };
         if !res.found {
             return None;
         }
-        // SAFETY: found nodes are protected by the pin.
+        // SAFETY: found nodes are protected by the pin, and the assert above
+        // proved it is a pin of this map's domain.
         let node = unsafe { &*tagged::unpack::<ListNode<K, V>>(res.curr_word) };
-        node.value.clone()
+        node.value()
     }
 
     /// True if `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Removes `key` unconditionally. Returns the removed value, or `None` if absent.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        self.remove_with(key, |_| true)
+        self.get_in(key, &self.pin()).is_some()
     }
 
     /// The paper's `compareAndDelete`: removes `key` only if `predicate` holds for the
     /// currently mapped value (checked atomically with the removal, since values are
     /// immutable per entry). Returns `true` if this call removed the entry.
     pub fn remove_if(&self, key: &K, predicate: impl Fn(&V) -> bool) -> bool {
-        self.remove_with(key, predicate).is_some()
+        self.remove_in(key, predicate, &self.pin()).is_some()
     }
 
-    fn remove_with(&self, key: &K, predicate: impl Fn(&V) -> bool) -> Option<V> {
+    /// Removes `key` if `predicate` holds for its value; returns the removed value,
+    /// retired but readable until `guard` unpins.
+    fn remove_in<'g>(
+        &self,
+        key: &K,
+        predicate: impl Fn(&V) -> bool,
+        guard: &'g Guard,
+    ) -> Option<&'g V> {
         metrics::record(Counter::HashOp);
-        let guard = self.pin();
         let hash = hash_key(key);
         let so = regular_so_key(hash);
         let bucket = self.bucket_for_hash(hash);
-        let dummy = self.get_bucket(bucket, &guard);
+        let dummy = self.get_bucket(bucket, guard);
         loop {
             // SAFETY: `dummy` is a live dummy node of this map's list.
-            let res = unsafe { list::find(dummy, so, Some(key), &guard) };
+            let res = unsafe { list::find(dummy, so, Some(key), guard) };
             if !res.found {
                 return None;
             }
             // SAFETY: protected by the pin.
             let node = unsafe { &*tagged::unpack::<ListNode<K, V>>(res.curr_word) };
-            let value = node.value.as_ref().expect("regular nodes carry a value");
+            let value = node.value().expect("regular nodes carry a value");
             if !predicate(value) {
                 return None;
             }
@@ -395,7 +413,6 @@ where
                 metrics::record(Counter::CasFailure);
                 continue; // next changed (insertion after us, or a racing delete); retry
             }
-            let removed = value.clone();
             // Physically unlink: try the quick CAS; on failure a fresh find() is
             // guaranteed to complete the unlink (or observe it already done).
             metrics::record(Counter::CasAttempt);
@@ -411,16 +428,16 @@ where
             {
                 metrics::record(Counter::CasFailure);
                 // SAFETY: as above.
-                let _ = unsafe { list::find(dummy, so, Some(key), &guard) };
+                let _ = unsafe { list::find(dummy, so, Some(key), guard) };
             }
             self.count.fetch_sub(1, Ordering::SeqCst);
             // We won the mark, so we own retirement.
             // SAFETY: the node is unlinked and will not be retired by anyone else.
             unsafe {
                 let victim = tagged::unpack::<ListNode<K, V>>(res.curr_word) as *mut ListNode<K, V>;
-                retire_box(&guard, victim);
+                retire_box(guard, victim);
             }
-            return Some(removed);
+            return Some(value);
         }
     }
 
@@ -523,7 +540,7 @@ where
             let old_desc = old.get(oi).map(|&p| {
                 // SAFETY: a live node of this map's list; exclusive access.
                 let node = unsafe { &*p };
-                (node.so_key, node.key.is_some(), node.key.as_ref())
+                (node.so_key, node.key().is_some(), node.key())
             });
             let new_desc = new_iter.peek().map(|(so, k, _)| (*so, true, Some(k)));
             let dummy_desc = missing.get(di).map(|&b| (dummy_so_key(b), false, None));
@@ -575,6 +592,20 @@ where
         dummy
     }
 
+    /// Bytes of the list nodes the map holds: its entries and its initialized
+    /// buckets' dummies, times the node size. Walks the list, so it is for
+    /// statistics (experiment `e5`); quiescently accurate.
+    pub fn node_bytes(&self) -> usize {
+        let _guard = self.pin();
+        let (mut nodes, mut cur) = (0, self.head);
+        while !cur.is_null() {
+            nodes += 1;
+            // SAFETY: protected by the pin; traversal only follows live links.
+            cur = tagged::unpack(unsafe { &*cur }.next.load(Ordering::SeqCst));
+        }
+        nodes * std::mem::size_of::<ListNode<K, V>>()
+    }
+
     /// Calls `f` for every `(key, value)` currently reachable. Intended for tests,
     /// debugging and drop-time accounting; it is *not* a linearizable snapshot.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
@@ -585,13 +616,30 @@ where
             // SAFETY: protected by the pin; traversal only follows live links.
             let node = unsafe { &*tagged::unpack::<ListNode<K, V>>(cur) };
             let next = node.next.load(Ordering::SeqCst);
-            if !tagged::is_marked(next) && !node.is_dummy() {
-                if let (Some(k), Some(v)) = (node.key.as_ref(), node.value.as_ref()) {
+            if !tagged::is_marked(next) {
+                // A dummy has neither key nor value.
+                if let (Some(k), Some(v)) = (node.key(), node.value()) {
                     f(k, v);
                 }
             }
             cur = tagged::untagged(next);
         }
+    }
+}
+
+impl<K, V> SplitOrderedMap<K, V>
+where
+    K: Hash + Eq + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    /// Returns a clone of the value mapped to `key`, if present.
+    pub fn get(&self, key: &K) -> Option<V> {
+        self.get_in(key, &self.pin()).cloned()
+    }
+
+    /// Removes `key` unconditionally. Returns the removed value, or `None` if absent.
+    pub fn remove(&self, key: &K) -> Option<V> {
+        self.remove_in(key, |_| true, &self.pin()).cloned()
     }
 }
 
@@ -614,7 +662,96 @@ impl<K, V> Drop for SplitOrderedMap<K, V> {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use std::num::NonZeroU64;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+
+    #[test]
+    fn a_node_of_a_word_key_and_two_words_is_forty_bytes() {
+        // The x-fast trie's prefix entry: an 8-byte niche key, two pointer words.
+        assert_eq!(
+            std::mem::size_of::<ListNode<NonZeroU64, [AtomicU64; 2]>>(),
+            40
+        );
+    }
+
+    /// Not `Clone`: counts its drops in its own slot of a shared table.
+    struct Tracked {
+        id: usize,
+        drops: Arc<Vec<AtomicUsize>>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn every_value_is_dropped_exactly_once() {
+        // A domain of its own, so draining it waits on no other test's pins.
+        const DOMAIN: usize = 13;
+        let n = 200usize;
+        let drops: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..3 * n).map(|_| AtomicUsize::new(0)).collect());
+        let value = |id| Tracked {
+            id,
+            drops: Arc::clone(&drops),
+        };
+        let dropped = |ids: std::ops::Range<usize>| -> Vec<usize> {
+            ids.map(|id| drops[id].load(Ordering::SeqCst)).collect()
+        };
+        {
+            let mut map: SplitOrderedMap<u64, Tracked> = SplitOrderedMap::with_directory_in_domain(
+                DirectoryConfig::default(),
+                Some(DOMAIN),
+                Reclaimer::Ebr,
+            );
+            // Key k holds value k: 0..n bulk-loaded, n..2n inserted.
+            assert_eq!(
+                map.bulk_load((0..n).map(|k| (k as u64, value(k))).collect()),
+                n
+            );
+            for k in n..2 * n {
+                assert!(map.insert(k as u64, value(k)));
+            }
+            // A rejected insert drops its value at once.
+            for k in 0..n {
+                assert!(!map.insert(k as u64, value(2 * n + k)));
+            }
+            assert_eq!(dropped(2 * n..3 * n), vec![1; n]);
+            assert_eq!(dropped(0..2 * n), vec![0; 2 * n]);
+            // Removed values are retired, and a refused predicate keeps its entry.
+            for k in (0..2 * n).step_by(2) {
+                assert!(map.remove_if(&(k as u64), |v| v.id == k));
+            }
+            assert!(!map.remove_if(&1, |_| false));
+            let guard = map.pin();
+            assert_eq!(map.get_in(&1, &guard).map(|v| v.id), Some(1));
+            assert!(map.get_in(&0, &guard).is_none());
+        }
+        // The odd keys went with the map; the even ones once the domain drains.
+        for _ in 0..10_000 {
+            epoch::pin_domain(DOMAIN).flush();
+            if epoch::domain_stats(DOMAIN, Reclaimer::Ebr).pending == 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        assert_eq!(dropped(0..3 * n), vec![1; 3 * n]);
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch domain")]
+    fn get_in_refuses_a_guard_of_another_domain() {
+        let map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_directory_in_domain(
+            DirectoryConfig::default(),
+            Some(5),
+            Reclaimer::Ebr,
+        );
+        map.insert(1, 1);
+        let _ = map.get_in(&1, &epoch::pin_domain(6));
+    }
 
     #[test]
     fn so_key_helpers() {
