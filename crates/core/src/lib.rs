@@ -306,7 +306,7 @@ where
         let guard = self.skiplist.pin();
         let start = self.xfast_pred(key, &guard);
         match self.skiplist.insert_from(key, value, Some(start), &guard) {
-            skiptrie_skiplist::InsertOutcome::AlreadyPresent => false,
+            skiptrie_skiplist::InsertOutcome::AlreadyPresent(_) => false,
             skiptrie_skiplist::InsertOutcome::Inserted { top_node } => {
                 if let Some(node) = top_node {
                     self.insert_prefixes(key, node, &guard);

@@ -64,11 +64,11 @@
 //!
 //! * **Writers mark before they mutate.** `insert_in` / `remove_in` set bit
 //!   `g(key)` of their view's frozen tier before the first change they make to
-//!   *either* delta of that view — including the moments a key is lifted out to be
-//!   re-inserted — and never clear it. A write that changes nothing marks nothing.
-//!   A writer reads the summary too: in a clean gap its first look at the live
-//!   delta is known to find nothing, so it skips that search and goes straight to
-//!   the insert-if-absent that decides the write.
+//!   *either* delta of that view — a link, a slot CAS, and during a merge the
+//!   blocker or freeze of the sealed entry — and never clear it. Outside a merge
+//!   a write that changes nothing marks nothing. A writer reads the summary too:
+//!   in a clean gap its look for a live entry is known to find nothing, so it
+//!   skips that search.
 //! * **Readers probe the frozen tier first.** `get` and `predecessor` check bit
 //!   `g(key)`; `successor` of a key that is not frozen also checks the next gap
 //!   (a tombstone on the frozen key above would change its answer). Clean: the
@@ -93,22 +93,43 @@
 //! never correctness: writes into one wide gap dirty one bit, but every read of
 //! that gap then takes the delta path until the next fold splits it.
 //!
-//! # Consistency contract (weak, documented)
+//! # One descent per write
+//!
+//! A delta entry is a slot whose state — a put, a tombstone — changes by CAS
+//! in place, so an entry stays in its delta until the fold retires the whole
+//! delta. A write reads its *base*, what the tiers under the live delta show
+//! for the key, and decides at one step on the live delta: a link (an
+//! insert-if-absent; a write that finds an entry acts on it, handed over by
+//! [`InsertOutcome::AlreadyPresent`]) or a slot CAS. So a write is one descent
+//! and at most one CAS, and every claim on a key has one winner.
+//!
+//! During a merge, writers that loaded the triple before the seal still write
+//! the sealed delta, while later ones base their writes on it. Until the
+//! merge's first grace has waited the former out, a later writer *freezes* the
+//! sealed entry it reads (linking a frozen blocker that says nothing if there
+//! is none); a frozen entry never changes, and an earlier writer that meets
+//! one starts over on the published triple. So every writer of the merge, and
+//! every writer after its fold, bases its write on the value the fold folds
+//! and decides it on the same live entry (DESIGN.md §Tiered reads,
+//! "Exactly-once writes across a seal").
+//!
+//! # Consistency contract
 //!
 //! Single-threaded use is exact: the structure is observationally equal to a plain
 //! [`SkipTrie`](crate::SkipTrie) (property-tested in `proptest_tiered.rs`). Under
-//! concurrency the contract is the same weak consistency the rest of the workspace
-//! offers:
+//! concurrency reads are weakly consistent, as elsewhere in the workspace, and
+//! writes are exact:
 //!
 //! * A read is served from the triple that was current when it started (a scan,
 //!   from the one current when [`TieredSkipTrie::range`] was called).
 //! * Keys stable across the whole operation are always observed: present stable
 //!   keys are found, removed-and-quiesced keys stay dead (their tombstones ride
 //!   every merge until the shadowed entry is gone).
-//! * Writers racing each other on the *same* key may both report success
-//!   (`insert`/`remove` return values are exact when at most one writer touches a
-//!   key at a time); [`TieredSkipTrie::len`] is maintained as a net counter with
-//!   the same caveat.
+//! * Every `insert` / `remove` takes effect at its one deciding step, whatever
+//!   other writers do to the same key, across seals and fold publishes: a value
+//!   a remove returns was put by an insert that returned `true` (or by the
+//!   load), no value is returned twice, and [`TieredSkipTrie::len`], a net
+//!   counter of those results, is exact once writes quiesce.
 
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
@@ -117,6 +138,7 @@ use std::sync::{Arc, OnceLock};
 use crossbeam_epoch::{self as epoch, Guard};
 use skiptrie_atomics::wake::WakeGate;
 use skiptrie_metrics::{self as metrics, Counter};
+use skiptrie_skiplist::InsertOutcome;
 
 use crate::{max_key, SkipList, SkipListConfig, SkipTrieConfig};
 
@@ -175,12 +197,159 @@ impl TieredSkipTrieConfig {
     }
 }
 
-/// What the delta knows about a key: a recent value, or "deleted here" shadowing
-/// any older tier.
-#[derive(Clone)]
-enum Delta<V> {
-    Put(V),
-    Tombstone,
+/// A delta entry: one word that says what the delta knows about its key and
+/// changes by CAS in place, so an entry stays linked until the fold retires
+/// its delta (module docs, "One descent per write"). The word is
+/// [`PUT_FIRST`] (the key holds `first`, the value the entry was linked
+/// with), [`TOMBSTONE`], a pointer to a [`Revived`] box (a value put after a
+/// tombstone) or [`ABSENT`] (a blocker, which says nothing), with [`FROZEN`]
+/// on top once a merge writer has based a write on it. A box leaves the word
+/// only by the CAS that tombstones it, which retires it through the delta's
+/// epoch domain; slots are read under a pin of that domain.
+struct Slot<V> {
+    word: AtomicU64,
+    first: Option<V>,
+}
+
+/// Set by a merge writer on a sealed entry it bases a write on; the entry
+/// never changes again.
+const FROZEN: u64 = 1;
+const PUT_FIRST: u64 = 2;
+const TOMBSTONE: u64 = 4;
+const ABSENT: u64 = 6;
+
+/// A revived value's box, aligned so that its address never collides with the
+/// state words or [`FROZEN`].
+#[repr(align(8))]
+struct Revived<V>(V);
+
+/// A write met a frozen entry in its live delta: its triple is stale, and it
+/// starts over on the published one.
+struct Stale;
+
+impl<V> Slot<V> {
+    fn new(word: u64, first: Option<V>) -> Self {
+        Slot {
+            word: AtomicU64::new(word),
+            first,
+        }
+    }
+
+    /// What the slot says in state `word`: `None` nothing (the tiers below
+    /// answer), `Some(None)` a tombstone, `Some(Some(v))` a put of `v`.
+    fn decode(&self, word: u64) -> Option<Option<&V>> {
+        match word & !FROZEN {
+            PUT_FIRST => Some(self.first.as_ref()),
+            TOMBSTONE => Some(None),
+            ABSENT => None,
+            // SAFETY: the box outlives every pin that can have read it from
+            // the word (the type's docs), and the caller holds one or owns
+            // the slot.
+            boxed => Some(Some(unsafe { &(*(boxed as *const Revived<V>)).0 })),
+        }
+    }
+
+    fn says(&self) -> Option<Option<&V>> {
+        self.decode(self.word.load(Ordering::SeqCst))
+    }
+
+    /// The slot's one CAS site, `word` → `new`; `true` if it took effect.
+    fn cas(&self, word: u64, new: u64) -> bool {
+        metrics::record(Counter::CasAttempt);
+        let swapped = self
+            .word
+            .compare_exchange(word, new, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        if !swapped {
+            metrics::record(Counter::CasFailure);
+        }
+        swapped
+    }
+
+    /// Put → tombstone: `Ok(Some(v))` if this call removed `v`, `Ok(None)` if
+    /// the slot held a tombstone.
+    fn take(&self, guard: &Guard) -> Result<Option<V>, Stale>
+    where
+        V: Clone,
+    {
+        loop {
+            let word = self.word.load(Ordering::SeqCst);
+            if word & FROZEN != 0 {
+                return Err(Stale);
+            }
+            let Some(Some(value)) = self.decode(word) else {
+                return Ok(None);
+            };
+            if self.cas(word, TOMBSTONE) {
+                let value = value.clone();
+                if word != PUT_FIRST {
+                    let boxed = word as *mut Revived<V>;
+                    // SAFETY: the CAS took the box out of the word, once; a pin
+                    // that read it ends before the deferred drop runs.
+                    unsafe { guard.defer_unchecked(move || drop(Box::from_raw(boxed))) };
+                }
+                return Ok(Some(value));
+            }
+        }
+    }
+
+    /// Tombstone → put of `value`: `Ok(true)` if this call revived the key,
+    /// `Ok(false)` if the slot held a put.
+    fn revive(&self, value: &V) -> Result<bool, Stale>
+    where
+        V: Clone,
+    {
+        let mut fresh = None;
+        loop {
+            let word = self.word.load(Ordering::SeqCst);
+            if word & FROZEN != 0 {
+                return Err(Stale);
+            }
+            if let Some(Some(_)) = self.decode(word) {
+                return Ok(false);
+            }
+            let boxed = fresh.get_or_insert_with(|| Box::new(Revived(value.clone())));
+            if self.cas(word, &**boxed as *const Revived<V> as u64) {
+                std::mem::forget(fresh); // the word owns the box now
+                return Ok(true);
+            }
+        }
+    }
+
+    /// Sets [`FROZEN`] and returns what the slot says, which nothing changes
+    /// from then on.
+    fn freeze(&self) -> Option<Option<&V>> {
+        loop {
+            let word = self.word.load(Ordering::SeqCst);
+            if word & FROZEN != 0 || self.cas(word, word | FROZEN) {
+                return self.decode(word);
+            }
+        }
+    }
+}
+
+/// A copy of what the slot says, unfrozen. A revived value is copied into
+/// `first`, so a copy allocates nothing: the delta's snapshots, scans and
+/// ordered queries return copies.
+impl<V: Clone> Clone for Slot<V> {
+    fn clone(&self) -> Self {
+        match self.says() {
+            Some(Some(value)) => Slot::new(PUT_FIRST, Some(value.clone())),
+            Some(None) => Slot::new(TOMBSTONE, None),
+            None => Slot::new(ABSENT | FROZEN, None),
+        }
+    }
+}
+
+impl<V> Drop for Slot<V> {
+    fn drop(&mut self) {
+        let word = *self.word.get_mut() & !FROZEN;
+        if !matches!(word, PUT_FIRST | TOMBSTONE | ABSENT) {
+            // SAFETY: `&mut self`: the slot is unreachable, and the box is the
+            // word's own.
+            drop(unsafe { Box::from_raw(word as *mut Revived<V>) });
+        }
+    }
 }
 
 /// Levels of a delta skiplist. A delta holds what was written since the last
@@ -202,7 +371,7 @@ const DELTA_LEVELS: u8 = 16;
 
 /// An empty delta, taking its DCSS mode, seed and epoch domain from `trie`
 /// and checking the universe width as `SkipTrie::new` would.
-fn new_delta<V>(trie: SkipTrieConfig) -> Arc<SkipList<Delta<V>>>
+fn new_delta<V>(trie: SkipTrieConfig) -> Arc<SkipList<Slot<V>>>
 where
     V: Clone + Send + Sync + 'static,
 {
@@ -375,63 +544,56 @@ impl<V: Clone> FrozenTier<V> {
 struct Tiers<V> {
     frozen: Arc<FrozenTier<V>>,
     /// The delta absorbing current writes.
-    live: Arc<SkipList<Delta<V>>>,
+    live: Arc<SkipList<Slot<V>>>,
     /// During a merge: the previous delta, sealed (writers that raced the seal may
-    /// still finish a write into it — the merge waits them out before folding).
+    /// still finish a write into it — the merge waits them out before folding —
+    /// and until then later writers freeze what they read of it, `base`).
     /// Reads consult it between `live` and `frozen`.
-    sealed: Option<Arc<SkipList<Delta<V>>>>,
+    sealed: Option<Arc<SkipList<Slot<V>>>>,
 }
 
 impl<V> Tiers<V>
 where
     V: Clone + Send + Sync + 'static,
 {
-    /// Visibility of `key` below the live delta: the sealed delta, then
-    /// `frozen`, the value [`FrozenTier::locate`] found under `key`.
-    fn under_value(&self, key: u64, frozen: Option<&V>) -> Option<V> {
-        if let Some(sealed) = &self.sealed {
-            match sealed.get(key) {
-                Some(Delta::Put(v)) => return Some(v),
-                Some(Delta::Tombstone) => return None,
-                None => {}
-            }
-        }
-        frozen.cloned()
+    /// What the tiers below the live delta say about `key`: the sealed delta's
+    /// entry, else `frozen`, the value [`FrozenTier::locate`] found under it.
+    fn under<'g>(&'g self, key: u64, frozen: Option<&'g V>, guard: &'g Guard) -> Option<&'g V> {
+        let sealed = self
+            .sealed
+            .as_ref()
+            .and_then(|s| s.get_in(key, None, guard));
+        sealed.and_then(Slot::says).unwrap_or(frozen)
     }
 
     /// Full visibility of `key` (live, then sealed, then frozen).
-    fn resolve(&self, key: u64) -> Option<V> {
-        match self.live.get(key) {
-            Some(Delta::Put(v)) => Some(v),
-            Some(Delta::Tombstone) => None,
-            None => self.under_value(key, self.frozen.locate(key).1),
-        }
+    fn resolve<'g>(&'g self, key: u64, guard: &'g Guard) -> Option<&'g V> {
+        let live = self.live.get_in(key, None, guard).and_then(Slot::says);
+        live.unwrap_or_else(|| self.under(key, self.frozen.locate(key).1, guard))
     }
 
-    /// What a writer's first look at `key` in the live delta finds. In a clean
-    /// gap that is nothing, known without the delta search: the answer holds as
-    /// of the moment this view was loaded, which is all a real probe's answer
-    /// is worth by the time the writer acts on it — the write itself is decided
-    /// by an insert-if-absent, and a writer that loses it loops back here with
-    /// its own mark set, so every later look is a real probe.
-    fn live_entry(&self, key: u64, gap: usize) -> Option<Delta<V>> {
+    /// The live delta's entry for `key`, if a write has one to act on. In a
+    /// clean gap there is none, known without the delta search: the answer
+    /// holds as of the moment this view was loaded, which is all a real probe's
+    /// answer is worth by the time the writer acts on it.
+    fn live_entry<'g>(&'g self, key: u64, gap: usize, guard: &'g Guard) -> Option<&'g Slot<V>> {
         if self.frozen.is_clean(gap) {
             return None;
         }
-        self.live.get(key)
+        self.live.get_in(key, None, guard)
     }
 
     /// A point lookup: the frozen probe alone when `key`'s gap is clean
     /// ([`Counter::TierHit`]), else through the deltas
     /// ([`Counter::TierMissDelta`]).
-    fn get(&self, key: u64) -> Option<V> {
+    fn get(&self, key: u64, guard: &Guard) -> Option<V> {
         let (gap, frozen) = self.frozen.locate(key);
         if self.frozen.is_clean(gap) {
             metrics::record(Counter::TierHit);
             return frozen.cloned();
         }
         metrics::record(Counter::TierMissDelta);
-        self.resolve(key)
+        self.resolve(key, guard).cloned()
     }
 }
 
@@ -471,7 +633,13 @@ where
     gen: AtomicU64,
     /// Single-merger guard: concurrent [`TieredSkipTrie::merge`] calls are no-ops.
     merging: AtomicBool,
-    /// Net key count (inserts minus removes; exact without same-key write races).
+    /// True from the end of a merge's first grace until the next seal: no
+    /// writer that loaded the pre-seal triple is left, so nothing changes what
+    /// the sealed delta says any more, and merge writers read it as it is
+    /// (`base`).
+    settled: AtomicBool,
+    /// Net key count (effective inserts minus effective removes; exact once
+    /// writes quiesce).
     net: AtomicI64,
     /// Delta writes since the last seal; the watermark trigger reads this (reset
     /// at seal time — late writers racing a seal overcount harmlessly).
@@ -540,18 +708,23 @@ where
         }
     }
 
-    /// Runs `f` on the published tiers triple — the one place `state` is read,
-    /// by readers, writers and the merger alike. The pin spans the load and the
-    /// whole of `f`, which is what keeps the borrow valid (`publish` retires a
-    /// displaced triple through this domain) and what `wait_writer_grace` waits
-    /// out: a writer's delta write happens inside `f`, so it is never folded
-    /// away. The delta skiplists' own pins nest inside this one.
-    fn with_tiers<R>(&self, f: impl FnOnce(&Tiers<V>) -> R) -> R {
-        let _guard = self.pin();
+    /// The published tiers triple, borrowed for `guard`, a pin of this
+    /// structure's domain — the one place `state` is read. The pin keeps the
+    /// borrow valid (`publish` retires a displaced triple through this
+    /// domain), and it is what `wait_writer_grace` waits out: a writer writes
+    /// a delta under the pin it loaded the triple with.
+    fn tiers<'g>(&'g self, _guard: &'g Guard) -> &'g Tiers<V> {
         // SAFETY: `state` always holds a live `Box::into_raw` pointer; a swap
-        // defers the displaced box's drop through the domain pinned above, so it
-        // outlives `_guard`, and `f`'s result cannot borrow from the triple.
-        f(unsafe { &*self.state.load(Ordering::SeqCst) })
+        // defers the displaced box's drop through the domain `_guard` pins, so
+        // it outlives the borrow.
+        unsafe { &*self.state.load(Ordering::SeqCst) }
+    }
+
+    /// Runs `f` on the published tiers triple under one pin, which `f` gets
+    /// too: the deltas are read and written under it.
+    fn with_tiers<R>(&self, f: impl FnOnce(&Tiers<V>, &Guard) -> R) -> R {
+        let guard = self.pin();
+        f(self.tiers(&guard), &guard)
     }
 
     /// Publishes `tiers` as the new state: one atomic swap, **no lock and no pin
@@ -598,7 +771,7 @@ where
     fn merge_cycle(&self) -> bool {
         // `merging` is held, so `sealed` can only be Some if a previous merge died
         // mid-way — impossible without a panic; treat "nothing buffered" as done.
-        let buffered = self.with_tiers(|t| {
+        let buffered = self.with_tiers(|t, _| {
             (!t.live.is_empty() || t.sealed.is_some())
                 .then(|| (Arc::clone(&t.frozen), Arc::clone(&t.live)))
         });
@@ -610,7 +783,10 @@ where
             return false;
         };
         // Phase 1 — seal: move the live delta aside and hand writers a fresh one.
+        // Until the grace below, writers of the sealed triple freeze what they
+        // read of `sealed` (`base`).
         let live = new_delta(self.config.trie);
+        self.settled.store(false, Ordering::SeqCst);
         self.publish(Tiers {
             frozen: Arc::clone(&frozen),
             live: Arc::clone(&live),
@@ -625,8 +801,10 @@ where
         // mid-write into `sealed`; they were pinned before the swap, so waiting
         // for those pins to clear quiesces it.
         self.wait_writer_grace();
+        self.settled.store(true, Ordering::SeqCst);
         // Phase 3 — fold, fully off to the side (readers keep serving phase 1's
-        // state). `sealed` is quiescent, so its snapshot is exact.
+        // state). Nothing changes what `sealed` says any more (merge writers
+        // only freeze its entries and link blockers), so its snapshot is exact.
         let folded = Self::fold(&frozen, sealed.to_vec());
         metrics::record(Counter::TierMerge);
         // Phase 4 — publish the new frozen tier and retire the sealed delta
@@ -641,9 +819,8 @@ where
         });
         self.merges.fetch_add(1, Ordering::SeqCst);
         // Phase 5 — catch the new summary up. After this grace every writer
-        // marks `next` before it touches `live`, so what the stragglers left
-        // is in `live` for the scan to mark (an entry some writer has lifted
-        // out for the moment was marked by that writer first).
+        // marks `next` before it touches `live`, and what the stragglers left
+        // is in `live` for the scan to mark: entries never leave a delta.
         self.wait_writer_grace();
         let mut buffered = live.range(..);
         while let Some(key) = buffered.next_key() {
@@ -654,209 +831,133 @@ where
     }
 
     /// Two-way merge of a frozen tier with a sorted delta snapshot: delta entries
-    /// override frozen ones, tombstones delete.
-    fn fold(frozen: &FrozenTier<V>, delta: Vec<(u64, Delta<V>)>) -> Vec<(u64, V)> {
+    /// override frozen ones, tombstones delete, blockers say nothing.
+    fn fold(frozen: &FrozenTier<V>, delta: Vec<(u64, Slot<V>)>) -> Vec<(u64, V)> {
         let mut out = Vec::with_capacity(frozen.len() + delta.len());
         let mut fi = 0usize;
-        let mut di = delta.into_iter().peekable();
-        while fi < frozen.len() || di.peek().is_some() {
-            let take_delta = match (frozen.sorted.get(fi), di.peek()) {
-                (Some(&(fk, _)), Some(&(dk, _))) => {
-                    if fk == dk {
-                        fi += 1; // shadowed
-                        true
-                    } else {
-                        dk < fk
-                    }
-                }
-                (None, Some(_)) => true,
-                _ => false,
-            };
-            if take_delta {
-                if let Some((k, Delta::Put(v))) = di.next() {
-                    out.push((k, v));
-                }
-            } else {
-                out.push(frozen.sorted[fi].clone());
+        for (key, slot) in &delta {
+            let Some(put) = slot.says() else { continue };
+            while let Some(entry) = frozen.sorted.get(fi).filter(|(k, _)| k < key) {
+                out.push(entry.clone());
                 fi += 1;
             }
+            if frozen.sorted.get(fi).is_some_and(|(k, _)| k == key) {
+                fi += 1; // shadowed
+            }
+            if let Some(v) = put {
+                out.push((*key, v.clone()));
+            }
         }
+        out.extend_from_slice(&frozen.sorted[fi..]);
         out
     }
 
-    /// Insert core against the triple a [`TieredSkipTrie::with_tiers`] call
-    /// lent out — call it only from inside that closure, whose pin the merge
-    /// grace period relies on; batch entry points amortize the one pin over the
-    /// whole batch.
-    fn insert_in(&self, t: &Tiers<V>, key: u64, value: &V) -> bool {
-        let (gap, frozen) = t.frozen.locate(key);
+    /// Accounts one effective write: `net` moves by `change`, and the
+    /// watermark counts the write.
+    fn counted(&self, change: i64) {
+        self.net.fetch_add(change, Ordering::SeqCst);
+        self.note_delta_write();
+    }
+
+    /// What a write is based on: the value visible under `t`'s live delta.
+    /// During a merge, until no writer that loaded the pre-seal triple is left
+    /// (`settled`), the sealed delta's entry for `key` is frozen first — a
+    /// blocker is linked if there is none, after `gap` is marked — so that no
+    /// such writer can change it; from then on nothing can, and it is read as
+    /// it is. Every writer of the merge, and every writer after its fold,
+    /// bases its write on the same value (module docs, "One descent per
+    /// write").
+    fn base<'g>(
+        &'g self,
+        t: &'g Tiers<V>,
+        key: u64,
+        gap: usize,
+        frozen: Option<&'g V>,
+        guard: &'g Guard,
+    ) -> Option<&'g V> {
+        let Some(sealed) = &t.sealed else {
+            return frozen;
+        };
+        if self.settled.load(Ordering::SeqCst) {
+            return t.under(key, frozen, guard);
+        }
+        t.frozen.mark_gap(gap);
+        match sealed.insert_from(key, Slot::new(ABSENT | FROZEN, None), None, guard) {
+            InsertOutcome::Inserted { .. } => frozen,
+            InsertOutcome::AlreadyPresent(slot) => slot.freeze().unwrap_or(frozen),
+        }
+    }
+
+    /// Insert core, under the caller's pin of this domain and starting on the
+    /// triple `t` loaded with it; batch entry points amortize the one pin over
+    /// the whole batch. One descent of the live delta and at most one CAS
+    /// (module docs, "One descent per write"): a key visible below can only be
+    /// revived through a live tombstone; any other key is linked as a put, and
+    /// an insert that finds an entry there acts on that entry instead.
+    fn insert_in<'g>(&'g self, mut t: &'g Tiers<V>, key: u64, value: &V, guard: &'g Guard) -> bool {
         loop {
-            match t.live_entry(key, gap) {
-                Some(Delta::Put(_)) => return false,
-                Some(Delta::Tombstone) => {
-                    // Revive a deleted key: clear the tombstone, race to publish.
-                    t.frozen.mark_gap(gap);
-                    t.live.remove(key);
-                    if t.live.insert(key, Delta::Put(value.clone())) {
-                        self.net.fetch_add(1, Ordering::SeqCst);
-                        self.note_delta_write();
+            let (gap, frozen) = t.frozen.locate(key);
+            let slot = if self.base(t, key, gap, frozen, guard).is_none() {
+                t.frozen.mark_gap(gap);
+                match t.live.insert_from(
+                    key,
+                    Slot::new(PUT_FIRST, Some(value.clone())),
+                    None,
+                    guard,
+                ) {
+                    InsertOutcome::Inserted { .. } => {
+                        self.counted(1);
                         return true;
                     }
+                    InsertOutcome::AlreadyPresent(slot) => slot,
                 }
-                None => {
-                    if t.under_value(key, frozen).is_some() {
-                        return false;
+            } else if let Some(slot) = t.live_entry(key, gap, guard) {
+                t.frozen.mark_gap(gap);
+                slot
+            } else {
+                return false;
+            };
+            match slot.revive(value) {
+                Ok(revived) => {
+                    if revived {
+                        self.counted(1);
                     }
-                    t.frozen.mark_gap(gap);
-                    if t.live.insert(key, Delta::Put(value.clone())) {
-                        self.net.fetch_add(1, Ordering::SeqCst);
-                        self.note_delta_write();
-                        return true;
-                    }
+                    return revived;
                 }
+                Err(Stale) => t = self.tiers(guard),
             }
         }
     }
 
-    /// Remove core against one lent tiers triple (same contract as
-    /// [`TieredSkipTrie::insert_in`]).
-    ///
-    /// # Exactly-once claims across a seal
-    ///
-    /// A remove that deletes a key resident below the live delta "claims" it by
-    /// winning a tombstone insert. During a merge two claimants can resolve
-    /// *different* states: a pre-seal straggler (pinned, so the grace period
-    /// waits for it) still sees the sealed delta as its live one, while a
-    /// post-seal claimant writes to the fresh delta. If each only wrote its own
-    /// delta, both inserts could succeed and the key would be claimed twice.
-    /// The arbitration rule that restores exactly-once:
-    ///
-    /// * every claimant must first win a tombstone insert into the **sealed**
-    ///   delta of its view (for the straggler that *is* its live delta), and
-    ///   only then place the tombstone into its live delta;
-    /// * a claim counts only if **every** insert on that path succeeded — a
-    ///   failed live insert after a won sealed insert means the fold already
-    ///   missed our sealed tombstone and a post-fold claimant took the key.
-    ///
-    /// All deltas a racing pair can disagree about are adjacent generations, so
-    /// the sealed delta is a common arbitration point for both. Claims of a
-    /// key whose value still sits as a `Put` in the sealed delta arbitrate by
-    /// removing that `Put` (unique winner) instead.
-    ///
-    /// The remaining windows — concurrent removers (or a remover and a
-    /// reviving inserter) racing on the *same* key through a transiently
-    /// absent live entry — are the structure's documented weak consistency
-    /// for same-key writer races; distinct-key histories (e.g. pop drains)
-    /// are exactly-once.
-    ///
-    /// Each arm that writes a delta — live or sealed — marks the key's gap in
-    /// this view's dirty-gap summary first (module docs). The arbitration does
-    /// not depend on the summary: a clean gap only spares the first look at
-    /// the live delta (`live_entry`), and every claim is still decided by the
-    /// inserts above.
-    fn remove_in(&self, t: &Tiers<V>, key: u64) -> Option<V> {
-        let (gap, frozen) = t.frozen.locate(key);
+    /// Remove core (same contract as [`TieredSkipTrie::insert_in`]): a key
+    /// visible below is claimed by linking a tombstone over it; a key held by
+    /// the live delta alone is claimed by the CAS that tombstones its entry.
+    /// Either way one descent of the live delta and at most one CAS, and the
+    /// claim has one winner.
+    fn remove_in<'g>(&'g self, mut t: &'g Tiers<V>, key: u64, guard: &'g Guard) -> Option<V> {
         loop {
-            match t.live_entry(key, gap) {
-                Some(Delta::Tombstone) => return None,
-                Some(Delta::Put(_)) => {
-                    t.frozen.mark_gap(gap);
-                    match t.live.remove(key) {
-                        Some(Delta::Put(v)) => {
-                            if t.live.insert(key, Delta::Tombstone) {
-                                self.net.fetch_sub(1, Ordering::SeqCst);
-                                self.note_delta_write();
-                                return Some(v);
-                            }
-                            match t.live.get(key) {
-                                // A fresh insert revived the key inside our
-                                // remove→insert window: the delete linearized
-                                // before it, so our claim stands and no tombstone
-                                // belongs here.
-                                Some(Delta::Put(_)) | None => {
-                                    self.net.fetch_sub(1, Ordering::SeqCst);
-                                    self.note_delta_write();
-                                    return Some(v);
-                                }
-                                // An under-tier claimant tombstoned the key
-                                // through the transient absence; its claim is the
-                                // one that counts (ours folds into it).
-                                Some(Delta::Tombstone) => return None,
-                            }
-                        }
-                        Some(Delta::Tombstone) => {
-                            // Raced a concurrent remover's tombstone out; reinstate it.
-                            t.live.insert(key, Delta::Tombstone);
-                            return None;
-                        }
-                        None => {}
+            let (gap, frozen) = t.frozen.locate(key);
+            let slot = if let Some(below) = self.base(t, key, gap, frozen, guard) {
+                t.frozen.mark_gap(gap);
+                match t
+                    .live
+                    .insert_from(key, Slot::new(TOMBSTONE, None), None, guard)
+                {
+                    InsertOutcome::Inserted { .. } => {
+                        self.counted(-1);
+                        return Some(below.clone());
                     }
+                    InsertOutcome::AlreadyPresent(slot) => slot,
                 }
-                None => {
-                    let Some(sealed) = &t.sealed else {
-                        match t.under_value(key, frozen) {
-                            Some(v) => {
-                                t.frozen.mark_gap(gap);
-                                if t.live.insert(key, Delta::Tombstone) {
-                                    self.net.fetch_sub(1, Ordering::SeqCst);
-                                    self.note_delta_write();
-                                    return Some(v);
-                                }
-                                // Lost the claim; re-read (the tombstone is
-                                // now visible).
-                                continue;
-                            }
-                            None => return None,
-                        }
-                    };
-                    // A merge is in flight in this view: arbitrate through the
-                    // sealed delta first (see the method docs).
-                    match sealed.get(key) {
-                        Some(Delta::Tombstone) => return None,
-                        Some(Delta::Put(_)) => {
-                            t.frozen.mark_gap(gap);
-                            match sealed.remove(key) {
-                                Some(Delta::Put(v)) => {
-                                    // Reinstate a tombstone so the fold deletes any
-                                    // frozen copy and other arbitrators see the
-                                    // key dead; then make the claim visible in the
-                                    // live delta across the fold publish.
-                                    let _ = sealed.insert(key, Delta::Tombstone);
-                                    if t.live.insert(key, Delta::Tombstone) {
-                                        self.net.fetch_sub(1, Ordering::SeqCst);
-                                        self.note_delta_write();
-                                        return Some(v);
-                                    }
-                                    return None;
-                                }
-                                Some(Delta::Tombstone) => {
-                                    // Yanked a racer's claim out; put it back.
-                                    let _ = sealed.insert(key, Delta::Tombstone);
-                                    return None;
-                                }
-                                None => continue,
-                            }
-                        }
-                        None => match frozen.cloned() {
-                            Some(v) => {
-                                t.frozen.mark_gap(gap);
-                                if !sealed.insert(key, Delta::Tombstone) {
-                                    // Lost the sealed arbitration; re-read.
-                                    continue;
-                                }
-                                if t.live.insert(key, Delta::Tombstone) {
-                                    self.net.fetch_sub(1, Ordering::SeqCst);
-                                    self.note_delta_write();
-                                    return Some(v);
-                                }
-                                // The fold missed our sealed tombstone and a
-                                // post-fold claimant won the live delta.
-                                return None;
-                            }
-                            None => return None,
-                        },
-                    }
-                }
+            } else if let Some(slot) = t.live_entry(key, gap, guard) {
+                t.frozen.mark_gap(gap);
+                slot
+            } else {
+                return None;
+            };
+            match slot.take(guard) {
+                Ok(taken) => return taken.inspect(|_| self.counted(-1)),
+                Err(Stale) => t = self.tiers(guard),
             }
         }
     }
@@ -919,6 +1020,7 @@ where
             state: AtomicPtr::new(Box::into_raw(Box::new(tiers))),
             gen: AtomicU64::new(0),
             merging: AtomicBool::new(false),
+            settled: AtomicBool::new(false),
             net: AtomicI64::new(net),
             delta_writes: AtomicU64::new(0),
             merge_due: AtomicBool::new(false),
@@ -932,8 +1034,8 @@ where
         self.config
     }
 
-    /// Number of keys stored (net of inserts and removes; exact without same-key
-    /// write races, see the module docs).
+    /// Number of keys stored (net of effective inserts and removes; exact once
+    /// writes quiesce, see the module docs).
     pub fn len(&self) -> usize {
         self.net.load(Ordering::SeqCst).max(0) as usize
     }
@@ -945,12 +1047,12 @@ where
 
     /// Number of keys currently buffered in the live delta (diagnostics).
     pub fn delta_len(&self) -> usize {
-        self.with_tiers(|t| t.live.len())
+        self.with_tiers(|t, _| t.live.len())
     }
 
     /// Number of entries in the published frozen tier (diagnostics).
     pub fn frozen_len(&self) -> usize {
-        self.with_tiers(|t| t.frozen.len())
+        self.with_tiers(|t, _| t.frozen.len())
     }
 
     /// The published generation: bumped on every tier swap (two per merge cycle).
@@ -962,7 +1064,7 @@ where
     /// delta exists that has not yet been folded into the frozen tier
     /// (diagnostics).
     pub fn mid_merge(&self) -> bool {
-        self.with_tiers(|t| t.sealed.is_some())
+        self.with_tiers(|t, _| t.sealed.is_some())
     }
 
     /// Returns a clone of the value stored under `key`.
@@ -977,7 +1079,7 @@ where
     /// Panics if `key` does not fit in the configured universe.
     pub fn get(&self, key: u64) -> Option<V> {
         self.check_key(key);
-        self.with_tiers(|t| t.get(key))
+        self.with_tiers(|t, guard| t.get(key, guard))
     }
 
     /// True if `key` is present.
@@ -997,7 +1099,7 @@ where
     /// Panics if `key` does not fit in the configured universe.
     pub fn predecessor(&self, key: u64) -> Option<(u64, V)> {
         self.check_key(key);
-        self.with_tiers(|t| {
+        self.with_tiers(|t, guard| {
             // A clean gap holds no delta entry from the frozen key at its
             // lower end up to the next one: that frozen key is the answer.
             let gap = t.frozen.locate(key).0;
@@ -1020,8 +1122,8 @@ where
                     }
                 }
                 let candidate = best?;
-                if let Some(v) = t.resolve(candidate) {
-                    return Some((candidate, v));
+                if let Some(v) = t.resolve(candidate, guard) {
+                    return Some((candidate, v.clone()));
                 }
                 bound = candidate.checked_sub(1)?;
             }
@@ -1042,7 +1144,7 @@ where
     pub fn successor(&self, key: u64) -> Option<(u64, V)> {
         self.check_key(key);
         let top = max_key(self.config.trie.universe_bits);
-        self.with_tiers(|t| {
+        self.with_tiers(|t, guard| {
             // A frozen `key` answers for itself if its own gap is clean. Any
             // other key needs its gap free of inserts and, for the frozen key
             // above it not to be tombstoned, the next gap too. `above` is
@@ -1069,8 +1171,8 @@ where
                     }
                 }
                 let candidate = best?;
-                if let Some(v) = t.resolve(candidate) {
-                    return Some((candidate, v));
+                if let Some(v) = t.resolve(candidate, guard) {
+                    return Some((candidate, v.clone()));
                 }
                 if candidate >= top {
                     return None;
@@ -1081,27 +1183,27 @@ where
     }
 
     /// Inserts `key -> value` if `key` is not visibly present; `true` if this call
-    /// inserted. Exact if at most one writer touches `key` at a time (module docs).
+    /// inserted. Exact under any race with other writers (module docs).
     ///
     /// # Panics
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn insert(&self, key: u64, value: V) -> bool {
         self.check_key(key);
-        self.with_tiers(|t| self.insert_in(t, key, &value))
+        self.with_tiers(|t, guard| self.insert_in(t, key, &value, guard))
     }
 
     /// Removes `key`, returning its visible value if this call performed the
     /// removal. A tombstone is left in the delta so the key stays dead even while
-    /// older tiers still hold it. Exact if at most one writer touches `key` at a
-    /// time (module docs).
+    /// older tiers still hold it. Exact under any race with other writers
+    /// (module docs).
     ///
     /// # Panics
     ///
     /// Panics if `key` does not fit in the configured universe.
     pub fn remove(&self, key: u64) -> Option<V> {
         self.check_key(key);
-        self.with_tiers(|t| self.remove_in(t, key))
+        self.with_tiers(|t, guard| self.remove_in(t, key, guard))
     }
 
     /// Batch [`TieredSkipTrie::insert`]: one epoch pin and one load of the
@@ -1150,10 +1252,10 @@ where
         for &i in order {
             self.check_key(entries[i].0);
         }
-        self.with_tiers(|t| {
+        self.with_tiers(|t, guard| {
             order
                 .iter()
-                .filter(|&&i| self.insert_in(t, entries[i].0, &entries[i].1))
+                .filter(|&&i| self.insert_in(t, entries[i].0, &entries[i].1, guard))
                 .count()
         })
     }
@@ -1165,10 +1267,10 @@ where
         for &i in order {
             self.check_key(keys[i]);
         }
-        self.with_tiers(|t| {
+        self.with_tiers(|t, guard| {
             order
                 .iter()
-                .filter(|&&i| self.remove_in(t, keys[i]).is_some())
+                .filter(|&&i| self.remove_in(t, keys[i], guard).is_some())
                 .count()
         })
     }
@@ -1179,9 +1281,9 @@ where
         for &i in order {
             self.check_key(keys[i]);
         }
-        self.with_tiers(|t| {
+        self.with_tiers(|t, guard| {
             for &i in order {
-                out[i] = t.get(keys[i]);
+                out[i] = t.get(keys[i], guard);
             }
         });
     }
@@ -1205,7 +1307,7 @@ where
         let Some((lo, hi)) = crate::resolve_bounds(&range) else {
             return TieredRangeIter::empty();
         };
-        self.with_tiers(|t| {
+        self.with_tiers(|t, _| {
             let fi = t.frozen.lower_bound(lo);
             // One past the last frozen index in range.
             let fhi = match hi.checked_add(1) {
@@ -1236,8 +1338,9 @@ where
         self.range(..).collect()
     }
 
-    /// Removes and returns the entry with the smallest visible key. Weakly
-    /// consistent under races with writers on the same keys.
+    /// Removes and returns the entry with the smallest visible key. The claim is
+    /// a [`TieredSkipTrie::remove`], exact; which key is smallest is read by a
+    /// `successor`, weakly consistent under concurrent writes.
     pub fn pop_first(&self) -> Option<(u64, V)> {
         loop {
             let (key, _) = self.successor(0)?;
@@ -1270,7 +1373,7 @@ where
     /// increasing / exceed the universe.
     pub fn bulk_load(&mut self, entries: &[(u64, V)]) -> usize {
         assert!(
-            self.with_tiers(|t| t.sealed.is_none() && t.live.is_empty() && t.frozen.len() == 0),
+            self.with_tiers(|t, _| t.sealed.is_none() && t.live.is_empty() && t.frozen.len() == 0),
             "bulk_load requires an empty TieredSkipTrie"
         );
         let top = max_key(self.config.trie.universe_bits);
@@ -1295,7 +1398,7 @@ where
     /// `(allocated, recycled, free)` node counts of the live delta (plus the
     /// sealed one mid-merge) — the frozen tier holds no pool nodes.
     pub fn allocation_stats(&self) -> (usize, usize, usize) {
-        self.with_tiers(|t| {
+        self.with_tiers(|t, _| {
             let mut stats = t.live.allocation_stats();
             if let Some(sealed) = &t.sealed {
                 let s = sealed.allocation_stats();
@@ -1308,7 +1411,7 @@ where
     /// Approximate resident bytes: the frozen array and dirty-gap summary plus
     /// delta skiplist nodes.
     pub fn approx_node_bytes(&self) -> usize {
-        self.with_tiers(|t| {
+        self.with_tiers(|t, _| {
             let frozen =
                 std::mem::size_of_val(&*t.frozen.sorted) + std::mem::size_of_val(&*t.frozen.dirty);
             let mut bytes = frozen + t.live.approx_node_bytes();
@@ -1323,7 +1426,7 @@ where
     /// order and the dirty-gap summary (no buffered entry in a gap it calls
     /// clean); returns the number of entries checked. Panics on violation.
     pub fn check_traversal_integrity(&self) -> usize {
-        self.with_tiers(|t| {
+        self.with_tiers(|t, _| {
             let mut checked = 0;
             for delta in [Some(&t.live), t.sealed.as_ref()].into_iter().flatten() {
                 checked += delta.check_traversal_integrity();
@@ -1516,13 +1619,10 @@ where
             return Some(());
         }
         metrics::record(Counter::TierMissDelta);
-        let entry = |(k, d): (u64, Delta<V>)| match d {
-            Delta::Put(v) => (k, Some(v)),
-            Delta::Tombstone => (k, None),
-        };
-        let mut live = t.live.range(lo..=hi).map(entry).peekable();
+        let entry = |(k, slot): (u64, Slot<V>)| Some((k, slot.says()?.cloned()));
+        let mut live = t.live.range(lo..=hi).filter_map(entry).peekable();
         if let Some(sealed) = &t.sealed {
-            for under in sealed.range(lo..=hi).map(entry) {
+            for under in sealed.range(lo..=hi).filter_map(entry) {
                 let mut shadowed = false;
                 while let Some(over) = live.next_if(|over| over.0 <= under.0) {
                     shadowed = over.0 == under.0;
@@ -1593,7 +1693,7 @@ mod tests {
 
     /// The gaps of the published frozen tier that reads may not skip the delta on.
     fn dirty_gaps(t: &TieredSkipTrie<u64>) -> Vec<usize> {
-        t.with_tiers(|t| {
+        t.with_tiers(|t, _| {
             (0..=t.frozen.len())
                 .filter(|&g| !t.frozen.is_clean(g))
                 .collect()
@@ -1765,7 +1865,7 @@ mod tests {
     /// A merge's first phase and nothing after it: the live delta becomes the
     /// sealed one of a triple that stays published.
     fn seal_by_hand(t: &TieredSkipTrie<u64>) {
-        let (frozen, sealed) = t.with_tiers(|v| (Arc::clone(&v.frozen), Arc::clone(&v.live)));
+        let (frozen, sealed) = t.with_tiers(|v, _| (Arc::clone(&v.frozen), Arc::clone(&v.live)));
         t.publish(Tiers {
             frozen,
             live: new_delta(t.config.trie),
@@ -1896,19 +1996,19 @@ mod tests {
         // in nobody's. Every window of every scan must read the delta all the
         // same; with the flag up and no catch-up scan the same bits hide them all.
         let (t, mut model) = seam_tier();
-        t.with_tiers(|v| {
+        t.with_tiers(|v, _| {
             v.frozen.ready.store(false, Ordering::SeqCst);
             for gap in SEAM_GAPS {
                 let key = match gap {
                     SEAM_KEYS => seam_key(gap - 1) + 1,
                     _ => seam_key(gap) - 1,
                 };
-                assert!(v.live.insert(key, Delta::Put(9)));
+                assert!(v.live.insert(key, Slot::new(PUT_FIRST, Some(9))));
                 model.insert(key, 9);
             }
         });
         assert_eq!(dirty_gaps(&t).len(), SEAM_KEYS + 1, "nothing reads clean");
-        t.with_tiers(|v| assert!(v.frozen.dirty.iter().all(|w| w.load(Ordering::SeqCst) == 0)));
+        t.with_tiers(|v, _| assert!(v.frozen.dirty.iter().all(|w| w.load(Ordering::SeqCst) == 0)));
         let pair = |(&k, &v): (&u64, &u64)| (k, v);
         for lo in [0, seam_key(62), seam_key(64) + 1, seam_key(200)] {
             assert!(
@@ -1916,7 +2016,7 @@ mod tests {
                 "range({lo}..) under an un-ready summary"
             );
         }
-        t.with_tiers(|v| v.frozen.ready.store(true, Ordering::SeqCst));
+        t.with_tiers(|v, _| v.frozen.ready.store(true, Ordering::SeqCst));
         assert_eq!(
             t.range(..).count(),
             SEAM_KEYS,
@@ -2001,6 +2101,27 @@ mod tests {
         assert_eq!(top.get(u64::MAX), Some(3));
         top.merge();
         assert_eq!(top.predecessor(u64::MAX), Some((u64::MAX, 3)));
+    }
+
+    #[test]
+    fn a_state_change_acquires_no_node() {
+        // A delta entry changes state by a CAS on its slot: removing a buffered
+        // put, reviving its tombstone and removing it again allocate and recycle
+        // nothing. Lifting the entry out and linking a new one costs a tower
+        // per step.
+        let t = tiered([10, 20]);
+        assert!(t.insert(15, 150));
+        let nodes = |t: &TieredSkipTrie<u64>| {
+            let (allocated, recycled, _) = t.allocation_stats();
+            (allocated, recycled)
+        };
+        let before = nodes(&t);
+        assert_eq!(t.remove(15), Some(150));
+        assert!(t.insert(15, 151));
+        assert_eq!(t.get(15), Some(151));
+        assert_eq!(t.remove(15), Some(151));
+        assert_eq!(nodes(&t), before, "a state change acquired a node");
+        assert_eq!((t.len(), t.delta_len()), (2, 1));
     }
 
     #[test]

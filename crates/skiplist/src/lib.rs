@@ -488,30 +488,6 @@ where
         self.pool.allocated() * std::mem::size_of::<Node<V>>()
     }
 
-    /// Diagnostic dump of a level's unmarked data nodes:
-    /// `(key, stop_flag, root_key_or_MAX)` per node. Test-support only.
-    #[doc(hidden)]
-    pub fn debug_level_nodes(&self, level: u8) -> Vec<(u64, bool, u64)> {
-        let guard = self.pin();
-        let mut out = Vec::new();
-        self.walk_level(level, &guard, |node| {
-            let stopped = node.status.load(Ordering::SeqCst) & STATUS_STOP != 0;
-            let root_w = node.root.load(Ordering::SeqCst);
-            let root_key = if tagged::is_null(root_w) {
-                u64::MAX
-            } else {
-                // SAFETY: root pointers reference pool-kept nodes of this structure.
-                unsafe {
-                    (*tagged::unpack::<Node<V>>(root_w))
-                        .key
-                        .load(Ordering::SeqCst)
-                }
-            };
-            out.push((node.key_value(), stopped, root_key));
-        });
-        out
-    }
-
     // ------------------------------------------------------------------
     // Reclamation-safety auditing (tests/reclamation_soundness.rs)
     // ------------------------------------------------------------------

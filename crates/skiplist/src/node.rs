@@ -283,12 +283,6 @@ impl<'g, V> NodeRef<'g, V> {
     pub fn status_word_ptr(&self) -> *const AtomicU64 {
         &self.node.status as *const AtomicU64
     }
-
-    /// True once the node's `prev` pointer has been set at least once (top level
-    /// only) — the paper's `ready` flag.
-    pub fn is_ready(&self) -> bool {
-        self.node.ready.load(Ordering::SeqCst) != 0
-    }
 }
 
 #[cfg(test)]

@@ -16,8 +16,11 @@ use crate::SkipList;
 
 /// Result of a low-level insertion ([`SkipList::insert_from`]).
 pub enum InsertOutcome<'g, V> {
-    /// The key was already present; nothing was inserted.
-    AlreadyPresent,
+    /// The key was already present; nothing was inserted. Carries the present
+    /// entry's value, borrowed for the pin, so that an insert-if-absent is also
+    /// the lookup: a caller that loses acts on what it found, with no second
+    /// descent.
+    AlreadyPresent(&'g V),
     /// The key was inserted (linearized when its level-0 node became reachable).
     Inserted {
         /// The top-level node of the new tower, if the tower reached the top level.
@@ -164,7 +167,13 @@ where
         loop {
             let (l0, r0) = preds[0];
             if r0.is_data() && r0.key_value() == key {
-                return InsertOutcome::AlreadyPresent;
+                // SAFETY: a level-0 data node reached through live links while
+                // pinned; it was given its value before it was linked, and it
+                // cannot be recycled before `guard` ends.
+                let present = unsafe { (*r0.value.get()).as_ref() };
+                return InsertOutcome::AlreadyPresent(
+                    present.expect("a level-0 data node carries its value"),
+                );
             }
             let ptr = self.pool().acquire();
             let self_word = tagged::pack(ptr as *const Node<V>);
@@ -685,29 +694,40 @@ where
         None
     }
 
-    /// Returns a clone of the value stored under exactly `key`, searching from
-    /// `start` (top-level hint) or the head. Exits early on an upper-level match and
-    /// clones nothing on a miss (see [`SkipList::get`]).
+    /// The value stored under exactly `key`, borrowed for the pin, searching from
+    /// `start` (top-level hint) or the head. Exits early on an upper-level match
+    /// and reads no value on a miss (see [`SkipList::get`]). The one exact
+    /// lookup: [`SkipList::get_from`] and [`SkipList::contains_from`] are it.
+    pub fn get_in<'g>(
+        &'g self,
+        key: u64,
+        start: Option<NodeRef<'g, V>>,
+        guard: &'g Guard,
+    ) -> Option<&'g V> {
+        let root = self.find_exact(key, start, guard)?;
+        // SAFETY: `root` was observed unmarked under this pin (see `find_exact`), so
+        // its value slot cannot be poisoned or re-initialized before `guard` ends.
+        unsafe { (*root.value.get()).as_ref() }
+    }
+
+    /// A clone of the value stored under exactly `key` ([`SkipList::get_in`]).
     pub fn get_from<'g>(
         &'g self,
         key: u64,
         start: Option<NodeRef<'g, V>>,
         guard: &'g Guard,
     ) -> Option<V> {
-        let root = self.find_exact(key, start, guard)?;
-        // SAFETY: `root` was observed unmarked under this pin (see `find_exact`), so
-        // its value slot cannot be concurrently poisoned or re-initialized.
-        unsafe { (*root.value.get()).clone() }
+        self.get_in(key, start, guard).cloned()
     }
 
-    /// True if exactly `key` is present; clones nothing (see [`SkipList::get_from`]).
+    /// True if exactly `key` is present; clones nothing ([`SkipList::get_in`]).
     pub fn contains_from<'g>(
         &'g self,
         key: u64,
         start: Option<NodeRef<'g, V>>,
         guard: &'g Guard,
     ) -> bool {
-        self.find_exact(key, start, guard).is_some()
+        self.get_in(key, start, guard).is_some()
     }
 
     /// The smallest live key, found with a single level-0 search from the head (the
@@ -784,6 +804,35 @@ mod tests {
         let snapshot: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(list.to_vec(), snapshot);
         assert_eq!(list.len(), model.len());
+    }
+
+    #[test]
+    fn an_insert_that_finds_its_key_hands_over_the_present_value() {
+        let list = small_list();
+        for key in (0..600u64).step_by(3) {
+            assert!(list.insert(key, key * 7));
+        }
+        let guard = list.pin();
+        let nodes = list.pool.allocated();
+        for key in 0..600u64 {
+            let present = (key % 3 == 0).then_some(key * 7);
+            assert_eq!(list.get_in(key, None, &guard).copied(), present);
+            if let Some(value) = present {
+                match list.insert_from(key, 1, None, &guard) {
+                    InsertOutcome::AlreadyPresent(found) => assert_eq!(*found, value),
+                    InsertOutcome::Inserted { .. } => panic!("{key} was inserted twice"),
+                }
+            }
+        }
+        assert_eq!(
+            list.pool.allocated(),
+            nodes,
+            "a losing insert takes no node"
+        );
+        drop(guard);
+        assert_eq!(list.remove(3), Some(21));
+        assert!(list.insert(3, 22));
+        assert_eq!(list.get(3), Some(22));
     }
 
     #[test]

@@ -366,3 +366,118 @@ fn a_scan_outlives_the_tiers_it_was_opened_on_and_pins_nothing() {
     drop(scan);
     t.check_traversal_integrity();
 }
+
+/// Same-key writers against an oracle. More writer threads than cores insert
+/// unique values into and remove them from four keys while a merger folds flat
+/// out, so claims race each other inside the live delta, across a seal (a
+/// writer still on the pre-seal triple beside one on the sealed triple) and
+/// across a fold publish. Every value a remove returns must have been put there
+/// by a successful insert or by the prefill, no value may come back twice, and
+/// at the end each key's successes must add up to what `get` shows. Bounded by
+/// the folds counted, with a two-minute deadline that fails with the count.
+#[test]
+fn same_key_writers_claim_every_value_exactly_once_across_folds() {
+    const KEYS: u64 = 4;
+    let folds_wanted = scaled(100);
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let writers = 2 * cores + 1;
+    let key = |i: u64| 10 * (i + 1);
+    // Keys 10 and 20 start frozen, with values below any a writer puts.
+    let prefill: Vec<(u64, u64)> = (0..2).map(|i| (key(i), i)).collect();
+    let t: TieredSkipTrie<u64> = TieredSkipTrie::from_sorted(
+        TieredSkipTrieConfig::for_universe_bits(UNIVERSE_BITS),
+        prefill.iter().copied(),
+    );
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let stop = AtomicBool::new(false);
+    let merges = AtomicUsize::new(0);
+    let inserted = std::sync::Mutex::new(Vec::new());
+    let removed = std::sync::Mutex::new(Vec::new());
+
+    Workload::new(0xE33)
+        .workers(writers, |mut ctx| {
+            let (mut puts, mut takes) = (Vec::new(), Vec::new());
+            let tag = (ctx.index as u64 + 1) << 40;
+            for op in 0u64.. {
+                if op % 64 == 0 && stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let k = key(ctx.rng.next() % KEYS);
+                if ctx.rng.next().is_multiple_of(2) {
+                    if t.insert(k, tag | op) {
+                        puts.push((k, tag | op));
+                    }
+                } else if let Some(v) = t.remove(k) {
+                    takes.push((k, v));
+                }
+            }
+            inserted.lock().unwrap().extend(puts);
+            removed.lock().unwrap().extend(takes);
+        })
+        .worker(|_| {
+            // Raised on a panic too: the writers wait for it.
+            struct Raise<'a>(&'a AtomicBool);
+            impl Drop for Raise<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::SeqCst);
+                }
+            }
+            let _stop = Raise(&stop);
+            while merges.load(Ordering::SeqCst) < folds_wanted && Instant::now() < deadline {
+                if t.merge() {
+                    merges.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        })
+        .run();
+    let folds = merges.load(Ordering::SeqCst);
+    assert!(
+        folds >= folds_wanted,
+        "the writers must race {folds_wanted} folds: {folds} in two minutes"
+    );
+
+    let mut put: std::collections::HashSet<(u64, u64)> = prefill.iter().copied().collect();
+    put.extend(inserted.into_inner().unwrap());
+    let mut balance = std::collections::HashMap::<u64, i64>::new();
+    for &(k, _) in &put {
+        *balance.entry(k).or_default() += 1;
+    }
+    let mut taken = std::collections::HashSet::new();
+    for (k, v) in removed.into_inner().unwrap() {
+        assert!(
+            put.contains(&(k, v)),
+            "remove({k}) returned {v:#x}, never put there"
+        );
+        assert!(taken.insert((k, v)), "remove({k}) returned {v:#x} twice");
+        *balance.entry(k).or_default() -= 1;
+    }
+    let mut present = 0;
+    for i in 0..KEYS {
+        let k = key(i);
+        let got = t.get(k);
+        let net = balance.get(&k).copied().unwrap_or(0);
+        assert_eq!(
+            net,
+            i64::from(got.is_some()),
+            "key {k}: successes net {net}, get {got:?}"
+        );
+        if let Some(v) = got {
+            assert!(
+                put.contains(&(k, v)) && !taken.contains(&(k, v)),
+                "key {k} holds {v:#x}"
+            );
+            present += 1;
+        }
+    }
+    assert_eq!(t.len(), present, "the net counter");
+    t.merge();
+    for i in 0..KEYS {
+        let k = key(i);
+        assert_eq!(
+            t.get(k).is_some(),
+            balance.get(&k) == Some(&1),
+            "key {k} after a fold"
+        );
+    }
+    t.check_traversal_integrity();
+}
