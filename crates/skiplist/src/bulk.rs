@@ -19,7 +19,7 @@
 //! * every node carries the same field discipline (`down`, `root`, `orig_height`,
 //!   poisoned-then-initialized pool memory with its incarnation preserved);
 //! * top-level nodes join the doubly-linked list with `prev` pointing at their
-//!   predecessor and `ready` set, exactly as `fixPrev` would leave them;
+//!   predecessor, exactly as `fixPrev` would leave them;
 //! * the occupancy counter ends at `n`, as if `n` inserts had linearized.
 //!
 //! Callers that need the x-fast trie populated on top (the SkipTrie) consume the
@@ -117,59 +117,56 @@ where
 
             // Level 0 (root) node: value-carrying, root = self.
             let root_ptr = self.pool().acquire();
-            let root_word = tagged::pack(root_ptr as *const Node<V>);
-            // `Relaxed` initialization: `SkipList::init_node`'s `SeqCst` stores (a
-            // full fence each on x86) exist for publication racing concurrent
-            // readers; under `&mut self` there are none, and the eventual handoff
-            // that shares the structure carries the publishing edge.
-            self.init_node_ordered(
-                root_ptr,
-                key,
-                0,
-                height,
-                tagged::NULL,
-                root_word,
-                tagged::pack(self.tail(0) as *const Node<V>),
-                Some(value),
-                Ordering::Relaxed,
-            );
-            // SAFETY: `last[0]` is the head sentinel or a node this call created;
-            // `&mut self` excludes all other access.
-            unsafe { (*last[0]).next.store(root_word, Ordering::Relaxed) };
-            last[0] = root_ptr;
+            let root_word = tagged::pack(root_ptr);
+            // `Relaxed` initialization: the insert path's `SeqCst` stores (a full
+            // fence each on x86) exist for publication racing concurrent readers;
+            // under `&mut self` there are none, and the eventual handoff that shares
+            // the structure carries the publishing edge.
+            // SAFETY: `root_ptr` is fresh from the pool and `last[0]` is the head
+            // sentinel or a node this call created; `&mut self` excludes all other
+            // access.
+            unsafe {
+                (*root_ptr).init(
+                    key,
+                    height,
+                    tagged::pack(self.tail(0) as *const Node<V>),
+                    value,
+                    Ordering::Relaxed,
+                );
+                (*last[0]).next.store(root_word, Ordering::Relaxed);
+            }
+            last[0] = root_ptr.cast::<Node<V>>();
 
             // Upper tower nodes, bottom-up, linked by `down` and sharing the root.
             let mut lower_word = root_word;
             for level in 1..=height {
-                let ptr = self.pool().acquire();
-                let word = tagged::pack(ptr as *const Node<V>);
-                self.init_node_ordered(
-                    ptr,
-                    key,
-                    level,
-                    height,
-                    lower_word,
-                    root_word,
-                    tagged::pack(self.tail(level) as *const Node<V>),
-                    None,
-                    Ordering::Relaxed,
-                );
+                let ptr = self.pool().acquire_tower();
+                let word = tagged::pack(ptr);
+                // SAFETY: as for level 0.
+                unsafe {
+                    (*ptr).init(
+                        key,
+                        level,
+                        height,
+                        lower_word,
+                        root_word,
+                        tagged::pack(self.tail(level) as *const Node<V>),
+                        Ordering::Relaxed,
+                    );
+                }
                 if level == top {
                     // Join the doubly-linked top level exactly as `fixPrev` would:
                     // `prev` = the current top-level predecessor (head or the
-                    // previous top key), `ready` set. (A single-level list — top
-                    // level 0 — matches the insert path by *not* maintaining guides.)
+                    // previous top key). (A single-level list — top level 0 — keeps
+                    // no guides: a level-0 node has no `prev`.)
                     let prev_word = tagged::pack(last[top as usize]);
                     // SAFETY: the node is not yet reachable; exclusive access.
-                    unsafe {
-                        (*ptr).prev.store(prev_word, Ordering::Relaxed);
-                        (*ptr).ready.store(1, Ordering::Relaxed);
-                    }
+                    unsafe { (*ptr).prev.store(prev_word, Ordering::Relaxed) };
                     tops.push((key, word));
                 }
                 // SAFETY: as for level 0.
                 unsafe { (*last[level as usize]).next.store(word, Ordering::Relaxed) };
-                last[level as usize] = ptr;
+                last[level as usize] = ptr.cast::<Node<V>>();
                 lower_word = word;
             }
             count += 1;

@@ -314,7 +314,7 @@ where
             let value = if want_value {
                 // SAFETY: a level-0 data node's value is set before publication and
                 // dropped only on recycle, which our pin forbids for linked nodes.
-                Some(unsafe { (*node.value.get()).clone() })
+                Some(unsafe { (*node.value().get()).clone() })
             } else {
                 None
             };

@@ -25,7 +25,10 @@
 //!   DCSS from [`skiptrie_atomics`], or plain CAS in the fallback mode.
 //! * **Type-stable node pool.** Nodes are recycled, never freed, while the structure
 //!   is alive, which keeps every racy dereference well-defined (see
-//!   [`skiptrie_atomics::dcss`] for why this matters).
+//!   [`skiptrie_atomics::dcss`] for why this matters). A level-0 node and a tower
+//!   node have layouts of their own, each one 64-byte line for `V = u64`, carved
+//!   from line-aligned slabs, and a node's memory keeps its layout for the pool's
+//!   lifetime.
 //!
 //! The crate doubles as the paper's *baseline*: configured with more levels (e.g. 24)
 //! and used standalone it is a conventional `Θ(log m)`-depth lock-free skiplist, which
@@ -74,7 +77,7 @@ pub use kv::OrderedKv;
 pub use node::NodeRef;
 pub use ops::{DeleteOutcome, InsertOutcome};
 
-use node::{pack_meta, Node, NodeKind, STATUS_STOP};
+use node::{pack_meta, Node, NodeKind, Role, STATUS_STOP};
 use pool::NodePool;
 
 /// Configuration of a [`SkipList`].
@@ -219,16 +222,12 @@ where
         let mut heads: Vec<*const Node<V>> = Vec::with_capacity(levels);
         let mut tails: Vec<*const Node<V>> = Vec::with_capacity(levels);
         for level in 0..levels {
-            let head = pool.acquire();
-            let tail = pool.acquire();
-            unsafe {
-                init_sentinel(&*head, NodeKind::Head, level as u8, config.levels - 1);
-                init_sentinel(&*tail, NodeKind::Tail, level as u8, config.levels - 1);
-                (*head)
-                    .next
-                    .store(tagged::pack(tail as *const Node<V>), Ordering::SeqCst);
-                (*tail).next.store(tagged::NULL, Ordering::SeqCst);
-                if level > 0 {
+            let (head, tail): (*const Node<V>, *const Node<V>) = if level == 0 {
+                (pool.acquire().cast(), pool.acquire().cast())
+            } else {
+                let (head, tail) = (pool.acquire_tower(), pool.acquire_tower());
+                // SAFETY: fresh from the pool, not yet shared.
+                unsafe {
                     (*head)
                         .down
                         .store(tagged::pack(heads[level - 1]), Ordering::SeqCst);
@@ -236,9 +235,17 @@ where
                         .down
                         .store(tagged::pack(tails[level - 1]), Ordering::SeqCst);
                 }
+                (head.cast(), tail.cast())
+            };
+            // SAFETY: as above.
+            unsafe {
+                init_sentinel(&*head, NodeKind::Head, level as u8, config.levels - 1);
+                init_sentinel(&*tail, NodeKind::Tail, level as u8, config.levels - 1);
+                (*head).next.store(tagged::pack(tail), Ordering::SeqCst);
+                (*tail).next.store(tagged::NULL, Ordering::SeqCst);
             }
-            heads.push(head as *const Node<V>);
-            tails.push(tail as *const Node<V>);
+            heads.push(head);
+            tails.push(tail);
         }
         SkipList {
             config,
@@ -407,7 +414,7 @@ where
         self.walk_level(0, &guard, |node| {
             // SAFETY: level-0 data nodes carry a value set before publication; the
             // node was reached through live level-0 links while pinned.
-            if let Some(v) = unsafe { (*node.value.get()).clone() } {
+            if let Some(v) = unsafe { (*node.value().get()).clone() } {
                 out.push((node.key_value(), v));
             }
         });
@@ -483,9 +490,10 @@ where
         )
     }
 
-    /// Approximate bytes resident for nodes (live + pooled), used by experiment E5.
+    /// Bytes of node memory the structure holds: the slabs its pool has carved nodes
+    /// from, live, pooled and not yet carved alike. Used by experiment E5.
     pub fn approx_node_bytes(&self) -> usize {
-        self.pool.allocated() * std::mem::size_of::<Node<V>>()
+        self.pool.slab_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -506,7 +514,11 @@ where
     ///   the status sequence number, which must stay constant while a pinned walker
     ///   examines the node;
     /// * a **stale reuse** — a recycled node re-published at another level or key
-    ///   breaks the level tag, the `down`/`root` same-key invariants, or key ordering.
+    ///   breaks the level tag, the `down`/`root` same-key invariants, or key ordering;
+    /// * a **role mix-up** — every node on level 0 (sentinels included) must have been
+    ///   carved as a level-0 node and every node above as a tower node, and a tower's
+    ///   `root` must name a level-0 node: the pool hands a node out only in the role it
+    ///   was carved for, which is what keeps stale reads of tower fields defined.
     ///
     /// Every visited node is additionally recorded as a *witness* and its incarnation
     /// re-verified after the full walk, still under the same pin: epoch reclamation
@@ -520,7 +532,16 @@ where
         let mut checked = 0usize;
         let mut witnesses: Vec<(*const Node<V>, u64)> = Vec::new();
         for level in 0..self.levels() {
+            let role = if level == 0 { Role::Leaf } else { Role::Tower };
+            let carved_as = |node: &Node<V>| {
+                assert_eq!(
+                    self.pool.role_of(node),
+                    Some(role),
+                    "a node linked on level {level} was not carved as a {role:?} node"
+                );
+            };
             let mut curr: &Node<V> = self.head(level);
+            carved_as(curr);
             let mut last_key: Option<(u64, bool)> = None;
             loop {
                 let next = skiptrie_atomics::dcss::read_resolved(&curr.next, &guard);
@@ -532,6 +553,7 @@ where
                 );
                 // SAFETY: node memory is type-stable (pool) and reached while pinned.
                 let node: &Node<V> = unsafe { &*tagged::unpack(next_ptr) };
+                carved_as(node);
                 if node.is_tail() {
                     break;
                 }
@@ -564,7 +586,7 @@ where
                         );
                     }
                     if level > 0 {
-                        let down = node.down.load(Ordering::SeqCst);
+                        let down = node.down_word();
                         assert!(
                             !tagged::is_null(down),
                             "tower node {key} at level {level} lost its down pointer"
@@ -577,6 +599,12 @@ where
                             key,
                             "down pointer of {key} at level {level} reaches another key \
                              (stale recycle below)"
+                        );
+                        let root: *const Node<V> = tagged::unpack(node.root_word());
+                        assert_eq!(
+                            self.pool.role_of(root),
+                            Some(Role::Leaf),
+                            "the root of tower {key} at level {level} is not a level-0 node"
                         );
                     }
                     let seq_after = node.status.load(Ordering::SeqCst) & !STATUS_STOP;
@@ -627,7 +655,9 @@ where
         let mut pred_word = tagged::pack(self.head(top) as *const Node<V>);
         self.walk_level(top, &guard, |node| {
             checked += 1;
-            let word = skiptrie_atomics::dcss::read_resolved(&node.prev, &guard);
+            let word = node.guide().map_or(tagged::NULL, |prev| {
+                skiptrie_atomics::dcss::read_resolved(prev, &guard)
+            });
             if word != pred_word {
                 inexact += 1;
                 // SAFETY: pool memory is type-stable, so a stale guide still
@@ -648,6 +678,8 @@ where
     }
 }
 
+/// Makes a fresh pool node a sentinel. Its other fields keep the pool's poisoned
+/// nulls; the tower links of an upper-level sentinel are set by the caller.
 fn init_sentinel<V>(node: &Node<V>, kind: NodeKind, level: u8, orig_height: u8) {
     node.key.store(
         match kind {
@@ -659,26 +691,22 @@ fn init_sentinel<V>(node: &Node<V>, kind: NodeKind, level: u8, orig_height: u8) 
     node.meta
         .store(pack_meta(kind, level, orig_height), Ordering::SeqCst);
     node.back.store(tagged::NULL, Ordering::SeqCst);
-    node.prev.store(tagged::NULL, Ordering::SeqCst);
-    node.ready.store(1, Ordering::SeqCst);
-    node.down.store(tagged::NULL, Ordering::SeqCst);
-    node.root.store(tagged::NULL, Ordering::SeqCst);
 }
 
 impl<V> Drop for SkipList<V> {
     fn drop(&mut self) {
-        // Exclusive access: every node still linked on some level is freed exactly
-        // once (each node object belongs to exactly one level). Unlinked nodes are
-        // either already recycled into the pool (freed by the pool's Drop) or held by
-        // pending epoch callbacks that will recycle them into the (Arc-kept) pool.
-        for level in 0..self.config.levels {
-            let mut curr = self.heads[level as usize] as *mut Node<V>;
-            while !curr.is_null() {
-                let next_word = unsafe { (*curr).next.load(Ordering::SeqCst) };
-                let next = tagged::unpack::<Node<V>>(tagged::untagged(next_word)) as *mut Node<V>;
-                unsafe { drop(Box::from_raw(curr)) };
-                curr = next;
-            }
+        // Exclusive access. The pool owns every node's memory and frees it with its
+        // slabs; what is left to do here is dropping the values of the level-0 nodes
+        // still linked (each is linked once). Unlinked nodes are either already
+        // recycled, their values dropped, or held by pending epoch callbacks that
+        // will recycle them into the (Arc-kept) pool.
+        let mut curr = self.heads[0];
+        while !curr.is_null() {
+            // SAFETY: a node linked on level 0, which only the pool's drop frees.
+            let node = unsafe { &*curr };
+            // SAFETY: exclusive access; the value is dropped once, here.
+            drop(unsafe { (*node.value().get()).take() });
+            curr = tagged::unpack(tagged::untagged(node.next.load(Ordering::SeqCst)));
         }
     }
 }
@@ -810,5 +838,78 @@ mod tests {
             seed: 1,
             domain: None,
         });
+    }
+
+    #[test]
+    fn every_value_is_dropped_exactly_once() {
+        use std::sync::atomic::AtomicUsize;
+        // A domain of its own, so draining it waits on no other test's pins.
+        const DOMAIN: usize = 9;
+        #[derive(Default)]
+        struct Counts {
+            made: AtomicUsize,
+            dropped: AtomicUsize,
+        }
+        struct Tracked(Arc<Counts>);
+        impl Tracked {
+            fn new(counts: &Arc<Counts>) -> Self {
+                counts.made.fetch_add(1, Ordering::SeqCst);
+                Tracked(Arc::clone(counts))
+            }
+        }
+        impl Clone for Tracked {
+            fn clone(&self) -> Self {
+                Tracked::new(&self.0)
+            }
+        }
+        impl Drop for Tracked {
+            fn drop(&mut self) {
+                self.0.dropped.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let counts = Arc::new(Counts::default());
+        let value = || Tracked::new(&counts);
+        let config = SkipListConfig::for_universe_bits(32)
+            .with_seed(3)
+            .with_domain(DOMAIN);
+        {
+            let mut loaded: SkipList<Tracked> = SkipList::new(config);
+            loaded.bulk_load_sorted((0..500u64).map(|k| (k * 2, value())));
+            let list: SkipList<Tracked> = SkipList::new(config);
+            for k in 0..2_000u64 {
+                assert!(list.insert(k, value()));
+            }
+            assert!(!list.insert(1, value()), "a losing insert drops its value");
+            for k in (0..2_000u64).step_by(3) {
+                assert!(list.remove(k).is_some());
+                assert!(loaded.remove(k).is_some() == (k % 2 == 0 && k < 1_000));
+            }
+            // Recycled nodes carry values again.
+            for k in (0..900u64).step_by(3) {
+                assert!(list.insert(k, value()));
+            }
+            let mut cursor = list.cursor(100);
+            for _ in 0..50 {
+                assert!(cursor.next_entry().is_some());
+            }
+            assert_eq!(list.range(..).count(), 2_000 - 667 + 300);
+            drop(cursor);
+            let (_, recycled, _) = list.allocation_stats();
+            assert!(recycled > 0, "removed nodes were recycled");
+        }
+        // The linked values went with the lists; the removed ones once the domain
+        // drains.
+        for _ in 0..10_000 {
+            epoch::pin_domain(DOMAIN).flush();
+            if epoch::domain_stats(DOMAIN, epoch::Reclaimer::Ebr).pending == 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            counts.dropped.load(Ordering::SeqCst),
+            counts.made.load(Ordering::SeqCst),
+            "values made and dropped"
+        );
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use crate::backoff::Backoff;
 use crate::height::key_height;
-use crate::node::{pack_meta, Node, NodeKind, NodeRef, STATUS_STOP};
+use crate::node::{HeaderFirst, Node, NodeRef, STATUS_STOP};
 use crate::SkipList;
 
 /// Result of a low-level insertion ([`SkipList::insert_from`]).
@@ -62,64 +62,6 @@ where
         }
     }
 
-    /// Initializes a pooled node for publication. The status word is deliberately left
-    /// untouched (its sequence number identifies the incarnation).
-    pub(crate) fn init_node(
-        &self,
-        ptr: *mut Node<V>,
-        key: u64,
-        level: u8,
-        orig_height: u8,
-        down: u64,
-        root: u64,
-        next: u64,
-        value: Option<V>,
-    ) {
-        self.init_node_ordered(
-            ptr,
-            key,
-            level,
-            orig_height,
-            down,
-            root,
-            next,
-            value,
-            Ordering::SeqCst,
-        );
-    }
-
-    /// [`SkipList::init_node`] with an explicit store ordering: `SeqCst` on the
-    /// concurrent insert path (publication racing readers), `Relaxed` on the
-    /// single-owner bulk path, where `&mut self` excludes observers and the eventual
-    /// structure handoff carries the publishing edge.
-    pub(crate) fn init_node_ordered(
-        &self,
-        ptr: *mut Node<V>,
-        key: u64,
-        level: u8,
-        orig_height: u8,
-        down: u64,
-        root: u64,
-        next: u64,
-        value: Option<V>,
-        ordering: Ordering,
-    ) {
-        // SAFETY: the node is not yet published; we have exclusive access.
-        unsafe {
-            let n = &*ptr;
-            n.key.store(key, ordering);
-            n.meta
-                .store(pack_meta(NodeKind::Data, level, orig_height), ordering);
-            n.back.store(tagged::NULL, ordering);
-            n.prev.store(tagged::NULL, ordering);
-            n.ready.store(0, ordering);
-            n.down.store(down, ordering);
-            n.root.store(root, ordering);
-            *n.value.get() = value;
-            n.next.store(next, ordering);
-        }
-    }
-
     /// Schedules a node for recycling once no pinned thread can still reach it.
     ///
     /// # Safety
@@ -134,7 +76,7 @@ where
     }
 
     /// Recycles a node that was never published (no other thread can know about it).
-    fn recycle_unpublished(&self, ptr: *mut Node<V>) {
+    fn recycle_unpublished<N: HeaderFirst<V>>(&self, ptr: *mut N) {
         // SAFETY: the node was acquired from our pool and never became reachable.
         unsafe { self.pool().recycle(ptr) };
     }
@@ -162,7 +104,7 @@ where
 
         // Phase 1: link the root (level-0) node.
         let mut preds = self.find_preds(key, start_node, guard);
-        let root_ptr: *mut Node<V>;
+        let root_ptr: *const Node<V>;
         let mut root_backoff = Backoff::new();
         loop {
             let (l0, r0) = preds[0];
@@ -170,23 +112,23 @@ where
                 // SAFETY: a level-0 data node reached through live links while
                 // pinned; it was given its value before it was linked, and it
                 // cannot be recycled before `guard` ends.
-                let present = unsafe { (*r0.value.get()).as_ref() };
+                let present = unsafe { (*r0.value().get()).as_ref() };
                 return InsertOutcome::AlreadyPresent(
                     present.expect("a level-0 data node carries its value"),
                 );
             }
             let ptr = self.pool().acquire();
-            let self_word = tagged::pack(ptr as *const Node<V>);
-            self.init_node(
-                ptr,
-                key,
-                0,
-                orig_height,
-                tagged::NULL,
-                self_word,
-                tagged::pack(r0 as *const Node<V>),
-                Some(value.clone()),
-            );
+            let self_word = tagged::pack(ptr);
+            // SAFETY: the node is not yet published; we have exclusive access.
+            unsafe {
+                (*ptr).init(
+                    key,
+                    orig_height,
+                    tagged::pack(r0 as *const Node<V>),
+                    value.clone(),
+                    Ordering::SeqCst,
+                )
+            };
             match cas_resolved(
                 &l0.next,
                 tagged::pack(r0 as *const Node<V>),
@@ -194,7 +136,7 @@ where
                 guard,
             ) {
                 Ok(()) => {
-                    root_ptr = ptr;
+                    root_ptr = ptr.cast::<Node<V>>();
                     break;
                 }
                 Err(_) => {
@@ -209,7 +151,7 @@ where
         // SAFETY: we just created and published this node; it stays valid while pinned.
         let root: &Node<V> = unsafe { &*root_ptr };
         let root_status = root.status.load(Ordering::SeqCst);
-        let root_word = tagged::pack(root_ptr as *const Node<V>);
+        let root_word = tagged::pack(root_ptr);
 
         // Phase 2: raise the tower up to `orig_height` (or until a delete stops us).
         // The paper conditions every raise on the root's STOP flag *remaining unset* —
@@ -227,8 +169,8 @@ where
         let mut top_node: Option<&Node<V>> = None;
         let mut top_pred: Option<&Node<V>> = None;
         'levels: for level in 1..=raise_height {
-            let ptr = self.pool().acquire();
-            let node_word = tagged::pack(ptr as *const Node<V>);
+            let ptr = self.pool().acquire_tower();
+            let node_word = tagged::pack(ptr);
             let mut attempt_start: &Node<V> = preds[level as usize].0;
             let mut raise_backoff = Backoff::new();
             loop {
@@ -244,16 +186,18 @@ where
                     self.recycle_unpublished(ptr);
                     break 'levels;
                 }
-                self.init_node(
-                    ptr,
-                    key,
-                    level,
-                    orig_height,
-                    lower_word,
-                    root_word,
-                    tagged::pack(r as *const Node<V>),
-                    None,
-                );
+                // SAFETY: the node is not yet published; we have exclusive access.
+                unsafe {
+                    (*ptr).init(
+                        key,
+                        level,
+                        orig_height,
+                        lower_word,
+                        root_word,
+                        tagged::pack(r as *const Node<V>),
+                        Ordering::SeqCst,
+                    )
+                };
                 // The raise is conditioned on the root's status word staying exactly
                 // as observed (not stopped, same incarnation) — the paper's "each
                 // insertion is conditioned on the stop flag of the root remaining
@@ -273,7 +217,7 @@ where
                 match res {
                     Ok(()) => {
                         // SAFETY: just published; valid while pinned.
-                        let node: &Node<V> = unsafe { &*ptr };
+                        let node: &Node<V> = unsafe { &*ptr.cast::<Node<V>>() };
                         if root.status.load(Ordering::SeqCst) != root_status {
                             // A delete began concurrently and may already have swept
                             // this level; undo our own raise so no tower node is
@@ -338,9 +282,12 @@ where
 
     /// The paper's `fixPrev(pred, node)`: locate `node`'s current top-level
     /// predecessor and swing `node.prev` to it, conditioned on the predecessor not
-    /// being (in the process of being) deleted. Sets `node.ready` on success; gives up
-    /// if `node` itself becomes marked.
+    /// being (in the process of being) deleted. Gives up if `node` itself becomes
+    /// marked; does nothing on level 0, which keeps no guides.
     pub(crate) fn fix_prev(&self, pred_hint: Option<&Node<V>>, node: &Node<V>, guard: &Guard) {
+        let Some(guide) = node.guide() else {
+            return;
+        };
         let top = self.top_level();
         let mut hint: &Node<V> = pred_hint.unwrap_or_else(|| self.head(top));
         let mut attempts = 0usize;
@@ -364,7 +311,7 @@ where
                 hint = left;
                 continue;
             }
-            let node_prev = read_resolved(&node.prev, guard);
+            let node_prev = read_resolved(guide, guard);
             let desired = tagged::pack(left as *const Node<V>);
             if node_prev == desired {
                 break;
@@ -377,7 +324,7 @@ where
             // SAFETY: the guard word is `left`'s status, kept valid by the pool.
             let res = unsafe {
                 dcss(
-                    &node.prev,
+                    guide,
                     node_prev,
                     desired,
                     &left.status as *const AtomicU64,
@@ -395,7 +342,6 @@ where
                 }
             }
         }
-        node.ready.store(1, Ordering::SeqCst);
     }
 
     /// One-shot best-effort repair making `right.prev` point to `left` (the paper's
@@ -406,7 +352,10 @@ where
         if right.node.is_tail() || right.node.is_head() {
             return false;
         }
-        let node_prev = read_resolved(&right.node.prev, guard);
+        let Some(guide) = right.node.guide() else {
+            return false;
+        };
+        let node_prev = read_resolved(guide, guard);
         let desired = left.packed();
         if node_prev == desired {
             return false;
@@ -418,7 +367,7 @@ where
         // SAFETY: the guard word is `left`'s status, kept valid by the pool.
         unsafe {
             dcss(
-                &right.node.prev,
+                guide,
                 node_prev,
                 desired,
                 left.status_word_ptr(),
@@ -497,7 +446,7 @@ where
         }
         // Physically unlink (list_search unlinks marked nodes it encounters).
         let _ = self.list_search(level, node.key_value(), hint, guard);
-        if level == self.top_level() {
+        if level > 0 && level == self.top_level() {
             self.repair_after_top_delete(node, hint, guard);
         }
         true
@@ -530,7 +479,7 @@ where
         let root_was_top = root.orig_height() == top;
         // Capture the value before the node can be recycled.
         // SAFETY: `root` is a live level-0 node reached via a verified traversal.
-        let value = unsafe { (*root.value.get()).clone() };
+        let value = unsafe { (*root.value().get()).clone() };
         // Stop the tower: racing inserts will not raise it further (Section 2).
         root.set_stop();
 
@@ -546,7 +495,7 @@ where
             if !(r.is_data() && r.key_value() == key) {
                 continue;
             }
-            if r.root.load(Ordering::SeqCst) != root_word {
+            if r.root_word() != root_word {
                 // A node with the same key but from a different tower (e.g. a remnant
                 // of another incarnation); not ours to remove.
                 continue;
@@ -609,14 +558,14 @@ where
         let (l0, r0) = preds[0];
         if r0.is_data() && r0.key_value() == key {
             // SAFETY: level-0 data node reached via verified traversal.
-            let v = unsafe { (*r0.value.get()).clone() };
+            let v = unsafe { (*r0.value().get()).clone() };
             return v.map(|v| (key, v));
         }
         if !l0.is_data() {
             return None;
         }
         // SAFETY: as above.
-        let v = unsafe { (*l0.value.get()).clone() };
+        let v = unsafe { (*l0.value().get()).clone() };
         v.map(|v| (l0.key_value(), v))
     }
 
@@ -634,7 +583,7 @@ where
             return None;
         }
         // SAFETY: level-0 data node reached via verified traversal.
-        let v = unsafe { (*r0.value.get()).clone() };
+        let v = unsafe { (*r0.value().get()).clone() };
         v.map(|v| (r0.key_value(), v))
     }
 
@@ -662,7 +611,7 @@ where
         for level in (0..self.levels()).rev() {
             let (l, r) = self.list_search(level, key, start_node, guard);
             if r.is_data() && r.key_value() == key {
-                let root_w = r.root.load(Ordering::SeqCst);
+                let root_w = r.root_word();
                 if !tagged::is_null(root_w) {
                     // SAFETY: root pointers reference pool-kept (type-stable) nodes of
                     // this structure, so the dereference is defined even if stale; the
@@ -682,7 +631,7 @@ where
             if level == 0 {
                 return None;
             }
-            let down = l.down.load(Ordering::SeqCst);
+            let down = l.down_word();
             start_node = if tagged::is_null(down) {
                 self.head(level - 1)
             } else {
@@ -707,7 +656,7 @@ where
         let root = self.find_exact(key, start, guard)?;
         // SAFETY: `root` was observed unmarked under this pin (see `find_exact`), so
         // its value slot cannot be poisoned or re-initialized before `guard` ends.
-        unsafe { (*root.value.get()).as_ref() }
+        unsafe { (*root.value().get()).as_ref() }
     }
 
     /// A clone of the value stored under exactly `key` ([`SkipList::get_in`]).

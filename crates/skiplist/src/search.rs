@@ -73,7 +73,8 @@ where
             from.back.load(Ordering::SeqCst)
         } else {
             metrics::record(Counter::PrevPointerFollowed);
-            read_resolved(&from.prev, guard)
+            from.guide()
+                .map_or(tagged::NULL, |prev| read_resolved(prev, guard))
         };
         if tagged::is_null(word) {
             metrics::record(Counter::GuideNull);
@@ -247,7 +248,7 @@ where
             let (left, right) = self.list_search(level, x, start, guard);
             brackets[level as usize] = Some((left, right));
             if level > 0 {
-                let down = left.down.load(Ordering::SeqCst);
+                let down = left.down_word();
                 start = if tagged::is_null(down) {
                     self.head(level - 1)
                 } else {
@@ -352,7 +353,7 @@ mod tests {
             ),
         ];
         for (broken, cause) in broken_guides {
-            victim.prev.store(broken, Ordering::SeqCst);
+            victim.guide().unwrap().store(broken, Ordering::SeqCst);
             assert_eq!(list.check_prev_guides(), (n, 1, 1), "{cause}");
             let (arrived, first) = metrics::measure(|| {
                 list.walk_to_le(top_keys[mid] - 1, NodeRef::new(victim), &guard)
