@@ -87,6 +87,19 @@ fn ns_per_op(map: &dyn OrderedKv<u64>, ops: &[Op]) -> f64 {
     ns_per(sw, ops.len())
 }
 
+/// Mean ns of the trie's lowest-ancestor search alone over the keys of `ops`.
+fn ancestor_ns_per_op(trie: &SkipTrie<u64>, ops: &[Op]) -> f64 {
+    let sw = Stopwatch::start();
+    for &op in ops {
+        let key = match op {
+            Op::Insert(k) | Op::Remove(k) | Op::Predecessor(k) => k,
+            Op::Scan { from, .. } => from,
+        };
+        black_box(trie.lowest_ancestor_key(key));
+    }
+    ns_per(sw, ops.len())
+}
+
 /// `max / min` of a column.
 fn spread(values: &[f64]) -> f64 {
     let max = values.iter().copied().fold(f64::MIN, f64::max);
@@ -116,6 +129,7 @@ fn e1() -> Outcome {
         prefill(&trie, &keys);
         let trie_steps = measure_steps(&trie, &ops);
         let trie_ns = ns_per_op(&trie, &ops);
+        let ancestor_ns = ancestor_ns_per_op(&trie, &ops);
         // One structure beside the trie at a time: at m = 2^22 the trie alone
         // holds ~1.0 GB (VmRSS around its build, 2-vCPU x86-64 Linux).
         let (list_steps, list_ns) = {
@@ -146,6 +160,7 @@ fn e1() -> Outcome {
             real(list_ns, 0),
             real(btree_ns, 0),
             real(trie_ns / list_ns, 2),
+            real(ancestor_ns, 0),
         ]);
     }
     let mut out = Outcome::default();
@@ -162,6 +177,7 @@ fn e1() -> Outcome {
             "skiplist_ns/op",
             "locked_btree_ns/op",
             "skiptrie/skiplist_ns",
+            "skiptrie_ancestor_ns/op",
         ],
         rows,
     );
@@ -360,6 +376,7 @@ fn e5() -> Outcome {
         let (allocated, _, pooled) = trie.allocation_stats();
         let bytes = trie.approx_node_bytes() as f64 / m as f64;
         let prefix_bytes = trie.approx_prefix_bytes() as f64 / m as f64;
+        let dir_bytes = trie.approx_prefix_directory_bytes() as f64 / m as f64;
         if m >= 1_000 {
             bytes_per_key.push(bytes);
             prefix_bytes_per_key.push(prefix_bytes);
@@ -376,6 +393,7 @@ fn e5() -> Outcome {
             pooled.into(),
             real(bytes, 0),
             real(prefix_bytes, 0),
+            real(dir_bytes, 1),
         ]);
     }
     let mut out = Outcome::default();
@@ -393,6 +411,7 @@ fn e5() -> Outcome {
             "pool_free",
             "node_bytes/key",
             "prefix_bytes/key",
+            "dir_bytes/key",
         ],
         rows,
     );
@@ -402,7 +421,7 @@ fn e5() -> Outcome {
         format!("node bytes/key max/min over m >= 1000 is {ratio:.3}, want <= 1.05"),
     );
     // `O(m)`, not flat: prefixes per key fall as the shared top of the tree
-    // grows, and bucket dummies come in doublings (EXPERIMENTS.md §`e5`).
+    // grows, and bucket sentinels come in doublings (EXPERIMENTS.md §`e5`).
     let ratio = spread(&prefix_bytes_per_key);
     out.expect(
         ratio <= 2.0,

@@ -829,11 +829,18 @@ where
         self.skiplist.approx_node_bytes()
     }
 
-    /// Bytes of the prefix table's list nodes, one per prefix and one per
-    /// initialized bucket, each holding its trie node (experiment E5;
+    /// Bytes of the prefix table's list: one entry per prefix, holding its trie
+    /// node, and one 16-byte sentinel per linked bucket (experiment E5;
     /// quiescently accurate).
     pub fn approx_prefix_bytes(&self) -> usize {
         self.prefixes.node_bytes()
+    }
+
+    /// Bytes of the prefix table's bucket directory: its leaves of 16-byte bucket
+    /// sentinels, linked or not, and its interior nodes (experiment E5;
+    /// quiescently accurate).
+    pub fn approx_prefix_directory_bytes(&self) -> usize {
+        self.prefixes.directory_bytes()
     }
 
     /// Audits every skiplist level under one pin, panicking if a reclamation-safety

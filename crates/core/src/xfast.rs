@@ -533,6 +533,16 @@ where
         }
     }
 
+    /// The lowest-ancestor search alone (Algorithm 3, without the walk and the
+    /// descent after it): the key of the top-level node the search would start
+    /// `key`'s descent from, or `None` for the head sentinel. Experiment `e1`
+    /// times it.
+    pub fn lowest_ancestor_key(&self, key: u64) -> Option<u64> {
+        let guard = self.pin();
+        let (start, _) = self.lowest_ancestor(key, &guard);
+        (!start.is_head()).then(|| start.key())
+    }
+
     /// Number of prefixes currently stored in the trie's hash table (statistics for
     /// experiments F1/E5).
     pub fn prefix_count(&self) -> usize {
@@ -664,8 +674,41 @@ where
 mod tests {
     use super::*;
     use crate::SkipTrieConfig;
+    use skiptrie_splitorder::SplitOrderedMap;
     use skiptrie_workloads::{harness::scaled, SplitMix64};
     use std::collections::HashMap;
+
+    #[test]
+    fn a_prefix_entry_is_forty_bytes_and_a_bucket_sentinel_sixteen() {
+        let map: SplitOrderedMap<Prefix, TrieNode> = SplitOrderedMap::new();
+        assert!(map.insert(Prefix::EMPTY, TrieNode::new([0, 0])));
+        // One entry, and bucket 0's sentinel: the table's only bucket.
+        assert_eq!(map.bucket_count(), 1);
+        assert_eq!(map.node_bytes(), 40 + 16);
+    }
+
+    #[test]
+    fn the_lowest_ancestor_key_is_a_top_level_neighbour() {
+        let trie: SkipTrie<u64> = SkipTrie::new(SkipTrieConfig::for_universe_bits(32));
+        assert_eq!(
+            trie.lowest_ancestor_key(5),
+            None,
+            "an empty trie starts at the head"
+        );
+        for k in (0..4_000u64).map(|i| i * 1_000) {
+            trie.insert(k, k);
+        }
+        let top = trie.top_level_keys();
+        for q in (0..4_000_000u64).step_by(7_919) {
+            let start = trie.lowest_ancestor_key(q).expect("a populated trie");
+            let i = top.partition_point(|&t| t <= q);
+            let neighbours = [i.checked_sub(1).map(|j| top[j]), top.get(i).copied()];
+            assert!(
+                neighbours.contains(&Some(start)),
+                "query {q} started at {start}"
+            );
+        }
+    }
 
     /// Table calls one lowest-ancestor search may make: the [`Search`]'s
     /// `2·⌈log₂ b⌉ + 1` probes and the ε fallback.

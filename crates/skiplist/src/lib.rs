@@ -214,7 +214,7 @@ where
     pub fn new(config: SkipListConfig) -> Self {
         assert!(config.levels >= 1, "a skiplist needs at least one level");
         assert!(
-            config.levels <= 32,
+            usize::from(config.levels) <= search::MAX_LEVELS,
             "more than 32 levels is never useful for u64 keys"
         );
         let pool = Arc::new(NodePool::new());

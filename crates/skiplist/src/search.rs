@@ -28,6 +28,45 @@ const WALK_HOP_LIMIT: usize = 256;
 /// head sentinel instead of the caller's hint.
 const SEARCH_RESTART_LIMIT: usize = 3;
 
+/// Most levels a list has (`SkipList::new` asserts it): the size of a descent's
+/// [`Brackets`].
+pub(crate) const MAX_LEVELS: usize = 32;
+
+/// The `(left, right)` bracket of one descent on every level, level `i` at index
+/// `i`: a fixed array, so a search allocates nothing.
+pub(crate) struct Brackets<'g, V> {
+    levels: usize,
+    at: [(&'g Node<V>, &'g Node<V>); MAX_LEVELS],
+}
+
+impl<'g, V> std::ops::Deref for Brackets<'g, V> {
+    type Target = [(&'g Node<V>, &'g Node<V>)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.at[..self.levels]
+    }
+}
+
+/// Asks for the line of the node `down` names (the next level's first hop) while
+/// this level's walk goes on. A hint only: on other targets it does nothing.
+#[inline(always)]
+fn prefetch_down<V>(node: &Node<V>) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let down = node.down_word();
+        if !tagged::is_null(down) {
+            // SAFETY: a prefetch neither faults nor changes memory, whatever the
+            // address.
+            unsafe {
+                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                _mm_prefetch::<_MM_HINT_T0>(tagged::unpack::<i8>(down));
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = node;
+}
+
 impl<V> SkipList<V>
 where
     V: Clone + Send + Sync + 'static,
@@ -165,7 +204,9 @@ where
     /// The paper's `listSearch(x, start)` on one level: returns `(left, right)` such
     /// that `left.key < x <= right.key`, both were unmarked when observed, and
     /// `left.next == right` held at some point during the call. Marked nodes
-    /// encountered along the way are physically unlinked.
+    /// encountered along the way are physically unlinked. Above level 0 it
+    /// prefetches the `down` target of `left` as `left` advances, and of `right` when
+    /// it returns: the next level's walk starts at the one and ends by the other.
     pub(crate) fn list_search<'g>(
         &'g self,
         level: u8,
@@ -224,9 +265,15 @@ where
                     }
                 }
                 if curr.key_ge(x) {
+                    if level > 0 {
+                        prefetch_down(curr);
+                    }
                     return (left, curr);
                 }
                 left = curr;
+                if level > 0 {
+                    prefetch_down(left);
+                }
                 curr_word = tagged::untagged(curr_next);
             }
         }
@@ -234,19 +281,21 @@ where
 
     /// Descends from `start_top` (a top-level node with key `< x`, or any usable hint)
     /// collecting the `(left, right)` bracket of `x` on every level, top to bottom.
-    /// Index `i` of the returned vector is level `i`.
     pub(crate) fn find_preds<'g>(
         &'g self,
         x: u64,
         start_top: &'g Node<V>,
         guard: &'g Guard,
-    ) -> Vec<(&'g Node<V>, &'g Node<V>)> {
+    ) -> Brackets<'g, V> {
         let levels = self.levels();
-        let mut brackets: Vec<Option<(&Node<V>, &Node<V>)>> = vec![None; levels as usize];
+        let mut brackets = Brackets {
+            levels: levels as usize,
+            at: [(start_top, start_top); MAX_LEVELS],
+        };
         let mut start = start_top;
         for level in (0..levels).rev() {
             let (left, right) = self.list_search(level, x, start, guard);
-            brackets[level as usize] = Some((left, right));
+            brackets.at[level as usize] = (left, right);
             if level > 0 {
                 let down = left.down_word();
                 start = if tagged::is_null(down) {
@@ -260,9 +309,6 @@ where
             }
         }
         brackets
-            .into_iter()
-            .map(|b| b.expect("all levels visited"))
-            .collect()
     }
 
     /// The walk of Algorithm 4 (`xFastTriePred`): starting from a (possibly marked,

@@ -1,5 +1,6 @@
 //! The growable bucket directory: a lock-free segment *tree* whose root pointer
-//! carries the tree height in its low tag bits.
+//! carries the tree height in its low tag bits, and whose leaves hold the buckets'
+//! sentinels inline.
 //!
 //! The original directory was a fixed `Box<[AtomicPtr<Segment>]>` of `2^12` lazily
 //! allocated segments — a hard ceiling of `2^24` buckets past which every probe of
@@ -9,35 +10,50 @@
 //! the top node and the current tree height, so one atomic load tells a reader how
 //! to interpret the whole structure.
 //!
+//! # Two node types
+//!
+//! An interior node is `fanout` words, each a child pointer (`0` = not yet
+//! allocated). A leaf is `fanout` 16-byte [`Sentinel`]s, one per bucket, laid out
+//! back to back on 64-byte-aligned memory so that no sentinel straddles a cache
+//! line. A leaf is born with every sentinel's split-order key written and its word
+//! [`UNCLAIMED`](crate::list::UNCLAIMED): a leaf's first bucket index is fixed when
+//! it is allocated, because leaves never move. The map claims and links a sentinel
+//! in place (see [`crate::list`]), so a bucket lookup is the tree descent plus one
+//! load of the sentinel's own `next` word — the word a chain walk starts from.
+//! A tree of height 1 is a single leaf; the level a node sits at names its type.
+//!
 //! # The CAS-grow protocol
 //!
 //! A tree of height `h` covers bucket indices `0 .. fanout^h`. To grow, a thread
-//! allocates a fresh node, stores the *current* root pointer into its slot 0, and
-//! CASes the root word from `(old_root, h)` to `(new_node, h + 1)`. Slot 0 is the
-//! correct position because every index that fits in the old tree has zeros in the
-//! bit positions the new level decodes. A loser of the race frees its fresh node
+//! allocates a fresh interior node, stores the *current* root pointer into its slot
+//! 0, and CASes the root word from `(old_root, h)` to `(new_node, h + 1)`. Slot 0 is
+//! the correct position because every index that fits in the old tree has zeros in
+//! the bit positions the new level decodes. A loser of the race frees its fresh node
 //! (nothing else can have seen it) and re-reads the root. Readers that loaded the
 //! old root word *before* the growth stay correct: the old root is still the live
-//! subtree covering the low indices, and the leaf slots it reaches are the very same
-//! `AtomicU64` words the taller tree reaches for those indices.
+//! subtree covering the low indices, and the sentinels it reaches are the very same
+//! ones the taller tree reaches for those indices.
 //!
 //! Interior and leaf nodes are raced in with CAS exactly like the old segments:
-//! allocate zeroed, `compare_exchange(null, fresh)`, loser frees. Nodes are **never
+//! allocate, `compare_exchange(null, fresh)`, loser frees. Nodes are **never
 //! unlinked or moved** while the map is alive, which is why readers need no epoch
-//! pin beyond the one the map already holds for its list nodes: directory memory is
-//! type- and address-stable for the map's whole lifetime and is freed only by
-//! [`Drop`] under `&mut self`.
+//! pin beyond the one the map already holds for its list nodes: directory memory,
+//! sentinels included, is address-stable for the map's whole lifetime and is freed
+//! only by [`Drop`] under `&mut self`.
 //!
 //! The height tag needs 3 bits (heights `1..=7`), one more than the workspace's
 //! [`skiptrie_atomics::tagged`] mark/descriptor pair uses, so the packing lives here
-//! rather than in `tagged`; `AtomicU64` nodes are 8-byte aligned, leaving exactly 3
+//! rather than in `tagged`; every node is at least 8-byte aligned, leaving exactly 3
 //! low bits. Seven levels of the default `2^12` fanout cover `2^84` buckets — more
 //! indices than a `u64` hash can name, so the default directory is unbounded in
 //! every practical sense and [`Directory::max_capacity`] saturates at `2^63`.
 
+use std::alloc::{self, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use skiptrie_metrics::{self as metrics, Counter};
+
+use crate::list::Sentinel;
 
 /// Mask of the root-word bits holding the tree height (`1..=MAX_HEIGHT`).
 const HEIGHT_MASK: u64 = 0b111;
@@ -46,7 +62,7 @@ const HEIGHT_MASK: u64 = 0b111;
 pub(crate) const MAX_HEIGHT: u32 = 7;
 
 /// Default fanout exponent: `2^12` slots per node, matching the segment size of the
-/// old fixed directory (one node = one 32 KiB leaf segment).
+/// old fixed directory (a 64 KiB leaf of sentinels, a 32 KiB interior node).
 pub(crate) const DEFAULT_SEGMENT_BITS: u32 = 12;
 
 /// Shape of a [`crate::SplitOrderedMap`]'s bucket directory.
@@ -91,7 +107,7 @@ impl DirectoryConfig {
     }
 }
 
-/// Allocates one zeroed tree node of `fanout` slots, returning its thin pointer.
+/// Allocates one zeroed interior node of `fanout` slots, returning its thin pointer.
 fn alloc_node(fanout: usize) -> *mut AtomicU64 {
     metrics::record(Counter::DirNodeAlloc);
     let node: Box<[AtomicU64]> = (0..fanout).map(|_| AtomicU64::new(0)).collect();
@@ -111,12 +127,45 @@ unsafe fn free_node(node: *mut AtomicU64, fanout: usize) {
     )));
 }
 
+/// Layout of a leaf of `fanout` sentinels: line-aligned, so none straddles a line.
+fn leaf_layout(fanout: usize) -> Layout {
+    Layout::from_size_align(fanout * std::mem::size_of::<Sentinel>(), 64)
+        .expect("a leaf's size fits a layout")
+}
+
+/// Allocates the leaf whose first bucket is `base`: `fanout` unclaimed sentinels.
+fn alloc_leaf(fanout: usize, base: usize) -> *mut Sentinel {
+    metrics::record(Counter::DirNodeAlloc);
+    let layout = leaf_layout(fanout);
+    // SAFETY: the layout has a non-zero size.
+    let leaf = unsafe { alloc::alloc(layout) } as *mut Sentinel;
+    if leaf.is_null() {
+        alloc::handle_alloc_error(layout);
+    }
+    for i in 0..fanout {
+        // SAFETY: `i < fanout`, inside the fresh allocation.
+        unsafe { leaf.add(i).write(Sentinel::unclaimed((base + i) as u64)) };
+    }
+    leaf
+}
+
+/// Frees a leaf previously produced by [`alloc_leaf`]. Sentinels own nothing, so
+/// none needs a drop.
+///
+/// # Safety
+///
+/// `leaf` must be an [`alloc_leaf`] result of the same `fanout`, not freed before,
+/// and no longer reachable by any thread.
+unsafe fn free_leaf(leaf: *mut Sentinel, fanout: usize) {
+    metrics::record(Counter::DirNodeFreed);
+    alloc::dealloc(leaf as *mut u8, leaf_layout(fanout));
+}
+
 /// The lock-free growable bucket directory (see the module docs).
 ///
-/// Leaf slots are the map's bucket entries (tagged list-node words, `0` =
-/// uninitialized bucket); interior slots hold packed child-node pointers (`0` = not
-/// yet allocated). Both are bare `u64` words, so one node type serves every level
-/// and the level a slot is read at decides its meaning.
+/// Leaf slots are the map's bucket sentinels; interior slots hold child-node
+/// pointers (`0` = not yet allocated). A node at height 1 is a leaf, any higher one
+/// interior.
 pub(crate) struct Directory {
     /// Packed root: node pointer | tree height (low 3 bits, `1..=MAX_HEIGHT`).
     root: AtomicU64,
@@ -135,7 +184,7 @@ impl Directory {
             (2..=16).contains(&fanout_bits),
             "segment_bits must be between 2 and 16, got {fanout_bits}"
         );
-        let root = alloc_node(1 << fanout_bits);
+        let root = alloc_leaf(1 << fanout_bits, 0);
         Directory {
             root: AtomicU64::new(root as u64 | 1),
             fanout_bits,
@@ -171,6 +220,19 @@ impl Directory {
 
     /// Number of allocated tree nodes (quiescently accurate; diagnostics only).
     pub(crate) fn node_count(&self) -> usize {
+        self.count_nodes().0
+    }
+
+    /// Bytes of the allocated tree nodes, leaves and interior nodes (quiescently
+    /// accurate; statistics only).
+    pub(crate) fn bytes(&self) -> usize {
+        let (nodes, leaves) = self.count_nodes();
+        (nodes - leaves) * self.fanout() * std::mem::size_of::<AtomicU64>()
+            + leaves * leaf_layout(self.fanout()).size()
+    }
+
+    /// `(nodes, leaves)` of the whole tree.
+    fn count_nodes(&self) -> (usize, usize) {
         let root = self.root.load(Ordering::SeqCst);
         self.count_subtree(
             (root & !HEIGHT_MASK) as *mut AtomicU64,
@@ -178,15 +240,18 @@ impl Directory {
         )
     }
 
-    fn count_subtree(&self, node: *mut AtomicU64, height: u32) -> usize {
-        let mut total = 1;
-        if height > 1 {
-            for i in 0..self.fanout() {
-                // SAFETY: nodes are live for the directory's lifetime.
-                let child = unsafe { (*node.add(i)).load(Ordering::SeqCst) };
-                if child != 0 {
-                    total += self.count_subtree(child as *mut AtomicU64, height - 1);
-                }
+    /// `(nodes, leaves)` of the subtree rooted at `node`.
+    fn count_subtree(&self, node: *mut AtomicU64, height: u32) -> (usize, usize) {
+        if height == 1 {
+            return (1, 1);
+        }
+        let mut total = (1, 0);
+        for i in 0..self.fanout() {
+            // SAFETY: nodes are live for the directory's lifetime.
+            let child = unsafe { (*node.add(i)).load(Ordering::SeqCst) };
+            if child != 0 {
+                let (nodes, leaves) = self.count_subtree(child as *mut AtomicU64, height - 1);
+                total = (total.0 + nodes, total.1 + leaves);
             }
         }
         total
@@ -246,9 +311,9 @@ impl Directory {
         }
     }
 
-    /// The bucket word for `index`, growing the tree and allocating the node path on
-    /// demand. The returned reference stays valid for the directory's lifetime.
-    pub(crate) fn entry(&self, index: usize) -> &AtomicU64 {
+    /// The sentinel of bucket `index`, growing the tree and allocating the node path
+    /// on demand. The returned reference stays valid for the directory's lifetime.
+    pub(crate) fn bucket(&self, index: usize) -> &Sentinel {
         let mask = self.fanout() - 1;
         loop {
             let root = self.root.load(Ordering::SeqCst);
@@ -275,26 +340,44 @@ impl Directory {
                 node = if child != 0 {
                     child as *mut AtomicU64
                 } else {
-                    self.install_child(slot)
+                    self.install_child(slot, level == 1, index & !mask)
                 };
             }
-            // SAFETY: as above; `index & mask` is within the node.
-            return unsafe { &*node.add(index & mask) };
+            // SAFETY: `node` is the leaf on the index's path; `index & mask` is
+            // within it.
+            return unsafe { &*(node as *const Sentinel).add(index & mask) };
         }
     }
 
-    /// Races a zeroed child node into an interior `slot`; the loser frees its node
-    /// and adopts the winner's.
-    fn install_child(&self, slot: &AtomicU64) -> *mut AtomicU64 {
-        let fresh = alloc_node(self.fanout());
+    /// The `next` word of bucket `index`'s sentinel.
+    #[cfg(test)]
+    pub(crate) fn entry(&self, index: usize) -> &AtomicU64 {
+        &self.bucket(index).next
+    }
+
+    /// Races a fresh child node into an interior `slot` — a leaf whose first bucket
+    /// is `base` when the slot is on level 1 — and returns the child the slot holds;
+    /// a loser frees its node and adopts the winner's.
+    fn install_child(&self, slot: &AtomicU64, leaf: bool, base: usize) -> *mut AtomicU64 {
+        let fresh = if leaf {
+            alloc_leaf(self.fanout(), base) as *mut AtomicU64
+        } else {
+            alloc_node(self.fanout())
+        };
         metrics::record(Counter::CasAttempt);
         match slot.compare_exchange(0, fresh as u64, Ordering::SeqCst, Ordering::SeqCst) {
             Ok(_) => fresh,
             Err(existing) => {
                 metrics::record(Counter::CasFailure);
-                // SAFETY: the CAS failed, so no other thread ever saw `fresh`, and
-                // its slots are still all zero.
-                unsafe { free_node(fresh, self.fanout()) };
+                // SAFETY: the CAS failed, so no other thread ever saw `fresh`; an
+                // interior one's slots are still all zero.
+                unsafe {
+                    if leaf {
+                        free_leaf(fresh as *mut Sentinel, self.fanout());
+                    } else {
+                        free_node(fresh, self.fanout());
+                    }
+                }
                 existing as *mut AtomicU64
             }
         }
@@ -305,26 +388,28 @@ impl Drop for Directory {
     fn drop(&mut self) {
         let root = *self.root.get_mut();
         let height = (root & HEIGHT_MASK) as u32;
-        // SAFETY: exclusive access; every reachable node was alloc_node'd and is
+        // SAFETY: exclusive access; every reachable node was allocated here and is
         // freed exactly once by the walk.
         unsafe { self.free_subtree((root & !HEIGHT_MASK) as *mut AtomicU64, height) };
     }
 }
 
 impl Directory {
-    /// Frees the subtree rooted at `node` (leaf slots hold list-node words owned by
-    /// the map, not by the directory, and are left alone).
+    /// Frees the subtree rooted at `node`. Sentinels hold list-node words owned by
+    /// the map, not by the directory, and are left alone.
     ///
     /// # Safety
     ///
     /// Requires exclusive access and a well-formed subtree of the given height.
     unsafe fn free_subtree(&self, node: *mut AtomicU64, height: u32) {
-        if height > 1 {
-            for i in 0..self.fanout() {
-                let child = (*node.add(i)).load(Ordering::Relaxed);
-                if child != 0 {
-                    self.free_subtree(child as *mut AtomicU64, height - 1);
-                }
+        if height == 1 {
+            free_leaf(node as *mut Sentinel, self.fanout());
+            return;
+        }
+        for i in 0..self.fanout() {
+            let child = (*node.add(i)).load(Ordering::Relaxed);
+            if child != 0 {
+                self.free_subtree(child as *mut AtomicU64, height - 1);
             }
         }
         free_node(node, self.fanout());

@@ -13,10 +13,17 @@
 //! All items live in a single lock-free sorted linked list (a Harris-style list with
 //! logical deletion marks). The sort key is the *bit-reversed* hash: recursively
 //! splitting a bucket in two then corresponds to a contiguous split of the list, so
-//! the table can double its bucket count without moving a single item. Each bucket is
-//! a lazily-created *dummy* node that points into the list at the position where that
-//! bucket's items begin; a lookup hashes the key, finds (or initializes) the bucket's
-//! dummy, and scans a short expected-`O(1)` run of the list.
+//! the table can double its bucket count without moving a single item. Each bucket
+//! has a *sentinel* (the paper's dummy node) that sits in the list at the position
+//! where that bucket's items begin; a lookup hashes the key, finds the bucket's
+//! sentinel, and scans a short expected-`O(1)` run of the list.
+//!
+//! A sentinel is 16 bytes — a split-order key and a `next` word — and lives inline
+//! in a leaf of the bucket directory, so finding it is the directory descent and
+//! nothing more. It is linked into the list lazily, by the one thread that claims
+//! it; until then, and while the link is in flight, walks for that bucket start
+//! from its parent bucket's sentinel, so no thread waits for another. The bulk load
+//! links sentinels in place as its merge passes them.
 //!
 //! # Examples
 //!

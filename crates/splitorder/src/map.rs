@@ -3,14 +3,14 @@
 //! [`crate::list`].
 
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam_epoch::{self as epoch, Guard, Reclaimer};
 use skiptrie_atomics::{retire_box, tagged};
 use skiptrie_metrics::{self as metrics, Counter};
 
 use crate::dir::{Directory, DirectoryConfig};
-use crate::list::{self, ListNode};
+use crate::list::{self, ListNode, Sentinel, PENDING, UNCLAIMED};
 
 /// The table doubles once the average chain length exceeds this.
 const LOAD_FACTOR: usize = 3;
@@ -28,12 +28,12 @@ const LOAD_FACTOR: usize = 3;
 /// two-pointer trie nodes this way, and a node's address is the entry's identity.
 /// [`SplitOrderedMap::get`] pins and clones, for `V: Clone`.
 pub struct SplitOrderedMap<K, V> {
-    /// Growable segment tree; each leaf slot is a tagged pointer to that bucket's
-    /// dummy list node (null = uninitialized bucket). See [`crate::dir`].
+    /// Growable segment tree whose leaves hold the buckets' sentinels. Bucket 0's
+    /// sentinel, linked at construction, heads the whole list. See [`crate::dir`].
     directory: Directory,
     /// Current number of buckets in use (always a power of two).
     size: AtomicUsize,
-    /// Number of regular (non-dummy) items.
+    /// Number of entries (sentinels not counted).
     count: AtomicUsize,
     /// Epoch domain every operation pins and retires in (`0` = the process-wide
     /// default). Set through [`SplitOrderedMap::with_directory_in_domain`] so a
@@ -41,12 +41,14 @@ pub struct SplitOrderedMap<K, V> {
     /// prefix-table garbage out of the global domain: every pin goes through the
     /// owning structure's domain, never `epoch::pin()` directly.
     domain: usize,
-    /// Dummy node of bucket 0 — the head of the entire list.
-    head: *const ListNode<K, V>,
+    /// The map owns its entries, keys and values with them.
+    _entries: std::marker::PhantomData<Box<ListNode<K, V>>>,
 }
 
-// SAFETY: all shared mutation goes through atomics; nodes are managed via epoch
-// reclamation. `K`/`V` cross threads inside nodes.
+// SAFETY: all shared mutation goes through atomics: the size and count words, the
+// directory (grown by CAS, freed under `&mut self`), and the list, whose entries are
+// retired through epoch reclamation and whose sentinels live in the directory.
+// `K`/`V` cross threads inside entries, hence the bounds.
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for SplitOrderedMap<K, V> {}
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for SplitOrderedMap<K, V> {}
 
@@ -112,14 +114,9 @@ fn hash_key<K: Hash>(key: &K) -> u64 {
 }
 
 /// Split-order key of a regular item: reversed hash with the lowest bit set, so it
-/// sorts strictly between its bucket's dummy and the next bucket's dummy.
+/// sorts strictly between its bucket's sentinel and the next bucket's sentinel.
 fn regular_so_key(hash: u64) -> u64 {
     hash.reverse_bits() | 1
-}
-
-/// Split-order key of a bucket's dummy node.
-fn dummy_so_key(bucket: u64) -> u64 {
-    bucket.reverse_bits()
 }
 
 /// The "parent" bucket from which a new bucket is split off: the index with its most
@@ -174,16 +171,18 @@ where
         _: Reclaimer,
     ) -> Self {
         let directory = Directory::new(config.segment_bits);
-        let head = Box::into_raw(ListNode::<K, V>::new_dummy(dummy_so_key(0)));
-        let map = SplitOrderedMap {
+        // Bucket 0's sentinel is the list's head: linked, to an empty list.
+        directory
+            .bucket(0)
+            .next
+            .store(tagged::NULL, Ordering::SeqCst);
+        SplitOrderedMap {
             directory,
             size: AtomicUsize::new(1),
             count: AtomicUsize::new(0),
             domain: domain.unwrap_or(0) % epoch::NUM_DOMAINS,
-            head,
-        };
-        map.set_bucket_entry(0, head);
-        map
+            _entries: std::marker::PhantomData,
+        }
     }
 
     /// Pins the calling thread in this map's epoch domain (see
@@ -203,61 +202,45 @@ where
         self.len() == 0
     }
 
-    fn bucket_entry(&self, bucket: u64) -> &AtomicU64 {
-        // The directory grows itself if the doubling rule outran its eager growth;
-        // no bucket index below `size` is ever out of range.
-        self.directory.entry(bucket as usize)
+    /// The head of the list: bucket 0's sentinel.
+    fn head(&self) -> &Sentinel {
+        self.directory.bucket(0)
     }
 
-    fn set_bucket_entry(&self, bucket: u64, dummy: *const ListNode<K, V>) {
-        self.bucket_entry(bucket)
-            .store(tagged::pack(dummy), Ordering::SeqCst);
-    }
-
-    /// Returns the dummy node for `bucket`, initializing it (and, recursively, its
-    /// parent buckets) if necessary.
-    fn get_bucket(&self, bucket: u64, guard: &Guard) -> *const ListNode<K, V> {
-        let entry = self.bucket_entry(bucket);
-        let word = entry.load(Ordering::SeqCst);
-        if !tagged::is_null(word) {
-            return tagged::unpack(word);
+    /// The linked sentinel a walk for `bucket` starts from: the bucket's own once it
+    /// is linked, and its parent's start (recursively) while it is not.
+    ///
+    /// A thread that finds the bucket unclaimed claims it with one CAS and links
+    /// its sentinel after the parent's start; only the winner links. Everyone
+    /// else — the CAS's losers, and whoever finds the sentinel claimed but its word
+    /// still tagged — starts from the parent instead, so no thread ever waits for
+    /// another's link. Bucket 0, linked at construction, ends the recursion.
+    fn start_of(&self, bucket: u64, guard: &Guard) -> &Sentinel {
+        let sentinel = self.directory.bucket(bucket as usize);
+        let word = sentinel.next.load(Ordering::SeqCst);
+        if word & PENDING == 0 {
+            return sentinel;
         }
-        self.initialize_bucket(bucket, guard)
-    }
-
-    fn initialize_bucket(&self, bucket: u64, guard: &Guard) -> *const ListNode<K, V> {
-        debug_assert!(bucket > 0, "bucket 0 is initialized at construction");
-        let parent = parent_bucket(bucket);
-        let parent_entry = self.bucket_entry(parent).load(Ordering::SeqCst);
-        let parent_dummy: *const ListNode<K, V> = if tagged::is_null(parent_entry) {
-            self.initialize_bucket(parent, guard)
-        } else {
-            tagged::unpack(parent_entry)
-        };
-
-        // Insert (or find) the dummy for this bucket, starting from the parent dummy.
-        let so = dummy_so_key(bucket);
-        let dummy = ListNode::<K, V>::new_dummy(so);
-        // SAFETY: parent_dummy is a live dummy node; dummies are never removed.
-        let dummy_ptr = match unsafe { list::insert_at(parent_dummy, dummy, guard) } {
-            Ok(ptr) => ptr,
-            Err(_rejected) => {
-                // A dummy with this split-order key already exists; find it.
-                // SAFETY: as above.
-                let res = unsafe { list::find::<K, V>(parent_dummy, so, None, guard) };
-                debug_assert!(res.found);
-                tagged::unpack(res.curr_word)
+        let parent = self.start_of(parent_bucket(bucket), guard);
+        if word == UNCLAIMED {
+            metrics::record(Counter::CasAttempt);
+            match sentinel.next.compare_exchange(
+                UNCLAIMED,
+                PENDING,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => {
+                    // SAFETY: `parent` is a linked sentinel of this list and precedes
+                    // the bucket in split order; the sentinel lives as long as the
+                    // directory.
+                    unsafe { list::link_sentinel::<K, V>(parent, sentinel, guard) };
+                    return sentinel;
+                }
+                Err(_) => metrics::record(Counter::CasFailure),
             }
-        };
-        let entry = self.bucket_entry(bucket);
-        let _ = entry.compare_exchange(
-            tagged::NULL,
-            tagged::pack(dummy_ptr),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-        // Whether we won or lost, the entry now points at the unique dummy for `so`.
-        tagged::unpack(entry.load(Ordering::SeqCst))
+        }
+        parent
     }
 
     fn bucket_for_hash(&self, hash: u64) -> u64 {
@@ -271,11 +254,10 @@ where
         let guard = self.pin();
         let hash = hash_key(&key);
         let so = regular_so_key(hash);
-        let bucket = self.bucket_for_hash(hash);
-        let dummy = self.get_bucket(bucket, &guard);
-        let node = ListNode::new_regular(so, key, value);
-        // SAFETY: `dummy` is a live dummy node of this map's list.
-        match unsafe { list::insert_at(dummy, node, &guard) } {
+        let start = self.start_of(self.bucket_for_hash(hash), &guard);
+        let node = ListNode::new(so, key, value);
+        // SAFETY: `start` is a linked sentinel of this map's list.
+        match unsafe { list::insert_at(start, node, &guard) } {
             Ok(_) => {
                 let count = self.count.fetch_add(1, Ordering::SeqCst) + 1;
                 self.maybe_grow(count);
@@ -342,17 +324,15 @@ where
         metrics::record(Counter::HashOp);
         let hash = hash_key(key);
         let so = regular_so_key(hash);
-        let bucket = self.bucket_for_hash(hash);
-        let dummy = self.get_bucket(bucket, guard);
-        // SAFETY: `dummy` is a live dummy node of this map's list.
-        let res = unsafe { list::find(dummy, so, Some(key), guard) };
+        let start = self.start_of(self.bucket_for_hash(hash), guard);
+        // SAFETY: `start` is a linked sentinel of this map's list.
+        let res = unsafe { list::find::<K, V>(start, so, Some(key), guard) };
         if !res.found {
             return None;
         }
-        // SAFETY: found nodes are protected by the pin, and the assert above
+        // SAFETY: a found entry is protected by the pin, and the assert above
         // proved it is a pin of this map's domain.
-        let node = unsafe { &*tagged::unpack::<ListNode<K, V>>(res.curr_word) };
-        node.value()
+        Some(&unsafe { ListNode::<K, V>::of(tagged::unpack(res.curr_word)) }.value)
     }
 
     /// True if `key` is present.
@@ -378,20 +358,19 @@ where
         metrics::record(Counter::HashOp);
         let hash = hash_key(key);
         let so = regular_so_key(hash);
-        let bucket = self.bucket_for_hash(hash);
-        let dummy = self.get_bucket(bucket, guard);
+        let start = self.start_of(self.bucket_for_hash(hash), guard);
         loop {
-            // SAFETY: `dummy` is a live dummy node of this map's list.
-            let res = unsafe { list::find(dummy, so, Some(key), guard) };
+            // SAFETY: `start` is a linked sentinel of this map's list.
+            let res = unsafe { list::find::<K, V>(start, so, Some(key), guard) };
             if !res.found {
                 return None;
             }
-            // SAFETY: protected by the pin.
-            let node = unsafe { &*tagged::unpack::<ListNode<K, V>>(res.curr_word) };
-            let value = node.value().expect("regular nodes carry a value");
-            if !predicate(value) {
+            // SAFETY: a found entry is protected by the pin.
+            let entry = unsafe { ListNode::<K, V>::of(tagged::unpack(res.curr_word)) };
+            if !predicate(&entry.value) {
                 return None;
             }
+            let node = entry.link();
             // Logically delete: set the mark on the victim's own next word.
             let next = node.next.load(Ordering::SeqCst);
             if tagged::is_marked(next) {
@@ -428,7 +407,7 @@ where
             {
                 metrics::record(Counter::CasFailure);
                 // SAFETY: as above.
-                let _ = unsafe { list::find(dummy, so, Some(key), guard) };
+                let _ = unsafe { list::find::<K, V>(start, so, Some(key), guard) };
             }
             self.count.fetch_sub(1, Ordering::SeqCst);
             // We won the mark, so we own retirement.
@@ -437,7 +416,7 @@ where
                 let victim = tagged::unpack::<ListNode<K, V>>(res.curr_word) as *mut ListNode<K, V>;
                 retire_box(guard, victim);
             }
-            return Some(value);
+            return Some(&entry.value);
         }
     }
 
@@ -447,15 +426,17 @@ where
     /// set in one pass.
     ///
     /// Inserting `n` items one at a time costs `n` bucket localizations, `n` chain
-    /// walks and `n` CAS publications, plus the lazy dummy-initialization cascades
-    /// of every directory doubling along the way. Under `&mut self` none of that
+    /// walks and `n` CAS publications, plus the lazy sentinel-linking cascades of
+    /// every directory doubling along the way. Under `&mut self` none of that
     /// machinery is needed: the items are sorted by their split-order position once,
     /// the directory is sized to its final power of two up front (replaying the
-    /// incremental doubling rule), dummies for every not-yet-initialized bucket are
-    /// generated in split order, and one three-way merge relinks the entire list —
-    /// existing nodes, new items, new dummies — with plain stores. `O(n log n)` for
-    /// the sort, `O(existing + n + buckets)` for the merge, and the result is
-    /// exactly the list the `n` individual inserts would have produced.
+    /// incremental doubling rule), and one three-way merge — the existing list, the
+    /// new items, and the sentinels of every bucket not yet linked, in split order —
+    /// links each node to its predecessor with a plain store as it goes. The
+    /// sentinels are linked in place in the directory's leaves, and the merge keeps
+    /// no list of its own. `O(n log n)` for the sort, `O(existing + n + buckets)`
+    /// for the merge, and the result is exactly the list the `n` individual inserts
+    /// would have produced.
     ///
     /// # Panics
     ///
@@ -474,6 +455,13 @@ where
             .map(|(k, v)| (regular_so_key(hash_key(&k)), k, v))
             .collect();
         new_nodes.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        // Within-batch duplicates surface as adjacent equal positions after the sort.
+        for w in new_nodes.windows(2) {
+            assert!(
+                (w[0].0, &w[0].1) < (w[1].0, &w[1].1),
+                "bulk_load requires distinct keys"
+            );
+        }
 
         // (2) Final directory size: replay the one-doubling-per-insert growth rule.
         let existing = self.count.load(Ordering::SeqCst);
@@ -487,140 +475,130 @@ where
         // instead of a grow CAS discovered lazily on some later probe's path.
         self.directory.ensure_capacity(size);
 
-        // (3) The existing list, in order (under `&mut self` it must be quiescent:
-        // no marked node is still linked once its remover has returned).
-        let mut old: Vec<*mut ListNode<K, V>> = Vec::with_capacity(existing + 2);
-        unsafe {
-            let mut cur = self.head as *mut ListNode<K, V>;
-            while !cur.is_null() {
-                let next = (*cur).next.load(Ordering::SeqCst);
-                assert!(
-                    !tagged::is_marked(next),
-                    "bulk_load requires a quiescent map (marked node still linked)"
-                );
-                old.push(cur);
-                cur = tagged::unpack::<ListNode<K, V>>(next) as *mut _;
-            }
-        }
-
-        // (4) Buckets of the final directory that still lack a dummy, in split
-        // order: bucket `rev(i)` has the i-th smallest dummy so_key, because
+        // (3) Three-way merge by split-order position, linking each node to the
+        // last one linked. The streams: the existing list after the head (under
+        // `&mut self` it must be quiescent: no marked node is still linked once its
+        // remover has returned), the sorted items, and the buckets below `size`
+        // whose sentinel is not linked. No link is in flight under `&mut self`, so
+        // a sentinel is linked exactly when its word carries no `PENDING` tag; and
+        // bucket `rev(i)` has the i-th smallest sentinel so_key, because
         // `dummy_so_key(rev(i) >> (64 - s)) == i << (64 - s)` is monotone in `i`.
         let s = size.trailing_zeros();
-        let missing: Vec<u64> = (0..size as u64)
-            .map(|i| {
-                if s == 0 {
-                    0
-                } else {
-                    i.reverse_bits() >> (64 - s)
+        let directory = &self.directory;
+        let mut rank = 1u64; // rank 0 is bucket 0, the head
+        let mut next_unlinked = || -> Option<&Sentinel> {
+            while rank < size as u64 {
+                let bucket = rank.reverse_bits() >> (64 - s);
+                rank += 1;
+                let sentinel = directory.bucket(bucket as usize);
+                if sentinel.next.load(Ordering::SeqCst) & PENDING != 0 {
+                    return Some(sentinel);
                 }
-            })
-            .filter(|&b| tagged::is_null(self.bucket_entry(b).load(Ordering::SeqCst)))
-            .collect();
-
-        // Within-batch duplicates surface as adjacent equal positions after the sort.
-        for w in new_nodes.windows(2) {
-            assert!(
-                (w[0].0, &w[0].1) < (w[1].0, &w[1].1),
-                "bulk_load requires distinct keys"
-            );
-        }
-
-        // (5) Three-way merge by (so_key, dummy-before-regular, key), relinking the
-        // whole list with plain stores and installing new bucket entries. The
-        // descriptor tuple `(so_key, is_regular, key)` carries the total list order:
-        // dummies sort before regular nodes at the same so_key, and `Option<&K>`
-        // breaks regular-vs-regular hash collisions exactly as `list::find` does.
-        let mut merged: Vec<*mut ListNode<K, V>> =
-            Vec::with_capacity(old.len() + new_nodes.len() + missing.len());
-        let mut oi = 0usize;
-        let mut di = 0usize;
+            }
+            None
+        };
+        let head = directory.bucket(0);
+        let mut tail: &Sentinel = head;
+        let mut old: *const Sentinel = tagged::unpack(head.next.load(Ordering::SeqCst));
+        let mut unlinked = next_unlinked();
         let mut new_iter = new_nodes.into_iter().peekable();
         loop {
-            let old_desc = old.get(oi).map(|&p| {
-                // SAFETY: a live node of this map's list; exclusive access.
-                let node = unsafe { &*p };
-                (node.so_key, node.key().is_some(), node.key())
+            // SAFETY: a live node of this map's list; exclusive access.
+            let old_node = unsafe { old.as_ref() };
+            // Entries only compare equal to entries, and the unlinked sentinels'
+            // so_keys appear nowhere else, so `(so_key, key)` orders all three.
+            let old_first = old_node.is_some_and(|o| {
+                new_iter.peek().is_none_or(|(so, k, _)| {
+                    // SAFETY: equal so_keys make `o` an entry.
+                    let order = o
+                        .so_key
+                        .cmp(so)
+                        .then_with(|| unsafe { ListNode::<K, V>::of(o) }.key.cmp(k));
+                    assert!(order.is_ne(), "bulk_load key already present in the map");
+                    order.is_lt()
+                })
             });
-            let new_desc = new_iter.peek().map(|(so, k, _)| (*so, true, Some(k)));
-            let dummy_desc = missing.get(di).map(|&b| (dummy_so_key(b), false, None));
-            let smallest = [old_desc, new_desc, dummy_desc].into_iter().flatten().min();
-            let Some(smallest) = smallest else {
-                break;
-            };
-            if old_desc == Some(smallest) {
-                assert!(
-                    new_desc != Some(smallest),
-                    "bulk_load key already present in the map"
-                );
-                merged.push(old[oi]);
-                oi += 1;
-            } else if dummy_desc == Some(smallest) {
-                merged.push(self.new_bucket_dummy(missing[di]));
-                di += 1;
+            let candidate = if old_first {
+                old_node.map(|o| o.so_key)
             } else {
-                let (so, k, v) = new_iter.next().expect("peeked");
-                merged.push(Box::into_raw(ListNode::new_regular(so, k, v)));
-            }
-        }
-
-        debug_assert_eq!(merged[0], self.head as *mut _, "head dummy stays first");
-        for pair in merged.windows(2) {
-            // SAFETY: every node is owned by this map; exclusive access.
-            unsafe {
-                (*pair[0])
-                    .next
-                    .store(tagged::pack(pair[1]), Ordering::Relaxed)
+                new_iter.peek().map(|(so, _, _)| *so)
             };
+            let node: &Sentinel = match (unlinked, candidate) {
+                (Some(sentinel), c) if c.is_none_or(|so| sentinel.so_key < so) => {
+                    unlinked = next_unlinked();
+                    sentinel
+                }
+                (_, None) => break,
+                _ if old_first => {
+                    let o = old_node.expect("old stream not empty");
+                    let next = o.next.load(Ordering::SeqCst);
+                    assert!(
+                        !tagged::is_marked(next),
+                        "bulk_load requires a quiescent map (marked node still linked)"
+                    );
+                    old = tagged::unpack(next);
+                    o
+                }
+                _ => {
+                    let (so, k, v) = new_iter.next().expect("peeked");
+                    // SAFETY: leaked into the list, which owns its entries.
+                    unsafe { &*Box::into_raw(ListNode::new(so, k, v)) }.link()
+                }
+            };
+            tail.next.store(tagged::pack(node), Ordering::Relaxed);
+            tail = node;
         }
-        // SAFETY: as above.
-        unsafe {
-            (*merged[merged.len() - 1])
-                .next
-                .store(tagged::NULL, Ordering::Relaxed)
-        };
+        tail.next.store(tagged::NULL, Ordering::Relaxed);
 
         self.size.store(size, Ordering::SeqCst);
         self.count.fetch_add(n, Ordering::SeqCst);
         n
     }
 
-    /// Allocates a dummy for `bucket` and installs its directory entry (bulk path).
-    fn new_bucket_dummy(&self, bucket: u64) -> *mut ListNode<K, V> {
-        let dummy = Box::into_raw(ListNode::<K, V>::new_dummy(dummy_so_key(bucket)));
-        self.set_bucket_entry(bucket, dummy);
-        dummy
-    }
-
-    /// Bytes of the list nodes the map holds: its entries and its initialized
-    /// buckets' dummies, times the node size. Walks the list, so it is for
-    /// statistics (experiment `e5`); quiescently accurate.
+    /// Bytes of the list the map holds: its entries times the entry size, plus its
+    /// linked buckets' sentinels times the sentinel size. Directory slack (leaves'
+    /// unlinked sentinels and interior nodes) is not counted; see
+    /// [`SplitOrderedMap::directory_bytes`]. Walks the list, so it is for statistics
+    /// (experiment `e5`); quiescently accurate.
     pub fn node_bytes(&self) -> usize {
         let _guard = self.pin();
-        let (mut nodes, mut cur) = (0, self.head);
+        let (mut entries, mut sentinels) = (0, 0);
+        let mut cur: *const Sentinel = self.head();
         while !cur.is_null() {
-            nodes += 1;
             // SAFETY: protected by the pin; traversal only follows live links.
-            cur = tagged::unpack(unsafe { &*cur }.next.load(Ordering::SeqCst));
+            let node = unsafe { &*cur };
+            if node.is_entry() {
+                entries += 1;
+            } else {
+                sentinels += 1;
+            }
+            cur = tagged::unpack(node.next.load(Ordering::SeqCst));
         }
-        nodes * std::mem::size_of::<ListNode<K, V>>()
+        entries * std::mem::size_of::<ListNode<K, V>>()
+            + sentinels * std::mem::size_of::<Sentinel>()
+    }
+
+    /// Bytes of the bucket directory's allocated tree nodes: its leaves of
+    /// sentinels, linked or not, and its interior nodes (statistics only;
+    /// quiescently accurate).
+    pub fn directory_bytes(&self) -> usize {
+        self.directory.bytes()
     }
 
     /// Calls `f` for every `(key, value)` currently reachable. Intended for tests,
     /// debugging and drop-time accounting; it is *not* a linearizable snapshot.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         let _guard = self.pin();
-        // SAFETY: the head dummy lives as long as the map.
-        let mut cur = unsafe { (*self.head).next.load(Ordering::SeqCst) };
+        let mut cur = self.head().next.load(Ordering::SeqCst);
         while !tagged::is_null(cur) {
             // SAFETY: protected by the pin; traversal only follows live links.
-            let node = unsafe { &*tagged::unpack::<ListNode<K, V>>(cur) };
+            let node = unsafe { &*tagged::unpack::<Sentinel>(cur) };
             let next = node.next.load(Ordering::SeqCst);
-            if !tagged::is_marked(next) {
-                // A dummy has neither key nor value.
-                if let (Some(k), Some(v)) = (node.key(), node.value()) {
-                    f(k, v);
-                }
+            // A sentinel has neither key nor value.
+            if node.is_entry() && !tagged::is_marked(next) {
+                // SAFETY: an odd so_key names an entry.
+                let entry = unsafe { ListNode::<K, V>::of(node) };
+                f(&entry.key, &entry.value);
             }
             cur = tagged::untagged(next);
         }
@@ -645,14 +623,18 @@ where
 
 impl<K, V> Drop for SplitOrderedMap<K, V> {
     fn drop(&mut self) {
-        // Exclusive access: free every list node (dummies included); the directory
-        // frees its own tree, every level, in its own Drop.
-        unsafe {
-            let mut cur: *mut ListNode<K, V> = self.head as *mut _;
-            while !cur.is_null() {
-                let node = Box::from_raw(cur);
-                let next = node.next.load(Ordering::SeqCst);
-                cur = tagged::unpack::<ListNode<K, V>>(next) as *mut _;
+        // Exclusive access: free every entry. Sentinels are not boxed; they go with
+        // the directory's leaves, which the directory frees, every level, in its own
+        // Drop.
+        let mut cur = self.directory.bucket(0).next.load(Ordering::SeqCst);
+        while !tagged::is_null(cur) {
+            let node = tagged::unpack::<Sentinel>(cur);
+            // SAFETY: exclusive access; a node with an odd so_key is a boxed entry.
+            unsafe {
+                cur = (*node).next.load(Ordering::SeqCst);
+                if (*node).is_entry() {
+                    drop(Box::from_raw(node as *mut ListNode<K, V>));
+                }
             }
         }
     }
@@ -661,8 +643,10 @@ impl<K, V> Drop for SplitOrderedMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::dummy_so_key;
     use std::collections::HashMap;
     use std::num::NonZeroU64;
+    use std::sync::atomic::AtomicU64;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
@@ -1033,5 +1017,224 @@ mod tests {
         let mut live = 0;
         map.for_each(|_, _| live += 1);
         assert_eq!(live as i64, net_total);
+    }
+
+    /// Split-order keys of the sentinels a walk of the whole list passes, in
+    /// order, after checking that the walk is strictly ascending by `(so_key, key)`.
+    fn walked_sentinels<K: Hash + Eq + Ord + Clone + Send + Sync + 'static, V>(
+        map: &SplitOrderedMap<K, V>,
+    ) -> Vec<u64>
+    where
+        V: Send + Sync + 'static,
+    {
+        let _guard = map.pin();
+        let mut sentinels = Vec::new();
+        let mut last: Option<(u64, Option<&K>)> = None;
+        let mut cur: *const Sentinel = map.head();
+        while !cur.is_null() {
+            // SAFETY: protected by the pin.
+            let node = unsafe { &*cur };
+            let key = if node.is_entry() {
+                // SAFETY: an odd so_key names an entry.
+                Some(&unsafe { ListNode::<K, V>::of(node) }.key)
+            } else {
+                sentinels.push(node.so_key);
+                None
+            };
+            assert!(
+                last < Some((node.so_key, key)),
+                "the list is in split order"
+            );
+            last = Some((node.so_key, key));
+            cur = tagged::unpack(node.next.load(Ordering::SeqCst));
+        }
+        sentinels
+    }
+
+    /// The sentinel so_keys of buckets `0..buckets`, in split order.
+    fn every_sentinel(buckets: usize) -> Vec<u64> {
+        let mut all: Vec<u64> = (0..buckets as u64).map(dummy_so_key).collect();
+        all.sort_unstable();
+        all
+    }
+
+    #[test]
+    fn a_claimed_unlinked_bucket_is_served_through_its_parent() {
+        let map: SplitOrderedMap<u64, u64> = SplitOrderedMap::new();
+        let in_bucket_3: Vec<u64> = (0..2_000u64)
+            .filter(|k| hash_key(k) & 3 == 3)
+            .take(3 * 4) // no more than the load factor allows four buckets
+            .collect();
+        let (early, late) = in_bucket_3.split_at(6);
+        // The early keys go in while the table has two buckets: bucket 1 links.
+        map.size.store(2, Ordering::SeqCst);
+        for &k in early {
+            assert!(map.insert(k, k + 1));
+        }
+        // The table doubles, and bucket 3's claimer stalls before its link.
+        map.size.store(4, Ordering::SeqCst);
+        let stalled = map.directory.bucket(3);
+        stalled
+            .next
+            .compare_exchange(UNCLAIMED, PENDING, Ordering::SeqCst, Ordering::SeqCst)
+            .unwrap();
+        for &k in early {
+            assert_eq!(map.get(&k), Some(k + 1), "key {k} through the parent");
+        }
+        for &k in late {
+            assert!(map.insert(k, k + 1));
+        }
+        for &k in in_bucket_3.iter().step_by(4) {
+            assert_eq!(map.remove(&k), Some(k + 1));
+        }
+        let live: Vec<u64> = in_bucket_3
+            .iter()
+            .copied()
+            .filter(|k| !in_bucket_3.iter().step_by(4).any(|r| r == k))
+            .collect();
+        for &k in &live {
+            assert_eq!(map.get(&k), Some(k + 1), "key {k} through the parent");
+        }
+        let mut seen = 0;
+        map.for_each(|_, _| seen += 1);
+        assert_eq!(seen, map.len(), "every entry is on the one list");
+        let guard = map.pin();
+        assert!(
+            std::ptr::eq(map.start_of(3, &guard), map.start_of(1, &guard)),
+            "a claimed bucket is walked from its parent"
+        );
+        assert_eq!(
+            stalled.next.load(Ordering::SeqCst),
+            PENDING,
+            "nobody else links it"
+        );
+
+        // The stalled claimer finishes: from then on the bucket is its own start.
+        // SAFETY: bucket 1 is linked and precedes bucket 3; the claim is ours.
+        unsafe { list::link_sentinel::<u64, u64>(map.start_of(1, &guard), stalled, &guard) };
+        assert!(std::ptr::eq(map.start_of(3, &guard), stalled));
+        assert_eq!(map.bucket_count(), 4);
+        for &k in &live {
+            // SAFETY: bucket 3's sentinel is linked.
+            let res = unsafe {
+                list::find::<u64, u64>(stalled, regular_so_key(hash_key(&k)), Some(&k), &guard)
+            };
+            assert!(res.found, "key {k} from its own bucket");
+        }
+        let _ = map.start_of(2, &guard);
+        drop(guard);
+        assert_eq!(walked_sentinels(&map), every_sentinel(4));
+    }
+
+    #[test]
+    fn concurrent_growth_links_every_sentinel_once() {
+        let config = DirectoryConfig::default().with_segment_bits(2);
+        let map = Arc::new(SplitOrderedMap::<u64, u64>::with_directory(config));
+        let threads = 8u64;
+        let per_thread = 2_000u64;
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let map = Arc::clone(&map);
+                std::thread::spawn(move || {
+                    for i in 0..per_thread {
+                        let key = i * threads + t;
+                        assert!(map.insert(key, key + 1));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let n = threads * per_thread;
+        assert_eq!(map.len(), n as usize);
+        for key in 0..n {
+            assert_eq!(map.get(&key), Some(key + 1), "key {key}");
+        }
+        let buckets = map.bucket_count();
+        assert!(map.directory_height() >= 5, "many leaves at fanout 4");
+        let guard = map.pin();
+        for bucket in 0..buckets as u64 {
+            let _ = map.start_of(bucket, &guard);
+        }
+        drop(guard);
+        assert_eq!(walked_sentinels(&map), every_sentinel(buckets));
+        let mut seen = 0;
+        map.for_each(|_, _| seen += 1);
+        assert_eq!(seen, map.len());
+    }
+
+    #[test]
+    fn bulk_load_links_every_bucket_in_place() {
+        let config = DirectoryConfig::default().with_segment_bits(2);
+        let mut map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_directory(config);
+        // Some buckets linked before the load, most not.
+        for k in 1..=40u64 {
+            assert!(map.insert(k << 40, k));
+        }
+        let before = walked_sentinels(&map).len();
+        assert!(before > 1 && before < map.bucket_count() * 4);
+        map.bulk_load((0..5_000u64).map(|k| (k, k + 1)).collect());
+        let buckets = map.bucket_count();
+        assert_eq!(walked_sentinels(&map), every_sentinel(buckets));
+        for b in 0..buckets {
+            let word = map.directory.bucket(b).next.load(Ordering::SeqCst);
+            assert_eq!(word & PENDING, 0, "bucket {b} is linked");
+        }
+        for k in 0..5_000u64 {
+            assert_eq!(map.get(&k), Some(k + 1));
+        }
+        assert_eq!(map.len(), 5_040);
+        let entries = 5_040 * std::mem::size_of::<ListNode<u64, u64>>();
+        assert_eq!(map.node_bytes(), entries + buckets * 16);
+        assert!(map.directory_bytes() >= buckets * 16);
+    }
+
+    /// Loads, inserts, rejects and removes tracked values in a map of `config`,
+    /// drops it, and checks every value was dropped exactly once.
+    fn drops_each_value_once(config: DirectoryConfig, domain: usize) {
+        let n = 200usize;
+        let drops: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..3 * n).map(|_| AtomicUsize::new(0)).collect());
+        let value = |id| Tracked {
+            id,
+            drops: Arc::clone(&drops),
+        };
+        let dropped = |ids: std::ops::Range<usize>| -> Vec<usize> {
+            ids.map(|id| drops[id].load(Ordering::SeqCst)).collect()
+        };
+        {
+            let mut map: SplitOrderedMap<u64, Tracked> =
+                SplitOrderedMap::with_directory_in_domain(config, Some(domain), Reclaimer::Ebr);
+            assert_eq!(
+                map.bulk_load((0..n).map(|k| (k as u64, value(k))).collect()),
+                n
+            );
+            for k in n..2 * n {
+                assert!(map.insert(k as u64, value(k)));
+            }
+            for k in 0..n {
+                assert!(!map.insert(k as u64, value(2 * n + k)));
+            }
+            assert_eq!(dropped(2 * n..3 * n), vec![1; n]);
+            assert_eq!(dropped(0..2 * n), vec![0; 2 * n]);
+            for k in (0..2 * n).step_by(2) {
+                assert!(map.remove_if(&(k as u64), |v| v.id == k));
+            }
+            assert!(map.directory_node_count() > 8, "the directory spans leaves");
+        }
+        for _ in 0..10_000 {
+            epoch::pin_domain(domain).flush();
+            if epoch::domain_stats(domain, Reclaimer::Ebr).pending == 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        assert_eq!(dropped(0..3 * n), vec![1; 3 * n]);
+    }
+
+    #[test]
+    fn every_value_is_dropped_exactly_once_across_several_leaves() {
+        drops_each_value_once(DirectoryConfig::default().with_segment_bits(2), 14);
     }
 }
