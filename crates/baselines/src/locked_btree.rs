@@ -201,9 +201,8 @@ impl<V: Clone + Send + Sync> OrderedKv<V> for LockedBTreeMap<V> {
     fn remove_batch(&self, keys: &[u64]) -> usize {
         LockedBTreeMap::remove_batch(self, keys)
     }
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        let map = self.read();
-        keys.iter().filter(|key| map.contains_key(key)).count()
+    fn get_batch(&self, keys: &[u64]) -> Vec<Option<V>> {
+        LockedBTreeMap::get_batch(self, keys)
     }
 }
 

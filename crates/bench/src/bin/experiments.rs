@@ -804,7 +804,7 @@ fn ab_row(
 
 /// ab — the repository's own mechanisms against what a caller would write without
 /// them, where nothing else measures the pair: the cursor and `pop_first` (the
-/// paper's scan and event-queue uses), the batch kernel, the bulk loader, the frozen
+/// paper's scan and event-queue uses), sorted batches, the bulk loader, the frozen
 /// tier's two search layouts and its dirty-gap summary. A is the mechanism, B the
 /// alternative.
 fn ab() -> Outcome {
@@ -865,57 +865,73 @@ fn ab() -> Outcome {
         },
     );
 
-    // The batch kernel pays through sorted-order key locality, so it is taken at a
-    // batch large enough to have some against this population.
+    // A batch sorts its keys and makes one point call per key, so what it can gain
+    // over point calls in arrival order is sorted-order key locality; it is taken at
+    // a batch large enough to have some against this population. Spread keys are
+    // drawn over the whole universe; dense ones come 4 096 consecutive keys a batch,
+    // shuffled. Each trie reclaims in an epoch domain of its own, so neither side
+    // pays for the other's garbage.
+    const BATCH: usize = 4_096;
+    let n = scaled(60_000);
     let mut rng = SplitMix64::new(0xE10B);
-    let stream: Vec<(u64, u64)> = (0..scaled(60_000))
-        .map(|_| (rng.next() & MAX_KEY, 0))
-        .collect();
-    let keys: Vec<u64> = stream.iter().map(|&(k, _)| k).collect();
-    let (batched, pointwise) = (SkipTrie::new(trie_config()), SkipTrie::new(trie_config()));
-    // Per verb: the batch call over a range of the stream, the point call on one index.
-    let verbs: [(&str, &dyn Fn(Range<usize>), &dyn Fn(usize)); 3] = [
-        (
-            "insert",
-            &|r| {
-                black_box(batched.insert_batch(&stream[r]));
-            },
-            &|i| {
-                black_box(pointwise.insert(keys[i], stream[i].1));
-            },
-        ),
-        (
-            "get",
-            &|r| {
-                black_box(batched.get_batch(&keys[r]));
-            },
-            &|i| {
-                black_box(pointwise.get(keys[i]));
-            },
-        ),
-        (
-            "remove",
-            &|r| {
-                black_box(batched.remove_batch(&keys[r]));
-            },
-            &|i| {
-                black_box(pointwise.remove(keys[i]));
-            },
-        ),
-    ];
-    let n = keys.len();
-    for (verb, batch, point) in verbs {
-        ab_row(
-            &mut rows,
-            &format!("{verb}_batch(4096) vs one {verb} per key"),
-            ("op", n),
-            || {
-                (0..n)
-                    .step_by(4096)
-                    .for_each(|lo| batch(lo..n.min(lo + 4096)))
-            },
-            || (0..n).for_each(point),
-        );
+    let spread: Vec<u64> = (0..n).map(|_| rng.next() & MAX_KEY).collect();
+    let mut dense: Vec<u64> = Vec::with_capacity(n);
+    while dense.len() < n {
+        let base = rng.next() % (MAX_KEY - BATCH as u64);
+        let block = dense.len();
+        dense.extend((base..base + BATCH as u64).take(n - block));
+        for i in (block + 1..dense.len()).rev() {
+            let j = block + (rng.next() % (i - block + 1) as u64) as usize;
+            dense.swap(i, j);
+        }
+    }
+    for (layout, keys, domains) in [("spread", &spread, (22, 23)), ("dense", &dense, (24, 25))] {
+        let stream: Vec<(u64, u64)> = keys.iter().map(|&k| (k, 0)).collect();
+        let batched = SkipTrie::new(trie_config().with_domain(domains.0));
+        let pointwise = SkipTrie::new(trie_config().with_domain(domains.1));
+        // Per verb: the batch call over a range of the stream, the point call on one index.
+        let verbs: [(&str, &dyn Fn(Range<usize>), &dyn Fn(usize)); 3] = [
+            (
+                "insert",
+                &|r| {
+                    black_box(batched.insert_batch(&stream[r]));
+                },
+                &|i| {
+                    black_box(pointwise.insert(keys[i], stream[i].1));
+                },
+            ),
+            (
+                "get",
+                &|r| {
+                    black_box(batched.get_batch(&keys[r]));
+                },
+                &|i| {
+                    black_box(pointwise.get(keys[i]));
+                },
+            ),
+            (
+                "remove",
+                &|r| {
+                    black_box(batched.remove_batch(&keys[r]));
+                },
+                &|i| {
+                    black_box(pointwise.remove(keys[i]));
+                },
+            ),
+        ];
+        for (verb, batch, point) in verbs {
+            ab_row(
+                &mut rows,
+                &format!("{verb}_batch({BATCH}) vs one {verb} per key, {layout} keys"),
+                ("op", n),
+                || {
+                    (0..n)
+                        .step_by(BATCH)
+                        .for_each(|lo| batch(lo..n.min(lo + BATCH)))
+                },
+                || (0..n).for_each(point),
+            );
+        }
     }
 
     let big = WorkloadSpec::read_only(BITS, scaled(200_000), 0, 0xE11).sorted_prefill_entries();

@@ -452,7 +452,7 @@ mod tests {
             let inserted = s.insert_batch(&entries);
             assert_eq!(s.len(), inserted, "{name}");
             let found = s.get_batch(&probe);
-            let expected = probe.iter().filter(|k| s.get(**k).is_some()).count();
+            let expected: Vec<Option<u64>> = probe.iter().map(|k| s.get(*k)).collect();
             assert_eq!(found, expected, "{name}");
             assert_eq!(s.remove_batch(&keys), inserted, "{name}");
             assert!(s.is_empty(), "{name}");

@@ -1,8 +1,8 @@
 //! The per-shard engine abstraction behind [`ShardedSkipTrie`](crate::ShardedSkipTrie).
 //!
 //! The forest router owns *where* a key lives (top-bits shard routing, cross-shard
-//! predecessor/successor stepping, stitched range scans, two-ended pops, batch
-//! grouping, parallel bulk load); an engine owns *how* one shard stores its slice
+//! predecessor/successor stepping, stitched range scans, two-ended pops,
+//! parallel bulk load); an engine owns *how* one shard stores its slice
 //! of the key space. [`SkipTrie`] is the default engine — a forest of plain
 //! tries. [`TieredSkipTrie`] is the read-optimized engine — each shard a frozen
 //! sorted array plus a live delta, with merges staggered across shards by the
@@ -21,10 +21,6 @@
 //!   implementing [`EngineRangeIter`]; the router stitches one cursor per shard,
 //!   opened in shard (= key) order, so at most one shard's epoch pin (or tier
 //!   reference) is live at a time.
-//! * **Batch kernel** — three `*_picked` methods: the router groups a batch by
-//!   shard and hands each engine its picked indices to execute under one pin /
-//!   one tier resolution. The lookup writes per-key values (`get_batch` returns
-//!   them); the two writes return how many picked operations took effect.
 //! * **Probes** — snapshots, allocation statistics and the integrity audit.
 
 use skiptrie_skiplist::{OrderedKv, RangeIter as SkipListRangeIter};
@@ -79,20 +75,6 @@ where
     /// bounds straight through — a shard only holds keys of its own slice).
     fn range(&self, lo: u64, hi: u64) -> Self::RangeIter<'_>;
 
-    /// Executes one shard's slice of a batched lookup: `order` indexes into
-    /// `keys`, key-sorted, all routing to this shard. Writes `out[i]` for each
-    /// picked `i`; other slots are left untouched.
-    fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]);
-
-    /// Executes one shard's slice of a batched insert (see
-    /// [`ShardEngine::get_batch_picked`]), applying picked entries in `order`;
-    /// returns how many of them this call inserted.
-    fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize;
-
-    /// Executes one shard's slice of a batched remove; returns how many of the
-    /// picked keys this call removed.
-    fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize;
-
     /// Single-owner `O(n)` construction from this shard's sorted, strictly
     /// increasing sub-slice; the shard must be empty. Returns the entry count.
     fn bulk_load(&mut self, entries: &[(u64, V)]) -> usize;
@@ -145,15 +127,6 @@ where
     fn pop_last(&self) -> Option<(u64, V)> {
         SkipTrie::pop_last(self)
     }
-    fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        SkipTrie::insert_batch(self, entries)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        SkipTrie::remove_batch(self, keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        SkipTrie::get_batch(self, keys).iter().flatten().count()
-    }
 }
 
 impl<V> ShardEngine<V> for SkipTrie<V>
@@ -171,18 +144,6 @@ where
 
     fn range(&self, lo: u64, hi: u64) -> Self::RangeIter<'_> {
         SkipTrie::range(self, lo..=hi)
-    }
-
-    fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
-        SkipTrie::get_batch_picked(self, keys, order, out);
-    }
-
-    fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
-        SkipTrie::insert_batch_picked(self, entries, order)
-    }
-
-    fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
-        SkipTrie::remove_batch_picked(self, keys, order)
     }
 
     fn bulk_load(&mut self, entries: &[(u64, V)]) -> usize {
@@ -237,18 +198,6 @@ where
     fn pop_last(&self) -> Option<(u64, V)> {
         TieredSkipTrie::pop_last(self)
     }
-    fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        TieredSkipTrie::insert_batch(self, entries)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        TieredSkipTrie::remove_batch(self, keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        TieredSkipTrie::get_batch(self, keys)
-            .iter()
-            .flatten()
-            .count()
-    }
 }
 
 impl<V> ShardEngine<V> for TieredSkipTrie<V>
@@ -266,18 +215,6 @@ where
 
     fn range(&self, lo: u64, hi: u64) -> Self::RangeIter<'_> {
         TieredSkipTrie::range(self, lo..=hi)
-    }
-
-    fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
-        TieredSkipTrie::get_batch_picked(self, keys, order, out);
-    }
-
-    fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
-        TieredSkipTrie::insert_batch_picked(self, entries, order)
-    }
-
-    fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
-        TieredSkipTrie::remove_batch_picked(self, keys, order)
     }
 
     fn bulk_load(&mut self, entries: &[(u64, V)]) -> usize {

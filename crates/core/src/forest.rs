@@ -20,11 +20,12 @@
 //!   route to neighbouring shards only on a miss; [`range`](ShardedSkipTrie::range)
 //!   stitches per-shard cursors in shard order; [`pop_first`](ShardedSkipTrie::pop_first)
 //!   / [`pop_last`](ShardedSkipTrie::pop_last) walk shards from the respective end.
-//! * **Batching.** [`insert_batch`](ShardedSkipTrie::insert_batch) /
-//!   [`remove_batch`](ShardedSkipTrie::remove_batch) /
-//!   [`get_batch`](ShardedSkipTrie::get_batch) group a slice of operations by shard,
-//!   sort within each shard, and execute each group under a single epoch pin with
-//!   predecessor hints threaded from one operation to the next.
+//! * **Batching.** The forest's batches are [`OrderedKv`]'s:
+//!   [`insert_batch`](OrderedKv::insert_batch) /
+//!   [`remove_batch`](OrderedKv::remove_batch) /
+//!   [`get_batch`](OrderedKv::get_batch) sort the keys and run one point
+//!   operation per key, each routed and pinned on its own. Keys route by their
+//!   top bits, so the sorted order visits each shard's keys together.
 //!
 //! # Consistency
 //!
@@ -161,11 +162,11 @@ impl ShardedSkipTrieConfig {
 /// [`ShardEngine`]): the default `E = SkipTrie<V>` is a forest of plain tries;
 /// `E = TieredSkipTrie<V>` (usually via [`TieredForest`](crate::TieredForest))
 /// gives every shard a frozen read tier plus a live delta. The router — key
-/// routing, cross-shard queries, stitched scans, pops, batching, parallel bulk
-/// load — is engine-agnostic.
+/// routing, cross-shard queries, stitched scans, pops, parallel bulk load — is
+/// engine-agnostic.
 ///
 /// Exposes the full SkipTrie surface (point operations, predecessor/successor, range
-/// scans, ordered extraction) plus batched entry points; see the [module docs](self)
+/// scans, ordered extraction) plus [`OrderedKv`]'s batches; see the [module docs](self)
 /// for the sharding design and the cross-shard consistency contract.
 ///
 /// # Examples
@@ -527,114 +528,6 @@ where
     }
 
     // ------------------------------------------------------------------
-    // Batched operations
-    // ------------------------------------------------------------------
-
-    /// Sorts `0..n` stably by `(shard, key(i))` and runs `per_group` once per
-    /// maximal same-shard run — the shared grouping step of the batched entry
-    /// points. Stability keeps earlier duplicates first, preserving sequential
-    /// semantics.
-    fn group_by_shard(
-        &self,
-        n: usize,
-        key_of: impl Fn(usize) -> u64,
-        mut per_group: impl FnMut(usize, &[usize]),
-    ) {
-        let mut order: Vec<usize> = (0..n).collect();
-        // Keys route to shards by their top bits, so sorting by key alone also
-        // sorts by shard; runs of one shard are contiguous.
-        order.sort_by_key(|&i| key_of(i));
-        let mut start = 0usize;
-        while start < order.len() {
-            let shard = self.shard_of(key_of(order[start]));
-            let mut end = start + 1;
-            while end < order.len() && self.shard_of(key_of(order[end])) == shard {
-                end += 1;
-            }
-            per_group(shard, &order[start..end]);
-            start = end;
-        }
-    }
-
-    /// Inserts every `key -> value` pair of `entries`, returning how many keys were
-    /// newly inserted. Entries are grouped by shard, sorted within each shard, and
-    /// each shard's group executes under a single epoch pin with threaded
-    /// predecessor hints (see [`SkipTrie::insert_batch`]). Equivalent to — but
-    /// faster than — inserting one at a time; each insertion linearizes
-    /// individually, and within-batch duplicates resolve in slice order.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig};
-    ///
-    /// let forest: ShardedSkipTrie<u64> =
-    ///     ShardedSkipTrie::new(ShardedSkipTrieConfig::for_universe_bits(32));
-    /// let batch: Vec<(u64, u64)> = (0..1_000).map(|k| (k * 4_294_967, k)).collect();
-    /// assert_eq!(forest.insert_batch(&batch), 1_000);
-    /// assert_eq!(forest.len(), 1_000);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe (checked up front).
-    pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        for &(key, _) in entries {
-            self.check_key(key);
-        }
-        let mut inserted = 0;
-        self.group_by_shard(
-            entries.len(),
-            |i| entries[i].0,
-            |shard, group| inserted += self.shards[shard].insert_batch_picked(entries, group),
-        );
-        inserted
-    }
-
-    /// Removes every key of `keys`, returning how many were present (and are now
-    /// removed). Grouped and executed exactly like
-    /// [`ShardedSkipTrie::insert_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe (checked up front).
-    pub fn remove_batch(&self, keys: &[u64]) -> usize {
-        for &key in keys {
-            self.check_key(key);
-        }
-        let mut removed = 0;
-        self.group_by_shard(
-            keys.len(),
-            |i| keys[i],
-            |shard, group| removed += self.shards[shard].remove_batch_picked(keys, group),
-        );
-        removed
-    }
-
-    /// Looks up every key of `keys`, returning the values **in input order**
-    /// (`None` for absent keys). Grouped and executed exactly like
-    /// [`ShardedSkipTrie::insert_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe.
-    pub fn get_batch(&self, keys: &[u64]) -> Vec<Option<V>> {
-        for &key in keys {
-            self.check_key(key);
-        }
-        let mut out: Vec<Option<V>> = Vec::new();
-        out.resize_with(keys.len(), || None);
-        self.group_by_shard(
-            keys.len(),
-            |i| keys[i],
-            |shard, group| {
-                self.shards[shard].get_batch_picked(keys, group, &mut out);
-            },
-        );
-        out
-    }
-
-    // ------------------------------------------------------------------
     // Bulk load and snapshots (checkpoint / restore)
     // ------------------------------------------------------------------
 
@@ -813,18 +706,6 @@ where
     }
     fn pop_last(&self) -> Option<(u64, V)> {
         ShardedSkipTrie::pop_last(self)
-    }
-    fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        ShardedSkipTrie::insert_batch(self, entries)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        ShardedSkipTrie::remove_batch(self, keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        ShardedSkipTrie::get_batch(self, keys)
-            .iter()
-            .flatten()
-            .count()
     }
 }
 

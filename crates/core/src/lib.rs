@@ -544,156 +544,6 @@ where
     }
 
     // ------------------------------------------------------------------
-    // Batched operations (one pin per batch, hints threaded op to op)
-    // ------------------------------------------------------------------
-
-    /// Picks the better of the carried hint and a fresh `LowestAncestor` result as
-    /// the start of the next search in a key-sorted batch: both are top-level nodes
-    /// with keys `<= key`, so the one with the larger key is strictly closer. The
-    /// carried hint is typically the previous op's start (or the top node the
-    /// previous insert just published, whose key is the previous — smaller — batch
-    /// key), so it never outruns `key`.
-    fn batch_start<'g>(
-        &'g self,
-        carried: Option<NodeRef<'g, V>>,
-        key: u64,
-        guard: &'g Guard,
-    ) -> NodeRef<'g, V> {
-        let fresh = self.xfast_pred(key, guard);
-        match carried {
-            Some(h) if !h.is_stopped() && h.key() >= fresh.key() => h,
-            _ => fresh,
-        }
-    }
-
-    /// Inserts every `key -> value` pair of `entries`, returning how many keys were
-    /// newly inserted (duplicates of already-present keys — and later duplicates
-    /// within the batch — are rejected exactly as by [`SkipTrie::insert`]).
-    ///
-    /// The batch is sorted by key and executed under **one** epoch pin, threading a
-    /// predecessor hint from each insertion to the next (the previous start, or the
-    /// top-level node the previous insertion just published), refreshed against a
-    /// fresh x-fast `LowestAncestor` probe per key. The outcome equals applying the
-    /// entries one at a time in slice order; each insertion still linearizes
-    /// individually — the batch as a whole is *not* atomic, and concurrent readers
-    /// may observe any prefix of it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use skiptrie::{SkipTrie, SkipTrieConfig};
-    ///
-    /// let trie: SkipTrie<u64> = SkipTrie::new(SkipTrieConfig::for_universe_bits(32));
-    /// assert_eq!(trie.insert_batch(&[(3, 30), (1, 10), (3, 99)]), 2);
-    /// assert_eq!(trie.get(3), Some(30), "first duplicate wins, as sequentially");
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe (checked up front,
-    /// before anything is inserted).
-    pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        for &(key, _) in entries {
-            self.check_key(key);
-        }
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by_key(|&i| entries[i].0);
-        self.insert_batch_picked(entries, &order)
-    }
-
-    /// [`SkipTrie::insert_batch`] over a pre-sorted index selection: `order`
-    /// indexes into `entries`, sorted by key (stably, so earlier duplicates win);
-    /// returns how many of the picked entries this call inserted. Keys must
-    /// already be checked. The sharded forest calls this once per shard group.
-    pub(crate) fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
-        let guard = self.skiplist.pin();
-        let mut hint: Option<NodeRef<'_, V>> = None;
-        let mut inserted = 0;
-        for &i in order {
-            let (key, ref value) = entries[i];
-            let start = self.batch_start(hint, key, &guard);
-            hint = Some(start);
-            if let skiptrie_skiplist::InsertOutcome::Inserted { top_node } = self
-                .skiplist
-                .insert_from(key, value.clone(), Some(start), &guard)
-            {
-                inserted += 1;
-                if let Some(node) = top_node {
-                    self.insert_prefixes(key, node, &guard);
-                    hint = Some(node);
-                }
-            }
-        }
-        inserted
-    }
-
-    /// Removes every key of `keys`, returning how many were present (and are now
-    /// removed). Sorted and executed under one pin with threaded hints, exactly like
-    /// [`SkipTrie::insert_batch`]; equivalent to — but faster than — calling
-    /// [`SkipTrie::remove`] per key, with each removal linearizing individually.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe (checked up front,
-    /// before anything is removed).
-    pub fn remove_batch(&self, keys: &[u64]) -> usize {
-        for &key in keys {
-            self.check_key(key);
-        }
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_unstable_by_key(|&i| keys[i]);
-        self.remove_batch_picked(keys, &order)
-    }
-
-    /// [`SkipTrie::remove_batch`] over a pre-sorted index selection (see
-    /// [`SkipTrie::insert_batch_picked`]): returns how many of the picked keys
-    /// this call removed.
-    pub(crate) fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
-        let guard = self.skiplist.pin();
-        let mut hint: Option<NodeRef<'_, V>> = None;
-        let mut removed = 0;
-        for &i in order {
-            let key = keys[i];
-            let start = self.batch_start(hint, key, &guard);
-            removed += usize::from(self.try_remove_exact(key, Some(start), &guard).is_some());
-            hint = Some(start);
-        }
-        removed
-    }
-
-    /// Looks up every key of `keys`, returning the values **in input order**
-    /// (`None` for absent keys). Internally sorted and executed under one pin with
-    /// threaded hints; equivalent to calling [`SkipTrie::get`] per key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe.
-    pub fn get_batch(&self, keys: &[u64]) -> Vec<Option<V>> {
-        for &key in keys {
-            self.check_key(key);
-        }
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by_key(|&i| keys[i]);
-        let mut out: Vec<Option<V>> = Vec::new();
-        out.resize_with(keys.len(), || None);
-        self.get_batch_picked(keys, &order, &mut out);
-        out
-    }
-
-    /// [`SkipTrie::get_batch`] over a pre-sorted index selection, writing each result
-    /// to `out[i]` for input index `i` (see [`SkipTrie::insert_batch_picked`]).
-    pub(crate) fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
-        let guard = self.skiplist.pin();
-        let mut hint: Option<NodeRef<'_, V>> = None;
-        for &i in order {
-            let key = keys[i];
-            let start = self.batch_start(hint, key, &guard);
-            out[i] = self.skiplist.get_from(key, Some(start), &guard);
-            hint = Some(start);
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Bulk load and snapshots (checkpoint / restore)
     // ------------------------------------------------------------------
 
@@ -1192,10 +1042,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the configured universe")]
     fn batched_oversized_key_panics_before_mutating() {
-        let t = trie(8);
-        let _ = t.insert_batch(&[(1, 1), (256, 0)]);
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // The message a call panicked with; fails if it returned.
+        fn panic_message(call: impl FnOnce() -> usize) -> String {
+            let payload = catch_unwind(AssertUnwindSafe(call)).expect_err("the batch returned");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        }
+        let structures: [(&str, Box<dyn OrderedKv<u64>>); 3] = [
+            ("skiptrie", Box::new(trie(8))),
+            (
+                "tiered",
+                Box::new(TieredSkipTrie::new(
+                    TieredSkipTrieConfig::for_universe_bits(8),
+                )),
+            ),
+            (
+                "forest",
+                Box::new(ShardedSkipTrie::<u64>::new(
+                    ShardedSkipTrieConfig::for_universe_bits(8),
+                )),
+            ),
+        ];
+        for (name, s) in &structures {
+            let message = panic_message(|| s.insert_batch(&[(1, 1), (256, 0), (2, 2)]));
+            assert!(
+                message.contains("exceeds the configured universe"),
+                "{name}: {message}"
+            );
+            assert!(s.is_empty(), "{name}: an insert landed before the panic");
+            assert_eq!(s.successor(0), None, "{name}");
+
+            assert!(s.insert(1, 1));
+            let message = panic_message(|| s.remove_batch(&[1, 256]));
+            assert!(
+                message.contains("exceeds the configured universe"),
+                "{name}: {message}"
+            );
+            assert_eq!(
+                s.get(1),
+                Some(1),
+                "{name}: a remove landed before the panic"
+            );
+        }
     }
 
     #[test]

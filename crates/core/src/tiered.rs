@@ -889,9 +889,8 @@ where
     }
 
     /// Insert core, under the caller's pin of this domain and starting on the
-    /// triple `t` loaded with it; batch entry points amortize the one pin over
-    /// the whole batch. One descent of the live delta and at most one CAS
-    /// (module docs, "One descent per write"): a key visible below can only be
+    /// triple `t` loaded with it. One descent of the live delta and at most one
+    /// CAS (module docs, "One descent per write"): a key visible below can only be
     /// revived through a live tombstone; any other key is linked as a put, and
     /// an insert that finds an entry there acts on that entry instead.
     fn insert_in<'g>(&'g self, mut t: &'g Tiers<V>, key: u64, value: &V, guard: &'g Guard) -> bool {
@@ -1204,88 +1203,6 @@ where
     pub fn remove(&self, key: u64) -> Option<V> {
         self.check_key(key);
         self.with_tiers(|t, guard| self.remove_in(t, key, guard))
-    }
-
-    /// Batch [`TieredSkipTrie::insert`]: one epoch pin and one load of the
-    /// published tiers for the whole batch instead of one per key.
-    /// Entries apply in slice order; returns how many keys this call inserted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe.
-    pub fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        let order: Vec<usize> = (0..entries.len()).collect();
-        self.insert_batch_picked(entries, &order)
-    }
-
-    /// Batch [`TieredSkipTrie::remove`] (same amortization as
-    /// [`TieredSkipTrie::insert_batch`]). Returns how many keys were removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe.
-    pub fn remove_batch(&self, keys: &[u64]) -> usize {
-        let order: Vec<usize> = (0..keys.len()).collect();
-        self.remove_batch_picked(keys, &order)
-    }
-
-    /// Batch [`TieredSkipTrie::get`]: pins and loads the published tiers once
-    /// and answers every key against that one triple (each key counts as a
-    /// tier hit or miss of its own). Element `i` answers `keys[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key does not fit in the configured universe.
-    pub fn get_batch(&self, keys: &[u64]) -> Vec<Option<V>> {
-        let order: Vec<usize> = (0..keys.len()).collect();
-        let mut out = vec![None; keys.len()];
-        self.get_batch_picked(keys, &order, &mut out);
-        out
-    }
-
-    /// Insert of a picked batch group: `order` indexes into `entries` and is the
-    /// sequence the picked entries apply in (a shard's group arrives key-sorted;
-    /// [`TieredSkipTrie::insert_batch`] passes slice order). One pin + one tiers
-    /// resolution for the group; returns how many picked entries this call
-    /// inserted.
-    pub(crate) fn insert_batch_picked(&self, entries: &[(u64, V)], order: &[usize]) -> usize {
-        for &i in order {
-            self.check_key(entries[i].0);
-        }
-        self.with_tiers(|t, guard| {
-            order
-                .iter()
-                .filter(|&&i| self.insert_in(t, entries[i].0, &entries[i].1, guard))
-                .count()
-        })
-    }
-
-    /// Remove of a picked batch group (see
-    /// [`TieredSkipTrie::insert_batch_picked`]): returns how many picked keys
-    /// this call removed.
-    pub(crate) fn remove_batch_picked(&self, keys: &[u64], order: &[usize]) -> usize {
-        for &i in order {
-            self.check_key(keys[i]);
-        }
-        self.with_tiers(|t, guard| {
-            order
-                .iter()
-                .filter(|&&i| self.remove_in(t, keys[i], guard).is_some())
-                .count()
-        })
-    }
-
-    /// Lookup of a shard's picked batch group, answering `out[i]` for each picked
-    /// `i` against one published tiers triple.
-    pub(crate) fn get_batch_picked(&self, keys: &[u64], order: &[usize], out: &mut [Option<V>]) {
-        for &i in order {
-            self.check_key(keys[i]);
-        }
-        self.with_tiers(|t, guard| {
-            for &i in order {
-                out[i] = t.get(keys[i], guard);
-            }
-        });
     }
 
     /// An ordered iterator over the entries whose keys lie in `range`, merged
@@ -1683,6 +1600,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skiptrie_skiplist::OrderedKv;
 
     fn tiered(entries: impl IntoIterator<Item = u64>) -> TieredSkipTrie<u64> {
         TieredSkipTrie::from_sorted(

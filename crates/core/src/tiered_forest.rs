@@ -48,7 +48,8 @@ use crate::tiered::TieredSkipTrie;
 ///
 /// Dereferences to [`ShardedSkipTrie<V, TieredSkipTrie<V>>`], so the whole
 /// router surface (point ops, predecessor/successor, stitched `range`,
-/// two-ended pops, batch groups) is available directly:
+/// two-ended pops, and [`OrderedKv`](crate::OrderedKv)'s batches) is available
+/// directly:
 ///
 /// ```
 /// use skiptrie::{ShardedSkipTrieConfig, TieredForest};

@@ -674,6 +674,7 @@ where
 mod tests {
     use super::*;
     use crate::SkipTrieConfig;
+    use skiptrie_skiplist::OrderedKv;
     use skiptrie_splitorder::SplitOrderedMap;
     use skiptrie_workloads::{harness::scaled, SplitMix64};
     use std::collections::HashMap;

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie, SkipTrieConfig};
+use skiptrie::{OrderedKv, ShardedSkipTrie, ShardedSkipTrieConfig, SkipTrie, SkipTrieConfig};
 
 #[derive(Debug, Clone)]
 enum BatchOp {

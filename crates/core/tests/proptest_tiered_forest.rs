@@ -8,7 +8,7 @@
 //! visible to any subsequent read.
 
 use proptest::prelude::*;
-use skiptrie::{max_key, ShardedSkipTrie, ShardedSkipTrieConfig, TieredForest};
+use skiptrie::{max_key, OrderedKv, ShardedSkipTrie, ShardedSkipTrieConfig, TieredForest};
 
 #[derive(Debug, Clone)]
 enum TOp {

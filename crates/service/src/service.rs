@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use skiptrie::{ShardEngine, ShardedSkipTrie, WakeGate};
+use skiptrie::{OrderedKv, ShardEngine, ShardedSkipTrie, WakeGate};
 use skiptrie_metrics::{record, Counter, LatencyClasses};
 
 use crate::request::{OpClass, Reply, Request, Response, Verb};

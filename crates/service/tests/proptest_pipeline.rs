@@ -21,7 +21,7 @@
 //! driven synchronously.
 
 use proptest::prelude::*;
-use skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig, TieredForest};
+use skiptrie::{OrderedKv, ShardedSkipTrie, ShardedSkipTrieConfig, TieredForest};
 use skiptrie_service::{Connection, Reply, Request, Service, ServiceConfig, Verb};
 
 const BITS: u32 = 10;

@@ -56,23 +56,66 @@ pub trait OrderedKv<V: Clone>: Send + Sync {
             }
         }
     }
-    /// Inserts every entry in slice order, returning how many were inserted.
+    /// Inserts every entry, returning how many this call inserted.
+    ///
+    /// A batch is its keys in order, run as point operations: the entries are
+    /// stably sorted by key and each goes through [`OrderedKv::insert`] on its
+    /// own, so nothing a call holds (an epoch pin, a loaded tiers triple) spans
+    /// the batch, and reclamation keeps pace with it. Sorting is where a batch's gain comes from
+    /// (neighbouring keys share cached nodes). The one exception to key order
+    /// is the largest key, whose first entry runs first: an unrepresentable key
+    /// then panics before anything is written, because the largest key is out
+    /// of range whenever any key is. Equal keys keep their slice order, and
+    /// operations on different keys commute, so the outcome equals applying
+    /// the entries one at a time in slice order. The batch is not atomic: each
+    /// operation linearizes on its own, and a concurrent reader may see any
+    /// subset of it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use skiptrie_skiplist::{OrderedKv, SkipList, SkipListConfig};
+    ///
+    /// let list: SkipList<u64> = SkipList::new(SkipListConfig::full_height());
+    /// assert_eq!(list.insert_batch(&[(3, 30), (1, 10), (3, 99)]), 2);
+    /// assert_eq!(list.get(3), Some(30), "the first of equal keys wins");
+    /// assert_eq!(list.get_batch(&[3, 2, 1]), [Some(30), None, Some(10)]);
+    /// ```
     fn insert_batch(&self, entries: &[(u64, V)]) -> usize {
-        entries
-            .iter()
-            .filter(|(key, value)| self.insert(*key, value.clone()))
+        batch_order(entries.len(), |i| entries[i].0)
+            .filter(|&i| self.insert(entries[i].0, entries[i].1.clone()))
             .count()
     }
-    /// Removes every key, returning how many were present.
+    /// Removes every key, returning how many this call removed. Runs as
+    /// [`OrderedKv::insert_batch`] does: in key order, one point call per key.
     fn remove_batch(&self, keys: &[u64]) -> usize {
-        keys.iter()
-            .filter(|&&key| self.remove(key).is_some())
+        batch_order(keys.len(), |i| keys[i])
+            .filter(|&i| self.remove(keys[i]).is_some())
             .count()
     }
-    /// Looks up every key, returning how many were present.
-    fn get_batch(&self, keys: &[u64]) -> usize {
-        keys.iter().filter(|&&key| self.contains(key)).count()
+    /// Looks up every key, returning the values in input order (`None` for an
+    /// absent key). Runs as [`OrderedKv::insert_batch`] does: in key order,
+    /// one point call per key.
+    fn get_batch(&self, keys: &[u64]) -> Vec<Option<V>> {
+        let mut out = vec![None; keys.len()];
+        for i in batch_order(keys.len(), |i| keys[i]) {
+            out[i] = self.get(keys[i]);
+        }
+        out
     }
+}
+
+/// The order a batch runs in (see [`OrderedKv::insert_batch`]): the indices
+/// `0..n` stably sorted by key, except that the first entry of the largest key
+/// runs first.
+fn batch_order(n: usize, key: impl Fn(usize) -> u64) -> impl Iterator<Item = usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| key(i));
+    if let Some(&last) = order.last() {
+        let first_of_largest = order.partition_point(|&i| key(i) < key(last));
+        order[..=first_of_largest].rotate_right(1);
+    }
+    order.into_iter()
 }
 
 impl<V> OrderedKv<V> for SkipList<V>

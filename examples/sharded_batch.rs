@@ -10,10 +10,10 @@
 //! land in a [`ShardedSkipTrie`] keyed by timestamp — the top key bits route each
 //! burst to per-epoch/per-pool shards — and are consumed by cross-shard window
 //! scans and an ordered drain. Demonstrates `insert_batch` / `get_batch` /
-//! `remove_batch`, cross-shard `predecessor` / `range` / `pop_first`, and the
-//! shard-load diagnostics.
+//! `remove_batch` (the batch forms of [`OrderedKv`]), cross-shard `predecessor`
+//! / `range` / `pop_first`, and the shard-load diagnostics.
 
-use skiptrie_suite::skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig};
+use skiptrie_suite::skiptrie::{OrderedKv, ShardedSkipTrie, ShardedSkipTrieConfig};
 use skiptrie_suite::workloads::SplitMix64;
 
 fn main() {
@@ -27,8 +27,8 @@ fn main() {
         store.universe_bits()
     );
 
-    // Bursts of readings: sorted-by-shard batches execute under one epoch pin per
-    // shard with predecessor hints threaded between consecutive inserts.
+    // Bursts of readings: a batch sorts its keys and inserts them one at a time,
+    // so each shard's readings arrive together, in key order.
     let mut rng = SplitMix64::new(0xDA7A);
     let mut total = 0usize;
     for burst in 0..32 {
@@ -68,7 +68,7 @@ fn main() {
     println!();
 
     // Bulk eviction of an old window: collect keys below a cutoff, remove as one
-    // batch (grouped per shard, one pin per shard).
+    // batch (sorted, one point removal per key).
     let cutoff = 1u64 << 30;
     let old: Vec<u64> = store.range(..cutoff).map(|(k, _)| k).collect();
     let evicted = store.remove_batch(&old);

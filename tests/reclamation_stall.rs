@@ -19,8 +19,8 @@ use skiptrie_suite::workloads::harness::{scaled, Workload};
 
 const UNIVERSE_BITS: u32 = 32;
 
-// Domains private to this file: 16/17 for the stall A/B pair, 20 for the tiered
-// regression, 15 for the splitorder regression. Other suites use 7
+// Domains private to this file: 16/17 for the stall A/B pair, 18 for the batch
+// witness, 20 for the tiered regression, 15 for the splitorder regression. Other suites use 7
 // (domain_isolation) and 11 (splitorder's own tests).
 const EBR_BASELINE_DOMAIN: usize = 16;
 const EBR_STALL_DOMAIN: usize = 17;
@@ -162,6 +162,45 @@ fn ebr_garbage_grows_with_churn_under_a_stalled_reader() {
         "EBR high-water mark {} did not grow >= 2x over the quiesced baseline {}",
         stalled.hwm,
         baseline.hwm
+    );
+}
+
+/// A batch holds no pin across its operations: `remove_batch` is one point
+/// removal per key, each under its own pin, so the domain's epoch keeps moving
+/// through the batch and its garbage drains as it goes. A pin held across the
+/// whole batch would freeze the epoch as the stalled reader above does, and every
+/// one of the batch's N retirements would stay pending until it ended.
+#[test]
+fn a_batch_holds_no_pin_across_its_operations() {
+    use skiptrie_suite::skiptrie::OrderedKv;
+    // Private to this test (see the domain list at the top of the file).
+    const BATCH_DOMAIN: usize = 18;
+    const N: usize = 4_096;
+
+    let config = SkipTrieConfig::for_universe_bits(UNIVERSE_BITS).with_domain(BATCH_DOMAIN);
+    let mut keys: Vec<u64> = (0..2 * N as u64).map(spread).collect();
+    keys.sort_unstable();
+    let trie: SkipTrie<u64> = SkipTrie::from_sorted(config, keys.iter().map(|&k| (k, k)));
+    let victims: Vec<u64> = keys.iter().copied().step_by(2).collect();
+    assert_eq!(stats(BATCH_DOMAIN).hwm, 0, "the bulk load retires nothing");
+
+    assert_eq!(trie.remove_batch(&victims), N);
+    // A removal here retires about four closures: its nodes, and the prefixes
+    // its tower held (17 168 for these N, all pending at once, when one pin
+    // spanned the batch). With a pin per removal, every 64th pin advances the
+    // epoch and collects, and a sealed bag is freed two advances later, so about
+    // three intervals of garbage (3 × 64 removals × ~4.2 + one 64-closure bag
+    // ≈ 870) is ever pending, whatever N is: 854 here.
+    let hwm = stats(BATCH_DOMAIN).hwm;
+    assert!(
+        hwm < (N / 4) as u64,
+        "{hwm} retirements were pending at once during a batch of {N} removals"
+    );
+    drop(trie);
+    assert!(
+        drain_domain(BATCH_DOMAIN),
+        "garbage leaked: {:?}",
+        stats(BATCH_DOMAIN)
     );
 }
 

@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 
 use skiptrie_suite::metrics::{self, Counter};
-use skiptrie_suite::skiptrie::{ShardedSkipTrie, ShardedSkipTrieConfig};
+use skiptrie_suite::skiptrie::{OrderedKv, ShardedSkipTrie, ShardedSkipTrieConfig};
 use skiptrie_suite::workloads::harness::{scaled, worker_rng, Workload};
 
 const UNIVERSE_BITS: u32 = 32;
