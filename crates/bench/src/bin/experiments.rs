@@ -779,7 +779,17 @@ fn counted(units: usize, f: impl FnOnce()) -> (f64, f64) {
     )
 }
 
-/// Appends one `ab` row — `a` then `b`, once each — and returns their steps per unit.
+/// Rounds of an `ab` row whose sides can run again.
+const AB_ROUNDS: usize = 5;
+
+/// The median of `values` (the upper one of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Appends one `ab` row — `a` then `b`, once each, for sides that use up what
+/// they run on — and returns their steps per unit.
 fn ab_row(
     rows: &mut Vec<Vec<Cell>>,
     pair: &str,
@@ -793,9 +803,50 @@ fn ab_row(
         pair.into(),
         unit.into(),
         units.into(),
+        1usize.into(),
         real(a_ns, 0),
         real(b_ns, 0),
         real(b_ns / a_ns, 2),
+        real(a_steps, 1),
+        real(b_steps, 1),
+    ]);
+    (a_steps, b_steps)
+}
+
+/// Appends one `ab` row for sides that leave their structures as they found them:
+/// [`AB_ROUNDS`] rounds, the side that goes first alternating, so no side always
+/// runs on a cold or a warm host. The row shows each side's median ns per unit and
+/// the median of the rounds' ratios; returns the median steps per unit (the same
+/// every round: they are deterministic).
+fn ab_rounds(
+    rows: &mut Vec<Vec<Cell>>,
+    pair: &str,
+    (unit, units): (&str, usize),
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64) {
+    let (mut a_runs, mut b_runs) = (Vec::new(), Vec::new());
+    for round in 0..AB_ROUNDS {
+        if round % 2 == 0 {
+            a_runs.push(counted(units, &mut a));
+            b_runs.push(counted(units, &mut b));
+        } else {
+            b_runs.push(counted(units, &mut b));
+            a_runs.push(counted(units, &mut a));
+        }
+    }
+    let column =
+        |runs: &[(f64, f64)], pick: fn(&(f64, f64)) -> f64| median(runs.iter().map(pick).collect());
+    let ratios = a_runs.iter().zip(&b_runs).map(|(a, b)| b.0 / a.0).collect();
+    let (a_steps, b_steps) = (column(&a_runs, |r| r.1), column(&b_runs, |r| r.1));
+    rows.push(vec![
+        pair.into(),
+        unit.into(),
+        units.into(),
+        AB_ROUNDS.into(),
+        real(column(&a_runs, |r| r.0), 0),
+        real(column(&b_runs, |r| r.0), 0),
+        real(median(ratios), 2),
         real(a_steps, 1),
         real(b_steps, 1),
     ]);
@@ -821,7 +872,7 @@ fn ab() -> Outcome {
             let mut rng = SplitMix64::new(0xE9A ^ k as u64);
             (0..reps).for_each(|_| visit(rng.next() & MAX_KEY));
         };
-        let (scan_steps, chained_steps) = ab_row(
+        let (scan_steps, chained_steps) = ab_rounds(
             &mut rows,
             &format!("scan(k={k}) vs k chained successor calls"),
             ("key", reps * k),
@@ -935,7 +986,7 @@ fn ab() -> Outcome {
     }
 
     let big = WorkloadSpec::read_only(BITS, scaled(200_000), 0, 0xE11).sorted_prefill_entries();
-    ab_row(
+    ab_rounds(
         &mut rows,
         "bulk_load vs sorted insert loop",
         ("key", big.len()),
@@ -982,7 +1033,7 @@ fn ab() -> Outcome {
             }
         }
     };
-    let (clean_steps, _) = ab_row(
+    let (clean_steps, _) = ab_rounds(
         &mut rows,
         "tiered read beside 2 048 un-merged writes: clean key (A) vs dirty key (B)",
         ("op", probes),
@@ -997,11 +1048,17 @@ fn ab() -> Outcome {
     );
 
     out.table(
-        "ab: mechanism (A) vs the alternative (B), single-threaded, counters on (u = 2^32)",
+        &format!(
+            "ab: mechanism (A) vs the alternative (B), single-threaded, counters on (u = 2^32); \
+             a row of {AB_ROUNDS} rounds alternates which side runs first and shows each side's \
+             median and the median per-round B/A, a row of 1 round (the pop drain and the batch \
+             rows, whose sides use up their structures) is one run"
+        ),
         &[
             "pair",
             "unit",
             "units",
+            "rounds",
             "A_ns/unit",
             "B_ns/unit",
             "B/A_ns",

@@ -36,7 +36,7 @@ pub enum Verb {
     InsertBatch(Vec<(u64, u64)>),
     /// Bulk remove; replies with the number of keys actually removed.
     RemoveBatch(Vec<u64>),
-    /// Bulk lookup; replies with the number of keys found present.
+    /// Bulk lookup; replies with each key's value, in input order.
     GetBatch(Vec<u64>),
 }
 
@@ -156,8 +156,12 @@ pub enum Reply {
     Entry(Option<(u64, u64)>),
     /// From [`Verb::Scan`]: the entries found, ascending by key.
     Entries(Vec<(u64, u64)>),
-    /// From the bulk verbs: how many keys were inserted/removed/found.
+    /// From [`Verb::InsertBatch`] / [`Verb::RemoveBatch`]: how many keys were
+    /// inserted/removed.
     Count(usize),
+    /// From [`Verb::GetBatch`]: the value under each key, if present, in input
+    /// order.
+    Values(Vec<Option<u64>>),
 }
 
 /// A completed request: the reply plus the per-request sequence number and the

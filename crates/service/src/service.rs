@@ -131,13 +131,7 @@ impl<E: ShardEngine<u64>> Shared<E> {
             Verb::PopLast => Reply::Entry(self.router.pop_last()),
             Verb::InsertBatch(entries) => Reply::Count(self.router.insert_batch(entries)),
             Verb::RemoveBatch(keys) => Reply::Count(self.router.remove_batch(keys)),
-            Verb::GetBatch(keys) => Reply::Count(
-                self.router
-                    .get_batch(keys)
-                    .iter()
-                    .filter(|v| v.is_some())
-                    .count(),
-            ),
+            Verb::GetBatch(keys) => Reply::Values(self.router.get_batch(keys)),
         }
     }
 
@@ -571,5 +565,43 @@ mod tests {
         assert_eq!(router.len(), 200, "admitted requests ran before teardown");
         let replies = submit_insert(0).wait_idle();
         assert_eq!(replies[0].reply, Reply::Inserted(false));
+    }
+
+    #[test]
+    fn a_fenced_get_batch_answers_each_key_in_input_order() {
+        let router = Arc::new(ShardedSkipTrie::<u64>::new(
+            ShardedSkipTrieConfig::for_universe_bits(16).with_shards(2),
+        ));
+        for key in (0..1u64 << 16).step_by(5) {
+            router.insert(key, key * 3);
+        }
+        // Both shards, repeats (adjacent and not) and misses, out of key order.
+        let keys = vec![
+            65_530,
+            10,
+            11,
+            10,
+            1 << 15,
+            0,
+            65_535,
+            10,
+            32_770,
+            32_770,
+            4,
+            65_530,
+        ];
+        let expected = router.get_batch(&keys);
+        assert!(expected.contains(&None) && expected.iter().flatten().count() > 4);
+        let service = Service::new(Arc::clone(&router), ServiceConfig::default());
+        let mut conn = service.connect();
+        let submit_ns = conn.now_ns();
+        conn.submit(Request {
+            verb: Verb::GetBatch(keys),
+            submit_ns,
+        })
+        .expect("a fenced verb is never shed");
+        let replies = conn.wait_idle();
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].reply, Reply::Values(expected));
     }
 }

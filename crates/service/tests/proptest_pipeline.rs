@@ -86,9 +86,7 @@ fn direct(model: &ShardedSkipTrie<u64>, verb: &Verb) -> Reply {
         Verb::PopLast => Reply::Entry(model.pop_last()),
         Verb::InsertBatch(entries) => Reply::Count(model.insert_batch(entries)),
         Verb::RemoveBatch(keys) => Reply::Count(model.remove_batch(keys)),
-        Verb::GetBatch(keys) => {
-            Reply::Count(model.get_batch(keys).iter().filter(|v| v.is_some()).count())
-        }
+        Verb::GetBatch(keys) => Reply::Values(model.get_batch(keys)),
     }
 }
 

@@ -22,16 +22,23 @@
 //!   predecessor, exactly as `fixPrev` would leave them;
 //! * the occupancy counter ends at `n`, as if `n` inserts had linearized.
 //!
+//! Nodes come from the pool a slab run at a time (`Run` in `pool.rs`): pooled
+//! nodes first, then fresh strides of the newest slab, taken under one lock per
+//! slab rather than a lock and a counter update per node. The run gives its
+//! unused tail back, so the pool's counts and slab bytes are the ones node-by-node
+//! carving would leave.
+//!
 //! Callers that need the x-fast trie populated on top (the SkipTrie) consume the
 //! returned [`BulkLoadReport::tops`] — keys and packed words of the nodes that
 //! reached the top level, in key order.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use skiptrie_atomics::tagged;
 
 use crate::height::key_height;
-use crate::node::Node;
+use crate::node::{Leaf, Node, Role, Tower};
+use crate::pool::Run;
 use crate::SkipList;
 
 /// What [`SkipList::bulk_load_sorted`] built.
@@ -52,7 +59,8 @@ where
     /// Builds the list's entire contents from a strictly increasing `(key, value)`
     /// sequence in `O(n)`, bypassing the concurrent insert protocol (see the
     /// [module docs](self) for why `&mut self` makes that safe and what
-    /// "indistinguishable from sequential inserts" means).
+    /// "indistinguishable from sequential inserts" means). Takes no lock per node:
+    /// fresh nodes are carved a slab run at a time, after the pooled ones.
     ///
     /// # Panics
     ///
@@ -102,8 +110,18 @@ where
             .collect();
         let seed = self.config().seed;
         let mut prev_key: Option<u64> = None;
-        let mut count = 0usize;
+        // Every key linked is counted into the occupancy counter once, when the
+        // load ends, or while a panic in the input unwinds it: either way
+        // `len()`/`is_empty()` agree with the contents a caller that catches the
+        // unwind would observe, and no key pays an atomic add.
+        let mut linked = Linked {
+            counter: self.len_counter(),
+            keys: 0,
+        };
         let mut tops = Vec::new();
+        // Fresh nodes come a slab run at a time, pooled ones first.
+        let mut leaves = Run::new(self.pool(), Role::Leaf, Leaf::empty);
+        let mut towers = Run::new(self.pool(), Role::Tower, Tower::empty);
 
         for (key, value) in entries {
             assert!(
@@ -116,13 +134,13 @@ where
             let height = key_height(key, seed, top);
 
             // Level 0 (root) node: value-carrying, root = self.
-            let root_ptr = self.pool().acquire();
+            let root_ptr = leaves.take();
             let root_word = tagged::pack(root_ptr);
             // `Relaxed` initialization: the insert path's `SeqCst` stores (a full
             // fence each on x86) exist for publication racing concurrent readers;
             // under `&mut self` there are none, and the eventual handoff that shares
             // the structure carries the publishing edge.
-            // SAFETY: `root_ptr` is fresh from the pool and `last[0]` is the head
+            // SAFETY: `root_ptr` is fresh from the run and `last[0]` is the head
             // sentinel or a node this call created; `&mut self` excludes all other
             // access.
             unsafe {
@@ -140,7 +158,7 @@ where
             // Upper tower nodes, bottom-up, linked by `down` and sharing the root.
             let mut lower_word = root_word;
             for level in 1..=height {
-                let ptr = self.pool().acquire_tower();
+                let ptr = towers.take();
                 let word = tagged::pack(ptr);
                 // SAFETY: as for level 0.
                 unsafe {
@@ -169,19 +187,34 @@ where
                 last[level as usize] = ptr.cast::<Node<V>>();
                 lower_word = word;
             }
-            count += 1;
-            // Counted per key (uncontended `Relaxed` add), not once at the end: if
-            // the input iterator panics mid-build, the structure stays consistent —
-            // every linked key is counted, so `len()`/`is_empty()` agree with the
-            // contents a caller that catches the unwind would observe.
-            self.len_counter().fetch_add(1, Ordering::Relaxed);
+            linked.keys += 1;
         }
-        BulkLoadReport { keys: count, tops }
+        BulkLoadReport {
+            keys: linked.keys,
+            tops,
+        }
+    }
+}
+
+/// Keys a bulk load has linked, added to the list's occupancy counter on drop.
+struct Linked<'a> {
+    counter: &'a AtomicUsize,
+    keys: usize,
+}
+
+impl Drop for Linked<'_> {
+    fn drop(&mut self) {
+        self.counter.fetch_add(self.keys, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+    use std::sync::atomic::Ordering;
+
+    use crossbeam_epoch as epoch;
+
     use crate::{SkipList, SkipListConfig};
 
     fn loaded(n: u64) -> SkipList<u64> {
@@ -338,5 +371,107 @@ mod tests {
         let mut list: SkipList<u64> = SkipList::new(SkipListConfig::for_universe_bits(16));
         list.insert(1, 1);
         let _ = list.bulk_load_sorted([(2u64, 2u64)]);
+    }
+
+    /// `(key, address)` of every data node linked on any level.
+    fn linked_nodes(list: &SkipList<u64>) -> Vec<(u64, usize)> {
+        let guard = list.pin();
+        let mut nodes = Vec::new();
+        for level in 0..list.levels() {
+            list.walk_level(level, &guard, |node| {
+                nodes.push((node.key.load(Ordering::Relaxed), node as *const _ as usize))
+            });
+        }
+        nodes
+    }
+
+    #[test]
+    fn a_bulk_load_counts_what_it_links_and_carving_goes_on_where_it_stopped() {
+        let config = SkipListConfig::for_universe_bits(32).with_seed(5);
+        let sentinels = SkipList::<u64>::new(config).allocation_stats().0;
+        let bulk = loaded(3_000);
+        let linked = linked_nodes(&bulk);
+        assert_eq!(linked.len(), bulk.level_lengths().iter().sum::<usize>());
+        assert_eq!(
+            bulk.allocation_stats().0,
+            sentinels + linked.len(),
+            "one count per node linked"
+        );
+        // The same nodes carved one at a time hold the same slabs.
+        let seq = SkipList::new(config);
+        for k in 0..3_000u64 {
+            assert!(seq.insert(k * 7, k));
+        }
+        assert_eq!(bulk.allocation_stats(), seq.allocation_stats());
+        assert_eq!(bulk.approx_node_bytes(), seq.approx_node_bytes());
+
+        let held: HashSet<usize> = linked.iter().map(|&(_, at)| at).collect();
+        for key in [1u64, 2, 3, 4] {
+            assert!(bulk.insert(key, key) && seq.insert(key, key));
+        }
+        let fresh: Vec<usize> = linked_nodes(&bulk)
+            .into_iter()
+            .filter(|&(key, _)| (1..=4).contains(&key))
+            .map(|(_, at)| at)
+            .collect();
+        assert!(fresh.len() >= 4);
+        assert!(
+            fresh.iter().all(|at| !held.contains(at)),
+            "an insert got a node a loaded key holds"
+        );
+        bulk.check_traversal_integrity();
+        assert_eq!(bulk.allocation_stats(), seq.allocation_stats());
+        assert_eq!(bulk.approx_node_bytes(), seq.approx_node_bytes());
+    }
+
+    #[test]
+    fn a_bulk_load_takes_pooled_nodes_before_it_carves() {
+        const DOMAIN: usize = 10;
+        let config = SkipListConfig::for_universe_bits(32)
+            .with_seed(5)
+            .with_domain(DOMAIN);
+        let mut list = SkipList::new(config);
+        let sentinels = list.allocation_stats().0;
+        let n = 2_000u64;
+        for k in 0..n {
+            assert!(list.insert(k * 7, k));
+        }
+        for k in 0..n {
+            assert_eq!(list.remove(k * 7), Some(k));
+        }
+        let (carved, ..) = list.allocation_stats();
+        for _ in 0..10_000 {
+            if list.allocation_stats().2 == carved - sentinels {
+                break;
+            }
+            epoch::pin_domain(DOMAIN).flush();
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            list.allocation_stats().2,
+            carved - sentinels,
+            "every removed node is pooled"
+        );
+        list.bulk_load_sorted((0..n).map(|k| (k * 7, k)));
+        assert_eq!(
+            list.allocation_stats().0,
+            carved,
+            "every node came from the pool"
+        );
+        assert_eq!(list.allocation_stats().2, 0);
+        assert_eq!(list.len(), n as usize);
+        list.check_traversal_integrity();
+    }
+
+    #[test]
+    fn a_load_cut_short_by_its_input_counts_what_it_linked() {
+        let mut list: SkipList<u64> = SkipList::new(SkipListConfig::for_universe_bits(16));
+        let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            list.bulk_load_sorted([(1u64, 1u64), (2, 2), (3, 3), (2, 2)])
+        }));
+        assert!(cut.is_err(), "out-of-order input panics");
+        assert_eq!(list.len(), 3);
+        assert_eq!(list.keys(), vec![1, 2, 3]);
+        list.check_traversal_integrity();
     }
 }

@@ -91,6 +91,27 @@ impl Slabs {
             last: 0,
         })
     }
+
+    /// Allocates the next slab (twice the last, at least one node) and makes all of
+    /// it the uncarved rest. Returns its bytes.
+    fn grow(&mut self) -> usize {
+        let bytes = (self.last * 2)
+            .clamp(FIRST_SLAB, MAX_SLAB)
+            .max(self.node.size());
+        let layout = Layout::from_size_align(bytes, self.node.align()).expect("slab layout");
+        // SAFETY: `bytes` is non-zero.
+        let start = unsafe { alloc::alloc(layout) };
+        if start.is_null() {
+            alloc::handle_alloc_error(layout);
+        }
+        let start = start as usize;
+        let at = self.owned.partition_point(|&(s, _)| s < start);
+        self.owned.insert(at, (start, bytes));
+        self.cursor = start;
+        self.end = start + bytes;
+        self.last = bytes;
+        bytes
+    }
 }
 
 /// A type-stable, role-stable pool of skiplist nodes (see module docs).
@@ -179,19 +200,7 @@ impl<V> NodePool<V> {
         let stride = slabs.node.size();
         debug_assert_eq!(slabs.node, Layout::new::<N>());
         if slabs.end - slabs.cursor < stride {
-            let bytes = (slabs.last * 2).clamp(FIRST_SLAB, MAX_SLAB).max(stride);
-            let layout = Layout::from_size_align(bytes, slabs.node.align()).expect("slab layout");
-            // SAFETY: `bytes` is non-zero.
-            let start = unsafe { alloc::alloc(layout) };
-            if start.is_null() {
-                alloc::handle_alloc_error(layout);
-            }
-            let start = start as usize;
-            let at = slabs.owned.partition_point(|&(s, _)| s < start);
-            slabs.owned.insert(at, (start, bytes));
-            slabs.cursor = start;
-            slabs.end = start + bytes;
-            slabs.last = bytes;
+            let bytes = slabs.grow();
             self.slab_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
         let at = slabs.cursor as *mut N;
@@ -202,6 +211,21 @@ impl<V> NodePool<V> {
         // else was given.
         unsafe { at.write(fresh()) };
         at.cast()
+    }
+
+    /// Takes `role`'s slab lock once and hands out the uncarved rest of the newest
+    /// slab, `(start, end)`, allocating the next slab first when that one is spent.
+    /// A [`Run`] carves it.
+    fn rest_of_slab<N: HeaderFirst<V>>(&self, role: Role) -> (usize, usize) {
+        let mut slabs = self.slabs[slot(role)].lock().expect("node pool poisoned");
+        debug_assert_eq!(slabs.node, Layout::new::<N>());
+        if slabs.end - slabs.cursor < slabs.node.size() {
+            let bytes = slabs.grow();
+            self.slab_bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
+        let rest = (slabs.cursor, slabs.end);
+        slabs.cursor = slabs.end;
+        rest
     }
 
     /// Poisons a quiescent node: bumps the incarnation and clears STOP (so stale DCSS
@@ -321,6 +345,76 @@ impl<V> NodePool<V> {
                 lists[0].len() + lists[1].len()
             })
             .sum()
+    }
+}
+
+/// Nodes of one layout for a single owner that makes many at once (a bulk load),
+/// carved a slab run at a time: the slab lock is taken once per run, not once per
+/// node, and [`NodePool::allocated`] is counted once, when the run is dropped.
+/// Pooled nodes still come first, as in [`NodePool::acquire`]. Dropping the run
+/// hands its uncarved tail back to the slab, so the next carve goes on where the
+/// run stopped and the pool's counts and slab bytes stay what node-by-node carving
+/// would have left.
+pub(crate) struct Run<'p, V, N> {
+    pool: &'p NodePool<V>,
+    role: Role,
+    fresh: fn() -> N,
+    /// The run's uncarved rest: `next..end`.
+    next: usize,
+    end: usize,
+    /// Nodes carved from the run so far.
+    carved: usize,
+}
+
+impl<'p, V, N: HeaderFirst<V>> Run<'p, V, N> {
+    /// An empty run over `pool`'s `role` slabs, whose fresh nodes are `fresh()`.
+    pub(crate) fn new(pool: &'p NodePool<V>, role: Role, fresh: fn() -> N) -> Self {
+        Run {
+            pool,
+            role,
+            fresh,
+            next: 0,
+            end: 0,
+            carved: 0,
+        }
+    }
+
+    /// A node in the poisoned state, on [`NodePool::acquire`]'s terms: a pooled one,
+    /// or `fresh()` written into the next stride of the run, which takes the rest of
+    /// the newest slab when it is spent.
+    pub(crate) fn take(&mut self) -> *mut N {
+        if let Some(ptr) = self.pool.pop(self.role) {
+            return ptr.cast();
+        }
+        let stride = std::mem::size_of::<N>();
+        if self.end - self.next < stride {
+            (self.next, self.end) = self.pool.rest_of_slab::<N>(self.role);
+        }
+        let at = self.next as *mut N;
+        self.next += stride;
+        self.carved += 1;
+        // SAFETY: a line-aligned stretch of slab, `size_of::<N>()` bytes, that only
+        // this run was given.
+        unsafe { at.write((self.fresh)()) };
+        at
+    }
+}
+
+impl<V, N> Drop for Run<'_, V, N> {
+    fn drop(&mut self) {
+        self.pool
+            .allocated
+            .fetch_add(self.carved, Ordering::Relaxed);
+        if self.next == self.end {
+            return;
+        }
+        let mut slabs = self.pool.slabs[slot(self.role)]
+            .lock()
+            .expect("node pool poisoned");
+        // Only the newest slab's uncarved rest can go back.
+        if (slabs.cursor, slabs.end) == (self.end, self.end) {
+            slabs.cursor = self.next;
+        }
     }
 }
 

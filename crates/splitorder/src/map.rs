@@ -428,15 +428,19 @@ where
     /// Inserting `n` items one at a time costs `n` bucket localizations, `n` chain
     /// walks and `n` CAS publications, plus the lazy sentinel-linking cascades of
     /// every directory doubling along the way. Under `&mut self` none of that
-    /// machinery is needed: the items are sorted by their split-order position once,
-    /// the directory is sized to its final power of two up front (replaying the
-    /// incremental doubling rule), and one three-way merge — the existing list, the
-    /// new items, and the sentinels of every bucket not yet linked, in split order —
-    /// links each node to its predecessor with a plain store as it goes. The
-    /// sentinels are linked in place in the directory's leaves, and the merge keeps
-    /// no list of its own. `O(n log n)` for the sort, `O(existing + n + buckets)`
-    /// for the merge, and the result is exactly the list the `n` individual inserts
-    /// would have produced.
+    /// machinery is needed. The directory is sized to its final power of two up
+    /// front (replaying the incremental doubling rule). At that size a split-ordered
+    /// list keeps every bucket's items together, in the bucket's bit-reversed rank,
+    /// so the items are placed by a counting sort over the buckets — a count per
+    /// rank, one move per item — and only each bucket's own few items are compared.
+    /// Then one three-way merge — the existing list, the new items, and the
+    /// sentinels of every bucket not yet linked, in split order — links each node
+    /// to its predecessor with a plain store as it goes. The sentinels are linked in
+    /// place in the directory's leaves, and the merge keeps no list of its own.
+    /// `O(n + buckets)` for the placement (plus `O(g log g)` for a bucket of `g`
+    /// items, which only a directory at its capacity makes long),
+    /// `O(existing + n + buckets)` for the merge, and the result is exactly the list
+    /// the `n` individual inserts would have produced.
     ///
     /// # Panics
     ///
@@ -449,21 +453,7 @@ where
         if n == 0 {
             return 0;
         }
-        // (1) Sort the new items by their final list position (so_key, key).
-        let mut new_nodes: Vec<(u64, K, V)> = items
-            .into_iter()
-            .map(|(k, v)| (regular_so_key(hash_key(&k)), k, v))
-            .collect();
-        new_nodes.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        // Within-batch duplicates surface as adjacent equal positions after the sort.
-        for w in new_nodes.windows(2) {
-            assert!(
-                (w[0].0, &w[0].1) < (w[1].0, &w[1].1),
-                "bulk_load requires distinct keys"
-            );
-        }
-
-        // (2) Final directory size: replay the one-doubling-per-insert growth rule.
+        // (1) Final directory size: replay the one-doubling-per-insert growth rule.
         let existing = self.count.load(Ordering::SeqCst);
         let mut size = self.size.load(Ordering::SeqCst);
         for i in 1..=n {
@@ -474,6 +464,59 @@ where
         // Build the segment tree at its final height directly: one grow loop here
         // instead of a grow CAS discovered lazily on some later probe's path.
         self.directory.ensure_capacity(size);
+
+        // (2) Place the new items in their final list order (so_key, key). At the
+        // final size an item's rank — the top `log₂ size` bits of its so_key, the
+        // split-order position of its bucket — fixes its place up to the other
+        // items of its bucket, so a counting pass and one move per item do what a
+        // comparison sort of the batch would, and only each bucket's few items are
+        // compared. The items move straight from `items` into the one buffer of
+        // placed nodes, so no second batch-sized buffer is live at once.
+        let s = size.trailing_zeros();
+        let place = |key: &K| {
+            let so = regular_so_key(hash_key(key));
+            (so, so.checked_shr(64 - s).unwrap_or(0) as usize)
+        };
+        // `start[r]..start[r + 1]` is rank r's stretch of the buffer.
+        let mut start = vec![0usize; size + 1];
+        for (k, _) in &items {
+            start[place(k).1 + 1] += 1;
+        }
+        for r in 0..size {
+            start[r + 1] += start[r];
+        }
+        let mut fill = start[..size].to_vec();
+        let mut new_nodes: Vec<(u64, K, V)> = Vec::with_capacity(n);
+        let slots = new_nodes.spare_capacity_mut();
+        for (k, v) in items {
+            let (so, r) = place(&k);
+            // A key whose hash changed since it was counted would overrun its
+            // stretch; every slot is written exactly once only if none does.
+            assert!(
+                fill[r] < start[r + 1],
+                "bulk_load key hashed differently twice"
+            );
+            slots[fill[r]].write((so, k, v));
+            fill[r] += 1;
+        }
+        // SAFETY: the `n` writes above each stayed inside their rank's stretch, and
+        // the stretches' lengths sum to `n`, so every slot of `0..n` was written
+        // exactly once.
+        unsafe { new_nodes.set_len(n) };
+        drop(fill);
+        for group in start.windows(2) {
+            new_nodes[group[0]..group[1]]
+                .sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        }
+        // Freed before the merge allocates the entries, which can then reuse it.
+        drop(start);
+        // Within-batch duplicates surface as adjacent equal positions once placed.
+        for w in new_nodes.windows(2) {
+            assert!(
+                (w[0].0, &w[0].1) < (w[1].0, &w[1].1),
+                "bulk_load requires distinct keys"
+            );
+        }
 
         // (3) Three-way merge by split-order position, linking each node to the
         // last one linked. The streams: the existing list after the head (under
@@ -1236,5 +1279,82 @@ mod tests {
     #[test]
     fn every_value_is_dropped_exactly_once_across_several_leaves() {
         drops_each_value_once(DirectoryConfig::default().with_segment_bits(2), 14);
+    }
+
+    /// Bulk-loads `items` into `bulk` and inserts them one by one into
+    /// `incremental` (two maps holding the same entries), then checks that the two
+    /// lists are node for node the same: the same entries in the same order, and
+    /// the same bytes once every bucket of the incremental map is linked too.
+    fn assert_placed_as_inserted(
+        mut bulk: SplitOrderedMap<u64, u64>,
+        incremental: SplitOrderedMap<u64, u64>,
+        items: Vec<(u64, u64)>,
+    ) {
+        let n = items.len();
+        assert_eq!(bulk.bulk_load(items.clone()), n);
+        for (k, v) in items {
+            assert!(incremental.insert(k, v));
+        }
+        let buckets = incremental.bucket_count();
+        assert_eq!(bulk.bucket_count(), buckets);
+        let guard = incremental.pin();
+        for bucket in 0..buckets as u64 {
+            let _ = incremental.start_of(bucket, &guard);
+        }
+        drop(guard);
+        let list = |map: &SplitOrderedMap<u64, u64>| {
+            let mut entries = Vec::with_capacity(map.len());
+            map.for_each(|&k, &v| entries.push((k, v)));
+            entries
+        };
+        let loaded = list(&bulk);
+        assert_eq!(loaded.len(), incremental.len());
+        assert!(loaded == list(&incremental), "the lists differ");
+        assert_eq!(bulk.node_bytes(), incremental.node_bytes());
+    }
+
+    /// `n` distinct keys spread over the whole `u64` range.
+    fn spread_items(n: u64) -> Vec<(u64, u64)> {
+        (0..n)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i))
+            .collect()
+    }
+
+    #[test]
+    fn a_counted_placement_links_the_list_inserts_link() {
+        assert_placed_as_inserted(
+            SplitOrderedMap::new(),
+            SplitOrderedMap::new(),
+            spread_items(30_000),
+        );
+    }
+
+    #[test]
+    fn a_counted_placement_sorts_the_long_buckets_of_a_full_directory() {
+        let config = DirectoryConfig::default().with_segment_bits(2);
+        let bulk = SplitOrderedMap::with_directory(config);
+        assert_eq!(bulk.directory.max_capacity(), 16_384);
+        let n = 200_000u64;
+        assert_placed_as_inserted(
+            bulk,
+            SplitOrderedMap::with_directory(config),
+            spread_items(n),
+        );
+    }
+
+    #[test]
+    fn a_counted_placement_merges_with_the_entries_already_held() {
+        let (bulk, incremental) = (SplitOrderedMap::new(), SplitOrderedMap::new());
+        let held = spread_items(5_000);
+        for &(k, v) in &held {
+            assert!(bulk.insert(k, v));
+            assert!(incremental.insert(k, v));
+        }
+        for &(k, _) in held.iter().step_by(4) {
+            assert!(bulk.remove(&k).is_some());
+            assert!(incremental.remove(&k).is_some());
+        }
+        let items = spread_items(25_000).split_off(5_000);
+        assert_placed_as_inserted(bulk, incremental, items);
     }
 }
