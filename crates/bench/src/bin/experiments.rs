@@ -59,6 +59,11 @@ const EXPERIMENTS: &[(&str, &str, fn() -> Outcome)] = &[
         sweep,
     ),
     ("ab", "A/B pairs with no twin in perfbench or tier-1", ab),
+    (
+        "pages",
+        "2-MiB pages: the node pool's own arenas against glibc's heap-wide advice",
+        pages,
+    ),
 ];
 
 fn trie_config() -> SkipTrieConfig {
@@ -1070,8 +1075,144 @@ fn ab() -> Outcome {
     out
 }
 
+/// Alternating process pairs per `pages` row.
+const PAGES_PAIRS: usize = 5;
+/// The argument that makes the bin one `pages` measurement (see [`pages_child`]).
+const PAGES_CHILD: &str = "--pages-child";
+/// glibc's tunable that has malloc advise `MADV_HUGEPAGE` over its whole heap.
+const HEAP_HUGE_PAGES: (&str, &str) = ("GLIBC_TUNABLES", "glibc.malloc.hugetlb=1");
+
+/// One `pages` measurement, in a child process of its own: `structure` built over
+/// `m` keys, then mean ns per predecessor query. Prints the ns and the process's
+/// `AnonHugePages` (kB, read while the structure is alive; 0 where the kernel
+/// does not report it).
+fn pages_child(structure: &str, m: usize, queries: usize) {
+    let spec = WorkloadSpec::read_only(BITS, m, queries, 0x9A6E);
+    let ops = spec.thread_ops(0);
+    let map: Box<dyn OrderedKv<u64>> = match structure {
+        "skiptrie_bulk" => Box::new(SkipTrie::from_sorted(
+            trie_config(),
+            spec.sorted_prefill_entries(),
+        )),
+        "skiptrie_inserted" => {
+            let trie = SkipTrie::new(trie_config());
+            prefill(&trie, &spec.prefill_keys());
+            Box::new(trie)
+        }
+        "locked_btree" => {
+            let btree: LockedBTreeMap<u64> = LockedBTreeMap::new();
+            prefill(&btree, &spec.prefill_keys());
+            Box::new(btree)
+        }
+        other => panic!("no pages structure {other:?}"),
+    };
+    let ns = ns_per_op(&*map, &ops);
+    let huge_kb: u64 = std::fs::read_to_string("/proc/self/smaps_rollup")
+        .ok()
+        .and_then(|rollup| {
+            rollup
+                .lines()
+                .find_map(|line| line.strip_prefix("AnonHugePages:"))
+                .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        })
+        .unwrap_or(0);
+    println!("{ns} {huge_kb}");
+}
+
+/// Runs one [`pages_child`] measurement in a fresh process of this bin, with
+/// glibc's heap-wide advice or without it: `(ns/op, AnonHugePages kB)`.
+fn pages_run(structure: &str, m: usize, queries: usize, heap_advised: bool) -> (f64, f64) {
+    let exe = std::env::current_exe().expect("the experiments bin knows its path");
+    let mut child = std::process::Command::new(exe);
+    child.args([PAGES_CHILD, structure, &m.to_string(), &queries.to_string()]);
+    if heap_advised {
+        child.env(HEAP_HUGE_PAGES.0, HEAP_HUGE_PAGES.1);
+    } else {
+        child.env_remove(HEAP_HUGE_PAGES.0);
+    }
+    let out = child.output().expect("a pages child runs");
+    assert!(
+        out.status.success(),
+        "pages child {structure} m={m} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = String::from_utf8(out.stdout).expect("a pages child prints text");
+    let mut fields = line
+        .split_whitespace()
+        .map(|f| f.parse::<f64>().expect("a number"));
+    let mut next = || fields.next().expect("two fields");
+    (next(), next())
+}
+
+/// pages — where a large structure's time goes on 4-KiB pages. Each row runs
+/// [`PAGES_PAIRS`] alternating pairs of child processes: `own` as the library
+/// stands (the skiplist pool advises its own 2-MiB arenas, nothing else is
+/// advised), `heap` under glibc's tunable that advises all of malloc's memory.
+/// The gap between them is what huge pages would still give the rest of the
+/// structure (prefix entries, directory leaves, the B-tree's nodes). Timings and
+/// `AnonHugePages` depend on the host's THP mode, so nothing here is checked.
+fn pages() -> Outcome {
+    let queries = scaled(200_000);
+    let mut rows = Vec::new();
+    for m in [131_072, 1 << 22].map(scaled) {
+        for structure in ["skiptrie_bulk", "skiptrie_inserted", "locked_btree"] {
+            let (mut own, mut heap) = (Vec::new(), Vec::new());
+            for pair in 0..PAGES_PAIRS {
+                let run = |heap_advised| pages_run(structure, m, queries, heap_advised);
+                if pair % 2 == 0 {
+                    own.push(run(false));
+                    heap.push(run(true));
+                } else {
+                    heap.push(run(true));
+                    own.push(run(false));
+                }
+            }
+            let won = own.iter().zip(&heap).filter(|(o, h)| h.0 < o.0).count();
+            let column = |runs: &[(f64, f64)], pick: fn(&(f64, f64)) -> f64| {
+                median(runs.iter().map(pick).collect())
+            };
+            let (own_ns, heap_ns) = (column(&own, |r| r.0), column(&heap, |r| r.0));
+            rows.push(vec![
+                m.into(),
+                structure.into(),
+                real(own_ns, 0),
+                real(heap_ns, 0),
+                real(heap_ns / own_ns, 2),
+                Cell::Text(format!("{won}/{PAGES_PAIRS}")),
+                real(column(&own, |r| r.1), 0),
+                real(column(&heap, |r| r.1), 0),
+            ]);
+        }
+    }
+    let mut out = Outcome::default();
+    out.table(
+        &format!(
+            "pages: predecessor ns/op, own arenas vs heap-wide huge pages (medians of {PAGES_PAIRS} process pairs)"
+        ),
+        &[
+            "m",
+            "structure",
+            "own_ns/op",
+            "heap_ns/op",
+            "heap/own_ns",
+            "heap_pairs_won",
+            "own_AnonHugePages_kB",
+            "heap_AnonHugePages_kB",
+        ],
+        rows,
+    );
+    out
+}
+
 fn main() {
     let wanted: Vec<String> = std::env::args().skip(1).collect();
+    if let [flag, structure, m, queries] = wanted.as_slice() {
+        if flag == PAGES_CHILD {
+            let count = |arg: &String| arg.parse().expect("a count");
+            pages_child(structure, count(m), count(queries));
+            return;
+        }
+    }
     let find = |w: &String| {
         EXPERIMENTS
             .iter()

@@ -553,53 +553,71 @@ where
     /// [`SkipTrie::bulk_load`]: populate the whole prefix table from the sorted
     /// `(key, packed word)` list of top-level nodes, with **one hash-table insert
     /// per distinct prefix and no lookups at all** (the per-key formulation costs
-    /// `universe_bits` lookups per top key; this layered one is what makes bulk
-    /// ingest land well clear of the sequential-insert baseline).
+    /// `universe_bits` lookups per top key; this one is what makes bulk ingest
+    /// land well clear of the sequential-insert baseline).
     ///
-    /// Layer by layer (prefix length 0, 1, …): the keys sharing a prefix form one
+    /// Prefix by prefix, from ε down: the keys sharing a prefix form one
     /// contiguous *run* of the sorted list, and within a run the `0`-direction keys
     /// precede the `1`-direction keys, so the trie node's final contents read off
     /// directly — `pointers[0]` = last key of the run's 0-half (the subtree
     /// maximum), `pointers[1]` = first key of its 1-half (the subtree minimum).
-    /// Each node is built complete, and the whole batch lands in the hash table
-    /// through one [`SplitOrderedMap::bulk_load`](skiptrie_splitorder::SplitOrderedMap::bulk_load)
+    /// The two halves are the runs of the prefix's two children, so no key is
+    /// rescanned per length, and the batch is sized exactly up front from the
+    /// neighbouring top keys' common prefixes. Each node is built complete, and
+    /// the whole batch (in any order: the merge places entries by hash) lands in
+    /// the hash table through one [`SplitOrderedMap::bulk_load`](skiptrie_splitorder::SplitOrderedMap::bulk_load)
     /// merge (ε, which is permanent, is stored through in place instead). The
     /// quiescent result is field-for-field what sequential `insert_prefixes` calls
     /// would have produced.
     pub(crate) fn bulk_publish_prefixes(&mut self, tops: &[(u64, u64)], guard: &Guard) {
         use std::sync::atomic::Ordering;
         let b = self.universe_bits();
-        let mut batch: Vec<(Prefix, TrieNode)> = Vec::new();
-        for len in 0..b as u8 {
-            let mut i = 0usize;
-            while i < tops.len() {
-                let p = Prefix::of(tops[i].0, len, b);
-                let mut j = i + 1;
-                while j < tops.len() && Prefix::of(tops[j].0, len, b) == p {
-                    j += 1;
+        if tops.is_empty() {
+            return;
+        }
+        // One entry per distinct prefix of length 1..b: a length has one more than
+        // the neighbouring top keys whose common prefix is shorter than it.
+        let entries = tops
+            .windows(2)
+            .map(|w| (b - 1 - lcp_len(w[0].0, w[1].0, b)) as usize)
+            .sum::<usize>()
+            + (b - 1) as usize;
+        let mut batch: Vec<(Prefix, TrieNode)> = Vec::with_capacity(entries);
+        // Runs still to publish, as `(prefix length, range of tops)`. A run's two
+        // halves are the runs one bit longer; taking the latest first keeps at
+        // most one pending half per length.
+        let mut runs = Vec::with_capacity(b as usize + 1);
+        runs.push((0u8, 0..tops.len()));
+        while let Some((len, run)) = runs.pop() {
+            let keys = &tops[run.clone()];
+            let split = keys.partition_point(|&(k, _)| key_bit(k, len, b) == 0);
+            let p0 = if split > 0 { keys[split - 1].1 } else { 0 };
+            let p1 = if split < keys.len() { keys[split].1 } else { 0 };
+            if len == 0 {
+                // ε exists from construction; fill its pointers in place.
+                let tn = self
+                    .prefixes
+                    .get_in(&Prefix::EMPTY, guard)
+                    .expect("ε is permanent");
+                if p0 != 0 {
+                    tn.pointers[0].store(p0, Ordering::SeqCst);
                 }
-                let run = &tops[i..j];
-                let split = run.partition_point(|&(k, _)| key_bit(k, len, b) == 0);
-                let p0 = if split > 0 { run[split - 1].1 } else { 0 };
-                let p1 = if split < run.len() { run[split].1 } else { 0 };
-                if len == 0 {
-                    // ε exists from construction; fill its pointers in place.
-                    let tn = self
-                        .prefixes
-                        .get_in(&Prefix::EMPTY, guard)
-                        .expect("ε is permanent");
-                    if p0 != 0 {
-                        tn.pointers[0].store(p0, Ordering::SeqCst);
-                    }
-                    if p1 != 0 {
-                        tn.pointers[1].store(p1, Ordering::SeqCst);
-                    }
-                } else {
-                    batch.push((p, TrieNode::new([p0, p1])));
+                if p1 != 0 {
+                    tn.pointers[1].store(p1, Ordering::SeqCst);
                 }
-                i = j;
+            } else {
+                batch.push((Prefix::of(keys[0].0, len, b), TrieNode::new([p0, p1])));
+            }
+            if u32::from(len) + 1 < b {
+                let mid = run.start + split;
+                for half in [run.start..mid, mid..run.end] {
+                    if !half.is_empty() {
+                        runs.push((len + 1, half));
+                    }
+                }
             }
         }
+        debug_assert_eq!(batch.len(), entries);
         self.prefixes.bulk_load(batch);
     }
 

@@ -24,6 +24,23 @@
 //! twice the last, up to [`MAX_SLAB`], so a structure that stays small (a mostly-empty
 //! delta) holds little more than its sentinels, and a large one makes few allocations.
 //!
+//! A large structure's nodes sit on 2-MiB pages instead: a slab may be an *arena*,
+//! [`ARENA`] bytes, `ARENA`-aligned and advised `MADV_HUGEPAGE`, so one TLB entry
+//! covers 32 768 one-line nodes where a 4-KiB page covers 64 (a descent's dependent
+//! loads otherwise also pay a page walk each once the nodes outgrow the STLB's
+//! reach). A layout takes an arena only when the arena carries no slack:
+//!
+//! * (a) a bulk load's [`Run`] still has at least `ARENA` bytes of nodes left to
+//!   carve, so the arena will be carved whole (the run takes it at once; the rest
+//!   of a smaller slab it skips is carved later, before any new small slab); or
+//! * (b) the layout already holds [`ARENA_AFTER`] bytes of slab (16 arenas), so the
+//!   one arena that may stay partly carved is at most 1/16 of what it holds, and
+//!   less as it grows.
+//!
+//! Every other slab stays on the doubling rule above, so a small structure's bytes
+//! do not move. The advice is a hint: where transparent huge pages are off, or on a
+//! system other than Linux, an arena is just a large slab.
+//!
 //! The pool is per-structure; dropping the structure drops the pool and only then is
 //! memory returned to the allocator.
 
@@ -45,7 +62,11 @@ const POOL_SHARDS: usize = 8;
 /// Bytes of a layout's first slab.
 const FIRST_SLAB: usize = 1 << 10;
 /// Bytes past which a layout's slabs stop doubling.
-const MAX_SLAB: usize = 1 << 14;
+pub(crate) const MAX_SLAB: usize = 1 << 14;
+/// Bytes (and alignment) of an arena: one 2-MiB page.
+pub(crate) const ARENA: usize = 2 << 20;
+/// Slab bytes of one layout from which every new slab of it is an arena.
+const ARENA_AFTER: usize = 16 * ARENA;
 
 /// Round-robin source for [`my_shard`] assignments.
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
@@ -77,8 +98,13 @@ struct Slabs {
     /// The uncarved rest of the newest slab: `cursor..end`.
     cursor: usize,
     end: usize,
+    /// The uncarved rest of an older slab, set aside when a bulk load took an
+    /// arena before that slab was spent (see [`Slabs::refill`]).
+    spare: (usize, usize),
     /// Bytes of the newest slab (0 before the first).
     last: usize,
+    /// Bytes of all the slabs.
+    held: usize,
 }
 
 impl Slabs {
@@ -88,21 +114,67 @@ impl Slabs {
             owned: Vec::new(),
             cursor: 0,
             end: 0,
+            spare: (0, 0),
             last: 0,
+            held: 0,
         })
     }
 
-    /// Allocates the next slab (twice the last, at least one node) and makes all of
-    /// it the uncarved rest. Returns its bytes.
-    fn grow(&mut self) -> usize {
-        let bytes = (self.last * 2)
-            .clamp(FIRST_SLAB, MAX_SLAB)
-            .max(self.node.size());
-        let layout = Layout::from_size_align(bytes, self.node.align()).expect("slab layout");
+    /// The layout a slab of `bytes` was allocated with. Only an arena is `ARENA`
+    /// bytes (a layout that may take arenas is smaller than one, and the doubling
+    /// stops far below), and only an arena is aligned past the node.
+    fn layout(&self, bytes: usize) -> Layout {
+        let align = if bytes == ARENA && self.node.size() < ARENA {
+            ARENA
+        } else {
+            self.node.align()
+        };
+        Layout::from_size_align(bytes, align).expect("slab layout")
+    }
+
+    /// Makes the uncarved rest hold at least one node, for a carver that will
+    /// still carve `left` bytes of nodes (0 when it does not know), and returns the
+    /// bytes of slab allocated for it (0 when none was). The new slab is an arena
+    /// in the two cases of the module docs. A carver with an arena's worth left
+    /// gets its arena at once: the rest of a smaller newest slab is set aside as
+    /// the spare, which the next carving that takes no arena uses up before any
+    /// slab is allocated. (Carved first, the 14 nodes left beside a fresh list's
+    /// sentinels would leave a 131 072-key load 14 nodes short of its fourth
+    /// level-0 arena.)
+    fn refill(&mut self, left: usize) -> usize {
+        let stride = self.node.size();
+        let arena = stride < ARENA && (left >= ARENA || self.held >= ARENA_AFTER);
+        let has_rest = self.end - self.cursor >= stride;
+        let spare_empty = self.spare.0 == self.spare.1;
+        if left >= ARENA && arena && has_rest && self.last != ARENA && spare_empty {
+            self.spare = (self.cursor, self.end);
+        } else if has_rest {
+            return 0;
+        } else if !arena && !spare_empty {
+            (self.cursor, self.end) = std::mem::take(&mut self.spare);
+            return 0;
+        }
+        self.grow(arena)
+    }
+
+    /// Allocates the next slab, an arena or twice the last (at least one node),
+    /// and makes all of it the uncarved rest. Returns its bytes.
+    fn grow(&mut self, arena: bool) -> usize {
+        let bytes = if arena {
+            ARENA
+        } else {
+            (self.last * 2)
+                .clamp(FIRST_SLAB, MAX_SLAB)
+                .max(self.node.size())
+        };
+        let layout = self.layout(bytes);
         // SAFETY: `bytes` is non-zero.
         let start = unsafe { alloc::alloc(layout) };
         if start.is_null() {
             alloc::handle_alloc_error(layout);
+        }
+        if arena {
+            advise_huge_pages(start, ARENA);
         }
         let start = start as usize;
         let at = self.owned.partition_point(|&(s, _)| s < start);
@@ -110,9 +182,29 @@ impl Slabs {
         self.cursor = start;
         self.end = start + bytes;
         self.last = bytes;
+        self.held += bytes;
         bytes
     }
 }
+
+/// Advises the kernel to back `bytes` from `start` with transparent huge pages,
+/// before anything touches them. The advice is a hint, so its result is ignored:
+/// under THP `never` the memory simply stays on 4-KiB pages.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(start: *mut u8, bytes: usize) {
+    use std::ffi::{c_int, c_void};
+    /// `MADV_HUGEPAGE` in `<sys/mman.h>`.
+    const MADV_HUGEPAGE: c_int = 14;
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    // SAFETY: `start..start + bytes` is one allocation this pool owns; the advice
+    // changes no byte of it and no mapping's protection.
+    unsafe { madvise(start.cast(), bytes, MADV_HUGEPAGE) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_start: *mut u8, _bytes: usize) {}
 
 /// A type-stable, role-stable pool of skiplist nodes (see module docs).
 pub(crate) struct NodePool<V> {
@@ -199,9 +291,9 @@ impl<V> NodePool<V> {
         let mut slabs = self.slabs[slot(role)].lock().expect("node pool poisoned");
         let stride = slabs.node.size();
         debug_assert_eq!(slabs.node, Layout::new::<N>());
-        if slabs.end - slabs.cursor < stride {
-            let bytes = slabs.grow();
-            self.slab_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let grown = slabs.refill(0);
+        if grown > 0 {
+            self.slab_bytes.fetch_add(grown, Ordering::Relaxed);
         }
         let at = slabs.cursor as *mut N;
         slabs.cursor += stride;
@@ -214,14 +306,15 @@ impl<V> NodePool<V> {
     }
 
     /// Takes `role`'s slab lock once and hands out the uncarved rest of the newest
-    /// slab, `(start, end)`, allocating the next slab first when that one is spent.
-    /// A [`Run`] carves it.
-    fn rest_of_slab<N: HeaderFirst<V>>(&self, role: Role) -> (usize, usize) {
+    /// slab, `(start, end)`, refilled first when that one is spent; `left` is the
+    /// bytes of nodes the caller will still carve (see [`Slabs::refill`]). A
+    /// [`Run`] carves it.
+    fn rest_of_slab<N: HeaderFirst<V>>(&self, role: Role, left: usize) -> (usize, usize) {
         let mut slabs = self.slabs[slot(role)].lock().expect("node pool poisoned");
         debug_assert_eq!(slabs.node, Layout::new::<N>());
-        if slabs.end - slabs.cursor < slabs.node.size() {
-            let bytes = slabs.grow();
-            self.slab_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let grown = slabs.refill(left);
+        if grown > 0 {
+            self.slab_bytes.fetch_add(grown, Ordering::Relaxed);
         }
         let rest = (slabs.cursor, slabs.end);
         slabs.cursor = slabs.end;
@@ -351,10 +444,12 @@ impl<V> NodePool<V> {
 /// Nodes of one layout for a single owner that makes many at once (a bulk load),
 /// carved a slab run at a time: the slab lock is taken once per run, not once per
 /// node, and [`NodePool::allocated`] is counted once, when the run is dropped.
-/// Pooled nodes still come first, as in [`NodePool::acquire`]. Dropping the run
-/// hands its uncarved tail back to the slab, so the next carve goes on where the
-/// run stopped and the pool's counts and slab bytes stay what node-by-node carving
-/// would have left.
+/// Pooled nodes still come first, as in [`NodePool::acquire`]. The run is told how
+/// many nodes its owner will take at least, and counts that down per node: while
+/// an arena's worth is left, a new slab is an arena (case (a) of the module docs).
+/// Dropping the run hands its uncarved tail back to the slab, so the next carve
+/// goes on where the run stopped (also in an arena whose count was overstated),
+/// and the pool's counts stay what node-by-node carving would have left.
 pub(crate) struct Run<'p, V, N> {
     pool: &'p NodePool<V>,
     role: Role,
@@ -364,11 +459,14 @@ pub(crate) struct Run<'p, V, N> {
     end: usize,
     /// Nodes carved from the run so far.
     carved: usize,
+    /// Nodes the owner said it will still take.
+    left: usize,
 }
 
 impl<'p, V, N: HeaderFirst<V>> Run<'p, V, N> {
-    /// An empty run over `pool`'s `role` slabs, whose fresh nodes are `fresh()`.
-    pub(crate) fn new(pool: &'p NodePool<V>, role: Role, fresh: fn() -> N) -> Self {
+    /// An empty run over `pool`'s `role` slabs, whose fresh nodes are `fresh()`, for
+    /// an owner that will take at least `left` nodes.
+    pub(crate) fn new(pool: &'p NodePool<V>, role: Role, fresh: fn() -> N, left: usize) -> Self {
         Run {
             pool,
             role,
@@ -376,6 +474,7 @@ impl<'p, V, N: HeaderFirst<V>> Run<'p, V, N> {
             next: 0,
             end: 0,
             carved: 0,
+            left,
         }
     }
 
@@ -383,12 +482,14 @@ impl<'p, V, N: HeaderFirst<V>> Run<'p, V, N> {
     /// or `fresh()` written into the next stride of the run, which takes the rest of
     /// the newest slab when it is spent.
     pub(crate) fn take(&mut self) -> *mut N {
+        let stride = std::mem::size_of::<N>();
+        let left = self.left.saturating_mul(stride);
+        self.left = self.left.saturating_sub(1);
         if let Some(ptr) = self.pool.pop(self.role) {
             return ptr.cast();
         }
-        let stride = std::mem::size_of::<N>();
         if self.end - self.next < stride {
-            (self.next, self.end) = self.pool.rest_of_slab::<N>(self.role);
+            (self.next, self.end) = self.pool.rest_of_slab::<N>(self.role, left);
         }
         let at = self.next as *mut N;
         self.next += stride;
@@ -418,6 +519,18 @@ impl<V, N> Drop for Run<'_, V, N> {
     }
 }
 
+#[cfg(test)]
+impl<V> NodePool<V> {
+    /// `(start address, bytes)` of every slab of `role`, by address.
+    pub(crate) fn slabs_of(&self, role: Role) -> Vec<(usize, usize)> {
+        self.slabs[slot(role)]
+            .lock()
+            .expect("node pool poisoned")
+            .owned
+            .clone()
+    }
+}
+
 impl<V> Drop for NodePool<V> {
     /// Frees the slabs. Every value has been dropped by then: pooled nodes' when they
     /// were poisoned, linked nodes' by the structure's own `Drop`.
@@ -425,10 +538,8 @@ impl<V> Drop for NodePool<V> {
         for slabs in &mut self.slabs {
             let slabs = slabs.get_mut().expect("node pool poisoned");
             for &(start, bytes) in &slabs.owned {
-                let layout =
-                    Layout::from_size_align(bytes, slabs.node.align()).expect("slab layout");
-                // SAFETY: allocated in `carve` with this very layout, freed once.
-                unsafe { alloc::dealloc(start as *mut u8, layout) };
+                // SAFETY: allocated in `grow` with this very layout, freed once.
+                unsafe { alloc::dealloc(start as *mut u8, slabs.layout(bytes)) };
             }
         }
     }
@@ -600,6 +711,40 @@ mod tests {
         for a in leaves {
             unsafe { pool.recycle(a as *mut Leaf<u64>) };
         }
+    }
+
+    #[test]
+    fn a_layout_past_sixteen_arenas_of_slab_grows_by_arenas() {
+        let pool: NodePool<u64> = NodePool::new();
+        while pool.slab_bytes() < ARENA_AFTER {
+            pool.acquire();
+        }
+        assert!(
+            pool.slabs_of(Role::Leaf)
+                .iter()
+                .all(|&(_, bytes)| bytes <= MAX_SLAB),
+            "no arena below the threshold"
+        );
+        assert_eq!(pool.slabs_of(Role::Tower), Vec::new());
+        let held = pool.slab_bytes();
+        while pool.slab_bytes() == held {
+            pool.acquire();
+        }
+        assert_eq!(pool.slab_bytes() - held, ARENA, "the next slab is an arena");
+        let arenas: Vec<usize> = pool
+            .slabs_of(Role::Leaf)
+            .into_iter()
+            .filter(|&(_, bytes)| bytes == ARENA)
+            .map(|(start, _)| start)
+            .collect();
+        assert_eq!(arenas.len(), 1);
+        assert!(arenas[0].is_multiple_of(ARENA), "an arena is 2-MiB-aligned");
+        // The other layout holds nothing, so its first slab is still small.
+        let tower = pool.acquire_tower();
+        assert_eq!(
+            pool.slabs_of(Role::Tower),
+            vec![(tower as usize, FIRST_SLAB)]
+        );
     }
 
     #[test]
