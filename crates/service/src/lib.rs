@@ -3,11 +3,12 @@
 //! This crate is the serving pipeline layer of the reproduction: every
 //! operation — point, ordered, range, pop or bulk — enters as a [`Request`]
 //! (a [`Verb`] plus the caller's *virtual* send time), is routed by the top
-//! key bits to a shared-nothing **thread-per-shard** executor over bounded
-//! SPSC mailboxes, executed there by the one function that turns a [`Verb`]
-//! into a [`Reply`], and leaves as a [`Response`] carrying enough timestamps
-//! to report both coordinated-omission-inclusive and service-time-only
-//! latency per [`OpClass`].
+//! key bits to the shared-nothing worker that owns the shard — one worker per
+//! shard, but never more workers than the cores left beside the client — over
+//! bounded SPSC mailboxes, executed there by the one function that turns a
+//! [`Verb`] into a [`Reply`], and leaves as a [`Response`] carrying enough
+//! timestamps to report both coordinated-omission-inclusive and
+//! service-time-only latency per [`OpClass`].
 //!
 //! Bounded queues make overload a *measured* state instead of a hidden one:
 //! admission rejects requests past the per-lane in-flight cap

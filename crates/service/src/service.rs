@@ -1,12 +1,16 @@
-//! The serving pipeline: thread-per-shard executors behind bounded SPSC
-//! mailboxes, one execution path and admission-based backpressure.
+//! The serving pipeline: polling workers, never more than the cores they can
+//! run on, behind bounded SPSC mailboxes, with one execution path and
+//! admission-based backpressure.
 //!
 //! # Architecture
 //!
-//! A [`Service`] wraps a shard router (`ShardedSkipTrie`) and spawns **one
-//! worker thread per shard**. Each [`Connection`] owns one *lane* per shard — a
-//! pair of bounded SPSC rings (requests in, responses out) plus in-flight
-//! accounting — so every ring in the system has exactly one producer and one
+//! A [`Service`] wraps a shard router (`ShardedSkipTrie`) and spawns
+//! `min(shards, max(1, cores − 1))` **worker threads**; worker `w` serves every
+//! shard `s` with `s % workers == w`, and the core left over is the
+//! connections', which poll for their replies. Each [`Connection`] owns one
+//! *lane* per shard — a pair of bounded SPSC rings (requests in, responses out)
+//! plus in-flight accounting — registered with the one worker that owns the
+//! shard, so every ring in the system has exactly one producer and one
 //! consumer and needs no CAS.
 //!
 //! * **Routing.** Point verbs go to the worker owning `shard_of(key)`. Ordered
@@ -64,7 +68,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A request in flight between a connection and a shard worker.
+/// A request in flight between a connection and a service worker.
 struct Envelope {
     seq: u64,
     verb: Verb,
@@ -73,7 +77,7 @@ struct Envelope {
 }
 
 /// One (connection, shard) mailbox pair. The connection produces requests and
-/// consumes responses; the shard worker does the opposite; `completed` is the
+/// consumes responses; the shard's worker does the opposite; `completed` is the
 /// only cross-thread counter (worker writes, connection reads).
 struct Lane {
     requests: Spsc<Envelope>,
@@ -81,13 +85,13 @@ struct Lane {
     completed: AtomicU64,
 }
 
-/// Per-shard worker bookkeeping shared between the service, its connections,
-/// and the worker thread itself.
+/// Per-worker bookkeeping shared between the service, its connections, and
+/// the worker thread itself.
 #[derive(Default)]
 struct WorkerSlot {
-    /// Lanes of the live connections: `connect` registers, the connection's
-    /// drop unregisters. Workers keep a local snapshot and only take this lock
-    /// when `version` moves.
+    /// Lanes of the live connections on the shards this worker owns: `connect`
+    /// registers, the connection's drop unregisters. The worker keeps a local
+    /// snapshot and only takes this lock when `version` moves.
     lanes: Mutex<Vec<Arc<Lane>>>,
     version: AtomicUsize,
     /// The idle worker sleeps here; whoever pushes a request, registers or
@@ -100,6 +104,7 @@ struct Shared<E: ShardEngine<u64>> {
     config: ServiceConfig,
     start: Instant,
     stop: AtomicBool,
+    /// One slot per worker; shard `s` belongs to `workers[s % workers.len()]`.
     workers: Vec<WorkerSlot>,
     /// Latency from *virtual send time* to completion — the
     /// coordinated-omission-inclusive figure.
@@ -113,8 +118,13 @@ impl<E: ShardEngine<u64>> Shared<E> {
         self.start.elapsed().as_nanos() as u64
     }
 
+    /// The slot of the worker that owns `shard`.
+    fn owner(&self, shard: usize) -> &WorkerSlot {
+        &self.workers[shard % self.workers.len()]
+    }
+
     /// Executes one verb against the router: the only place a [`Verb`] becomes
-    /// a [`Reply`], for the shard workers (routed verbs) and the connections
+    /// a [`Reply`], for the workers (routed verbs) and the connections
     /// (fenced verbs) alike, so pipeline and direct execution cannot drift
     /// apart semantically.
     fn execute_verb(&self, verb: &Verb) -> Reply {
@@ -148,7 +158,7 @@ impl<E: ShardEngine<u64>> Shared<E> {
 /// the architecture; construct with [`Service::new`] and open per-thread
 /// [`Connection`]s with [`Service::connect`].
 ///
-/// Dropping the service stops and joins every shard worker; requests already
+/// Dropping the service stops and joins every worker; requests already
 /// admitted are completed first.
 pub struct Service<E: ShardEngine<u64>> {
     shared: Arc<Shared<E>>,
@@ -156,45 +166,62 @@ pub struct Service<E: ShardEngine<u64>> {
 }
 
 impl<E: ShardEngine<u64>> Service<E> {
-    /// Spawns one worker thread per shard of `router`.
+    /// Spawns `min(shards, max(1, cores − 1))` worker threads over the shards
+    /// of `router`, where `cores` is what [`thread::available_parallelism`]
+    /// reports (it honours the affinity mask and the cgroup quota).
     pub fn new(router: Arc<ShardedSkipTrie<u64, E>>, config: ServiceConfig) -> Self {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = worker_count(router.shard_count(), cores);
+        Self::with_workers(router, config, workers)
+    }
+
+    /// Spawns exactly `workers` worker threads; worker `w` serves every shard
+    /// `s` with `s % workers == w`.
+    fn with_workers(
+        router: Arc<ShardedSkipTrie<u64, E>>,
+        config: ServiceConfig,
+        workers: usize,
+    ) -> Self {
         assert!(config.queue_cap > 0, "queue_cap must be positive");
-        let shards = router.shard_count();
+        assert!(
+            (1..=router.shard_count()).contains(&workers),
+            "a service runs between one worker and one per shard"
+        );
         let labels = OpClass::labels();
         let shared = Arc::new(Shared {
             router,
             config,
             start: Instant::now(),
             stop: AtomicBool::new(false),
-            workers: (0..shards).map(|_| WorkerSlot::default()).collect(),
+            workers: (0..workers).map(|_| WorkerSlot::default()).collect(),
             virtual_latency: LatencyClasses::new(&labels),
             service_latency: LatencyClasses::new(&labels),
         });
-        let handles: Vec<JoinHandle<()>> = (0..shards)
-            .map(|shard| {
+        let handles: Vec<JoinHandle<()>> = (0..workers)
+            .map(|worker| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
-                    .name(format!("svc-shard-{shard}"))
-                    .spawn(move || worker_loop(&shared, shard))
-                    .expect("spawn service shard worker")
+                    .name(format!("svc-worker-{worker}"))
+                    .spawn(move || worker_loop(&shared, worker))
+                    .expect("spawn service worker")
             })
             .collect();
         Service { shared, handles }
     }
 
-    /// Opens a connection: one bounded lane per shard, registered with each
-    /// shard worker. Connections are single-threaded handles — open one per
-    /// client thread.
+    /// Opens a connection: one bounded lane per shard, each registered with
+    /// the worker that owns its shard. Connections are single-threaded
+    /// handles — open one per client thread.
     pub fn connect(&self) -> Connection<E> {
         let cap = self.shared.config.queue_cap;
-        let lanes: Vec<LaneState> = (0..self.shared.workers.len())
+        let lanes: Vec<LaneState> = (0..self.shared.router.shard_count())
             .map(|shard| {
                 let lane = Arc::new(Lane {
                     requests: Spsc::with_capacity(cap),
                     responses: Spsc::with_capacity(cap),
                     completed: AtomicU64::new(0),
                 });
-                let slot = &self.shared.workers[shard];
+                let slot = self.shared.owner(shard);
                 slot.lanes.lock().unwrap().push(Arc::clone(&lane));
                 slot.version.fetch_add(1, Ordering::Release);
                 slot.idle.wake();
@@ -249,7 +276,7 @@ impl<E: ShardEngine<u64>> Drop for Service<E> {
             slot.idle.wake();
         }
         for handle in self.handles.drain(..) {
-            handle.join().expect("service shard worker panicked");
+            handle.join().expect("service worker panicked");
         }
     }
 }
@@ -279,9 +306,9 @@ impl LaneState {
 /// delivered by the next `poll`.
 ///
 /// Dropping the connection waits for the requests it was admitted to execute
-/// (their responses are discarded), then unregisters its lanes from every
-/// shard worker, so a long-lived service keeps only its live connections'
-/// mailboxes.
+/// (their responses are discarded), then unregisters each lane from the
+/// worker that owns its shard, so a long-lived service keeps only its live
+/// connections' mailboxes.
 pub struct Connection<E: ShardEngine<u64>> {
     shared: Arc<Shared<E>>,
     lanes: Vec<LaneState>,
@@ -335,7 +362,7 @@ impl<E: ShardEngine<u64>> Connection<E> {
             .unwrap_or_else(|_| panic!("admission bound keeps the request ring non-full"));
         state.submitted += 1;
         record(Counter::SvcEnqueued);
-        self.shared.workers[shard].idle.wake();
+        self.shared.owner(shard).idle.wake();
         Ok(seq)
     }
 
@@ -385,7 +412,7 @@ impl<E: ShardEngine<u64>> Connection<E> {
     /// It never waits for a reply, but a caller that keeps asking for one that
     /// is due gives way: after 64 empty `poll`s in a row with requests in
     /// flight, each further empty `poll` yields the CPU before it returns (the
-    /// shard worker that owes the reply may be queued behind the caller).
+    /// worker that owes the reply may be queued behind the caller).
     pub fn poll(&mut self) -> Option<Response> {
         if let Some(response) = self.inline.pop_front() {
             return Some(response);
@@ -449,7 +476,8 @@ impl<E: ShardEngine<u64>> Drop for Connection<E> {
         // Admitted requests still execute — the promise `Service`'s drop makes
         // too; only then may the workers forget the lanes.
         self.fence();
-        for (slot, state) in self.shared.workers.iter().zip(&self.lanes) {
+        for (shard, state) in self.lanes.iter().enumerate() {
+            let slot = self.shared.owner(shard);
             // A poisoned list means a worker died; there is nothing to tidy.
             if let Ok(mut lanes) = slot.lanes.lock() {
                 lanes.retain(|lane| !Arc::ptr_eq(lane, &state.lane));
@@ -460,9 +488,19 @@ impl<E: ShardEngine<u64>> Drop for Connection<E> {
     }
 }
 
-/// Body of one shard worker thread.
-fn worker_loop<E: ShardEngine<u64>>(shared: &Shared<E>, shard: usize) {
-    let slot = &shared.workers[shard];
+/// How many workers a service over `shards` shards runs on `cores` cores: one
+/// per shard, but never more than the cores left once one is kept for the
+/// connections, which poll for their replies. A worker past that count could
+/// only take a CPU from another worker or from the client, and every handoff
+/// between them would then wait for a context switch.
+fn worker_count(shards: usize, cores: usize) -> usize {
+    shards.min(cores.saturating_sub(1).max(1))
+}
+
+/// Body of one worker thread: serves the lanes of every shard it owns,
+/// round-robin, a [`LANE_VISIT`] at a time.
+fn worker_loop<E: ShardEngine<u64>>(shared: &Shared<E>, worker: usize) {
+    let slot = &shared.workers[worker];
     let mut lanes: Vec<Arc<Lane>> = Vec::new();
     let mut seen_version = usize::MAX;
     loop {
@@ -535,36 +573,90 @@ mod tests {
     use super::*;
     use skiptrie::ShardedSkipTrieConfig;
 
+    /// A router over `shards` shards of a 16-bit universe.
+    fn new_router(shards: usize) -> Arc<ShardedSkipTrie<u64>> {
+        Arc::new(ShardedSkipTrie::new(
+            ShardedSkipTrieConfig::for_universe_bits(16).with_shards(shards),
+        ))
+    }
+
     #[test]
-    fn dropped_connections_unregister_their_lanes() {
-        let router = Arc::new(ShardedSkipTrie::<u64>::new(
-            ShardedSkipTrieConfig::for_universe_bits(16).with_shards(2),
-        ));
-        let service = Service::new(Arc::clone(&router), ServiceConfig::default());
-        let submit_insert = |key: u64| {
-            let mut conn = service.connect();
-            let submit_ns = conn.now_ns();
-            conn.submit(Request {
-                verb: Verb::Insert(key, key),
-                submit_ns,
-            })
-            .expect("an empty lane admits the request");
-            conn
-        };
-        for cycle in 0..200u64 {
-            // Alternate shards so both workers see lanes come and go; the
-            // connection is dropped with its request possibly still queued.
-            drop(submit_insert(((cycle % 2) << 15) | cycle));
-        }
-        for slot in &service.shared.workers {
-            assert!(
-                slot.lanes.lock().unwrap().is_empty(),
-                "a dropped connection left its lane registered"
+    fn workers_never_outnumber_the_cores_left_to_them() {
+        for (shards, cores, workers) in [(2, 2, 1), (2, 1, 1), (2, 4, 2), (8, 4, 3), (1, 64, 1)] {
+            assert_eq!(
+                worker_count(shards, cores),
+                workers,
+                "{shards} shards on {cores} cores"
             );
         }
-        assert_eq!(router.len(), 200, "admitted requests ran before teardown");
-        let replies = submit_insert(0).wait_idle();
-        assert_eq!(replies[0].reply, Reply::Inserted(false));
+    }
+
+    #[test]
+    fn every_lane_is_registered_with_exactly_the_worker_owning_its_shard() {
+        for workers in 1..=4 {
+            let service = Service::with_workers(new_router(4), ServiceConfig::default(), workers);
+            let conns = [service.connect(), service.connect()];
+            for conn in &conns {
+                for (shard, state) in conn.lanes.iter().enumerate() {
+                    let holders: Vec<usize> = (0..workers)
+                        .filter(|&w| {
+                            let lanes = service.shared.workers[w].lanes.lock().unwrap();
+                            lanes.iter().any(|lane| Arc::ptr_eq(lane, &state.lane))
+                        })
+                        .collect();
+                    assert_eq!(
+                        holders,
+                        [shard % workers],
+                        "shard {shard} at {workers} workers"
+                    );
+                }
+            }
+            let registered: usize = service
+                .shared
+                .workers
+                .iter()
+                .map(|slot| slot.lanes.lock().unwrap().len())
+                .sum();
+            assert_eq!(
+                registered,
+                2 * 4,
+                "no lane registered twice at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn dropped_connections_unregister_their_lanes() {
+        for workers in [1, 2] {
+            let router = new_router(2);
+            let service =
+                Service::with_workers(Arc::clone(&router), ServiceConfig::default(), workers);
+            let submit_insert = |key: u64| {
+                let mut conn = service.connect();
+                let submit_ns = conn.now_ns();
+                conn.submit(Request {
+                    verb: Verb::Insert(key, key),
+                    submit_ns,
+                })
+                .expect("an empty lane admits the request");
+                conn
+            };
+            for cycle in 0..200u64 {
+                // Alternate shards so both workers (at two) see lanes come and
+                // go, or one worker sees both shards' (at one); the connection
+                // is dropped with its request possibly still queued.
+                drop(submit_insert(((cycle % 2) << 15) | cycle));
+            }
+            for slot in &service.shared.workers {
+                assert!(
+                    slot.lanes.lock().unwrap().is_empty(),
+                    "a dropped connection left its lane registered at {workers} workers"
+                );
+            }
+            assert_eq!(router.len(), 200, "admitted requests ran before teardown");
+            let replies = submit_insert(0).wait_idle();
+            assert_eq!(replies[0].reply, Reply::Inserted(false));
+        }
     }
 
     #[test]

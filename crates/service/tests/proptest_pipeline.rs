@@ -1,7 +1,8 @@
 //! Property-based observational equivalence: an arbitrary interleaved request
-//! script pushed through the serving pipeline (thread-per-shard workers,
-//! bounded mailboxes) returns exactly the replies that direct
-//! calls on a plain forest return, and leaves the same final contents.
+//! script pushed through the serving pipeline (polling workers, a worker
+//! perhaps serving several shards, bounded mailboxes) returns exactly the
+//! replies that direct calls on a plain forest return, and leaves the same
+//! final contents.
 //!
 //! The script is built from chunks whose internal reorderings are all
 //! equivalence-preserving, so any pipeline schedule must reproduce sequential

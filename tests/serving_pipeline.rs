@@ -346,11 +346,14 @@ fn a_backlog_shows_in_virtual_latency_and_not_in_service_latency() {
 
 /// Depth-one closed loop over two shards, 64 rounds to a shard before it moves
 /// to the other: each round pauses, submits one insert and waits for its reply.
-/// But for the first of each 64, the worker a round submits to went idle when
-/// it answered the round before, so `pause(round)` *is* that worker's idle time
-/// and picks which of its gate's three windows the request finds it in —
-/// polling, raising the flag, parked. Runs on its own thread under a 60-s
-/// lost-wake deadline; the workers have no timeout to fall back on.
+/// The two shards may share one worker (a service runs no more workers than
+/// the cores it leaves the client), and then every round's worker went idle
+/// when it answered the round before; with a worker per shard all rounds but
+/// the first of each 64 find theirs so. Either way `pause(round)` *is* that
+/// worker's idle time and picks which of its gate's three windows the request
+/// finds it in — polling, raising the flag, parked. Runs on its own thread
+/// under a 60-s lost-wake deadline; the workers have no timeout to fall back
+/// on.
 fn depth_one_rounds(rounds: u64, pause: fn(u64)) {
     let (done, finished) = std::sync::mpsc::channel();
     let driver = std::thread::spawn(move || {
@@ -441,8 +444,9 @@ fn a_busy_worker_polls_and_an_idle_one_parks() {
         }
         panic!("{ROUNDS} {what}: [poll hits, parks, unparks] read {seen:?}");
     };
-    // No pause: the next request arrives while its worker still polls, so the
-    // worker never parks for it and `submit` unparks nobody.
+    // Both shards may be served by one worker or by one each; the bounds hold
+    // either way. No pause: the next request arrives while its worker still
+    // polls, so the worker never parks for it and `submit` unparks nobody.
     attempt(
         "back-to-back rounds",
         |_| {},
