@@ -19,7 +19,9 @@
 //! plus low tag bits (see [`tagged`]); this crate also re-exports the epoch-based
 //! reclamation [`crossbeam_epoch::Guard`] used throughout, and a helper to
 //! retire heap allocations through it. [`wake`] holds the one sleep/wake
-//! primitive every background thread in the workspace blocks on.
+//! primitive every background thread in the workspace blocks on, and [`slab`] the
+//! one type-stable slab allocator (with its 2-MiB arenas) that the skiplist's
+//! nodes and the split-ordered map's entries are carved from.
 //!
 //! # Examples
 //!
@@ -49,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod dcss;
+pub mod slab;
 pub mod tagged;
 pub mod wake;
 

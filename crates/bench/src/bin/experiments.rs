@@ -1146,10 +1146,11 @@ fn pages_run(structure: &str, m: usize, queries: usize, heap_advised: bool) -> (
 
 /// pages — where a large structure's time goes on 4-KiB pages. Each row runs
 /// [`PAGES_PAIRS`] alternating pairs of child processes: `own` as the library
-/// stands (the skiplist pool advises its own 2-MiB arenas, nothing else is
-/// advised), `heap` under glibc's tunable that advises all of malloc's memory.
-/// The gap between them is what huge pages would still give the rest of the
-/// structure (prefix entries, directory leaves, the B-tree's nodes). Timings and
+/// stands (the slab pools advise their own 2-MiB arenas — skiplist nodes, prefix
+/// entries — and nothing else is advised), `heap` under glibc's tunable that
+/// advises all of malloc's memory. The gap between them is what huge pages would
+/// still give the rest of the structure (directory leaves, the slabs below the
+/// arena rule's thresholds, the B-tree's nodes). Timings and
 /// `AnonHugePages` depend on the host's THP mode, so nothing here is checked.
 fn pages() -> Outcome {
     let queries = scaled(200_000);

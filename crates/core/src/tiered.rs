@@ -617,6 +617,11 @@ where
 /// tiered.merge(); // fold the delta into a fresh frozen tier
 /// assert_eq!(tiered.predecessor(9), Some((6, 2)));
 /// ```
+// `repr(C)` keeps the fields in this order: the configuration and the domain,
+// read by every operation and never written, fill the first line; `state` and
+// the fold's own words share the second, written once per fold; the write
+// counters have the third to themselves.
+#[repr(C)]
 pub struct TieredSkipTrie<V>
 where
     V: Clone + Send + Sync + 'static,
@@ -631,6 +636,11 @@ where
     state: AtomicPtr<Tiers<V>>,
     /// Count of `state` swaps, behind [`TieredSkipTrie::generation`].
     gen: AtomicU64,
+    /// Completed folds (merges that actually replaced the frozen tier).
+    merges: AtomicU64,
+    /// The forest coordinator's gate, attached when this structure is a
+    /// [`TieredForest`](crate::TieredForest) shard; empty for a standalone trie.
+    coordinator: OnceLock<Arc<WakeGate>>,
     /// Single-merger guard: concurrent [`TieredSkipTrie::merge`] calls are no-ops.
     merging: AtomicBool,
     /// True from the end of a merge's first grace until the next seal: no
@@ -638,6 +648,15 @@ where
     /// the sealed delta says any more, and merge writers read it as it is
     /// (`base`).
     settled: AtomicBool,
+    /// The counters every write moves, on a cache line of their own.
+    writes: WriteCounters,
+}
+
+/// The words a [`TieredSkipTrie`] write updates. They get a 64-byte line of their
+/// own: `state`, which every operation loads, would otherwise share one with
+/// `net` and `delta_writes`, and each write would take that line from every reader.
+#[repr(align(64))]
+struct WriteCounters {
     /// Net key count (effective inserts minus effective removes; exact once
     /// writes quiesce).
     net: AtomicI64,
@@ -647,11 +666,6 @@ where
     /// Latched by the write that crosses the watermark (so only one writer pays
     /// the wake), cleared at seal time.
     merge_due: AtomicBool,
-    /// Completed folds (merges that actually replaced the frozen tier).
-    merges: AtomicU64,
-    /// The forest coordinator's gate, attached when this structure is a
-    /// [`TieredForest`](crate::TieredForest) shard; empty for a standalone trie.
-    coordinator: OnceLock<Arc<WakeGate>>,
 }
 
 impl<V> Drop for TieredSkipTrie<V>
@@ -694,8 +708,8 @@ where
         let Some(watermark) = self.config.merge_watermark else {
             return;
         };
-        let writes = self.delta_writes.fetch_add(1, Ordering::SeqCst) + 1;
-        if writes as usize >= watermark && !self.merge_due.swap(true, Ordering::SeqCst) {
+        let writes = self.writes.delta_writes.fetch_add(1, Ordering::SeqCst) + 1;
+        if writes as usize >= watermark && !self.writes.merge_due.swap(true, Ordering::SeqCst) {
             self.wake_coordinator();
         }
     }
@@ -778,8 +792,8 @@ where
         let Some((frozen, sealed)) = buffered else {
             // Nothing to fold: also disarm a stale watermark latch so the
             // coordinator does not keep seeing this shard as due.
-            self.delta_writes.store(0, Ordering::SeqCst);
-            self.merge_due.store(false, Ordering::SeqCst);
+            self.writes.delta_writes.store(0, Ordering::SeqCst);
+            self.writes.merge_due.store(false, Ordering::SeqCst);
             return false;
         };
         // Phase 1 — seal: move the live delta aside and hand writers a fresh one.
@@ -795,8 +809,8 @@ where
         // Re-arm the watermark for the fresh delta. Writers that raced the seal
         // into the old one may still bump the counter — a harmless overcount that
         // at worst triggers the next merge a few writes early.
-        self.delta_writes.store(0, Ordering::SeqCst);
-        self.merge_due.store(false, Ordering::SeqCst);
+        self.writes.delta_writes.store(0, Ordering::SeqCst);
+        self.writes.merge_due.store(false, Ordering::SeqCst);
         // Phase 2 — grace: writers that read the pre-seal state may still be
         // mid-write into `sealed`; they were pinned before the swap, so waiting
         // for those pins to clear quiesces it.
@@ -855,7 +869,7 @@ where
     /// Accounts one effective write: `net` moves by `change`, and the
     /// watermark counts the write.
     fn counted(&self, change: i64) {
-        self.net.fetch_add(change, Ordering::SeqCst);
+        self.writes.net.fetch_add(change, Ordering::SeqCst);
         self.note_delta_write();
     }
 
@@ -1020,9 +1034,11 @@ where
             gen: AtomicU64::new(0),
             merging: AtomicBool::new(false),
             settled: AtomicBool::new(false),
-            net: AtomicI64::new(net),
-            delta_writes: AtomicU64::new(0),
-            merge_due: AtomicBool::new(false),
+            writes: WriteCounters {
+                net: AtomicI64::new(net),
+                delta_writes: AtomicU64::new(0),
+                merge_due: AtomicBool::new(false),
+            },
             merges: AtomicU64::new(0),
             coordinator: OnceLock::new(),
         }
@@ -1036,7 +1052,7 @@ where
     /// Number of keys stored (net of effective inserts and removes; exact once
     /// writes quiesce, see the module docs).
     pub fn len(&self) -> usize {
-        self.net.load(Ordering::SeqCst).max(0) as usize
+        self.writes.net.load(Ordering::SeqCst).max(0) as usize
     }
 
     /// True if no keys are stored (same caveat as [`TieredSkipTrie::len`]).
@@ -1303,7 +1319,9 @@ where
         if let Some(&(last, _)) = entries.last() {
             assert!(last <= top, "key {last} exceeds the configured universe");
         }
-        self.net.store(entries.len() as i64, Ordering::SeqCst);
+        self.writes
+            .net
+            .store(entries.len() as i64, Ordering::SeqCst);
         self.publish(Tiers {
             frozen: Arc::new(FrozenTier::new(entries.to_vec(), true)),
             live: new_delta(self.config.trie),
@@ -1371,13 +1389,13 @@ where
     /// (cleared when the next merge seals the delta). Always `false` without a
     /// configured watermark.
     pub fn merge_due(&self) -> bool {
-        self.merge_due.load(Ordering::SeqCst)
+        self.writes.merge_due.load(Ordering::SeqCst)
     }
 
     /// Delta writes accumulated since the last seal (diagnostics for the
     /// watermark policy).
     pub fn delta_writes(&self) -> u64 {
-        self.delta_writes.load(Ordering::SeqCst)
+        self.writes.delta_writes.load(Ordering::SeqCst)
     }
 
     /// Completed folds over the structure's lifetime (merges that actually
@@ -1392,7 +1410,7 @@ where
     /// the latch still set, and a level-triggered sleeper would spin on it for
     /// the length of that fold. The folder re-wakes the coordinator on exit.
     pub(crate) fn fold_ready(&self) -> bool {
-        self.merge_due.load(Ordering::SeqCst) && !self.merging.load(Ordering::SeqCst)
+        self.writes.merge_due.load(Ordering::SeqCst) && !self.merging.load(Ordering::SeqCst)
     }
 
     /// Makes `gate` the one this shard wakes when [`Self::fold_ready`] turns
@@ -1424,7 +1442,7 @@ where
         // A watermark crossed while `merging` was up was not yet foldable (see
         // `fold_ready`), so the coordinator slept through that writer's wake;
         // now that the guard is down, this is the store that makes it ready.
-        if self.merge_due.load(Ordering::SeqCst) {
+        if self.writes.merge_due.load(Ordering::SeqCst) {
             self.wake_coordinator();
         }
         folded
@@ -2139,6 +2157,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_write_counters_share_no_line_with_the_published_state() {
+        assert_eq!(std::mem::align_of::<WriteCounters>(), 64);
+        assert_eq!(std::mem::size_of::<WriteCounters>(), 64);
+        let line = |offset: usize| offset / 64;
+        let writes = line(std::mem::offset_of!(TieredSkipTrie<u64>, writes));
+        let state = line(std::mem::offset_of!(TieredSkipTrie<u64>, state));
+        let config = std::mem::offset_of!(TieredSkipTrie<u64>, config);
+        let domain = line(std::mem::offset_of!(TieredSkipTrie<u64>, domain));
+        assert_ne!(writes, state);
+        assert_eq!(
+            (
+                line(config),
+                line(config + std::mem::size_of::<TieredSkipTrieConfig>() - 1)
+            ),
+            (domain, domain),
+            "the read-only words share one line"
+        );
+        assert_ne!(domain, state, "no fold write moves the read-only line");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   predecessor, exactly as `fixPrev` would leave them;
 //! * the occupancy counter ends at `n`, as if `n` inserts had linearized.
 //!
-//! Nodes come from the pool a slab run at a time (`Run` in `pool.rs`): pooled
+//! Nodes come from the pool a slab run at a time (a `Run` of
+//! [`skiptrie_atomics::slab`], typed in `pool.rs`): pooled
 //! nodes first, then fresh strides of the newest slab, taken under one lock per
 //! slab rather than a lock and a counter update per node. Each run knows how many
 //! nodes are left to take (the input's `size_hint` for level 0, a lower estimate
@@ -124,7 +125,7 @@ where
         let mut tops = Vec::new();
         // Fresh nodes come a slab run at a time, pooled ones first. Each run is told
         // how many nodes will follow at least, so a load large enough to fill
-        // whole 2-MiB arenas gets them (`pool.rs`).
+        // whole 2-MiB arenas gets them (`skiptrie_atomics::slab`).
         let entries = entries.into_iter();
         let keys = entries.size_hint().0;
         let mut leaves = Run::new(self.pool(), Role::Leaf, Leaf::empty, keys);
@@ -236,8 +237,8 @@ mod tests {
     use crossbeam_epoch as epoch;
 
     use crate::node::Role;
-    use crate::pool::{ARENA, MAX_SLAB};
     use crate::{SkipList, SkipListConfig};
+    use skiptrie_atomics::slab::{ARENA, MAX_SLAB};
 
     fn loaded(n: u64) -> SkipList<u64> {
         let mut list = SkipList::new(SkipListConfig::for_universe_bits(32).with_seed(5));

@@ -27,8 +27,8 @@
 //!   is alive, which keeps every racy dereference well-defined (see
 //!   [`skiptrie_atomics::dcss`] for why this matters). A level-0 node and a tower
 //!   node have layouts of their own, each one 64-byte line for `V = u64`, carved
-//!   from line-aligned slabs, and a node's memory keeps its layout for the pool's
-//!   lifetime.
+//!   from line-aligned slabs ([`skiptrie_atomics::slab`]), and a node's memory keeps
+//!   its layout for the pool's lifetime.
 //!
 //! The crate doubles as the paper's *baseline*: configured with more levels (e.g. 24)
 //! and used standalone it is a conventional `Θ(log m)`-depth lock-free skiplist, which

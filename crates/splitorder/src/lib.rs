@@ -25,6 +25,12 @@
 //! from its parent bucket's sentinel, so no thread waits for another. The bulk load
 //! links sentinels in place as its merge passes them.
 //!
+//! An entry — the same 16-byte header, then its key and value — lives in a slot of
+//! the map's own type-stable slab pool ([`skiptrie_atomics::slab`]), not in a boxed
+//! allocation of its own: a removed entry's slot is recycled after epoch
+//! quiescence, and a bulk load writes each entry straight into its slot of one
+//! reserved run.
+//!
 //! # Examples
 //!
 //! ```

@@ -3,9 +3,11 @@
 //! Every node of the list begins with a 16-byte [`Sentinel`] header, `{so_key,
 //! next}`. A bucket's sentinel is that header and nothing else; it lives inline in a
 //! leaf of the bucket directory ([`crate::dir`]) and is never freed on its own. An
-//! entry is a boxed [`ListNode`]: the same header, then its key and value. The two
-//! are told apart by the split-order key alone: a sentinel's is its bucket index
-//! reversed (even), an entry's is its hash reversed with the low bit set (odd).
+//! entry is a [`ListNode`] in a slot of the map's [`SlabPool`]: the same header, then
+//! its key and value. The two are told apart by the split-order key alone: a
+//! sentinel's is its bucket index reversed (even), an entry's is its hash reversed
+//! with the low bit set (odd). A retired entry's slot goes back to the pool with its
+//! key and value dropped and its `next` word [`RECYCLED`].
 //!
 //! Nodes are totally ordered by `(so_key, key)`; the key only breaks ties between
 //! entries, since no entry shares a sentinel's `so_key`. Logical deletion uses the
@@ -27,6 +29,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_epoch::Guard;
+use skiptrie_atomics::slab::SlabPool;
 use skiptrie_atomics::tagged;
 use skiptrie_metrics::{self as metrics, Counter};
 
@@ -38,6 +41,11 @@ pub(crate) const PENDING: u64 = tagged::DESC_BIT;
 /// A fresh sentinel's `next` word: no thread has claimed the bucket. It carries
 /// [`PENDING`], and also the mark, which no linked sentinel ever does.
 pub(crate) const UNCLAIMED: u64 = PENDING | tagged::MARK_BIT;
+
+/// A pooled entry's `next` word. It is [`UNCLAIMED`]'s value, which no node that a
+/// walk can reach carries (a sentinel loses it when it is claimed, before it is
+/// linked, and an entry never has it), so [`find`] asserts it never meets one.
+pub(crate) const RECYCLED: u64 = UNCLAIMED;
 
 /// A bucket's sentinel, and the header every list node begins with.
 #[repr(C)]
@@ -83,17 +91,32 @@ pub(crate) struct ListNode<K, V> {
 }
 
 impl<K, V> ListNode<K, V> {
-    pub(crate) fn new(so_key: u64, key: K, value: V) -> Box<Self> {
+    /// An unlinked entry, to be written into a slot of the map's pool.
+    pub(crate) fn new(so_key: u64, key: K, value: V) -> Self {
         debug_assert_eq!(so_key & 1, 1, "an entry's split-order key is odd");
         metrics::record(Counter::NodeAllocated);
-        Box::new(ListNode {
+        ListNode {
             link: Sentinel {
                 so_key,
                 next: AtomicU64::new(tagged::NULL),
             },
             key,
             value,
-        })
+        }
+    }
+
+    /// Drops the entry's key and value in place, marks its `next` word
+    /// [`RECYCLED`], and pushes its slot onto `pool`.
+    ///
+    /// # Safety
+    ///
+    /// `entry` must be a slot of `pool` holding a live entry that no thread can
+    /// reach any more (retired through the epoch, or never published), recycled
+    /// once.
+    pub(crate) unsafe fn recycle(entry: *mut Self, pool: &SlabPool) {
+        std::ptr::drop_in_place(entry);
+        (*entry).link.next.store(RECYCLED, Ordering::Relaxed);
+        pool.push(entry.cast());
     }
 
     /// The entry's header, as the list links it.
@@ -176,6 +199,8 @@ pub(crate) unsafe fn find<'g, K: Ord, V>(
             }
             let curr = &*tagged::unpack::<Sentinel>(curr_word);
             let mut curr_next = curr.next.load(Ordering::SeqCst);
+            // A node reached while pinned is retired, if at all, after the pin ends.
+            debug_assert_ne!(curr_next, RECYCLED, "a walk reached a recycled entry");
             if curr_next & PENDING != 0 {
                 // A sentinel reached through the list is linked: clear its tag. The
                 // CAS fails only if another thread cleared it first, since nothing
@@ -241,37 +266,38 @@ pub(crate) unsafe fn find<'g, K: Ord, V>(
     }
 }
 
-/// Inserts `node` (already boxed) at the position described by a fresh [`find`],
-/// retrying as needed. Returns `Err(node)` if an equal key is already present.
+/// Inserts `node` at the position described by a fresh [`find`], retrying as
+/// needed. Returns `false`, leaving the node unpublished and still the caller's, if
+/// an equal key is already present.
 ///
 /// # Safety
 ///
-/// Same contract as [`find`].
+/// Same contract as [`find`]; `node` must be an initialized entry no other thread
+/// can reach.
 pub(crate) unsafe fn insert_at<K: Ord, V>(
     start: &Sentinel,
-    mut node: Box<ListNode<K, V>>,
+    node: *mut ListNode<K, V>,
     epoch: &Guard,
-) -> Result<*const ListNode<K, V>, Box<ListNode<K, V>>> {
-    let target_so = node.link.so_key;
+) -> bool {
+    let entry = &*node;
+    let target_so = entry.link.so_key;
     loop {
-        let found = find::<K, V>(start, target_so, Some(&node.key), epoch);
+        let found = find::<K, V>(start, target_so, Some(&entry.key), epoch);
         if found.found {
-            return Err(node);
+            return false;
         }
-        node.link.next = AtomicU64::new(found.curr_word);
-        let node_ptr = Box::into_raw(node);
+        entry.link.next.store(found.curr_word, Ordering::Relaxed);
         metrics::record(Counter::CasAttempt);
         match found.prev_link.compare_exchange(
             found.curr_word,
-            tagged::pack(node_ptr),
+            tagged::pack(node),
             Ordering::SeqCst,
             Ordering::SeqCst,
         ) {
-            Ok(_) => return Ok(node_ptr),
+            Ok(_) => return true,
             Err(_) => {
                 metrics::record(Counter::CasFailure);
                 metrics::record(Counter::Restart);
-                node = Box::from_raw(node_ptr);
             }
         }
     }
@@ -337,6 +363,19 @@ mod tests {
 
     type Node = ListNode<u64, u64>;
 
+    /// A pool of the tests' entries; it frees their slots when it drops.
+    fn pool() -> SlabPool {
+        SlabPool::new(std::alloc::Layout::new::<Node>())
+    }
+
+    /// An entry `(so, key, value)` in a fresh slot of `pool`.
+    fn entry(pool: &SlabPool, so: u64, key: u64, value: u64) -> *mut Node {
+        let at = pool.carve().cast::<Node>();
+        // SAFETY: a fresh slot of `Node`'s layout.
+        unsafe { at.write(Node::new(so, key, value)) };
+        at
+    }
+
     /// A linked head sentinel (bucket 0's).
     fn head() -> Sentinel {
         let head = Sentinel::unclaimed(0);
@@ -357,26 +396,11 @@ mod tests {
         seen
     }
 
-    /// Frees the entries of the list from `head`.
-    fn free_entries(head: &Sentinel) {
-        let mut cur = head.next.load(Ordering::SeqCst);
-        while !tagged::is_null(cur) {
-            let n = tagged::unpack::<Sentinel>(cur);
-            // SAFETY: the test owns every node; sentinels are not boxed.
-            unsafe {
-                cur = (*n).next.load(Ordering::SeqCst);
-                if (*n).is_entry() {
-                    drop(Box::from_raw(n as *mut Node));
-                }
-            }
-        }
-    }
-
     #[test]
     fn ordering_puts_dummies_first() {
         let dummy = Sentinel::unclaimed(1);
         let so = dummy.so_key;
-        let entry: Box<Node> = ListNode::new(so | 1, 9, 90);
+        let entry = Node::new(so | 1, 9, 90);
         unsafe {
             assert_eq!(
                 node_cmp::<u64, u64>(&dummy, so | 1, Some(&9)),
@@ -400,17 +424,14 @@ mod tests {
     #[test]
     fn insert_and_find_in_order() {
         let head = head();
+        let pool = pool();
         let guard = epoch::pin_domain(TEST_DOMAIN);
         unsafe {
             for so in [9u64, 3, 7, 5] {
-                let node = ListNode::new(so, so, so * 10);
-                insert_at(&head, node, &guard)
-                    .map_err(|_| "duplicate")
-                    .unwrap();
+                assert!(insert_at(&head, entry(&pool, so, so, so * 10), &guard));
             }
             // Duplicate insert fails.
-            let dup: Box<Node> = ListNode::new(7, 7, 70);
-            assert!(insert_at(&head, dup, &guard).is_err());
+            assert!(!insert_at(&head, entry(&pool, 7, 7, 70), &guard));
 
             // Walk the list: must be sorted by so_key.
             assert_eq!(so_keys(&head), vec![3, 5, 7, 9]);
@@ -420,20 +441,17 @@ mod tests {
             let miss = find::<u64, u64>(&head, 7, Some(&6), &guard);
             assert!(!miss.found);
         }
-        free_entries(&head);
     }
 
     #[test]
     fn find_unlinks_marked_nodes() {
         let head = head();
+        let pool = pool();
         let guard = epoch::pin_domain(TEST_DOMAIN);
         unsafe {
-            let a = insert_at(&head, ListNode::new(3, 3u64, 30u64), &guard)
-                .map_err(|_| "duplicate")
-                .unwrap();
-            let _b = insert_at(&head, ListNode::new(5, 5u64, 50u64), &guard)
-                .map_err(|_| "duplicate")
-                .unwrap();
+            let a = entry(&pool, 3, 3, 30);
+            assert!(insert_at(&head, a, &guard));
+            assert!(insert_at(&head, entry(&pool, 5, 5, 50), &guard));
             // Mark node a (so_key 3) for deletion by setting the mark bit on its next.
             let a_next = (*a).link.next.load(Ordering::SeqCst);
             (*a).link
@@ -453,10 +471,23 @@ mod tests {
                 vec![5],
                 "marked node was physically unlinked"
             );
-            // Clean up (a was unlinked but we still own it here).
-            drop(Box::from_raw(a as *mut Node));
         }
-        free_entries(&head);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "recycled entry")]
+    fn a_walk_that_reaches_a_recycled_entry_panics() {
+        let head = head();
+        let pool = pool();
+        let guard = epoch::pin_domain(TEST_DOMAIN);
+        unsafe {
+            let early = entry(&pool, 3, 3, 30);
+            assert!(insert_at(&head, early, &guard));
+            // Recycled while still linked: the fault the assertion is there for.
+            Node::recycle(early, &pool);
+            let _ = find::<u64, u64>(&head, 5, Some(&5), &guard);
+        }
     }
 
     #[test]
@@ -470,12 +501,13 @@ mod tests {
     #[test]
     fn a_linked_sentinel_sorts_before_its_entries_and_loses_its_tag_to_a_walk() {
         let head = head();
+        let pool = pool();
         let guard = epoch::pin_domain(TEST_DOMAIN);
         let bucket = Sentinel::unclaimed(1); // so_key 1 << 63
         let so = dummy_so_key(1);
         unsafe {
-            assert!(insert_at(&head, Node::new(so + 1, 1, 10), &guard).is_ok());
-            assert!(insert_at(&head, Node::new(so - 1, 2, 20), &guard).is_ok());
+            assert!(insert_at(&head, entry(&pool, so + 1, 1, 10), &guard));
+            assert!(insert_at(&head, entry(&pool, so - 1, 2, 20), &guard));
             bucket
                 .next
                 .compare_exchange(UNCLAIMED, PENDING, Ordering::SeqCst, Ordering::SeqCst)
@@ -492,7 +524,6 @@ mod tests {
             // From the sentinel itself, the walk sees its entries.
             assert!(find::<u64, u64>(&bucket, so + 1, Some(&1), &guard).found);
         }
-        free_entries(&head);
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! directory (the segment tree of [`crate::dir`]) over the single lock-free list of
 //! [`crate::list`].
 
+use std::alloc::Layout;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crossbeam_epoch::{self as epoch, Guard, Reclaimer};
-use skiptrie_atomics::{retire_box, tagged};
+use skiptrie_atomics::slab::SlabPool;
+use skiptrie_atomics::tagged;
 use skiptrie_metrics::{self as metrics, Counter};
 
 use crate::dir::{Directory, DirectoryConfig};
@@ -23,7 +26,10 @@ const LOAD_FACTOR: usize = 3;
 ///
 /// `K` must be `Ord` (used only to totally order same-hash collisions inside the
 /// list) in addition to the usual `Hash + Eq`. A value lives inside its list node,
-/// for as long as the entry does. [`SplitOrderedMap::get_in`] lends it out under a
+/// for as long as the entry does, and the node lives in a slot of the map's own
+/// [`SlabPool`]: an insert pops a pooled slot or carves one, a removal hands its
+/// slot back once the epoch has retired it, and a bulk load places each entry
+/// straight into its slot of one reserved run. [`SplitOrderedMap::get_in`] lends it out under a
 /// guard the caller already holds: no pin and no clone. The SkipTrie stores its
 /// two-pointer trie nodes this way, and a node's address is the entry's identity.
 /// [`SplitOrderedMap::get`] pins and clones, for `V: Clone`.
@@ -41,13 +47,17 @@ pub struct SplitOrderedMap<K, V> {
     /// prefix-table garbage out of the global domain: every pin goes through the
     /// owning structure's domain, never `epoch::pin()` directly.
     domain: usize,
+    /// The slots the entries live in. Shared with the deferred closures that
+    /// recycle removed entries, which may run after the map is dropped.
+    pool: Arc<SlabPool>,
     /// The map owns its entries, keys and values with them.
-    _entries: std::marker::PhantomData<Box<ListNode<K, V>>>,
+    _entries: std::marker::PhantomData<ListNode<K, V>>,
 }
 
 // SAFETY: all shared mutation goes through atomics: the size and count words, the
 // directory (grown by CAS, freed under `&mut self`), and the list, whose entries are
-// retired through epoch reclamation and whose sentinels live in the directory.
+// retired through epoch reclamation and whose sentinels live in the directory; the
+// pool's free lists and slabs are behind its own locks.
 // `K`/`V` cross threads inside entries, hence the bounds.
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for SplitOrderedMap<K, V> {}
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for SplitOrderedMap<K, V> {}
@@ -181,6 +191,7 @@ where
             size: AtomicUsize::new(1),
             count: AtomicUsize::new(0),
             domain: domain.unwrap_or(0) % epoch::NUM_DOMAINS,
+            pool: Arc::new(SlabPool::new(Layout::new::<ListNode<K, V>>())),
             _entries: std::marker::PhantomData,
         }
     }
@@ -255,15 +266,25 @@ where
         let hash = hash_key(&key);
         let so = regular_so_key(hash);
         let start = self.start_of(self.bucket_for_hash(hash), &guard);
-        let node = ListNode::new(so, key, value);
-        // SAFETY: `start` is a linked sentinel of this map's list.
-        match unsafe { list::insert_at(start, node, &guard) } {
-            Ok(_) => {
-                let count = self.count.fetch_add(1, Ordering::SeqCst) + 1;
-                self.maybe_grow(count);
-                true
-            }
-            Err(_rejected) => false,
+        let node = self
+            .pool
+            .pop()
+            .unwrap_or_else(|| self.pool.carve())
+            .cast::<ListNode<K, V>>();
+        // SAFETY: a slot of the entries' layout that no one else holds.
+        unsafe { node.write(ListNode::new(so, key, value)) };
+        // SAFETY: `start` is a linked sentinel of this map's list, and `node` is
+        // initialized and unpublished.
+        if unsafe { list::insert_at(start, node, &guard) } {
+            let count = self.count.fetch_add(1, Ordering::SeqCst) + 1;
+            self.maybe_grow(count);
+            true
+        } else {
+            // The key is present: the node was never published, so its slot goes
+            // straight back, its value dropped.
+            // SAFETY: the slot is this pool's, initialized, and reachable by no one.
+            unsafe { ListNode::recycle(node, &self.pool) };
+            false
         }
     }
 
@@ -410,12 +431,15 @@ where
                 let _ = unsafe { list::find::<K, V>(start, so, Some(key), guard) };
             }
             self.count.fetch_sub(1, Ordering::SeqCst);
-            // We won the mark, so we own retirement.
-            // SAFETY: the node is unlinked and will not be retired by anyone else.
-            unsafe {
-                let victim = tagged::unpack::<ListNode<K, V>>(res.curr_word) as *mut ListNode<K, V>;
-                retire_box(guard, victim);
-            }
+            // We won the mark, so we own retirement: once no pin that could have
+            // reached the entry is left, its key and value drop and its slot goes
+            // back to the pool (kept alive by the closure's `Arc`).
+            metrics::record(Counter::NodeRetired);
+            let victim = tagged::unpack::<ListNode<K, V>>(res.curr_word) as *mut ListNode<K, V>;
+            let pool = Arc::clone(&self.pool);
+            // SAFETY: the node is unlinked, will not be retired by anyone else, and
+            // is a slot of `pool`.
+            unsafe { guard.defer_unchecked(move || ListNode::recycle(victim, &pool)) };
             return Some(&entry.value);
         }
     }
@@ -432,22 +456,29 @@ where
     /// front (replaying the incremental doubling rule). At that size a split-ordered
     /// list keeps every bucket's items together, in the bucket's bit-reversed rank,
     /// so the items are placed by a counting sort over the buckets — a count per
-    /// rank, one move per item — and only each bucket's own few items are compared.
-    /// Then one three-way merge — the existing list, the new items, and the
-    /// sentinels of every bucket not yet linked, in split order — links each node
-    /// to its predecessor with a plain store as it goes. The sentinels are linked in
-    /// place in the directory's leaves, and the merge keeps no list of its own.
-    /// `O(n + buckets)` for the placement (plus `O(g log g)` for a bucket of `g`
-    /// items, which only a directory at its capacity makes long),
-    /// `O(existing + n + buckets)` for the merge, and the result is exactly the list
-    /// the `n` individual inserts would have produced.
+    /// rank — and each entry is written straight into its final slot of one run
+    /// of exactly `n` slots reserved from the map's pool ([`SlabPool::reserve`]:
+    /// whole 2-MiB arenas while an arena's worth is left, then one block of
+    /// exactly the rest). A key is hashed once to be counted and once to be
+    /// placed: keeping its split-order key between the passes would take a
+    /// batch-sized buffer, and a freed buffer stays resident under what is
+    /// allocated after it. Only each bucket's own few entries are then compared,
+    /// sorted in place. Then one three-way merge — the existing list, the new
+    /// entries, and the sentinels of every bucket not yet linked, in split order —
+    /// links each node to its predecessor with a plain store as it goes. The
+    /// sentinels are linked in place in the directory's leaves, and no entry is
+    /// staged or moved between buffers. `O(n + buckets)` for the placement (plus
+    /// `O(g log g)` for a bucket of `g` items, which only a directory at its
+    /// capacity makes long), `O(existing + n + buckets)` for the merge, and the
+    /// result is exactly the list the `n` individual inserts would have produced.
     ///
     /// # Panics
     ///
     /// Panics if a key equals another item's key or a key already present (the map
     /// must stay duplicate-free), or if the map is not quiescent (a logically
     /// deleted node still linked means a concurrent remove — incompatible with
-    /// `&mut self`).
+    /// `&mut self`). Entries placed before such a panic are never linked: their
+    /// keys and values leak, and their slots go with the pool.
     pub fn bulk_load(&mut self, items: Vec<(K, V)>) -> usize {
         let n = items.len();
         if n == 0 {
@@ -465,19 +496,19 @@ where
         // instead of a grow CAS discovered lazily on some later probe's path.
         self.directory.ensure_capacity(size);
 
-        // (2) Place the new items in their final list order (so_key, key). At the
+        // (2) Place the new entries in their final list order (so_key, key). At the
         // final size an item's rank — the top `log₂ size` bits of its so_key, the
         // split-order position of its bucket — fixes its place up to the other
-        // items of its bucket, so a counting pass and one move per item do what a
+        // items of its bucket, so a counting pass and one write per item do what a
         // comparison sort of the batch would, and only each bucket's few items are
-        // compared. The items move straight from `items` into the one buffer of
-        // placed nodes, so no second batch-sized buffer is live at once.
+        // compared. Each entry is written straight into its slot of the run, so
+        // no batch-sized buffer is live beside the input.
         let s = size.trailing_zeros();
         let place = |key: &K| {
             let so = regular_so_key(hash_key(key));
             (so, so.checked_shr(64 - s).unwrap_or(0) as usize)
         };
-        // `start[r]..start[r + 1]` is rank r's stretch of the buffer.
+        // `start[r]..start[r + 1]` is rank r's stretch of the run.
         let mut start = vec![0usize; size + 1];
         for (k, _) in &items {
             start[place(k).1 + 1] += 1;
@@ -485,9 +516,9 @@ where
         for r in 0..size {
             start[r + 1] += start[r];
         }
+        let slots = self.pool.reserve(n);
+        let entry = |i: usize| slots.slot(i).cast::<ListNode<K, V>>();
         let mut fill = start[..size].to_vec();
-        let mut new_nodes: Vec<(u64, K, V)> = Vec::with_capacity(n);
-        let slots = new_nodes.spare_capacity_mut();
         for (k, v) in items {
             let (so, r) = place(&k);
             // A key whose hash changed since it was counted would overrun its
@@ -496,37 +527,53 @@ where
                 fill[r] < start[r + 1],
                 "bulk_load key hashed differently twice"
             );
-            slots[fill[r]].write((so, k, v));
+            // SAFETY: a slot of the run, inside rank r's stretch, not yet written.
+            unsafe { entry(fill[r]).write(ListNode::new(so, k, v)) };
             fill[r] += 1;
         }
-        // SAFETY: the `n` writes above each stayed inside their rank's stretch, and
-        // the stretches' lengths sum to `n`, so every slot of `0..n` was written
-        // exactly once.
-        unsafe { new_nodes.set_len(n) };
         drop(fill);
+        let order = |a: &ListNode<K, V>, b: &ListNode<K, V>| {
+            (a.link().so_key, &a.key).cmp(&(b.link().so_key, &b.key))
+        };
+        // A stretch that crosses from an arena into the next block is sorted
+        // through this buffer; every other one in place.
+        let mut crossing = Vec::new();
         for group in start.windows(2) {
-            new_nodes[group[0]..group[1]]
-                .sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            let (lo, hi) = (group[0], group[1]);
+            if hi - lo < 2 {
+                continue;
+            }
+            if slots.contiguous(lo..hi) {
+                // SAFETY: `lo..hi` are initialized entries back to back in one
+                // block, shared with no one yet.
+                unsafe { std::slice::from_raw_parts_mut(entry(lo), hi - lo) }
+                    .sort_unstable_by(order);
+            } else {
+                // SAFETY: as above, entry by entry; each is read out once and
+                // written back once.
+                crossing.extend((lo..hi).map(|i| unsafe { entry(i).read() }));
+                crossing.sort_unstable_by(order);
+                for (i, e) in (lo..hi).zip(crossing.drain(..)) {
+                    unsafe { entry(i).write(e) };
+                }
+            }
         }
-        // Freed before the merge allocates the entries, which can then reuse it.
         drop(start);
         // Within-batch duplicates surface as adjacent equal positions once placed.
-        for w in new_nodes.windows(2) {
-            assert!(
-                (w[0].0, &w[0].1) < (w[1].0, &w[1].1),
-                "bulk_load requires distinct keys"
-            );
+        for i in 1..n {
+            // SAFETY: initialized entries, shared with no one yet.
+            let (a, b) = unsafe { (&*entry(i - 1), &*entry(i)) };
+            assert!(order(a, b).is_lt(), "bulk_load requires distinct keys");
         }
 
         // (3) Three-way merge by split-order position, linking each node to the
         // last one linked. The streams: the existing list after the head (under
         // `&mut self` it must be quiescent: no marked node is still linked once its
-        // remover has returned), the sorted items, and the buckets below `size`
+        // remover has returned), the placed entries, and the buckets below `size`
         // whose sentinel is not linked. No link is in flight under `&mut self`, so
         // a sentinel is linked exactly when its word carries no `PENDING` tag; and
         // bucket `rev(i)` has the i-th smallest sentinel so_key, because
         // `dummy_so_key(rev(i) >> (64 - s)) == i << (64 - s)` is monotone in `i`.
-        let s = size.trailing_zeros();
         let directory = &self.directory;
         let mut rank = 1u64; // rank 0 is bucket 0, the head
         let mut next_unlinked = || -> Option<&Sentinel> {
@@ -544,19 +591,21 @@ where
         let mut tail: &Sentinel = head;
         let mut old: *const Sentinel = tagged::unpack(head.next.load(Ordering::SeqCst));
         let mut unlinked = next_unlinked();
-        let mut new_iter = new_nodes.into_iter().peekable();
+        let mut placed = 0usize;
         loop {
             // SAFETY: a live node of this map's list; exclusive access.
             let old_node = unsafe { old.as_ref() };
+            // SAFETY: the placed entries are initialized.
+            let new_node = (placed < n).then(|| unsafe { &*entry(placed) });
             // Entries only compare equal to entries, and the unlinked sentinels'
             // so_keys appear nowhere else, so `(so_key, key)` orders all three.
             let old_first = old_node.is_some_and(|o| {
-                new_iter.peek().is_none_or(|(so, k, _)| {
+                new_node.is_none_or(|e| {
                     // SAFETY: equal so_keys make `o` an entry.
                     let order = o
                         .so_key
-                        .cmp(so)
-                        .then_with(|| unsafe { ListNode::<K, V>::of(o) }.key.cmp(k));
+                        .cmp(&e.link().so_key)
+                        .then_with(|| unsafe { ListNode::<K, V>::of(o) }.key.cmp(&e.key));
                     assert!(order.is_ne(), "bulk_load key already present in the map");
                     order.is_lt()
                 })
@@ -564,7 +613,7 @@ where
             let candidate = if old_first {
                 old_node.map(|o| o.so_key)
             } else {
-                new_iter.peek().map(|(so, _, _)| *so)
+                new_node.map(|e| e.link().so_key)
             };
             let node: &Sentinel = match (unlinked, candidate) {
                 (Some(sentinel), c) if c.is_none_or(|so| sentinel.so_key < so) => {
@@ -583,9 +632,8 @@ where
                     o
                 }
                 _ => {
-                    let (so, k, v) = new_iter.next().expect("peeked");
-                    // SAFETY: leaked into the list, which owns its entries.
-                    unsafe { &*Box::into_raw(ListNode::new(so, k, v)) }.link()
+                    placed += 1;
+                    new_node.expect("new stream not empty").link()
                 }
             };
             tail.next.store(tagged::pack(node), Ordering::Relaxed);
@@ -666,17 +714,19 @@ where
 
 impl<K, V> Drop for SplitOrderedMap<K, V> {
     fn drop(&mut self) {
-        // Exclusive access: free every entry. Sentinels are not boxed; they go with
-        // the directory's leaves, which the directory frees, every level, in its own
-        // Drop.
+        // Exclusive access: drop every linked entry's key and value in place. The
+        // slots go with the pool's slabs, once the last deferred recycle holding the
+        // pool has run; sentinels go with the directory's leaves, which the
+        // directory frees, every level, in its own Drop.
         let mut cur = self.directory.bucket(0).next.load(Ordering::SeqCst);
         while !tagged::is_null(cur) {
             let node = tagged::unpack::<Sentinel>(cur);
-            // SAFETY: exclusive access; a node with an odd so_key is a boxed entry.
+            // SAFETY: exclusive access; a node with an odd so_key is an entry, and
+            // each linked entry is dropped once, here.
             unsafe {
                 cur = (*node).next.load(Ordering::SeqCst);
                 if (*node).is_entry() {
-                    drop(Box::from_raw(node as *mut ListNode<K, V>));
+                    std::ptr::drop_in_place(node as *mut ListNode<K, V>);
                 }
             }
         }
@@ -687,6 +737,7 @@ impl<K, V> Drop for SplitOrderedMap<K, V> {
 mod tests {
     use super::*;
     use crate::list::dummy_so_key;
+    use skiptrie_atomics::slab::{ARENA, FIRST_SLAB, MAX_SLAB};
     use std::collections::HashMap;
     use std::num::NonZeroU64;
     use std::sync::atomic::AtomicU64;
@@ -1339,6 +1390,121 @@ mod tests {
             bulk,
             SplitOrderedMap::with_directory(config),
             spread_items(n),
+        );
+    }
+
+    #[test]
+    fn a_bulk_load_writes_its_entries_into_one_exact_run() {
+        let stride = std::mem::size_of::<ListNode<u64, u64>>();
+        let per_arena = ARENA / stride;
+        let mut map: SplitOrderedMap<u64, u64> = SplitOrderedMap::new();
+        assert!(map.insert(u64::MAX, 0), "a first slab before the load");
+        let n = per_arena + 1_000;
+        map.bulk_load(spread_items(n as u64));
+        let mut slabs = map.pool.slab_list();
+        slabs.sort_by_key(|&(_, bytes)| bytes);
+        assert_eq!(
+            slabs.iter().map(|&(_, b)| b).collect::<Vec<_>>(),
+            vec![FIRST_SLAB, 1_000 * stride, ARENA],
+            "one arena, carved whole, and exactly the rest"
+        );
+        assert!(
+            slabs[2].0.is_multiple_of(ARENA),
+            "an arena is 2-MiB-aligned"
+        );
+        assert_eq!(map.pool.allocated(), n + 1);
+        // The arena's last entry and the block's first share a bucket, so that
+        // bucket's stretch was sorted across the two blocks; the walk below
+        // checks the order.
+        let rank = |at: usize| {
+            // SAFETY: a placed entry of the map.
+            let so = unsafe { &*(at as *const Sentinel) }.so_key;
+            so >> (64 - map.bucket_count().trailing_zeros())
+        };
+        assert_eq!(
+            rank(slabs[2].0 + (per_arena - 1) * stride),
+            rank(slabs[1].0)
+        );
+        assert_eq!(walked_sentinels(&map), every_sentinel(map.bucket_count()));
+        // Every linked entry lies in a slot of the pool.
+        let guard = map.pin();
+        let mut cur = map.head().next.load(Ordering::SeqCst);
+        let mut entries = 0;
+        while !tagged::is_null(cur) {
+            let node = tagged::unpack::<Sentinel>(cur);
+            // SAFETY: protected by the pin.
+            let node = unsafe { &*node };
+            if node.is_entry() {
+                assert!(map.pool.contains(node as *const Sentinel as usize));
+                entries += 1;
+            }
+            cur = node.next.load(Ordering::SeqCst);
+        }
+        drop(guard);
+        assert_eq!(entries, n + 1);
+    }
+
+    #[test]
+    fn removed_bulk_slots_are_recycled_into_later_inserts() {
+        // A domain of its own, so draining it waits on no other test's pins.
+        const DOMAIN: usize = 12;
+        let n = 10_000u64;
+        let mut map: SplitOrderedMap<u64, u64> = SplitOrderedMap::with_directory_in_domain(
+            DirectoryConfig::default(),
+            Some(DOMAIN),
+            Reclaimer::Ebr,
+        );
+        map.bulk_load((0..n).map(|k| (k, k)).collect());
+        let run = map.pool.slab_bytes();
+        assert_eq!(run, n as usize * std::mem::size_of::<ListNode<u64, u64>>());
+        // Each round removes 500 keys that are in the map and inserts 500 that
+        // never were: every round's removals are recycled before its inserts.
+        let mut fresh = n;
+        for round in 0..10u64 {
+            for k in (round * 500..(round + 1) * 500).map(|i| i * 2) {
+                assert_eq!(map.remove(&k), Some(k), "round {round} key {k}");
+            }
+            for _ in 0..10_000 {
+                map.pin().flush();
+                if epoch::domain_stats(DOMAIN, Reclaimer::Ebr).pending == 0 {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            for _ in 0..500 {
+                assert!(map.insert(fresh, fresh));
+                fresh += 1;
+            }
+            assert!(
+                map.pool.slab_bytes() <= run + MAX_SLAB,
+                "round {round}: {} bytes of slab for a run of {run}",
+                map.pool.slab_bytes()
+            );
+        }
+        assert_eq!(map.len(), n as usize);
+    }
+
+    #[test]
+    fn a_node_that_loses_the_insert_race_goes_back_to_the_pool() {
+        let map = Arc::new(SplitOrderedMap::<u64, u64>::new());
+        let keys = 5_000u64;
+        let handles: Vec<_> = (0..2u64)
+            .map(|t| {
+                let map = Arc::clone(&map);
+                std::thread::spawn(move || (0..keys).filter(|&k| map.insert(k, t)).count())
+            })
+            .collect();
+        let wins: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(wins, keys as usize);
+        let (carved, recycled, live) = (map.pool.allocated(), map.pool.free_len(), map.len());
+        assert!(
+            map.pool.recycled() >= keys as usize,
+            "every loser was pushed back"
+        );
+        assert_eq!(
+            carved - recycled - live,
+            0,
+            "every carved slot is live or pooled: {carved} carved, {recycled} pooled, {live} live"
         );
     }
 
