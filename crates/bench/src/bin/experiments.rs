@@ -60,6 +60,11 @@ const EXPERIMENTS: &[(&str, &str, fn() -> Outcome)] = &[
     ),
     ("ab", "A/B pairs with no twin in perfbench or tier-1", ab),
     (
+        "frozen",
+        "a frozen read, key shape by key shape: radix window, then the guarded search",
+        frozen,
+    ),
+    (
         "pages",
         "2-MiB pages: the node pool's own arenas against glibc's heap-wide advice",
         pages,
@@ -1069,6 +1074,151 @@ fn ab() -> Outcome {
             "B/A_ns",
             "A_steps/unit",
             "B_steps/unit",
+        ],
+        rows,
+    );
+    out
+}
+
+/// Passes over the probes per `frozen` cell; a cell is the fastest pass.
+const FROZEN_PASSES: usize = 3;
+
+/// `n` distinct values of `draw`, in increasing order.
+fn distinct(n: usize, mut draw: impl FnMut() -> u64) -> Vec<u64> {
+    let mut keys = std::collections::BTreeSet::new();
+    while keys.len() < n {
+        keys.insert(draw());
+    }
+    keys.into_iter().collect()
+}
+
+/// `n` increasing 64-bit keys of each shape `frozen` reads: evenly spread
+/// (uniform, arithmetic) and the shapes an interpolation guess is wrong on.
+fn frozen_key_families(n: usize, rng: &mut SplitMix64) -> Vec<(&'static str, Vec<u64>)> {
+    let m = n as u64;
+    let uniform = distinct(n, || rng.next());
+    let squared = distinct(n, || {
+        let r = rng.next();
+        ((r as u128 * r as u128) >> 64) as u64
+    });
+    vec![
+        ("uniform", uniform),
+        ("arithmetic", (0..m).map(|i| i * 3 + 1).collect()),
+        (
+            "2^i + j clusters",
+            (32..64)
+                .flat_map(|i| (0..m.div_ceil(32)).map(move |j| (1u64 << i) + j))
+                .take(n)
+                .collect(),
+        ),
+        (
+            "dense block + u64::MAX",
+            (0..m - 1).chain([u64::MAX]).collect(),
+        ),
+        (
+            "a cluster at each end",
+            (0..m / 2)
+                .chain((0..m - m / 2).rev().map(|i| u64::MAX - i))
+                .collect(),
+        ),
+        (
+            "geometric gaps",
+            (0..m)
+                .map(|i| i + (63.0 * i as f64 / m as f64).exp2() as u64)
+                .collect(),
+        ),
+        ("squared-uniform", squared),
+    ]
+}
+
+/// Fastest ns per `read` over `probes` in [`FROZEN_PASSES`] passes. Chained:
+/// each probe waits for the previous answer (through a mask that is zero but
+/// not known to be), as one timed operation does; back to back: independent
+/// probes, which the core overlaps.
+fn frozen_ns(probes: &[u64], chained: bool, read: impl Fn(u64) -> u64) -> f64 {
+    let mask = black_box(0u64);
+    (0..FROZEN_PASSES)
+        .map(|_| {
+            let sw = Stopwatch::start();
+            if chained {
+                let mut last = 0;
+                for &p in probes {
+                    last = read(p ^ (last & mask));
+                }
+                black_box(last);
+            } else {
+                for &p in probes {
+                    black_box(read(p));
+                }
+            }
+            ns_per(sw, probes.len())
+        })
+        .fold(f64::MAX, f64::min)
+}
+
+/// The frozen tier's read on a quiesced `TieredSkipTrie` of 400 000 keys (64-bit
+/// universe, `V = u64`, one thread): every gap clean, so a `get` or
+/// `predecessor` is the radix index's window and the guarded search inside it.
+/// Probes are drawn uniformly from the universe or from the keys. The checked
+/// column is the answers: the first 10 000 probes of each row must agree with
+/// `partition_point` over the keys.
+fn frozen() -> Outcome {
+    let n = scaled(400_000);
+    let probes = scaled(1_000_000);
+    let checked = probes.min(10_000);
+    let mut rng = SplitMix64::new(0xF20E);
+    let (mut rows, mut out) = (Vec::new(), Outcome::default());
+    for (family, keys) in frozen_key_families(n, &mut rng) {
+        let tier = TieredSkipTrie::<u64>::from_sorted(
+            TieredSkipTrieConfig::for_universe_bits(64),
+            keys.iter().map(|&k| (k, k)),
+        );
+        let from_universe: Vec<u64> = (0..probes).map(|_| rng.next()).collect();
+        let from_keys: Vec<u64> = (0..probes)
+            .map(|_| keys[(rng.next() % n as u64) as usize])
+            .collect();
+        for (drawn, probes) in [("uniform", from_universe), ("keys", from_keys)] {
+            let wrong = probes[..checked]
+                .iter()
+                .filter(|&&p| {
+                    let below = keys.partition_point(|&k| k <= p);
+                    let pred = below.checked_sub(1).map(|i| (keys[i], keys[i]));
+                    tier.get(p) != pred.filter(|&(k, _)| k == p).map(|(k, _)| k)
+                        || tier.predecessor(p) != pred
+                })
+                .count();
+            out.expect(
+                wrong == 0,
+                format!("{family}, probes from {drawn}: {wrong} of {checked} answers wrong"),
+            );
+            let get = |p| tier.get(p).unwrap_or(0);
+            let pred = |p| tier.predecessor(p).map_or(0, |(k, _)| k);
+            rows.push(vec![
+                family.into(),
+                drawn.into(),
+                n.into(),
+                Cell::Int(wrong as u64),
+                real(frozen_ns(&probes, true, get), 1),
+                real(frozen_ns(&probes, false, get), 1),
+                real(frozen_ns(&probes, true, pred), 1),
+                real(frozen_ns(&probes, false, pred), 1),
+            ]);
+        }
+    }
+    out.table(
+        &format!(
+            "frozen: ns per read of a quiesced TieredSkipTrie (u = 2^64, one thread, {probes} \
+             probes per cell, fastest of {FROZEN_PASSES} passes)"
+        ),
+        &[
+            "keys",
+            "probes",
+            "n",
+            "wrong",
+            "get_chained_ns",
+            "get_b2b_ns",
+            "pred_chained_ns",
+            "pred_b2b_ns",
         ],
         rows,
     );

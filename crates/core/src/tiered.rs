@@ -6,10 +6,12 @@
 //! is almost static. [`TieredSkipTrie`] serves that shape "as fast as the hardware
 //! allows":
 //!
-//! * **Frozen tier** — an immutable, flat, sorted `(u64, V)` array and nothing
-//!   beside it. `get`/`predecessor` on it are one guarded interpolation search:
-//!   a handful of probes on evenly spread keys, `O(log n)` on any keys, no
-//!   pointer chasing and no CAS.
+//! * **Frozen tier** — an immutable, flat, sorted `(u64, V)` array and a radix
+//!   index over it (a `u32` position per slice of the key space, one slice per
+//!   32 keys or fewer). `get`/`predecessor` on it read the index entry for the
+//!   key's slice and run one guarded interpolation search inside the window it
+//!   gives: on evenly spread keys an index line and a few lines of one
+//!   window, on any keys `O(log n)` reads, no pointer chasing and no CAS.
 //! * **Live delta** — a small plain [`SkipList`] (16 levels, no x-fast layer)
 //!   absorbing recent inserts, with a tombstone marker per deleted key so
 //!   deletions shadow frozen entries. It holds a watermark's worth of keys, a
@@ -399,7 +401,8 @@ where
 /// slots down to 8, and a scan of the 7 keys inside those.
 ///
 /// The search reaches the keys only through `key_at`, so a test can count the
-/// reads with a closure of its own; the serving path passes the slice access.
+/// reads with a closure of its own; the serving path passes the slice access
+/// over the window the frozen tier's radix index gives (`FrozenTier::window`).
 fn lower_bound_by(n: usize, x: u64, key_at: impl Fn(usize) -> u64) -> usize {
     if n == 0 {
         return 0;
@@ -441,11 +444,150 @@ fn lower_bound_by(n: usize, x: u64, key_at: impl Fn(usize) -> u64) -> usize {
     i
 }
 
-/// The immutable frozen tier: entries sorted by key, searched in place, and the
-/// dirty-gap summary over them.
+/// Frozen keys per radix slice on evenly spread keys: a tier of `n` keys is
+/// cut into `max(1, n / SLICE_KEYS)` slices or fewer, so its index holds at
+/// most one 4-byte entry per 32 keys, plus two.
+const SLICE_KEYS: usize = 32;
+
+/// How a frozen tier's radix index cuts the key space: key `x` belongs to
+/// slice `min((x - base) >> shift, last)` (`0` below `base`). The slice never
+/// decreases as the key grows — the one property the index rests on.
+#[derive(Debug, Clone, Copy)]
+struct Slicing {
+    /// At or below every key of the tier.
+    base: u64,
+    shift: u32,
+    /// The last slice; the index has `last + 2` entries.
+    last: usize,
+}
+
+impl Slicing {
+    /// Slices for a tier of at most `n` keys, all in `lo..=hi`: the smallest
+    /// shift that fits `hi - lo` into `max(1, n / SLICE_KEYS)` slices (capped
+    /// at 63 bits, where one slice holds every key anyway).
+    fn new(n: usize, lo: u64, hi: u64) -> Self {
+        let slices = (n / SLICE_KEYS).max(1);
+        let width = hi.saturating_sub(lo) / slices as u64;
+        Slicing {
+            base: lo,
+            shift: (u64::BITS - width.leading_zeros()).min(63),
+            last: slices - 1,
+        }
+    }
+
+    fn of(self, x: u64) -> usize {
+        ((x.saturating_sub(self.base) >> self.shift) as usize).min(self.last)
+    }
+}
+
+/// A frozen tier being written in key order, its radix index filled as the
+/// entries land, a run at a time: one search of the run per slice boundary
+/// it crosses, so a fold's copy stays a copy.
+struct TierWriter<V> {
+    sorted: Vec<(u64, V)>,
+    slicing: Slicing,
+    /// `index[j]`: the position of the first key whose slice is `>= j`.
+    index: Vec<u32>,
+}
+
+impl<V: Clone> TierWriter<V> {
+    /// A writer whose index cuts the keys by `slicing`, with room for
+    /// `capacity` entries.
+    fn new(slicing: Slicing, capacity: usize) -> Self {
+        TierWriter {
+            sorted: Vec::with_capacity(capacity),
+            slicing,
+            index: Vec::with_capacity(slicing.last + 2),
+        }
+    }
+
+    /// The writer that has written `sorted`, sliced for exactly its keys.
+    fn over(sorted: Vec<(u64, V)>) -> Self {
+        let end = |e: Option<&(u64, V)>| e.map_or(0, |&(k, _)| k);
+        let slicing = Slicing::new(sorted.len(), end(sorted.first()), end(sorted.last()));
+        let mut writer = TierWriter::new(slicing, 0);
+        writer.note(&sorted);
+        writer.sorted = sorted;
+        writer
+    }
+
+    /// Appends `run`, whose keys are larger than any written so far.
+    fn extend(&mut self, run: &[(u64, V)]) {
+        self.note(run);
+        self.sorted.extend_from_slice(run);
+    }
+
+    fn push(&mut self, entry: (u64, V)) {
+        self.note(std::slice::from_ref(&entry));
+        self.sorted.push(entry);
+    }
+
+    /// Fills the index up to the slice of `run`'s last key, `run` about to
+    /// be appended: each entry the first position of `run` in that slice or
+    /// a later one, found by galloping forward from the entry before it, so
+    /// a search reads the keys near its answer only.
+    fn note(&mut self, run: &[(u64, V)]) {
+        let Some(&(last, _)) = run.last() else {
+            return;
+        };
+        let (slicing, at) = (self.slicing, self.sorted.len());
+        let mut from = 0;
+        while self.index.len() <= slicing.of(last) {
+            let slice = self.index.len();
+            let below = |i: usize| slicing.of(run[i].0) < slice;
+            let mut step = 1;
+            while from + step < run.len() && below(from + step) {
+                step *= 2;
+            }
+            let (lo, hi) = (from + step / 2, (from + step).min(run.len()));
+            from = lo + run[lo..hi].partition_point(|&(k, _)| slicing.of(k) < slice);
+            self.index.push(position(at + from));
+        }
+    }
+
+    /// The tier over what was written. An index sliced for more keys than
+    /// came (a fold that removed over half its estimate) is filled again
+    /// over the keys that did, so it stays within one entry per 16 keys.
+    fn finish(mut self, ready: bool) -> FrozenTier<V> {
+        let n = self.sorted.len();
+        if self.slicing.last > n / 16 {
+            return TierWriter::over(self.sorted).finish(ready);
+        }
+        while self.index.len() < self.slicing.last + 2 {
+            self.index.push(position(n));
+        }
+        FrozenTier {
+            dirty: (0..n / 64 + 1).map(|_| AtomicU64::new(0)).collect(),
+            sorted: self.sorted.into_boxed_slice(),
+            index: self.index.into_boxed_slice(),
+            slicing: self.slicing,
+            ready: AtomicBool::new(ready),
+        }
+    }
+}
+
+/// A frozen-tier position as a radix index stores it.
+fn position(at: usize) -> u32 {
+    u32::try_from(at).expect("a frozen tier holds fewer than 2^32 keys")
+}
+
+/// The immutable frozen tier: entries sorted by key, searched in place, the
+/// radix index that narrows each search, and the dirty-gap summary over them.
+///
+/// Bytes per key: 16 for a `(u64, u64)` entry, 1/8 for the summary's bit and
+/// 4/32 for the index — up to 4/16 after a fold, which slices for every key
+/// either side held and slices again below half of that — on top of a
+/// constant 16.
 struct FrozenTier<V> {
     /// Entries in increasing key order.
     sorted: Box<[(u64, V)]>,
+    /// The radix index: `index[j]` is the position of the first key whose
+    /// slice (`slicing`) is `>= j`, and the last entry is `len()`. So the
+    /// first key `>= x` sits in `index[j]..=index[j + 1]`, `j` the slice of
+    /// `x`: keys before `index[j]` lie in lower slices than `x` and are
+    /// smaller, keys from `index[j + 1]` in higher ones and are larger.
+    index: Box<[u32]>,
+    slicing: Slicing,
     /// The dirty-gap summary, `len() + 1` bits: bit `g` is set before any delta
     /// write to a key with `g` frozen keys at or below it (module docs, "Clean
     /// keys skip the delta"). Bits are only ever set; a fold starts a fresh tier.
@@ -460,22 +602,25 @@ impl<V: Clone> FrozenTier<V> {
     /// `ready` is what the summary starts as: `true` wherever no writer can
     /// hold an older view of the delta this tier is published with.
     fn new(sorted: Vec<(u64, V)>, ready: bool) -> Self {
-        FrozenTier {
-            dirty: (0..sorted.len() / 64 + 1)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            sorted: sorted.into_boxed_slice(),
-            ready: AtomicBool::new(ready),
-        }
+        TierWriter::over(sorted).finish(ready)
     }
 
     fn len(&self) -> usize {
         self.sorted.len()
     }
 
-    /// Index in `sorted` of the first key `>= x` (`len()` if none).
+    /// Index in `sorted` of the first key `>= x` (`len()` if none): the
+    /// guarded search over the window the radix index gives `x`.
     fn lower_bound(&self, x: u64) -> usize {
-        lower_bound_by(self.sorted.len(), x, |i| self.sorted[i].0)
+        let (lo, hi) = self.window(x);
+        lo + lower_bound_by(hi - lo, x, |i| self.sorted[lo + i].0)
+    }
+
+    /// The positions `lo..=hi` the radix index bounds the first key `>= x`
+    /// to: `x`'s slice's entry and the next one.
+    fn window(&self, x: u64) -> (usize, usize) {
+        let slice = self.slicing.of(x);
+        (self.index[slice] as usize, self.index[slice + 1] as usize)
     }
 
     /// The gap `key` falls in — the number of frozen keys `<= key`, so gap `g`
@@ -819,13 +964,13 @@ where
         // Phase 3 — fold, fully off to the side (readers keep serving phase 1's
         // state). Nothing changes what `sealed` says any more (merge writers
         // only freeze its entries and link blockers), so its snapshot is exact.
-        let folded = Self::fold(&frozen, sealed.to_vec());
+        // The new tier's dirty-gap summary is not `ready`: a writer still
+        // pinned on phase 1's state marks the old tier's summary and then
+        // writes `live`.
+        let next = Arc::new(Self::fold(&frozen, sealed.to_vec()));
         metrics::record(Counter::TierMerge);
         // Phase 4 — publish the new frozen tier and retire the sealed delta
         // (`merging` is held: `live` is still the delta phase 1 published).
-        // Its dirty-gap summary is not `ready`: a writer still pinned on phase
-        // 1's state marks the old tier's summary and then writes `live`.
-        let next = Arc::new(FrozenTier::new(folded, false));
         self.publish(Tiers {
             frozen: Arc::clone(&next),
             live: Arc::clone(&live),
@@ -845,16 +990,27 @@ where
     }
 
     /// Two-way merge of a frozen tier with a sorted delta snapshot: delta entries
-    /// override frozen ones, tombstones delete, blockers say nothing.
-    fn fold(frozen: &FrozenTier<V>, delta: Vec<(u64, Slot<V>)>) -> Vec<(u64, V)> {
-        let mut out = Vec::with_capacity(frozen.len() + delta.len());
+    /// override frozen ones, tombstones delete, blockers say nothing. The new
+    /// tier's radix index is filled as its entries are written, sliced for
+    /// every key either side holds.
+    fn fold(frozen: &FrozenTier<V>, delta: Vec<(u64, Slot<V>)>) -> FrozenTier<V> {
+        let ends = [
+            frozen.sorted.first().map(|e| e.0),
+            frozen.sorted.last().map(|e| e.0),
+            delta.first().map(|e| e.0),
+            delta.last().map(|e| e.0),
+        ];
+        let (lo, hi) = (ends.iter().flatten().min(), ends.iter().flatten().max());
+        let n = frozen.len() + delta.len();
+        let (lo, hi) = (lo.copied().unwrap_or(0), hi.copied().unwrap_or(0));
+        let mut out = TierWriter::new(Slicing::new(n, lo, hi), n);
         let mut fi = 0usize;
         for (key, slot) in &delta {
             let Some(put) = slot.says() else { continue };
-            while let Some(entry) = frozen.sorted.get(fi).filter(|(k, _)| k < key) {
-                out.push(entry.clone());
-                fi += 1;
-            }
+            let rest = &frozen.sorted[fi..];
+            let below = rest.iter().take_while(|(k, _)| k < key).count();
+            out.extend(&rest[..below]);
+            fi += below;
             if frozen.sorted.get(fi).is_some_and(|(k, _)| k == key) {
                 fi += 1; // shadowed
             }
@@ -862,8 +1018,8 @@ where
                 out.push((*key, v.clone()));
             }
         }
-        out.extend_from_slice(&frozen.sorted[fi..]);
-        out
+        out.extend(&frozen.sorted[fi..]);
+        out.finish(false)
     }
 
     /// Accounts one effective write: `net` moves by `change`, and the
@@ -1347,8 +1503,9 @@ where
     /// delta skiplist nodes.
     pub fn approx_node_bytes(&self) -> usize {
         self.with_tiers(|t, _| {
-            let frozen =
-                std::mem::size_of_val(&*t.frozen.sorted) + std::mem::size_of_val(&*t.frozen.dirty);
+            let frozen = std::mem::size_of_val(&*t.frozen.sorted)
+                + std::mem::size_of_val(&*t.frozen.index)
+                + std::mem::size_of_val(&*t.frozen.dirty);
             let mut bytes = frozen + t.live.approx_node_bytes();
             if let Some(sealed) = &t.sealed {
                 bytes += sealed.approx_node_bytes();
@@ -1373,7 +1530,8 @@ where
                     );
                 }
             }
-            for pair in t.frozen.sorted.windows(2) {
+            let frozen = &t.frozen;
+            for pair in frozen.sorted.windows(2) {
                 assert!(
                     pair[0].0 < pair[1].0,
                     "frozen tier keys out of order: {} !< {}",
@@ -1381,7 +1539,13 @@ where
                     pair[1].0
                 );
             }
-            checked + t.frozen.len()
+            for (slice, &at) in frozen.index.iter().enumerate() {
+                let first = frozen
+                    .sorted
+                    .partition_point(|&(k, _)| frozen.slicing.of(k) < slice);
+                assert_eq!(at as usize, first, "radix index entry {slice}");
+            }
+            checked + frozen.len()
         })
     }
 
@@ -2062,10 +2226,15 @@ mod tests {
 
     #[test]
     fn approx_node_bytes_counts_the_dirty_gap_summary() {
-        // 16 bytes per frozen `(u64, u64)` entry, and one summary word per 64
-        // gaps (n + 1 gaps: 1 word for the empty tier, 3 for 128 keys).
+        // 16 bytes per frozen `(u64, u64)` entry, one summary word per 64
+        // gaps (n + 1 gaps: 1 word for the empty tier, 3 for 128 keys) and a
+        // 4-byte radix entry per slice plus one (2 for the empty tier, 5 for
+        // 128 keys in 4 slices).
         let empty = tiered([]).approx_node_bytes();
-        assert_eq!(tiered(0..128).approx_node_bytes(), empty + 128 * 16 + 2 * 8);
+        assert_eq!(
+            tiered(0..128).approx_node_bytes(),
+            empty + 128 * 16 + 2 * 8 + 3 * 4
+        );
     }
 
     #[test]
@@ -2105,7 +2274,7 @@ mod tests {
             ("2^i + j clusters", clusters),
             (
                 "dense block + u64::MAX",
-                (0..m - 1).chain([u64::MAX]).collect(),
+                (0..m.saturating_sub(1)).chain([u64::MAX]).take(n).collect(),
             ),
             (
                 "a cluster at each end of the universe",
@@ -2157,6 +2326,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_radix_index_agrees_with_partition_point() {
+        // The index only narrows the window: on any keys the answer is
+        // `partition_point`'s, the window's search reads no more keys than a
+        // search over the whole tier may, and the table holds at most one
+        // entry per 16 keys plus two.
+        for n in [0usize, 1, 9, 64, 1_023, 100_000, 262_144] {
+            let max_reads = 2 * n.next_power_of_two().trailing_zeros() as usize + 3;
+            let mut hashed = std::collections::BTreeSet::new();
+            let mut state = n as u64;
+            while hashed.len() < n {
+                // SplitMix64.
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                hashed.insert(z ^ (z >> 31));
+            }
+            let families = key_families(n)
+                .into_iter()
+                .chain([("hashed uniform", hashed.into_iter().collect())]);
+            for (family, keys) in families {
+                assert_eq!(keys.len(), n, "{family}");
+                let tier = FrozenTier::new(keys.iter().map(|&k| (k, k)).collect(), true);
+                assert!(
+                    tier.index.len() <= n / 16 + 2,
+                    "{family}, n = {n}: {} index entries",
+                    tier.index.len()
+                );
+                let probes = keys
+                    .iter()
+                    .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)])
+                    .chain([0, u64::MAX]);
+                for probe in probes {
+                    let expected = keys.partition_point(|&k| k < probe);
+                    let at = format!("lower_bound({probe}) over {n} keys, {family}");
+                    assert_eq!(tier.lower_bound(probe), expected, "{at}");
+                    let gap = expected + usize::from(keys.get(expected) == Some(&probe));
+                    assert_eq!(tier.locate(probe).0, gap, "locate: {at}");
+                    let (lo, hi) = tier.window(probe);
+                    let reads = std::cell::Cell::new(0usize);
+                    let found = lower_bound_by(hi - lo, probe, |i| {
+                        reads.set(reads.get() + 1);
+                        keys[lo + i]
+                    });
+                    assert_eq!(lo + found, expected, "window {lo}..={hi}: {at}");
+                    assert!(
+                        reads.get() <= max_reads,
+                        "{at}: {} reads, bound {max_reads}",
+                        reads.get()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fold_that_removes_most_keys_slices_its_index_again() {
+        // The fold sizes the new tier's index for every key either side holds;
+        // when most of them are tombstoned away it is filled again over the
+        // keys that are left, and the audit checks each entry.
+        let t = tiered(0..4_096);
+        for k in 0..4_000 {
+            assert_eq!(t.remove(k), Some(k + 1));
+        }
+        assert!(t.merge());
+        t.check_traversal_integrity();
+        let entries = t.with_tiers(|t, _| t.frozen.index.len());
+        assert!(
+            entries <= 96 / 16 + 2,
+            "{entries} index entries for 96 keys"
+        );
+        assert_eq!(t.predecessor(u64::MAX >> 32), Some((4_095, 4_096)));
+        assert_eq!(t.successor(0), Some((4_000, 4_001)));
     }
 
     #[test]
