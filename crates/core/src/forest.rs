@@ -46,7 +46,6 @@ use std::ops::RangeBounds;
 use skiptrie_atomics::dcss::DcssMode;
 use skiptrie_metrics::{self as metrics, Counter};
 use skiptrie_skiplist::{resolve_bounds, OrderedKv};
-use skiptrie_splitorder::DirectoryConfig;
 
 use crate::engine::{EngineRangeIter, ShardEngine};
 use crate::tiered::TieredSkipTrieConfig;
@@ -69,10 +68,6 @@ pub struct ShardedSkipTrieConfig {
     /// Tower-height seed of every shard (see [`SkipTrieConfig::seed`]). Shards hold
     /// disjoint keys, so one seed serves them all.
     pub seed: u64,
-    /// Shape of every shard's prefix-table bucket directory (a growable segment
-    /// tree); see [`SkipTrieConfig::with_hash_directory`]. Ignored by tiered
-    /// engines, which have no prefix table.
-    pub hash_dir: DirectoryConfig,
     /// Per-shard delta-size merge watermark, for tiered engines: once a shard's
     /// live delta accumulates this many writes, the writer that crosses the mark
     /// flags the shard and wakes the merge coordinator. Ignored by the plain
@@ -103,7 +98,6 @@ impl ShardedSkipTrieConfig {
             shard_bits: 3.min(universe_bits),
             mode: DcssMode::Descriptor,
             seed: 0x5eed_5eed_5eed_5eed,
-            hash_dir: DirectoryConfig::default(),
             merge_watermark: None,
         }
     }
@@ -131,14 +125,6 @@ impl ShardedSkipTrieConfig {
     /// Overrides the tower-height seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the shape of every shard's prefix-table bucket directory — see
-    /// [`DirectoryConfig`]. A tiered engine has no prefix table (its deltas are
-    /// plain skiplists) and ignores it.
-    pub fn with_hash_directory(mut self, hash_dir: DirectoryConfig) -> Self {
-        self.hash_dir = hash_dir;
         self
     }
 
@@ -237,7 +223,6 @@ where
             .map(|i| {
                 let shard_config = SkipTrieConfig::for_universe_bits(config.universe_bits)
                     .with_mode(config.mode)
-                    .with_hash_directory(config.hash_dir)
                     .with_seed(config.seed)
                     // Distinct domains for up to NUM_DOMAINS - 1 shards; beyond that
                     // they wrap (never onto the default domain 0).

@@ -1226,16 +1226,4 @@ mod tests {
         );
         assert!(t.check_trie_integrity() > 0);
     }
-
-    #[test]
-    fn forest_passes_the_hash_directory_knob_to_every_shard() {
-        let hash_dir = DirectoryConfig::default().with_segment_bits(4);
-        let config = ShardedSkipTrieConfig::for_universe_bits(32)
-            .with_shards(4)
-            .with_hash_directory(hash_dir);
-        let forest: ShardedSkipTrie<u64> = ShardedSkipTrie::new(config);
-        for i in 0..forest.shard_count() {
-            assert_eq!(forest.shard(i).config().hash_dir, hash_dir);
-        }
-    }
 }

@@ -9,9 +9,9 @@
 //! * **Frozen tier** — an immutable, flat, sorted `(u64, V)` array and a radix
 //!   index over it (a `u32` position per slice of the key space, one slice per
 //!   32 keys or fewer). `get`/`predecessor` on it read the index entry for the
-//!   key's slice and run one guarded interpolation search inside the window it
-//!   gives: on evenly spread keys an index line and a few lines of one
-//!   window, on any keys `O(log n)` reads, no pointer chasing and no CAS.
+//!   key's slice and run std's binary search inside the window it gives: on
+//!   evenly spread keys an index line and a few lines of one window, on any
+//!   keys `O(log n)` reads, no pointer chasing and no CAS.
 //! * **Live delta** — a small plain [`SkipList`] (16 levels, no x-fast layer)
 //!   absorbing recent inserts, with a tombstone marker per deleted key so
 //!   deletions shadow frozen entries. It holds a watermark's worth of keys, a
@@ -389,61 +389,6 @@ where
     }))
 }
 
-/// Index of the first of `n` increasing keys that is `>= x` (`n` if none), where
-/// `key_at(i)` reads key `i`: an interpolation search with a guard.
-///
-/// Each round reads the slot where `x` would sit if the keys between the
-/// window's ends were evenly spread — on keys that are, a few rounds find it
-/// (`O(log log n)` expected). A guess that leaves more than half the window is
-/// followed by a bisection step, so whatever the keys are the window at least
-/// halves per round of at most two reads. A search therefore reads at most
-/// `2·⌈log₂ n⌉ + 3` keys: the two end keys, `⌈log₂ n⌉ - 3` rounds from `n - 1`
-/// slots down to 8, and a scan of the 7 keys inside those.
-///
-/// The search reaches the keys only through `key_at`, so a test can count the
-/// reads with a closure of its own; the serving path passes the slice access
-/// over the window the frozen tier's radix index gives (`FrozenTier::window`).
-fn lower_bound_by(n: usize, x: u64, key_at: impl Fn(usize) -> u64) -> usize {
-    if n == 0 {
-        return 0;
-    }
-    let (mut klo, mut khi) = (key_at(0), key_at(n - 1));
-    if x <= klo {
-        return 0;
-    }
-    if x > khi {
-        return n;
-    }
-    // Invariant: key_at(lo) = klo < x <= khi = key_at(hi), so the answer lies
-    // in (lo, hi].
-    let (mut lo, mut hi) = (0usize, n - 1);
-    while hi - lo > 8 {
-        let width = hi - lo;
-        // u128 keeps (x - klo) * width exact for any 64-bit keys.
-        let offset = ((x - klo) as u128 * width as u128 / (khi - klo) as u128) as usize;
-        let mut mid = (lo + offset).clamp(lo + 1, hi - 1);
-        loop {
-            let k = key_at(mid);
-            if k < x {
-                (lo, klo) = (mid, k);
-            } else {
-                (hi, khi) = (mid, k);
-            }
-            if hi - lo <= width / 2 {
-                break;
-            }
-            // The guard: the guess took at least one slot off the window, and
-            // half of what is left is at most `width / 2`.
-            mid = lo + (hi - lo) / 2;
-        }
-    }
-    let mut i = lo + 1;
-    while i < hi && key_at(i) < x {
-        i += 1;
-    }
-    i
-}
-
 /// Frozen keys per radix slice on evenly spread keys: a tier of `n` keys is
 /// cut into `max(1, n / SLICE_KEYS)` slices or fewer, so its index holds at
 /// most one 4-byte entry per 32 keys, plus two.
@@ -609,11 +554,12 @@ impl<V: Clone> FrozenTier<V> {
         self.sorted.len()
     }
 
-    /// Index in `sorted` of the first key `>= x` (`len()` if none): the
-    /// guarded search over the window the radix index gives `x`.
+    /// Index in `sorted` of the first key `>= x` (`len()` if none): std's
+    /// binary search over the `w` keys of the window the radix index gives
+    /// `x`, `⌈log₂ w⌉ + 1` key reads whatever the keys are.
     fn lower_bound(&self, x: u64) -> usize {
         let (lo, hi) = self.window(x);
-        lo + lower_bound_by(hi - lo, x, |i| self.sorted[lo + i].0)
+        lo + self.sorted[lo..hi].partition_point(|&(k, _)| k < x)
     }
 
     /// The positions `lo..=hi` the radix index bounds the first key `>= x`
@@ -2253,8 +2199,9 @@ mod tests {
         }
     }
 
-    /// `n` increasing keys of each shape an interpolation guess is wrong on, and
-    /// the one it is right on.
+    /// `n` increasing keys in shapes that fill the radix index's slices
+    /// unevenly — clusters, outliers, exponential gaps — and the one shape
+    /// that fills them evenly.
     fn key_families(n: usize) -> Vec<(&'static str, Vec<u64>)> {
         let m = n as u64;
         let clusters: Vec<u64> = (32..64)
@@ -2267,7 +2214,7 @@ mod tests {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            squared.insert(((rng as u128 * rng as u128) >> 64) as u64);
+            squared.insert((rng >> 32) * (rng >> 32));
         }
         vec![
             ("arithmetic", (0..m).map(|i| i * 3 + 1).collect()),
@@ -2293,49 +2240,11 @@ mod tests {
     }
 
     #[test]
-    fn interpolation_search_survives_skewed_keys() {
-        // The guard's bound, key by key: every probe on or beside a key, and at
-        // both ends of the universe, finds `partition_point`'s answer within
-        // the number of reads `lower_bound_by` documents. Without the bisection
-        // step the dense block + outlier family reads the block slot by slot.
-        for n in [9usize, 64, 1023, 100_000] {
-            let max_reads = 2 * n.next_power_of_two().trailing_zeros() as usize + 3;
-            for (family, keys) in key_families(n) {
-                assert_eq!(keys.len(), n, "{family}");
-                assert!(keys.windows(2).all(|w| w[0] < w[1]), "{family}");
-                let probes = keys
-                    .iter()
-                    .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)])
-                    .chain([0, u64::MAX]);
-                for probe in probes {
-                    let reads = std::cell::Cell::new(0usize);
-                    let found = lower_bound_by(n, probe, |i| {
-                        reads.set(reads.get() + 1);
-                        keys[i]
-                    });
-                    assert_eq!(
-                        found,
-                        keys.partition_point(|&k| k < probe),
-                        "lower_bound({probe}) over {n} keys, {family}"
-                    );
-                    assert!(
-                        reads.get() <= max_reads,
-                        "lower_bound({probe}) over {n} keys, {family}: {} reads, bound {max_reads}",
-                        reads.get()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn the_radix_index_agrees_with_partition_point() {
         // The index only narrows the window: on any keys the answer is
-        // `partition_point`'s, the window's search reads no more keys than a
-        // search over the whole tier may, and the table holds at most one
-        // entry per 16 keys plus two.
+        // `partition_point`'s over the whole tier and lies inside the window,
+        // and the table holds at most one entry per 16 keys plus two.
         for n in [0usize, 1, 9, 64, 1_023, 100_000, 262_144] {
-            let max_reads = 2 * n.next_power_of_two().trailing_zeros() as usize + 3;
             let mut hashed = std::collections::BTreeSet::new();
             let mut state = n as u64;
             while hashed.len() < n {
@@ -2350,6 +2259,7 @@ mod tests {
                 .chain([("hashed uniform", hashed.into_iter().collect())]);
             for (family, keys) in families {
                 assert_eq!(keys.len(), n, "{family}");
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "{family}");
                 let tier = FrozenTier::new(keys.iter().map(|&k| (k, k)).collect(), true);
                 assert!(
                     tier.index.len() <= n / 16 + 2,
@@ -2367,17 +2277,7 @@ mod tests {
                     let gap = expected + usize::from(keys.get(expected) == Some(&probe));
                     assert_eq!(tier.locate(probe).0, gap, "locate: {at}");
                     let (lo, hi) = tier.window(probe);
-                    let reads = std::cell::Cell::new(0usize);
-                    let found = lower_bound_by(hi - lo, probe, |i| {
-                        reads.set(reads.get() + 1);
-                        keys[lo + i]
-                    });
-                    assert_eq!(lo + found, expected, "window {lo}..={hi}: {at}");
-                    assert!(
-                        reads.get() <= max_reads,
-                        "{at}: {} reads, bound {max_reads}",
-                        reads.get()
-                    );
+                    assert!(lo <= expected && expected <= hi, "window {lo}..={hi}: {at}");
                 }
             }
         }
