@@ -1,8 +1,9 @@
 //! Tagged pointer words.
 //!
 //! Every mutable link in the SkipTrie's structures (skiplist `next`, `prev`, `back`,
-//! trie child pointers, hash-table list links) is stored as a single [`AtomicU64`]
-//! whose value is a pointer with up to two low tag bits:
+//! trie child pointers, hash-table list links) is stored as a single
+//! [`AtomicU64`](std::sync::atomic::AtomicU64) whose value is a pointer with up
+//! to two low tag bits:
 //!
 //! * [`MARK_BIT`] — the Harris-style *logical deletion* mark. Following the paper
 //!   (Section 2, "we use the logical deletion scheme from \[10\], storing each node's
@@ -15,8 +16,6 @@
 //!
 //! Pointers stored in tagged words must therefore be at least 4-byte aligned; all node
 //! types in this workspace are 8-byte aligned, which [`pack`] debug-asserts.
-
-use std::sync::atomic::AtomicU64;
 
 /// Logical-deletion mark bit (bit 0).
 pub const MARK_BIT: u64 = 0b01;
@@ -85,12 +84,6 @@ pub fn with_mark(word: u64) -> u64 {
     word | MARK_BIT
 }
 
-/// Returns `word` with the mark bit cleared.
-#[inline]
-pub fn without_mark(word: u64) -> u64 {
-    word & !MARK_BIT
-}
-
 /// Packs a descriptor pointer into a word carrying [`DESC_BIT`].
 #[inline]
 pub fn pack_descriptor<T>(ptr: *const T) -> u64 {
@@ -99,18 +92,6 @@ pub fn pack_descriptor<T>(ptr: *const T) -> u64 {
 
 /// The null word (null pointer, no tags).
 pub const NULL: u64 = 0;
-
-/// A convenience constructor for an atomic link word holding `ptr` untagged.
-#[inline]
-pub fn atomic_from_ptr<T>(ptr: *const T) -> AtomicU64 {
-    AtomicU64::new(pack(ptr))
-}
-
-/// A convenience constructor for an atomic link word holding null.
-#[inline]
-pub fn atomic_null() -> AtomicU64 {
-    AtomicU64::new(NULL)
-}
 
 #[cfg(test)]
 mod tests {
@@ -144,7 +125,6 @@ mod tests {
         let marked = with_mark(word);
         assert!(is_marked(marked));
         assert_eq!(untagged(marked), word);
-        assert_eq!(without_mark(marked), word);
         assert_eq!(unpack::<u32>(marked), &*boxed as *const u32);
     }
 
@@ -162,18 +142,5 @@ mod tests {
     fn tag_mask_covers_both_bits() {
         assert_eq!(TAG_MASK, 0b11);
         assert_eq!(MARK_BIT & DESC_BIT, 0);
-    }
-
-    #[test]
-    fn atomic_constructors() {
-        use std::sync::atomic::Ordering;
-        let boxed = Box::new(7u64);
-        let a = atomic_from_ptr(&*boxed as *const u64);
-        assert_eq!(
-            unpack::<u64>(a.load(Ordering::SeqCst)),
-            &*boxed as *const u64
-        );
-        let n = atomic_null();
-        assert!(is_null(n.load(Ordering::SeqCst)));
     }
 }

@@ -196,10 +196,6 @@ impl<V: Clone> SeqXFastTrie<V> {
         self.prefixes.get(&(0, 0)).map(|d| d.min)
     }
 
-    fn max_key_present(&self) -> Option<u64> {
-        self.prefixes.get(&(0, 0)).map(|d| d.max)
-    }
-
     /// The key of the largest element `<= key`, using the textbook binary search on
     /// prefix lengths.
     fn predecessor_key(&self, key: u64) -> Option<u64> {
@@ -309,11 +305,6 @@ impl<V: Clone> SeqXFastTrie<V> {
             cursor = leaf.next;
         }
         out
-    }
-
-    /// The largest key present, if any.
-    pub fn max_present(&self) -> Option<u64> {
-        self.max_key_present()
     }
 }
 

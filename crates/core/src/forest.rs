@@ -43,7 +43,6 @@
 
 use std::ops::RangeBounds;
 
-use skiptrie_atomics::dcss::DcssMode;
 use skiptrie_metrics::{self as metrics, Counter};
 use skiptrie_skiplist::{resolve_bounds, OrderedKv};
 
@@ -63,8 +62,6 @@ pub struct ShardedSkipTrieConfig {
     /// The forest has `2^shard_bits` shards, keyed by the top `shard_bits` key bits.
     /// Must not exceed `universe_bits` (or 16 — 65 536 shards is never useful).
     pub shard_bits: u32,
-    /// How conditional pointer swings are performed in every shard.
-    pub mode: DcssMode,
     /// Tower-height seed of every shard (see [`SkipTrieConfig::seed`]). Shards hold
     /// disjoint keys, so one seed serves them all.
     pub seed: u64,
@@ -96,7 +93,6 @@ impl ShardedSkipTrieConfig {
         ShardedSkipTrieConfig {
             universe_bits,
             shard_bits: 3.min(universe_bits),
-            mode: DcssMode::Descriptor,
             seed: 0x5eed_5eed_5eed_5eed,
             merge_watermark: None,
         }
@@ -113,12 +109,6 @@ impl ShardedSkipTrieConfig {
             "shard count must be a power of two, got {shards}"
         );
         self.shard_bits = shards.trailing_zeros();
-        self
-    }
-
-    /// Overrides the DCSS mode of every shard.
-    pub fn with_mode(mut self, mode: DcssMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -222,7 +212,6 @@ where
         let shards: Vec<E> = (0..shard_count)
             .map(|i| {
                 let shard_config = SkipTrieConfig::for_universe_bits(config.universe_bits)
-                    .with_mode(config.mode)
                     .with_seed(config.seed)
                     // Distinct domains for up to NUM_DOMAINS - 1 shards; beyond that
                     // they wrap (never onto the default domain 0).

@@ -389,6 +389,27 @@ where
     }))
 }
 
+/// `entries` collected for a frozen tier.
+///
+/// # Panics
+///
+/// Panics if keys are not strictly increasing or exceed the universe of
+/// `universe_bits` bits.
+fn checked<V>(universe_bits: u32, entries: impl IntoIterator<Item = (u64, V)>) -> Vec<(u64, V)> {
+    let top = max_key(universe_bits);
+    let mut last: Option<u64> = None;
+    entries
+        .into_iter()
+        .inspect(|&(key, _)| {
+            assert!(key <= top, "key {key} exceeds the configured universe");
+            assert!(
+                last.replace(key).is_none_or(|p| p < key),
+                "a frozen tier requires strictly increasing keys"
+            );
+        })
+        .collect()
+}
+
 /// Frozen keys per radix slice on evenly spread keys: a tier of `n` keys is
 /// cut into `max(1, n / SLICE_KEYS)` slices or fewer, so its index holds at
 /// most one 4-byte entry per 32 keys, plus two.
@@ -407,7 +428,7 @@ struct Slicing {
 }
 
 impl Slicing {
-    /// Slices for a tier of at most `n` keys, all in `lo..=hi`: the smallest
+    /// Slices for a tier of `n` keys, all in `lo..=hi`: the smallest
     /// shift that fits `hi - lo` into `max(1, n / SLICE_KEYS)` slices (capped
     /// at 63 bits, where one slice holds every key anyway).
     fn new(n: usize, lo: u64, hi: u64) -> Self {
@@ -425,92 +446,6 @@ impl Slicing {
     }
 }
 
-/// A frozen tier being written in key order, its radix index filled as the
-/// entries land, a run at a time: one search of the run per slice boundary
-/// it crosses, so a fold's copy stays a copy.
-struct TierWriter<V> {
-    sorted: Vec<(u64, V)>,
-    slicing: Slicing,
-    /// `index[j]`: the position of the first key whose slice is `>= j`.
-    index: Vec<u32>,
-}
-
-impl<V: Clone> TierWriter<V> {
-    /// A writer whose index cuts the keys by `slicing`, with room for
-    /// `capacity` entries.
-    fn new(slicing: Slicing, capacity: usize) -> Self {
-        TierWriter {
-            sorted: Vec::with_capacity(capacity),
-            slicing,
-            index: Vec::with_capacity(slicing.last + 2),
-        }
-    }
-
-    /// The writer that has written `sorted`, sliced for exactly its keys.
-    fn over(sorted: Vec<(u64, V)>) -> Self {
-        let end = |e: Option<&(u64, V)>| e.map_or(0, |&(k, _)| k);
-        let slicing = Slicing::new(sorted.len(), end(sorted.first()), end(sorted.last()));
-        let mut writer = TierWriter::new(slicing, 0);
-        writer.note(&sorted);
-        writer.sorted = sorted;
-        writer
-    }
-
-    /// Appends `run`, whose keys are larger than any written so far.
-    fn extend(&mut self, run: &[(u64, V)]) {
-        self.note(run);
-        self.sorted.extend_from_slice(run);
-    }
-
-    fn push(&mut self, entry: (u64, V)) {
-        self.note(std::slice::from_ref(&entry));
-        self.sorted.push(entry);
-    }
-
-    /// Fills the index up to the slice of `run`'s last key, `run` about to
-    /// be appended: each entry the first position of `run` in that slice or
-    /// a later one, found by galloping forward from the entry before it, so
-    /// a search reads the keys near its answer only.
-    fn note(&mut self, run: &[(u64, V)]) {
-        let Some(&(last, _)) = run.last() else {
-            return;
-        };
-        let (slicing, at) = (self.slicing, self.sorted.len());
-        let mut from = 0;
-        while self.index.len() <= slicing.of(last) {
-            let slice = self.index.len();
-            let below = |i: usize| slicing.of(run[i].0) < slice;
-            let mut step = 1;
-            while from + step < run.len() && below(from + step) {
-                step *= 2;
-            }
-            let (lo, hi) = (from + step / 2, (from + step).min(run.len()));
-            from = lo + run[lo..hi].partition_point(|&(k, _)| slicing.of(k) < slice);
-            self.index.push(position(at + from));
-        }
-    }
-
-    /// The tier over what was written. An index sliced for more keys than
-    /// came (a fold that removed over half its estimate) is filled again
-    /// over the keys that did, so it stays within one entry per 16 keys.
-    fn finish(mut self, ready: bool) -> FrozenTier<V> {
-        let n = self.sorted.len();
-        if self.slicing.last > n / 16 {
-            return TierWriter::over(self.sorted).finish(ready);
-        }
-        while self.index.len() < self.slicing.last + 2 {
-            self.index.push(position(n));
-        }
-        FrozenTier {
-            dirty: (0..n / 64 + 1).map(|_| AtomicU64::new(0)).collect(),
-            sorted: self.sorted.into_boxed_slice(),
-            index: self.index.into_boxed_slice(),
-            slicing: self.slicing,
-            ready: AtomicBool::new(ready),
-        }
-    }
-}
-
 /// A frozen-tier position as a radix index stores it.
 fn position(at: usize) -> u32 {
     u32::try_from(at).expect("a frozen tier holds fewer than 2^32 keys")
@@ -520,9 +455,8 @@ fn position(at: usize) -> u32 {
 /// radix index that narrows each search, and the dirty-gap summary over them.
 ///
 /// Bytes per key: 16 for a `(u64, u64)` entry, 1/8 for the summary's bit and
-/// 4/32 for the index — up to 4/16 after a fold, which slices for every key
-/// either side held and slices again below half of that — on top of a
-/// constant 16.
+/// 4/32 for the index, on top of a constant 16. Every tier, loaded or folded,
+/// is sliced for the keys it holds.
 struct FrozenTier<V> {
     /// Entries in increasing key order.
     sorted: Box<[(u64, V)]>,
@@ -546,8 +480,33 @@ struct FrozenTier<V> {
 impl<V: Clone> FrozenTier<V> {
     /// `ready` is what the summary starts as: `true` wherever no writer can
     /// hold an older view of the delta this tier is published with.
+    ///
+    /// The index is sliced for exactly these keys and filled in one pass,
+    /// each entry found by galloping forward from the one before it, so a
+    /// search reads the keys near its answer only.
     fn new(sorted: Vec<(u64, V)>, ready: bool) -> Self {
-        TierWriter::over(sorted).finish(ready)
+        let n = sorted.len();
+        let end = |e: Option<&(u64, V)>| e.map_or(0, |&(k, _)| k);
+        let slicing = Slicing::new(n, end(sorted.first()), end(sorted.last()));
+        let mut from = 0;
+        let index = (0..slicing.last + 2)
+            .map(|slice| {
+                let mut step = 1;
+                while from + step < n && slicing.of(sorted[from + step].0) < slice {
+                    step *= 2;
+                }
+                let (lo, hi) = (from + step / 2, (from + step).min(n));
+                from = lo + sorted[lo..hi].partition_point(|&(k, _)| slicing.of(k) < slice);
+                position(from)
+            })
+            .collect();
+        FrozenTier {
+            dirty: (0..n / 64 + 1).map(|_| AtomicU64::new(0)).collect(),
+            sorted: sorted.into_boxed_slice(),
+            index,
+            slicing,
+            ready: AtomicBool::new(ready),
+        }
     }
 
     fn len(&self) -> usize {
@@ -936,26 +895,16 @@ where
     }
 
     /// Two-way merge of a frozen tier with a sorted delta snapshot: delta entries
-    /// override frozen ones, tombstones delete, blockers say nothing. The new
-    /// tier's radix index is filled as its entries are written, sliced for
-    /// every key either side holds.
+    /// override frozen ones, tombstones delete, blockers say nothing. The
+    /// merged entries become a tier like any other, indexed for the keys left.
     fn fold(frozen: &FrozenTier<V>, delta: Vec<(u64, Slot<V>)>) -> FrozenTier<V> {
-        let ends = [
-            frozen.sorted.first().map(|e| e.0),
-            frozen.sorted.last().map(|e| e.0),
-            delta.first().map(|e| e.0),
-            delta.last().map(|e| e.0),
-        ];
-        let (lo, hi) = (ends.iter().flatten().min(), ends.iter().flatten().max());
-        let n = frozen.len() + delta.len();
-        let (lo, hi) = (lo.copied().unwrap_or(0), hi.copied().unwrap_or(0));
-        let mut out = TierWriter::new(Slicing::new(n, lo, hi), n);
+        let mut out = Vec::with_capacity(frozen.len() + delta.len());
         let mut fi = 0usize;
         for (key, slot) in &delta {
             let Some(put) = slot.says() else { continue };
             let rest = &frozen.sorted[fi..];
             let below = rest.iter().take_while(|(k, _)| k < key).count();
-            out.extend(&rest[..below]);
+            out.extend_from_slice(&rest[..below]);
             fi += below;
             if frozen.sorted.get(fi).is_some_and(|(k, _)| k == key) {
                 fi += 1; // shadowed
@@ -964,8 +913,8 @@ where
                 out.push((*key, v.clone()));
             }
         }
-        out.extend(&frozen.sorted[fi..]);
-        out.finish(false)
+        out.extend_from_slice(&frozen.sorted[fi..]);
+        FrozenTier::new(out, false)
     }
 
     /// Accounts one effective write: `net` moves by `change`, and the
@@ -1111,18 +1060,7 @@ where
     where
         I: IntoIterator<Item = (u64, V)>,
     {
-        let top = max_key(config.trie.universe_bits);
-        let mut last: Option<u64> = None;
-        let sorted: Vec<(u64, V)> = entries
-            .into_iter()
-            .inspect(|&(key, _)| {
-                assert!(key <= top, "key {key} exceeds the configured universe");
-                assert!(
-                    last.replace(key).is_none_or(|p| p < key),
-                    "from_sorted requires strictly increasing keys"
-                );
-            })
-            .collect();
+        let sorted = checked(config.trie.universe_bits, entries);
         let net = sorted.len() as i64;
         let tiers = Tiers {
             frozen: Arc::new(FrozenTier::new(sorted, true)),
@@ -1411,21 +1349,12 @@ where
             self.with_tiers(|t, _| t.sealed.is_none() && t.live.is_empty() && t.frozen.len() == 0),
             "bulk_load requires an empty TieredSkipTrie"
         );
-        let top = max_key(self.config.trie.universe_bits);
-        for pair in entries.windows(2) {
-            assert!(
-                pair[0].0 < pair[1].0,
-                "bulk_load requires strictly increasing keys"
-            );
-        }
-        if let Some(&(last, _)) = entries.last() {
-            assert!(last <= top, "key {last} exceeds the configured universe");
-        }
+        let sorted = checked(self.config.trie.universe_bits, entries.iter().cloned());
         self.writes
             .net
             .store(entries.len() as i64, Ordering::SeqCst);
         self.publish(Tiers {
-            frozen: Arc::new(FrozenTier::new(entries.to_vec(), true)),
+            frozen: Arc::new(FrozenTier::new(sorted, true)),
             live: new_delta(self.config.trie),
             sealed: None,
         });
@@ -2285,9 +2214,10 @@ mod tests {
 
     #[test]
     fn a_fold_that_removes_most_keys_slices_its_index_again() {
-        // The fold sizes the new tier's index for every key either side holds;
-        // when most of them are tombstoned away it is filled again over the
-        // keys that are left, and the audit checks each entry.
+        // A folded tier is sliced for the keys it keeps, not for the keys
+        // either side held: with most of them tombstoned away its index is
+        // as small as a load of the 96 left would make, and the audit checks
+        // each entry.
         let t = tiered(0..4_096);
         for k in 0..4_000 {
             assert_eq!(t.remove(k), Some(k + 1));
@@ -2296,7 +2226,7 @@ mod tests {
         t.check_traversal_integrity();
         let entries = t.with_tiers(|t, _| t.frozen.index.len());
         assert!(
-            entries <= 96 / 16 + 2,
+            entries <= 96 / 32 + 2,
             "{entries} index entries for 96 keys"
         );
         assert_eq!(t.predecessor(u64::MAX >> 32), Some((4_095, 4_096)));

@@ -38,7 +38,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 mod histogram;
 mod latency;
@@ -491,20 +491,6 @@ pub fn thread_snapshot() -> Snapshot {
     })
 }
 
-/// Resets every counter on every registered thread to zero.
-///
-/// Prefer [`Snapshot::since`] for measuring deltas; `reset` exists for experiment
-/// harnesses that want clean absolute numbers between phases and know no other
-/// measurement is in flight.
-pub fn reset() {
-    let registry = registry().lock().expect("metrics registry poisoned");
-    for slot in registry.iter() {
-        for v in slot.counters.iter() {
-            v.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Convenience: runs `f` with recording enabled and returns `(f(), delta)` where
 /// `delta` is the counter change produced during the call (process-wide).
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
@@ -597,11 +583,6 @@ pub fn ops_per_second(ops: u64, elapsed: Duration) -> f64 {
         return f64::INFINITY;
     }
     ops as f64 / elapsed.as_secs_f64()
-}
-
-/// Returns the current instant; thin wrapper kept for symmetry with [`ops_per_second`].
-pub fn now() -> Instant {
-    Instant::now()
 }
 
 #[cfg(test)]
