@@ -21,7 +21,9 @@
 //! retire heap allocations through it. [`wake`] holds the one sleep/wake
 //! primitive every background thread in the workspace blocks on, and [`slab`] the
 //! one type-stable slab allocator (with its 2-MiB arenas) that the skiplist's
-//! nodes and the split-ordered map's entries are carved from.
+//! nodes and the split-ordered map's entries are carved from. [`prefetch`] is
+//! the one cache-line request, shared by the skiplist's descent and the tiered
+//! frozen read.
 //!
 //! # Examples
 //!
@@ -74,6 +76,23 @@ pub unsafe fn retire_box<T: Send + 'static>(guard: &Guard, ptr: *mut T) {
     guard.defer_unchecked(move || {
         drop(Box::from_raw(ptr));
     });
+}
+
+/// Asks for the cache line holding `at` in every cache level (T0) and returns
+/// without waiting for it: the workspace's one prefetch. A hint only — it reads
+/// nothing into the program, so `at` may be dangling, null or unaligned — and a
+/// no-op on targets other than x86-64.
+#[inline(always)]
+pub fn prefetch<T>(at: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch neither faults nor writes: whatever the address, it
+    // changes no memory and no program state, only what the caches hold.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(at.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = at;
 }
 
 #[cfg(test)]

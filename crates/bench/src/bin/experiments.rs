@@ -61,7 +61,7 @@ const EXPERIMENTS: &[(&str, &str, fn() -> Outcome)] = &[
     ("ab", "A/B pairs with no twin in perfbench or tier-1", ab),
     (
         "frozen",
-        "a frozen read, key shape by key shape: radix window, then a binary search",
+        "a frozen read, key shape by key shape: radix window, its lines requested, then a binary search",
         frozen,
     ),
     (
@@ -1159,7 +1159,8 @@ fn frozen_ns(probes: &[u64], chained: bool, read: impl Fn(u64) -> u64) -> f64 {
 
 /// The frozen tier's read on a quiesced `TieredSkipTrie` of 400 000 keys (64-bit
 /// universe, `V = u64`, one thread): every gap clean, so a `get` or
-/// `predecessor` is the radix index's window and std's binary search inside it.
+/// `predecessor` is the radix index's window, a request for its lines, and std's
+/// binary search inside it.
 /// Probes are drawn uniformly from the universe or from the keys. The checked
 /// column is the answers: the first 10 000 probes of each row must agree with
 /// `partition_point` over the keys.

@@ -48,23 +48,13 @@ impl<'g, V> std::ops::Deref for Brackets<'g, V> {
 }
 
 /// Asks for the line of the node `down` names (the next level's first hop) while
-/// this level's walk goes on. A hint only: on other targets it does nothing.
+/// this level's walk goes on ([`skiptrie_atomics::prefetch`], a hint only).
 #[inline(always)]
 fn prefetch_down<V>(node: &Node<V>) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let down = node.down_word();
-        if !tagged::is_null(down) {
-            // SAFETY: a prefetch neither faults nor changes memory, whatever the
-            // address.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch::<_MM_HINT_T0>(tagged::unpack::<i8>(down));
-            }
-        }
+    let down = node.down_word();
+    if !tagged::is_null(down) {
+        skiptrie_atomics::prefetch(tagged::unpack::<i8>(down));
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = node;
 }
 
 impl<V> SkipList<V>
