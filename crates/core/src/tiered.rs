@@ -9,11 +9,10 @@
 //! * **Frozen tier** — an immutable, flat, sorted `(u64, V)` array and a radix
 //!   index over it (a `u32` position per slice of the key space, one slice per
 //!   32 keys or fewer). `get`/`predecessor` on it read the index entry for the
-//!   key's slice, request the lines of the window it gives at once — all of
-//!   them up to `L` = 16 lines, else the lines of the search's first pivots —
-//!   and run std's binary search inside it: on evenly spread keys an index
-//!   line plus one round of window lines, on any keys `O(log n)` reads, no
-//!   pointer chasing and no CAS.
+//!   key's slice, request every line of the window it gives at once when it
+//!   spans at most `L` = 16 lines, and run std's binary search inside it: on
+//!   evenly spread keys an index line plus one round of window lines, on any
+//!   keys `O(log n)` reads, no pointer chasing and no CAS.
 //! * **Live delta** — a small plain [`SkipList`] (16 levels, no x-fast layer)
 //!   absorbing recent inserts, with a tombstone marker per deleted key so
 //!   deletions shadow frozen entries. It holds a watermark's worth of keys, a
@@ -457,48 +456,25 @@ fn position(at: usize) -> u32 {
 /// `L`, the most cache lines a frozen read requests at once. A window that
 /// spans at most `L` lines — 61 to 64 `(u64, u64)` entries by where it
 /// starts, so the 32-key windows of evenly spread keys — is requested whole
-/// before its search reads a key; a longer one by the lines of the pivots of
-/// the search's first `⌊log₂(L + 1)⌋` steps, `2^4 − 1 = 15` lines.
+/// before its search reads a key; a longer one is not requested.
 const WINDOW_LINES: usize = 16;
 
 /// Bytes per cache line on the targets the repo runs on.
 const LINE: usize = 64;
 
-/// Calls `request` with an address in each cache line `window`'s binary
-/// search (std's `partition_point`) is to read first: every line of the
-/// window if it spans at most [`WINDOW_LINES`], else each line holding a
-/// pivot the search may read in its first `⌊log₂(WINDOW_LINES + 1)⌋` steps.
-/// Every address lies inside the window.
-///
-/// The pivots follow std's search: `size` starts at the window's length and
-/// each step reads `base + size / 2`, moves `base` there or not, and takes
-/// `size / 2` off `size`. `size` does not depend on what a step read, so the
-/// pivots a step may read are `b + size / 2` over the bases the earlier steps
-/// may have left.
+/// Calls `request` with an address in each cache line of `window` if it
+/// spans at most [`WINDOW_LINES`] lines, and not at all otherwise. Every
+/// address lies inside the window.
 fn request_window<T>(window: &[T], mut request: impl FnMut(*const T)) {
-    const STEPS: u32 = (WINDOW_LINES + 1).ilog2();
     let Some(last) = window.last() else { return };
     let start = window.as_ptr();
     let line = |at: *const T| at as usize / LINE;
-    let lines = line(start)..=line(last);
-    if lines.clone().count() <= WINDOW_LINES {
+    let (first, end) = (line(start), line(last));
+    if end - first < WINDOW_LINES {
         request(start);
-        for l in lines.skip(1) {
+        for l in first + 1..=end {
             request(start.wrapping_byte_add(l * LINE - start as usize));
         }
-        return;
-    }
-    let mut bases = [0; 1 << STEPS];
-    let mut size = window.len();
-    for step in 0..STEPS {
-        let half = size / 2;
-        let known = 1 << step;
-        for b in 0..known {
-            let pivot = bases[b] + half;
-            request(&window[pivot]);
-            bases[known + b] = pivot;
-        }
-        size -= half;
     }
 }
 
@@ -566,9 +542,9 @@ impl<V: Clone> FrozenTier<V> {
 
     /// Index in `sorted` of the first key `>= x` (`len()` if none): std's
     /// binary search over the keys of the window the radix index gives `x`,
-    /// whose lines are requested first ([`request_window`]). So a read costs
-    /// the index line and then one round of window lines, all of them for a
-    /// window of at most [`WINDOW_LINES`], rather than one round per key read.
+    /// whose lines are requested first when it spans at most [`WINDOW_LINES`]
+    /// ([`request_window`]). So such a read costs the index line and then one
+    /// round of window lines, rather than one round per key read.
     fn lower_bound(&self, x: u64) -> usize {
         let (lo, hi) = self.window(x);
         let window = &self.sorted[lo..hi];
@@ -586,18 +562,7 @@ impl<V: Clone> FrozenTier<V> {
     /// The gap `key` falls in — the number of frozen keys `<= key`, so gap `g`
     /// spans `[sorted[g - 1], sorted[g])` — and the value frozen under `key`
     /// itself, if any. The one frozen search of every point operation.
-    ///
-    /// The gap is `lo..=hi + 1` for `key`'s window `lo..=hi`, and the clean
-    /// check reads its summary word next, so that word is requested with the
-    /// window when the gaps span at most two words (the window of evenly
-    /// spread keys does; the answer's word in a longer one is not known
-    /// before the search ends).
     fn locate(&self, key: u64) -> (usize, Option<&V>) {
-        let (lo, hi) = self.window(key);
-        let words = lo / 64..=((hi + 1) / 64).min(self.dirty.len() - 1);
-        if words.clone().count() <= 2 {
-            self.dirty[words].iter().for_each(|w| prefetch(w));
-        }
         let lb = self.lower_bound(key);
         match self.sorted.get(lb) {
             Some((k, v)) if *k == key => (lb + 1, Some(v)),
@@ -2279,52 +2244,29 @@ mod tests {
     }
 
     #[test]
-    fn a_window_requests_the_lines_its_search_reads_first() {
-        // The line rule of `request_window`, against the reads std's
-        // `partition_point` makes: every index the search reads in its first
-        // ⌊log₂(L + 1)⌋ steps lies in a requested line, a window of at most
-        // `L` lines has all of them requested, and nothing outside the window
-        // is. Windows start at four consecutive entries, so at each 16-byte
-        // phase of a line.
-        let steps = (WINDOW_LINES + 1).ilog2() as usize;
-        let keys: Vec<(u64, u64)> = (0..200_004).map(|k| (k, k)).collect();
-        let line = |at: *const u64| at as usize / LINE;
-        let check = |start: usize, len: usize, targets: &mut dyn Iterator<Item = usize>| {
-            let window = &keys[start..start + len];
-            let first = line(&keys[start].0);
-            let lines = window.last().map_or(0, |e| line(&e.0) + 1 - first);
-            let mut requested = vec![false; lines];
-            request_window(window, |at| {
-                let l = (at as usize / LINE).wrapping_sub(first);
-                assert!(l < lines, "window {start}+{len}: requested outside it");
-                requested[l] = true;
-            });
-            if lines <= WINDOW_LINES {
-                let missed = requested.iter().position(|&r| !r);
-                assert_eq!(missed, None, "window {start}+{len}: a line not requested");
-            }
-            for target in targets {
-                let x = (start + target) as u64;
-                let mut reads = 0;
-                let answer = window.partition_point(|e| {
-                    let l = line(&e.0) - first;
-                    let early = reads < steps;
-                    reads += 1;
-                    assert!(
-                        !early || requested[l],
-                        "window {start}+{len}, target {target}: line {l} read, not requested"
-                    );
-                    e.0 < x
+    fn a_short_window_is_requested_whole() {
+        // The line rule of `request_window`: a window of at most `L` lines
+        // has every line requested, a longer one none, and nothing outside
+        // the window is. Windows start at four consecutive entries, so at
+        // each 16-byte phase of a line, and run from empty to past `L` lines.
+        let keys: Vec<(u64, u64)> = (0..50_004).map(|k| (k, k)).collect();
+        let line = |at: *const (u64, u64)| at as usize / LINE;
+        for start in 0..4 {
+            for len in (0..=300).chain([1_000, 50_000]) {
+                let window = &keys[start..start + len];
+                let first = line(window.as_ptr());
+                let lines = window.last().map_or(0, |e| line(e) + 1 - first);
+                let mut requested = vec![false; lines];
+                request_window(window, |at| {
+                    let l = line(at).wrapping_sub(first);
+                    assert!(l < lines, "window {start}+{len}: requested outside it");
+                    requested[l] = true;
                 });
-                assert_eq!(answer, target);
-            }
-        };
-        for offset in 0..4 {
-            for len in 0..=4_096 {
-                check(offset, len, &mut (0..=len));
-            }
-            for len in [50_000, 200_000] {
-                check(offset, len, &mut (0..=len).step_by(61).chain([len]));
+                let whole = lines <= WINDOW_LINES;
+                assert!(
+                    requested.iter().all(|&r| r == whole),
+                    "window {start}+{len} of {lines} lines: requested {requested:?}"
+                );
             }
         }
     }
