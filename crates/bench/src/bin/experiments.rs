@@ -164,6 +164,7 @@ fn e1() -> Outcome {
             real(trie_steps.traversal_steps_per_op, 1),
             real(aged_steps.traversal_steps_per_op, 1),
             real(trie_steps.hash_ops_per_op, 1),
+            real(trie_steps.bracketed_per_op, 2),
             real(list_steps.traversal_steps_per_op, 1),
             real((m as f64).log2(), 1),
             real(trie_ns, 0),
@@ -181,6 +182,7 @@ fn e1() -> Outcome {
             "skiptrie_steps/op",
             "skiptrie_steps_aged/op",
             "skiptrie_hash_probes/op",
+            "skiptrie_bracketed/op",
             "skiplist_steps/op",
             "log2(m)",
             "skiptrie_ns/op",

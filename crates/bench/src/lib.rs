@@ -126,6 +126,9 @@ pub struct StepReport {
     pub traversal_steps_per_op: f64,
     /// Mean hash-table calls per operation (the `LowestAncestor` search's probes).
     pub hash_ops_per_op: f64,
+    /// Mean `LowestAncestor` searches per operation that ended on a top-level
+    /// bracket ([`Counter::AncestorBracketed`]).
+    pub bracketed_per_op: f64,
     /// Mean CAS/DCSS attempts per operation.
     pub update_steps_per_op: f64,
     /// Mean x-fast-trie levels crossed per operation (E3's amortization measure).
@@ -145,6 +148,7 @@ pub fn measure_steps(map: &(impl OrderedKv<u64> + ?Sized), ops: &[Op]) -> StepRe
         ops: ops.len() as u64,
         traversal_steps_per_op: delta.traversal_steps() as f64 / n,
         hash_ops_per_op: delta.get(Counter::HashOp) as f64 / n,
+        bracketed_per_op: delta.get(Counter::AncestorBracketed) as f64 / n,
         update_steps_per_op: delta.update_steps() as f64 / n,
         trie_levels_per_op: delta.get(Counter::TrieLevelCrossed) as f64 / n,
     }

@@ -10,15 +10,19 @@
 //!
 //! * [`SkipTrie::lowest_ancestor`] is Algorithm 3, galloping from the table's
 //!   expected depth: the search over prefix length starts at `⌊log₂(buckets /
-//!   (b/2))⌋` clamped to `1..b` — one short of `log₂` of the top-level key
-//!   count, read off the prefix table's bucket count — gallops up on a hit or
-//!   down on a miss to the first answer that flips, then bisects the bracket.
-//!   A hit also jumps the search to the common prefix of the key and the
-//!   top-level key its key-side pointer names, which is present too, or ends
-//!   it when that pointer is null; the deepest probed hit's nearer pointer is
-//!   kept. At most `2·⌈log₂ b⌉ + 2` table calls (ε included), so the paper's
-//!   `O(log log u)` worst case stands; about 2 on uniform keys, about 5 on a
-//!   window of consecutive keys at `b = 32`.
+//!   b)⌋` clamped to `1..b` — two short of `log₂` of the top-level key count,
+//!   read off the prefix table's bucket count — gallops up on a hit or down on
+//!   a miss to the first answer that flips, then bisects the bracket. A hit
+//!   also jumps the search to the common prefix of the key and the top-level
+//!   key its key-side pointer names, which is present too, or ends it when
+//!   that pointer is null; the deepest probed hit's nearer pointer is kept.
+//!   After a hit the kept pointer is tried as a start: when the key's
+//!   top-level bracket lies within `BRACKET_HOPS` = 3 lines of it
+//!   ([`SkipList::top_bracket`](skiptrie_skiplist::SkipList::top_bracket)),
+//!   the search ends there on the bracket's node `<= key`. At most `2·⌈log₂
+//!   b⌉ + 2` table calls (ε included) and 3 line reads per hit, so the paper's
+//!   `O(log log u)` worst case stands; about 1.1 calls on uniform keys, about
+//!   3.7 on a window of consecutive keys at `b = 32`.
 //! * [`SkipTrie::xfast_pred`] is Algorithm 4: walk `back`/`prev` guides from the
 //!   ancestor to a top-level node with key `<= x`.
 //! * [`SkipTrie::insert_prefixes`] is Algorithm 6 lines 5–20.
@@ -63,25 +67,28 @@ impl TrieNode {
     }
 }
 
-/// The prefix length a lowest-ancestor search probes first, `1..b`: one short
+/// The prefix length a lowest-ancestor search probes first, `1..b`: two short
 /// of `log₂` of the top-level key count, estimated from the prefix table's
 /// bucket count alone. With `n` top-level keys every prefix shorter than
 /// `~log₂ n` is present with high probability and few longer ones are. The
 /// table holds about `n·b/2` prefixes at the sizes where this matters (`b −
 /// log₂ n` per key below the shared top of the tree) and keeps one to
 /// two-thirds of a bucket per `LOAD_FACTOR = 3` entries, so `2·buckets / (b/2)`
-/// is `n` to within a small factor; the start is `log₂` of half that. Short
-/// errs on the cheap side: a hit's key-side pointer jumps the [`Search`] to
-/// the key's lowest ancestor or near it, while a start that is too deep pays
-/// a miss per length it overshoots. The bucket count is the `size` word every
-/// `get` loads anyway and it changes only when the table doubles; it never
+/// is `n` to within a small factor; the start is `log₂` of a quarter of that,
+/// `buckets / b`. Short errs on the cheap side: the subtree of a prefix two
+/// bits short holds about four top-level keys, so the hit's kept pointer
+/// usually lies within the top-level bracket's reach and the search ends on
+/// its first probe, and otherwise its key-side pointer jumps the [`Search`]
+/// to the key's lowest ancestor or near it, while a start that is too deep
+/// pays a miss per length it overshoots. The bucket count is the `size` word
+/// every `get` loads anyway and it changes only when the table doubles; it never
 /// shrinks, so a trie that shrank starts too deep. The estimate assumes keys
 /// spread over the universe, so that the top of the tree is bushy; on keys
 /// packed under one long prefix it starts far too shallow, and the first
 /// hit's jump covers the difference.
 fn start_length(buckets: usize, b: u32) -> u32 {
     debug_assert!(b >= 2, "a one-bit universe has no proper prefix but ε");
-    let estimate = buckets / (b / 2) as usize;
+    let estimate = buckets / b as usize;
     estimate.max(1).ilog2().clamp(1, b - 1)
 }
 
@@ -220,11 +227,22 @@ where
     /// ([`SkipTrie::probe_prefix`]), or the head sentinel when no probe offered
     /// one.
     ///
+    /// The search ends early on a top-level bracket: each hit that changes the
+    /// kept pointer hands it to `SkipList::top_bracket`, which follows at most
+    /// three top-level lines from it (`next` while `<= key`, `prev` while `>
+    /// key`). If they reach the key's bracket, its node `<= key` is returned at
+    /// once (or the first top-level node, when the guide reaches the head), and
+    /// [`Counter::AncestorBracketed`] counts the search. A marked or dangling
+    /// node, or hops run out, and the search goes on as if nothing had been
+    /// tried. The bracket is a start hint like any other trie pointer: it moves
+    /// no word and repairs nothing.
+    ///
     /// Each probe is one `prefixes.get_in` — `O(1)` *expected* only while the hash
     /// table's chains stay short, which the growable bucket directory guarantees
     /// at every size (experiment `e1`'s flat `steps/op` counts the chain hops).
-    /// A search makes at most `2·⌈log₂ b⌉ + 2` of them, ε included; their
-    /// number is returned beside the start.
+    /// A search makes at most `2·⌈log₂ b⌉ + 2` of them, ε included, and at most
+    /// three line reads per hit beside them; their number is returned beside
+    /// the start.
     pub(crate) fn lowest_ancestor<'g>(
         &'g self,
         key: u64,
@@ -237,7 +255,15 @@ where
             let mut search = Search::new(start_length(self.prefixes.bucket_count(), b), b);
             while let Some(len) = search.next() {
                 gets += 1;
-                search.learn(len, self.probe_prefix(key, len, &mut ancestor, guard));
+                let kept = ancestor;
+                let probe = self.probe_prefix(key, len, &mut ancestor, guard);
+                if ancestor != kept {
+                    if let Some(bracket) = self.skiplist().top_bracket(key, ancestor, guard) {
+                        metrics::record(Counter::AncestorBracketed);
+                        return (bracket, gets);
+                    }
+                }
+                search.learn(len, probe);
             }
         }
         if ancestor.is_head() {
@@ -535,8 +561,11 @@ where
 
     /// The lowest-ancestor search alone (Algorithm 3, without the walk and the
     /// descent after it): the key of the top-level node the search would start
-    /// `key`'s descent from, or `None` for the head sentinel. Experiment `e1`
-    /// times it.
+    /// `key`'s walk from, or `None` for the head sentinel. On a quiescent trie
+    /// it is `key`'s top-level predecessor or successor: the bracket's node
+    /// `<= key` when the search ended on a top-level bracket, otherwise the
+    /// lowest ancestor's nearer pointer. Experiment `e1` times it, bracket
+    /// included.
     pub fn lowest_ancestor_key(&self, key: u64) -> Option<u64> {
         let guard = self.pin();
         let (start, _) = self.lowest_ancestor(key, &guard);
@@ -828,8 +857,8 @@ mod tests {
             1,
             "an empty table starts at the shallowest length"
         );
-        assert_eq!(start_length(1 << 16, 32), 12);
-        assert_eq!(start_length(1 << 16, 64), 11);
+        assert_eq!(start_length(1 << 16, 32), 11);
+        assert_eq!(start_length(1 << 16, 64), 10);
         assert_eq!(start_length(usize::MAX / 4, 8), 7, "clamped below b");
         assert_eq!(start_length(1 << 20, 2), 1);
     }
@@ -925,6 +954,12 @@ mod tests {
             }
             let q = queries(&uniform, (0, max), &mut rng);
             let uniform_gets = check_starts(&uniform, &q, "uniform");
+            // Spread keys: the first hit's pointer lies a few top-level lines
+            // from the key, so the bracket ends nearly every search there.
+            assert!(
+                uniform_gets <= 1.25,
+                "b = {b}: {uniform_gets:.2} gets per uniform search, want <= 1.25"
+            );
 
             // Consecutive keys under one long prefix: below it the tree is a
             // path, so the start length the table suggests is far too shallow.

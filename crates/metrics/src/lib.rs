@@ -127,6 +127,9 @@ pub use stopwatch::Stopwatch;
 /// * [`Counter::AncestorIsHead`] — `LowestAncestor` searches that found no usable
 ///   trie pointer and returned the head sentinel (expected on an empty top
 ///   level; a performance bug anywhere else).
+/// * [`Counter::AncestorBracketed`] — `LowestAncestor` searches that ended on a
+///   hit whose pointer lay a few top-level lines from the key's bracket, so the
+///   search stopped there instead of probing on (`SkipList::top_bracket`).
 /// * [`Counter::StartHintRejected`] — top-level searches whose start hint was
 ///   unusable (wrong level, a tail) and restarted from the head sentinel.
 /// * [`Counter::FixPrevGaveUp`] / [`Counter::TopRepairGaveUp`] — `fixPrev` calls
@@ -180,6 +183,7 @@ pub enum Counter {
     GuideHealed,
     WalkHopLimit,
     AncestorIsHead,
+    AncestorBracketed,
     StartHintRejected,
     FixPrevGaveUp,
     TopRepairGaveUp,
@@ -190,7 +194,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in a stable order used for display and serialization.
-    pub const ALL: [Counter; 44] = [
+    pub const ALL: [Counter; 45] = [
         Counter::PtrRead,
         Counter::HashOp,
         Counter::CasAttempt,
@@ -229,6 +233,7 @@ impl Counter {
         Counter::GuideHealed,
         Counter::WalkHopLimit,
         Counter::AncestorIsHead,
+        Counter::AncestorBracketed,
         Counter::StartHintRejected,
         Counter::FixPrevGaveUp,
         Counter::TopRepairGaveUp,
@@ -288,6 +293,7 @@ impl Counter {
             Counter::GuideHealed => "guide_healed",
             Counter::WalkHopLimit => "walk_hop_limit",
             Counter::AncestorIsHead => "ancestor_is_head",
+            Counter::AncestorBracketed => "ancestor_bracketed",
             Counter::StartHintRejected => "start_hint_rejected",
             Counter::FixPrevGaveUp => "fix_prev_gave_up",
             Counter::TopRepairGaveUp => "top_repair_gave_up",

@@ -28,6 +28,10 @@ const WALK_HOP_LIMIT: usize = 256;
 /// head sentinel instead of the caller's hint.
 const SEARCH_RESTART_LIMIT: usize = 3;
 
+/// Most top-level lines [`SkipList::top_bracket`] follows from the node it is
+/// handed before it gives up.
+pub(crate) const BRACKET_HOPS: usize = 3;
+
 /// Most levels a list has (`SkipList::new` asserts it): the size of a descent's
 /// [`Brackets`].
 pub(crate) const MAX_LEVELS: usize = 32;
@@ -67,16 +71,24 @@ where
     /// the node the guide belongs to (`None` for a trie pointer, which may name any
     /// top-level key).
     fn is_dangling(&self, target: &Node<V>, below: Option<u64>) -> bool {
+        if !self.dangles(target, below) {
+            return false;
+        }
         if target.is_tail() {
             metrics::record(Counter::GuideTail);
         } else if target.level() != self.top_level() {
             metrics::record(Counter::GuideOffLevel);
-        } else if target.is_data() && below.is_some_and(|bound| target.key_value() >= bound) {
-            metrics::record(Counter::GuideNotSmaller);
         } else {
-            return false;
+            metrics::record(Counter::GuideNotSmaller);
         }
         true
+    }
+
+    /// [`SkipList::is_dangling`]'s test without its count.
+    fn dangles(&self, target: &Node<V>, below: Option<u64>) -> bool {
+        target.is_tail()
+            || target.level() != self.top_level()
+            || target.is_data() && below.is_some_and(|bound| target.key_value() >= bound)
     }
 
     /// Follows one top-level guide out of `from` — its `back` pointer if `from` is
@@ -333,6 +345,77 @@ where
         }
     }
 
+    /// A short look along the top level for `key`'s bracket from `start`, a
+    /// node the x-fast trie named: it follows at most `BRACKET_HOPS` = 3 lines,
+    /// `next` while the node's key is `<= key` and the `prev` guide while it is
+    /// `> key`. It returns the bracket's node `<= key` — `key`'s top-level
+    /// predecessor, or its own node — or, when a guide names the head, the
+    /// first top-level node. The `next` side's tail closes a bracket too.
+    ///
+    /// It returns `None`, and the caller searches on, when it meets a marked
+    /// node (`start` included), a node off the top level, a dangling guide
+    /// (`is_dangling`'s test: a tail, a node off the level, a key
+    /// not smaller than its owner's) or a `start` that is not a data node, or
+    /// when its hops run out. It trusts a `prev` guide as
+    /// [`SkipList::walk_to_le`] does. It repairs nothing and counts no guide:
+    /// the walk that meets a dangling guide after it counts and heals it. Each
+    /// line it follows counts as a [`Counter::PtrRead`].
+    pub fn top_bracket<'g>(
+        &'g self,
+        key: u64,
+        start: NodeRef<'g, V>,
+        guard: &'g Guard,
+    ) -> Option<NodeRef<'g, V>> {
+        let top = self.top_level();
+        let mut node: &Node<V> = start.node;
+        if !node.is_data() || self.dangles(node, None) {
+            return None;
+        }
+        for _ in 0..BRACKET_HOPS {
+            metrics::record(Counter::PtrRead);
+            if node.key_value() <= key {
+                let word = read_resolved(&node.next, guard);
+                if tagged::is_marked(word) || tagged::is_null(word) {
+                    return None;
+                }
+                // SAFETY: a `next` word references a node of this structure,
+                // kept valid by the pool while pinned.
+                let next: &Node<V> = unsafe { &*tagged::unpack(word) };
+                if next.level() != top {
+                    return None;
+                }
+                if next.is_tail() || next.key_value() > key {
+                    return Some(NodeRef::new(node));
+                }
+                node = next;
+            } else {
+                if node.is_marked(guard) {
+                    return None;
+                }
+                let word = node
+                    .guide()
+                    .map_or(tagged::NULL, |prev| read_resolved(prev, guard));
+                if tagged::is_null(word) {
+                    return None;
+                }
+                // SAFETY: as for `follow_guide`: the pool keeps a guide's target
+                // valid, and a recycled one is what `dangles` rejects.
+                let prev: &Node<V> = unsafe { &*tagged::unpack(word) };
+                if self.dangles(prev, Some(node.key_value())) {
+                    return None;
+                }
+                if prev.is_head() {
+                    return Some(NodeRef::new(node));
+                }
+                if prev.key_value() <= key {
+                    return (!prev.is_marked(guard)).then(|| NodeRef::new(prev));
+                }
+                node = prev;
+            }
+        }
+        None
+    }
+
     /// `listSearch` on the top level, exposed for the x-fast trie's delete-side
     /// pointer swings (Algorithm 7 lines 12–17). Returns `(left, right)` bracketing
     /// `key`.
@@ -404,6 +487,92 @@ mod tests {
             });
             assert_eq!(arrived, top_keys[mid - 1]);
             assert_eq!(second.get(cause) + second.get(Counter::GuideHealed), 0);
+        }
+    }
+
+    /// `top_bracket` from every top-level node towards queries on either side:
+    /// on a quiescent list it answers the query's exact top-level predecessor
+    /// (the first node for a query below every key) whenever that lies within
+    /// [`BRACKET_HOPS`] lines, and `None` otherwise. A broken guide on the way,
+    /// or a marked start, yields `None`, never a tail, an off-level node or a
+    /// node past the query.
+    #[test]
+    fn a_top_bracket_is_the_exact_top_level_predecessor_or_none() {
+        // It records step counters another test measures.
+        let _serial = crate::metrics_serial();
+        let list: SkipList<u64> = SkipList::new(SkipListConfig::for_universe_bits(32).with_seed(5));
+        for key in 0..skiptrie_workloads::harness::scaled(4_000) as u64 {
+            list.insert(key * 2 + 10, key);
+        }
+        let top = list.top_level();
+        let keys = list.top_level_keys();
+        assert!(keys.len() >= 8, "need a few top-level nodes");
+        let guard = list.pin();
+        let node_of = |key: u64| {
+            let (_, node) = list.list_search(top, key, list.head(top), &guard);
+            assert_eq!(node.key_value(), key);
+            node
+        };
+        let bracket = |q: u64, from: &Node<u64>| {
+            let found = list.top_bracket(q, NodeRef::new(from), &guard);
+            found.map(|n| {
+                assert!(n.is_data() && n.level() == top, "{n:?} for {q}");
+                n.key()
+            })
+        };
+        for (i, &start) in keys.iter().enumerate() {
+            let from = node_of(start);
+            let near = keys[i.saturating_sub(5)..(i + 6).min(keys.len())].iter();
+            let queries = near.flat_map(|&k| [k - 1, k, k + 1]).chain([0, u64::MAX]);
+            for q in queries {
+                let pred = keys.partition_point(|&k| k <= q).checked_sub(1);
+                let (hops, expected) = match pred {
+                    Some(p) if p >= i => (p - i + 1, keys[p]),
+                    Some(p) => (i - p, keys[p]),
+                    None => (i + 1, keys[0]),
+                };
+                let want = (hops <= BRACKET_HOPS).then_some(expected);
+                assert_eq!(bracket(q, from), want, "query {q} from {start}");
+            }
+        }
+
+        // A broken guide on the walk's way: the answer is `None`, and the
+        // guide is left, uncounted, to the walk that reads it next.
+        let mid = keys.len() / 2;
+        let victim = node_of(keys[mid]);
+        let exact = victim.guide().unwrap().load(Ordering::SeqCst);
+        let broken_guides = [
+            tagged::NULL,
+            tagged::pack(list.head(0) as *const Node<u64>),
+            tagged::pack(list.tail(top) as *const Node<u64>),
+            tagged::pack(victim as *const Node<u64>),
+        ];
+        let guide_counters = [
+            Counter::GuideNull,
+            Counter::GuideOffLevel,
+            Counter::GuideTail,
+            Counter::GuideNotSmaller,
+            Counter::GuideHealed,
+        ];
+        for broken in broken_guides {
+            victim.guide().unwrap().store(broken, Ordering::SeqCst);
+            let ((), counted) = metrics::measure(|| {
+                for start in &keys[mid..mid + BRACKET_HOPS] {
+                    let from = node_of(*start);
+                    assert_eq!(bracket(keys[mid] - 1, from), None, "from {start}");
+                }
+            });
+            assert_eq!(guide_counters.map(|c| counted.get(c)), [0; 5]);
+            assert_eq!(list.check_prev_guides(), (keys.len(), 1, 1), "left broken");
+            victim.guide().unwrap().store(exact, Ordering::SeqCst);
+        }
+        assert_eq!(list.check_prev_guides(), (keys.len(), 0, 0));
+
+        // A marked start, on either side of the query: `None`.
+        assert!(list.remove(keys[mid]).is_some());
+        assert!(victim.is_marked(&guard));
+        for q in [keys[mid] - 1, keys[mid], keys[mid] + 1] {
+            assert_eq!(bracket(q, victim), None, "query {q} from a marked node");
         }
     }
 }

@@ -176,20 +176,35 @@ impl<'env> Workload<'env> {
         self.jobs.is_empty()
     }
 
-    /// Spawns all workers barrier-started and joins them.
+    /// Spawns all workers barrier-started and joins them, each one explicitly:
+    /// a scope's own join waits for its threads' closures only, not for their
+    /// thread-local destructors. Those run after, and the epoch collector's
+    /// per-thread handle publishes its last garbage from one, so a caller that
+    /// drains a domain right after `run` would race an exiting worker. A
+    /// worker's panic is re-raised with its own payload.
     pub fn run(self) {
         let barrier = Barrier::new(self.jobs.len());
         let seed = self.seed;
         std::thread::scope(|scope| {
-            for (index, job) in self.jobs.into_iter().enumerate() {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    job(WorkerCtx {
-                        index,
-                        rng: worker_rng(seed, index),
-                    });
-                });
+            let handles: Vec<_> = self
+                .jobs
+                .into_iter()
+                .enumerate()
+                .map(|(index, job)| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        job(WorkerCtx {
+                            index,
+                            rng: worker_rng(seed, index),
+                        });
+                    })
+                })
+                .collect();
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
     }
@@ -213,6 +228,26 @@ mod tests {
             })
             .run();
         assert_eq!(seen.load(Ordering::Relaxed), 0b1111);
+    }
+
+    /// A worker's thread-local destructors have finished when `run` returns
+    /// (a scope's own join returns before them: this read `false` there).
+    #[test]
+    fn run_returns_after_the_workers_thread_locals_are_torn_down() {
+        use std::sync::atomic::AtomicBool;
+        static TORN_DOWN: AtomicBool = AtomicBool::new(false);
+        struct Late;
+        impl Drop for Late {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                TORN_DOWN.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static LATE: Late = const { Late };
+        }
+        Workload::new(3).worker(|_| LATE.with(|_| ())).run();
+        assert!(TORN_DOWN.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -20,8 +20,9 @@ use skiptrie_suite::workloads::harness::{scaled, Workload};
 const UNIVERSE_BITS: u32 = 32;
 
 // Domains private to this file: 16/17 for the stall A/B pair, 18 for the batch
-// witness, 20 for the tiered regression, 15 for the splitorder regression. Other suites use 7
-// (domain_isolation) and 11 (splitorder's own tests).
+// witness, 19 for the exiting-worker witness, 20 for the tiered regression, 15
+// for the splitorder regression. Other suites use 7 (domain_isolation) and 11
+// (splitorder's own tests).
 const EBR_BASELINE_DOMAIN: usize = 16;
 const EBR_STALL_DOMAIN: usize = 17;
 
@@ -285,5 +286,41 @@ fn split_ordered_removals_drain_their_domain_to_zero() {
         drain_domain(MAP_DOMAIN),
         "garbage leaked: {:?}",
         stats(MAP_DOMAIN)
+    );
+}
+
+/// A worker's last garbage reaches its domain before `Workload::run` returns.
+/// An exiting thread publishes the bag it still holds from its epoch handle's
+/// thread-local destructor, which runs after the worker's closure; a run that
+/// joined only the closures returned while a slow destructor ahead of the
+/// handle's was still sleeping, and this drain gave up with one closure pending
+/// (the way `split_ordered_removals_drain_their_domain_to_zero` failed on a
+/// loaded host).
+#[test]
+fn an_exiting_workers_garbage_is_published_before_run_returns() {
+    const EXIT_DOMAIN: usize = 19;
+    struct Slow;
+    impl Drop for Slow {
+        fn drop(&mut self) {
+            std::thread::sleep(std::time::Duration::from_millis(200));
+        }
+    }
+    thread_local! {
+        static SLOW: Slow = const { Slow };
+    }
+    Workload::new(0x19)
+        .worker(|_| {
+            let guard = epoch::pin_domain(EXIT_DOMAIN);
+            // SAFETY: the closure frees nothing.
+            unsafe { guard.defer_unchecked(|| ()) };
+            // Registered after the epoch handle, so torn down before it.
+            SLOW.with(|_| ());
+        })
+        .run();
+    assert_eq!(stats(EXIT_DOMAIN).hwm, 1);
+    assert!(
+        drain_domain(EXIT_DOMAIN),
+        "garbage left: {:?}",
+        stats(EXIT_DOMAIN)
     );
 }
